@@ -23,14 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .evaluation import _grid_values
 from .series import CoefficientRule
 
 __all__ = [
     "Estimate",
     "BoundednessProbe",
     "AbscissaEstimate",
-    "estimate_sigma_c",
-    "estimate_sigma_a",
+    "sigma_c_estimate",
+    "sigma_a_estimate",
     "bracket_sigma_u",
     "SIGMA_U_NOTE",
 ]
@@ -116,40 +117,17 @@ def _validated_length(N) -> int:
     return int(N)
 
 
-def estimate_sigma_c(rule: CoefficientRule, N: int) -> float:
-    """Estimate of the abscissa of convergence from signed partial sums."""
-    return sigma_c_estimate(rule, N).value
-
-
-def estimate_sigma_a(rule: CoefficientRule, N: int) -> float:
-    """Estimate of the abscissa of absolute convergence from |a_n| sums."""
-    return sigma_a_estimate(rule, N).value
-
-
 def sigma_c_estimate(rule: CoefficientRule, N: int) -> Estimate:
+    """Estimate of the abscissa of convergence from signed partial sums."""
     N = _validated_length(N)
     return _estimate(rule.values(np.arange(1, N + 1, dtype=np.int64)), N)
 
 
 def sigma_a_estimate(rule: CoefficientRule, N: int) -> Estimate:
+    """Estimate of the abscissa of absolute convergence from |a_n| sums."""
     N = _validated_length(N)
     vals = np.abs(rule.values(np.arange(1, N + 1, dtype=np.int64)))
     return _estimate(vals.astype(np.complex128), N)
-
-
-def _boundedness_probe(
-    values: np.ndarray, epsilon: float, t_max: float, points: int
-) -> BoundednessProbe:
-    ns = np.arange(1, values.size + 1, dtype=np.float64)
-    logn = np.log(ns)
-    w = values * np.exp(-epsilon * logn)
-    ts = np.linspace(0.0, t_max, points)
-    sup = 0.0
-    t_step = max(1, (1 << 23) // values.size)
-    for i in range(0, ts.size, t_step):
-        tc = ts[i : i + t_step]
-        sup = max(sup, float(np.max(np.abs(w @ np.exp(np.outer(logn, -1j * tc))))))
-    return BoundednessProbe(epsilon=float(epsilon), sup_abs=sup, t_max=float(t_max), points=points)
 
 
 def bracket_sigma_u(
@@ -172,8 +150,22 @@ def bracket_sigma_u(
     for e in probe_eps:
         if not (e >= 0.0) or not math.isfinite(e):
             raise DomainError(f"probe epsilons must be finite reals >= 0, got {e!r}")
+    if not (t_max > 0.0) or not math.isfinite(t_max):
+        raise DomainError(f"probe grid extent t_max must be a finite real > 0, got {t_max!r}")
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
+        raise DomainError(f"probe grid points must be an integer >= 1, got {points!r}")
     values = rule.values(np.arange(1, N + 1, dtype=np.int64))
     sc = _estimate(values, N)
     sa = _estimate(np.abs(values).astype(np.complex128), N)
-    probes = tuple(_boundedness_probe(values, e, t_max, points) for e in probe_eps)
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    ts = np.linspace(0.0, t_max, points)
+    probes = tuple(
+        BoundednessProbe(
+            epsilon=e,
+            sup_abs=float(np.max(np.abs(_grid_values(logn, values * np.exp(-e * logn), ts)))),
+            t_max=float(t_max),
+            points=points,
+        )
+        for e in probe_eps
+    )
     return AbscissaEstimate(sigma_c=sc, sigma_a=sa, N=N, probes=probes)

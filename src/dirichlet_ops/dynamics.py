@@ -14,7 +14,7 @@ that is where the closed-form growth rates live.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
 
 import numpy as np
@@ -42,22 +42,14 @@ def _validated_power(k) -> int:
     return int(k)
 
 
-def _check_constraint(m: Multiplier, f: DirichletPolynomial) -> None:
-    if m.requires_zero_constant and f.coefficient(1) != 0:
-        raise DomainError(
-            f"multiplier '{m.label}' requires a vanishing constant term, "
-            f"got a_1 = {f.coefficient(1)}"
-        )
-
-
 def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolynomial:
     """k-th iterate, coefficient-wise a_n -> symbol(n)^k a_n.
 
     Computed as a single power rather than k sequential applications, so
     the error stays at one complex-power rounding instead of k of them."""
     k = _validated_power(k)
-    _check_constraint(m, f)
-    return DirichletPolynomial({n: (m(n) ** k) * a for n, a in f.items()})
+    power = replace(m, symbol=lambda n: complex(m.symbol(n)) ** k, label=f"{m.label}^{k}")
+    return apply(power, f)
 
 
 def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolynomial:
@@ -67,24 +59,21 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     from gamma = 1 and the direct count k at gamma = 1 (with a small
     cancellation guard ring around 1 summed directly as well)."""
     k = _validated_power(k)
-    _check_constraint(m, f)
-    out = {}
-    for n, a in f.items():
-        g = m(n)
-        if abs(g - 1.0) <= _UNIT_SYMBOL_RADIUS:
-            if g == 1.0:
-                mean = a  # sum of k ones over k
-            else:
-                s = 0j
-                p = 1.0 + 0j
-                for _ in range(k):
-                    p *= g
-                    s += p
-                mean = (s / k) * a
-        else:
-            mean = (g * (1.0 - g**k) / (1.0 - g) / k) * a
-        out[n] = mean
-    return DirichletPolynomial(out)
+
+    def mean_symbol(n: int) -> complex:
+        g = complex(m.symbol(n))
+        if abs(g - 1.0) > _UNIT_SYMBOL_RADIUS:
+            return g * (1.0 - g**k) / (1.0 - g) / k
+        if g == 1.0:
+            return 1.0  # sum of k ones over k
+        s, p = 0j, 1.0 + 0j
+        for _ in range(k):
+            p *= g
+            s += p
+        return s / k
+
+    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})", invertible=False)
+    return apply(mean, f)
 
 
 def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float, k: int) -> float:
@@ -97,11 +86,11 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     k = _validated_power(k)
     if not (epsilon >= 0.0) or not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be a finite real >= 0, got {epsilon!r}")
-    _check_constraint(m, f)
+    m.check_domain(f)
     terms = []
     log_k = math.log(k)
     for n, a in f.items():
-        g = m(n)
+        g = complex(m.symbol(n))
         mag = abs(g)
         if mag == 0.0 or a == 0:
             continue

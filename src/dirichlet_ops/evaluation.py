@@ -55,12 +55,8 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
 
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> complex:
-    """sum_{n<=N} rule(n) n^(-s), streamed so N ~ 10^8 never materializes a
-    coefficient map.  Agrees with evaluate(truncate(rule, N), s).
-
-    The chunk default keeps each slice cache-resident, which is worth ~4x
-    wall clock on 10^8-term sums; values_raw skips the complex coercion for
-    real-valued rules for the same reason."""
+    """sum_{n<=N} rule(n) n^(-s), streamed in chunks so N ~ 10^8 never
+    materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)."""
     s = _as_complex_point(s)
     if N < 1:
         raise DomainError(f"partial sum length must be >= 1, got {N}")
@@ -69,12 +65,23 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> compl
     while lo <= N:
         hi = min(N, lo + chunk - 1)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = rule.values_raw(ns)
+        vals = rule.values(ns)
         if s != 0:
             vals = vals * np.exp(-s * np.log(ns.astype(np.float64)))
         total += complex(vals.sum())
         lo = hi + 1
     return total
+
+
+def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """sum_n w_n exp(-i t log n) at each t of a 1-d grid: the one boundary-grid
+    kernel, chunked in t so no block holds more than 2^23 entries."""
+    out = np.empty(ts.shape, dtype=np.complex128)
+    t_step = max(1, (1 << 23) // max(1, logn.size))
+    for i in range(0, ts.size, t_step):
+        tc = ts[i : i + t_step]
+        out[i : i + t_step] = w @ np.exp(np.outer(logn, -1j * tc))
+    return out
 
 
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
@@ -83,13 +90,7 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
     if f.is_zero:
         return np.zeros(ts.shape, dtype=np.complex128)
     logn = np.log(f.index_array().astype(np.float64))
-    w = f.coefficient_array() * np.exp(-epsilon * logn)
-    out = np.empty(ts.shape, dtype=np.complex128)
-    t_step = max(1, (1 << 23) // max(1, logn.size))
-    for i in range(0, ts.size, t_step):
-        tc = ts[i : i + t_step]
-        out[i : i + t_step] = w @ np.exp(np.outer(logn, -1j * tc))
-    return out
+    return _grid_values(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
 
 
 def summation_by_parts(x, y) -> complex:

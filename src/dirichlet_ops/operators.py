@@ -62,6 +62,21 @@ class Multiplier:
             )
         return complex(self.symbol(n))
 
+    def check_domain(self, f: DirichletPolynomial) -> None:
+        """Raise DomainError unless f lies in the multiplier's domain: a
+        vanishing constant term when required, and no stored index below
+        min_index (indices are sorted, so the first one is the smallest)."""
+        if self.requires_zero_constant and f.coefficient(1) != 0:
+            raise DomainError(
+                f"multiplier '{self.label}' requires a vanishing constant term, "
+                f"got a_1 = {f.coefficient(1)}"
+            )
+        first = next(iter(f.indices()), self.min_index)
+        if first < self.min_index:
+            raise DomainError(
+                f"multiplier '{self.label}' is defined for n >= {self.min_index}, got {first}"
+            )
+
 
 def derivative_multiplier() -> Multiplier:
     """gamma_n = -log n; multiplies each term by the log of its index."""
@@ -156,13 +171,8 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
 def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
     annihilated terms disappear from the coefficient map."""
-    if m.requires_zero_constant:
-        a1 = f.coefficient(1)
-        if a1 != 0:
-            raise DomainError(
-                f"multiplier '{m.label}' requires a vanishing constant term, got a_1 = {a1}"
-            )
-    return DirichletPolynomial({n: m(n) * a for n, a in f.items()})
+    m.check_domain(f)
+    return DirichletPolynomial({n: complex(m.symbol(n)) * a for n, a in f.items()})
 
 
 def differentiate(f: DirichletPolynomial) -> DirichletPolynomial:

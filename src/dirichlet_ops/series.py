@@ -8,7 +8,7 @@ construction; every operation returns a fresh object, which makes
 unrestricted concurrent reads safe.
 
 Infinite series enter only through CoefficientRule: a deterministic, total
-generator n -> a_n plus an optional vectorized form used by the estimators.
+rule n -> a_n, computed on whole index arrays.
 """
 
 from __future__ import annotations
@@ -216,42 +216,37 @@ class HalfPlanePoint:
 
 @dataclass(frozen=True)
 class CoefficientRule:
-    """Deterministic total coefficient generator n -> a_n for n >= 1.
+    """Deterministic total coefficient rule n -> a_n for n >= 1.
 
-    `vectorized`, when given, must agree with `generator` on every index and
-    exists purely so the window estimators can sweep n up to 10^5 and beyond
-    without a Python-level loop.  `known_abscissas` is reference metadata
-    consumed only by tests, never by the estimators themselves.
+    `vectorized` maps an int64 index array to the coefficient array; it is
+    the only way a rule is evaluated.  values() returns its native dtype
+    (float64 for real rules, so streamed sums skip a complex pass) and a
+    scalar call rule(n) is values() on a 1-element array.
+    `known_abscissas` is reference metadata consumed only by tests, never
+    by the estimators themselves.
     """
 
     tag: str
-    generator: Callable[[int], complex]
-    vectorized: Callable[[np.ndarray], np.ndarray] | None = None
+    vectorized: Callable[[np.ndarray], np.ndarray]
     known_abscissas: Mapping[str, float] | None = None
 
     def __call__(self, n: int) -> complex:
-        return complex(self.generator(_validate_index(n)))
+        return complex(self.values([_validate_index(n)])[0])
 
     def values(self, ns) -> np.ndarray:
-        return np.asarray(self.values_raw(ns), dtype=np.complex128)
-
-    def values_raw(self, ns) -> np.ndarray:
-        """values() without the complex128 coercion: the vectorized rule's
-        native dtype comes through, so streaming summers over ~10^8 indices
-        skip a full conversion pass.  Same numbers, narrower carrier."""
-        ns = np.asarray(ns, dtype=np.int64)
+        try:
+            ns = np.asarray(ns, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("rule indices must fit in int64") from None
         if ns.size and ns.min() < 1:
             raise DomainError("rule indices must be >= 1")
-        if self.vectorized is not None:
-            return np.asarray(self.vectorized(ns))
-        return np.array([complex(self.generator(int(n))) for n in ns], dtype=np.complex128)
+        return np.asarray(self.vectorized(ns))
 
 
 def ones_rule() -> CoefficientRule:
     """a_n = 1 for all n (the canonical boundary-line divergence witness)."""
     return CoefficientRule(
         tag="ones",
-        generator=lambda n: 1.0,
         vectorized=lambda ns: np.ones(ns.shape, dtype=np.float64),
         known_abscissas={"sigma_c": 1.0, "sigma_a": 1.0},
     )
@@ -262,20 +257,17 @@ def eta_rule() -> CoefficientRule:
     absolute-convergence line, which separates the two abscissas."""
     return CoefficientRule(
         tag="eta",
-        generator=lambda n: 1.0 if n % 2 else -1.0,
         vectorized=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0),
         known_abscissas={"sigma_c": 0.0, "sigma_u": 0.0, "sigma_a": 1.0},
     )
 
 
-def _inv_power(nf, k: int):
-    # repeated multiply beats np.power for the small integer exponents we
-    # use; the scalar and vectorized rule paths both route through here so
-    # they agree bit for bit (elementwise IEEE ops round identically)
+def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
+    # repeated multiply beats np.power for the small integer exponents we use
     if k == 0:
-        return np.ones_like(nf) if isinstance(nf, np.ndarray) else 1.0
+        return np.ones_like(nf)
     r = 1.0 / nf
-    out = r.copy() if isinstance(nf, np.ndarray) else r
+    out = r.copy()
     for _ in range(k - 1):
         out *= r
     return out
@@ -288,35 +280,50 @@ def zeta_shift_rule(k: int) -> CoefficientRule:
     k = int(k)
     return CoefficientRule(
         tag=f"zeta_shift({k})",
-        generator=lambda n: _inv_power(float(n), k),
         vectorized=lambda ns: _inv_power(ns.astype(np.float64), k),
         known_abscissas={"sigma_c": 1.0 - k, "sigma_a": 1.0 - k},
     )
 
 
-def _moebius_value(n: int) -> float:
-    if n == 1:
-        return 1.0
-    sign = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0.0
-            sign = -sign
-        p += 1 if p == 2 else 2
-    if m > 1:
-        sign = -sign
-    return float(sign)
+# (cofactor, divisor) pairs one trial-division pass may test at once
+_TRIAL_BLOCK = 1 << 16
+
+
+def _moebius_values(ns: np.ndarray) -> np.ndarray:
+    """mu(n) by trial division, vectorized over the indices.
+
+    Each pass tests a block of consecutive divisors d against the cofactors
+    still >= d^2; within a block the smallest divisor hit is always prime,
+    since smaller primes were already divided out.  Memory stays
+    O(len(ns) + _TRIAL_BLOCK), with no sieve up to sqrt(max n)."""
+    cof = ns.reshape(-1).copy()
+    sign = np.ones(cof.shape, dtype=np.int64)
+    d = 2
+    live = np.flatnonzero(cof >= 4)
+    while live.size:
+        ds = np.arange(d, d + max(1, _TRIAL_BLOCK // live.size), dtype=np.int64)
+        rows = live
+        while rows.size:
+            hits = cof[rows, None] % ds == 0
+            found = hits.any(axis=1)
+            rows = rows[found]
+            p = ds[hits[found].argmax(axis=1)]
+            q = cof[rows] // p
+            square = q % p == 0
+            sign[rows] = np.where(square, 0, -sign[rows])
+            cof[rows] = np.where(square, 1, q)
+        d += ds.size
+        live = live[cof[live] >= d * d]
+    # a cofactor left above 1 has no divisor up to its square root: a prime
+    sign[cof > 1] *= -1
+    return sign.astype(np.float64).reshape(ns.shape)
 
 
 def moebius_rule() -> CoefficientRule:
     """Square-free sign pattern: convolution inverse of the ones rule."""
     return CoefficientRule(
         tag="moebius",
-        generator=_moebius_value,
+        vectorized=_moebius_values,
         known_abscissas={"sigma_a": 1.0},
     )
 
@@ -325,13 +332,10 @@ def table_rule(mapping: Mapping[int, complex], tag: str = "table") -> Coefficien
     """Finite table promoted to a rule; indices outside the table give 0."""
     frozen = {_validate_index(n): complex(a) for n, a in mapping.items()}
 
-    def gen(n: int) -> complex:
-        return frozen.get(n, 0j)
-
     def vec(ns: np.ndarray) -> np.ndarray:
         return np.array([frozen.get(int(n), 0j) for n in ns], dtype=np.complex128)
 
-    return CoefficientRule(tag=tag, generator=gen, vectorized=vec)
+    return CoefficientRule(tag=tag, vectorized=vec)
 
 
 def truncate(rule: CoefficientRule, N: int) -> DirichletPolynomial:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpectralError
+from .operators import Multiplier, apply
 from .series import DirichletPolynomial, monomial
 
 __all__ = [
@@ -57,11 +58,12 @@ def _validate_space(space: str) -> str:
     return space
 
 
-def _symbol_distance(lam: complex) -> tuple[float, int]:
+def _symbol_distance(lam: complex) -> tuple[float, int | None]:
     """min over n >= 2 of |log n + lambda| and its minimizing index.
 
     |log n + lambda|^2 = (log n - x*)^2 + (Im lambda)^2 with x* = -Re lambda
     is unimodal in log n, so only the integers bracketing exp(x*) compete.
+    Past _X_HUGE the minimizer is no indexable integer and comes back None.
     """
     x_star = -lam.real
     if x_star <= _LOG2:
@@ -69,7 +71,7 @@ def _symbol_distance(lam: complex) -> tuple[float, int]:
     elif x_star > _X_HUGE:
         # log n comes within ~exp(-x*) of x*: the real part is matched to
         # fp resolution and only the imaginary offset survives
-        return abs(lam.imag), int(round(math.exp(min(x_star, 700.0)))) if x_star < 700 else 0
+        return abs(lam.imag), None
     else:
         n0 = math.exp(x_star)
         lo = max(2, int(math.floor(n0)) - 2)
@@ -99,8 +101,9 @@ class SpectrumClassification:
     monomial), 'eigenvalue_constant' (lambda = 0 on the full space, the
     constants are the kernel and the range misses them), 'resolvent_point'
     (invertible, with gap the coefficient-wise inverse bound), or
-    'spectrum_non_eigen' (kept for completeness; the derivative's spectrum
-    on these spaces is exhausted by the other kinds).
+    'dense_spectrum' (Re lambda < -_X_HUGE with Im lambda within tolerance
+    of 0: consecutive -log n there are far closer than the tolerance and
+    their index exceeds int64, so n and eigenvector stay None).
     """
 
     lam: complex
@@ -128,10 +131,12 @@ def classify_point(lmbda, space: str) -> SpectrumClassification:
         return SpectrumClassification(
             lam=lam,
             space=space,
-            kind="eigenvalue",
+            kind="dense_spectrum" if n_best is None else "eigenvalue",
             n=n_best,
-            eigenvector=monomial(n_best),
-            reason=f"lambda = -log {n_best} to within {SPECTRUM_TOLERANCE}",
+            eigenvector=None if n_best is None else monomial(n_best),
+            reason=f"lambda = -log {n_best} to within {SPECTRUM_TOLERANCE}"
+            if n_best is not None
+            else f"within {SPECTRUM_TOLERANCE} of -log n for n past int64 (Re lambda < -{_X_HUGE})",
         )
     if space == FULL and abs(lam) <= SPECTRUM_TOLERANCE:
         return SpectrumClassification(
@@ -149,14 +154,13 @@ def classify_point(lmbda, space: str) -> SpectrumClassification:
     # resolvent territory; on the zero-constant subspace there is no
     # b_1/lambda coefficient, so |lambda| does not enter the inverse bound
     gap = inner if space == ZERO_SUBSPACE else min(abs(lam), inner)
-    dist = inner if space == ZERO_SUBSPACE else min(abs(lam), inner)
     return SpectrumClassification(
         lam=lam,
         space=space,
         kind="resolvent_point",
         gap=gap,
-        near_spectrum=dist < NEAR_SPECTRUM_RADIUS,
-        reason="within NEAR_SPECTRUM_RADIUS of the spectrum" if dist < NEAR_SPECTRUM_RADIUS else "",
+        near_spectrum=gap < NEAR_SPECTRUM_RADIUS,
+        reason="within NEAR_SPECTRUM_RADIUS of the spectrum" if gap < NEAR_SPECTRUM_RADIUS else "",
     )
 
 
@@ -175,17 +179,13 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
             f"lambda = {lam} lies in the spectrum ({cls.kind}); no resolvent there",
             classification=cls,
         )
-    if space == ZERO_SUBSPACE and f.coefficient(1) != 0:
-        raise DomainError(
-            f"zero_subspace resolvent needs a vanishing constant term, got b_1 = {f.coefficient(1)}"
-        )
-    out = {}
-    for n, b in f.items():
-        if n == 1:
-            out[1] = b / lam
-        else:
-            out[n] = b / (math.log(n) + lam)
-    return DirichletPolynomial(out)
+    # log 1 = 0, so the n = 1 entry of this symbol is the b_1 / lambda term
+    resolvent = Multiplier(
+        symbol=lambda n: 1.0 / (math.log(n) + lam),
+        label=f"{space} resolvent",
+        requires_zero_constant=space == ZERO_SUBSPACE,
+    )
+    return apply(resolvent, f)
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,10 @@ def _reciprocal_symbol_distance(w: complex) -> float:
             n0 = math.exp(x)
             lo = max(2, int(math.floor(n0)) - 2)
             cands.update(range(lo, int(math.ceil(n0)) + 3))
-        # x beyond the window: covered by the tail limit
+        else:
+            # the -1/log n near Re w are dense to fp resolution, as in
+            # _symbol_distance: only the imaginary offset survives
+            tail = abs(w.imag)
     best = min(abs((-1.0 / math.log(n)) - w) for n in sorted(cands))
     return min(best, tail)
 

@@ -7,8 +7,6 @@ from dirichlet_ops import (
     CoefficientRule,
     DomainError,
     bracket_sigma_u,
-    estimate_sigma_a,
-    estimate_sigma_c,
     eta_rule,
     ones_rule,
     sigma_a_estimate,
@@ -23,36 +21,35 @@ N = 10**5
 def linear_rule() -> CoefficientRule:
     return CoefficientRule(
         tag="linear",
-        generator=lambda n: float(n),
         vectorized=lambda ns: ns.astype(np.float64),
     )
 
 
 class TestSigmaC:
     def test_ones_is_one(self):
-        assert estimate_sigma_c(ones_rule(), 2000) == pytest.approx(1.0, abs=1e-9)
-        assert estimate_sigma_c(ones_rule(), N) == pytest.approx(1.0, abs=1e-9)
+        assert sigma_c_estimate(ones_rule(), 2000).value == pytest.approx(1.0, abs=1e-9)
+        assert sigma_c_estimate(ones_rule(), N).value == pytest.approx(1.0, abs=1e-9)
 
     def test_eta_is_zero(self):
-        assert estimate_sigma_c(eta_rule(), N) == pytest.approx(0.0, abs=0.05)
+        assert sigma_c_estimate(eta_rule(), N).value == pytest.approx(0.0, abs=0.05)
 
     def test_linear_growth(self):
-        assert estimate_sigma_c(linear_rule(), N) == pytest.approx(2.0, abs=0.01)
+        assert sigma_c_estimate(linear_rule(), N).value == pytest.approx(2.0, abs=0.01)
 
     def test_identically_zero_rule_gives_minus_inf(self):
-        assert estimate_sigma_c(table_rule({}), 500) == -math.inf
+        assert sigma_c_estimate(table_rule({}), 500).value == -math.inf
 
     def test_window_length_validated(self):
         with pytest.raises(DomainError):
-            estimate_sigma_c(ones_rule(), 99)
+            sigma_c_estimate(ones_rule(), 99)
 
 
 class TestSigmaA:
     def test_eta_is_one(self):
-        assert estimate_sigma_a(eta_rule(), N) == pytest.approx(1.0, abs=0.02)
+        assert sigma_a_estimate(eta_rule(), N).value == pytest.approx(1.0, abs=0.02)
 
     def test_ones_is_one(self):
-        assert estimate_sigma_a(ones_rule(), N) == pytest.approx(1.0, abs=0.02)
+        assert sigma_a_estimate(ones_rule(), N).value == pytest.approx(1.0, abs=0.02)
 
     def test_zeta_shift_engages_shift_protocol(self):
         est = sigma_a_estimate(zeta_shift_rule(2), N)
@@ -98,6 +95,21 @@ class TestBracket:
         with pytest.raises(DomainError):
             bracket_sigma_u(eta_rule(), 1000, [-0.5])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"points": 0},
+            {"points": -3},
+            {"t_max": 0.0},
+            {"t_max": -1.0},
+            {"t_max": math.inf},
+            {"t_max": math.nan},
+        ],
+    )
+    def test_probe_grid_validated(self, grid):
+        with pytest.raises(DomainError):
+            bracket_sigma_u(eta_rule(), 1000, [0.5], **grid)
+
 
 class TestCorpusStability:
     CORPUS = (
@@ -109,8 +121,8 @@ class TestCorpusStability:
     @pytest.mark.parametrize("make_rule,want_c,want_a", CORPUS)
     def test_known_answers(self, make_rule, want_c, want_a):
         rule = make_rule()
-        assert estimate_sigma_c(rule, N) == pytest.approx(want_c, abs=0.05)
-        assert estimate_sigma_a(rule, N) == pytest.approx(want_a, abs=0.05)
+        assert sigma_c_estimate(rule, N).value == pytest.approx(want_c, abs=0.05)
+        assert sigma_a_estimate(rule, N).value == pytest.approx(want_a, abs=0.05)
 
     @pytest.mark.parametrize("make_rule,want_c,want_a", CORPUS)
     def test_ordering(self, make_rule, want_c, want_a):

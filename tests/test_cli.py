@@ -42,6 +42,12 @@ class TestGoldenOutputs:
         assert code == 0
         assert json.loads(out) == {"verdict": "eigenvalue_constant", "n": 1}
 
+    @pytest.mark.parametrize("lam", ["-800,0", "-50,0"])
+    def test_classify_dense_spectrum_has_no_index(self, capsys, lam):
+        code, out, _ = run_cli(capsys, ["classify", f"--lambda={lam}", "--space", "full"])
+        assert code == 0
+        assert out == '{"verdict":"dense_spectrum"}\n'
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, capsys):

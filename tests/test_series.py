@@ -183,6 +183,10 @@ class TestRules:
             assert np.array_equal(vec, point)
             assert rule(17) == rule(17)
 
+    def test_index_beyond_int64_rejected(self):
+        with pytest.raises(DomainError):
+            moebius_rule()(2**64)
+
     def test_known_abscissas_metadata_for_tests_only(self):
         assert ones_rule().known_abscissas is not None
         assert zeta_shift_rule(2).known_abscissas is not None

@@ -91,6 +91,23 @@ class TestClassification:
         with pytest.raises(DomainError):
             classify_point(1.0, "everything")
 
+    @pytest.mark.parametrize("lam", [-50.0, -800.0, -800.0 + 1e-13j])
+    def test_dense_spectrum_far_left(self, lam):
+        # exp(-Re lambda) is past int64: no eigenvector index is claimed
+        for space in (ZERO_SUBSPACE, FULL):
+            cls = classify_point(lam, space)
+            assert cls.kind == "dense_spectrum"
+            assert cls.n is None and cls.eigenvector is None
+        with pytest.raises(SpectralError) as exc:
+            resolvent_apply(lam, monomial(2), ZERO_SUBSPACE)
+        assert exc.value.classification.kind == "dense_spectrum"
+        assert reciprocal_spectrum_check(lam).consistent
+
+    def test_far_left_off_axis_is_resolvent_point(self):
+        cls = classify_point(-800.0 + 0.25j, FULL)
+        assert cls.kind == "resolvent_point"
+        assert cls.gap == 0.25
+
 
 class TestResolvent:
     def test_monomial_formula(self):
