@@ -10,6 +10,7 @@ bound] rather than a single number.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -44,6 +45,12 @@ def _as_complex_point(s) -> complex:
     raise DomainError(f"evaluation point must be complex or HalfPlanePoint, got {s!r}")
 
 
+def _finite(value: complex, what: str) -> complex:
+    if not cmath.isfinite(value):
+        raise DomainError(f"{what} overflows double precision, got {value!r}")
+    return value
+
+
 def evaluate(f: DirichletPolynomial, s) -> complex:
     """Exact finite sum  sum_n a_n exp(-s log n)  over the stored terms."""
     s = _as_complex_point(s)
@@ -51,7 +58,9 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
         return 0j
     ns = f.index_array().astype(np.float64)
     coeffs = f.coefficient_array()
-    return complex(np.sum(coeffs * np.exp(-s * np.log(ns))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.sum(coeffs * np.exp(-s * np.log(ns))))
+    return _finite(value, f"f(s) at s = {s}")
 
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> complex:
@@ -62,15 +71,16 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> compl
         raise DomainError(f"partial sum length must be >= 1, got {N}")
     total = 0j
     lo = 1
-    while lo <= N:
-        hi = min(N, lo + chunk - 1)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = rule.values(ns)
-        if s != 0:
-            vals = vals * np.exp(-s * np.log(ns.astype(np.float64)))
-        total += complex(vals.sum())
-        lo = hi + 1
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo <= N:
+            hi = min(N, lo + chunk - 1)
+            ns = np.arange(lo, hi + 1, dtype=np.int64)
+            vals = rule.values(ns)
+            if s != 0:
+                vals = vals * np.exp(-s * np.log(ns.astype(np.float64)))
+            total += complex(vals.sum())
+            lo = hi + 1
+    return _finite(total, f"partial sum of {N} terms at s = {s}")
 
 
 def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .series import DirichletPolynomial
+from .series import DirichletPolynomial, _normal
 
 __all__ = [
     "Multiplier",
@@ -172,7 +172,8 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
     annihilated terms disappear from the coefficient map."""
     m.check_domain(f)
-    return DirichletPolynomial({n: complex(m.symbol(n)) * a for n, a in f.items()})
+    symbol = m.symbol
+    return _normal(f.indices(), [complex(symbol(n)) * a for n, a in f.items()])
 
 
 def differentiate(f: DirichletPolynomial) -> DirichletPolynomial:

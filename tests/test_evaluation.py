@@ -54,6 +54,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(monomial(2), complex(math.nan, 0))
 
+    def test_overflow_raises_naming_the_point(self):
+        # 2^2000 overflows a double: the sum would be inf + nan j
+        with pytest.raises(DomainError, match=r"s = \(-2000\+0j\)"):
+            evaluate(add(monomial(2), monomial(3)), -2000)
+
 
 class TestPartialSum:
     def test_matches_truncated_evaluation(self):
@@ -62,6 +67,10 @@ class TestPartialSum:
         direct = evaluate(truncate(rule, 5000), s)
         streamed = partial_sum(rule, s, 5000)
         assert streamed == pytest.approx(direct, rel=1e-12)
+
+    def test_overflow_raises_naming_the_point(self):
+        with pytest.raises(DomainError, match=r"s = \(-2000\+0j\)"):
+            partial_sum(ones_rule(), -2000, 10)
 
     def test_zero_point_shortcut(self):
         rule = eta_rule()

@@ -3,7 +3,9 @@ replaced them.
 
 Each legacy function below is the per-term loop the library used before its
 operators went through operators.apply, its grid probes through the shared
-boundary-grid kernel, and its rules through one vectorized values path.
+boundary-grid kernel, its rules through one vectorized values path, and its
+internal results (apply, add, scale, convolution) through the trusted
+normal-form constructor and the array convolution kernel.
 The new paths must reproduce them bit for bit, except the resolvent, whose
 coefficients are now b * (1 / x) instead of b / x.  Both round differently
 in CPython's complex arithmetic; a random search over 10^6 coefficients
@@ -11,6 +13,7 @@ found them at most 2.83 ulp of |b / x| apart, so the test allows 4.
 """
 
 import math
+from math import fsum
 
 import numpy as np
 import pytest
@@ -22,18 +25,23 @@ from dirichlet_ops import (
     ZERO_SUBSPACE,
     DirichletPolynomial,
     Multiplier,
+    add,
+    apply,
     bracket_sigma_u,
     cesaro_mean,
     derivative_multiplier,
+    dirichlet_multiply,
     eta_rule,
     integration_multiplier,
     moebius_rule,
     ones_rule,
     power_apply,
     resolvent_apply,
+    scale,
     table_rule,
     zeta_shift_rule,
 )
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
 from conftest import poly_strategy
 
@@ -56,6 +64,31 @@ def legacy_moebius_value(n: int) -> float:
     if m > 1:
         sign = -sign
     return float(sign)
+
+
+def legacy_dirichlet_multiply(f, g):
+    buckets = {}
+    for n1, a in f.items():
+        for n2, b in g.items():
+            p = a * b
+            re_l, im_l = buckets.setdefault(n1 * n2, ([], []))
+            re_l.append(p.real)
+            im_l.append(p.imag)
+    return DirichletPolynomial(
+        {n: complex(fsum(re_l), fsum(im_l)) for n, (re_l, im_l) in buckets.items()}
+    )
+
+
+def legacy_apply(m, f):
+    m.check_domain(f)
+    return DirichletPolynomial({n: complex(m.symbol(n)) * a for n, a in f.items()})
+
+
+def legacy_add(f, g):
+    out = dict(f.coeffs)
+    for n, b in g.items():
+        out[n] = out.get(n, 0j) + b
+    return DirichletPolynomial(out)
 
 
 def legacy_power_apply(m, k, f):
@@ -176,3 +209,85 @@ class TestBoundaryGridKernel:
         values = eta_rule().values(np.arange(1, 3001, dtype=np.int64))
         [probe] = bracket_sigma_u(eta_rule(), 3000, [0.25], t_max=40.0, points=3000).probes
         assert probe.sup_abs == legacy_probe_sup(values, 0.25, 40.0, 3000)
+
+
+# components that make CPython's complex product hit -0.0 (0 * -1 - 1 * 0),
+# exact cancellations and equal products, mixed with arbitrary doubles
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+)
+_signed_coefficients = st.builds(complex, _component, _component)
+
+
+def _terms(max_index, max_terms):
+    return st.lists(st.tuples(st.integers(1, max_index), _signed_coefficients), max_size=max_terms)
+
+
+def bucket_sizes(f, g):
+    sizes = {}
+    for n1 in f.indices():
+        for n2 in g.indices():
+            sizes[n1 * n2] = sizes.get(n1 * n2, 0) + 1
+    return set(sizes.values())
+
+
+class TestConvolutionKernel:
+    """The array kernel (from _KERNEL_MIN_PAIRS pairs on) and the per-pair
+    loop below it both against the old per-pair loop, to the bit."""
+
+    @given(f=_terms(12, 14).map(DirichletPolynomial), g=_terms(12, 14).map(DirichletPolynomial))
+    def test_bit_equal_dense_indices(self, f, g):
+        # indices up to 12 put many pairs in one bucket
+        assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+
+    @given(f=_terms(10**6, 14).map(DirichletPolynomial), g=_terms(10**6, 14).map(DirichletPolynomial))
+    def test_bit_equal_sparse_indices(self, f, g):
+        assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+
+    @pytest.mark.parametrize("n_f, n_g", [(1, 1), (5, 3), (6, 7), (7, 7), (8, 8), (40, 40)])
+    def test_both_sides_of_pair_constant(self, n_f, n_g, rng):
+        for _ in range(20):
+            f = DirichletPolynomial({int(n): complex(*rng.normal(size=2))
+                                     for n in rng.choice(np.arange(1, 41), n_f, replace=False)})
+            g = DirichletPolynomial({int(n): complex(*rng.normal(size=2))
+                                     for n in rng.choice(np.arange(1, 41), n_g, replace=False)})
+            assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+        assert 6 * 7 < _KERNEL_MIN_PAIRS <= 7 * 7
+
+    def test_buckets_of_one_two_and_more(self):
+        f = DirichletPolynomial({n: complex(1.0 / n, -(n % 3)) for n in range(1, 13)})
+        g = DirichletPolynomial({n: complex(-0.0 if n % 2 else 0.3, 1.0 / n) for n in range(1, 9)})
+        assert {1, 2, 3, 4} <= bucket_sizes(f, g)
+        assert f.term_count * g.term_count >= _KERNEL_MIN_PAIRS
+        assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+
+    def test_negative_zero_products(self):
+        # 1j * -1 has real part 0 * -1 - 1 * 0 = -0.0; stored as +0.0 either way
+        f = DirichletPolynomial({n: 1j for n in range(2, 10)})
+        g = DirichletPolynomial({n: -1.0 for n in range(3, 11)})
+        got = dirichlet_multiply(f, g)
+        assert bits(got) == bits(legacy_dirichlet_multiply(f, g))
+        assert all(math.copysign(1.0, a.real) == 1.0 for _, a in got.items())
+
+    def test_commutative_to_the_bit_at_300_by_300(self, rng):
+        f = DirichletPolynomial({n: complex(*rng.normal(size=2)) for n in range(1, 301)})
+        g = DirichletPolynomial({int(n): complex(*rng.normal(size=2))
+                                 for n in rng.choice(np.arange(1, 2001), 300, replace=False)})
+        fg = dirichlet_multiply(f, g)
+        assert bits(fg) == bits(dirichlet_multiply(g, f))
+        assert bits(fg) == bits(legacy_dirichlet_multiply(f, g))
+
+
+class TestTrustedConstructor:
+    @pytest.mark.parametrize("m", MULTIPLIERS, ids=lambda m: m.label)
+    @given(f=_terms(512, 10).map(lambda t: DirichletPolynomial([(n, a) for n, a in t if n > 1])))
+    def test_apply_bit_equal(self, m, f):
+        assert bits(apply(m, f)) == bits(legacy_apply(m, f))
+
+    @given(f=_terms(64, 10).map(DirichletPolynomial), g=_terms(64, 10).map(DirichletPolynomial),
+           c=_signed_coefficients)
+    def test_add_and_scale_bit_equal(self, f, g, c):
+        assert bits(add(f, g)) == bits(legacy_add(f, g))
+        assert bits(f - g) == bits(legacy_add(f, DirichletPolynomial({n: (-1 + 0j) * a for n, a in g.items()})))
+        assert bits(scale(c, f)) == bits(DirichletPolynomial({n: c * a for n, a in f.items()}))

@@ -60,6 +60,17 @@ class TestConstruction:
         with pytest.raises(DomainError):
             DirichletPolynomial({2: complex(math.inf, 0)})
 
+    def test_index_past_int64_rejected(self):
+        with pytest.raises(DomainError, match=r"2\^63 - 1"):
+            DirichletPolynomial({2**70: 1})
+        with pytest.raises(DomainError):
+            monomial(2**63)
+        assert monomial(2**63 - 1).max_index == 2**63 - 1
+
+    def test_overflowing_sum_of_duplicates_rejected(self):
+        with pytest.raises(DomainError):
+            DirichletPolynomial([(2, 1e308), (2, 1e308)])
+
     def test_zero_polynomial_normal_form(self):
         f = DirichletPolynomial({3: 0.0})
         assert f.is_zero
@@ -134,6 +145,22 @@ class TestConvolution:
         if not (f.is_zero or g.is_zero):
             assert prod.max_index <= f.max_index * g.max_index
 
+    def test_product_index_past_int64_rejected(self):
+        # int64 products would wrap silently, so the bound is checked first
+        with pytest.raises(DomainError, match=r"exceeds 2\^63 - 1"):
+            dirichlet_multiply(monomial(2**40), monomial(2**40))
+        big = add(monomial(2**40), monomial(3))
+        with pytest.raises(DomainError):
+            dirichlet_multiply(big, add(monomial(5), monomial(2**24)))
+        assert dirichlet_multiply(monomial(2**31), monomial(2**32 - 1)) == monomial(2**31 * (2**32 - 1))
+
+    def test_overflowing_product_raises(self):
+        # one pair overflows in the per-pair loop, 64 pairs in the array kernel
+        for n_terms in (1, 8):
+            f = DirichletPolynomial({n: 1e200 for n in range(1, n_terms + 1)})
+            with pytest.raises(DomainError):
+                dirichlet_multiply(f, f)
+
     def test_pointwise_product_identity(self, rng):
         for _ in range(100):
             f = DirichletPolynomial(
@@ -169,6 +196,20 @@ class TestRules:
     def test_truncate_drops_zero_entries(self):
         f = truncate(table_rule({1: 1.0, 3: 0.0, 5: 2.0}), 10)
         assert dict(f.items()) == {1: 1.0, 5: 2.0}
+
+    def test_table_rule_matches_dict_lookup(self, rng):
+        table = {int(n): complex(a, b) for n, a, b in zip(
+            rng.integers(1, 10**6, 300), rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300))}
+        table[2**62] = -0.5j
+        present = np.array(sorted(table), dtype=np.int64)
+        absent = np.array([1, 10**6 + 1, 2**62 - 1, 2**63 - 1] + [n + 1 for n in present[:50] if n + 1 not in table],
+                          dtype=np.int64)
+        ns = np.concatenate([absent, present, present[::-1]])
+        got = table_rule(table).values(ns)
+        assert got.dtype == np.complex128
+        assert got.tolist() == [table.get(int(n), 0j) for n in ns]
+        assert table_rule(table)(2**62) == -0.5j
+        assert table_rule({}).values([1, 5]).tolist() == [0j, 0j]
 
     def test_moebius_table(self):
         rule = moebius_rule()
