@@ -10,6 +10,11 @@ natively.  Complex flags are "re,im" pairs.  Output is JSON by default or
 CSV with --format csv, written deterministically: fixed key order, floats
 in shortest round-trip decimal form (integral values print as integers).
 
+Each subcommand has one handler, bound with set_defaults, that returns its
+output once as a triple (json_payload, csv_header, csv_rows); `_poly` and
+`_record` build the common shapes.  `_emit` writes the triple in the chosen
+format, so no handler knows which format was asked for.
+
 Exit status: 0 success, 1 usage/parse error, 2 domain or spectral error.
 """
 
@@ -20,6 +25,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import abscissa as _abscissa
 from . import dynamics as _dynamics
@@ -29,11 +35,11 @@ from . import spectral as _spectral
 from . import volterra as _volterra
 from .errors import DomainError, SpectralError
 from .series import (
-    CoefficientRule,
     DirichletPolynomial,
     dirichlet_multiply,
     eta_rule,
     moebius_rule,
+    monomial,
     ones_rule,
     table_rule,
     truncate,
@@ -65,10 +71,6 @@ def _jnum(x: float):
     if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return int(x)
     return x
-
-
-def _jcomplex(z: complex) -> dict:
-    return {"re": _jnum(z.real), "im": _jnum(z.imag)}
 
 
 def _parse_complex_flag(text: str, flag: str) -> complex:
@@ -156,53 +158,33 @@ def _parse_series(text: str, flag: str, allow_rule: bool = False):
     raise UsageError(f"{flag}.kind: must be 'poly' or 'rule', got {kind!r}")
 
 
-def _require_poly(series, flag: str) -> DirichletPolynomial:
-    if isinstance(series, CoefficientRule):
-        raise UsageError(f"{flag}.truncate: required for rule descriptors here")
-    return series
-
-
-def _poly_payload(f: DirichletPolynomial) -> list:
-    terms = []
+def _poly(f: DirichletPolynomial) -> tuple:
+    terms, rows = [], []
     for n, a in f.items():
-        term = {"n": n, "re": _jnum(a.real)}
-        if a.imag != 0.0:
-            term["im"] = _jnum(a.imag)
-        terms.append(term)
-    return terms
+        re, im = _jnum(a.real), _jnum(a.imag)
+        terms.append({"n": n, "re": re, "im": im} if a.imag != 0.0 else {"n": n, "re": re})
+        rows.append([n, re, im])
+    return terms, ["n", "re", "im"], rows
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+def _record(pairs: list[tuple[str, object]]) -> tuple:
+    return dict(pairs), [k for k, _ in pairs], [[v for _, v in pairs]]
 
 
 def _csv_cell(v) -> str:
+    # str of a float is its shortest round-trip repr
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
-def _emit_csv_rows(header: list[str], rows: list[list]) -> None:
-    out = [",".join(header)]
-    out.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    sys.stdout.write("\n".join(out) + "\n")
-
-
-def _emit_poly(f: DirichletPolynomial, fmt: str) -> None:
+def _emit(out: tuple, fmt: str) -> None:
+    payload, header, rows = out
     if fmt == "csv":
-        rows = [[n, _jnum(a.real), _jnum(a.imag)] for n, a in f.items()]
-        _emit_csv_rows(["n", "re", "im"], rows)
+        text = "\n".join(",".join(_csv_cell(v) for v in row) for row in [header, *rows])
     else:
-        _emit_json(_poly_payload(f))
-
-
-def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
-    if fmt == "csv":
-        _emit_csv_rows([k for k, _ in pairs], [[v for _, v in pairs]])
-    else:
-        _emit_json(dict(pairs))
+        text = json.dumps(payload, separators=(",", ":"))
+    sys.stdout.write(text + "\n")
 
 
 _SPACES = {"zero": _spectral.ZERO_SUBSPACE, "zero_subspace": _spectral.ZERO_SUBSPACE, "full": _spectral.FULL}
@@ -216,236 +198,204 @@ _MULTIPLIERS = {
 }
 
 
+def _eval(args):
+    series = _parse_series(args.series, "--series")
+    value = _evaluation.evaluate(series, _parse_complex_flag(args.s, "--s"))
+    return _record([("re", _jnum(value.real)), ("im", _jnum(value.imag))])
+
+
+def _termwise(op, args):
+    return _poly(op(_parse_series(args.series, "--series")))
+
+
+def _mul(args):
+    f = _parse_series(args.f, "--f")
+    return _poly(dirichlet_multiply(f, _parse_series(args.g, "--g")))
+
+
+def _seminorm(args):
+    f = _parse_series(args.series, "--series")
+    est = _evaluation.seminorm(f, args.epsilon, t_max=args.t_max, step=args.step)
+    return _record(
+        [
+            ("epsilon", _jnum(est.epsilon)),
+            ("lower", _jnum(est.lower)),
+            ("upper", _jnum(est.upper)),
+            ("t_max", _jnum(est.grid.t_max)),
+            ("step", _jnum(est.grid.step)),
+            ("two_sided", est.grid.two_sided),
+        ]
+    )
+
+
+def _abscissa_cmd(args):
+    series = _parse_series(args.series, "--series", allow_rule=True)
+    if isinstance(series, DirichletPolynomial):
+        series = table_rule(dict(series.items()))
+    try:
+        probe_eps = [float(tok) for tok in args.probe_eps.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"--probe-eps: expected comma-separated numbers, got {args.probe_eps!r}") from None
+    est = _abscissa.bracket_sigma_u(series, args.n, probe_eps)
+    payload: dict = {"N": est.N}
+    rows = []
+    for name, fit in (("sigma_c", est.sigma_c), ("sigma_a", est.sigma_a)):
+        value, uncertainty = _jnum(fit.value), _jnum(fit.uncertainty)
+        payload[name] = {"value": value, "uncertainty": uncertainty, "shift": fit.shift}
+        rows += [[name, value], [f"{name}_uncertainty", uncertainty], [f"{name}_shift", fit.shift]]
+    low, high = _jnum(est.sigma_u_bracket[0]), _jnum(est.sigma_u_bracket[1])
+    payload["sigma_u_bracket"] = [low, high]
+    payload["sigma_u_note"] = est.note
+    payload["probes"] = [{"epsilon": _jnum(p.epsilon), "sup_abs": _jnum(p.sup_abs)} for p in est.probes]
+    rows += [["sigma_u_low", low], ["sigma_u_high", high]]
+    rows += [[f"probe_sup_eps_{_jnum(p.epsilon)}", _jnum(p.sup_abs)] for p in est.probes]
+    return payload, ["field", "value"], rows
+
+
+def _resolvent(args):
+    f = _parse_series(args.series, "--series")
+    lam = _parse_complex_flag(args.lmbda, "--lambda")
+    return _poly(_spectral.resolvent_apply(lam, f, _SPACES[args.space]))
+
+
+def _classify(args):
+    cls = _spectral.classify_point(_parse_complex_flag(args.lmbda, "--lambda"), _SPACES[args.space])
+    pairs: list[tuple[str, object]] = [("verdict", cls.kind)]
+    if cls.n is not None:
+        pairs.append(("n", cls.n))
+    return _record(pairs)
+
+
+def _bv_check(args):
+    report = _spectral.bv_check(_parse_complex_flag(args.lmbda, "--lambda"), args.delta, args.n)
+    return _record(
+        [
+            ("verdict", report.verdict),
+            ("N", report.N),
+            ("delta", _jnum(report.delta)),
+            ("gap", _jnum(report.gap)),
+            ("variation", _jnum(report.variation)),
+            ("fitted_constant", _jnum(report.fitted_constant)),
+            ("majorant_ratio", _jnum(report.majorant_ratio)),
+        ]
+    )
+
+
+def _reciprocal(args):
+    report = _spectral.reciprocal_spectrum_check(_parse_complex_flag(args.mu, "--mu"))
+    return _record(
+        [
+            ("in_rho_d", report.in_rho_d),
+            ("in_rho_j_reciprocal", report.in_rho_j_reciprocal),
+            ("consistent", report.consistent),
+            ("gap_d", _jnum(report.gap_d)),
+            ("gap_j", _jnum(report.gap_j)),
+        ]
+    )
+
+
+def _volterra_cmd(args):
+    g = _parse_series(args.g, "--g")
+    if args.check:
+        report = _volterra.volterra_identity_check(g)
+        payload = {"match": report.match, "lhs": _poly(report.lhs)[0], "rhs": _poly(report.rhs)[0]}
+        return payload, ["field", "value"], [["match", report.match]]
+    f = monomial(1) if args.f is None else _parse_series(args.f, "--f")
+    return _poly(_volterra.volterra_apply(g, f))
+
+
+def _dynamics_cmd(args):
+    f = _parse_series(args.series, "--series")
+    report = _dynamics.ergodicity_diagnostic(_MULTIPLIERS[args.op](), f, args.epsilon, args.k_max)
+    payload = {
+        "verdict": report.verdict,
+        "fitted_rate": _jnum(report.fitted_rate),
+        "samples": [[k, _jnum(v)] for k, v in report.samples],
+    }
+    # CSV keeps repr(float) for every sample, integral ones too ("1,1.0")
+    return payload, ["k", "value"], [[k, float(v)] for k, v in report.samples]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dseries", description="Dirichlet series operator toolkit")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def cmd(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        return p
-
-    p = cmd("eval", help="evaluate a series at a point")
+    p = sub.add_parser("eval", help="evaluate a series at a point")
     p.add_argument("--series", required=True)
     p.add_argument("--s", required=True, help="evaluation point 're,im'")
+    p.set_defaults(handler=_eval)
 
-    for name, help_text in (
-        ("diff", "termwise derivative"),
-        ("integrate", "termwise antiderivative (needs zero constant term)"),
+    for name, op, help_text in (
+        ("diff", _operators.differentiate, "termwise derivative"),
+        ("integrate", _operators.integrate, "termwise antiderivative (needs zero constant term)"),
     ):
-        p = cmd(name, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--series", required=True)
+        p.set_defaults(handler=partial(_termwise, op))
 
-    p = cmd("mul", help="coefficient convolution of two series")
+    p = sub.add_parser("mul", help="coefficient convolution of two series")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
+    p.set_defaults(handler=_mul)
 
-    p = cmd("seminorm", help="bracketed sup over a right half-plane")
+    p = sub.add_parser("seminorm", help="bracketed sup over a right half-plane")
     p.add_argument("--series", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--step", type=float, default=1e-2)
+    p.set_defaults(handler=_seminorm)
 
-    p = cmd("abscissa", help="convergence abscissa estimates for a rule")
+    p = sub.add_parser("abscissa", help="convergence abscissa estimates for a rule")
     p.add_argument("--series", required=True)
     p.add_argument("--n", type=int, default=10**5, help="partial-sum window length")
     p.add_argument("--probe-eps", default="0.1,0.5", help="comma-separated epsilons")
+    p.set_defaults(handler=_abscissa_cmd)
 
-    p = cmd("resolvent", help="apply (lambda I - D)^(-1)")
+    p = sub.add_parser("resolvent", help="apply (lambda I - D)^(-1)")
     p.add_argument("--series", required=True)
     p.add_argument("--lambda", dest="lmbda", required=True)
     p.add_argument("--space", choices=sorted(_SPACES), default="zero")
+    p.set_defaults(handler=_resolvent)
 
-    p = cmd("classify", help="locate lambda relative to the spectrum")
+    p = sub.add_parser("classify", help="locate lambda relative to the spectrum")
     p.add_argument("--lambda", dest="lmbda", required=True)
     p.add_argument("--space", choices=sorted(_SPACES), default="zero")
+    p.set_defaults(handler=_classify)
 
-    p = cmd("bv-check", help="bounded-variation check of the damped resolvent symbol")
+    p = sub.add_parser("bv-check", help="bounded-variation check of the damped resolvent symbol")
     p.add_argument("--lambda", dest="lmbda", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, default=10**4)
+    p.set_defaults(handler=_bv_check)
 
-    p = cmd("reciprocal", help="inverse-pair spectral consistency at mu")
+    p = sub.add_parser("reciprocal", help="inverse-pair spectral consistency at mu")
     p.add_argument("--mu", required=True)
+    p.set_defaults(handler=_reciprocal)
 
-    p = cmd("volterra", help="apply V_g(f) = integrate(g' * f)")
+    p = sub.add_parser("volterra", help="apply V_g(f) = integrate(g' * f)")
     p.add_argument("--g", required=True)
     p.add_argument("--f", default=None, help="defaults to the constant series 1")
     p.add_argument("--check", action="store_true", help="report the V_g(1) = g - a_1 identity")
+    p.set_defaults(handler=_volterra_cmd)
 
-    p = cmd("dynamics", help="iterate-growth diagnostic for a named multiplier")
+    p = sub.add_parser("dynamics", help="iterate-growth diagnostic for a named multiplier")
     p.add_argument("--op", choices=sorted(_MULTIPLIERS), required=True)
     p.add_argument("--series", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--k-max", type=int, default=40)
+    p.set_defaults(handler=_dynamics_cmd)
 
     return parser
-
-
-def _dispatch(args, fmt: str) -> None:
-    cmd = args.command
-    if cmd == "eval":
-        series = _parse_series(args.series, "--series")
-        s = _parse_complex_flag(args.s, "--s")
-        if isinstance(series, CoefficientRule):
-            raise UsageError("--series.truncate: required for rule descriptors here")
-        value = _evaluation.evaluate(series, s)
-        _emit_record([("re", _jnum(value.real)), ("im", _jnum(value.imag))], fmt)
-    elif cmd == "diff":
-        f = _require_poly(_parse_series(args.series, "--series"), "--series")
-        _emit_poly(_operators.differentiate(f), fmt)
-    elif cmd == "integrate":
-        f = _require_poly(_parse_series(args.series, "--series"), "--series")
-        _emit_poly(_operators.integrate(f), fmt)
-    elif cmd == "mul":
-        f = _require_poly(_parse_series(args.f, "--f"), "--f")
-        g = _require_poly(_parse_series(args.g, "--g"), "--g")
-        _emit_poly(dirichlet_multiply(f, g), fmt)
-    elif cmd == "seminorm":
-        f = _require_poly(_parse_series(args.series, "--series"), "--series")
-        est = _evaluation.seminorm(f, args.epsilon, t_max=args.t_max, step=args.step)
-        _emit_record(
-            [
-                ("epsilon", _jnum(est.epsilon)),
-                ("lower", _jnum(est.lower)),
-                ("upper", _jnum(est.upper)),
-                ("t_max", _jnum(est.grid.t_max)),
-                ("step", _jnum(est.grid.step)),
-                ("two_sided", est.grid.two_sided),
-            ],
-            fmt,
-        )
-    elif cmd == "abscissa":
-        series = _parse_series(args.series, "--series", allow_rule=True)
-        if isinstance(series, DirichletPolynomial):
-            rule = table_rule(dict(series.items()))
-        else:
-            rule = series
-        try:
-            probe_eps = [float(tok) for tok in args.probe_eps.split(",") if tok.strip()]
-        except ValueError:
-            raise UsageError(f"--probe-eps: expected comma-separated numbers, got {args.probe_eps!r}") from None
-        est = _abscissa.bracket_sigma_u(rule, args.n, probe_eps)
-        if fmt == "csv":
-            _emit_csv_rows(
-                ["field", "value"],
-                [
-                    ["sigma_c", _jnum(est.sigma_c.value)],
-                    ["sigma_c_uncertainty", _jnum(est.sigma_c.uncertainty)],
-                    ["sigma_c_shift", est.sigma_c.shift],
-                    ["sigma_a", _jnum(est.sigma_a.value)],
-                    ["sigma_a_uncertainty", _jnum(est.sigma_a.uncertainty)],
-                    ["sigma_a_shift", est.sigma_a.shift],
-                    ["sigma_u_low", _jnum(est.sigma_u_bracket[0])],
-                    ["sigma_u_high", _jnum(est.sigma_u_bracket[1])],
-                ]
-                + [[f"probe_sup_eps_{_jnum(p.epsilon)}", _jnum(p.sup_abs)] for p in est.probes],
-            )
-        else:
-            _emit_json(
-                {
-                    "N": est.N,
-                    "sigma_c": {
-                        "value": _jnum(est.sigma_c.value),
-                        "uncertainty": _jnum(est.sigma_c.uncertainty),
-                        "shift": est.sigma_c.shift,
-                    },
-                    "sigma_a": {
-                        "value": _jnum(est.sigma_a.value),
-                        "uncertainty": _jnum(est.sigma_a.uncertainty),
-                        "shift": est.sigma_a.shift,
-                    },
-                    "sigma_u_bracket": [_jnum(est.sigma_u_bracket[0]), _jnum(est.sigma_u_bracket[1])],
-                    "sigma_u_note": est.note,
-                    "probes": [
-                        {"epsilon": _jnum(p.epsilon), "sup_abs": _jnum(p.sup_abs)} for p in est.probes
-                    ],
-                }
-            )
-    elif cmd == "resolvent":
-        f = _require_poly(_parse_series(args.series, "--series"), "--series")
-        lam = _parse_complex_flag(args.lmbda, "--lambda")
-        _emit_poly(_spectral.resolvent_apply(lam, f, _SPACES[args.space]), fmt)
-    elif cmd == "classify":
-        lam = _parse_complex_flag(args.lmbda, "--lambda")
-        cls = _spectral.classify_point(lam, _SPACES[args.space])
-        pairs: list[tuple[str, object]] = [("verdict", cls.kind)]
-        if cls.n is not None:
-            pairs.append(("n", cls.n))
-        _emit_record(pairs, fmt)
-    elif cmd == "bv-check":
-        lam = _parse_complex_flag(args.lmbda, "--lambda")
-        report = _spectral.bv_check(lam, args.delta, args.n)
-        _emit_record(
-            [
-                ("verdict", report.verdict),
-                ("N", report.N),
-                ("delta", _jnum(report.delta)),
-                ("gap", _jnum(report.gap)),
-                ("variation", _jnum(report.variation)),
-                ("fitted_constant", _jnum(report.fitted_constant)),
-                ("majorant_ratio", _jnum(report.majorant_ratio)),
-            ],
-            fmt,
-        )
-    elif cmd == "reciprocal":
-        mu = _parse_complex_flag(args.mu, "--mu")
-        report = _spectral.reciprocal_spectrum_check(mu)
-        _emit_record(
-            [
-                ("in_rho_d", report.in_rho_d),
-                ("in_rho_j_reciprocal", report.in_rho_j_reciprocal),
-                ("consistent", report.consistent),
-                ("gap_d", _jnum(report.gap_d)),
-                ("gap_j", _jnum(report.gap_j)),
-            ],
-            fmt,
-        )
-    elif cmd == "volterra":
-        g = _require_poly(_parse_series(args.g, "--g"), "--g")
-        if args.check:
-            report = _volterra.volterra_identity_check(g)
-            if fmt == "csv":
-                _emit_csv_rows(["field", "value"], [["match", report.match]])
-            else:
-                _emit_json(
-                    {
-                        "match": report.match,
-                        "lhs": _poly_payload(report.lhs),
-                        "rhs": _poly_payload(report.rhs),
-                    }
-                )
-        else:
-            from .series import monomial
-
-            if args.f is None:
-                f = monomial(1)
-            else:
-                f = _require_poly(_parse_series(args.f, "--f"), "--f")
-            _emit_poly(_volterra.volterra_apply(g, f), fmt)
-    elif cmd == "dynamics":
-        f = _require_poly(_parse_series(args.series, "--series"), "--series")
-        m = _MULTIPLIERS[args.op]()
-        report = _dynamics.ergodicity_diagnostic(m, f, args.epsilon, args.k_max)
-        if fmt == "csv":
-            _emit_csv_rows(["k", "value"], [[k, float(v)] for k, v in report.samples])
-        else:
-            _emit_json(
-                {
-                    "verdict": report.verdict,
-                    "fitted_rate": _jnum(report.fitted_rate),
-                    "samples": [[k, _jnum(v)] for k, v in report.samples],
-                }
-            )
-    else:
-        raise UsageError("a subcommand is required (see --help)")
 
 
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _dispatch(args, args.format)
+        if args.command is None:
+            raise UsageError("a subcommand is required (see --help)")
+        _emit(args.handler(args), args.format)
         return 0
     except UsageError as exc:
         _diag(str(exc))

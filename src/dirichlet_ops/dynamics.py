@@ -72,7 +72,7 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
             s += p
         return s / k
 
-    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})", invertible=False)
+    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})")
     return apply(mean, f)
 
 
@@ -120,6 +120,7 @@ class DynamicsReport:
     fitted_rate is the least-squares slope of log(k * value) against k over
     the tail half of the samples; multiplying back by k removes the 1/k
     normalization, so the slope estimates log of the dominant |symbol|.
+    Samples whose k * value overflows are left out of the fit.
     """
 
     samples: tuple[tuple[int, float], ...]
@@ -140,14 +141,14 @@ def ergodicity_diagnostic(
     )
     values = [v for _, v in samples]
 
-    finite = [(k, v) for k, v in samples if v > 0 and math.isfinite(v)]
-    tail = [(k, v) for k, v in finite if k > k_max // 2]
+    # a sample whose un-normalized value k * v overflows has no finite log
+    tail = [(k, v) for k, v in samples if k > k_max // 2 and v > 0 and math.isfinite(k * v)]
     if len(tail) >= 2:
         ks = np.array([k for k, _ in tail], dtype=np.float64)
         ys = np.log(np.array([v for _, v in tail]) * ks)
         rate = float(np.polyfit(ks, ys, 1)[0])
     else:
-        rate = math.inf if any(not math.isfinite(v) for v in values) else 0.0
+        rate = math.inf if any(not math.isfinite(k * v) for k, v in samples) else 0.0
 
     first = values[0]
     last3 = values[-3:]

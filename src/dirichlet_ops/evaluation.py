@@ -95,12 +95,21 @@ def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
-    """f(epsilon + i t) on a grid of t values, chunked to bound memory."""
+    """f(epsilon + i t) on a grid of t values, chunked to bound memory.
+
+    Raises DomainError naming epsilon and t when a value overflows double
+    precision (a far-left epsilon makes n^(-epsilon) overflow)."""
     ts = np.asarray(ts, dtype=np.float64)
     if f.is_zero:
         return np.zeros(ts.shape, dtype=np.complex128)
     logn = np.log(f.index_array().astype(np.float64))
-    return _grid_values(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _grid_values(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        _finite(complex(values[i]), f"f(epsilon + i t) at epsilon = {epsilon}, t = {ts[i]}")
+    return values
 
 
 def summation_by_parts(x, y) -> complex:
@@ -271,6 +280,10 @@ class SeminormEstimate:
 
 _TWO_PI_OVER_LOG2 = 2.0 * math.pi / math.log(2.0)
 
+# largest boundary grid seminorm scans; the default grid has at most
+# 2 * 10^5 + 1 points (t_max <= 10^3, step 10^-2, two-sided)
+_MAX_GRID_POINTS = 1 << 24
+
 
 def seminorm(
     f: DirichletPolynomial,
@@ -285,6 +298,8 @@ def seminorm(
     |f(epsilon + i t)| on a grid.  Default grid length is one full period
     2 pi / log 2 per unit index, capped at 10^3; polynomials with real
     coefficients are conjugate-symmetric in t, so only t >= 0 is scanned.
+    A grid of more than 2^24 points (t_max / step too large) raises
+    DomainError instead of being allocated.
     """
     if not (epsilon >= 0.0) or not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be a finite real >= 0, got {epsilon!r}")
@@ -296,6 +311,13 @@ def seminorm(
         raise DomainError(f"grid extent must be positive, got {t_max!r}")
 
     two_sided = not f.has_real_coefficients()
+    t0 = -t_max if two_sided else 0.0
+    points = (t_max - t0) / step + 1.0
+    if not points <= _MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid of t_max = {t_max} and step = {step} would hold {points:.4g} points, "
+            f"above the cap of {_MAX_GRID_POINTS}"
+        )
     grid = GridSpec(t_max=float(t_max), step=float(step), two_sided=two_sided)
     if f.is_zero:
         return SeminormEstimate(epsilon=float(epsilon), lower=0.0, upper=0.0, grid=grid)
@@ -303,7 +325,6 @@ def seminorm(
     logn = np.log(f.index_array().astype(np.float64))
     upper = fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
 
-    t0 = -t_max if two_sided else 0.0
     ts = np.arange(t0, t_max + 0.5 * step, step)
     lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
     # the grid scan can only overshoot the coefficient bound by roundoff

@@ -45,15 +45,13 @@ class Multiplier:
 
     min_index is the smallest index the symbol is defined at;
     requires_zero_constant marks operators whose domain is the subspace
-    with vanishing constant term.  When invertible is declared the symbol
-    must be nonzero from min_index on.
+    with vanishing constant term.
     """
 
     symbol: Callable[[int], complex]
     label: str
     min_index: int = 1
     requires_zero_constant: bool = False
-    invertible: bool = False
 
     def __call__(self, n: int) -> complex:
         if n < self.min_index:
@@ -91,12 +89,11 @@ def integration_multiplier() -> Multiplier:
         label="integration",
         min_index=2,
         requires_zero_constant=True,
-        invertible=True,
     )
 
 
 def identity_multiplier() -> Multiplier:
-    return Multiplier(symbol=lambda n: 1.0, label="identity", invertible=True)
+    return Multiplier(symbol=lambda n: 1.0, label="identity")
 
 
 @dataclass(frozen=True)
@@ -193,5 +190,4 @@ def compose(m1: Multiplier, m2: Multiplier) -> Multiplier:
         label=f"{m1.label}*{m2.label}",
         min_index=max(m1.min_index, m2.min_index),
         requires_zero_constant=m1.requires_zero_constant or m2.requires_zero_constant,
-        invertible=m1.invertible and m2.invertible,
     )

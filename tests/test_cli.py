@@ -1,5 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +146,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_oversized_seminorm_grid_is_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["seminorm", "--series", POLY_2, "--epsilon", "0", "--t-max", "1e300"]
+        )
+        assert (code, out) == (2, "")
+        assert "t_max" in err and "points" in err
+
     def test_usage_error_is_one(self, capsys):
         code, _, _ = run_cli(capsys, ["eval", "--series", POLY_2])  # --s missing
         assert code == 1
@@ -268,3 +280,56 @@ class TestCsvFormat:
         )
         assert code == 0
         assert out == "re,im\n0.5,0\n"
+
+
+# Pinned bytes of every subcommand: each case is an argv with the exit code,
+# stdout and stderr it produced, replayed through cli.run.  To pin a new
+# case, run `PYTHONPATH=src python tests/test_cli.py ARGV...` and append the
+# printed record to the fixture.
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def capture(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # --help exits through argparse
+            code = exc.code
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+class TestGoldenFixture:
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps --help to the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"])[:80])
+    def test_replay(self, case):
+        assert capture(case["argv"]) == case
+
+    def test_every_subcommand_pinned(self):
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        commands = set(sub.choices)
+        ok, helped = set(), set()
+        for case in GOLDEN:
+            argv = case["argv"]
+            command = next((a for a in argv if a in commands), None)
+            if "--help" in argv:
+                helped.add(command)
+            elif case["code"] == 0:
+                fmt = "csv" if argv[:2] == ["--format", "csv"] else "json"
+                ok.add((command, fmt))
+        wanted = {(c, fmt) for c in commands for fmt in ("json", "csv")}
+        assert sorted(wanted - ok) == [], "subcommand without a pinned successful run"
+        assert sorted((commands | {None}) - helped, key=str) == [], "parser without pinned --help"
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ["COLUMNS"] = "80"
+    print(json.dumps(capture(sys.argv[1:])))

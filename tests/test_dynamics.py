@@ -194,6 +194,13 @@ class TestDiagnostic:
         report = ergodicity_diagnostic(m, monomial(2), 0.1, 45)
         assert report.verdict == "diverges"
 
+    def test_rate_fit_skips_overflowing_products(self):
+        # samples near 1e306: the value is finite but k * value is not
+        report = ergodicity_diagnostic(derivative_multiplier(), monomial(10**18), 0.0, 200)
+        assert any(math.isfinite(v) and not math.isfinite(k * v) for k, v in report.samples)
+        assert report.verdict == "diverges"
+        assert report.fitted_rate == pytest.approx(math.log(math.log(10**18)), rel=1e-9)
+
     def test_k_max_validated(self):
         with pytest.raises(DomainError):
             ergodicity_diagnostic(derivative_multiplier(), monomial(3), 0.1, 9)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,11 @@ class TestSeminorm:
         u2 = seminorm(f, 1.25, t_max=1.0, step=0.5).upper
         assert u1 >= u2
 
+    @pytest.mark.parametrize("t_max, step", [(1e300, 1e-2), (1e12, 1e-3)])
+    def test_oversized_grid_raises_naming_it(self, t_max, step):
+        with pytest.raises(DomainError, match=rf"t_max = {re.escape(str(t_max))}.*step = {step}.*points"):
+            seminorm(monomial(2), 0.0, t_max=t_max, step=step)
+
     def test_two_sided_grid_for_complex_coefficients(self):
         f = DirichletPolynomial({2: 1j})
         est = seminorm(f, 0.0, t_max=2.0)
@@ -247,3 +253,8 @@ class TestBoundaryValues:
         for i in (0, 17, 63):
             want = evaluate(f, complex(0.3, ts[i]))
             assert grid[i] == pytest.approx(want, rel=1e-12)
+
+    def test_overflow_raises_naming_epsilon(self):
+        # 2^2000 overflows a double: every grid value would be nan + nan j
+        with pytest.raises(DomainError, match=r"epsilon = -2000\.0"):
+            boundary_values(add(monomial(2), monomial(3)), -2000.0, np.linspace(0.0, 1.0, 4))
