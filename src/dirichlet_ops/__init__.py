@@ -5,145 +5,30 @@ tail and seminorm bounds, convergence-abscissa estimation, and the diagonal
 calculus of the differentiation and integration operators: resolvents,
 spectrum classification, Volterra-type composition, and iterate-growth
 diagnostics.
+
+The package republishes each submodule's public names; a submodule's
+``__all__`` is the one list of what it exports.
 """
 
-from .abscissa import (
-    AbscissaEstimate,
-    BoundednessProbe,
-    Estimate,
-    bracket_sigma_u,
-    sigma_a_estimate,
-    sigma_c_estimate,
-)
-from .dynamics import (
-    DynamicsReport,
-    cesaro_mean,
-    ergodicity_diagnostic,
-    normalized_power_norm,
-    power_apply,
-)
-from .errors import DomainError, SpectralError
-from .evaluation import (
-    GridSpec,
-    SeminormEstimate,
-    TailBound,
-    boundary_values,
-    evaluate,
-    partial_sum,
-    seminorm,
-    summation_by_parts,
-    tail_bound_monotone,
-    truncation_for_tolerance,
-)
-from .operators import (
-    GrowthReport,
-    Multiplier,
-    apply,
-    check_growth,
-    compose,
-    derivative_multiplier,
-    differentiate,
-    identity_multiplier,
-    integrate,
-    integration_multiplier,
-)
-from .series import (
-    ZERO,
-    CoefficientRule,
-    DirichletPolynomial,
-    HalfPlanePoint,
-    add,
-    coefficient_close,
-    dirichlet_multiply,
-    eta_rule,
-    monomial,
-    moebius_rule,
-    ones_rule,
-    scale,
-    table_rule,
-    truncate,
-    zeta_shift_rule,
-)
-from .spectral import (
-    FULL,
-    NEAR_SPECTRUM_RADIUS,
-    SPECTRUM_TOLERANCE,
-    ZERO_SUBSPACE,
-    ReciprocalReport,
-    SpectrumClassification,
-    VariationReport,
-    bv_check,
-    classify_point,
-    reciprocal_spectrum_check,
-    resolvent_apply,
-    spectral_gap,
-)
-from .volterra import IdentityReport, volterra_apply, volterra_identity_check
+from . import abscissa, dynamics, errors, evaluation, operators, series, spectral, volterra
+from .abscissa import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .series import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .volterra import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbscissaEstimate",
-    "BoundednessProbe",
-    "CoefficientRule",
-    "DirichletPolynomial",
-    "DomainError",
-    "DynamicsReport",
-    "Estimate",
-    "FULL",
-    "GridSpec",
-    "GrowthReport",
-    "HalfPlanePoint",
-    "IdentityReport",
-    "Multiplier",
-    "NEAR_SPECTRUM_RADIUS",
-    "ReciprocalReport",
-    "SPECTRUM_TOLERANCE",
-    "SeminormEstimate",
-    "SpectralError",
-    "SpectrumClassification",
-    "TailBound",
-    "VariationReport",
-    "ZERO",
-    "ZERO_SUBSPACE",
-    "add",
-    "apply",
-    "boundary_values",
-    "bracket_sigma_u",
-    "bv_check",
-    "cesaro_mean",
-    "check_growth",
-    "classify_point",
-    "coefficient_close",
-    "compose",
-    "derivative_multiplier",
-    "differentiate",
-    "dirichlet_multiply",
-    "ergodicity_diagnostic",
-    "eta_rule",
-    "evaluate",
-    "identity_multiplier",
-    "integrate",
-    "integration_multiplier",
-    "moebius_rule",
-    "monomial",
-    "normalized_power_norm",
-    "ones_rule",
-    "partial_sum",
-    "power_apply",
-    "reciprocal_spectrum_check",
-    "resolvent_apply",
-    "scale",
-    "seminorm",
-    "sigma_a_estimate",
-    "sigma_c_estimate",
-    "spectral_gap",
-    "summation_by_parts",
-    "table_rule",
-    "tail_bound_monotone",
-    "truncate",
-    "truncation_for_tolerance",
-    "volterra_apply",
-    "volterra_identity_check",
-    "zeta_shift_rule",
-]
+__all__ = (
+    abscissa.__all__
+    + dynamics.__all__
+    + errors.__all__
+    + evaluation.__all__
+    + operators.__all__
+    + series.__all__
+    + spectral.__all__
+    + volterra.__all__
+)

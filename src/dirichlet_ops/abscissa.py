@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import _grid_values
-from .series import CoefficientRule
+from .series import CoefficientRule, _validate_index
 
 __all__ = [
     "Estimate",
@@ -92,12 +92,12 @@ def _window_fit(ms: np.ndarray, amps: np.ndarray) -> tuple[float, float] | None:
     return slope, max(_MIN_UNCERTAINTY, spread)
 
 
-def _estimate(values: np.ndarray, N: int, max_shift: int = _MAX_SHIFT) -> Estimate:
+def _estimate(values: np.ndarray, N: int) -> Estimate:
     ns = np.arange(1, N + 1, dtype=np.float64)
     window = slice(N // 2 - 1, N)  # indices of M = N//2 .. N
     ms = np.arange(1, N + 1, dtype=np.int64)[window]
     shifted = values.astype(np.complex128).copy()
-    for k in range(0, max_shift + 1):
+    for k in range(0, _MAX_SHIFT + 1):
         if k > 0:
             shifted = shifted * ns
         amps = np.abs(np.cumsum(shifted))[window]
@@ -107,25 +107,19 @@ def _estimate(values: np.ndarray, N: int, max_shift: int = _MAX_SHIFT) -> Estima
             if slope >= _DIVERGENCE_SLOPE:
                 return Estimate(value=slope - k, uncertainty=spread, shift=k)
     # no polynomial divergence surfaced within the shift budget: either the
-    # series converges everywhere (abscissa -inf) or it lies below -max_shift
-    return Estimate(value=-math.inf, uncertainty=0.0, shift=max_shift)
-
-
-def _validated_length(N) -> int:
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 100:
-        raise DomainError(f"window length N must be an integer >= 100, got {N!r}")
-    return int(N)
+    # series converges everywhere (abscissa -inf) or it lies below -_MAX_SHIFT
+    return Estimate(value=-math.inf, uncertainty=0.0, shift=_MAX_SHIFT)
 
 
 def sigma_c_estimate(rule: CoefficientRule, N: int) -> Estimate:
     """Estimate of the abscissa of convergence from signed partial sums."""
-    N = _validated_length(N)
+    N = _validate_index(N, "window length N", 100)
     return _estimate(rule.values(np.arange(1, N + 1, dtype=np.int64)), N)
 
 
 def sigma_a_estimate(rule: CoefficientRule, N: int) -> Estimate:
     """Estimate of the abscissa of absolute convergence from |a_n| sums."""
-    N = _validated_length(N)
+    N = _validate_index(N, "window length N", 100)
     vals = np.abs(rule.values(np.arange(1, N + 1, dtype=np.int64)))
     return _estimate(vals.astype(np.complex128), N)
 
@@ -143,7 +137,7 @@ def bracket_sigma_u(
     The probes are evidence, not estimators: a bounded sup at epsilon is
     consistent with uniform convergence on Re s > epsilon and nothing more.
     """
-    N = _validated_length(N)
+    N = _validate_index(N, "window length N", 100)
     probe_eps = tuple(float(e) for e in probe_eps)
     if not probe_eps:
         raise DomainError("probe_eps must be a nonempty list of epsilons")
@@ -152,8 +146,7 @@ def bracket_sigma_u(
             raise DomainError(f"probe epsilons must be finite reals >= 0, got {e!r}")
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise DomainError(f"probe grid extent t_max must be a finite real > 0, got {t_max!r}")
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
-        raise DomainError(f"probe grid points must be an integer >= 1, got {points!r}")
+    points = _validate_index(points, "probe grid points")
     values = rule.values(np.arange(1, N + 1, dtype=np.int64))
     sc = _estimate(values, N)
     sa = _estimate(np.abs(values).astype(np.complex128), N)

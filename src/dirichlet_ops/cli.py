@@ -12,7 +12,8 @@ in shortest round-trip decimal form (integral values print as integers).
 
 Each subcommand has one handler, bound with set_defaults, that returns its
 output once as a triple (json_payload, csv_header, csv_rows); `_poly` and
-`_record` build the common shapes.  `_emit` writes the triple in the chosen
+`_record` build the common shapes, and `_fields` names the attributes a
+record copies from a result.  `_emit` writes the triple in the chosen
 format, so no handler knows which format was asked for.
 
 Exit status: 0 success, 1 usage/parse error, 2 domain or spectral error.
@@ -168,7 +169,14 @@ def _poly(f: DirichletPolynomial) -> tuple:
 
 
 def _record(pairs: list[tuple[str, object]]) -> tuple:
+    # only floats take the number rule: ints (classify's n reaches ~4.7e18)
+    # and bools pass as they are
+    pairs = [(k, _jnum(v) if isinstance(v, float) else v) for k, v in pairs]
     return dict(pairs), [k for k, _ in pairs], [[v for _, v in pairs]]
+
+
+def _fields(obj, *names: str) -> list[tuple[str, object]]:
+    return [(name, getattr(obj, name)) for name in names]
 
 
 def _csv_cell(v) -> str:
@@ -201,7 +209,7 @@ _MULTIPLIERS = {
 def _eval(args):
     series = _parse_series(args.series, "--series")
     value = _evaluation.evaluate(series, _parse_complex_flag(args.s, "--s"))
-    return _record([("re", _jnum(value.real)), ("im", _jnum(value.imag))])
+    return _record([("re", value.real), ("im", value.imag)])
 
 
 def _termwise(op, args):
@@ -217,14 +225,7 @@ def _seminorm(args):
     f = _parse_series(args.series, "--series")
     est = _evaluation.seminorm(f, args.epsilon, t_max=args.t_max, step=args.step)
     return _record(
-        [
-            ("epsilon", _jnum(est.epsilon)),
-            ("lower", _jnum(est.lower)),
-            ("upper", _jnum(est.upper)),
-            ("t_max", _jnum(est.grid.t_max)),
-            ("step", _jnum(est.grid.step)),
-            ("two_sided", est.grid.two_sided),
-        ]
+        _fields(est, "epsilon", "lower", "upper") + _fields(est.grid, "t_max", "step", "two_sided")
     )
 
 
@@ -269,29 +270,13 @@ def _classify(args):
 def _bv_check(args):
     report = _spectral.bv_check(_parse_complex_flag(args.lmbda, "--lambda"), args.delta, args.n)
     return _record(
-        [
-            ("verdict", report.verdict),
-            ("N", report.N),
-            ("delta", _jnum(report.delta)),
-            ("gap", _jnum(report.gap)),
-            ("variation", _jnum(report.variation)),
-            ("fitted_constant", _jnum(report.fitted_constant)),
-            ("majorant_ratio", _jnum(report.majorant_ratio)),
-        ]
+        _fields(report, "verdict", "N", "delta", "gap", "variation", "fitted_constant", "majorant_ratio")
     )
 
 
 def _reciprocal(args):
     report = _spectral.reciprocal_spectrum_check(_parse_complex_flag(args.mu, "--mu"))
-    return _record(
-        [
-            ("in_rho_d", report.in_rho_d),
-            ("in_rho_j_reciprocal", report.in_rho_j_reciprocal),
-            ("consistent", report.consistent),
-            ("gap_d", _jnum(report.gap_d)),
-            ("gap_j", _jnum(report.gap_j)),
-        ]
-    )
+    return _record(_fields(report, "in_rho_d", "in_rho_j_reciprocal", "consistent", "gap_d", "gap_j"))
 
 
 def _volterra_cmd(args):

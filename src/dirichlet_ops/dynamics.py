@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import Multiplier, apply
-from .series import DirichletPolynomial
+from .series import DirichletPolynomial, _validate_index
 
 __all__ = [
     "power_apply",
@@ -36,18 +36,12 @@ __all__ = [
 _UNIT_SYMBOL_RADIUS = 1e-8
 
 
-def _validated_power(k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"iterate count must be an integer >= 1, got {k!r}")
-    return int(k)
-
-
 def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolynomial:
     """k-th iterate, coefficient-wise a_n -> symbol(n)^k a_n.
 
     Computed as a single power rather than k sequential applications, so
     the error stays at one complex-power rounding instead of k of them."""
-    k = _validated_power(k)
+    k = _validate_index(k, "iterate count")
     power = replace(m, symbol=lambda n: complex(m.symbol(n)) ** k, label=f"{m.label}^{k}")
     return apply(power, f)
 
@@ -58,7 +52,7 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     Uses the closed geometric form gamma (1 - gamma^k) / (1 - gamma) away
     from gamma = 1 and the direct count k at gamma = 1 (with a small
     cancellation guard ring around 1 summed directly as well)."""
-    k = _validated_power(k)
+    k = _validate_index(k, "iterate count")
 
     def mean_symbol(n: int) -> complex:
         g = complex(m.symbol(n))
@@ -83,7 +77,7 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     Each term is assembled in log space, so |symbol|^k never overflows
     even when the value itself is astronomically large (inf is returned
     only if the final exponential overflows)."""
-    k = _validated_power(k)
+    k = _validate_index(k, "iterate count")
     if not (epsilon >= 0.0) or not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be a finite real >= 0, got {epsilon!r}")
     m.check_domain(f)
@@ -134,8 +128,7 @@ _RATE_POSITIVE = 0.01
 def ergodicity_diagnostic(
     m: Multiplier, f: DirichletPolynomial, epsilon: float, k_max: int = 40
 ) -> DynamicsReport:
-    if k_max < 10:
-        raise DomainError(f"k_max must be >= 10, got {k_max}")
+    k_max = _validate_index(k_max, "k_max", 10)
     samples = tuple(
         (k, normalized_power_norm(m, f, epsilon, k)) for k in range(1, k_max + 1)
     )

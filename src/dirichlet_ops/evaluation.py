@@ -18,7 +18,7 @@ from math import fsum
 import numpy as np
 
 from .errors import DomainError
-from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
+from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _validate_index
 
 __all__ = [
     "evaluate",
@@ -67,8 +67,7 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> compl
     """sum_{n<=N} rule(n) n^(-s), streamed in chunks so N ~ 10^8 never
     materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)."""
     s = _as_complex_point(s)
-    if N < 1:
-        raise DomainError(f"partial sum length must be >= 1, got {N}")
+    N = _validate_index(N, "partial sum length N")
     total = 0j
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,8 +97,14 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
     """f(epsilon + i t) on a grid of t values, chunked to bound memory.
 
     Raises DomainError naming epsilon and t when a value overflows double
-    precision (a far-left epsilon makes n^(-epsilon) overflow)."""
+    precision (a far-left epsilon makes n^(-epsilon) overflow), and names a
+    NaN or infinite epsilon or t before computing anything."""
     ts = np.asarray(ts, dtype=np.float64)
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon!r}")
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if bad.size:
+        raise DomainError(f"grid points t must be finite, got t = {ts[bad[0]]}")
     if f.is_zero:
         return np.zeros(ts.shape, dtype=np.complex128)
     logn = np.log(f.index_array().astype(np.float64))
@@ -155,54 +160,58 @@ def _fit_decay_exponent(ns: np.ndarray, mags: np.ndarray) -> float | None:
     return float(-slope)
 
 
-def tail_bound_monotone(
-    rule: CoefficientRule,
-    weight,
-    M: int,
-    epsilon: float,
-    probe: int = 1 << 16,
-    settle_rel: float = 0.01,
-    pad: float = 1.2,
-) -> TailBound:
+# tail ladder: _PROBE terms per rung, _SETTLE_REL slack on a settled maximum,
+# _PAD on a fitted remainder; M runs _LADDER_START * 2^k for k < _LADDER_RUNGS
+_PROBE = 1 << 16
+_SETTLE_REL = 0.01
+_PAD = 1.2
+_LADDER_START = 1024
+_LADDER_RUNGS = 40
+
+
+def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -> TailBound:
     """Abel-style bound for |sum_{n>M} x_n y_n| on Re s > epsilon, where
     x_n = rule(n) n^(-epsilon) and y_n is a real monotone weight.
 
-    The partial-sum factor sup_k |sum_{n=M+1}^{M+k} x_n| is probed on a
-    finite window and completed by regime: when |S_k| oscillates and its
-    running maximum has settled, the supremum is taken as observed (plus
-    settle_rel slack); when |S_k| is still accumulating, the remaining mass
-    is bounded by a fitted power-law integral comparison, or reported as
-    infinite when the fitted decay is not integrable.  The monotone factor
-    contributes |y_end| plus the probed total variation, which telescopes
-    for monotone y.  Diagnostic, not a certificate: completion trusts the
-    fitted decay of |x_n| past the probe window.
+    The partial-sum factor sup_k |sum_{n=M+1}^{M+k} x_n| is probed on the
+    2^16 terms past M and completed by regime: when |S_k| oscillates and its
+    running maximum has settled, the supremum is taken as observed (plus 1%
+    slack); when |S_k| is still accumulating, the remaining mass is bounded
+    by a fitted power-law integral comparison (padded by a factor 1.2), or
+    reported as infinite when the fitted decay is not integrable.  The
+    monotone factor contributes |y_end| plus the probed total variation,
+    which telescopes for monotone y.  Diagnostic, not a certificate:
+    completion trusts the fitted decay of |x_n| past the probe window.
 
-    weight may be None for the trivial weight y_n = 1.
+    weight may be None for the trivial weight y_n = 1.  M must be an integer
+    with M + 2^16 <= 2^63 - 1, and epsilon must keep every probed x_n finite.
     """
-    if M < 1:
-        raise DomainError(f"tail start M must be >= 1, got {M}")
-    if probe < 16:
-        raise DomainError(f"probe window must be >= 16, got {probe}")
-    ns = np.arange(M + 1, M + probe + 1, dtype=np.int64)
+    M = _validate_index(M, "tail start M")
+    _validate_index(M + _PROBE, "tail probe end M + 2^16")
+    ns = np.arange(M + 1, M + _PROBE + 1, dtype=np.int64)
     xs = rule.values(ns)
     if epsilon != 0.0:
-        xs = xs * np.exp(-epsilon * np.log(ns.astype(np.float64)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = xs * np.exp(-epsilon * np.log(ns.astype(np.float64)))
+    if not (math.isfinite(epsilon) and np.isfinite(xs).all()):
+        raise DomainError(
+            f"epsilon must be finite and keep rule(n) n^(-epsilon) finite on n = {M + 1}..{M + _PROBE}, "
+            f"got {epsilon!r}"
+        )
 
     if weight is None:
         ys = None
     else:
-        ys = np.fromiter((float(weight(int(n))) for n in ns), dtype=np.float64, count=probe)
-        dy = np.diff(ys[: min(probe, 4096)])
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(ys)))) if ys.size else 0.0
+        ys = np.fromiter((float(weight(int(n))) for n in ns), dtype=np.float64, count=_PROBE)
+        dy = np.diff(ys[:4096])
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
         if not (np.all(dy >= -tol) or np.all(dy <= tol)):
-            raise DomainError(
-                f"weight is not monotone on the checked window ({M + 1}..{M + min(probe, 4096)})"
-            )
+            raise DomainError(f"weight is not monotone on the checked window ({M + 1}..{M + 4096})")
 
     S = np.cumsum(xs)
     A = np.abs(S)
-    B0 = float(A.max()) if A.size else 0.0
-    half = probe // 2
+    B0 = float(A.max())
+    half = _PROBE // 2
     regime = "oscillatory"
     if B0 == 0.0:
         B = 0.0
@@ -210,7 +219,7 @@ def tail_bound_monotone(
     else:
         tiny = 1e-15 * B0
         increasing = bool(np.all(np.diff(A[half:]) >= -tiny))
-        settled = float(A[:half].max()) >= B0 * (1.0 - settle_rel)
+        settled = float(A[:half].max()) >= B0 * (1.0 - _SETTLE_REL)
         if increasing or not settled:
             mags = np.abs(xs[half:])
             p = _fit_decay_exponent(ns[half:], mags)
@@ -218,35 +227,30 @@ def tail_bound_monotone(
                 B = math.inf
                 regime = "divergent"
             else:
-                E = float(M + probe)
-                B = float(A[-1]) + pad * float(np.abs(xs[-1])) * E / (p - 1.0)
+                E = float(M + _PROBE)
+                B = float(A[-1]) + _PAD * float(np.abs(xs[-1])) * E / (p - 1.0)
                 regime = "accumulating"
         else:
-            B = B0 * (1.0 + settle_rel)
+            B = B0 * (1.0 + _SETTLE_REL)
 
     if ys is None:
         factor = 1.0
     else:
         factor = abs(float(ys[-1])) + abs(float(ys[0]) - float(ys[-1]))
     bound = 0.0 if factor == 0.0 else B * factor
-    return TailBound(M=M, epsilon=float(epsilon), bound=float(bound), regime=regime, probe_end=M + probe)
+    return TailBound(M=M, epsilon=float(epsilon), bound=float(bound), regime=regime, probe_end=M + _PROBE)
 
 
 def truncation_for_tolerance(
-    rule: CoefficientRule,
-    epsilon: float,
-    tol: float,
-    weight=None,
-    start: int = 1024,
-    probe: int = 1 << 16,
-    max_doublings: int = 40,
+    rule: CoefficientRule, epsilon: float, tol: float, weight=None
 ) -> tuple[int, TailBound]:
-    """Smallest power-of-two-laddered M with tail_bound_monotone(...) <= tol."""
+    """Smallest M on the ladder 1024 * 2^k, k < 40, with
+    tail_bound_monotone(rule, weight, M, epsilon).bound <= tol."""
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    M = max(16, start)
-    for _ in range(max_doublings):
-        tb = tail_bound_monotone(rule, weight, M, epsilon, probe=probe)
+    M = _LADDER_START
+    for _ in range(_LADDER_RUNGS):
+        tb = tail_bound_monotone(rule, weight, M, epsilon)
         if tb.bound <= tol:
             return M, tb
         M *= 2

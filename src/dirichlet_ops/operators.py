@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .series import DirichletPolynomial, _normal
+from .series import DirichletPolynomial, _normal, _validate_index
 
 __all__ = [
     "Multiplier",
@@ -122,8 +122,7 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
     is tight with a limit >= 0.05, or the tail is flat and bounded away
     from 0 by 0.05.  inconclusive otherwise.
     """
-    if n_max < 10**3:
-        raise DomainError(f"n_max must be >= 10^3, got {n_max}")
+    n_max = _validate_index(n_max, "n_max", 10**3)
     pts: list[int] = []
     n = max(2, m.min_index)
     while n <= n_max:

@@ -48,13 +48,14 @@ __all__ = [
 _INDEX_MAX = 2**63 - 1
 
 
-def _validate_index(n) -> int:
+def _validate_index(n, what: str = "series index", least: int = 1) -> int:
+    """n as an int in [least, 2^63 - 1]; DomainError naming `what` otherwise."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"series index must be an integer >= 1, got {n!r}")
-    if n < 1:
-        raise DomainError(f"series index must be >= 1, got {n}")
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+    if n < least:
+        raise DomainError(f"{what} must be >= {least}, got {n}")
     if n > _INDEX_MAX:
-        raise DomainError(f"series index must be <= 2^63 - 1, got {n}")
+        raise DomainError(f"{what} must be <= 2^63 - 1, got {n}")
     return int(n)
 
 
@@ -360,9 +361,7 @@ def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
 
 def zeta_shift_rule(k: int) -> CoefficientRule:
     """a_n = n^(-k) for an integer k >= 0; both abscissas sit at 1 - k."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"zeta_shift exponent must be an integer >= 0, got {k!r}")
-    k = int(k)
+    k = _validate_index(k, "zeta_shift exponent", 0)
     return CoefficientRule(
         tag=f"zeta_shift({k})",
         vectorized=lambda ns: _inv_power(ns.astype(np.float64), k),

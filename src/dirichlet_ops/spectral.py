@@ -14,6 +14,7 @@ equals the brute-force minimum whenever that minimizer is in range.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, SpectralError
 from .operators import Multiplier, apply
-from .series import DirichletPolynomial, monomial
+from .series import DirichletPolynomial, _validate_index, monomial
 
 __all__ = [
     "FULL",
@@ -58,27 +59,34 @@ def _validate_space(space: str) -> str:
     return space
 
 
-def _symbol_distance(lam: complex) -> tuple[float, int | None]:
-    """min over n >= 2 of |log n + lambda| and its minimizing index.
+def _window(x: float) -> tuple[int, int] | None:
+    """The integers bracketing exp(x), two either side: the only candidates
+    for the n >= 2 whose log n is nearest x, since (log n - x)^2 is unimodal
+    in log n.  (2, 3) when x <= log 2; None past _X_HUGE, where log n comes
+    within ~exp(-x) of x and no indexable integer attains it."""
+    if x <= _LOG2:
+        return 2, 3
+    if x > _X_HUGE:
+        return None
+    n0 = math.exp(x)
+    return max(2, int(math.floor(n0)) - 2), int(math.ceil(n0)) + 2
 
-    |log n + lambda|^2 = (log n - x*)^2 + (Im lambda)^2 with x* = -Re lambda
-    is unimodal in log n, so only the integers bracketing exp(x*) compete.
-    Past _X_HUGE the minimizer is no indexable integer and comes back None.
+
+def _symbol_distance(lam: complex) -> tuple[float, int | None]:
+    """min over n >= 2 of |log n + lambda| and its minimizing index, with
+    x* = -Re lambda as the target of log n.  Past _X_HUGE the real part is
+    matched to fp resolution, only Im lambda survives and the index is None.
+    A non-finite lambda raises DomainError.
     """
-    x_star = -lam.real
-    if x_star <= _LOG2:
-        cands = [2, 3]
-    elif x_star > _X_HUGE:
-        # log n comes within ~exp(-x*) of x*: the real part is matched to
-        # fp resolution and only the imaginary offset survives
+    if not cmath.isfinite(lam):
+        raise DomainError(f"spectral parameter must be finite, got {lam}")
+    window = _window(-lam.real)
+    if window is None:
         return abs(lam.imag), None
-    else:
-        n0 = math.exp(x_star)
-        lo = max(2, int(math.floor(n0)) - 2)
-        cands = list(range(lo, int(math.ceil(n0)) + 3))
-    best_n = cands[0]
-    best = abs(complex(math.log(best_n), 0.0) + lam)
-    for n in cands[1:]:
+    lo, hi = window
+    best_n = lo
+    best = abs(complex(math.log(lo), 0.0) + lam)
+    for n in range(lo + 1, hi + 1):
         d = abs(complex(math.log(n), 0.0) + lam)
         if d < best:
             best, best_n = d, n
@@ -171,9 +179,8 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
     Raises SpectralError when lambda is classified inside the spectrum, and
     DomainError when f has a constant term but the zero subspace was named.
     """
-    space = _validate_space(space)
-    lam = complex(lmbda)
-    cls = classify_point(lam, space)
+    cls = classify_point(lmbda, space)
+    lam = cls.lam
     if cls.kind != "resolvent_point":
         raise SpectralError(
             f"lambda = {lam} lies in the spectrum ({cls.kind}); no resolvent there",
@@ -217,8 +224,7 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     lam = complex(lmbda)
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    if N < 10**3:
-        raise DomainError(f"N must be >= 10^3, got {N}")
+    N = _validate_index(N, "N", 10**3)
     mu = spectral_gap(lam)
     if mu <= 0.0:
         raise SpectralError(
@@ -258,28 +264,17 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
 
 
 def _reciprocal_symbol_distance(w: complex) -> float:
-    """inf over n >= 2 of |-1/log n - w|, by the same unimodal window idea.
+    """inf over n >= 2 of |-1/log n - w|, over the same window as
+    _symbol_distance with target log n = -1/Re w.
 
-    The candidate values t_n = -1/log n fill [-1/log 2, 0); the infimum is
-    attained next to the n with -1/log n ~ Re w, or approached as n -> inf
-    when Re w clips at 0 (giving |w|, since t_n -> 0-).
+    The values -1/log n fill [-1/log 2, 0) and tend to 0 from below, so the
+    infimum also covers the n -> inf limit |w|; where the window is dense
+    (Re w just below 0) only the imaginary offset |Im w| survives.
     """
-    a = w.real
-    cands = {2, 3}
-    tail = abs(w)  # the n -> infinity limit of the distance
-    if a <= -1.0 / _LOG2:
-        pass  # clipped left: n = 2 is the closest the sequence gets
-    elif a < 0.0:
-        x = -1.0 / a  # target log n
-        if x <= _X_HUGE:
-            n0 = math.exp(x)
-            lo = max(2, int(math.floor(n0)) - 2)
-            cands.update(range(lo, int(math.ceil(n0)) + 3))
-        else:
-            # the -1/log n near Re w are dense to fp resolution, as in
-            # _symbol_distance: only the imaginary offset survives
-            tail = abs(w.imag)
-    best = min(abs((-1.0 / math.log(n)) - w) for n in sorted(cands))
+    window = _window(-1.0 / w.real) if w.real < 0.0 else (2, 3)
+    tail = abs(w) if window else abs(w.imag)
+    lo, hi = window or (2, 3)
+    best = min(abs((-1.0 / math.log(n)) - w) for n in range(lo, hi + 1))
     return min(best, tail)
 
 
@@ -301,10 +296,9 @@ def reciprocal_spectrum_check(mu) -> ReciprocalReport:
     m = complex(mu)
     if m == 0:
         raise DomainError("mu must be nonzero (0 is handled by classify_point directly)")
-    cls = classify_point(m, ZERO_SUBSPACE)
-    in_rho_d = cls.kind == "resolvent_point"
     gap_d, _ = _symbol_distance(m)
     gap_j = _reciprocal_symbol_distance(1.0 / m)
+    in_rho_d = gap_d > SPECTRUM_TOLERANCE
     in_rho_j = gap_j > SPECTRUM_TOLERANCE
     return ReciprocalReport(
         mu=m,

@@ -201,6 +201,7 @@ class TestDiagnostic:
         assert report.verdict == "diverges"
         assert report.fitted_rate == pytest.approx(math.log(math.log(10**18)), rel=1e-9)
 
-    def test_k_max_validated(self):
-        with pytest.raises(DomainError):
-            ergodicity_diagnostic(derivative_multiplier(), monomial(3), 0.1, 9)
+    @pytest.mark.parametrize("k_max", [9, 10.5])
+    def test_k_max_validated(self, k_max):
+        with pytest.raises(DomainError, match="k_max"):
+            ergodicity_diagnostic(derivative_multiplier(), monomial(3), 0.1, k_max)

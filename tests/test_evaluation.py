@@ -83,9 +83,10 @@ class TestPartialSum:
         b = partial_sum(rule, 0.5, 10_000, chunk=128)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_rejects_empty_range(self):
-        with pytest.raises(DomainError):
-            partial_sum(eta_rule(), 0.0, 0)
+    @pytest.mark.parametrize("N", [0, 10.5, True, 2**63])
+    def test_rejects_bad_length(self, N):
+        with pytest.raises(DomainError, match="partial sum length N"):
+            partial_sum(eta_rule(), 0.0, N)
 
 
 class TestSummationByParts:
@@ -167,6 +168,20 @@ class TestTailBounds:
         # the selected truncation really does leave a tail below tolerance
         true_tail = 1.0 / M  # integral bracket: 1/(M+1) <= tail <= 1/M
         assert true_tail <= 1.5e-4
+
+    @pytest.mark.parametrize("M", [100.5, 2**63 - 10])
+    def test_rejects_bad_tail_start(self, M):
+        with pytest.raises(DomainError, match="tail (start|probe end) M"):
+            tail_bound_monotone(eta_rule(), None, M, 0.5)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1000.0])
+    def test_rejects_non_finite_weighted_window(self, eps):
+        with pytest.raises(DomainError, match="epsilon must be finite"):
+            tail_bound_monotone(eta_rule(), None, 100, eps)
+
+    def test_truncation_names_nan_epsilon_at_first_rung(self):
+        with pytest.raises(DomainError, match=r"epsilon must be finite .* n = 1025\.\.66560, got nan"):
+            truncation_for_tolerance(zeta_shift_rule(2), math.nan, 1e-4)
 
     def test_truncation_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
@@ -253,6 +268,19 @@ class TestBoundaryValues:
         for i in (0, 17, 63):
             want = evaluate(f, complex(0.3, ts[i]))
             assert grid[i] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "epsilon, t, message",
+        [
+            (0.0, math.nan, "t = nan"),
+            (0.0, math.inf, "t = inf"),
+            (math.nan, 0.0, "epsilon must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_argument_named(self, epsilon, t, message):
+        with pytest.raises(DomainError, match=message) as info:
+            boundary_values(monomial(2), epsilon, np.array([0.5, t]))
+        assert "overflows" not in str(info.value)
 
     def test_overflow_raises_naming_epsilon(self):
         # 2^2000 overflows a double: every grid value would be nan + nan j

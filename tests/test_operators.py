@@ -25,8 +25,14 @@ from dirichlet_ops import (
 from conftest import finite_coefficients, poly_strategy, random_poly
 
 
+# no subnormal coefficients: a subnormal carries fewer than 52 significant
+# bits, so no relative tolerance holds for it (test_subnormal_round_trip
+# bounds that case)
 def zero_constant_polys():
-    return poly_strategy(min_index=2, max_index=512, max_terms=8)
+    coefficients = st.complex_numbers(
+        max_magnitude=8.0, allow_nan=False, allow_infinity=False, allow_subnormal=False
+    )
+    return poly_strategy(min_index=2, max_index=512, max_terms=8, coefficients=coefficients)
 
 
 class TestGrowthCheck:
@@ -52,9 +58,10 @@ class TestGrowthCheck:
         assert check_growth(derivative_multiplier(), 10**5).verdict == "admissible"
         assert check_growth(integration_multiplier(), 10**5).verdict == "admissible"
 
-    def test_sample_ceiling_validated(self):
-        with pytest.raises(DomainError):
-            check_growth(identity_multiplier(), 999)
+    @pytest.mark.parametrize("n_max", [999, 1e5])
+    def test_sample_ceiling_validated(self, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            check_growth(identity_multiplier(), n_max)
 
 
 class TestApply:
@@ -129,6 +136,18 @@ class TestIntegrate:
     def test_round_trips_both_ways(self, f):
         assert coefficient_close(integrate(differentiate(f)), f, rtol=1e-12)
         assert coefficient_close(differentiate(integrate(f)), f, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 19])
+    @pytest.mark.parametrize("a", [5e-324, -1.5e-323, 1e-320])
+    def test_subnormal_round_trip(self, n, a):
+        # each of the two multiplications rounds by at most half a subnormal
+        # step (5e-324), and the second scales the first error by at most
+        # log 19 < 3: the error is below two steps and, being a whole number
+        # of steps, at most one (differentiate(integrate(5e-324 at n = 5))
+        # gives 1e-323)
+        f = monomial(n, a)
+        for g in (integrate(differentiate(f)), differentiate(integrate(f))):
+            assert abs(g.coefficient(n) - a) <= 5e-324
 
     def test_round_trip_random_corpus(self, rng):
         for _ in range(200):

@@ -189,9 +189,31 @@ class TestBoundedVariation:
         with pytest.raises(SpectralError):
             bv_check(-math.log(2), 0.5, 10**4)
 
-    def test_window_length_validated(self):
-        with pytest.raises(DomainError):
-            bv_check(1.0, 0.5, 999)
+    @pytest.mark.parametrize("N", [999, 1000.5])
+    def test_window_length_validated(self, N):
+        with pytest.raises(DomainError, match="N must be"):
+            bv_check(1.0, 0.5, N)
+
+
+class TestNonFiniteParameter:
+    @pytest.mark.parametrize(
+        "lam", [math.nan, math.inf, -math.inf, complex(-1.0, math.nan), complex(0.5, math.inf)]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            spectral_gap,
+            lambda lam: classify_point(lam, FULL),
+            lambda lam: classify_point(lam, ZERO_SUBSPACE),
+            lambda lam: resolvent_apply(lam, monomial(2), FULL),
+            lambda lam: bv_check(lam, 0.5),
+            reciprocal_spectrum_check,
+        ],
+        ids=["spectral_gap", "classify_full", "classify_zero", "resolvent", "bv_check", "reciprocal"],
+    )
+    def test_raises_domain_error(self, call, lam):
+        with pytest.raises(DomainError, match="spectral parameter must be finite"):
+            call(lam)
 
 
 class TestReciprocal:
