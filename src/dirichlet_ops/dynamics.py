@@ -31,8 +31,8 @@ __all__ = [
     "ergodicity_diagnostic",
 ]
 
-# |symbol - 1| below this uses the direct geometric sum: the closed form
-# divides by (1 - symbol) and loses ~k*eps/|1-symbol| to cancellation
+# |symbol - 1| up to this takes the ring form in cesaro_mean: the geometric
+# form divides by (1 - symbol) and loses ~k*eps/|1-symbol| to cancellation
 _UNIT_SYMBOL_RADIUS = 1e-8
 
 
@@ -40,31 +40,34 @@ def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     """k-th iterate, coefficient-wise a_n -> symbol(n)^k a_n.
 
     Computed as a single power rather than k sequential applications, so
-    the error stays at one complex-power rounding instead of k of them."""
+    the error stays at one complex-power rounding instead of k of them.
+    A power past double range raises DomainError."""
     k = _validate_index(k, "iterate count")
     power = replace(m, symbol=lambda n: complex(m.symbol(n)) ** k, label=f"{m.label}^{k}")
     return apply(power, f)
 
 
 def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolynomial:
-    """(1/k) sum_{j=1}^k of the j-th iterate, coefficient-wise.
+    """(1/k) sum_{j=1}^k of the j-th iterate, coefficient-wise, O(1) in k.
 
-    Uses the closed geometric form gamma (1 - gamma^k) / (1 - gamma) away
-    from gamma = 1 and the direct count k at gamma = 1 (with a small
-    cancellation guard ring around 1 summed directly as well)."""
+    gamma (1 - gamma^k) / (1 - gamma) / k away from gamma = 1, and 1 at it.
+    Within _UNIT_SYMBOL_RADIUS of 1: gamma expm1(k log gamma) / (k (gamma - 1)),
+    log gamma by three terms of its series in gamma - 1 and expm1 in real
+    arithmetic.  A mean past double range raises DomainError."""
     k = _validate_index(k, "iterate count")
 
     def mean_symbol(n: int) -> complex:
         g = complex(m.symbol(n))
-        if abs(g - 1.0) > _UNIT_SYMBOL_RADIUS:
+        d = g - 1.0
+        if abs(d) > _UNIT_SYMBOL_RADIUS:
             return g * (1.0 - g**k) / (1.0 - g) / k
         if g == 1.0:
             return 1.0  # sum of k ones over k
-        s, p = 0j, 1.0 + 0j
-        for _ in range(k):
-            p *= g
-            s += p
-        return s / k
+        z = k * (d - d * d / 2.0 + d * d * d / 3.0)
+        x, y = z.real, z.imag
+        h = math.sin(y / 2.0)
+        e = complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
+        return g * e / (k * d)
 
     mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})")
     return apply(mean, f)
@@ -86,6 +89,8 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     for n, a in f.items():
         g = complex(m.symbol(n))
         mag = abs(g)
+        if not math.isfinite(mag):
+            raise DomainError(f"multiplier '{m.label}' is not finite at n = {n}, got {g!r}")
         if mag == 0.0 or a == 0:
             continue
         log_pow = k * math.log(mag)

@@ -203,6 +203,10 @@ def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -
         ys = None
     else:
         ys = np.fromiter((float(weight(int(n))) for n in ns), dtype=np.float64, count=_PROBE)
+        bad = ~np.isfinite(ys)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"weight must be finite, got {float(ys[i])!r} at n = {ns[i]}")
         dy = np.diff(ys[:4096])
         tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
         if not (np.all(dy >= -tol) or np.all(dy <= tol)):

@@ -17,7 +17,8 @@ of the form n^c (log n)^p exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from cmath import isfinite
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,36 +44,36 @@ __all__ = [
 class Multiplier:
     """Termwise coefficient multiplier n -> gamma_n.
 
-    min_index is the smallest index the symbol is defined at;
-    requires_zero_constant marks operators whose domain is the subspace
-    with vanishing constant term.
+    requires_zero_constant (keyword-only) restricts the domain to series with
+    a_1 = 0; the read-only min_index is then 2, else 1.  Calling it reads one
+    symbol value, raising DomainError below min_index or if it is not finite.
     """
 
     symbol: Callable[[int], complex]
     label: str
-    min_index: int = 1
-    requires_zero_constant: bool = False
+    requires_zero_constant: bool = field(default=False, kw_only=True)
+
+    @property
+    def min_index(self) -> int:
+        return 2 if self.requires_zero_constant else 1
 
     def __call__(self, n: int) -> complex:
         if n < self.min_index:
             raise DomainError(
                 f"multiplier '{self.label}' is defined for n >= {self.min_index}, got {n}"
             )
-        return complex(self.symbol(n))
+        g = complex(self.symbol(n))
+        if not isfinite(g):
+            raise DomainError(f"multiplier '{self.label}' is not finite at n = {n}, got {g!r}")
+        return g
 
     def check_domain(self, f: DirichletPolynomial) -> None:
-        """Raise DomainError unless f lies in the multiplier's domain: a
-        vanishing constant term when required, and no stored index below
-        min_index (indices are sorted, so the first one is the smallest)."""
+        """Raise DomainError unless f lies in the multiplier's domain (in
+        normal form, a_1 = 0 leaves no stored index below 2)."""
         if self.requires_zero_constant and f.coefficient(1) != 0:
             raise DomainError(
                 f"multiplier '{self.label}' requires a vanishing constant term, "
                 f"got a_1 = {f.coefficient(1)}"
-            )
-        first = next(iter(f.indices()), self.min_index)
-        if first < self.min_index:
-            raise DomainError(
-                f"multiplier '{self.label}' is defined for n >= {self.min_index}, got {first}"
             )
 
 
@@ -87,7 +88,6 @@ def integration_multiplier() -> Multiplier:
     return Multiplier(
         symbol=lambda n: -1.0 / math.log(n),
         label="integration",
-        min_index=2,
         requires_zero_constant=True,
     )
 
@@ -123,11 +123,7 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
     from 0 by 0.05.  inconclusive otherwise.
     """
     n_max = _validate_index(n_max, "n_max", 10**3)
-    pts: list[int] = []
-    n = max(2, m.min_index)
-    while n <= n_max:
-        pts.append(n)
-        n *= 2
+    pts = [2**j for j in range(1, n_max.bit_length())]
     if pts[-1] != n_max:
         pts.append(n_max)
 
@@ -166,10 +162,15 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
 
 def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
-    annihilated terms disappear from the coefficient map."""
+    annihilated terms disappear from the coefficient map.  A symbol value
+    that overflows raises DomainError naming the multiplier."""
     m.check_domain(f)
     symbol = m.symbol
-    return _normal(f.indices(), [complex(symbol(n)) * a for n, a in f.items()])
+    try:
+        values = [complex(symbol(n)) * a for n, a in f.items()]
+    except OverflowError:
+        raise DomainError(f"multiplier '{m.label}' overflows double precision") from None
+    return _normal(f.indices(), values)
 
 
 def differentiate(f: DirichletPolynomial) -> DirichletPolynomial:
@@ -187,6 +188,5 @@ def compose(m1: Multiplier, m2: Multiplier) -> Multiplier:
     return Multiplier(
         symbol=lambda n: complex(m1.symbol(n)) * complex(m2.symbol(n)),
         label=f"{m1.label}*{m2.label}",
-        min_index=max(m1.min_index, m2.min_index),
         requires_zero_constant=m1.requires_zero_constant or m2.requires_zero_constant,
     )

@@ -1,5 +1,8 @@
 import math
+import random
+import time
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +50,10 @@ class TestPowerApply:
         assert power_apply(derivative_multiplier(), 1, f) == apply(
             derivative_multiplier(), f
         )
+
+    def test_overflowing_power_raises(self):
+        with pytest.raises(DomainError, match=r"'derivative\^400' overflows double precision"):
+            power_apply(derivative_multiplier(), 400, monomial(1000))
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_power_validated(self, bad):
@@ -112,10 +119,51 @@ class TestCesaroMean:
         # all forty iterates are within 4e-11 of the original coefficient
         assert got.coefficient(2) == pytest.approx(1.0, abs=1e-9)
 
+    def test_overflowing_mean_raises(self):
+        with pytest.raises(DomainError, match=r"'cesaro\(derivative, 400\)' overflows double precision"):
+            cesaro_mean(derivative_multiplier(), 400, monomial(1000))
+
     def test_unit_symbol_exact(self):
         m = Multiplier(lambda n: 1.0, "unit")
         f = monomial(2, 3.25)
         assert cesaro_mean(m, 17, f) == f
+
+    def test_ring_closed_form_against_mpmath(self):
+        # the bound is relative to (1/k) sum |g|^j, the mean of the iterate
+        # magnitudes: k log g carries a rounding of u |k log g|, and near a
+        # zero of e^(k log g) - 1 the mean is far smaller than its terms
+        u = 2.0**-53
+        rnd = random.Random(20261018)
+        checked = 0
+        with mpmath.workprec(200):
+            while checked < 2000:
+                r, theta = 10 ** rnd.uniform(-16, -8), rnd.uniform(-math.pi, math.pi)
+                g = complex(1.0 + r * math.cos(theta), r * math.sin(theta))
+                k = int(10 ** rnd.uniform(0, 18))
+                G = mpmath.mpc(g.real, g.imag)
+                z = k * mpmath.log(G)
+                if g == 1.0 or z.real > 700:
+                    continue
+                true = G * mpmath.expm1(z) / (k * (G - 1))
+                mag = abs(G)
+                scale = mag * mpmath.expm1(k * mpmath.log(mag)) / (k * (mag - 1)) if mag != 1 else 1
+                got = cesaro_mean(Multiplier(lambda n: g, "ring"), k, monomial(2)).coefficient(2)
+                err = abs(mpmath.mpc(got.real, got.imag) - true)
+                assert err <= 64 * u * max(1.0, float(abs(z))) * scale, (g, k)
+                checked += 1
+
+    def test_ring_cost_independent_of_k(self):
+        t0 = time.perf_counter()
+        got = cesaro_mean(Multiplier(lambda n: 1 + 1e-10, "near-one"), 10**10, monomial(2))
+        assert time.perf_counter() - t0 < 0.1
+        assert got.coefficient(2) == pytest.approx(math.e - 1, rel=1e-6)  # k (g - 1) = 1
+
+    def test_ring_at_largest_k(self):
+        k = 2**63 - 1
+        with pytest.raises(DomainError, match=r"'cesaro\(near-one, .*overflows double precision"):
+            cesaro_mean(Multiplier(lambda n: 1 + 1e-10, "near-one"), k, monomial(2))
+        got = cesaro_mean(Multiplier(lambda n: 1 - 1e-10, "near-one"), k, monomial(2))
+        assert got.coefficient(2) == pytest.approx(1 / (k * 1e-10), rel=1e-6)
 
 
 class TestNormalizedPowerNorm:
@@ -147,6 +195,11 @@ class TestNormalizedPowerNorm:
             scaled = scale(1.0 / k, power_apply(derivative_multiplier(), k, f))
             want = seminorm(scaled, 0.5, t_max=1.0, step=1.0).upper
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_nan_symbol_raises(self):
+        m = Multiplier(lambda n: math.nan, "nan-symbol")
+        with pytest.raises(DomainError, match="'nan-symbol' is not finite at n = 3"):
+            normalized_power_norm(m, monomial(3), 0.1, 2)
 
     def test_overflow_guard_returns_inf(self):
         m = Multiplier(lambda n: 1e6, "huge")
@@ -200,6 +253,11 @@ class TestDiagnostic:
         assert any(math.isfinite(v) and not math.isfinite(k * v) for k, v in report.samples)
         assert report.verdict == "diverges"
         assert report.fitted_rate == pytest.approx(math.log(math.log(10**18)), rel=1e-9)
+
+    def test_nan_symbol_raises(self):
+        m = Multiplier(lambda n: math.nan, "nan-symbol")
+        with pytest.raises(DomainError, match="'nan-symbol' is not finite at n = 3"):
+            ergodicity_diagnostic(m, monomial(3), 0.1, 10)
 
     @pytest.mark.parametrize("k_max", [9, 10.5])
     def test_k_max_validated(self, k_max):

@@ -156,6 +156,16 @@ class TestTailBounds:
         with pytest.raises(DomainError):
             tail_bound_monotone(eta_rule(), lambda n: (-1.0) ** n, 100, 0.5)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_named(self, w):
+        with pytest.raises(DomainError, match=rf"weight must be finite, got {w!r} at n = 101"):
+            tail_bound_monotone(eta_rule(), lambda n: w, 100, 0.5)
+
+    def test_vanishing_tail_is_zero(self):
+        tb = tail_bound_monotone(table_rule({1: 1.0}), None, 100, 0.5)
+        assert tb.bound == 0.0
+        assert tb.regime == "zero"
+
     def test_nonintegrable_tail_is_infinite(self):
         tb = tail_bound_monotone(ones_rule(), None, 100, 0.0)
         assert math.isinf(tb.bound)

@@ -37,7 +37,7 @@ def zero_constant_polys():
 
 class TestGrowthCheck:
     def test_logarithmic_symbol_admissible(self):
-        m = Multiplier(lambda n: math.log(n), "log-growth", min_index=2)
+        m = Multiplier(lambda n: math.log(n), "log-growth", requires_zero_constant=True)
         assert check_growth(m, 10**5).verdict == "admissible"
 
     def test_constant_symbol_admissible_with_zero_ratios(self):
@@ -57,6 +57,23 @@ class TestGrowthCheck:
     def test_derivative_and_integration_admissible(self):
         assert check_growth(derivative_multiplier(), 10**5).verdict == "admissible"
         assert check_growth(integration_multiplier(), 10**5).verdict == "admissible"
+
+    def test_flat_tail_inadmissible(self):
+        # the wobble keeps the fit loose (residual ~0.16); the tail ratios
+        # stay above 0.25
+        m = Multiplier(lambda n: n**0.2 * (2 + math.sin(3 * math.log(n))), "wobbling-power")
+        report = check_growth(m, 10**5)
+        assert report.fit_residual >= 0.01
+        assert report.verdict == "inadmissible"
+
+    def test_oscillating_symbol_inconclusive(self):
+        m = Multiplier(lambda n: 2 + math.sin(n), "oscillating")
+        assert check_growth(m, 10**5).verdict == "inconclusive"
+
+    def test_nan_symbol_rejected(self):
+        m = Multiplier(lambda n: math.nan, "nan-symbol")
+        with pytest.raises(DomainError, match="'nan-symbol' is not finite at n = 2"):
+            check_growth(m, 10**4)
 
     @pytest.mark.parametrize("n_max", [999, 1e5])
     def test_sample_ceiling_validated(self, n_max):

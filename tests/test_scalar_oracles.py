@@ -180,7 +180,17 @@ class TestDiagonalOperators:
     @pytest.mark.parametrize("m", MULTIPLIERS, ids=lambda m: m.label)
     @given(f=poly_strategy(min_index=2, max_index=512, max_terms=8), k=st.integers(1, 40))
     def test_cesaro_mean_bit_equal(self, m, f, k):
-        assert bits(cesaro_mean(m, k, f)) == bits(legacy_cesaro_mean(m, k, f))
+        # in the ring 0 < |g - 1| <= 1e-8 the library takes a closed form
+        # where the oracle sums k iterates one by one; there the loop is the
+        # less accurate side and the two agree to 2^-46 relative
+        got, want = cesaro_mean(m, k, f), legacy_cesaro_mean(m, k, f)
+        assert list(got.indices()) == list(want.indices())
+        for n, a in want.items():
+            b = got.coefficient(n)
+            if 0 < abs(m(n) - 1.0) <= _UNIT_SYMBOL_RADIUS:
+                assert abs(b - a) <= 2.0**-46 * abs(a)
+            else:
+                assert (b.real.hex(), b.imag.hex()) == (a.real.hex(), a.imag.hex())
 
     @pytest.mark.parametrize("lam", [1.0, 2.0 + 1.0j, 0.75 - 0.5j, -3.3 + 0.01j, -20.0 + 2.0j])
     @given(f=poly_strategy(max_index=4096, max_terms=10))

@@ -25,6 +25,8 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS
+
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
 # mu(1)..mu(20), from the standard table
@@ -103,6 +105,16 @@ class TestLinearAlgebra:
         assert -(-f) == f
         assert (-f) + f == ZERO
 
+    def test_scalar_and_convolution_sugar(self):
+        f, g = add(monomial(2), monomial(3, -1j)), monomial(5, 0.5)
+        assert f * 2.0 == scale(2.0, f)
+        assert 3 * f == scale(3, f)
+        assert f * g == dirichlet_multiply(f, g)
+
+    def test_repr(self):
+        assert repr(ZERO) == "DirichletPolynomial(0)"
+        assert repr(add(monomial(2), monomial(3, -1j))) == "DirichletPolynomial({2: (1+0j), 3: -1j})"
+
 
 class TestConvolution:
     def test_two_times_three(self):
@@ -160,6 +172,21 @@ class TestConvolution:
             f = DirichletPolynomial({n: 1e200 for n in range(1, n_terms + 1)})
             with pytest.raises(DomainError):
                 dirichlet_multiply(f, f)
+
+    def test_overflowing_bucket_sum_raises(self):
+        # each product is finite and only the bucket sum overflows: bucket 2
+        # of the per-pair loop holds 2 products, bucket 4 of the array
+        # kernel holds 3
+        loop = (DirichletPolynomial({1: 1e308, 2: 1e308}), DirichletPolynomial({1: 1, 2: 1}))
+        kernel = (
+            DirichletPolynomial({n: 6e307 for n in range(1, 8)}),
+            DirichletPolynomial({n: 1 for n in range(1, 8)}),
+        )
+        assert loop[0].term_count * loop[1].term_count < _KERNEL_MIN_PAIRS
+        assert kernel[0].term_count * kernel[1].term_count >= _KERNEL_MIN_PAIRS
+        for (f, g), n in ((loop, 2), (kernel, 4)):
+            with pytest.raises(DomainError, match=f"coefficient at n={n} must be finite"):
+                dirichlet_multiply(f, g)
 
     def test_pointwise_product_identity(self, rng):
         for _ in range(100):
@@ -227,6 +254,16 @@ class TestRules:
     def test_index_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
             moebius_rule()(2**64)
+
+    @pytest.mark.parametrize("bad", [0, 2**63])
+    def test_values_reject_out_of_range_index(self, bad):
+        with pytest.raises(DomainError, match="rule indices must"):
+            ones_rule().values([1, bad])
+
+    def test_zeta_shift_zero_is_ones(self):
+        rule = zeta_shift_rule(0)
+        assert rule.values([1, 2, 3, 10**12]).tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert rule.known_abscissas == ones_rule().known_abscissas
 
     def test_known_abscissas_metadata_for_tests_only(self):
         assert ones_rule().known_abscissas is not None
