@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import _grid_values
+from .evaluation import _grid_sup
 from .series import CoefficientRule, _validate_index
 
 __all__ = [
@@ -57,12 +57,14 @@ class Estimate:
 
 @dataclass(frozen=True)
 class BoundednessProbe:
-    """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid."""
+    """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid of
+    `points` points, `refined` of which the direct kernel recomputed."""
 
     epsilon: float
     sup_abs: float
     t_max: float
     points: int
+    refined: int
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,11 @@ def bracket_sigma_u(
 
     The probes are evidence, not estimators: a bounded sup at epsilon is
     consistent with uniform convergence on Re s > epsilon and nothing more.
+    Each probe's sup over the linspace(0, t_max, points) grid is
+    evaluation._grid_sup: a GEMM screen at about 2 N sqrt(points) exps, then
+    the direct kernel on every point within 2 delta of the screened maximum,
+    delta ~ 16 u (t_max log N + N) sum |a_n| n^(-eps) bounding the screen's
+    error, so sup_abs is bit for bit the direct scan's maximum.
     """
     N = _validate_index(N, "window length N", 100)
     probe_eps = tuple(float(e) for e in probe_eps)
@@ -152,13 +159,12 @@ def bracket_sigma_u(
     sa = _estimate(np.abs(values).astype(np.complex128), N)
     logn = np.log(np.arange(1, N + 1, dtype=np.float64))
     ts = np.linspace(0.0, t_max, points)
-    probes = tuple(
-        BoundednessProbe(
-            epsilon=e,
-            sup_abs=float(np.max(np.abs(_grid_values(logn, values * np.exp(-e * logn), ts)))),
-            t_max=float(t_max),
-            points=points,
+    probes = []
+    for e in probe_eps:
+        sup_abs, refined = _grid_sup(logn, values * np.exp(-e * logn), ts)
+        probes.append(
+            BoundednessProbe(
+                epsilon=e, sup_abs=sup_abs, t_max=float(t_max), points=points, refined=refined
+            )
         )
-        for e in probe_eps
-    )
-    return AbscissaEstimate(sigma_c=sc, sigma_a=sa, N=N, probes=probes)
+    return AbscissaEstimate(sigma_c=sc, sigma_a=sa, N=N, probes=tuple(probes))

@@ -87,10 +87,8 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     terms = []
     log_k = math.log(k)
     for n, a in f.items():
-        g = complex(m.symbol(n))
+        g = m(n)
         mag = abs(g)
-        if not math.isfinite(mag):
-            raise DomainError(f"multiplier '{m.label}' is not finite at n = {n}, got {g!r}")
         if mag == 0.0 or a == 0:
             continue
         log_pow = k * math.log(mag)

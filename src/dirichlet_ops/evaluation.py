@@ -63,7 +63,7 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
     return _finite(value, f"f(s) at s = {s}")
 
 
-def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> complex:
+def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
     """sum_{n<=N} rule(n) n^(-s), streamed in chunks so N ~ 10^8 never
     materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)."""
     s = _as_complex_point(s)
@@ -82,15 +82,110 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 19) -> compl
     return _finite(total, f"partial sum of {N} terms at s = {s}")
 
 
+def _t_step(n_terms: int) -> int:
+    """Points per t-chunk of the boundary grid: at most 2^23 exps per block."""
+    return max(1, (1 << 23) // max(1, n_terms))
+
+
 def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """sum_n w_n exp(-i t log n) at each t of a 1-d grid: the one boundary-grid
-    kernel, chunked in t so no block holds more than 2^23 entries."""
+    kernel, chunked in t so no block holds more than 2^23 entries.
+
+    The chunk shape is load-bearing.  Each chunk is one BLAS gemv, whose
+    summation order for a column depends on the call shape (chunk length and
+    the column's place in it), so the bits of a value depend on how ts is
+    cut.  The CLI golden records pin these bits, and _grid_sup's refine
+    repeats the same cut to reproduce them."""
     out = np.empty(ts.shape, dtype=np.complex128)
-    t_step = max(1, (1 << 23) // max(1, logn.size))
+    t_step = _t_step(logn.size)
     for i in range(0, ts.size, t_step):
         tc = ts[i : i + t_step]
         out[i : i + t_step] = w @ np.exp(np.outer(logn, -1j * tc))
     return out
+
+
+_U = 2.0**-53  # unit roundoff of a double
+
+# _grid_sup screens only when that saves at least this many exps over the
+# direct scan, N (T - B - T/B - 1); below it the screen's fixed cost of
+# about 20 numpy calls wins (measured: N = 3, T = 1024 saves 2877 and ties)
+_SCREEN_MIN_SAVING = 3000
+
+
+def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, int]:
+    """float(np.max(np.abs(_grid_values(logn, w, ts)))) to the bit, for a
+    uniform grid ts, computed by a GEMM screen and a direct refine.  Also
+    returns how many grid points the direct kernel recomputed.
+
+    Screen.  Cut the T points into blocks of B ~ sqrt(T): point j = bB + k
+    is t_j ~ a_b + o_k with anchor a_b = ts[bB] and offset o_k = k h,
+    h = (ts[-1] - ts[0]) / (T - 1).  Then
+        S_j = sum_n R[k, n] A[n, b],  R = exp(-i o_k log n),
+                                      A = w_n exp(-i a_b log n),
+    one complex GEMM over about N (B + T / B) ~ 2 N sqrt(T) exps instead of
+    the direct kernel's N T.
+
+    The bound delta on |S_j - D_j|, D_j the direct kernel's value at ts[j]:
+    both sums run over the same log n, so only the phases, the exps, the
+    products and the summation differ.  With W = sum |w_n|, L = max log n,
+    u = 2^-53, tau = max |ts| + B |h| and dev = max_j |a_b + o_k - ts[j]|
+    (the grid's own rounding against the factored points):
+      - a phase t log n is rounded to within u |t| L; the screen's two
+        phases and the direct one together move a term by <= 3 u tau L |w_n|;
+      - moving the point from ts[j] to a_b + o_k moves it by <= dev L |w_n|;
+      - each exp is within 2u of the unit circle point, each complex
+        product within 4u, and a sum of N terms (gemv or GEMM, in any
+        order) within 2 N u sqrt(2) W, for each side.
+    Summing, |S_j - D_j| <= W (L (dev + 3 u tau) + u (6 N + 18)); delta is
+    W (L (dev + 4 u tau) + 16 u (N + 4)), which also covers the rounding of
+    W, dev and |S_j| themselves.
+
+    Refine.  If |S_i| = max |S| and |D_j| = max |D|, then |S_j| >= |D_j| -
+    delta >= |D_i| - delta >= |S_i| - 2 delta, so every point with
+    |S_j| >= max |S| - 2 delta is kept and the direct maximum is among them.
+    The kept points are recomputed chunk by chunk at _grid_values' exact
+    chunk shape: a zero matrix with exps in the kept columns only, then
+    w @ E, because the gemv sums a column in an order set by the call shape
+    and not by the other columns' values.  The values land in a full-length
+    array before np.abs, whose vector body and scalar tail round
+    differently.  A non-finite screen or delta, or a grid too small for the
+    screen to save _SCREEN_MIN_SAVING exps, runs the direct kernel instead."""
+    n, T = logn.size, ts.size
+    t_step = _t_step(n)
+    B = min(math.isqrt(T), t_step)
+    if n * (T - B - (T + B - 1) // B - 1) < _SCREEN_MIN_SAVING:
+        return float(np.max(np.abs(_grid_values(logn, w, ts)))), T
+    h = (float(ts[-1]) - float(ts[0])) / (T - 1) if T > 1 else 0.0
+    offsets = np.arange(B) * h
+    anchors = ts[::B]
+    with np.errstate(all="ignore"):
+        R = np.exp(np.outer(offsets, -1j * logn))
+        blocks = []
+        for i in range(0, anchors.size, t_step):
+            A = np.exp(np.outer(logn, -1j * anchors[i : i + t_step]))
+            A *= w[:, None]
+            blocks.append(R @ A)
+        screen = np.abs(np.concatenate(blocks, axis=1).T.reshape(-1)[:T])
+        dev = float(np.max(np.abs((anchors[:, None] + offsets).reshape(-1)[:T] - ts)))
+        tau = float(np.max(np.abs(ts))) + B * abs(h)
+        delta = float(np.sum(np.abs(w))) * (
+            float(np.max(logn)) * (dev + 4 * _U * tau) + 16 * _U * (n + 4)
+        )
+        top = float(np.max(screen))
+    if not (math.isfinite(top) and math.isfinite(delta)):
+        return float(np.max(np.abs(_grid_values(logn, w, ts)))), T
+    keep = np.flatnonzero(screen >= top - 2 * delta)
+    out = np.zeros(ts.shape, dtype=np.complex128)
+    for i in range(0, T, t_step):
+        lo, hi = np.searchsorted(keep, (i, i + t_step))
+        if lo == hi:
+            continue
+        cols = keep[lo:hi] - i
+        tc = ts[i : i + t_step]
+        E = np.zeros((n, tc.size), dtype=np.complex128)
+        E[:, cols] = np.exp(np.outer(logn, -1j * tc[cols]))
+        out[i + cols] = (w @ E)[cols]
+    return float(np.max(np.abs(out))), int(keep.size)
 
 
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
@@ -277,13 +372,17 @@ class SeminormEstimate:
 
     lower: maximum of |f(epsilon + i t)| over the sampled boundary grid
     (a genuine lower bound for the sup).  upper: sum |a_n| n^(-epsilon)
-    (a genuine upper bound).  The truth lies in [lower, upper].
+    (a genuine upper bound).  The truth lies in [lower, upper].  points:
+    grid points scanned; refined: how many of them the direct kernel
+    recomputed after the GEMM screen (all of them on a small grid).
     """
 
     epsilon: float
     lower: float
     upper: float
     grid: GridSpec
+    points: int
+    refined: int
 
 
 _TWO_PI_OVER_LOG2 = 2.0 * math.pi / math.log(2.0)
@@ -308,6 +407,14 @@ def seminorm(
     coefficients are conjugate-symmetric in t, so only t >= 0 is scanned.
     A grid of more than 2^24 points (t_max / step too large) raises
     DomainError instead of being allocated.
+
+    The scan is _grid_sup: a GEMM screens the grid at about 2 N sqrt(T)
+    exps, every point whose screened |f| is within 2 delta of the screened
+    maximum is recomputed by the direct kernel, and lower is their maximum,
+    bit for bit the direct scan's.  delta bounds the screen's error, about
+    16 u (max|t| log n_max + N) sum |a_n| n^(-epsilon) (derived in
+    _grid_sup).  An overflow reruns the direct scan through boundary_values,
+    which names epsilon and t.
     """
     if not (epsilon >= 0.0) or not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be a finite real >= 0, got {epsilon!r}")
@@ -328,13 +435,21 @@ def seminorm(
         )
     grid = GridSpec(t_max=float(t_max), step=float(step), two_sided=two_sided)
     if f.is_zero:
-        return SeminormEstimate(epsilon=float(epsilon), lower=0.0, upper=0.0, grid=grid)
+        return SeminormEstimate(
+            epsilon=float(epsilon), lower=0.0, upper=0.0, grid=grid, points=0, refined=0
+        )
 
     logn = np.log(f.index_array().astype(np.float64))
     upper = fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
 
     ts = np.arange(t0, t_max + 0.5 * step, step)
-    lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, refined = _grid_sup(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
+    if not math.isfinite(lower):
+        lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
     # the grid scan can only overshoot the coefficient bound by roundoff
     lower = min(lower, upper)
-    return SeminormEstimate(epsilon=float(epsilon), lower=lower, upper=float(upper), grid=grid)
+    return SeminormEstimate(
+        epsilon=float(epsilon), lower=lower, upper=float(upper), grid=grid,
+        points=int(ts.size), refined=refined,
+    )

@@ -46,7 +46,8 @@ class Multiplier:
 
     requires_zero_constant (keyword-only) restricts the domain to series with
     a_1 = 0; the read-only min_index is then 2, else 1.  Calling it reads one
-    symbol value, raising DomainError below min_index or if it is not finite.
+    symbol value, raising DomainError below min_index, past double range or
+    if it is not finite.
     """
 
     symbol: Callable[[int], complex]
@@ -62,7 +63,12 @@ class Multiplier:
             raise DomainError(
                 f"multiplier '{self.label}' is defined for n >= {self.min_index}, got {n}"
             )
-        g = complex(self.symbol(n))
+        try:
+            g = complex(self.symbol(n))
+        except OverflowError:
+            raise DomainError(
+                f"multiplier '{self.label}' overflows double precision at n = {n}"
+            ) from None
         if not isfinite(g):
             raise DomainError(f"multiplier '{self.label}' is not finite at n = {n}, got {g!r}")
         return g

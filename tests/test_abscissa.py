@@ -85,6 +85,12 @@ class TestBracket:
         assert lo <= -0.95
         assert hi == pytest.approx(-1.0, abs=0.05)
 
+    def test_probe_evidence_counts(self):
+        # the GEMM screen leaves a few of the 121 points to the direct refine
+        for probe in bracket_sigma_u(eta_rule(), 2000, [0.1, 0.5]).probes:
+            assert probe.points == 121
+            assert 1 <= probe.refined < 121
+
     def test_note_flags_bracket_only_reporting(self):
         est = bracket_sigma_u(eta_rule(), 1000, [0.5])
         assert "bracket" in est.note

@@ -201,6 +201,11 @@ class TestNormalizedPowerNorm:
         with pytest.raises(DomainError, match="'nan-symbol' is not finite at n = 3"):
             normalized_power_norm(m, monomial(3), 0.1, 2)
 
+    def test_int_symbol_past_double_range_raises(self):
+        m = Multiplier(lambda n: n**200, "int-power")
+        with pytest.raises(DomainError, match="'int-power' overflows double precision at n = 100000"):
+            normalized_power_norm(m, monomial(10**5), 0.5, 3)
+
     def test_overflow_guard_returns_inf(self):
         m = Multiplier(lambda n: 1e6, "huge")
         assert normalized_power_norm(m, monomial(2), 0.0, 60) == math.inf
@@ -258,6 +263,11 @@ class TestDiagnostic:
         m = Multiplier(lambda n: math.nan, "nan-symbol")
         with pytest.raises(DomainError, match="'nan-symbol' is not finite at n = 3"):
             ergodicity_diagnostic(m, monomial(3), 0.1, 10)
+
+    def test_int_symbol_past_double_range_raises(self):
+        m = Multiplier(lambda n: n**200, "int-power")
+        with pytest.raises(DomainError, match="'int-power' overflows double precision at n = 100000"):
+            ergodicity_diagnostic(m, monomial(10**5), 0.5)
 
     @pytest.mark.parametrize("k_max", [9, 10.5])
     def test_k_max_validated(self, k_max):

@@ -263,6 +263,16 @@ class TestSeminorm:
         with pytest.raises(DomainError, match=rf"t_max = {re.escape(str(t_max))}.*step = {step}.*points"):
             seminorm(monomial(2), 0.0, t_max=t_max, step=step)
 
+    def test_grid_evidence_counts(self):
+        # 200 terms on the default grid: the screen keeps a handful of the
+        # 100001 points for the direct refine
+        est = seminorm(truncate(eta_rule(), 200), 0.0)
+        assert est.points == 100001
+        assert 1 <= est.refined < 100
+        small = seminorm(add(monomial(1), scale(-1.0, monomial(2))), 0.0, t_max=6.0, step=0.01)
+        assert small.points == small.refined == 601
+        assert seminorm(DirichletPolynomial({}), 0.5).refined == 0
+
     def test_two_sided_grid_for_complex_coefficients(self):
         f = DirichletPolynomial({2: 1j})
         est = seminorm(f, 0.0, t_max=2.0)

@@ -75,6 +75,12 @@ class TestGrowthCheck:
         with pytest.raises(DomainError, match="'nan-symbol' is not finite at n = 2"):
             check_growth(m, 10**4)
 
+    def test_int_symbol_past_double_range_raises(self):
+        # 64^200 = 2^1200: complex() of the int overflows
+        m = Multiplier(lambda n: n**200, "int-power")
+        with pytest.raises(DomainError, match="'int-power' overflows double precision at n = 64"):
+            check_growth(m)
+
     @pytest.mark.parametrize("n_max", [999, 1e5])
     def test_sample_ceiling_validated(self, n_max):
         with pytest.raises(DomainError, match="n_max"):

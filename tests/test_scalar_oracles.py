@@ -5,7 +5,9 @@ Each legacy function below is the per-term loop the library used before its
 operators went through operators.apply, its grid probes through the shared
 boundary-grid kernel, its rules through one vectorized values path, and its
 internal results (apply, add, scale, convolution) through the trusted
-normal-form constructor and the array convolution kernel.
+normal-form constructor and the array convolution kernel.  The grid sup of
+seminorm and of the probes, now a GEMM screen and a direct refine, is
+checked against the direct boundary-grid kernel it replaced.
 The new paths must reproduce them bit for bit, except the resolvent, whose
 coefficients are now b * (1 / x) instead of b / x.  Both round differently
 in CPython's complex arithmetic; a random search over 10^6 coefficients
@@ -24,9 +26,11 @@ from dirichlet_ops import (
     FULL,
     ZERO_SUBSPACE,
     DirichletPolynomial,
+    DomainError,
     Multiplier,
     add,
     apply,
+    boundary_values,
     bracket_sigma_u,
     cesaro_mean,
     derivative_multiplier,
@@ -38,9 +42,12 @@ from dirichlet_ops import (
     power_apply,
     resolvent_apply,
     scale,
+    seminorm,
     table_rule,
     zeta_shift_rule,
 )
+from dirichlet_ops import evaluation
+from dirichlet_ops.evaluation import _grid_sup, _grid_values
 from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
 from conftest import poly_strategy
@@ -219,6 +226,103 @@ class TestBoundaryGridKernel:
         values = eta_rule().values(np.arange(1, 3001, dtype=np.int64))
         [probe] = bracket_sigma_u(eta_rule(), 3000, [0.25], t_max=40.0, points=3000).probes
         assert probe.sup_abs == legacy_probe_sup(values, 0.25, 40.0, 3000)
+
+
+def assert_grid_sup_bit_equal(logn, w, ts):
+    want = float(np.max(np.abs(_grid_values(logn, w, ts))))
+    got, refined = _grid_sup(logn, w, ts)
+    assert got.hex() == want.hex()
+    assert 1 <= refined <= ts.size
+    return refined
+
+
+def legacy_seminorm_lower(f, epsilon, t_max, step):
+    t0 = 0.0 if f.has_real_coefficients() else -t_max
+    logn = np.log(f.index_array().astype(np.float64))
+    upper = fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
+    ts = np.arange(t0, t_max + 0.5 * step, step)
+    return min(float(np.max(np.abs(boundary_values(f, epsilon, ts)))), upper)
+
+
+@st.composite
+def grid_cases(draw):
+    """A 1-400 term polynomial on indices <= 3000, weighted by n^(-eps), and
+    a one- or two-sided arange grid."""
+    n_terms = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.sort(rng.choice(np.arange(1, 3001), n_terms, replace=False))
+    coeffs = rng.normal(size=n_terms) * 4.0
+    if draw(st.booleans()):
+        coeffs = coeffs + 4j * rng.normal(size=n_terms)
+    logn = np.log(idx.astype(np.float64))
+    w = coeffs * np.exp(-draw(st.floats(0.0, 1.0)) * logn)
+    t_max = draw(st.floats(0.5, 50.0))
+    step = draw(st.sampled_from([0.02, 0.05, 0.125, 0.3]))
+    t0 = -t_max if draw(st.booleans()) else 0.0
+    return logn, w, np.arange(t0, t_max + 0.5 * step, step)
+
+
+class TestGridSup:
+    """_grid_sup (GEMM screen, then a direct refine of the kept points)
+    against the direct scan it replaces, float.hex for float.hex."""
+
+    @given(grid_cases())
+    def test_random_polynomials(self, case):
+        assert_grid_sup_bit_equal(*case)
+
+    @pytest.mark.parametrize("N", [2000, 20000])
+    @pytest.mark.parametrize("rule", TestBoundaryGridKernel.RULES, ids=lambda r: r.tag)
+    def test_probe_rules(self, rule, N):
+        values = rule.values(np.arange(1, N + 1, dtype=np.int64))
+        logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+        ts = np.linspace(0.0, 30.0, 121)
+        for eps in (0.0, 0.5):
+            assert_grid_sup_bit_equal(logn, values * np.exp(-eps * logn), ts)
+
+    def test_two_t_chunks(self):
+        # 3000 points at 3000 terms exceed one 2^23-entry block
+        logn = np.log(np.arange(1, 3001, dtype=np.float64))
+        w = eta_rule().values(np.arange(1, 3001, dtype=np.int64)) * np.exp(-0.25 * logn)
+        ts = np.linspace(0.0, 40.0, 3000)
+        assert evaluation._t_step(logn.size) < ts.size
+        assert_grid_sup_bit_equal(logn, w, ts)
+
+    @pytest.mark.parametrize("screen", [False, True], ids=["default", "forced-screen"])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_tiny_grids(self, monkeypatch, T, screen):
+        if screen:
+            monkeypatch.setattr(evaluation, "_SCREEN_MIN_SAVING", -math.inf)
+        logn = np.log(np.array([1.0, 2.0, 3.0, 7.0]))
+        w = np.array([1.0, -0.5 + 0.25j, 2.0, 1e-3j])
+        assert_grid_sup_bit_equal(logn, w, np.linspace(-3.0, 5.0, T))
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_constant_modulus_keeps_every_point(self, n):
+        # |c n^(-s)| is the same at every t: every screened point is a candidate
+        logn = np.log(np.array([float(n)]))
+        ts = np.arange(-100.0, 100.0 + 0.005, 0.01)
+        assert assert_grid_sup_bit_equal(logn, np.array([(2.5 - 1j) * n**-0.3]), ts) == ts.size
+
+    @given(poly_strategy(max_index=3000, max_terms=12), st.floats(0.0, 1.0))
+    def test_seminorm_lower(self, f, eps):
+        est = seminorm(f, eps, t_max=30.0, step=0.01)
+        if f.is_zero:
+            assert est.lower == 0.0 and est.points == est.refined == 0
+            return
+        assert est.lower.hex() == legacy_seminorm_lower(f, eps, 30.0, 0.01).hex()
+        assert 1 <= est.refined <= est.points
+
+    @pytest.mark.parametrize("t_max, step", [(2.0, 0.25), (18.0, 0.01)], ids=["direct", "screened"])
+    def test_seminorm_overflow_message(self, t_max, step):
+        # both parts of w are finite, but re(w e^(-i t log 2)) =
+        # 1.5e308 (cos + sin)(t log 2) passes the largest double near t log 2 = pi/4
+        f = DirichletPolynomial({2: complex(1.5e308, 1.5e308)})
+        with pytest.raises(DomainError) as want:
+            legacy_seminorm_lower(f, 0.0, t_max, step)
+        with pytest.raises(DomainError) as got:
+            seminorm(f, 0.0, t_max=t_max, step=step)
+        assert str(got.value) == str(want.value)
+        assert "overflows double precision" in str(got.value)
 
 
 # components that make CPython's complex product hit -0.0 (0 * -1 - 1 * 0),
