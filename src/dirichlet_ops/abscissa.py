@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import _grid_sup
-from .series import CoefficientRule, _validate_index
+from .series import CoefficientRule, _validate_index, _validate_real
 
 __all__ = [
     "Estimate",
@@ -95,14 +95,21 @@ def _window_fit(ms: np.ndarray, amps: np.ndarray) -> tuple[float, float] | None:
 
 
 def _estimate(values: np.ndarray, N: int) -> Estimate:
+    """Raises DomainError naming N when a shifted partial sum passes double
+    range, which would otherwise read as convergence everywhere."""
     ns = np.arange(1, N + 1, dtype=np.float64)
     window = slice(N // 2 - 1, N)  # indices of M = N//2 .. N
     ms = np.arange(1, N + 1, dtype=np.int64)[window]
     shifted = values.astype(np.complex128).copy()
     for k in range(0, _MAX_SHIFT + 1):
-        if k > 0:
-            shifted = shifted * ns
-        amps = np.abs(np.cumsum(shifted))[window]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k > 0:
+                shifted = shifted * ns
+            amps = np.abs(np.cumsum(shifted))[window]
+        if not np.isfinite(amps).all():
+            raise DomainError(
+                f"partial sums of n^{k} a_n up to window length N = {N} overflow double precision"
+            )
         fit = _window_fit(ms, amps)
         if fit is not None:
             slope, spread = fit
@@ -145,14 +152,10 @@ def bracket_sigma_u(
     error, so sup_abs is bit for bit the direct scan's maximum.
     """
     N = _validate_index(N, "window length N", 100)
-    probe_eps = tuple(float(e) for e in probe_eps)
+    probe_eps = tuple(_validate_real(e, "probe epsilon", 0.0) for e in probe_eps)
     if not probe_eps:
         raise DomainError("probe_eps must be a nonempty list of epsilons")
-    for e in probe_eps:
-        if not (e >= 0.0) or not math.isfinite(e):
-            raise DomainError(f"probe epsilons must be finite reals >= 0, got {e!r}")
-    if not (t_max > 0.0) or not math.isfinite(t_max):
-        raise DomainError(f"probe grid extent t_max must be a finite real > 0, got {t_max!r}")
+    t_max = _validate_real(t_max, "probe grid extent t_max", 0.0, strict=True)
     points = _validate_index(points, "probe grid points")
     values = rule.values(np.arange(1, N + 1, dtype=np.int64))
     sc = _estimate(values, N)
@@ -161,10 +164,11 @@ def bracket_sigma_u(
     ts = np.linspace(0.0, t_max, points)
     probes = []
     for e in probe_eps:
-        sup_abs, refined = _grid_sup(logn, values * np.exp(-e * logn), ts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sup_abs, refined = _grid_sup(logn, values * np.exp(-e * logn), ts)
+        if not math.isfinite(sup_abs):
+            raise DomainError(f"probe sup at epsilon = {e} overflows double precision")
         probes.append(
-            BoundednessProbe(
-                epsilon=e, sup_abs=sup_abs, t_max=float(t_max), points=points, refined=refined
-            )
+            BoundednessProbe(epsilon=e, sup_abs=sup_abs, t_max=t_max, points=points, refined=refined)
         )
     return AbscissaEstimate(sigma_c=sc, sigma_a=sa, N=N, probes=tuple(probes))

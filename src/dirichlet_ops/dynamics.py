@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import Multiplier, apply
-from .series import DirichletPolynomial, _validate_index
+from .series import DirichletPolynomial, _validate_index, _validate_real
 
 __all__ = [
     "power_apply",
@@ -79,20 +79,24 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
 
     Each term is assembled in log space, so |symbol|^k never overflows
     even when the value itself is astronomically large (inf is returned
-    only if the final exponential overflows)."""
+    only if the final exponential overflows).  A coefficient whose modulus
+    passes double range raises DomainError naming its index."""
     k = _validate_index(k, "iterate count")
-    if not (epsilon >= 0.0) or not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be a finite real >= 0, got {epsilon!r}")
+    epsilon = _validate_real(epsilon, "epsilon", 0.0)
     m.check_domain(f)
     terms = []
     log_k = math.log(k)
     for n, a in f.items():
         g = m(n)
         mag = abs(g)
-        if mag == 0.0 or a == 0:
+        if mag == 0.0:
             continue
+        try:
+            log_a = math.log(abs(a))
+        except OverflowError:
+            raise DomainError(f"|a_n| at n = {n} overflows double precision, got {a!r}") from None
         log_pow = k * math.log(mag)
-        log_term = log_pow + math.log(abs(a)) - epsilon * math.log(n) - log_k
+        log_term = log_pow + log_a - epsilon * math.log(n) - log_k
         if log_term > 709.0:  # exp would overflow
             return math.inf
         if -700.0 < log_pow < 700.0:

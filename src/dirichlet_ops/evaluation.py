@@ -13,12 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
 from .errors import DomainError
-from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _validate_index
+from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
+from .series import _fsum, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "evaluate",
@@ -37,12 +37,7 @@ __all__ = [
 def _as_complex_point(s) -> complex:
     if isinstance(s, HalfPlanePoint):
         return s.as_complex()
-    if isinstance(s, (int, float, complex)) and not isinstance(s, bool):
-        s = complex(s)
-        if math.isfinite(s.real) and math.isfinite(s.imag):
-            return s
-        raise DomainError(f"evaluation point must be finite, got {s!r}")
-    raise DomainError(f"evaluation point must be complex or HalfPlanePoint, got {s!r}")
+    return _validate_complex(s, "evaluation point")
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -54,8 +49,6 @@ def _finite(value: complex, what: str) -> complex:
 def evaluate(f: DirichletPolynomial, s) -> complex:
     """Exact finite sum  sum_n a_n exp(-s log n)  over the stored terms."""
     s = _as_complex_point(s)
-    if f.is_zero:
-        return 0j
     ns = f.index_array().astype(np.float64)
     coeffs = f.coefficient_array()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,14 +187,11 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
     Raises DomainError naming epsilon and t when a value overflows double
     precision (a far-left epsilon makes n^(-epsilon) overflow), and names a
     NaN or infinite epsilon or t before computing anything."""
+    epsilon = _validate_real(epsilon, "epsilon")
     ts = np.asarray(ts, dtype=np.float64)
-    if not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be finite, got {epsilon!r}")
     bad = np.flatnonzero(~np.isfinite(ts))
     if bad.size:
         raise DomainError(f"grid points t must be finite, got t = {ts[bad[0]]}")
-    if f.is_zero:
-        return np.zeros(ts.shape, dtype=np.complex128)
     logn = np.log(f.index_array().astype(np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
         values = _grid_values(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
@@ -222,8 +212,6 @@ def summation_by_parts(x, y) -> complex:
     if x.size == 0:
         raise DomainError("sequences must have length >= 1")
     X = np.cumsum(x)
-    if x.size == 1:
-        return complex(X[0] * y[0])
     return complex(X[-1] * y[-1] - np.sum(X[:-1] * np.diff(y)))
 
 
@@ -283,6 +271,8 @@ def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -
     """
     M = _validate_index(M, "tail start M")
     _validate_index(M + _PROBE, "tail probe end M + 2^16")
+    # the gate takes all but a float epsilon, which the window check below names
+    epsilon = epsilon if isinstance(epsilon, float) else _validate_real(epsilon, "epsilon")
     ns = np.arange(M + 1, M + _PROBE + 1, dtype=np.int64)
     xs = rule.values(ns)
     if epsilon != 0.0:
@@ -345,8 +335,7 @@ def truncation_for_tolerance(
 ) -> tuple[int, TailBound]:
     """Smallest M on the ladder 1024 * 2^k, k < 40, with
     tail_bound_monotone(rule, weight, M, epsilon).bound <= tol."""
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol = _validate_real(tol, "tolerance", 0.0, strict=True)
     M = _LADDER_START
     for _ in range(_LADDER_RUNGS):
         tb = tail_bound_monotone(rule, weight, M, epsilon)
@@ -414,16 +403,14 @@ def seminorm(
     bit for bit the direct scan's.  delta bounds the screen's error, about
     16 u (max|t| log n_max + N) sum |a_n| n^(-epsilon) (derived in
     _grid_sup).  An overflow reruns the direct scan through boundary_values,
-    which names epsilon and t.
+    which names epsilon and t; a modulus or a coefficient bound past double
+    range raises DomainError naming epsilon.
     """
-    if not (epsilon >= 0.0) or not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be a finite real >= 0, got {epsilon!r}")
-    if not (step > 0.0) or not math.isfinite(step):
-        raise DomainError(f"grid step must be positive, got {step!r}")
+    epsilon = _validate_real(epsilon, "epsilon", 0.0)
+    step = _validate_real(step, "grid step", 0.0, strict=True)
     if t_max is None:
         t_max = min(1000.0, _TWO_PI_OVER_LOG2 * max(1, f.max_index))
-    if not (t_max > 0.0) or not math.isfinite(t_max):
-        raise DomainError(f"grid extent must be positive, got {t_max!r}")
+    t_max = _validate_real(t_max, "grid extent t_max", 0.0, strict=True)
 
     two_sided = not f.has_real_coefficients()
     t0 = -t_max if two_sided else 0.0
@@ -440,13 +427,16 @@ def seminorm(
         )
 
     logn = np.log(f.index_array().astype(np.float64))
-    upper = fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
-
     ts = np.arange(t0, t_max + 0.5 * step, step)
     with np.errstate(over="ignore", invalid="ignore"):
         lower, refined = _grid_sup(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
+    upper = _fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError(
+            f"max |f| or sum |a_n| n^(-epsilon) overflows double precision at epsilon = {epsilon}"
+        )
     # the grid scan can only overshoot the coefficient bound by roundoff
     lower = min(lower, upper)
     return SeminormEstimate(

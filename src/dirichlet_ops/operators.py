@@ -46,8 +46,8 @@ class Multiplier:
 
     requires_zero_constant (keyword-only) restricts the domain to series with
     a_1 = 0; the read-only min_index is then 2, else 1.  Calling it reads one
-    symbol value, raising DomainError below min_index, past double range or
-    if it is not finite.
+    symbol value, raising DomainError below min_index, past double range
+    (the value or its modulus) or if it is not finite.
     """
 
     symbol: Callable[[int], complex]
@@ -65,6 +65,7 @@ class Multiplier:
             )
         try:
             g = complex(self.symbol(n))
+            abs(g)  # a finite value whose modulus passes double range raises here
         except OverflowError:
             raise DomainError(
                 f"multiplier '{self.label}' overflows double precision at n = {n}"
@@ -169,14 +170,17 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
 def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
     annihilated terms disappear from the coefficient map.  A symbol value
-    that overflows raises DomainError naming the multiplier."""
+    past double range or not finite raises DomainError naming the
+    multiplier and n; a product that overflows names its coefficient."""
     m.check_domain(f)
     symbol = m.symbol
     try:
-        values = [complex(symbol(n)) * a for n, a in f.items()]
-    except OverflowError:
-        raise DomainError(f"multiplier '{m.label}' overflows double precision") from None
-    return _normal(f.indices(), values)
+        return _normal(f.indices(), [complex(symbol(n)) * a for n, a in f.items()])
+    except (OverflowError, DomainError):
+        # error path only: re-read the symbol through m(n), which names a bad value
+        for n in f.indices():
+            m(n)
+        raise
 
 
 def differentiate(f: DirichletPolynomial) -> DirichletPolynomial:

@@ -14,6 +14,7 @@ rule n -> a_n, computed on whole index arrays.
 from __future__ import annotations
 
 import math
+import sys
 from cmath import isfinite
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -57,6 +58,34 @@ def _validate_index(n, what: str = "series index", least: int = 1) -> int:
     if n > _INDEX_MAX:
         raise DomainError(f"{what} must be <= 2^63 - 1, got {n}")
     return int(n)
+
+
+# concrete types, as in _validate_index: isinstance against numbers.Real is ~5x slower
+_REALS = (float, int, np.floating, np.integer)
+_COMPLEXES = (complex, *_REALS, np.complexfloating)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _validate_real(x, what: str, least: float | None = None, strict: bool = False) -> float:
+    """x as a finite float, > least (strict) or >= least when least is given;
+    DomainError naming `what` otherwise.  A bool or a string is not a real."""
+    real = isinstance(x, _REALS) and not isinstance(x, bool)
+    v = float(x) if real and (not isinstance(x, int) or abs(x) <= _FLOAT_MAX) else math.nan
+    if math.isfinite(v) and (least is None or v > least or (v == least and not strict)):
+        return v
+    bound = "" if least is None else f" {'>' if strict else '>='} {least:g}"
+    kind = "finite" if real and not bound else "a finite real" + bound
+    raise DomainError(f"{what} must be {kind}, got {x!r}")
+
+
+def _validate_complex(z, what: str) -> complex:
+    """z as a finite complex; DomainError naming `what` otherwise."""
+    if isinstance(z, _COMPLEXES) and not isinstance(z, bool):
+        c = complex(z) if not isinstance(z, int) or abs(z) <= _FLOAT_MAX else complex(math.inf)
+        if isfinite(c):
+            return c
+        raise DomainError(f"{what} must be finite, got {c}")
+    raise DomainError(f"{what} must be a finite complex number, got {z!r}")
 
 
 class DirichletPolynomial:
@@ -293,8 +322,8 @@ class HalfPlanePoint:
     t: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise DomainError(f"half-plane point must be finite, got {self.sigma!r} + i {self.t!r}")
+        _validate_real(self.sigma, "sigma")
+        _validate_real(self.t, "t")
 
     def as_complex(self) -> complex:
         return complex(self.sigma, self.t)

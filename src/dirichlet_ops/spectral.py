@@ -14,7 +14,6 @@ equals the brute-force minimum whenever that minimizer is in range.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SpectralError
 from .operators import Multiplier, apply
-from .series import DirichletPolynomial, _validate_index, monomial
+from .series import DirichletPolynomial, _validate_complex, _validate_index, _validate_real, monomial
 
 __all__ = [
     "FULL",
@@ -76,10 +75,8 @@ def _symbol_distance(lam: complex) -> tuple[float, int | None]:
     """min over n >= 2 of |log n + lambda| and its minimizing index, with
     x* = -Re lambda as the target of log n.  Past _X_HUGE the real part is
     matched to fp resolution, only Im lambda survives and the index is None.
-    A non-finite lambda raises DomainError.
+    lambda is finite: every caller passes it through _validate_complex.
     """
-    if not cmath.isfinite(lam):
-        raise DomainError(f"spectral parameter must be finite, got {lam}")
     window = _window(-lam.real)
     if window is None:
         return abs(lam.imag), None
@@ -96,7 +93,7 @@ def _symbol_distance(lam: complex) -> tuple[float, int | None]:
 def spectral_gap(lmbda) -> float:
     """min(|lambda|, min_{n>=2} |log n + lambda|): distance from lambda to
     the full-space spectrum.  Exact O(1) window method."""
-    lam = complex(lmbda)
+    lam = _validate_complex(lmbda, "spectral parameter")
     inner, _ = _symbol_distance(lam)
     return min(abs(lam), inner)
 
@@ -132,7 +129,7 @@ def classify_point(lmbda, space: str) -> SpectrumClassification:
     spectrum point', not which one.
     """
     space = _validate_space(space)
-    lam = complex(lmbda)
+    lam = _validate_complex(lmbda, "spectral parameter")
 
     inner, n_best = _symbol_distance(lam)
     if inner <= SPECTRUM_TOLERANCE:
@@ -221,8 +218,8 @@ class VariationReport:
 
 
 def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
-    lam = complex(lmbda)
-    if not (0.0 < delta < 1.0):
+    lam = _validate_complex(lmbda, "spectral parameter")
+    if _validate_real(delta, "delta", 0.0, strict=True) >= 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     N = _validate_index(N, "N", 10**3)
     mu = spectral_gap(lam)
@@ -241,13 +238,13 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     weights = mu * mu * diffs * n_lo ** (1.0 + 0.5 * delta)
     running_c = np.maximum.accumulate(weights)
     C = float(running_c[-1])
-    C_half = float(running_c[(N // 2) - 2]) if N // 2 >= 2 else C
+    C_half = float(running_c[(N // 2) - 2])
     stable = C > 0 and abs(C - C_half) <= 0.01 * C
 
     # integral comparison for the majorant tail past N/2
     M = float(N // 2)
     tail_majorant = (C / (mu * mu)) * (2.0 / delta) * M ** (-0.5 * delta)
-    increment = float(V[-1] - V[(N // 2) - 2]) if N // 2 >= 2 else float(V[-1])
+    increment = float(V[-1] - V[(N // 2) - 2])
     ratio = increment / tail_majorant if tail_majorant > 0 else math.inf
 
     return VariationReport(
@@ -293,7 +290,7 @@ def reciprocal_spectrum_check(mu) -> ReciprocalReport:
     subspace: mu avoids the derivative's spectrum exactly when 1/mu avoids
     the integration operator's spectrum {-1/log n}.  Both sides use the
     same membership tolerance, so agreement is expected everywhere."""
-    m = complex(mu)
+    m = _validate_complex(mu, "spectral parameter")
     if m == 0:
         raise DomainError("mu must be nonzero (0 is handled by classify_point directly)")
     gap_d, _ = _symbol_distance(m)

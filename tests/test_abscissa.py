@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_ops import abscissa
 from dirichlet_ops import (
     CoefficientRule,
     DomainError,
@@ -100,6 +101,29 @@ class TestBracket:
             bracket_sigma_u(eta_rule(), 1000, [])
         with pytest.raises(DomainError):
             bracket_sigma_u(eta_rule(), 1000, [-0.5])
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            sigma_c_estimate,
+            sigma_a_estimate,
+            lambda rule, n: bracket_sigma_u(rule, n, [0.0]),
+        ],
+        ids=["sigma_c", "sigma_a", "bracket"],
+    )
+    def test_overflowing_partial_sums_name_N(self, estimate):
+        # 1e308 + 1e308 passes double range: without the check the window
+        # fit saw inf and reported sigma = -inf, "converges everywhere"
+        with pytest.raises(DomainError, match=r"n\^0 a_n up to window length N = 100 overflow"):
+            estimate(table_rule({1: 1e308, 2: 1e308}), 100)
+
+    def test_non_finite_probe_sup_names_epsilon(self, monkeypatch):
+        # on the probe line |f| <= sum |a_n|, which sigma_a has already found
+        # finite, so only rounding at the edge of double range gets here: the
+        # screen is replaced by one that overflows
+        monkeypatch.setattr(abscissa, "_grid_sup", lambda logn, w, ts: (math.inf, ts.size))
+        with pytest.raises(DomainError, match=r"probe sup at epsilon = 0\.5 overflows"):
+            bracket_sigma_u(eta_rule(), 1000, [0.5])
 
     @pytest.mark.parametrize(
         "grid",

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import runpy
 import sys
 from pathlib import Path
 
@@ -166,6 +167,63 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["classify", "--lambda", "abc"])
         assert code == 1
         assert "--lambda" in err
+
+
+# coefficients at the edge of double range: a modulus past it with both parts
+# finite, a coefficient sum past it, and the first at n = 2
+EXTREME_SERIES = [
+    '[{"n":1,"re":1.5e308,"im":1.5e308}]',
+    '[{"n":1,"re":1e308},{"n":2,"re":1e308}]',
+    '[{"n":2,"re":1.5e308,"im":1.5e308}]',
+]
+
+EXTREME_ARGV = {
+    "eval": lambda d: ["eval", "--series", d, "--s", "0,0"],
+    "diff": lambda d: ["diff", "--series", d],
+    "integrate": lambda d: ["integrate", "--series", d],
+    "mul": lambda d: ["mul", "--f", d, "--g", d],
+    "seminorm": lambda d: ["seminorm", "--epsilon", "0", "--series", d],
+    "abscissa": lambda d: ["abscissa", "--n", "100", "--series", d],
+    "resolvent": lambda d: ["resolvent", "--series", d, "--lambda", "1,0", "--space", "full"],
+    "volterra": lambda d: ["volterra", "--g", d, "--f", d],
+    "dynamics": lambda d: ["dynamics", "--op", "d", "--epsilon", "0", "--k-max", "10", "--series", d],
+}
+
+
+def _numbers(payload):
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        for item in payload:
+            yield from _numbers(item)
+    elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
+        yield payload
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("series", EXTREME_SERIES)
+    @pytest.mark.parametrize("command", list(EXTREME_ARGV))
+    def test_finite_output_or_one_error_line(self, capsys, command, series):
+        code, out, err = run_cli(capsys, EXTREME_ARGV[command](series))
+        if code == 0:
+            payload = json.loads(out)
+            if command == "dynamics":
+                # an overflowed sample is spelled Infinity: an open format decision
+                payload.pop("samples")
+            assert all(math.isfinite(v) for v in _numbers(payload)), out
+            assert err == ""
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_help_exits_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["dseries", "--help"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("dirichlet_ops", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dseries")
 
 
 class TestSubcommandPayloads:

@@ -206,6 +206,16 @@ class TestNormalizedPowerNorm:
         with pytest.raises(DomainError, match="'int-power' overflows double precision at n = 100000"):
             normalized_power_norm(m, monomial(10**5), 0.5, 3)
 
+    def test_symbol_modulus_past_double_range_raises(self):
+        m = Multiplier(lambda n: complex(1.5e308, 1.5e308), "huge-complex")
+        with pytest.raises(DomainError, match="'huge-complex' overflows double precision at n = 3"):
+            normalized_power_norm(m, monomial(3), 0.0, 2)
+
+    def test_coefficient_modulus_past_double_range_names_n(self):
+        f = monomial(2, complex(1.5e308, 1.5e308))
+        with pytest.raises(DomainError, match=r"\|a_n\| at n = 2 overflows double precision"):
+            normalized_power_norm(derivative_multiplier(), f, 0.0, 3)
+
     def test_overflow_guard_returns_inf(self):
         m = Multiplier(lambda n: 1e6, "huge")
         assert normalized_power_norm(m, monomial(2), 0.0, 60) == math.inf

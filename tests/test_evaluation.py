@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirichlet_ops import (
+    ZERO,
     DirichletPolynomial,
     DomainError,
+    HalfPlanePoint,
     add,
     boundary_values,
     eta_rule,
@@ -50,6 +52,12 @@ class TestEvaluate:
 
     def test_zero_polynomial(self):
         assert evaluate(DirichletPolynomial({}), 2.0) == 0.0
+
+    def test_half_plane_point_is_its_complex_point(self):
+        f = DirichletPolynomial({1: 0.5, 2: -1j, 9: 2.0})
+        p = HalfPlanePoint(0.75, -3.0)
+        assert evaluate(f, p) == evaluate(f, complex(0.75, -3.0))
+        assert partial_sum(eta_rule(), p, 500) == partial_sum(eta_rule(), complex(0.75, -3.0), 500)
 
     def test_rejects_nonfinite_point(self):
         with pytest.raises(DomainError):
@@ -107,6 +115,12 @@ class TestSummationByParts:
         direct = complex(np.sum(xs * ys))
         rearranged = summation_by_parts(xs, ys)
         assert rearranged == pytest.approx(direct, rel=1e-12)
+
+    def test_length_one_keeps_negative_zero(self):
+        # (1 + 0j)(-0.0 + 0j) has real part 1 * -0.0 - 0 * 0 = -0.0
+        got = summation_by_parts([1.0], [complex(-0.0, 0.0)])
+        assert repr(got) == repr(complex(np.complex128(1.0) * np.complex128(complex(-0.0, 0.0))))
+        assert math.copysign(1.0, got.real) == -1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -193,6 +207,11 @@ class TestTailBounds:
         with pytest.raises(DomainError, match=r"epsilon must be finite .* n = 1025\.\.66560, got nan"):
             truncation_for_tolerance(zeta_shift_rule(2), math.nan, 1e-4)
 
+    def test_truncation_gives_up_after_last_rung(self):
+        # ones has no integrable tail at epsilon = 0: all 40 rungs are divergent
+        with pytest.raises(DomainError, match=r"below M = 1125899906842624 \(last regime: divergent\)"):
+            truncation_for_tolerance(ones_rule(), 0.0, 1e-3)
+
     def test_truncation_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
             truncation_for_tolerance(zeta_shift_rule(2), 0.0, 0.0)
@@ -273,6 +292,24 @@ class TestSeminorm:
         assert small.points == small.refined == 601
         assert seminorm(DirichletPolynomial({}), 0.5).refined == 0
 
+    @pytest.mark.parametrize(
+        "f, t_max",
+        [
+            # both parts finite, the modulus past double range: |f| = inf everywhere
+            (DirichletPolynomial({1: complex(1.5e308, 1.5e308)}), None),
+            # every grid value finite, sum |a_n| n^(-epsilon) = 2e308
+            (DirichletPolynomial({1: 1e308, 2: -1e308}), 0.5),
+        ],
+    )
+    def test_bracket_past_double_range_names_epsilon(self, f, t_max):
+        with pytest.raises(DomainError, match=r"overflows double precision at epsilon = 0\.0"):
+            seminorm(f, 0.0, t_max=t_max, step=0.5)
+
+    def test_grid_overflow_keeps_naming_t(self):
+        # f(0) = 2e308 overflows on the grid itself, before the coefficient bound
+        with pytest.raises(DomainError, match=r"at epsilon = 0\.0, t = 0\.0 overflows"):
+            seminorm(DirichletPolynomial({1: 1e308, 3: 1e308}), 0.0)
+
     def test_two_sided_grid_for_complex_coefficients(self):
         f = DirichletPolynomial({2: 1j})
         est = seminorm(f, 0.0, t_max=2.0)
@@ -301,6 +338,12 @@ class TestBoundaryValues:
         with pytest.raises(DomainError, match=message) as info:
             boundary_values(monomial(2), epsilon, np.array([0.5, t]))
         assert "overflows" not in str(info.value)
+
+    def test_zero_polynomial(self):
+        got = boundary_values(ZERO, 0.5, np.linspace(0.0, 1.0, 5))
+        assert got.dtype == np.complex128 and got.shape == (5,)
+        assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+        assert not got.any()
 
     def test_overflow_raises_naming_epsilon(self):
         # 2^2000 overflows a double: every grid value would be nan + nan j

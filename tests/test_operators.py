@@ -81,6 +81,12 @@ class TestGrowthCheck:
         with pytest.raises(DomainError, match="'int-power' overflows double precision at n = 64"):
             check_growth(m)
 
+    def test_modulus_past_double_range_raises(self):
+        # both parts finite, |g| = 1.5e308 sqrt 2 is not
+        m = Multiplier(lambda n: complex(1.5e308, 1.5e308), "huge-complex")
+        with pytest.raises(DomainError, match="'huge-complex' overflows double precision at n = 2"):
+            check_growth(m)
+
     @pytest.mark.parametrize("n_max", [999, 1e5])
     def test_sample_ceiling_validated(self, n_max):
         with pytest.raises(DomainError, match="n_max"):
@@ -99,6 +105,25 @@ class TestApply:
 
     def test_zero_polynomial_fixed(self):
         assert apply(derivative_multiplier(), DirichletPolynomial({})).is_zero
+
+    @pytest.mark.parametrize(
+        "symbol, message",
+        [
+            (lambda n: math.nan if n == 64 else 1.0, r"'bad-symbol' is not finite at n = 64, got \(nan\+0j\)"),
+            (lambda n: n**200 if n == 64 else 1.0, "'bad-symbol' overflows double precision at n = 64"),
+        ],
+        ids=["nan", "int-overflow"],
+    )
+    def test_bad_symbol_named_with_its_index(self, symbol, message):
+        f = add(monomial(2), monomial(64))
+        with pytest.raises(DomainError, match=message):
+            apply(Multiplier(symbol, "bad-symbol"), f)
+
+    def test_overflowing_product_names_the_coefficient(self):
+        # finite factors, infinite product: the symbol is fine, the coefficient is not
+        m = Multiplier(lambda n: 1e300, "big")
+        with pytest.raises(DomainError, match=r"coefficient at n=64 must be finite, got \(inf\+0j\)"):
+            apply(m, monomial(64, 1e10))
 
     def test_constraint_violation_names_constant_term(self):
         f = add(monomial(1, 2.5), monomial(2))

@@ -111,6 +111,25 @@ class TestLinearAlgebra:
         assert 3 * f == scale(3, f)
         assert f * g == dirichlet_multiply(f, g)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f: f + 1,
+            lambda f: f - 1,
+            lambda f: f * "x",
+            lambda f: "x" * f,
+            lambda f: True * f,
+        ],
+        ids=["add", "sub", "mul", "rmul", "rmul_bool"],
+    )
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(monomial(2))
+
+    def test_equality_with_a_non_polynomial_is_false(self):
+        assert monomial(1) != 1.0
+        assert not (monomial(1) == 1.0)
+
     def test_repr(self):
         assert repr(ZERO) == "DirichletPolynomial(0)"
         assert repr(add(monomial(2), monomial(3, -1j))) == "DirichletPolynomial({2: (1+0j), 3: -1j})"
