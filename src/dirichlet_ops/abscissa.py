@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import _grid_sup
+from .evaluation import _MAX_GRID_POINTS, _grid_sup
 from .series import CoefficientRule, _validate_index, _validate_real
 
 __all__ = [
@@ -149,7 +149,8 @@ def bracket_sigma_u(
     evaluation._grid_sup: a GEMM screen at about 2 N sqrt(points) exps, then
     the direct kernel on every point within 2 delta of the screened maximum,
     delta ~ 16 u (t_max log N + N) sum |a_n| n^(-eps) bounding the screen's
-    error, so sup_abs is bit for bit the direct scan's maximum.
+    error, so sup_abs is bit for bit the direct scan's maximum.  points is
+    capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
     N = _validate_index(N, "window length N", 100)
     probe_eps = tuple(_validate_real(e, "probe epsilon", 0.0) for e in probe_eps)
@@ -157,6 +158,8 @@ def bracket_sigma_u(
         raise DomainError("probe_eps must be a nonempty list of epsilons")
     t_max = _validate_real(t_max, "probe grid extent t_max", 0.0, strict=True)
     points = _validate_index(points, "probe grid points")
+    if points > _MAX_GRID_POINTS:
+        raise DomainError(f"probe grid points = {points} is above the cap of {_MAX_GRID_POINTS}")
     values = rule.values(np.arange(1, N + 1, dtype=np.int64))
     sc = _estimate(values, N)
     sa = _estimate(np.abs(values).astype(np.complex128), N)

@@ -14,14 +14,14 @@ that is where the closed-form growth rates live.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from math import fsum
 
 import numpy as np
 
 from .errors import DomainError
 from .operators import Multiplier, apply
-from .series import DirichletPolynomial, _validate_index, _validate_real
+from .series import DirichletPolynomial, _fsum, _validate_index, _validate_real
 
 __all__ = [
     "power_apply",
@@ -34,6 +34,9 @@ __all__ = [
 # |symbol - 1| up to this takes the ring form in cesaro_mean: the geometric
 # form divides by (1 - symbol) and loses ~k*eps/|1-symbol| to cancellation
 _UNIT_SYMBOL_RADIUS = 1e-8
+
+_MIN_NORMAL = sys.float_info.min
+_LOG_MAX = math.log(sys.float_info.max)  # exp of more overflows
 
 
 def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolynomial:
@@ -77,33 +80,39 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     """sum_n |symbol(n)^k a_n| n^(-epsilon) / k: the coefficient seminorm
     upper bound of (1/k) * power_apply(m, k, f).
 
-    Each term is assembled in log space, so |symbol|^k never overflows
-    even when the value itself is astronomically large (inf is returned
-    only if the final exponential overflows).  A coefficient whose modulus
-    passes double range raises DomainError naming its index."""
+    A term is |symbol(n)^k a_n| n^(-epsilon) / k, as computed, whenever
+    symbol(n)^k and symbol(n)^k a_n are normal doubles; otherwise it is
+    assembled in log space, so |symbol|^k never overflows on the way to a
+    representable value.  inf is returned exactly when a term or the sum
+    passes double range.  A coefficient whose modulus passes double range
+    raises DomainError naming its index."""
     k = _validate_index(k, "iterate count")
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     m.check_domain(f)
     terms = []
-    log_k = math.log(k)
     for n, a in f.items():
         g = m(n)
-        mag = abs(g)
-        if mag == 0.0:
+        if g == 0:
             continue
         try:
-            log_a = math.log(abs(a))
+            mod_a = abs(a)
         except OverflowError:
             raise DomainError(f"|a_n| at n = {n} overflows double precision, got {a!r}") from None
-        log_pow = k * math.log(mag)
-        log_term = log_pow + log_a - epsilon * math.log(n) - log_k
-        if log_term > 709.0:  # exp would overflow
+        try:
+            power = g**k
+            term = abs(power * a)
+            direct = _MIN_NORMAL <= abs(power) < math.inf and _MIN_NORMAL <= term < math.inf
+        except OverflowError:
+            direct = False
+        if direct:
+            terms.append(term * math.exp(-epsilon * math.log(n)) / k)
+            continue
+        log_term = k * math.log(abs(g)) + math.log(mod_a) - epsilon * math.log(n) - math.log(k)
+        if log_term > _LOG_MAX:
             return math.inf
-        if -700.0 < log_pow < 700.0:
-            terms.append(abs((g**k) * a) * math.exp(-epsilon * math.log(n)) / k)
-        else:
-            terms.append(math.exp(log_term))
-    return fsum(terms)
+        terms.append(math.exp(log_term))
+    total = _fsum(terms)  # nan: the nonnegative terms overflowed in the sum
+    return math.inf if math.isnan(total) else total
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,10 @@ class DynamicsReport:
     fitted_rate is the least-squares slope of log(k * value) against k over
     the tail half of the samples; multiplying back by k removes the 1/k
     normalization, so the slope estimates log of the dominant |symbol|.
-    Samples whose k * value overflows are left out of the fit.
+    The fit uses every finite, positive tail sample, taking log v + log k
+    where k * v overflows; it is 0.0 when fewer than two remain.  A sample
+    is inf exactly when its value passes double range: an inf last sample
+    means 'diverges', and an inf first sample rules out 'converges'.
     """
 
     samples: tuple[tuple[int, float], ...]
@@ -141,14 +153,17 @@ def ergodicity_diagnostic(
     )
     values = [v for _, v in samples]
 
-    # a sample whose un-normalized value k * v overflows has no finite log
-    tail = [(k, v) for k, v in samples if k > k_max // 2 and v > 0 and math.isfinite(k * v)]
+    tail = [(k, v) for k, v in samples if k > k_max // 2 and 0.0 < v < math.inf]
     if len(tail) >= 2:
         ks = np.array([k for k, _ in tail], dtype=np.float64)
-        ys = np.log(np.array([v for _, v in tail]) * ks)
+        vs = np.array([v for _, v in tail])
+        with np.errstate(over="ignore"):
+            ys = np.log(vs * ks)
+        over = np.isinf(ys)  # k * v past double range: log v + log k instead
+        ys[over] = np.log(vs[over]) + np.log(ks[over])
         rate = float(np.polyfit(ks, ys, 1)[0])
     else:
-        rate = math.inf if any(not math.isfinite(k * v) for k, v in samples) else 0.0
+        rate = 0.0
 
     first = values[0]
     last3 = values[-3:]
@@ -159,7 +174,7 @@ def ergodicity_diagnostic(
         verdict = "diverges"  # overflow is as unbounded as it gets
     elif increasing and (values[-1] > 1e3 * first or rate > _RATE_POSITIVE):
         verdict = "diverges"
-    elif values[-1] < 1e-6 * first:
+    elif math.isfinite(first) and values[-1] < 1e-6 * first:
         verdict = "converges"
     else:
         verdict = "inconclusive"

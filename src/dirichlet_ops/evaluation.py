@@ -307,7 +307,8 @@ def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -
         regime = "zero"
     else:
         tiny = 1e-15 * B0
-        increasing = bool(np.all(np.diff(A[half:]) >= -tiny))
+        # a flat window (one nonzero term, then nothing) has settled
+        increasing = bool(np.all(np.diff(A[half:]) >= -tiny)) and A[-1] > A[half]
         settled = float(A[:half].max()) >= B0 * (1.0 - _SETTLE_REL)
         if increasing or not settled:
             mags = np.abs(xs[half:])
@@ -376,8 +377,9 @@ class SeminormEstimate:
 
 _TWO_PI_OVER_LOG2 = 2.0 * math.pi / math.log(2.0)
 
-# largest boundary grid seminorm scans; the default grid has at most
-# 2 * 10^5 + 1 points (t_max <= 10^3, step 10^-2, two-sided)
+# largest boundary grid that seminorm or a bracket_sigma_u probe scans;
+# seminorm's default grid has at most 2 * 10^5 + 1 points (t_max <= 10^3,
+# step 10^-2, two-sided)
 _MAX_GRID_POINTS = 1 << 24
 
 

@@ -47,7 +47,10 @@ class Multiplier:
     requires_zero_constant (keyword-only) restricts the domain to series with
     a_1 = 0; the read-only min_index is then 2, else 1.  Calling it reads one
     symbol value, raising DomainError below min_index, past double range
-    (the value or its modulus) or if it is not finite.
+    (the value or its modulus) or if it is not finite.  So m(n), check_growth
+    and normalized_power_norm, which need |gamma_n|, reject a finite value
+    whose modulus alone passes double range; apply, which needs only finite
+    products, accepts it.
     """
 
     symbol: Callable[[int], complex]
@@ -171,7 +174,11 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
     annihilated terms disappear from the coefficient map.  A symbol value
     past double range or not finite raises DomainError naming the
-    multiplier and n; a product that overflows names its coefficient."""
+    multiplier and n; a product that overflows names its coefficient.
+    The symbol is read directly, not through m(n): a finite value whose
+    modulus alone passes double range is accepted when the products are
+    finite (complex(1.5e308, 1.5e308) times 0.5 gives 7.5e307+7.5e307j),
+    which keeps the happy path one comprehension."""
     m.check_domain(f)
     symbol = m.symbol
     try:

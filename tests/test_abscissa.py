@@ -140,6 +140,10 @@ class TestBracket:
         with pytest.raises(DomainError):
             bracket_sigma_u(eta_rule(), 1000, [0.5], **grid)
 
+    def test_probe_grid_shares_the_seminorm_cap(self):
+        with pytest.raises(DomainError, match=r"probe grid points = 4611686018427387904 is above the cap of 16777216"):
+            bracket_sigma_u(eta_rule(), 100, [0.5], points=2**62)
+
 
 class TestCorpusStability:
     CORPUS = (

@@ -170,11 +170,13 @@ class TestExitCodes:
 
 
 # coefficients at the edge of double range: a modulus past it with both parts
-# finite, a coefficient sum past it, and the first at n = 2
+# finite, a coefficient sum past it, the first at n = 2, and five terms that
+# each fit in a double while their sum does not
 EXTREME_SERIES = [
     '[{"n":1,"re":1.5e308,"im":1.5e308}]',
     '[{"n":1,"re":1e308},{"n":2,"re":1e308}]',
     '[{"n":2,"re":1.5e308,"im":1.5e308}]',
+    '[{"n":2,"re":4e307},{"n":3,"re":4e307},{"n":4,"re":4e307},{"n":5,"re":4e307},{"n":6,"re":4e307}]',
 ]
 
 EXTREME_ARGV = {

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+import sys
 import time
 
 import mpmath
@@ -220,6 +222,76 @@ class TestNormalizedPowerNorm:
         m = Multiplier(lambda n: 1e6, "huge")
         assert normalized_power_norm(m, monomial(2), 0.0, 60) == math.inf
 
+    def test_large_coefficient_near_double_range(self):
+        # |symbol|^k is small, the value is finite: the exact direct term
+        want = mpmath.log(10**5) ** 3 * mpmath.mpf(1.5e305) / 3
+        got = normalized_power_norm(derivative_multiplier(), monomial(10**5, 1.5e305), 0.0, 3)
+        assert abs(got - want) <= 1e-12 * want
+        got = normalized_power_norm(derivative_multiplier(), monomial(10**5, complex(1e305, 1e305)), 0.0, 3)
+        assert math.isfinite(got)
+
+    def test_largest_term_is_kept(self):
+        assert normalized_power_norm(identity_multiplier(), monomial(2, 1e308), 0.0, 1) == 1e308
+
+    def test_sum_past_double_range_is_inf(self):
+        # each term fits in a double, their sum does not
+        f = DirichletPolynomial({n: 4e307 for n in range(2, 7)})
+        assert normalized_power_norm(identity_multiplier(), f, 0.0, 1) == math.inf
+        assert normalized_power_norm(identity_multiplier(), f, 0.0, 2) == 1e308
+
+
+# against 50-digit mpmath on draws spanning the double range: |a_n| in
+# [1e-300, 1e308], |symbol| in [1e-3, 1e3], k <= 400, epsilon <= 4.  The
+# relative error is held to _REF_MULTIPLE * u * (1 + L), L the largest
+# per-term |log term|, plus 2^-1074 per term for subnormal rounding.
+# 23,000 draws (seeds 0-4) measured at most 164.8 u (1 + L), at k = 361:
+# the symbol's k-th power carries about k u; the multiple is 4x that.
+_REF_MULTIPLE = 660.0
+_U = 2.0**-53
+
+
+def _reference_draw(rng):
+    ns = rng.sample(range(1, 10**6), rng.randint(1, 6))
+    coef = {n: cmath.rect(10 ** rng.uniform(-300, 308), rng.uniform(-math.pi, math.pi)) for n in ns}
+    sym = {n: cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)) for n in ns}
+    return coef, sym, rng.randint(1, 400), rng.uniform(0.0, 4.0)
+
+
+def _reference_norm(coef, sym, k, eps):
+    """The sum at mpmath's working precision, and the largest per-term
+    |log term|."""
+    logs = [
+        k * mpmath.log(abs(mpmath.mpc(sym[n].real, sym[n].imag)))
+        + mpmath.log(abs(mpmath.mpc(a.real, a.imag)))
+        - mpmath.mpf(eps) * mpmath.log(n)
+        - mpmath.log(k)
+        for n, a in coef.items()
+    ]
+    return mpmath.fsum(mpmath.exp(v) for v in logs), float(max(abs(v) for v in logs))
+
+
+class TestNormalizedPowerNormReference:
+    def test_against_mpmath_across_double_range(self):
+        rng = random.Random(20261018)
+        dbl_max = sys.float_info.max
+        checked = {"inf": 0, "finite": 0}
+        for _ in range(2000):
+            coef, sym, k, eps = _reference_draw(rng)
+            got = normalized_power_norm(Multiplier(sym.__getitem__, "table"), DirichletPolynomial(coef), eps, k)
+            with mpmath.workdps(50):
+                want, log_max = _reference_norm(coef, sym, k, eps)
+                if abs(want - dbl_max) <= 1e-12 * dbl_max:
+                    continue
+                if want > dbl_max:
+                    assert got == math.inf, (coef, sym, k, eps)
+                    checked["inf"] += 1
+                    continue
+                assert got < math.inf, (coef, sym, k, eps)
+                allowed = _REF_MULTIPLE * _U * (1 + log_max) * want + len(coef) * 2.0**-1074
+                assert abs(mpmath.mpf(got) - want) <= allowed, (coef, sym, k, eps, got, want)
+                checked["finite"] += 1
+        assert min(checked.values()) > 500
+
 
 class TestDiagnostic:
     def test_growing_derivative_witness(self):
@@ -252,6 +324,20 @@ class TestDiagnostic:
             derivative_multiplier(), DirichletPolynomial({}), 0.1, 12
         )
         assert report.verdict == "converges"
+
+    def test_identity_orbit_past_double_range_at_k_one(self):
+        # the first sample overflows, the rest are 2e308 / k: nothing converges
+        f = DirichletPolynomial({2: 1e308, 3: 1e308})
+        report = ergodicity_diagnostic(identity_multiplier(), f, 0.0, 10)
+        assert report.samples[0] == (1, math.inf)
+        assert report.verdict == "inconclusive"
+        assert abs(report.fitted_rate) < 1e-12
+
+    def test_no_finite_tail_fits_rate_zero(self):
+        report = ergodicity_diagnostic(Multiplier(lambda n: 1e300, "huge"), monomial(2, 1e300), 0.0, 10)
+        assert all(v == math.inf for _, v in report.samples)
+        assert report.verdict == "diverges"
+        assert report.fitted_rate == 0.0
 
     def test_identity_orbit_inconclusive(self):
         report = ergodicity_diagnostic(identity_multiplier(), monomial(2), 0.1, 20)

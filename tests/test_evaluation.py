@@ -180,6 +180,14 @@ class TestTailBounds:
         assert tb.bound == 0.0
         assert tb.regime == "zero"
 
+    def test_flat_probe_window_is_settled(self):
+        # one nonzero term in the window leaves |S_k| constant past it:
+        # settled, not the non-integrable "divergent"
+        tb = tail_bound_monotone(table_rule({2000: 1.0}), None, 1024, 0.0)
+        assert (tb.regime, tb.bound) == ("oscillatory", 1.01)
+        M, tb = truncation_for_tolerance(table_rule({2000: 1.0}), 0.0, 1e-3)
+        assert (M, tb.regime) == (2048, "zero")
+
     def test_nonintegrable_tail_is_infinite(self):
         tb = tail_bound_monotone(ones_rule(), None, 100, 0.0)
         assert math.isinf(tb.bound)

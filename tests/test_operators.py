@@ -119,6 +119,16 @@ class TestApply:
         with pytest.raises(DomainError, match=message):
             apply(Multiplier(symbol, "bad-symbol"), f)
 
+    def test_modulus_past_double_range_needs_only_finite_products(self):
+        # apply reads the symbol directly: a finite value whose modulus alone
+        # passes double range is accepted; m(n) and check_growth need |g_n|
+        m = Multiplier(lambda n: complex(1.5e308, 1.5e308), "h")
+        assert apply(m, monomial(2, 0.5)) == monomial(2, complex(7.5e307, 7.5e307))
+        with pytest.raises(DomainError, match="'h' overflows double precision at n = 2"):
+            m(2)
+        with pytest.raises(DomainError, match="'h' overflows double precision at n = 2"):
+            check_growth(m)
+
     def test_overflowing_product_names_the_coefficient(self):
         # finite factors, infinite product: the symbol is fine, the coefficient is not
         m = Multiplier(lambda n: 1e300, "big")

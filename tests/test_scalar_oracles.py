@@ -8,6 +8,10 @@ internal results (apply, add, scale, convolution) through the trusted
 normal-form constructor and the array convolution kernel.  The grid sup of
 seminorm and of the probes, now a GEMM screen and a direct refine, is
 checked against the direct boundary-grid kernel it replaced.
+normalized_power_norm chose its direct term by two cut-offs, on k log|g|
+and on the log term; it now keeps that term whenever g^k and g^k a_n are
+normal doubles, and must match the old sum bit for bit wherever the old
+one took the direct term for every index and each was a normal double.
 The new paths must reproduce them bit for bit, except the resolvent, whose
 coefficients are now b * (1 / x) instead of b / x.  Both round differently
 in CPython's complex arithmetic; a random search over 10^6 coefficients
@@ -15,6 +19,7 @@ found them at most 2.83 ulp of |b / x| apart, so the test allows 4.
 """
 
 import math
+import sys
 from math import fsum
 
 import numpy as np
@@ -38,6 +43,7 @@ from dirichlet_ops import (
     eta_rule,
     integration_multiplier,
     moebius_rule,
+    normalized_power_norm,
     ones_rule,
     power_apply,
     resolvent_apply,
@@ -132,6 +138,43 @@ def legacy_resolvent_coefficients(lam, f):
     return DirichletPolynomial(out)
 
 
+def legacy_normalized_power_norm(m, f, epsilon, k):
+    m.check_domain(f)
+    terms = []
+    log_k = math.log(k)
+    for n, a in f.items():
+        g = m(n)
+        mag = abs(g)
+        if mag == 0.0:
+            continue
+        try:
+            log_a = math.log(abs(a))
+        except OverflowError:
+            raise DomainError(f"|a_n| at n = {n} overflows double precision, got {a!r}") from None
+        log_pow = k * math.log(mag)
+        log_term = log_pow + log_a - epsilon * math.log(n) - log_k
+        if log_term > 709.0:  # exp would overflow
+            return math.inf
+        if -700.0 < log_pow < 700.0:
+            terms.append(abs((g**k) * a) * math.exp(-epsilon * math.log(n)) / k)
+        else:
+            terms.append(math.exp(log_term))
+    return fsum(terms)
+
+
+def legacy_took_normal_direct_terms(m, f, k):
+    """Whether legacy_normalized_power_norm took its direct branch for every
+    nonzero symbol, each with a normal direct value |g^k a_n|."""
+    for n, a in f.items():
+        g = m(n)
+        if g != 0:
+            if not -700.0 < k * math.log(abs(g)) < 700.0:
+                return False
+            if not sys.float_info.min <= abs((g**k) * a) <= sys.float_info.max:
+                return False
+    return True
+
+
 def legacy_probe_sup(values, epsilon, t_max, points):
     values = np.asarray(values, dtype=np.complex128)
     ns = np.arange(1, values.size + 1, dtype=np.float64)
@@ -209,6 +252,43 @@ class TestDiagonalOperators:
             assert list(got.indices()) == list(want.indices())
             for n, a in want.items():
                 assert abs(got.coefficient(n) - a) <= 4 * math.ulp(abs(a))
+
+
+# coefficient moduli from 1e-300 to 1e300, so the direct value |g^k a_n|
+# meets both edges of the normal range
+wide_coefficients = st.builds(
+    lambda e, phase: complex(10.0**e * math.cos(phase), 10.0**e * math.sin(phase)),
+    st.floats(-300.0, 300.0),
+    st.floats(-math.pi, math.pi),
+)
+
+
+class TestNormalizedPowerNorm:
+    @pytest.mark.parametrize("m", MULTIPLIERS, ids=lambda m: m.label)
+    @given(
+        f=poly_strategy(min_index=2, max_index=10**5, max_terms=8, coefficients=wide_coefficients),
+        k=st.integers(1, 400),
+        eps=st.floats(0.0, 4.0),
+    )
+    def test_bit_equal_where_legacy_was_direct(self, m, f, k, eps):
+        try:
+            want = legacy_normalized_power_norm(m, f, eps, k)
+        except OverflowError:
+            return  # the legacy sum leaked; the library returns inf there
+        if math.isfinite(want) and legacy_took_normal_direct_terms(m, f, k):
+            assert normalized_power_norm(m, f, eps, k).hex() == want.hex()
+
+    @pytest.mark.parametrize("k", [1, 2, 12, 40])
+    def test_bit_equal_on_ten_thousand_terms(self, k):
+        rng = np.random.default_rng(k)
+        idx = rng.choice(np.arange(2, 10**5 + 1), size=10**4, replace=False)
+        re, im = rng.uniform(-1.0, 1.0, size=(2, idx.size))
+        f = DirichletPolynomial({int(n): complex(a, b) for n, a, b in zip(idx, re, im)})
+        m = derivative_multiplier()
+        assert legacy_took_normal_direct_terms(m, f, k)
+        for eps in (0.0, 0.37, 1.0):
+            got, want = normalized_power_norm(m, f, eps, k), legacy_normalized_power_norm(m, f, eps, k)
+            assert got.hex() == want.hex()
 
 
 class TestBoundaryGridKernel:
