@@ -76,6 +76,45 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     return apply(mean, f)
 
 
+def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]:
+    """The k-independent part of each orbit term, read once: (symbol(n), a_n,
+    |a_n|, n^(-epsilon), epsilon log n) for each stored term with symbol(n) != 0."""
+    m.check_domain(f)
+    orbit = []
+    for n, a in f.items():
+        g = m(n)
+        if g == 0:
+            continue
+        try:
+            mod_a = abs(a)
+        except OverflowError:
+            raise DomainError(f"|a_n| at n = {n} overflows double precision, got {a!r}") from None
+        eps_log = epsilon * math.log(n)
+        orbit.append((g, a, mod_a, math.exp(-eps_log), eps_log))
+    return orbit
+
+
+def _orbit_norm(orbit: list[tuple], k: int) -> float:
+    """sum |g^k a| n^(-epsilon) / k over an _orbit; inf past double range."""
+    terms = []
+    for g, a, mod_a, decay, eps_log in orbit:
+        try:
+            power = g**k
+            term = abs(power * a)
+            direct = _MIN_NORMAL <= abs(power) < math.inf and _MIN_NORMAL <= term < math.inf
+        except OverflowError:
+            direct = False
+        if direct:
+            terms.append(term * decay / k)
+            continue
+        log_term = k * math.log(abs(g)) + math.log(mod_a) - eps_log - math.log(k)
+        if log_term > _LOG_MAX:
+            return math.inf
+        terms.append(math.exp(log_term))
+    total = _fsum(terms)  # nan: the nonnegative terms overflowed in the sum
+    return math.inf if math.isnan(total) else total
+
+
 def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float, k: int) -> float:
     """sum_n |symbol(n)^k a_n| n^(-epsilon) / k: the coefficient seminorm
     upper bound of (1/k) * power_apply(m, k, f).
@@ -85,34 +124,11 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     assembled in log space, so |symbol|^k never overflows on the way to a
     representable value.  inf is returned exactly when a term or the sum
     passes double range.  A coefficient whose modulus passes double range
-    raises DomainError naming its index."""
+    raises DomainError naming its index.  ergodicity_diagnostic samples this
+    sum for every k from one read of the symbol values, bit for bit."""
     k = _validate_index(k, "iterate count")
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
-    m.check_domain(f)
-    terms = []
-    for n, a in f.items():
-        g = m(n)
-        if g == 0:
-            continue
-        try:
-            mod_a = abs(a)
-        except OverflowError:
-            raise DomainError(f"|a_n| at n = {n} overflows double precision, got {a!r}") from None
-        try:
-            power = g**k
-            term = abs(power * a)
-            direct = _MIN_NORMAL <= abs(power) < math.inf and _MIN_NORMAL <= term < math.inf
-        except OverflowError:
-            direct = False
-        if direct:
-            terms.append(term * math.exp(-epsilon * math.log(n)) / k)
-            continue
-        log_term = k * math.log(abs(g)) + math.log(mod_a) - epsilon * math.log(n) - math.log(k)
-        if log_term > _LOG_MAX:
-            return math.inf
-        terms.append(math.exp(log_term))
-    total = _fsum(terms)  # nan: the nonnegative terms overflowed in the sum
-    return math.inf if math.isnan(total) else total
+    return _orbit_norm(_orbit(m, f, epsilon), k)
 
 
 @dataclass(frozen=True)
@@ -148,9 +164,8 @@ def ergodicity_diagnostic(
     m: Multiplier, f: DirichletPolynomial, epsilon: float, k_max: int = 40
 ) -> DynamicsReport:
     k_max = _validate_index(k_max, "k_max", 10)
-    samples = tuple(
-        (k, normalized_power_norm(m, f, epsilon, k)) for k in range(1, k_max + 1)
-    )
+    orbit = _orbit(m, f, _validate_real(epsilon, "epsilon", 0.0))
+    samples = tuple((k, _orbit_norm(orbit, k)) for k in range(1, k_max + 1))
     values = [v for _, v in samples]
 
     tail = [(k, v) for k, v in samples if k > k_max // 2 and 0.0 < v < math.inf]

@@ -61,6 +61,7 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
+    chunk = _validate_index(chunk, "chunk length")
     total = 0j
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,15 +205,28 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
 
 def summation_by_parts(x, y) -> complex:
     """Abel rearrangement  X_N y_N - sum_{n<N} X_n (y_{n+1} - y_n)  with
-    X_n the running partial sums of x.  Equals the direct inner product."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
+    X_n the running partial sums of x.  Equals the direct inner product.
+    Input that is not two equal-length 1-D numeric sequences, a non-finite
+    entry, or a result past double range raises DomainError."""
+    try:
+        x = np.asarray(x, dtype=np.complex128)
+        y = np.asarray(y, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("x and y must be sequences of complex numbers") from None
+    if x.ndim != 1 or y.ndim != 1:
+        raise DomainError(f"x and y must be one-dimensional, got shapes {x.shape} and {y.shape}")
+    if x.size != y.size:
         raise DomainError(f"sequence lengths must match, got {x.size} and {y.size}")
     if x.size == 0:
         raise DomainError("sequences must have length >= 1")
-    X = np.cumsum(x)
-    return complex(X[-1] * y[-1] - np.sum(X[:-1] * np.diff(y)))
+    for name, seq in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~np.isfinite(seq))
+        if bad.size:
+            raise DomainError(f"{name}[{bad[0]}] must be finite, got {complex(seq[bad[0]])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = np.cumsum(x)
+        value = complex(X[-1] * y[-1] - np.sum(X[:-1] * np.diff(y)))
+    return _finite(value, "summation by parts")
 
 
 @dataclass(frozen=True)

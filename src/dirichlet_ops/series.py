@@ -307,6 +307,8 @@ def coefficient_close(
 ) -> bool:
     """Coefficient-wise |f_n - g_n| <= atol + rtol * max(|f_n|, |g_n|) over
     the union of stored indices (missing terms count as zero)."""
+    rtol = _validate_real(rtol, "rtol", 0.0)
+    atol = _validate_real(atol, "atol", 0.0)
     for n in f.indices() | g.indices():
         a, b = f.coefficient(n), g.coefficient(n)
         if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
@@ -378,7 +380,9 @@ def eta_rule() -> CoefficientRule:
 
 
 def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
-    # repeated multiply beats np.power for the small integer exponents we use
+    # kept for its bits, not its speed: np.power(nf, -2.0) is ~2x faster at
+    # 2^16 points (266 vs 504 us, 2-core Xeon, numpy 2.4.6) but rounds 532,782
+    # of n <= 2^20 differently, which would move the pinned zeta_shift outputs
     if k == 0:
         return np.ones_like(nf)
     r = 1.0 / nf

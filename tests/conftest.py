@@ -3,7 +3,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from dirichlet_ops import DirichletPolynomial
+from dirichlet_ops import (
+    DirichletPolynomial,
+    DomainError,
+    ergodicity_diagnostic,
+    normalized_power_norm,
+)
 
 settings.register_profile(
     "suite",
@@ -60,3 +65,19 @@ def random_poly(
     re = rng.uniform(-4.0, 4.0, size=n_terms)
     im = rng.uniform(-4.0, 4.0, size=n_terms) if complex_coefficients else np.zeros(n_terms)
     return DirichletPolynomial({int(n): complex(a, b) for n, a, b in zip(idx, re, im)})
+
+
+def diagnostic_and_norms(m, f, epsilon: float, k_max: int) -> tuple[list[str], list[str]]:
+    """ergodicity_diagnostic's samples and normalized_power_norm at
+    k = 1..k_max, each as float.hex or as the DomainError message."""
+
+    def outcome(call):
+        try:
+            return call()
+        except DomainError as e:
+            return str(e)
+
+    report = outcome(lambda: ergodicity_diagnostic(m, f, epsilon, k_max))
+    samples = [report] * k_max if isinstance(report, str) else [v.hex() for _, v in report.samples]
+    norms = [outcome(lambda: normalized_power_norm(m, f, epsilon, k).hex()) for k in range(1, k_max + 1)]
+    return samples, norms

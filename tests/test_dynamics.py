@@ -28,7 +28,7 @@ from dirichlet_ops import (
     seminorm,
 )
 
-from conftest import poly_strategy
+from conftest import diagnostic_and_norms, poly_strategy
 
 LOG_LOG_3 = 0.09404782761669901
 
@@ -369,3 +369,53 @@ class TestDiagnostic:
     def test_k_max_validated(self, k_max):
         with pytest.raises(DomainError, match="k_max"):
             ergodicity_diagnostic(derivative_multiplier(), monomial(3), 0.1, k_max)
+
+
+class TestOrbitReadOnce:
+    def test_diagnostic_reads_each_symbol_value_once(self):
+        reads = []
+        m = Multiplier(lambda n: reads.append(n) or -math.log(n), "counting")
+        f = DirichletPolynomial({n: 1.0 / n for n in range(2, 30)})
+        ergodicity_diagnostic(m, f, 0.3, 40)
+        assert sorted(reads) == sorted(n for n, _ in f.items())
+
+    @given(
+        poly_strategy(
+            max_index=10**6,
+            max_terms=8,
+            coefficients=st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+        ),
+        st.lists(
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=5,
+        ),
+        st.booleans(),
+        st.floats(0.0, 4.0),
+        st.integers(10, 60),
+    )
+    def test_samples_equal_norms_to_the_bit(self, f, symbols, zero_constant, eps, k_max):
+        m = Multiplier(
+            lambda n: symbols[n % len(symbols)], "table", requires_zero_constant=zero_constant
+        )
+        samples, norms = diagnostic_and_norms(m, f, eps, k_max)
+        assert samples == norms
+
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_bad_symbol_raises_whatever_k(self, k):
+        # the n = 2 term passes double range from k = 2 on; n = 3 is still read
+        m = Multiplier(lambda n: 1e300 if n == 2 else math.nan, "nan-at-3")
+        with pytest.raises(DomainError, match="'nan-at-3' is not finite at n = 3"):
+            normalized_power_norm(m, DirichletPolynomial({2: 1.0, 3: 1.0}), 0.0, k)
+
+    def test_epsilon_error_before_domain_error(self):
+        # a_1 != 0 is outside J's domain, and epsilon = -1 is outside every domain
+        j, f = integration_multiplier(), monomial(1)
+        with pytest.raises(DomainError, match="epsilon"):
+            normalized_power_norm(j, f, -1.0, 3)
+        with pytest.raises(DomainError, match="epsilon"):
+            ergodicity_diagnostic(j, f, -1.0, 40)
+        with pytest.raises(DomainError, match="k_max"):
+            ergodicity_diagnostic(j, f, -1.0, 9)
+        with pytest.raises(DomainError, match="vanishing constant term"):
+            ergodicity_diagnostic(j, f, 0.0, 40)

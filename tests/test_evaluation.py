@@ -96,6 +96,16 @@ class TestPartialSum:
         with pytest.raises(DomainError, match="partial sum length N"):
             partial_sum(eta_rule(), 0.0, N)
 
+    @pytest.mark.parametrize("chunk", [0, -3, 1.5, True])
+    def test_rejects_bad_chunk(self, chunk):
+        # 0 and -3 never advanced the stream; 1.5 summed overlapping chunks
+        with pytest.raises(DomainError, match="chunk length"):
+            partial_sum(zeta_shift_rule(2), 0, 10, chunk=chunk)
+
+    def test_chunk_of_one(self):
+        want = math.fsum(1.0 / n**2 for n in range(1, 11))
+        assert partial_sum(zeta_shift_rule(2), 0, 10, chunk=1) == pytest.approx(want, rel=1e-15)
+
 
 class TestSummationByParts:
     def test_three_term_example(self):
@@ -121,6 +131,32 @@ class TestSummationByParts:
         got = summation_by_parts([1.0], [complex(-0.0, 0.0)])
         assert repr(got) == repr(complex(np.complex128(1.0) * np.complex128(complex(-0.0, 0.0))))
         assert math.copysign(1.0, got.real) == -1.0
+
+    @pytest.mark.parametrize(
+        "x, y, where",
+        [
+            ([math.nan], [1.0], r"x\[0\] must be finite"),
+            ([1.0, -math.inf, 1.0], [1.0, 1.0, 1.0], r"x\[1\] must be finite"),
+            ([1.0, 2.0], [1.0, complex(0.0, math.inf)], r"y\[1\] must be finite"),
+        ],
+    )
+    def test_non_finite_entry_named(self, x, y, where):
+        with pytest.raises(DomainError, match=where):
+            summation_by_parts(x, y)
+
+    @pytest.mark.parametrize("x", [["a"], [10**400], [object()]])
+    def test_non_numeric_entry_rejected(self, x):
+        with pytest.raises(DomainError, match="sequences of complex numbers"):
+            summation_by_parts(x, [1.0])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(DomainError, match=r"one-dimensional, got shapes \(2, 2\) and \(2, 2\)"):
+            summation_by_parts(np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_overflow_raises(self):
+        # the running sum 2e308 overflows: no inf + nan j, no numpy warning
+        with pytest.raises(DomainError, match="summation by parts overflows double precision"):
+            summation_by_parts([1e308, 1e308], [1, 1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

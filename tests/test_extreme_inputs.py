@@ -34,6 +34,8 @@ from dirichlet_ops import (
     volterra_apply,
 )
 
+from conftest import diagnostic_and_norms
+
 EXTREME_POLYNOMIALS = {
     "two-1e308": {2: 1e308, 3: 1e308},
     "modulus-past-range-at-1": {1: complex(1.5e308, 1.5e308)},
@@ -78,3 +80,11 @@ def test_value_or_domain_error(call, name):
         CALLS[call](f)
     except (DomainError, SpectralError):
         pass
+
+
+@pytest.mark.parametrize("name", list(EXTREME_POLYNOMIALS))
+@pytest.mark.parametrize("m", [D, I], ids=["derivative", "identity"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_diagnostic_samples_equal_norms_to_the_bit(epsilon, m, name):
+    samples, norms = diagnostic_and_norms(m, DirichletPolynomial(EXTREME_POLYNOMIALS[name]), epsilon, 40)
+    assert samples == norms

@@ -315,3 +315,25 @@ class TestCoefficientClose:
         g = monomial(2, 1.0 + 1e-14)
         assert coefficient_close(f, g, rtol=1e-12)
         assert not coefficient_close(f, g, rtol=1e-16)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rtol", math.nan),
+            ("atol", math.nan),
+            ("atol", math.inf),
+            ("rtol", -1.0),
+            ("atol", -1e-300),
+            ("rtol", "x"),
+            ("atol", True),
+        ],
+    )
+    def test_tolerances_validated(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be a finite real >= 0"):
+            coefficient_close(monomial(2), monomial(3, 5.0), **{name: value})
+
+    def test_zero_and_absolute_tolerances(self):
+        f = monomial(2, 1.0)
+        assert coefficient_close(f, f, rtol=0.0, atol=0.0)
+        assert coefficient_close(f, monomial(2, 1.5), rtol=0, atol=0.5)
+        assert not coefficient_close(f, monomial(2, 1.5), rtol=0, atol=0.25)
