@@ -49,14 +49,15 @@ __all__ = [
 _INDEX_MAX = 2**63 - 1
 
 
-def _validate_index(n, what: str = "series index", least: int = 1) -> int:
-    """n as an int in [least, 2^63 - 1]; DomainError naming `what` otherwise."""
+def _validate_index(n, what: str = "series index", least: int = 1, most: int = _INDEX_MAX) -> int:
+    """n as an int in [least, most]; DomainError naming `what` otherwise."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
     if n < least:
         raise DomainError(f"{what} must be >= {least}, got {n}")
-    if n > _INDEX_MAX:
-        raise DomainError(f"{what} must be <= 2^63 - 1, got {n}")
+    if n > most:
+        bound = "2^63 - 1" if most == _INDEX_MAX else most
+        raise DomainError(f"{what} must be <= {bound}, got {n}")
     return int(n)
 
 
@@ -339,6 +340,9 @@ class CoefficientRule:
     the only way a rule is evaluated.  values() returns its native dtype
     (float64 for real rules, so streamed sums skip a complex pass) and a
     scalar call rule(n) is values() on a 1-element array.
+    partial_sum may call `vectorized` from several threads at once, on
+    disjoint index chunks, so it must be pure: no shared state it writes,
+    the same values for the same indices.  Every built-in rule is.
     `known_abscissas` is reference metadata consumed only by tests, never
     by the estimators themselves.
     """
@@ -374,7 +378,7 @@ def eta_rule() -> CoefficientRule:
     absolute-convergence line, which separates the two abscissas."""
     return CoefficientRule(
         tag="eta",
-        vectorized=lambda ns: np.where(ns % 2 == 1, 1.0, -1.0),
+        vectorized=lambda ns: np.where((ns & 1) == 1, 1.0, -1.0),
         known_abscissas={"sigma_c": 0.0, "sigma_u": 0.0, "sigma_a": 1.0},
     )
 

@@ -1,11 +1,17 @@
 import math
+import os
 import re
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dirichlet_ops import evaluation
 from dirichlet_ops import (
     ZERO,
     DirichletPolynomial,
@@ -96,15 +102,105 @@ class TestPartialSum:
         with pytest.raises(DomainError, match="partial sum length N"):
             partial_sum(eta_rule(), 0.0, N)
 
-    @pytest.mark.parametrize("chunk", [0, -3, 1.5, True])
+    @pytest.mark.parametrize("chunk", [0, -3, 1.5, True, 2**24 + 1, 2**40, 2**61, 2**63 - 1])
     def test_rejects_bad_chunk(self, chunk):
-        # 0 and -3 never advanced the stream; 1.5 summed overlapping chunks
+        # 0 and -3 never advanced the stream; 1.5 summed overlapping chunks.
+        # Over a long stream 2^40 and 2^61 leaked numpy's MemoryError and
+        # ValueError, and 2^63 - 1 an empty np.arange: a silent 0j
+        N = 2**63 - 4 if chunk >= 2**40 else 10
         with pytest.raises(DomainError, match="chunk length"):
-            partial_sum(zeta_shift_rule(2), 0, 10, chunk=chunk)
+            partial_sum(zeta_shift_rule(2), 0, N, chunk=chunk)
+
+    def test_longest_chunk(self):
+        want = partial_sum(zeta_shift_rule(2), 0.5j, 10, chunk=3)
+        assert partial_sum(zeta_shift_rule(2), 0.5j, 10, chunk=2**24) == pytest.approx(want, rel=1e-15)
 
     def test_chunk_of_one(self):
         want = math.fsum(1.0 / n**2 for n in range(1, 11))
         assert partial_sum(zeta_shift_rule(2), 0, 10, chunk=1) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """partial_sum on its own pool of `workers` threads, shut down afterwards."""
+    pools = []
+
+    def use(workers):
+        from concurrent.futures import ThreadPoolExecutor
+
+        pools.append(ThreadPoolExecutor(workers))
+        monkeypatch.setattr(evaluation, "_WORKERS", workers)
+        monkeypatch.setattr(evaluation, "_pool", pools[-1])
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+def wait_or_kill(pid, seconds):
+    """Exit code of child pid, or None after killing it at the deadline."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
+
+
+class TestPartialSumPool:
+    def test_worker_overflow_is_a_domain_error(self, fresh_pool):
+        # three chunks, so the terms overflow on pool threads, where the
+        # caller's np.errstate does not reach; a RuntimeWarning there is an
+        # error under this suite's filter
+        fresh_pool(2)
+        with pytest.raises(DomainError, match=r"s = \(-2000\+1j\)"):
+            partial_sum(ones_rule(), complex(-2000, 1), 3 * 2**16)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+        want = partial_sum(eta_rule(), 0.5 + 3j, 2048, chunk=256)
+        assert evaluation._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if partial_sum(eta_rule(), 0.5 + 3j, 2048, chunk=256) == want else 2
+            finally:
+                os._exit(code)
+        assert wait_or_kill(pid, 30) == 0
+
+    def test_concurrent_callers(self, monkeypatch, fresh_pool):
+        # more callers and workers than cores, with frequent thread switches
+        points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
+        monkeypatch.setattr(evaluation, "_WORKERS", 1)
+        want = {s: partial_sum(eta_rule(), s, 4096, chunk=128) for s in points}
+        fresh_pool(4)
+        got, errors = {}, []
+
+        def call(s):
+            try:
+                for _ in range(5):
+                    got.setdefault(s, set()).add(partial_sum(eta_rule(), s, 4096, chunk=128))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,)) for s in points]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        assert got == {s: {v} for s, v in want.items()}
 
 
 class TestSummationByParts:

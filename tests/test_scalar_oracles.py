@@ -12,6 +12,8 @@ normalized_power_norm chose its direct term by two cut-offs, on k log|g|
 and on the log term; it now keeps that term whenever g^k and g^k a_n are
 normal doubles, and must match the old sum bit for bit wherever the old
 one took the direct term for every index and each was a normal double.
+partial_sum computes its chunks on a thread pool when s != 0 and must give
+its old sequential loop's bits for one worker and for two.
 The new paths must reproduce them bit for bit, except the resolvent, whose
 coefficients are now b * (1 / x) instead of b / x.  Both round differently
 in CPython's complex arithmetic; a random search over 10^6 coefficients
@@ -24,12 +26,13 @@ from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dirichlet_ops import (
     FULL,
     ZERO_SUBSPACE,
+    CoefficientRule,
     DirichletPolynomial,
     DomainError,
     Multiplier,
@@ -45,6 +48,7 @@ from dirichlet_ops import (
     moebius_rule,
     normalized_power_norm,
     ones_rule,
+    partial_sum,
     power_apply,
     resolvent_apply,
     scale,
@@ -187,6 +191,21 @@ def legacy_probe_sup(values, epsilon, t_max, points):
         tc = ts[i : i + t_step]
         sup = max(sup, float(np.max(np.abs(w @ np.exp(np.outer(logn, -1j * tc))))))
     return sup
+
+
+def legacy_partial_sum(rule, s, N, chunk):
+    total = 0j
+    lo = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo <= N:
+            hi = min(N, lo + chunk - 1)
+            ns = np.arange(lo, hi + 1, dtype=np.int64)
+            vals = rule.values(ns)
+            if s != 0:
+                vals = vals * np.exp(-s * np.log(ns.astype(np.float64)))
+            total += complex(vals.sum())
+            lo = hi + 1
+    return total
 
 
 def bits(f):
@@ -485,3 +504,50 @@ class TestTrustedConstructor:
         assert bits(add(f, g)) == bits(legacy_add(f, g))
         assert bits(f - g) == bits(legacy_add(f, DirichletPolynomial({n: (-1 + 0j) * a for n, a in g.items()})))
         assert bits(scale(c, f)) == bits(DirichletPolynomial({n: c * a for n, a in f.items()}))
+
+
+_STREAM_RULES = st.one_of(
+    st.sampled_from([eta_rule(), ones_rule(), moebius_rule(), *map(zeta_shift_rule, range(4))]),
+    st.dictionaries(st.integers(1, 400), _signed_coefficients, max_size=12).map(table_rule),
+)
+
+
+@st.composite
+def _streams(draw):
+    """(s, N, chunk) with N spanning one to five chunks."""
+    chunk = draw(st.integers(1, 64))
+    N = draw(st.integers(1, 5 * chunk))
+    s = complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(-60.0, 60.0)))
+    return s, N, chunk
+
+
+def complex_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestPooledPartialSum:
+    """partial_sum's chunks run on a thread pool when s != 0; the bits must
+    be the sequential loop's whatever the number of workers."""
+
+    @given(rule=_STREAM_RULES, stream=_streams())
+    # numpy's in-place complex product, terms *= vals, moves this one's last bit
+    @example(rule=table_rule({10: 3 + 1j}), stream=(1j, 10, 3))
+    def test_bits_equal_for_one_and_two_workers(self, rule, stream):
+        s, N, chunk = stream
+        want = complex_bits(legacy_partial_sum(rule, s, N, chunk))
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "_WORKERS", workers)
+                assert complex_bits(partial_sum(rule, s, N, chunk=chunk)) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_error_in_chunk_order(self, monkeypatch, workers):
+        # 5 chunks of 8; chunks 3 and 4 both raise, and chunk 3 must win
+        def vec(ns):
+            if ns[0] in (17, 25):
+                raise DomainError(f"rule failed in the chunk from {ns[0]}")
+            return np.ones(ns.shape)
+
+        monkeypatch.setattr(evaluation, "_WORKERS", workers)
+        with pytest.raises(DomainError, match="chunk from 17$"):
+            partial_sum(CoefficientRule("failing", vec), 0.5 + 2j, 40, chunk=8)
