@@ -62,7 +62,6 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
 def _chunk_terms(rule: CoefficientRule, s: complex, lo: int, hi: int) -> np.ndarray:
     """rule(n) n^(-s) for lo <= n <= hi: one chunk of partial_sum's stream.
 
-    The in-place steps round exactly as vals * exp(-s * log(n)) does.
     np.errstate is thread-local, so the chunk sets its own: on a pool thread
     the caller's would not apply, and an overflow would escape as a
     RuntimeWarning instead of reaching partial_sum's finiteness check."""
@@ -71,15 +70,7 @@ def _chunk_terms(rule: CoefficientRule, s: complex, lo: int, hi: int) -> np.ndar
         vals = rule.values(ns)
         if s == 0:
             return vals
-        logn = ns.astype(np.float64)
-        np.log(logn, out=logn)
-        terms = np.multiply(logn, -s)
-        np.exp(terms, out=terms)
-        if vals.dtype.kind != "f":
-            # numpy's in-place complex product rounds differently
-            return vals * terms
-        terms *= vals
-        return terms
+        return vals * np.exp(-s * np.log(ns.astype(np.float64)))
 
 
 # threads that off-axis partial sums may use; the CPUs this process may run on
@@ -116,30 +107,49 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pooled_sum(rule: CoefficientRule, s: complex, bounds, workers: int) -> complex:
-    """The chunks' terms are computed on the pool, at most 2 * workers in
-    flight, and summed here in chunk order, so the total and the first error
-    raised are the sequential loop's."""
+def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
+    # a pool job returns the chunk's sum, not its terms: arrays freed on the
+    # thread that allocated them left library peak_rss_mb ~4 MB lower
+    return complex(_chunk_terms(rule, s, lo, hi).sum())
+
+
+def _pooled_sum(rule: CoefficientRule, s: complex, bounds, window: int) -> complex:
+    """The chunk sums are computed on the pool, `window` chunks in flight,
+    and added here in chunk order, so the total and the first error raised
+    are the sequential loop's."""
     pool = _executor()
-    window: deque = deque()
+    pending: deque = deque()
     total = 0j
     try:
         for lo, hi in bounds:
-            window.append(pool.submit(_chunk_terms, rule, s, lo, hi))
-            if len(window) == 2 * workers:
-                total += complex(window.popleft().result().sum())
-        while window:
-            total += complex(window.popleft().result().sum())
+            pending.append(pool.submit(_chunk_sum, rule, s, lo, hi))
+            if len(pending) == window:
+                total += pending.popleft().result()
+        while pending:
+            total += pending.popleft().result()
     finally:
-        for future in window:
+        for future in pending:
             future.cancel()
     return total
 
 
-# longest chunk: its temporaries take ~40 bytes a term, 0.7 GB at 2^24;
-# longer ones failed in numpy (MemoryError, ValueError) or, near 2^63, gave
-# an empty np.arange and a silent 0
+# longest chunk: its temporaries peak at 32 (s = 0) to 56 bytes a term,
+# 0.9 GB at 2^24; longer ones failed in numpy (MemoryError, ValueError) or,
+# near 2^63, gave an empty np.arange and a silent 0
 _CHUNK_MAX = 1 << 24
+
+# most terms whose chunks the pool computes at once, so the pool never needs
+# more than one sequential 2^22-term chunk, ~0.2 GB, however many CPUs
+# there are
+_TERMS_IN_FLIGHT = 1 << 22
+
+
+def _window(N: int, chunk: int) -> int:
+    """Chunks an off-axis partial_sum keeps in flight on the pool: twice the
+    workers, at most _TERMS_IN_FLIGHT terms.  1 means the sequential loop."""
+    in_flight = _TERMS_IN_FLIGHT // chunk
+    workers = min(_WORKERS, -(-N // chunk), in_flight)
+    return 1 if workers < 2 else min(2 * workers, in_flight)
 
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
@@ -147,7 +157,8 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s).
 
     For s != 0 the chunks' terms are computed on up to _WORKERS threads (the
-    CPUs this process may use, at most one per chunk).  s = 0 stays
+    CPUs this process may use, at most one per chunk), with at most 2^22
+    terms in flight, so chunks longer than 2^21 run sequentially.  s = 0 stays
     sequential: its chunks are memory-bound, and threads made the 2^27-term
     Basel sum slower on a loaded 2-core machine.  Either way each chunk is
     summed alone and the chunk sums are added in chunk order, so `chunk`
@@ -157,10 +168,10 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     N = _validate_index(N, "partial sum length N")
     chunk = _validate_index(chunk, "chunk length", most=_CHUNK_MAX)
     bounds = ((lo, min(N, lo + chunk - 1)) for lo in range(1, N + 1, chunk))
-    workers = min(_WORKERS, -(-N // chunk))
+    window = _window(N, chunk)
     with np.errstate(over="ignore", invalid="ignore"):
-        if s != 0 and workers > 1:
-            total = _pooled_sum(rule, s, bounds, workers)
+        if s != 0 and window > 1:
+            total = _pooled_sum(rule, s, bounds, window)
         else:
             total = 0j
             for lo, hi in bounds:

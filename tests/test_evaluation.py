@@ -173,6 +173,32 @@ class TestPartialSumPool:
                 os._exit(code)
         assert wait_or_kill(pid, 30) == 0
 
+    def test_window_holds_a_bounded_number_of_terms(self, monkeypatch):
+        # 2 x 64 whole 2^22-term chunks in flight would take ~8 GB on a
+        # 64-CPU host; the window is capped by terms, not by workers alone
+        monkeypatch.setattr(evaluation, "_WORKERS", 64)
+        for k in range(25):
+            window = evaluation._window(2**40, 2**k)
+            assert window == 1 or (window <= 128 and window * 2**k <= evaluation._TERMS_IN_FLIGHT)
+        assert evaluation._window(2**40, 2**16) == 64
+        assert evaluation._window(2**40, 2**20) == 4
+        assert evaluation._window(2**40, 2**21) == 2
+        assert evaluation._window(2**40, 2**21 + 1) == 1
+        assert evaluation._window(3 * 2**16, 2**16) == 6
+        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+        assert evaluation._window(2**40, 2**16) == 4
+
+    def test_large_chunks_skip_the_pool(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_WORKERS", 64)
+        windows = []
+        monkeypatch.setattr(evaluation, "_pooled_sum", lambda rule, s, bounds, window: windows.append(window) or 0j)
+        monkeypatch.setattr(evaluation, "_chunk_terms", lambda rule, s, lo, hi: np.ones(1))
+        assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**20) == 0j
+        assert windows == [4]
+        # two 2^22-term chunks, one at a time on the calling thread
+        assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**22) == 2
+        assert windows == [4]
+
     def test_concurrent_callers(self, monkeypatch, fresh_pool):
         # more callers and workers than cores, with frequent thread switches
         points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
