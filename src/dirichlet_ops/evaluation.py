@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,17 +59,12 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
 
 
 def _chunk_terms(rule: CoefficientRule, s: complex, lo: int, hi: int) -> np.ndarray:
-    """rule(n) n^(-s) for lo <= n <= hi: one chunk of partial_sum's stream.
-
-    np.errstate is thread-local, so the chunk sets its own: on a pool thread
-    the caller's would not apply, and an overflow would escape as a
-    RuntimeWarning instead of reaching partial_sum's finiteness check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = rule.values(ns)
-        if s == 0:
-            return vals
-        return vals * np.exp(-s * np.log(ns.astype(np.float64)))
+    """rule(n) n^(-s) for lo <= n <= hi: one chunk of partial_sum's stream."""
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    vals = rule.values(ns)
+    if s == 0:
+        return vals
+    return vals * np.exp(-s * np.log(ns.astype(np.float64)))
 
 
 # threads that off-axis partial sums may use; the CPUs this process may run on
@@ -79,57 +73,44 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = os.cpu_count() or 1
 
-# created on the first pooled call, so importing the package starts no thread
-# and leaves concurrent.futures (~5 ms) out of the CLI's cold start
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="partial_sum")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool but none of its threads: a submit
-    # there would wait forever, so the child builds its own pool on demand
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
-    # a pool job returns the chunk's sum, not its terms: arrays freed on the
-    # thread that allocated them left library peak_rss_mb ~4 MB lower
-    return complex(_chunk_terms(rule, s, lo, hi).sum())
+    """One pool job: the chunk's sum, not its terms (arrays freed on the thread
+    that allocated them left library peak_rss_mb ~4 MB lower).
+
+    np.errstate is thread-local, so the job sets its own around the terms and
+    their sum: on a pool thread the caller's would not apply, and an overflow
+    would escape as a RuntimeWarning instead of reaching partial_sum's
+    finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(_chunk_terms(rule, s, lo, hi).sum())
 
 
 def _pooled_sum(rule: CoefficientRule, s: complex, bounds, window: int) -> complex:
-    """The chunk sums are computed on the pool, `window` chunks in flight,
-    and added here in chunk order, so the total and the first error raised
-    are the sequential loop's."""
-    pool = _executor()
+    """The chunk sums are computed on a pool of min(_WORKERS, window) threads,
+    `window` chunks in flight, and added here in chunk order, so the total
+    and the first error raised are the sequential loop's.
+
+    The pool belongs to this call and is shut down before it returns, so no
+    thread outlives the call and a forked child has no pool to rebuild.  The
+    trade: K concurrent callers run up to K * _WORKERS threads, each call
+    with its own _TERMS_IN_FLIGHT bound.  concurrent.futures (~5 ms) is
+    imported here, which keeps it out of the CLI's cold start."""
+    from concurrent.futures import ThreadPoolExecutor
+
     pending: deque = deque()
     total = 0j
-    try:
-        for lo, hi in bounds:
-            pending.append(pool.submit(_chunk_sum, rule, s, lo, hi))
-            if len(pending) == window:
+    with ThreadPoolExecutor(min(_WORKERS, window), thread_name_prefix="partial_sum") as pool:
+        try:
+            for lo, hi in bounds:
+                pending.append(pool.submit(_chunk_sum, rule, s, lo, hi))
+                if len(pending) == window:
+                    total += pending.popleft().result()
+            while pending:
                 total += pending.popleft().result()
-        while pending:
-            total += pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+        finally:
+            for future in pending:
+                future.cancel()
     return total
 
 
@@ -156,14 +137,14 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     """sum_{n<=N} rule(n) n^(-s), streamed in chunks so N ~ 10^8 never
     materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s).
 
-    For s != 0 the chunks' terms are computed on up to _WORKERS threads (the
-    CPUs this process may use, at most one per chunk), with at most 2^22
-    terms in flight, so chunks longer than 2^21 run sequentially.  s = 0 stays
-    sequential: its chunks are memory-bound, and threads made the 2^27-term
-    Basel sum slower on a loaded 2-core machine.  Either way each chunk is
-    summed alone and the chunk sums are added in chunk order, so `chunk`
-    (at most 2^24) fixes the bits of the result and the number of workers
-    does not move them."""
+    For s != 0 the chunks' terms are computed on a pool of up to _WORKERS
+    threads (the CPUs this process may use, at most one per chunk) that the
+    call starts and stops, with at most 2^22 terms in flight, so chunks
+    longer than 2^21 run sequentially.  s = 0 stays sequential: its chunks
+    are memory-bound, and threads made the 2^27-term Basel sum slower on a
+    loaded 2-core machine.  Either way each chunk is summed alone and the
+    chunk sums are added in chunk order, so `chunk` (at most 2^24) fixes the
+    bits of the result and the number of workers does not move them."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
     chunk = _validate_index(chunk, "chunk length", most=_CHUNK_MAX)
@@ -342,7 +323,9 @@ class TailBound:
     half-plane Re s > epsilon.  `regime` records how the probe window was
     completed: 'oscillatory' keeps the observed partial-sum supremum with a
     1% slack, 'accumulating' adds a fitted power-law integral remainder,
-    'divergent' means no finite bound was certifiable (bound = inf)."""
+    'divergent' means the fitted decay is not integrable (bound = inf), and
+    'sparse' means the window's second half holds fewer than 8 nonzero terms,
+    too few to fit a decay, so no finite bound is certified (bound = inf)."""
 
     M: int
     epsilon: float
@@ -436,7 +419,7 @@ def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -
             p = _fit_decay_exponent(ns[half:], mags)
             if p is None or p <= 1.05:
                 B = math.inf
-                regime = "divergent"
+                regime = "sparse" if p is None else "divergent"
             else:
                 E = float(M + _PROBE)
                 B = float(A[-1]) + _PAD * float(np.abs(xs[-1])) * E / (p - 1.0)
@@ -550,12 +533,13 @@ def seminorm(
         )
 
     logn = np.log(f.index_array().astype(np.float64))
+    coeffs = f.coefficient_array()
     ts = np.arange(t0, t_max + 0.5 * step, step)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, refined = _grid_sup(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
+        lower, refined = _grid_sup(logn, coeffs * np.exp(-epsilon * logn), ts)
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
-    upper = _fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
+    upper = _fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(coeffs, logn))
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(
             f"max |f| or sum |a_n| n^(-epsilon) overflows double precision at epsilon = {epsilon}"

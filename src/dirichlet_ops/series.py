@@ -17,7 +17,7 @@ import math
 import sys
 from cmath import isfinite
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 from types import MappingProxyType
 from typing import Callable

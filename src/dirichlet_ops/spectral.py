@@ -15,7 +15,7 @@ equals the brute-force minimum whenever that minimizer is in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,7 +203,9 @@ class VariationReport:
     the last dyadic step), since the majorant then certifies a finite total
     variation.  majorant_ratio compares the observed variation increment on
     (N/2, N] against the integral bound of the fitted majorant tail; it is
-    <= 1 by construction of C.
+    <= 1 by construction of C.  partial_sums, the running variation at
+    n = 2 .. N, is read-only and left out of == and hash: (lam, delta, N)
+    determine it.
     """
 
     lam: complex
@@ -211,7 +213,7 @@ class VariationReport:
     N: int
     gap: float
     variation: float
-    partial_sums: np.ndarray
+    partial_sums: np.ndarray = field(compare=False)
     fitted_constant: float
     majorant_ratio: float
     verdict: str
@@ -233,6 +235,7 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     gamma = 1.0 / ((np.log(ns) + lam) * ns**delta)
     diffs = np.abs(np.diff(gamma))  # n = 2 .. N
     V = np.cumsum(diffs)
+    V.flags.writeable = False
 
     n_lo = ns[:-1]
     weights = mu * mu * diffs * n_lo ** (1.0 + 0.5 * delta)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dirichlet_ops import evaluation
 from dirichlet_ops import (
     ZERO,
+    CoefficientRule,
     DirichletPolynomial,
     DomainError,
     HalfPlanePoint,
@@ -120,23 +121,6 @@ class TestPartialSum:
         assert partial_sum(zeta_shift_rule(2), 0, 10, chunk=1) == pytest.approx(want, rel=1e-15)
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """partial_sum on its own pool of `workers` threads, shut down afterwards."""
-    pools = []
-
-    def use(workers):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pools.append(ThreadPoolExecutor(workers))
-        monkeypatch.setattr(evaluation, "_WORKERS", workers)
-        monkeypatch.setattr(evaluation, "_pool", pools[-1])
-
-    yield use
-    for pool in pools:
-        pool.shutdown()
-
-
 def wait_or_kill(pid, seconds):
     """Exit code of child pid, or None after killing it at the deadline."""
     deadline = time.monotonic() + seconds
@@ -151,19 +135,36 @@ def wait_or_kill(pid, seconds):
 
 
 class TestPartialSumPool:
-    def test_worker_overflow_is_a_domain_error(self, fresh_pool):
-        # three chunks, so the terms overflow on pool threads, where the
+    def test_worker_overflow_is_a_domain_error(self, monkeypatch):
+        # three chunks, so the overflow happens on pool threads, where the
         # caller's np.errstate does not reach; a RuntimeWarning there is an
-        # error under this suite's filter
-        fresh_pool(2)
-        with pytest.raises(DomainError, match=r"s = \(-2000\+1j\)"):
-            partial_sum(ones_rule(), complex(-2000, 1), 3 * 2**16)
+        # error under this suite's filter.  At s = -2000 + i the terms
+        # overflow; at s = -60 + i the second chunk's terms are finite
+        # (131072^60 < DBL_MAX) but their sum is not
+        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+        for s in (complex(-2000, 1), complex(-60, 1)):
+            with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
+                partial_sum(ones_rule(), s, 3 * 2**16)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        names = set()
+
+        def vec(ns):
+            names.add(threading.current_thread().name)
+            return np.ones(ns.shape)
+
+        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+        before = threading.active_count()
+        partial_sum(CoefficientRule("ones", vec), 0.5 + 3j, 2048, chunk=256)
+        assert names and all(name.startswith("partial_sum") for name in names)
+        assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        # the parent's pooled call ends with its threads joined, so the child
+        # starts its own and must get the parent's bits
         monkeypatch.setattr(evaluation, "_WORKERS", 2)
         want = partial_sum(eta_rule(), 0.5 + 3j, 2048, chunk=256)
-        assert evaluation._pool is not None
         pid = os.fork()
         if pid == 0:
             code = 1
@@ -199,12 +200,13 @@ class TestPartialSumPool:
         assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**22) == 2
         assert windows == [4]
 
-    def test_concurrent_callers(self, monkeypatch, fresh_pool):
-        # more callers and workers than cores, with frequent thread switches
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers and workers than cores, with frequent thread switches;
+        # each caller runs its own pool of 4
         points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
         monkeypatch.setattr(evaluation, "_WORKERS", 1)
         want = {s: partial_sum(eta_rule(), s, 4096, chunk=128) for s in points}
-        fresh_pool(4)
+        monkeypatch.setattr(evaluation, "_WORKERS", 4)
         got, errors = {}, []
 
         def call(s):
@@ -345,6 +347,15 @@ class TestTailBounds:
         assert (tb.regime, tb.bound) == ("oscillatory", 1.01)
         M, tb = truncation_for_tolerance(table_rule({2000: 1.0}), 0.0, 1e-3)
         assert (M, tb.regime) == (2048, "zero")
+
+    @pytest.mark.parametrize("table", [{41024: 1.0, 51024: 1.0}, {1034: 1.0, 51024: 1.0}])
+    def test_sparse_window_is_labelled_sparse(self, table):
+        # one nonzero term in the window's second half: too few to fit a
+        # decay, so no finite bound, but not a non-integrable tail either
+        tb = tail_bound_monotone(table_rule(table), None, 1024, 0.0)
+        assert (tb.regime, tb.bound) == ("sparse", math.inf)
+        M, tb = truncation_for_tolerance(table_rule(table), 0.0, 1e-3)
+        assert (M, tb.regime, tb.bound) == (65536, "zero", 0.0)
 
     def test_nonintegrable_tail_is_infinite(self):
         tb = tail_bound_monotone(ones_rule(), None, 100, 0.0)

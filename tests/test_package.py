@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -34,3 +35,27 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["False", "1"]
+
+
+def test_no_unused_imports():
+    # no linter is a test dependency; a name imported into a module of the
+    # package must be used there or re-exported through __all__
+    unused = []
+    for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {
+            elt.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+            and any(getattr(t, "id", "") == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -180,6 +180,14 @@ class TestBoundedVariation:
         tail = C / mu**2 * (2 / 0.5) * 5000 ** -(0.25)
         assert 0 <= full.variation - half.variation <= tail
 
+    def test_equal_inputs_give_equal_reports(self):
+        # partial_sums is left out of == and hash: (lam, delta, N) fix it
+        a, b = bv_check(1.0, 0.5, 2000), bv_check(1.0, 0.5, 2000)
+        assert a == b and hash(a) == hash(b)
+        assert a != bv_check(1.0, 0.5, 4000)
+        with pytest.raises(ValueError, match="read-only"):
+            a.partial_sums[0] = 0.0
+
     @pytest.mark.parametrize("bad_delta", [0.0, 1.0, -0.3, 1.7])
     def test_delta_range_enforced(self, bad_delta):
         with pytest.raises(DomainError):
