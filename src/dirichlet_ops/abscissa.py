@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import _MAX_GRID_POINTS, _grid_sup
-from .series import CoefficientRule, _validate_index, _validate_real
+from .series import _MAX_TERMS, CoefficientRule, _validate_index, _validate_real
 
 __all__ = [
     "Estimate",
@@ -122,13 +122,13 @@ def _estimate(values: np.ndarray, N: int) -> Estimate:
 
 def sigma_c_estimate(rule: CoefficientRule, N: int) -> Estimate:
     """Estimate of the abscissa of convergence from signed partial sums."""
-    N = _validate_index(N, "window length N", 100)
+    N = _validate_index(N, "window length N", 100, _MAX_TERMS)
     return _estimate(rule.values(np.arange(1, N + 1, dtype=np.int64)), N)
 
 
 def sigma_a_estimate(rule: CoefficientRule, N: int) -> Estimate:
     """Estimate of the abscissa of absolute convergence from |a_n| sums."""
-    N = _validate_index(N, "window length N", 100)
+    N = _validate_index(N, "window length N", 100, _MAX_TERMS)
     vals = np.abs(rule.values(np.arange(1, N + 1, dtype=np.int64)))
     return _estimate(vals.astype(np.complex128), N)
 
@@ -152,7 +152,7 @@ def bracket_sigma_u(
     error, so sup_abs is bit for bit the direct scan's maximum.  points is
     capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
-    N = _validate_index(N, "window length N", 100)
+    N = _validate_index(N, "window length N", 100, _MAX_TERMS)
     probe_eps = tuple(_validate_real(e, "probe epsilon", 0.0) for e in probe_eps)
     if not probe_eps:
         raise DomainError("probe_eps must be a nonempty list of epsilons")

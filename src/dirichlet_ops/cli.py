@@ -125,8 +125,17 @@ def _parse_terms(terms, flag: str) -> DirichletPolynomial:
         for key, val in (("re", re), ("im", im)):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise UsageError(f"{flag}.terms[{i}].{key}: must be a number, got {val!r}")
-        coeffs.append((n, complex(re, im)))
+        coeffs.append((n, complex(_json_float(re), _json_float(im))))
     return DirichletPolynomial(coeffs)
+
+
+def _json_float(x) -> float:
+    # json reads 1e400 as inf but a 400-digit integer as an int, which
+    # complex() cannot take: both become inf, which the library names
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _parse_series(text: str, flag: str, allow_rule: bool = False):

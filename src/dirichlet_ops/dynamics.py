@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .operators import Multiplier, apply
+from .operators import _POWU_MAX, Multiplier, _power, apply
 from .series import DirichletPolynomial, _fsum, _validate_index, _validate_real
 
 __all__ = [
@@ -44,9 +44,17 @@ def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
 
     Computed as a single power rather than k sequential applications, so
     the error stays at one complex-power rounding instead of k of them.
-    A power past double range raises DomainError."""
+    A power past double range raises DomainError.  For k <= 100, where
+    CPython forms the power by binary products, an array symbol of m
+    carries over to the power."""
     k = _validate_index(k, "iterate count")
-    power = replace(m, symbol=lambda n: complex(m.symbol(n)) ** k, label=f"{m.label}^{k}")
+
+    def array_power(idx):
+        return _power(*m.array_symbol(idx), k)
+
+    carries = m.array_symbol is not None and k <= _POWU_MAX
+    power = replace(m, symbol=lambda n: complex(m.symbol(n)) ** k, label=f"{m.label}^{k}",
+                    array_symbol=array_power if carries else None)
     return apply(power, f)
 
 
@@ -72,7 +80,7 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
         e = complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
         return g * e / (k * d)
 
-    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})")
+    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})", array_symbol=None)
     return apply(mean, f)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
-from .series import _fsum, _validate_complex, _validate_index, _validate_real
+from .series import _MAX_TERMS, _fsum, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "evaluate",
@@ -114,11 +114,6 @@ def _pooled_sum(rule: CoefficientRule, s: complex, bounds, window: int) -> compl
     return total
 
 
-# longest chunk: its temporaries peak at 32 (s = 0) to 56 bytes a term,
-# 0.9 GB at 2^24; longer ones failed in numpy (MemoryError, ValueError) or,
-# near 2^63, gave an empty np.arange and a silent 0
-_CHUNK_MAX = 1 << 24
-
 # most terms whose chunks the pool computes at once, so the pool never needs
 # more than one sequential 2^22-term chunk, ~0.2 GB, however many CPUs
 # there are
@@ -147,7 +142,8 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     bits of the result and the number of workers does not move them."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
-    chunk = _validate_index(chunk, "chunk length", most=_CHUNK_MAX)
+    # a chunk near 2^63 terms gave an empty np.arange and a silent 0
+    chunk = _validate_index(chunk, "chunk length", most=_MAX_TERMS)
     bounds = ((lo, min(N, lo + chunk - 1)) for lo in range(1, N + 1, chunk))
     window = _window(N, chunk)
     with np.errstate(over="ignore", invalid="ignore"):

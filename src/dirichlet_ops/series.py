@@ -1,11 +1,12 @@
 """Sparse Dirichlet polynomials and coefficient rules.
 
-A Dirichlet polynomial is a finite sum  sum_n a_n n^(-s)  stored as a sparse
-coefficient map index -> complex.  The normal form keeps no explicit zeros
-and all indices are integers >= 1, so equality of coefficient maps is
-equality of the represented series.  Instances are immutable after
-construction; every operation returns a fresh object, which makes
-unrestricted concurrent reads safe.
+A Dirichlet polynomial is a finite sum  sum_n a_n n^(-s)  stored sparsely,
+as a coefficient map index -> complex, as sorted index and coefficient
+arrays, or both.  The normal form keeps no explicit zeros and all indices
+are integers >= 1, so equality of coefficient maps is equality of the
+represented series.  Instances are immutable after construction (a missing
+form is only cached on first use); every operation returns a fresh object,
+which makes unrestricted concurrent reads safe.
 
 Infinite series enter only through CoefficientRule: a deterministic, total
 rule n -> a_n, computed on whole index arrays.
@@ -47,6 +48,14 @@ __all__ = [
 
 # indices are stored and multiplied as int64
 _INDEX_MAX = 2**63 - 1
+
+# most terms a call may materialize at once (truncate, the abscissa
+# windows, bv_check, one partial_sum chunk), checked before anything is
+# allocated.  Their peaks measure 32 (a partial_sum chunk at s = 0) to 97
+# (sigma_a_estimate, bracket_sigma_u) bytes a term, so 2^24 terms peak at
+# ~1.6 GB; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
+# partial_sum streams its N terms in chunks, so N itself is not capped.
+_MAX_TERMS = 1 << 24
 
 
 def _validate_index(n, what: str = "series index", least: int = 1, most: int = _INDEX_MAX) -> int:
@@ -93,60 +102,98 @@ class DirichletPolynomial:
     """Finite coefficient map n -> a_n, zeros implied elsewhere.
 
     Accepts a mapping or an iterable of (index, coefficient) pairs;
-    duplicate indices are accumulated.  Exact zero coefficients are dropped
-    so two polynomials are equal iff they represent the same function.
+    duplicate indices are accumulated.  A coefficient must be a number
+    (a bool or a string is not) and its sum finite, else DomainError names
+    its index.  Exact zero coefficients are dropped so two polynomials are
+    equal iff they represent the same function.
+
+    One carrier holds the terms in up to two forms, both in increasing
+    index order: a read-only dict (coeffs, items) and read-only sorted
+    int64 index and complex128 coefficient arrays (index_array,
+    coefficient_array).  Each form is built from the other on first use
+    and cached.  The constructor and the small-call paths store the dict
+    alone; array kernels (truncate, the convolution kernel, apply with an
+    array symbol) store the arrays alone, and max_index, term_count,
+    is_zero, has_real_coefficients and the evaluation kernels read them
+    without building a dict.  Two threads may race to build the same form;
+    both build the same value, so concurrent reads stay safe.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_map", "_idx", "_val")
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, complex] = {}
         for n, a in items:
             n = _validate_index(n)
-            acc[n] = acc.get(n, 0j) + complex(a)
+            acc[n] = acc.get(n, 0j) + (a if type(a) is complex else _coefficient(n, a))
         keys = sorted(acc)
-        self._coeffs = _normal_map(keys, map(acc.__getitem__, keys))
+        _normal(keys, map(acc.__getitem__, keys), self)
 
     @property
     def coeffs(self) -> Mapping[int, complex]:
-        return self._coeffs
+        if self._map is None:
+            self._map = MappingProxyType(dict(zip(self._idx.tolist(), self._val.tolist())))
+        return self._map
 
     def coefficient(self, n: int) -> complex:
-        return self._coeffs.get(_validate_index(n), 0j)
+        n = _validate_index(n)
+        if self._map is not None:
+            return self._map.get(n, 0j)
+        i = int(np.searchsorted(self._idx, n))
+        return complex(self._val[i]) if i < self._idx.size and self._idx[i] == n else 0j
 
     def items(self):
-        return self._coeffs.items()
+        return (self._map if self._map is not None else self.coeffs).items()
 
     def indices(self):
-        return self._coeffs.keys()
+        return (self._map if self._map is not None else self.coeffs).keys()
 
     @property
     def max_index(self) -> int:
         # 0 for the zero polynomial; indices are stored in increasing order
-        return next(reversed(self._coeffs), 0)
+        if self._map is not None:
+            return next(reversed(self._map), 0)
+        return int(self._idx[-1]) if self._idx.size else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not (self._map if self._map is not None else self._idx.size)
 
     @property
     def term_count(self) -> int:
-        return len(self._coeffs)
+        return len(self._map) if self._map is not None else self._idx.size
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._idx is None:
+            m = self._map
+            idx = np.fromiter(m.keys(), dtype=np.int64, count=len(m))
+            val = np.fromiter(m.values(), dtype=np.complex128, count=len(m))
+            idx.flags.writeable = val.flags.writeable = False
+            # _val first: a reader that finds _idx set reads both
+            self._val = val
+            self._idx = idx
+        return self._idx, self._val
 
     def index_array(self) -> np.ndarray:
-        return np.fromiter(self._coeffs.keys(), dtype=np.int64, count=len(self._coeffs))
+        """The sorted indices, read-only."""
+        return self._arrays()[0]
 
     def coefficient_array(self) -> np.ndarray:
-        return np.fromiter(self._coeffs.values(), dtype=np.complex128, count=len(self._coeffs))
+        """The coefficients in index order, read-only."""
+        return self._arrays()[1]
 
     def has_real_coefficients(self) -> bool:
-        return all(a.imag == 0 for a in self._coeffs.values())
+        if self._map is None:
+            return not self._val.imag.any()
+        return all(a.imag == 0 for a in self._map.values())
 
     def __eq__(self, other):
         if not isinstance(other, DirichletPolynomial):
             return NotImplemented
-        return dict(self._coeffs) == dict(other._coeffs)
+        if self._idx is not None and other._idx is not None:
+            return bool(np.array_equal(self._idx, other._idx) and np.array_equal(self._val, other._val))
+        return self.coeffs == other.coeffs
 
     __hash__ = None  # mutable-feeling value type, keep it out of sets
 
@@ -182,10 +229,40 @@ class DirichletPolynomial:
         return f"DirichletPolynomial({{{body}}})"
 
 
-def _normal_map(keys, values) -> MappingProxyType:
-    """Normal form of coefficients whose keys are valid, distinct and
-    increasing: each value is rounded as 0j + a (so a -0.0 component
-    becomes +0.0), exact zeros are dropped and a non-finite value raises."""
+def _coefficient(n: int, a) -> complex:
+    """a as the coefficient at index n under _validate_complex's type rule
+    (a bool, a string or None is not a number); finiteness is left to the
+    normal form.  A complex or a float skips the gate and its f-string."""
+    if type(a) is complex or type(a) is float:
+        return complex(a)
+    return _validate_complex(a, f"coefficient at n={n}")
+
+
+def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPolynomial:
+    """The trusted constructor: normal form of coefficients whose keys are
+    valid, distinct and increasing, so no index check, accumulation or sort
+    is repeated.  Each value is rounded as 0j + a (so a -0.0 component
+    becomes +0.0), exact zeros are dropped and a non-finite value raises
+    DomainError naming its index.
+
+    Two entry shapes: an int64 index array with its complex128 values,
+    stored as read-only arrays (the arrays are taken over, not copied), or
+    any other iterables, stored as a dict.  f is the instance to fill; a
+    new one by default."""
+    if f is None:
+        f = object.__new__(DirichletPolynomial)
+    if isinstance(keys, np.ndarray):
+        values = values + 0j
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"coefficient at n={keys[i]} must be finite, got {complex(values[i])!r}")
+        keep = values != 0
+        if not keep.all():
+            keys, values = keys[keep], values[keep]
+        keys.flags.writeable = values.flags.writeable = False
+        f._map, f._val, f._idx = None, values, keys
+        return f
     data = {}
     for n, a in zip(keys, values):
         a = 0j + a
@@ -193,30 +270,14 @@ def _normal_map(keys, values) -> MappingProxyType:
             if not isfinite(a):
                 raise DomainError(f"coefficient at n={n} must be finite, got {a!r}")
             data[n] = a
-    return MappingProxyType(data)
-
-
-def _normal(keys, values) -> DirichletPolynomial:
-    """Trusted constructor for polynomials the library builds itself: the
-    keys come from validated polynomials, so no index check, accumulation
-    or sort is repeated."""
-    f = object.__new__(DirichletPolynomial)
-    f._coeffs = _normal_map(keys, values)
+    f._map, f._val, f._idx = MappingProxyType(data), None, None
     return f
 
 
-def _normal_arrays(idx: np.ndarray, coeffs: np.ndarray) -> DirichletPolynomial:
-    """_normal for an increasing int64 index array and its complex128
-    coefficients, with the same rounding, zero dropping and finiteness check."""
-    coeffs = coeffs + 0j
-    bad = ~np.isfinite(coeffs)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"coefficient at n={idx[i]} must be finite, got {complex(coeffs[i])!r}")
-    keep = coeffs != 0
-    f = object.__new__(DirichletPolynomial)
-    f._coeffs = MappingProxyType(dict(zip(idx[keep].tolist(), coeffs[keep].tolist())))
-    return f
+def _terms(f: DirichletPolynomial):
+    """f's (index, coefficient) pairs in index order, from whichever form
+    it holds, without building the other."""
+    return f._map.items() if f._map is not None else zip(f._idx.tolist(), f._val.tolist())
 
 
 ZERO = DirichletPolynomial()
@@ -224,7 +285,8 @@ ZERO = DirichletPolynomial()
 
 def monomial(n: int, coefficient=1.0) -> DirichletPolynomial:
     """The single term  coefficient * n^(-s)."""
-    return _normal((_validate_index(n),), (complex(coefficient),))
+    n = _validate_index(n)
+    return _normal((n,), (_coefficient(n, coefficient),))
 
 
 def add(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:
@@ -236,7 +298,7 @@ def add(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:
 
 
 def scale(c, f: DirichletPolynomial) -> DirichletPolynomial:
-    c = complex(c)
+    c = complex(c) if type(c) is complex or type(c) is float else _validate_complex(c, "scale factor")
     return _normal(f.indices(), [c * a for a in f.coeffs.values()])
 
 
@@ -272,8 +334,9 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
         raise DomainError(f"product index {f.max_index} * {g.max_index} exceeds 2^63 - 1")
     if f.term_count * g.term_count < _KERNEL_MIN_PAIRS:
         buckets: dict[int, tuple[list, list]] = {}
-        for n1, a in f.items():
-            for n2, b in g.items():
+        g_terms = list(_terms(g))
+        for n1, a in _terms(f):
+            for n2, b in g_terms:
                 p = a * b
                 re_l, im_l = buckets.setdefault(n1 * n2, ([], []))
                 re_l.append(p.real)
@@ -300,7 +363,7 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
             if big.size:
                 prods = prods.tolist()
                 part[big] = [_fsum(prods[i:j]) for i, j in zip(lo, hi)]
-    return _normal_arrays(idx[starts], out)
+    return _normal(idx[starts], out)
 
 
 def coefficient_close(
@@ -451,7 +514,10 @@ def moebius_rule() -> CoefficientRule:
 
 def table_rule(mapping: Mapping[int, complex], tag: str = "table") -> CoefficientRule:
     """Finite table promoted to a rule; indices outside the table give 0."""
-    frozen = {_validate_index(n): complex(a) for n, a in mapping.items()}
+    frozen = {}
+    for n, a in mapping.items():
+        n = _validate_index(n)
+        frozen[n] = _coefficient(n, a)
     keys = np.array(sorted(frozen), dtype=np.int64)
     vals = np.array([frozen[n] for n in keys.tolist()], dtype=np.complex128)
 
@@ -466,6 +532,6 @@ def table_rule(mapping: Mapping[int, complex], tag: str = "table") -> Coefficien
 
 def truncate(rule: CoefficientRule, N: int) -> DirichletPolynomial:
     """First N coefficients of a rule as a polynomial (zeros dropped)."""
-    N = _validate_index(N)
+    N = _validate_index(N, "truncation length N", most=_MAX_TERMS)
     ns = np.arange(1, N + 1, dtype=np.int64)
-    return _normal_arrays(ns, rule.values(ns).astype(np.complex128))
+    return _normal(ns, rule.values(ns).astype(np.complex128))

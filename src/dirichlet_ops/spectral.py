@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpectralError
-from .operators import Multiplier, apply
-from .series import DirichletPolynomial, _validate_complex, _validate_index, _validate_real, monomial
+from .operators import Multiplier, _logs, _reciprocal, apply
+from .series import DirichletPolynomial, monomial
+from .series import _MAX_TERMS, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "FULL",
@@ -183,11 +184,13 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
             f"lambda = {lam} lies in the spectrum ({cls.kind}); no resolvent there",
             classification=cls,
         )
-    # log 1 = 0, so the n = 1 entry of this symbol is the b_1 / lambda term
+    # log 1 = 0, so the n = 1 entry of this symbol is the b_1 / lambda term;
+    # the array symbol adds as float + complex does, imaginary part 0.0 + Im lambda
     resolvent = Multiplier(
         symbol=lambda n: 1.0 / (math.log(n) + lam),
         label=f"{space} resolvent",
         requires_zero_constant=space == ZERO_SUBSPACE,
+        array_symbol=lambda idx: _reciprocal(_logs(idx) + lam.real, 0.0 + lam.imag),
     )
     return apply(resolvent, f)
 
@@ -223,7 +226,7 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     lam = _validate_complex(lmbda, "spectral parameter")
     if _validate_real(delta, "delta", 0.0, strict=True) >= 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    N = _validate_index(N, "N", 10**3)
+    N = _validate_index(N, "N", 10**3, _MAX_TERMS)
     mu = spectral_gap(lam)
     if mu <= 0.0:
         raise SpectralError(

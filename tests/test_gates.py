@@ -9,6 +9,7 @@ import pytest
 
 from dirichlet_ops import (
     FULL,
+    DirichletPolynomial,
     DomainError,
     HalfPlanePoint,
     boundary_values,
@@ -23,13 +24,18 @@ from dirichlet_ops import (
     partial_sum,
     reciprocal_spectrum_check,
     resolvent_apply,
+    scale,
     seminorm,
+    sigma_a_estimate,
+    sigma_c_estimate,
     spectral_gap,
+    table_rule,
     tail_bound_monotone,
+    truncate,
     truncation_for_tolerance,
     zeta_shift_rule,
 )
-from dirichlet_ops.series import _validate_complex, _validate_real
+from dirichlet_ops.series import _MAX_TERMS, _validate_complex, _validate_real
 
 
 class TestValidateReal:
@@ -165,3 +171,57 @@ def test_numeric_messages_kept(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+# every way a coefficient enters: (call with the value, the name its message carries)
+COEFFICIENT_ENTRIES = {
+    "DirichletPolynomial": (lambda v: DirichletPolynomial({3: 1.0, 2: v}), "coefficient at n=2"),
+    "DirichletPolynomial.pairs": (lambda v: DirichletPolynomial([(2, 1.0), (2, v)]), "coefficient at n=2"),
+    "monomial": (lambda v: monomial(2, v), "coefficient at n=2"),
+    "scale": (lambda v: scale(v, monomial(2)), "scale factor"),
+    "table_rule": (lambda v: table_rule({5: 1.0, 2: v}), "coefficient at n=2"),
+}
+
+
+@pytest.mark.parametrize("entry", list(COEFFICIENT_ENTRIES))
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1.5", "must be a finite complex number, got '1.5'"),
+        (True, "must be a finite complex number, got True"),
+        (None, "must be a finite complex number, got None"),
+        (10**400, "must be finite, got (inf+0j)"),
+    ],
+)
+def test_coefficient_gated(entry, value, message):
+    call, name = COEFFICIENT_ENTRIES[entry]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("value", [3, np.float32(0.5), np.int64(-2), np.complex64(1j), 1 - 2j, 0.25])
+def test_numeric_coefficients_accepted(value):
+    assert DirichletPolynomial({2: value}) == monomial(2, value) == scale(value, monomial(2))
+    assert table_rule({2: value})(2) == complex(value)
+
+
+# every call that materializes N terms: (call with N, the name its message carries)
+MATERIALIZED = {
+    "truncate": (lambda N: truncate(eta_rule(), N), "truncation length N"),
+    "sigma_c_estimate": (lambda N: sigma_c_estimate(eta_rule(), N), "window length N"),
+    "sigma_a_estimate": (lambda N: sigma_a_estimate(eta_rule(), N), "window length N"),
+    "bracket_sigma_u": (lambda N: bracket_sigma_u(eta_rule(), N, [0.5]), "window length N"),
+    "bv_check": (lambda N: bv_check(1.0, 0.5, N), "N"),
+    "partial_sum.chunk": (lambda N: partial_sum(eta_rule(), 0.5, 10, chunk=N), "chunk length"),
+}
+
+
+@pytest.mark.parametrize("call", list(MATERIALIZED))
+@pytest.mark.parametrize("N", [_MAX_TERMS + 1, 2**40, 2**62])
+def test_materialized_terms_capped_before_allocation(call, N):
+    # the cap is checked first, so none of these sizes allocates anything
+    run, name = MATERIALIZED[call]
+    with pytest.raises(DomainError) as info:
+        run(N)
+    assert str(info.value) == f"{name} must be <= {_MAX_TERMS}, got {N}"

@@ -59,3 +59,18 @@ def test_no_unused_imports():
         }
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_polynomial_carrier_stays_in_series():
+    # DirichletPolynomial keeps its dict and array forms in private slots
+    # that only series.py may read; every other module goes through the
+    # accessors, so the carrier can change in one place
+    slots = set(dirichlet_ops.DirichletPolynomial.__slots__)
+    readers = []
+    for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in slots:
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert slots and readers == []

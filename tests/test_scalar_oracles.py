@@ -13,15 +13,21 @@ and on the log term; it now keeps that term whenever g^k and g^k a_n are
 normal doubles, and must match the old sum bit for bit wherever the old
 one took the direct term for every index and each was a normal double.
 partial_sum computes its chunks on a thread pool when s != 0 and must give
-its old sequential loop's bits for one worker and for two.
+its old sequential loop's bits for one worker and for two.  apply runs the
+built-in multipliers, the resolvent and power_apply iterates on arrays
+from operators._ARRAY_MIN_TERMS terms on and must give the per-term
+loop's bits and error messages; polynomials built from arrays must be
+indistinguishable from those built from dicts.
 The new paths must reproduce them bit for bit, except the resolvent, whose
 coefficients are now b * (1 / x) instead of b / x.  Both round differently
 in CPython's complex arithmetic; a random search over 10^6 coefficients
 found them at most 2.83 ulp of |b / x| apart, so the test allows 4.
 """
 
+import dataclasses
 import math
 import sys
+import threading
 from math import fsum
 
 import numpy as np
@@ -41,9 +47,11 @@ from dirichlet_ops import (
     boundary_values,
     bracket_sigma_u,
     cesaro_mean,
+    compose,
     derivative_multiplier,
     dirichlet_multiply,
     eta_rule,
+    identity_multiplier,
     integration_multiplier,
     moebius_rule,
     normalized_power_norm,
@@ -54,9 +62,10 @@ from dirichlet_ops import (
     scale,
     seminorm,
     table_rule,
+    truncate,
     zeta_shift_rule,
 )
-from dirichlet_ops import evaluation
+from dirichlet_ops import evaluation, operators
 from dirichlet_ops.evaluation import _grid_sup, _grid_values
 from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
@@ -110,6 +119,11 @@ def legacy_add(f, g):
 
 def legacy_power_apply(m, k, f):
     return DirichletPolynomial({n: (m(n) ** k) * a for n, a in f.items()})
+
+
+def legacy_resolvent_apply(lam, f):
+    """The resolvent as apply formed it term by term before its array symbol."""
+    return DirichletPolynomial({n: complex(1.0 / (math.log(n) + lam)) * a for n, a in f.items()})
 
 
 def legacy_cesaro_mean(m, k, f):
@@ -549,3 +563,243 @@ class TestPooledPartialSum:
         monkeypatch.setattr(evaluation, "_WORKERS", workers)
         with pytest.raises(DomainError, match="chunk from 17$"):
             partial_sum(CoefficientRule("failing", vec), 0.5 + 2j, 40, chunk=8)
+
+
+BUILT_IN = (derivative_multiplier(), integration_multiplier(), identity_multiplier())
+
+# small indices and indices up to 2^62, which round to their doubles
+wide_indices = st.one_of(st.integers(2, 10**4), st.integers(2, 2**62))
+
+
+def wide_polys(max_terms=40):
+    pairs = st.tuples(wide_indices, wide_coefficients)
+    return st.lists(pairs, min_size=1, max_size=max_terms).map(DirichletPolynomial)
+
+
+def outcome(call):
+    """bits of the result, or the text of the DomainError it raised."""
+    try:
+        return bits(call())
+    except DomainError as e:
+        return str(e)
+
+
+def scalar_path(call):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_ARRAY_MIN_TERMS", math.inf)
+        return outcome(call)
+
+
+# lambdas on both sides of the imaginary axis, at +0.0 and -0.0 imaginary
+# part, and within 1e-9 of the spectrum points -log 7 and 0
+RESOLVENT_LAMBDAS = [
+    1.0, complex(2.0, -0.0), complex(-3.3, 0.0), complex(-3.3, -0.0), 0.75 - 0.5j, -20.0 + 2.0j,
+    complex(-math.log(7) + 1e-9, 0.0), complex(-math.log(7), -1e-9), complex(1e-9, -0.0),
+]
+
+
+class TestArrayPath:
+    """apply's array path (operators._ARRAY_MIN_TERMS set to 1, so every
+    polynomial takes it) against the per-term loop, float.hex for float.hex."""
+
+    @pytest.fixture(autouse=True)
+    def array_path_everywhere(self, monkeypatch):
+        monkeypatch.setattr(operators, "_ARRAY_MIN_TERMS", 1)
+
+    @pytest.mark.parametrize("m", BUILT_IN, ids=lambda m: m.label)
+    @given(f=wide_polys())
+    def test_apply_bit_equal(self, m, f):
+        if m.requires_zero_constant:
+            f = DirichletPolynomial({n: a for n, a in f.items() if n > 1})
+        assert bits(apply(m, f)) == bits(legacy_apply(m, f))
+
+    @pytest.mark.parametrize("m", BUILT_IN, ids=lambda m: m.label)
+    @given(f=wide_polys(max_terms=12), k=st.integers(1, 101))
+    def test_power_apply_bit_equal(self, m, f, k):
+        got = outcome(lambda: power_apply(m, k, f))
+        if isinstance(got, str):  # the power or a product overflowed
+            assert got == scalar_path(lambda: power_apply(m, k, f))
+        else:
+            assert got == bits(legacy_power_apply(m, k, f))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 40, 99, 100, 101])
+    def test_power_apply_bit_equal_on_ten_thousand_terms(self, k, rng):
+        idx = rng.choice(np.arange(2, 10**5 + 1), size=10**4, replace=False)
+        f = DirichletPolynomial({int(n): complex(*rng.uniform(-1.0, 1.0, 2)) for n in idx})
+        for m in BUILT_IN:
+            assert bits(power_apply(m, k, f)) == bits(legacy_power_apply(m, k, f))
+
+    def test_indices_where_np_log_rounds_differently(self):
+        # the array symbols must take math.log's bits where np.log's differ:
+        # on 111 indices <= 2*10^6, the first 9170 (x86-64, numpy 2.4.6)
+        ns = np.arange(2, 2 * 10**6 + 1)
+        logs = np.log(ns.astype(np.float64))
+        differ = ns[logs != np.array([math.log(n) for n in ns.tolist()])].tolist()
+        f = DirichletPolynomial({n: complex(1.0, -0.5) for n in [2, 9170, *differ]})
+        for m in BUILT_IN:
+            assert bits(apply(m, f)) == bits(legacy_apply(m, f))
+            assert bits(power_apply(m, 7, f)) == bits(legacy_power_apply(m, 7, f))
+        assert bits(resolvent_apply(0.5 + 1j, f, FULL)) == bits(legacy_resolvent_apply(0.5 + 1j, f))
+
+    @pytest.mark.parametrize("lam", RESOLVENT_LAMBDAS)
+    @given(f=wide_polys())
+    def test_resolvent_bit_equal(self, lam, f):
+        for space in (FULL, ZERO_SUBSPACE):
+            g = f if space == FULL else DirichletPolynomial({n: a for n, a in f.items() if n > 1})
+            # b_n / (log n + lambda) may overflow near the spectrum: both sides raise then
+            assert outcome(lambda: resolvent_apply(lam, g, space)) == outcome(lambda: legacy_resolvent_apply(lam, g))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: apply(identity_multiplier(), f),
+            lambda f: apply(derivative_multiplier(), f),
+            lambda f: power_apply(derivative_multiplier(), 3, f),
+            lambda f: power_apply(integration_multiplier(), 101, f),
+            lambda f: resolvent_apply(complex(-math.log(7), 1e-9), f, FULL),
+        ],
+        ids=["identity", "derivative", "power-3", "integration-power-101", "resolvent-near-7"],
+    )
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {7: 1.5e308, 2**62: 1e308, 3: 1.0},
+            {7: complex(1e308, -1e308), 11: 1e-300},
+            {1000: 1e300, 10**6: complex(1e-320, 1e300)},
+        ],
+        ids=["real", "complex", "large-k"],
+    )
+    def test_overflow_raises_the_scalar_message(self, call, terms):
+        f = DirichletPolynomial(terms)
+        assert outcome(lambda: call(f)) == scalar_path(lambda: call(f))
+
+    def test_user_symbols_take_the_scalar_path(self):
+        f = truncate(eta_rule(), 300)
+        D = derivative_multiplier()
+        for m in (Multiplier(D.symbol, "user"), compose(D, identity_multiplier())):
+            assert m.array_symbol is None
+            assert bits(apply(m, f)) == bits(legacy_apply(D, f))
+
+    def test_array_symbol_taken_from_the_crossover_on(self, monkeypatch):
+        # the scalar symbol raises: only the array symbol can give a value
+        def refuse(n):
+            raise ZeroDivisionError("scalar symbol read")
+
+        m = Multiplier(refuse, "arrays only", array_symbol=derivative_multiplier().array_symbol)
+        monkeypatch.setattr(operators, "_ARRAY_MIN_TERMS", 96)
+        f = truncate(eta_rule(), 96)
+        assert bits(apply(m, f)) == bits(legacy_apply(derivative_multiplier(), f))
+        with pytest.raises(ZeroDivisionError):
+            apply(m, truncate(eta_rule(), 95))
+
+    def test_array_symbol_left_out_of_equality(self):
+        D = derivative_multiplier()
+        assert dataclasses.replace(D, array_symbol=None) == D
+        assert hash(dataclasses.replace(D, array_symbol=None)) == hash(D)
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_cesaro_and_compose_reset_the_array_symbol(k, rng):
+    # dataclasses.replace copies every field: a mean or a composite that kept
+    # the derivative's array symbol would multiply by -log n at this size
+    D = derivative_multiplier()
+    idx = rng.choice(np.arange(2, 10**4), size=operators._ARRAY_MIN_TERMS + 4, replace=False)
+    f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in idx})
+    assert bits(cesaro_mean(D, k, f)) == bits(legacy_cesaro_mean(D, k, f))
+    DD = compose(D, D)
+    assert bits(apply(DD, f)) == bits(legacy_apply(DD, f))
+
+
+class TestCarrier:
+    """A polynomial built by an array kernel and the same polynomial built
+    from a dict must be indistinguishable through the public accessors."""
+
+    @staticmethod
+    def pairs(rng, n_terms=300):
+        idx = np.sort(rng.choice(np.arange(1, 10**6), size=n_terms, replace=False))
+        return idx, rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+
+    def both_forms(self, rng):
+        """(array-built, dict-built) copies of one random polynomial."""
+        idx, c = self.pairs(rng)
+        rule = table_rule({int(n): complex(a) for n, a in zip(idx, c)})
+        return truncate(rule, int(idx[-1])), DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)})
+
+    def test_array_built_equals_dict_built(self, rng):
+        arr, dic = self.both_forms(rng)
+        assert arr == dic and dic == arr
+        assert repr(arr) == repr(dic)
+        assert list(arr.items()) == list(dic.items())
+        assert list(arr.indices()) == list(dic.indices())
+        assert (arr.max_index, arr.term_count, arr.is_zero) == (dic.max_index, dic.term_count, dic.is_zero)
+        assert arr.has_real_coefficients() == dic.has_real_coefficients() is False
+        for n in (1, int(arr.index_array()[0]), int(arr.index_array()[-1]), 10**6 + 7):
+            assert arr.coefficient(n) == dic.coefficient(n)
+
+    def test_array_built_before_and_after_its_dict(self, rng):
+        arr, dic = self.both_forms(rng)
+        other, _ = self.both_forms(np.random.default_rng(7))
+        assert arr != other  # both hold arrays only
+        dict(arr.items())
+        assert arr == dic and arr != other  # arr holds both forms now
+        assert np.array_equal(arr.index_array(), dic.index_array())
+        assert np.array_equal(arr.coefficient_array(), dic.coefficient_array())
+
+    def test_real_and_zero_polynomials(self):
+        eta = truncate(eta_rule(), 500)
+        assert eta.has_real_coefficients() and eta == DirichletPolynomial(
+            {n: 1.0 if n % 2 else -1.0 for n in range(1, 501)})
+        zero = truncate(table_rule({}), 200)
+        assert zero.is_zero and zero.max_index == 0 and zero.term_count == 0
+        assert zero == DirichletPolynomial() and repr(zero) == "DirichletPolynomial(0)"
+
+    @pytest.mark.parametrize("build", ["dict", "truncate", "apply", "convolution"])
+    def test_returned_arrays_are_read_only(self, build, rng):
+        idx, c = self.pairs(rng, 60)
+        f = DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)})
+        f = {
+            "dict": lambda: f,
+            "truncate": lambda: truncate(eta_rule(), 100),
+            "apply": lambda: apply(identity_multiplier(), truncate(eta_rule(), 200)),
+            "convolution": lambda: dirichlet_multiply(f, f),
+        }[build]()
+        before = bits(f)
+        for arr in (f.index_array(), f.coefficient_array()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+        assert bits(f) == before
+
+    def test_threads_racing_to_build_each_form(self, rng):
+        # each form is cached on first use without a lock: threads that race
+        # to build one must all see the same terms, whichever form they read
+        idx, c = self.pairs(rng, 200)
+        want = bits(DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)}))
+        rule = table_rule({int(n): complex(a) for n, a in zip(idx, c)})
+        polys = [truncate(rule, int(idx[-1])) for _ in range(40)]
+        polys += [DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)}) for _ in range(40)]
+        seen, errors = [], []
+
+        def read(k):
+            try:
+                for f in polys:
+                    if k % 2:
+                        got = [(n, a.real.hex(), a.imag.hex()) for n, a in
+                               zip(f.index_array().tolist(), f.coefficient_array().tolist())]
+                    else:
+                        got = bits(f)
+                    seen.append(got == want and f.max_index == int(idx[-1]))
+            except Exception as e:  # reported below: a thread's exception is otherwise lost
+                errors.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(seen) == 8 * len(polys) and all(seen)
