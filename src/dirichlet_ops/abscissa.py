@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import _MAX_GRID_POINTS, _grid_sup
+from .evaluation import _MAX_GRID_POINTS, _grid_sup, _on_line
 from .series import _MAX_TERMS, CoefficientRule, _validate_index, _validate_real
 
 __all__ = [
@@ -146,8 +146,9 @@ def bracket_sigma_u(
     The probes are evidence, not estimators: a bounded sup at epsilon is
     consistent with uniform convergence on Re s > epsilon and nothing more.
     Each probe's sup over the linspace(0, t_max, points) grid is
-    evaluation._grid_sup: a GEMM screen at about 2 N sqrt(points) exps, then
-    the direct kernel on every point within 2 delta of the screened maximum,
+    evaluation._grid_sup, seminorm's scan: a GEMM screen at about
+    2 N sqrt(points) exps, then the boundary-grid kernel on every point
+    within 2 delta of the screened maximum,
     delta ~ 16 u (t_max log N + N) sum |a_n| n^(-eps) bounding the screen's
     error, so sup_abs is bit for bit the direct scan's maximum.  points is
     capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
@@ -167,8 +168,7 @@ def bracket_sigma_u(
     ts = np.linspace(0.0, t_max, points)
     probes = []
     for e in probe_eps:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sup_abs, refined = _grid_sup(logn, values * np.exp(-e * logn), ts)
+        sup_abs, refined = _on_line(_grid_sup, values, logn, e, ts)
         if not math.isfinite(sup_abs):
             raise DomainError(f"probe sup at epsilon = {e} overflows double precision")
         probes.append(

@@ -165,29 +165,34 @@ def _t_step(n_terms: int) -> int:
     return max(1, (1 << 23) // max(1, n_terms))
 
 
-def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """sum_n w_n exp(-i t log n) at each t of a 1-d grid: the one boundary-grid
-    kernel, chunked in t so no block holds more than 2^23 entries.
+def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray, keep=None) -> np.ndarray:
+    """sum_n w_n exp(-i t log n) at each t of a 1-d grid, or only at the
+    sorted grid positions `keep` (0 elsewhere): the one boundary-grid kernel,
+    chunked in t so no block holds more than 2^23 entries.
 
     The chunk shape is load-bearing.  Each chunk is one BLAS gemv, whose
     summation order for a column depends on the call shape (chunk length and
-    the column's place in it), so the bits of a value depend on how ts is
-    cut.  The CLI golden records pin these bits, and _grid_sup's refine
-    repeats the same cut to reproduce them."""
-    out = np.empty(ts.shape, dtype=np.complex128)
+    the column's place in it), not on the other columns' values, so the bits
+    of a value depend on how ts is cut; the CLI golden records pin them.  A
+    kept value has the full scan's bits: its chunk's matrix keeps the shape,
+    with exps in the kept columns and zeros elsewhere."""
+    out = np.zeros(ts.shape, dtype=np.complex128)
     t_step = _t_step(logn.size)
     for i in range(0, ts.size, t_step):
         tc = ts[i : i + t_step]
-        out[i : i + t_step] = w @ np.exp(np.outer(logn, -1j * tc))
+        if keep is None:
+            out[i : i + t_step] = w @ np.exp(np.outer(logn, -1j * tc))
+            continue
+        lo, hi = np.searchsorted(keep, (i, i + t_step))
+        if lo < hi:
+            cols = keep[lo:hi] - i
+            E = np.zeros((logn.size, tc.size), dtype=np.complex128)
+            E[:, cols] = np.exp(np.outer(logn, -1j * tc[cols]))
+            out[i + cols] = (w @ E)[cols]
     return out
 
 
 _U = 2.0**-53  # unit roundoff of a double
-
-# _grid_sup screens only when that saves at least this many exps over the
-# direct scan, N (T - B - T/B - 1); below it the screen's fixed cost of
-# about 20 numpy calls wins (measured: N = 3, T = 1024 saves 2877 and ties)
-_SCREEN_MIN_SAVING = 3000
 
 
 def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, int]:
@@ -221,49 +226,38 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
     Refine.  If |S_i| = max |S| and |D_j| = max |D|, then |S_j| >= |D_j| -
     delta >= |D_i| - delta >= |S_i| - 2 delta, so every point with
     |S_j| >= max |S| - 2 delta is kept and the direct maximum is among them.
-    The kept points are recomputed chunk by chunk at _grid_values' exact
-    chunk shape: a zero matrix with exps in the kept columns only, then
-    w @ E, because the gemv sums a column in an order set by the call shape
-    and not by the other columns' values.  The values land in a full-length
-    array before np.abs, whose vector body and scalar tail round
-    differently.  A non-finite screen or delta, or a grid too small for the
-    screen to save _SCREEN_MIN_SAVING exps, runs the direct kernel instead."""
+    _grid_values recomputes them into a full-length array before np.abs,
+    whose vector body and scalar tail round differently.  A non-finite
+    screen maximum or delta keeps every point.  The screen runs on every
+    grid (at N = 3, T = 1024 the two paths tie), under _on_line's errstate."""
     n, T = logn.size, ts.size
     t_step = _t_step(n)
     B = min(math.isqrt(T), t_step)
-    if n * (T - B - (T + B - 1) // B - 1) < _SCREEN_MIN_SAVING:
-        return float(np.max(np.abs(_grid_values(logn, w, ts)))), T
     h = (float(ts[-1]) - float(ts[0])) / (T - 1) if T > 1 else 0.0
     offsets = np.arange(B) * h
     anchors = ts[::B]
-    with np.errstate(all="ignore"):
-        R = np.exp(np.outer(offsets, -1j * logn))
-        blocks = []
-        for i in range(0, anchors.size, t_step):
-            A = np.exp(np.outer(logn, -1j * anchors[i : i + t_step]))
-            A *= w[:, None]
-            blocks.append(R @ A)
-        screen = np.abs(np.concatenate(blocks, axis=1).T.reshape(-1)[:T])
-        dev = float(np.max(np.abs((anchors[:, None] + offsets).reshape(-1)[:T] - ts)))
-        tau = float(np.max(np.abs(ts))) + B * abs(h)
-        delta = float(np.sum(np.abs(w))) * (
-            float(np.max(logn)) * (dev + 4 * _U * tau) + 16 * _U * (n + 4)
-        )
-        top = float(np.max(screen))
-    if not (math.isfinite(top) and math.isfinite(delta)):
-        return float(np.max(np.abs(_grid_values(logn, w, ts)))), T
-    keep = np.flatnonzero(screen >= top - 2 * delta)
-    out = np.zeros(ts.shape, dtype=np.complex128)
-    for i in range(0, T, t_step):
-        lo, hi = np.searchsorted(keep, (i, i + t_step))
-        if lo == hi:
-            continue
-        cols = keep[lo:hi] - i
-        tc = ts[i : i + t_step]
-        E = np.zeros((n, tc.size), dtype=np.complex128)
-        E[:, cols] = np.exp(np.outer(logn, -1j * tc[cols]))
-        out[i + cols] = (w @ E)[cols]
-    return float(np.max(np.abs(out))), int(keep.size)
+    R = np.exp(np.outer(offsets, -1j * logn))
+    blocks = []
+    for i in range(0, anchors.size, t_step):
+        A = np.exp(np.outer(logn, -1j * anchors[i : i + t_step]))
+        A *= w[:, None]
+        blocks.append(R @ A)
+    screen = np.abs(np.concatenate(blocks, axis=1).T.reshape(-1)[:T])
+    dev = float(np.max(np.abs((anchors[:, None] + offsets).reshape(-1)[:T] - ts)))
+    tau = float(np.max(np.abs(ts))) + B * abs(h)
+    delta = float(np.sum(np.abs(w))) * (float(np.max(logn)) * (dev + 4 * _U * tau) + 16 * _U * (n + 4))
+    top = float(np.max(screen))
+    keep = np.flatnonzero(screen >= top - 2 * delta) if math.isfinite(top) and math.isfinite(delta) else None
+    sup = float(np.max(np.abs(_grid_values(logn, w, ts, keep))))
+    return sup, T if keep is None else int(keep.size)
+
+
+def _on_line(kernel, coeffs: np.ndarray, logn: np.ndarray, epsilon: float, ts: np.ndarray):
+    """kernel(logn, w, ts), _grid_values or _grid_sup, with w_n = a_n n^(-epsilon)
+    the weights of f on the line Re s = epsilon.  An overflow (a far-left
+    epsilon, a huge a_n) comes back non-finite for the caller to name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kernel(logn, coeffs * np.exp(-epsilon * logn), ts)
 
 
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
@@ -271,15 +265,21 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
 
     Raises DomainError naming epsilon and t when a value overflows double
     precision (a far-left epsilon makes n^(-epsilon) overflow), and names a
-    NaN or infinite epsilon or t before computing anything."""
+    NaN or infinite epsilon or t, or ts that is not a 1-d sequence of real
+    numbers, before computing anything."""
     epsilon = _validate_real(epsilon, "epsilon")
-    ts = np.asarray(ts, dtype=np.float64)
+    try:
+        ts = np.asarray(ts)
+    except ValueError:  # a ragged nesting
+        ts = np.asarray(ts, dtype=object)
+    if ts.ndim != 1 or ts.dtype.kind not in "iuf":
+        raise DomainError(f"ts must be a 1-d sequence of real numbers, got {ts.dtype} of shape {ts.shape}")
+    ts = ts.astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(ts))
     if bad.size:
         raise DomainError(f"grid points t must be finite, got t = {ts[bad[0]]}")
     logn = np.log(f.index_array().astype(np.float64))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _grid_values(logn, f.coefficient_array() * np.exp(-epsilon * logn), ts)
+    values = _on_line(_grid_values, f.coefficient_array(), logn, epsilon, ts)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]
@@ -463,8 +463,8 @@ class SeminormEstimate:
     lower: maximum of |f(epsilon + i t)| over the sampled boundary grid
     (a genuine lower bound for the sup).  upper: sum |a_n| n^(-epsilon)
     (a genuine upper bound).  The truth lies in [lower, upper].  points:
-    grid points scanned; refined: how many of them the direct kernel
-    recomputed after the GEMM screen (all of them on a small grid).
+    grid points scanned; refined: how many of them the kernel recomputed
+    after the GEMM screen (all of them when the screen overflows).
     """
 
     epsilon: float
@@ -499,14 +499,14 @@ def seminorm(
     A grid of more than 2^24 points (t_max / step too large) raises
     DomainError instead of being allocated.
 
-    The scan is _grid_sup: a GEMM screens the grid at about 2 N sqrt(T)
-    exps, every point whose screened |f| is within 2 delta of the screened
-    maximum is recomputed by the direct kernel, and lower is their maximum,
-    bit for bit the direct scan's.  delta bounds the screen's error, about
-    16 u (max|t| log n_max + N) sum |a_n| n^(-epsilon) (derived in
-    _grid_sup).  An overflow reruns the direct scan through boundary_values,
-    which names epsilon and t; a modulus or a coefficient bound past double
-    range raises DomainError naming epsilon.
+    The scan is _grid_sup, on every grid: a GEMM screens the grid at about
+    2 N sqrt(T) exps, the boundary-grid kernel recomputes every point whose
+    screened |f| is within 2 delta of the screened maximum, and lower is
+    their maximum, bit for bit the direct scan's.  delta bounds the screen's
+    error, about 16 u (max|t| log n_max + N) sum |a_n| n^(-epsilon) (derived
+    in _grid_sup).  An overflow reruns the direct scan through
+    boundary_values, which names epsilon and t; a modulus or a coefficient
+    bound past double range raises DomainError naming epsilon.
     """
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     step = _validate_real(step, "grid step", 0.0, strict=True)
@@ -531,8 +531,7 @@ def seminorm(
     logn = np.log(f.index_array().astype(np.float64))
     coeffs = f.coefficient_array()
     ts = np.arange(t0, t_max + 0.5 * step, step)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, refined = _grid_sup(logn, coeffs * np.exp(-epsilon * logn), ts)
+    lower, refined = _on_line(_grid_sup, coeffs, logn, epsilon, ts)
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
     upper = _fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(coeffs, logn))

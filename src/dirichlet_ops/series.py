@@ -402,7 +402,9 @@ class CoefficientRule:
     `vectorized` maps an int64 index array to the coefficient array; it is
     the only way a rule is evaluated.  values() returns its native dtype
     (float64 for real rules, so streamed sums skip a complex pass) and a
-    scalar call rule(n) is values() on a 1-element array.
+    scalar call rule(n) is values() on a 1-element array.  An output that
+    is not a numeric (integer, float or complex) array of the indices' shape
+    raises DomainError naming the rule's tag.
     partial_sum may call `vectorized` from several threads at once, on
     disjoint index chunks, so it must be pure: no shared state it writes,
     the same values for the same indices.  Every built-in rule is.
@@ -424,7 +426,13 @@ class CoefficientRule:
             raise DomainError("rule indices must fit in int64") from None
         if ns.size and ns.min() < 1:
             raise DomainError("rule indices must be >= 1")
-        return np.asarray(self.vectorized(ns))
+        out = np.asarray(self.vectorized(ns))
+        if out.shape != ns.shape or out.dtype.kind not in "iufc":
+            raise DomainError(
+                f"rule {self.tag!r} must return numbers in the indices' shape {ns.shape}, "
+                f"got {out.dtype} of shape {out.shape}"
+            )
+        return out
 
 
 def ones_rule() -> CoefficientRule:

@@ -15,6 +15,7 @@ equals the brute-force minimum whenever that minimizer is in range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +235,11 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
             classification=classify_point(lam, FULL),
         )
 
+    # the majorant scales by gap^2: past normal range it is 0 or inf
+    gap2 = mu * mu
+    if not sys.float_info.min <= gap2 < math.inf:
+        raise DomainError(f"lambda = {lam} has spectral gap {mu!r}, whose square is not a normal double")
+
     ns = np.arange(2, N + 2, dtype=np.float64)
     gamma = 1.0 / ((np.log(ns) + lam) * ns**delta)
     diffs = np.abs(np.diff(gamma))  # n = 2 .. N
@@ -241,7 +247,7 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     V.flags.writeable = False
 
     n_lo = ns[:-1]
-    weights = mu * mu * diffs * n_lo ** (1.0 + 0.5 * delta)
+    weights = gap2 * diffs * n_lo ** (1.0 + 0.5 * delta)
     running_c = np.maximum.accumulate(weights)
     C = float(running_c[-1])
     C_half = float(running_c[(N // 2) - 2])
@@ -249,16 +255,19 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
 
     # integral comparison for the majorant tail past N/2
     M = float(N // 2)
-    tail_majorant = (C / (mu * mu)) * (2.0 / delta) * M ** (-0.5 * delta)
+    tail_majorant = (C / gap2) * (2.0 / delta) * M ** (-0.5 * delta)
     increment = float(V[-1] - V[(N // 2) - 2])
     ratio = increment / tail_majorant if tail_majorant > 0 else math.inf
+    variation = float(V[-1])
+    if not all(map(math.isfinite, (variation, C, ratio))):
+        raise DomainError(f"bv_check at lambda = {lam} (spectral gap {mu!r}) leaves double range")
 
     return VariationReport(
         lam=lam,
         delta=float(delta),
         N=int(N),
         gap=mu,
-        variation=float(V[-1]),
+        variation=variation,
         partial_sums=V,
         fitted_constant=C,
         majorant_ratio=float(ratio),
@@ -295,10 +304,19 @@ def reciprocal_spectrum_check(mu) -> ReciprocalReport:
     """Cross-check the inverse-pair spectral correspondence on the zero
     subspace: mu avoids the derivative's spectrum exactly when 1/mu avoids
     the integration operator's spectrum {-1/log n}.  Both sides use the
-    same membership tolerance, so agreement is expected everywhere."""
+    same membership tolerance, so agreement is expected wherever that
+    tolerance can decide the pair.  It cannot once |1/mu| <= SPECTRUM_TOLERANCE
+    (|mu| >= 10^12): 1/mu is then within tolerance of 0, where J's spectrum
+    accumulates, while mu is a resolvent point of D, so such mu raise
+    DomainError."""
     m = _validate_complex(mu, "spectral parameter")
     if m == 0:
         raise DomainError("mu must be nonzero (0 is handled by classify_point directly)")
+    if abs(1.0 / m) <= SPECTRUM_TOLERANCE:
+        raise DomainError(
+            f"mu = {m} is too large: 1/mu lies within {SPECTRUM_TOLERANCE} of 0, where the "
+            "integration operator's spectrum accumulates, so the pair cannot be decided"
+        )
     gap_d, _ = _symbol_distance(m)
     gap_j = _reciprocal_symbol_distance(1.0 / m)
     in_rho_d = gap_d > SPECTRUM_TOLERANCE

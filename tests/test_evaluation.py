@@ -465,8 +465,14 @@ class TestSeminorm:
         est = seminorm(truncate(eta_rule(), 200), 0.0)
         assert est.points == 100001
         assert 1 <= est.refined < 100
-        small = seminorm(add(monomial(1), scale(-1.0, monomial(2))), 0.0, t_max=6.0, step=0.01)
-        assert small.points == small.refined == 601
+        # a small grid is screened too, and its lower bound is still the
+        # direct scan's to the bit
+        f = add(monomial(1), scale(-1.0, monomial(2)))
+        small = seminorm(f, 0.0, t_max=6.0, step=0.01)
+        direct = float(np.max(np.abs(boundary_values(f, 0.0, np.arange(0.0, 6.0 + 0.5 * 0.01, 0.01)))))
+        assert small.points == 601
+        assert 1 <= small.refined <= small.points
+        assert small.lower.hex() == min(direct, small.upper).hex()
         assert seminorm(DirichletPolynomial({}), 0.5).refined == 0
 
     @pytest.mark.parametrize(

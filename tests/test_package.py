@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import dirichlet_ops
@@ -74,3 +75,51 @@ def test_polynomial_carrier_stays_in_series():
             if isinstance(node, ast.Attribute) and node.attr in slots:
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert slots and readers == []
+
+
+
+def _module_level_names(tree):
+    """(name, defining node) for each name a module binds at its top level,
+    in try blocks too (evaluation._WORKERS), but not inside functions or
+    classes."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+        elif isinstance(node, ast.Try):
+            stack += node.body + node.orelse + node.finalbody
+            stack += [line for handler in node.handlers for line in handler.body]
+
+
+def _reads(tree):
+    """Every name a tree reads: loads, attribute reads and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unreferenced_private_names():
+    # a private helper or constant that nothing in the package reads any
+    # more, other than its own definition (a recursive call), is dead code
+    # left behind by a refactor
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unreferenced = [
+        f"{file_name}:{node.lineno} {name}"
+        for file_name, tree in trees.items()
+        for name, node in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and reads[name] == Counter(_reads(node))[name]
+    ]
+    assert unreferenced == []

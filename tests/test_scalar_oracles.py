@@ -400,11 +400,9 @@ class TestGridSup:
         assert evaluation._t_step(logn.size) < ts.size
         assert_grid_sup_bit_equal(logn, w, ts)
 
-    @pytest.mark.parametrize("screen", [False, True], ids=["default", "forced-screen"])
     @pytest.mark.parametrize("T", [1, 2])
-    def test_tiny_grids(self, monkeypatch, T, screen):
-        if screen:
-            monkeypatch.setattr(evaluation, "_SCREEN_MIN_SAVING", -math.inf)
+    def test_tiny_grids(self, T):
+        # the screen runs on every grid, down to one point
         logn = np.log(np.array([1.0, 2.0, 3.0, 7.0]))
         w = np.array([1.0, -0.5 + 0.25j, 2.0, 1e-3j])
         assert_grid_sup_bit_equal(logn, w, np.linspace(-3.0, 5.0, T))
@@ -428,7 +426,8 @@ class TestGridSup:
     @pytest.mark.parametrize("t_max, step", [(2.0, 0.25), (18.0, 0.01)], ids=["direct", "screened"])
     def test_seminorm_overflow_message(self, t_max, step):
         # both parts of w are finite, but re(w e^(-i t log 2)) =
-        # 1.5e308 (cos + sin)(t log 2) passes the largest double near t log 2 = pi/4
+        # 1.5e308 (cos + sin)(t log 2) passes the largest double near t log 2 = pi/4;
+        # on both grids the screen overflows too and every point is kept
         f = DirichletPolynomial({2: complex(1.5e308, 1.5e308)})
         with pytest.raises(DomainError) as want:
             legacy_seminorm_lower(f, 0.0, t_max, step)
