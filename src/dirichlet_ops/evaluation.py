@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -165,6 +166,22 @@ def _t_step(n_terms: int) -> int:
     return max(1, (1 << 23) // max(1, n_terms))
 
 
+def _zero_block(rows: int, cols: int) -> np.ndarray:
+    """A C-ordered rows x cols complex zero matrix whose pages cost RSS only
+    once written.  With rows at least a page apart, it lives in a private
+    anonymous map, advised against huge pages: a page never written reads
+    as the kernel's shared zero page.  Closer rows put every page under a
+    write anyway, and there np.zeros, on huge pages, was ~3x faster (a
+    20,000 x 121 refine, BENCH_refine_pages.json); it is also the block on
+    a platform without MAP_PRIVATE.  The map is freed with the array."""
+    if cols * 16 < mmap.PAGESIZE or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros((rows, cols), dtype=np.complex128)
+    buf = mmap.mmap(-1, rows * cols * 16, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, cols)
+
+
 def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray, keep=None) -> np.ndarray:
     """sum_n w_n exp(-i t log n) at each t of a 1-d grid, or only at the
     sorted grid positions `keep` (0 elsewhere): the one boundary-grid kernel,
@@ -175,7 +192,13 @@ def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray, keep=None) -> 
     the column's place in it), not on the other columns' values, so the bits
     of a value depend on how ts is cut; the CLI golden records pin them.  A
     kept value has the full scan's bits: its chunk's matrix keeps the shape,
-    with exps in the kept columns and zeros elsewhere."""
+    with exps in the kept columns and zeros elsewhere.
+
+    That zero matrix comes from _zero_block.  np.zeros would do for the
+    bits, but numpy madvises a large array for huge pages, so writing one
+    kept column, one element per row, faults in a 2 MB page per row: one
+    seminorm refine of 50 terms on a 100,001-point grid lifted the process's
+    peak RSS by ~84 MB to recompute a single point."""
     out = np.zeros(ts.shape, dtype=np.complex128)
     t_step = _t_step(logn.size)
     for i in range(0, ts.size, t_step):
@@ -186,7 +209,7 @@ def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray, keep=None) -> 
         lo, hi = np.searchsorted(keep, (i, i + t_step))
         if lo < hi:
             cols = keep[lo:hi] - i
-            E = np.zeros((logn.size, tc.size), dtype=np.complex128)
+            E = _zero_block(logn.size, tc.size)
             E[:, cols] = np.exp(np.outer(logn, -1j * tc[cols]))
             out[i + cols] = (w @ E)[cols]
     return out
@@ -460,11 +483,15 @@ class GridSpec:
 class SeminormEstimate:
     """Bracket for sup |f| on Re s > epsilon.
 
-    lower: maximum of |f(epsilon + i t)| over the sampled boundary grid
-    (a genuine lower bound for the sup).  upper: sum |a_n| n^(-epsilon)
-    (a genuine upper bound).  The truth lies in [lower, upper].  points:
-    grid points scanned; refined: how many of them the kernel recomputed
-    after the GEMM screen (all of them when the screen overflows).
+    lower: the larger of the maximum of |f(epsilon + i t)| over the sampled
+    boundary grid and the largest term max_n |a_n| n^(-epsilon), each a
+    genuine lower bound for the sup (the second by Bohr's coefficient
+    formula, which floors a grid that misses the largest term), capped at
+    upper.  A monomial's lower is its upper, bit for bit.  upper:
+    sum |a_n| n^(-epsilon) (a genuine upper bound).  The truth lies in
+    [lower, upper].  points: grid points scanned; refined: how many of them
+    the kernel recomputed after the GEMM screen (all of them when the screen
+    overflows).
     """
 
     epsilon: float
@@ -534,13 +561,15 @@ def seminorm(
     lower, refined = _on_line(_grid_sup, coeffs, logn, epsilon, ts)
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
-    upper = _fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(coeffs, logn))
+    terms = [abs(a) * math.exp(-epsilon * ln) for a, ln in zip(coeffs, logn)]
+    upper = _fsum(terms)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(
             f"max |f| or sum |a_n| n^(-epsilon) overflows double precision at epsilon = {epsilon}"
         )
-    # the grid scan can only overshoot the coefficient bound by roundoff
-    lower = min(lower, upper)
+    # Bohr's coefficient bound lifts a grid that misses the largest term; the
+    # grid scan can only overshoot the coefficient bound by roundoff
+    lower = min(max(lower, float(max(terms))), upper)
     return SeminormEstimate(
         epsilon=float(epsilon), lower=lower, upper=float(upper), grid=grid,
         points=int(ts.size), refined=refined,

@@ -207,9 +207,10 @@ class VariationReport:
     the last dyadic step), since the majorant then certifies a finite total
     variation.  majorant_ratio compares the observed variation increment on
     (N/2, N] against the integral bound of the fitted majorant tail; it is
-    <= 1 by construction of C.  partial_sums, the running variation at
-    n = 2 .. N, is read-only and left out of == and hash: (lam, delta, N)
-    determine it.
+    <= 1 by construction of C, and an increment lost to the running sum's
+    rounding is summed exactly (see bv_check).  partial_sums, the running
+    variation at n = 2 .. N, is read-only and left out of == and hash:
+    (lam, delta, N) determine it.
     """
 
     lam: complex
@@ -224,6 +225,17 @@ class VariationReport:
 
 
 def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
+    """Scan the total variation of gamma_n = 1 / ((log n + lambda) n^delta)
+    over n = 2 .. N + 1 and fit its majorant; see VariationReport.
+
+    majorant_ratio's increment is V[-1] - V[N/2 - 2] on the running
+    variation V.  Near the spectrum the n = 2 term dominates V, and that
+    difference can fall within the cumsum's rounding of V[-1] (at
+    lambda = -log 2 + 1e-12 i it was exactly 0); when
+    |V[-1] - V[N/2 - 2]| <= N u V[-1], u = 2^-53, the increment is the
+    math.fsum of the window's own diffs instead.  Elsewhere the difference
+    stands, bit for bit.
+    """
     lam = _validate_complex(lmbda, "spectral parameter")
     if _validate_real(delta, "delta", 0.0, strict=True) >= 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
@@ -257,6 +269,10 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     M = float(N // 2)
     tail_majorant = (C / gap2) * (2.0 / delta) * M ** (-0.5 * delta)
     increment = float(V[-1] - V[(N // 2) - 2])
+    if abs(increment) <= N * 2.0**-53 * V[-1]:
+        # within the cumsum's rounding of V[-1]: the increment may have been
+        # absorbed by a large early term, so sum the window's diffs exactly
+        increment = math.fsum(diffs[(N // 2) - 1 :])
     ratio = increment / tail_majorant if tail_majorant > 0 else math.inf
     variation = float(V[-1])
     if not all(map(math.isfinite, (variation, C, ratio))):

@@ -1,7 +1,9 @@
 import math
+import mmap
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -424,6 +426,22 @@ class TestSeminorm:
     def test_bracket_valid(self, f, eps):
         est = seminorm(f, eps, t_max=4.0, step=0.125)
         assert 0.0 <= est.lower <= est.upper
+        # Bohr's coefficient formula: |a_n| n^(-eps) <= sup |f|
+        logn = np.log(f.index_array().astype(np.float64))
+        terms = [abs(a) * math.exp(-eps * ln) for a, ln in zip(f.coefficient_array(), logn)]
+        assert all(est.lower >= min(term, est.upper) for term in terms)
+
+    def test_largest_term_floors_a_grid_that_misses_it(self):
+        # t in {0, 0.25, 0.5} keeps 2^(-it) - 3^(-it) near 0, but |a_2| = 1 is certified
+        est = seminorm(DirichletPolynomial({2: 1, 3: -1}), 0.0, t_max=0.5, step=0.25)
+        assert est.lower == 1.0 and type(est.lower) is float
+        assert est.upper == 2.0
+
+    def test_monomial_lower_is_upper_bit_for_bit(self):
+        # this grid's max is one ulp below |a| n^(-eps) as upper computes it
+        f = monomial(1733, complex(4.01566768931483, 0.6459964490153256))
+        est = seminorm(f, 1.0283214907599745, t_max=3.0, step=0.5)
+        assert est.lower.hex() == est.upper.hex()
 
     @given(poly_strategy(max_index=16, max_terms=4))
     def test_refining_grid_raises_lower(self, f):
@@ -498,6 +516,65 @@ class TestSeminorm:
         est = seminorm(f, 0.0, t_max=2.0)
         assert est.grid.two_sided
         assert not seminorm(monomial(2), 0.0, t_max=2.0).grid.two_sided
+
+
+class TestRefineBlock:
+    """The refine's zero block (_grid_values' keep path) costs RSS only for
+    the pages it writes."""
+
+    @staticmethod
+    def storage(E):
+        while isinstance(E, np.ndarray):
+            E = E.base
+        return E.obj if isinstance(E, memoryview) else E
+
+    @pytest.mark.parametrize(
+        "rows, cols, mapped",
+        [
+            (50, 100_001, True),  # seminorm's refine
+            (4, 116_001, True),  # the cli seminorm's refine
+            (20_000, 121, False),  # a bracket_sigma_u probe's refine: rows 1,936 B apart
+            (3, mmap.PAGESIZE // 16, True),
+            (3, mmap.PAGESIZE // 16 - 1, False),
+        ],
+    )
+    def test_zero_block_storage_follows_row_distance(self, rows, cols, mapped):
+        E = evaluation._zero_block(rows, cols)
+        assert E.shape == (rows, cols) and E.dtype == np.complex128
+        assert E.flags.c_contiguous and E.flags.writeable and E.flags.aligned
+        assert isinstance(self.storage(E), mmap.mmap) == mapped
+        assert not E.any()
+
+    def test_without_map_private_zero_block_is_np_zeros(self, monkeypatch):
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        E = evaluation._zero_block(50, 100_001)
+        assert self.storage(E) is None and not E.any()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
+    def test_seminorm_refine_peak_rss_rise(self):
+        # a 50-term real polynomial on its default 100,001-point grid refines
+        # one point through a 50 x 100,001 block (80 MB); from huge-page
+        # np.zeros the process peak rose ~84 MB, from the private map ~9 MB
+        probe = (
+            "import numpy as np\n"
+            "from dirichlet_ops import DirichletPolynomial, seminorm\n"
+            "def hwm():\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            return int(line.split()[1])\n"
+            "rng = np.random.default_rng(1)\n"
+            "idx = rng.choice(np.arange(1, 1001), 50, replace=False)\n"
+            "f = DirichletPolynomial({int(n): float(a) for n, a in zip(idx, rng.normal(size=50))})\n"
+            "before = hwm()\n"
+            "est = seminorm(f, 0.25)\n"
+            "print(hwm() - before, est.points, est.refined)\n"
+        )
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        rise_kb, points, refined = map(int, out.stdout.split())
+        assert points == 100_001 and refined >= 1
+        assert rise_kb < 24 * 1024
 
 
 class TestBoundaryValues:

@@ -26,6 +26,7 @@ found them at most 2.83 ulp of |b / x| apart, so the test allows 4.
 
 import dataclasses
 import math
+import mmap
 import sys
 import threading
 from math import fsum
@@ -350,11 +351,12 @@ def assert_grid_sup_bit_equal(logn, w, ts):
 
 
 def legacy_seminorm_lower(f, epsilon, t_max, step):
+    """The direct scan's max, floored by the largest term, capped at upper."""
     t0 = 0.0 if f.has_real_coefficients() else -t_max
     logn = np.log(f.index_array().astype(np.float64))
-    upper = fsum(abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn))
+    terms = [abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn)]
     ts = np.arange(t0, t_max + 0.5 * step, step)
-    return min(float(np.max(np.abs(boundary_values(f, epsilon, ts)))), upper)
+    return min(max(float(np.max(np.abs(boundary_values(f, epsilon, ts)))), max(terms)), fsum(terms))
 
 
 @st.composite
@@ -399,6 +401,20 @@ class TestGridSup:
         ts = np.linspace(0.0, 40.0, 3000)
         assert evaluation._t_step(logn.size) < ts.size
         assert_grid_sup_bit_equal(logn, w, ts)
+
+    @pytest.mark.parametrize("map_private", [True, False], ids=["private-map", "np.zeros"])
+    def test_seminorm_default_grid(self, monkeypatch, map_private):
+        # 50 real terms on indices <= 1000, default grid t = 0, 0.01, .., 1000:
+        # the refine's 50 x 100,001 zero block (80 MB) is a private map, or
+        # np.zeros where the platform has no MAP_PRIVATE; same bits either way
+        if not map_private:
+            monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        rng = np.random.default_rng(50)
+        idx = np.sort(rng.choice(np.arange(1, 1001), 50, replace=False))
+        logn = np.log(idx.astype(np.float64))
+        ts = np.arange(0.0, 1000.0 + 0.005, 0.01)
+        assert ts.size == 100_001
+        assert_grid_sup_bit_equal(logn, rng.normal(size=50) * np.exp(-0.25 * logn), ts)
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_tiny_grids(self, T):

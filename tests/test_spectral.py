@@ -188,6 +188,18 @@ class TestBoundedVariation:
         with pytest.raises(ValueError, match="read-only"):
             a.partial_sums[0] = 0.0
 
+    @pytest.mark.parametrize("im", [1e-12, 1e-100, 1.5e-154])
+    def test_majorant_ratio_not_absorbed_near_spectrum(self, im):
+        # the n = 2 term dominates V near -log 2, and V[-1] - V[N/2 - 2]
+        # rounds to 0; the window's own diffs sum to ~2e-15 .. 3e-157 of the majorant
+        lam, delta, N = complex(-math.log(2), im), 0.5, 1000
+        report = bv_check(lam, delta, N)
+        ns = np.arange(2, N + 2, dtype=np.float64)
+        diffs = np.abs(np.diff(1.0 / ((np.log(ns) + lam) * ns**delta)))
+        tail = (report.fitted_constant / report.gap**2) * (2.0 / delta) * (N // 2) ** (-0.5 * delta)
+        assert report.majorant_ratio > 0.0
+        assert report.majorant_ratio == pytest.approx(math.fsum(diffs[N // 2 - 1 :]) / tail, rel=1e-12)
+
     @pytest.mark.parametrize("bad_delta", [0.0, 1.0, -0.3, 1.7])
     def test_delta_range_enforced(self, bad_delta):
         with pytest.raises(DomainError):
