@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import _MAX_GRID_POINTS, _grid_sup, _on_line
-from .series import _MAX_TERMS, CoefficientRule, _validate_index, _validate_real
+from .series import _MAX_TERMS, CoefficientRule, _slope, _validate_index, _validate_real
 
 __all__ = [
     "Estimate",
@@ -48,17 +48,21 @@ _MIN_UNCERTAINTY = 0.01
 
 @dataclass(frozen=True)
 class Estimate:
-    """Abscissa estimate with window-spread uncertainty and shift used."""
+    """Abscissa estimate with window-spread uncertainty and shift used;
+    slopes[k] is the window slope after k shifts (nan where |A_M| vanished
+    almost everywhere), so an accepted estimate's value is slopes[-1] - shift."""
 
     value: float
     uncertainty: float
     shift: int
+    slopes: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class BoundednessProbe:
     """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid of
-    `points` points, `refined` of which the direct kernel recomputed."""
+    `points` points: a GEMM screen, then per-row numpy sums of the `refined`
+    points it kept; no BLAS under any returned bit."""
 
     epsilon: float
     sup_abs: float
@@ -88,7 +92,7 @@ def _window_fit(ms: np.ndarray, amps: np.ndarray) -> tuple[float, float] | None:
         return None
     x = np.log(ms[mask].astype(np.float64))
     y = np.log(amps[mask])
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope = _slope(x, y)
     ratios = y / x
     spread = float(ratios.max() - ratios.min())
     return slope, max(_MIN_UNCERTAINTY, spread)
@@ -101,6 +105,7 @@ def _estimate(values: np.ndarray, N: int) -> Estimate:
     window = slice(N // 2 - 1, N)  # indices of M = N//2 .. N
     ms = np.arange(1, N + 1, dtype=np.int64)[window]
     shifted = values.astype(np.complex128).copy()
+    slopes = []
     for k in range(0, _MAX_SHIFT + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             if k > 0:
@@ -110,14 +115,13 @@ def _estimate(values: np.ndarray, N: int) -> Estimate:
             raise DomainError(
                 f"partial sums of n^{k} a_n up to window length N = {N} overflow double precision"
             )
-        fit = _window_fit(ms, amps)
-        if fit is not None:
-            slope, spread = fit
-            if slope >= _DIVERGENCE_SLOPE:
-                return Estimate(value=slope - k, uncertainty=spread, shift=k)
+        slope, spread = _window_fit(ms, amps) or (math.nan, 0.0)
+        slopes.append(slope)
+        if slope >= _DIVERGENCE_SLOPE:
+            return Estimate(value=slope - k, uncertainty=spread, shift=k, slopes=tuple(slopes))
     # no polynomial divergence surfaced within the shift budget: either the
     # series converges everywhere (abscissa -inf) or it lies below -_MAX_SHIFT
-    return Estimate(value=-math.inf, uncertainty=0.0, shift=_MAX_SHIFT)
+    return Estimate(value=-math.inf, uncertainty=0.0, shift=_MAX_SHIFT, slopes=tuple(slopes))
 
 
 def sigma_c_estimate(rule: CoefficientRule, N: int) -> Estimate:
@@ -146,9 +150,10 @@ def bracket_sigma_u(
     The probes are evidence, not estimators: a bounded sup at epsilon is
     consistent with uniform convergence on Re s > epsilon and nothing more.
     Each probe's sup over the linspace(0, t_max, points) grid is
-    evaluation._grid_sup, seminorm's scan: a GEMM screen at about
-    2 N sqrt(points) exps, then the boundary-grid kernel on every point
-    within 2 delta of the screened maximum,
+    evaluation._grid_sup, seminorm's scan: a GEMM screen, then per-row numpy
+    sums of the kept points; no BLAS under any returned bit.  The screen
+    costs about 2 N sqrt(points) exps; the boundary-grid kernel then computes
+    only the points within 2 delta of the screened maximum,
     delta ~ 16 u (t_max log N + N) sum |a_n| n^(-eps) bounding the screen's
     error, so sup_abs is bit for bit the direct scan's maximum.  points is
     capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import _POWU_MAX, Multiplier, _power, apply
-from .series import DirichletPolynomial, _fsum, _validate_index, _validate_real
+from .series import DirichletPolynomial, _fsum, _slope, _validate_index, _validate_real
 
 __all__ = [
     "power_apply",
@@ -184,7 +184,7 @@ def ergodicity_diagnostic(
             ys = np.log(vs * ks)
         over = np.isinf(ys)  # k * v past double range: log v + log k instead
         ys[over] = np.log(vs[over]) + np.log(ks[over])
-        rate = float(np.polyfit(ks, ys, 1)[0])
+        rate = _slope(ks, ys)
     else:
         rate = 0.0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import mmap
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
-from .series import _MAX_TERMS, _fsum, _validate_complex, _validate_index, _validate_real
+from .series import _MAX_TERMS, _fsum, _slope, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "evaluate",
@@ -166,52 +165,27 @@ def _t_step(n_terms: int) -> int:
     return max(1, (1 << 23) // max(1, n_terms))
 
 
-def _zero_block(rows: int, cols: int) -> np.ndarray:
-    """A C-ordered rows x cols complex zero matrix whose pages cost RSS only
-    once written.  With rows at least a page apart, it lives in a private
-    anonymous map, advised against huge pages: a page never written reads
-    as the kernel's shared zero page.  Closer rows put every page under a
-    write anyway, and there np.zeros, on huge pages, was ~3x faster (a
-    20,000 x 121 refine, BENCH_refine_pages.json); it is also the block on
-    a platform without MAP_PRIVATE.  The map is freed with the array."""
-    if cols * 16 < mmap.PAGESIZE or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros((rows, cols), dtype=np.complex128)
-    buf = mmap.mmap(-1, rows * cols * 16, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, cols)
+def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """sum_n w_n exp(-i t log n) at each t of a 1-d grid: the one
+    boundary-grid kernel, chunked in t so no block holds more than 2^23
+    entries.
 
-
-def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray, keep=None) -> np.ndarray:
-    """sum_n w_n exp(-i t log n) at each t of a 1-d grid, or only at the
-    sorted grid positions `keep` (0 elsewhere): the one boundary-grid kernel,
-    chunked in t so no block holds more than 2^23 entries.
-
-    The chunk shape is load-bearing.  Each chunk is one BLAS gemv, whose
-    summation order for a column depends on the call shape (chunk length and
-    the column's place in it), not on the other columns' values, so the bits
-    of a value depend on how ts is cut; the CLI golden records pin them.  A
-    kept value has the full scan's bits: its chunk's matrix keeps the shape,
-    with exps in the kept columns and zeros elsewhere.
-
-    That zero matrix comes from _zero_block.  np.zeros would do for the
-    bits, but numpy madvises a large array for huge pages, so writing one
-    kept column, one element per row, faults in a 2 MB page per row: one
-    seminorm refine of 50 terms on a 100,001-point grid lifted the process's
-    peak RSS by ~84 MB to recompute a single point."""
-    out = np.zeros(ts.shape, dtype=np.complex128)
+    A chunk is a T x N block holding one t's terms in each row; the exp and
+    the weighting run in place, and each row is summed by numpy's pairwise
+    np.sum, whose order depends only on N.  So a value's bits depend neither
+    on how ts is cut nor on the other points: a point computed alone, or
+    among any subset of the grid, has the full scan's bits, and no BLAS call
+    decides them.  N = 1 is the exception: the (T, 1) block's products
+    coalesce into one 1-d loop whose SIMD body and scalar tail round
+    differently, so there a value also depends on its place in the chunk."""
+    out = np.empty(ts.shape, dtype=np.complex128)
     t_step = _t_step(logn.size)
+    phase = -1j * logn
     for i in range(0, ts.size, t_step):
-        tc = ts[i : i + t_step]
-        if keep is None:
-            out[i : i + t_step] = w @ np.exp(np.outer(logn, -1j * tc))
-            continue
-        lo, hi = np.searchsorted(keep, (i, i + t_step))
-        if lo < hi:
-            cols = keep[lo:hi] - i
-            E = _zero_block(logn.size, tc.size)
-            E[:, cols] = np.exp(np.outer(logn, -1j * tc[cols]))
-            out[i + cols] = (w @ E)[cols]
+        E = np.outer(ts[i : i + t_step], phase)
+        np.exp(E, out=E)
+        E *= w
+        out[i : i + t_step] = E.sum(axis=1)
     return out
 
 
@@ -240,8 +214,8 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
         phases and the direct one together move a term by <= 3 u tau L |w_n|;
       - moving the point from ts[j] to a_b + o_k moves it by <= dev L |w_n|;
       - each exp is within 2u of the unit circle point, each complex
-        product within 4u, and a sum of N terms (gemv or GEMM, in any
-        order) within 2 N u sqrt(2) W, for each side.
+        product within 4u, and a sum of N terms (pairwise np.sum or GEMM,
+        in any order) within 2 N u sqrt(2) W, for each side.
     Summing, |S_j - D_j| <= W (L (dev + 3 u tau) + u (6 N + 18)); delta is
     W (L (dev + 4 u tau) + 16 u (N + 4)), which also covers the rounding of
     W, dev and |S_j| themselves.
@@ -249,8 +223,11 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
     Refine.  If |S_i| = max |S| and |D_j| = max |D|, then |S_j| >= |D_j| -
     delta >= |D_i| - delta >= |S_i| - 2 delta, so every point with
     |S_j| >= max |S| - 2 delta is kept and the direct maximum is among them.
-    _grid_values recomputes them into a full-length array before np.abs,
-    whose vector body and scalar tail round differently.  A non-finite
+    _grid_values computes only them, each with the full scan's bits, into a
+    zero array of the grid's length before np.abs, whose vector body and
+    scalar tail round differently.  At N = 1, where a lone point's bits can
+    differ, every point is kept (each |S_j| is |w_1| within a few u, and
+    2 delta >= 160 u |w_1|), so the refine is the full scan.  A non-finite
     screen maximum or delta keeps every point.  The screen runs on every
     grid (at N = 3, T = 1024 the two paths tie), under _on_line's errstate."""
     n, T = logn.size, ts.size
@@ -270,9 +247,11 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
     tau = float(np.max(np.abs(ts))) + B * abs(h)
     delta = float(np.sum(np.abs(w))) * (float(np.max(logn)) * (dev + 4 * _U * tau) + 16 * _U * (n + 4))
     top = float(np.max(screen))
-    keep = np.flatnonzero(screen >= top - 2 * delta) if math.isfinite(top) and math.isfinite(delta) else None
-    sup = float(np.max(np.abs(_grid_values(logn, w, ts, keep))))
-    return sup, T if keep is None else int(keep.size)
+    finite = math.isfinite(top) and math.isfinite(delta)
+    keep = np.flatnonzero(screen >= top - 2 * delta) if finite else np.arange(T)
+    values = np.zeros(T, dtype=np.complex128)
+    values[keep] = _grid_values(logn, w, ts[keep])
+    return float(np.max(np.abs(values))), int(keep.size)
 
 
 def _on_line(kernel, coeffs: np.ndarray, logn: np.ndarray, epsilon: float, ts: np.ndarray):
@@ -344,7 +323,8 @@ class TailBound:
     1% slack, 'accumulating' adds a fitted power-law integral remainder,
     'divergent' means the fitted decay is not integrable (bound = inf), and
     'sparse' means the window's second half holds fewer than 8 nonzero terms,
-    too few to fit a decay, so no finite bound is certified (bound = inf)."""
+    or indices so near 2^63 that their logs round to one double, too few to
+    fit a decay, so no finite bound is certified (bound = inf)."""
 
     M: int
     epsilon: float
@@ -354,16 +334,17 @@ class TailBound:
 
 
 def _fit_decay_exponent(ns: np.ndarray, mags: np.ndarray) -> float | None:
-    # least-squares slope of log|x_n| vs log n over the probe tail
+    # least-squares slope of log|x_n| vs log n over the probe tail; None for
+    # too few nonzero terms, or log n all one double (n near 2^63)
     mask = mags > 0
     if mask.sum() < 8:
         return None
     idx = np.nonzero(mask)[0]
     take = idx[np.linspace(0, idx.size - 1, min(64, idx.size)).astype(int)]
     lx = np.log(ns[take].astype(np.float64))
-    ly = np.log(mags[take])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(-slope)
+    if lx[0] == lx[-1]:
+        return None
+    return -_slope(lx, np.log(mags[take]))
 
 
 # tail ladder: _PROBE terms per rung, _SETTLE_REL slack on a settled maximum,
@@ -491,7 +472,8 @@ class SeminormEstimate:
     sum |a_n| n^(-epsilon) (a genuine upper bound).  The truth lies in
     [lower, upper].  points: grid points scanned; refined: how many of them
     the kernel recomputed after the GEMM screen (all of them when the screen
-    overflows).
+    overflows), each by a per-row numpy sum, so no BLAS call decides a bit
+    of lower.
     """
 
     epsilon: float
@@ -526,14 +508,15 @@ def seminorm(
     A grid of more than 2^24 points (t_max / step too large) raises
     DomainError instead of being allocated.
 
-    The scan is _grid_sup, on every grid: a GEMM screens the grid at about
-    2 N sqrt(T) exps, the boundary-grid kernel recomputes every point whose
-    screened |f| is within 2 delta of the screened maximum, and lower is
-    their maximum, bit for bit the direct scan's.  delta bounds the screen's
-    error, about 16 u (max|t| log n_max + N) sum |a_n| n^(-epsilon) (derived
-    in _grid_sup).  An overflow reruns the direct scan through
-    boundary_values, which names epsilon and t; a modulus or a coefficient
-    bound past double range raises DomainError naming epsilon.
+    The scan is _grid_sup, on every grid: a GEMM screen, then per-row numpy
+    sums of the kept points; no BLAS under any returned bit.  The screen
+    costs about 2 N sqrt(T) exps, the kept points are those within 2 delta
+    of its maximum, and lower is their maximum, bit for bit the direct
+    scan's.  delta bounds the screen's error, about 16 u (max|t| log n_max
+    + N) sum |a_n| n^(-epsilon) (derived in _grid_sup).  An overflow reruns
+    the direct scan through boundary_values, which names epsilon and t; a
+    modulus or a coefficient bound past double range raises DomainError
+    naming epsilon.
     """
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     step = _validate_real(step, "grid step", 0.0, strict=True)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .series import DirichletPolynomial, _normal, _validate_index
+from .series import DirichletPolynomial, _normal, _slope, _validate_index
 
 __all__ = [
     "Multiplier",
@@ -220,10 +220,10 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
     logn = np.log(np.array(pts, dtype=np.float64))
     u = np.log(logn) / logn
 
-    design = np.column_stack([np.ones_like(u), u])
-    coef, *_ = np.linalg.lstsq(design, r, rcond=None)
-    limit = float(coef[0])
-    resid = float(np.sqrt(np.mean((design @ coef - r) ** 2)))
+    # r ~ limit + slope u, fitted in closed form
+    slope = _slope(u, r)
+    limit = float(np.mean(r)) - slope * float(np.mean(u))
+    resid = float(np.sqrt(np.mean((limit + slope * u - r) ** 2)))
 
     tail = np.abs(r[-3:])
     if tail.max() < _RATIO_THRESHOLD:

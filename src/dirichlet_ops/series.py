@@ -311,6 +311,13 @@ def _fsum(xs) -> float:
         return math.nan
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x (two distinct x at least) from centered
+    numpy sums, not a BLAS or LAPACK solve; y = x gives exactly 1."""
+    dx = x - np.mean(x)
+    return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
+
+
 # below this many index pairs the per-pair loop beats the array kernel: the
 # measured crossover is 42-49 pairs (2-core x86-64, numpy 2.4)
 _KERNEL_MIN_PAIRS = 48

@@ -31,6 +31,11 @@ class TestSigmaC:
         assert sigma_c_estimate(ones_rule(), 2000).value == pytest.approx(1.0, abs=1e-9)
         assert sigma_c_estimate(ones_rule(), N).value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [2000, N])
+    def test_ones_is_exactly_one(self, n):
+        # log|A_M| = log M: the window is an exact line of slope 1
+        assert sigma_c_estimate(ones_rule(), n).value == 1.0
+
     def test_eta_is_zero(self):
         assert sigma_c_estimate(eta_rule(), N).value == pytest.approx(0.0, abs=0.05)
 
@@ -172,3 +177,29 @@ class TestCorpusStability:
             e1 = estimator(rule, N // 2)
             e2 = estimator(rule, N)
             assert abs(e1.value - e2.value) <= e1.uncertainty + e2.uncertainty
+
+
+class TestSlopesEvidence:
+    @pytest.mark.parametrize(
+        "estimate, rule",
+        [
+            (sigma_c_estimate, ones_rule()),
+            (sigma_c_estimate, eta_rule()),
+            (sigma_a_estimate, eta_rule()),
+            (sigma_a_estimate, zeta_shift_rule(2)),
+            (sigma_c_estimate, linear_rule()),
+        ],
+        ids=["sigma_c-ones", "sigma_c-eta", "sigma_a-eta", "sigma_a-zeta_shift(2)", "sigma_c-linear"],
+    )
+    def test_value_is_last_slope_minus_shift(self, estimate, rule):
+        est = estimate(rule, 2000)
+        assert len(est.slopes) == est.shift + 1
+        assert est.value == est.slopes[-1] - est.shift
+        assert not any(s >= abscissa._DIVERGENCE_SLOPE for s in est.slopes[:-1])
+
+    def test_no_divergence_keeps_every_shift(self):
+        # |A_M| vanishes in every window: no slope at any shift
+        est = sigma_c_estimate(table_rule({}), 500)
+        assert est.value == -math.inf and est.shift == abscissa._MAX_SHIFT
+        assert len(est.slopes) == abscissa._MAX_SHIFT + 1
+        assert all(math.isnan(s) for s in est.slopes)

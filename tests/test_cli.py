@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -388,8 +390,30 @@ class TestGoldenFixture:
         assert sorted((commands | {None}) - helped, key=str) == [], "parser without pinned --help"
 
 
-if __name__ == "__main__":
-    import os
+# replays every golden record in a fresh interpreter, printing the argv of
+# each that differs as one JSON list
+_REPLAY = (
+    "import json\n"
+    "from test_cli import GOLDEN, capture\n"
+    "print(json.dumps([c['argv'] for c in GOLDEN if capture(c['argv']) != c]))\n"
+)
 
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Prescott"])
+def test_golden_bytes_do_not_follow_the_blas_kernel(coretype):
+    """Every golden record replays unchanged under another OpenBLAS kernel,
+    picked by OPENBLAS_CORETYPE in a subprocess: no BLAS or LAPACK call
+    decides a pinned bit.  A BLAS that ignores the variable (not OpenBLAS,
+    or OpenBLAS built for one kernel) runs the kernel it always runs, and
+    there the test passes trivially."""
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(here)])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "COLUMNS": "80", "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _REPLAY], capture_output=True, text=True,
+                         check=True, timeout=300, env=env, cwd=here)
+    assert json.loads(out.stdout) == []
+
+
+if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     print(json.dumps(capture(sys.argv[1:])))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +87,35 @@ class TestGrowthCheck:
         m = Multiplier(lambda n: complex(1.5e308, 1.5e308), "huge-complex")
         with pytest.raises(DomainError, match="'huge-complex' overflows double precision at n = 2"):
             check_growth(m)
+
+    # the resolvent symbols 1 / (log n + lambda); ids name the expected verdict
+    GROWTH_CASES = [
+        (derivative_multiplier(), "admissible"),
+        (integration_multiplier(), "admissible"),
+        (identity_multiplier(), "admissible"),
+        (Multiplier(lambda n: 1.0 / (math.log(n) + 1e-3j), "resolvent 1e-3i"), "admissible"),
+        (Multiplier(lambda n: 1.0 / (math.log(n) + 0.5), "resolvent 0.5"), "inconclusive"),
+        (Multiplier(lambda n: 1.0 / (math.log(n) + 2 + 1j), "resolvent 2+i"), "inconclusive"),
+        (Multiplier(lambda n: 1.0 / (math.log(n) - 0.3 + 0.2j), "resolvent -0.3+0.2i"), "inconclusive"),
+    ]
+
+    @pytest.mark.parametrize("n_max", [10**3, 10**5, 10**7])
+    @pytest.mark.parametrize("m, verdict", GROWTH_CASES, ids=lambda c: getattr(c, "label", c))
+    def test_closed_form_fit_agrees_with_lstsq(self, m, verdict, n_max):
+        # the two-parameter fit r ~ limit + slope u, against LAPACK least
+        # squares, to 1e-12 of the ratios' scale; the verdicts are those the
+        # lstsq fit gave
+        report = check_growth(m, n_max)
+        logn = np.log(np.array(report.sample_points, dtype=np.float64))
+        u = np.log(logn) / logn
+        r = np.array(report.ratios)
+        design = np.column_stack([np.ones_like(u), u])
+        coef, *_ = np.linalg.lstsq(design, r, rcond=None)
+        resid = float(np.sqrt(np.mean((design @ coef - r) ** 2)))
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(r))))
+        assert abs(report.limit_estimate - coef[0]) <= scale
+        assert abs(report.fit_residual - resid) <= scale
+        assert report.verdict == verdict
 
     @pytest.mark.parametrize("n_max", [999, 1e5])
     def test_sample_ceiling_validated(self, n_max):

@@ -7,7 +7,8 @@ boundary-grid kernel, its rules through one vectorized values path, and its
 internal results (apply, add, scale, convolution) through the trusted
 normal-form constructor and the array convolution kernel.  The grid sup of
 seminorm and of the probes, now a GEMM screen and a direct refine, is
-checked against the direct boundary-grid kernel it replaced.
+checked against the direct boundary-grid kernel it replaced, and that
+kernel against one np.sum per grid point.
 normalized_power_norm chose its direct term by two cut-offs, on k log|g|
 and on the log term; it now keeps that term whenever g^k and g^k a_n are
 normal doubles, and must match the old sum bit for bit wherever the old
@@ -26,7 +27,6 @@ found them at most 2.83 ulp of |b / x| apart, so the test allows 4.
 
 import dataclasses
 import math
-import mmap
 import sys
 import threading
 from math import fsum
@@ -194,18 +194,14 @@ def legacy_took_normal_direct_terms(m, f, k):
     return True
 
 
-def legacy_probe_sup(values, epsilon, t_max, points):
+def pointwise_probe_sup(values, epsilon, t_max, points):
+    """The probe's sup from one sum (np.exp(-1j t log n) w).sum() per grid
+    point t, each computed alone."""
     values = np.asarray(values, dtype=np.complex128)
-    ns = np.arange(1, values.size + 1, dtype=np.float64)
-    logn = np.log(ns)
+    logn = np.log(np.arange(1, values.size + 1, dtype=np.float64))
     w = values * np.exp(-epsilon * logn)
-    ts = np.linspace(0.0, t_max, points)
-    sup = 0.0
-    t_step = max(1, (1 << 23) // values.size)
-    for i in range(0, ts.size, t_step):
-        tc = ts[i : i + t_step]
-        sup = max(sup, float(np.max(np.abs(w @ np.exp(np.outer(logn, -1j * tc))))))
-    return sup
+    sums = [(np.exp(-1j * t * logn) * w).sum() for t in np.linspace(0.0, t_max, points)]
+    return float(np.max(np.abs(np.array(sums))))
 
 
 def legacy_partial_sum(rule, s, N, chunk):
@@ -333,13 +329,30 @@ class TestBoundaryGridKernel:
         values = rule.values(np.arange(1, 2001, dtype=np.int64))
         est = bracket_sigma_u(rule, 2000, [0.0, 0.5])
         for probe in est.probes:
-            assert probe.sup_abs == legacy_probe_sup(values, probe.epsilon, 30.0, 121)
+            assert probe.sup_abs == pointwise_probe_sup(values, probe.epsilon, 30.0, 121)
 
     def test_probe_bit_equal_across_t_chunks(self):
         # 3000 points at 3000 terms exceed one 2^23-entry block: two chunks
         values = eta_rule().values(np.arange(1, 3001, dtype=np.int64))
         [probe] = bracket_sigma_u(eta_rule(), 3000, [0.25], t_max=40.0, points=3000).probes
-        assert probe.sup_abs == legacy_probe_sup(values, 0.25, 40.0, 3000)
+        assert probe.sup_abs == pointwise_probe_sup(values, 0.25, 40.0, 3000)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 50, 20_000])
+    def test_subset_and_single_points_have_the_full_scans_bits(self, monkeypatch, N):
+        # a row's pairwise sum depends only on N, so neither the t-chunk a
+        # point falls in nor the other points computed with it move its bits;
+        # 40 points in chunks of 16 cross two chunk boundaries
+        monkeypatch.setattr(evaluation, "_t_step", lambda n_terms: 16)
+        rng = np.random.default_rng(N)
+        logn = np.log(np.sort(rng.choice(np.arange(1, 3 * N + 1), N, replace=False)).astype(np.float64))
+        w = (rng.normal(size=N) + 1j * rng.normal(size=N)) * np.exp(-0.25 * logn)
+        ts = np.linspace(-20.0, 45.0, 40)
+        full = _grid_values(logn, w, ts)
+        subset = np.sort(rng.choice(ts.size, 11, replace=False))
+        assert _grid_values(logn, w, ts[subset]).tobytes() == full[subset].tobytes()
+        for j in subset:
+            assert _grid_values(logn, w, ts[j : j + 1]).tobytes() == full[j : j + 1].tobytes()
+            assert complex((np.exp(-1j * ts[j] * logn) * w).sum()) == complex(full[j])
 
 
 def assert_grid_sup_bit_equal(logn, w, ts):
@@ -402,13 +415,8 @@ class TestGridSup:
         assert evaluation._t_step(logn.size) < ts.size
         assert_grid_sup_bit_equal(logn, w, ts)
 
-    @pytest.mark.parametrize("map_private", [True, False], ids=["private-map", "np.zeros"])
-    def test_seminorm_default_grid(self, monkeypatch, map_private):
-        # 50 real terms on indices <= 1000, default grid t = 0, 0.01, .., 1000:
-        # the refine's 50 x 100,001 zero block (80 MB) is a private map, or
-        # np.zeros where the platform has no MAP_PRIVATE; same bits either way
-        if not map_private:
-            monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+    def test_seminorm_default_grid(self):
+        # 50 real terms on indices <= 1000, default grid t = 0, 0.01, .., 1000
         rng = np.random.default_rng(50)
         idx = np.sort(rng.choice(np.arange(1, 1001), 50, replace=False))
         logn = np.log(idx.astype(np.float64))
@@ -423,12 +431,16 @@ class TestGridSup:
         w = np.array([1.0, -0.5 + 0.25j, 2.0, 1e-3j])
         assert_grid_sup_bit_equal(logn, w, np.linspace(-3.0, 5.0, T))
 
+    @pytest.mark.parametrize("T", [1, 7, 1110, 20_001])
     @pytest.mark.parametrize("n", [1, 7, 400])
-    def test_constant_modulus_keeps_every_point(self, n):
-        # |c n^(-s)| is the same at every t: every screened point is a candidate
+    def test_constant_modulus_keeps_every_point(self, n, T):
+        # |c n^(-s)| is the same at every t: every screened point is a
+        # candidate.  That keeps the refine exact at N = 1, where the (T, 1)
+        # block's products coalesce into one 1-d loop and a point computed
+        # alone may round differently from the full scan
         logn = np.log(np.array([float(n)]))
-        ts = np.arange(-100.0, 100.0 + 0.005, 0.01)
-        assert assert_grid_sup_bit_equal(logn, np.array([(2.5 - 1j) * n**-0.3]), ts) == ts.size
+        ts = np.linspace(-100.0, 100.0, T)
+        assert assert_grid_sup_bit_equal(logn, np.array([(2.5 - 1j) * n**-0.3]), ts) == T
 
     @given(poly_strategy(max_index=3000, max_terms=12), st.floats(0.0, 1.0))
     def test_seminorm_lower(self, f, eps):

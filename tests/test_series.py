@@ -25,7 +25,7 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _slope
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
@@ -337,3 +337,27 @@ class TestCoefficientClose:
         assert coefficient_close(f, f, rtol=0.0, atol=0.0)
         assert coefficient_close(f, monomial(2, 1.5), rtol=0, atol=0.5)
         assert not coefficient_close(f, monomial(2, 1.5), rtol=0, atol=0.25)
+
+
+class TestSlope:
+    """The closed-form least-squares slope of the window fits."""
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 41, 500, 5000, 50_000])
+    def test_agrees_with_polyfit(self, size):
+        # windows shaped like the fits': log M over [N/2, N], random slope,
+        # offset and noise
+        rng = np.random.default_rng(size)
+        for _ in range(5):
+            N = int(rng.integers(2 * size, 4 * size + 2))
+            x = np.log(np.sort(rng.choice(np.arange(N // 2, N + 1), size, replace=False)).astype(np.float64))
+            y = rng.uniform(-3, 3) * x + rng.uniform(-5, 5) + rng.normal(scale=rng.uniform(0, 0.5), size=size)
+            want = np.polyfit(x, y, 1)[0]
+            assert abs(_slope(x, y) - want) <= 1e-12 * abs(want)
+
+    def test_exact_on_exact_lines(self):
+        x = np.log(np.arange(1000, 2001, dtype=np.float64))
+        assert _slope(x, x) == 1.0
+        assert _slope(x, -x) == -1.0
+        assert _slope(x, 2.0 * x) == 2.0
+        assert _slope(np.arange(21.0, 41.0), np.full(20, 3.5)) == 0.0
+
