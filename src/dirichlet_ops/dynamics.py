@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .operators import _POWU_MAX, Multiplier, _power, apply
-from .series import DirichletPolynomial, _fsum, _slope, _validate_index, _validate_real
+from .operators import _POWU_MAX, Multiplier, _logs, _power, _product, apply
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _fsum, _slope, _validate_index, _validate_real
 
 __all__ = [
     "power_apply",
@@ -84,10 +85,30 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     return apply(mean, f)
 
 
-def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]:
+class _ArrayOrbit(NamedTuple):
+    """An _orbit on arrays: symbol(n) as real and imaginary parts, |symbol(n)|,
+    a_n as real and imaginary parts, |a_n|, n^(-epsilon) and epsilon log n,
+    for each stored term with symbol(n) != 0."""
+
+    gr: np.ndarray
+    gi: np.ndarray
+    mod_g: np.ndarray
+    ar: np.ndarray
+    ai: np.ndarray
+    mod_a: np.ndarray
+    decay: np.ndarray
+    eps_log: np.ndarray
+
+
+def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple] | _ArrayOrbit:
     """The k-independent part of each orbit term, read once: (symbol(n), a_n,
-    |a_n|, n^(-epsilon), epsilon log n) for each stored term with symbol(n) != 0."""
+    |a_n|, n^(-epsilon), epsilon log n) for each stored term with symbol(n) != 0.
+    From _ARRAY_MIN_TERMS terms on, the same values as an _ArrayOrbit."""
     m.check_domain(f)
+    if f.term_count >= _ARRAY_MIN_TERMS:
+        orbit = _array_orbit(m, f, epsilon)
+        if orbit is not None:
+            return orbit
     orbit = []
     for n, a in f.items():
         g = m(n)
@@ -102,23 +123,84 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
     return orbit
 
 
-def _orbit_norm(orbit: list[tuple], k: int) -> float:
-    """sum |g^k a| n^(-epsilon) / k over an _orbit; inf past double range."""
-    terms = []
-    for g, a, mod_a, decay, eps_log in orbit:
-        try:
-            power = g**k
-            term = abs(power * a)
-            direct = _MIN_NORMAL <= abs(power) < math.inf and _MIN_NORMAL <= term < math.inf
-        except OverflowError:
-            direct = False
-        if direct:
-            terms.append(term * decay / k)
-            continue
-        log_term = k * math.log(abs(g)) + math.log(mod_a) - eps_log - math.log(k)
-        if log_term > _LOG_MAX:
-            return math.inf
-        terms.append(math.exp(log_term))
+def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _ArrayOrbit | None:
+    """_orbit's values on arrays, bit for bit: symbol(n) from the array
+    symbol, or from m(n) per term without one; np.hypot for the moduli
+    (CPython's complex abs; np.abs is not); math.log and math.exp per index.
+    None where the loop must run to raise its error: an |a_n| past double
+    range, or an array symbol value or modulus that is not finite."""
+    idx, a = f.index_array(), f.coefficient_array()
+    with np.errstate(over="ignore"):
+        mod_a = np.hypot(a.real, a.imag)
+    if np.isinf(mod_a).any():
+        return None
+    if m.array_symbol is None:
+        g = np.array([m(n) for n in idx.tolist()], dtype=np.complex128)
+        gr, gi = g.real, g.imag
+    else:
+        gr, gi = m.array_symbol(idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mod_g = np.hypot(gr, gi)
+    if not np.isfinite(mod_g).all():
+        return None
+    keep = mod_g != 0
+    if not keep.all():
+        idx, a, mod_a, gr, gi, mod_g = (x[keep] for x in (idx, a, mod_a, gr, gi, mod_g))
+    eps_log = epsilon * _logs(idx)
+    decay = np.fromiter(map(math.exp, (-eps_log).tolist()), dtype=np.float64, count=idx.size)
+    return _ArrayOrbit(gr, gi, mod_g, a.real, a.imag, mod_a, decay, eps_log)
+
+
+def _log_space_term(mod_g: float, mod_a: float, eps_log: float, k: int) -> float:
+    """|g^k a| n^(-epsilon) / k from the logs of its factors; inf past double range."""
+    log_term = k * math.log(mod_g) + math.log(mod_a) - eps_log - math.log(k)
+    return math.inf if log_term > _LOG_MAX else math.exp(log_term)
+
+
+def _cpython_power(g: complex, k: int) -> complex:
+    """g ** k as CPython forms it, inf where it overflows."""
+    try:
+        return g**k
+    except OverflowError:
+        return complex(math.inf)
+
+
+def _array_terms(o: _ArrayOrbit, k: int) -> list[float]:
+    """_orbit_norm's terms on an _ArrayOrbit, the loop's bits in the loop's
+    order: g^k by operators._power (CPython's c_powu) for k <= 100 and by
+    CPython's ** per term past it, unfused products, and the log-space
+    terms per index."""
+    with np.errstate(all="ignore"):
+        if k <= _POWU_MAX:
+            pr, pi = _power(o.gr, o.gi, k)
+        else:
+            p = np.array([_cpython_power(complex(r, i), k) for r, i in zip(o.gr.tolist(), o.gi.tolist())])
+            pr, pi = p.real, p.imag
+        mod_p = np.hypot(pr, pi)
+        term = np.hypot(*_product(pr, pi, o.ar, o.ai))
+        terms = (term * o.decay / k).tolist()
+    direct = (_MIN_NORMAL <= mod_p) & (mod_p < math.inf) & (_MIN_NORMAL <= term) & (term < math.inf)
+    for i in np.flatnonzero(~direct).tolist():
+        terms[i] = _log_space_term(float(o.mod_g[i]), float(o.mod_a[i]), float(o.eps_log[i]), k)
+    return terms
+
+
+def _orbit_norm(orbit: list[tuple] | _ArrayOrbit, k: int) -> float:
+    """sum |g^k a| n^(-epsilon) / k over an _orbit; inf past double range.
+    A term is taken as computed where g^k and g^k a are normal doubles, else
+    in log space."""
+    if isinstance(orbit, _ArrayOrbit):
+        terms = _array_terms(orbit, k)
+    else:
+        terms = []
+        for g, a, mod_a, decay, eps_log in orbit:
+            try:
+                power = g**k
+                term = abs(power * a)
+                direct = _MIN_NORMAL <= abs(power) < math.inf and _MIN_NORMAL <= term < math.inf
+            except OverflowError:
+                direct = False
+            terms.append(term * decay / k if direct else _log_space_term(abs(g), mod_a, eps_log, k))
     total = _fsum(terms)  # nan: the nonnegative terms overflowed in the sum
     return math.inf if math.isnan(total) else total
 
@@ -133,7 +215,11 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     representable value.  inf is returned exactly when a term or the sum
     passes double range.  A coefficient whose modulus passes double range
     raises DomainError naming its index.  ergodicity_diagnostic samples this
-    sum for every k from one read of the symbol values, bit for bit."""
+    sum for every k from one read of the symbol values, bit for bit.
+
+    From _ARRAY_MIN_TERMS terms on, the terms are formed on arrays (the
+    array symbol where the multiplier has one, else m(n) per term) with the
+    per-term loop's bits and error messages."""
     k = _validate_index(k, "iterate count")
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     return _orbit_norm(_orbit(m, f, epsilon), k)
@@ -171,6 +257,11 @@ _RATE_POSITIVE = 0.01
 def ergodicity_diagnostic(
     m: Multiplier, f: DirichletPolynomial, epsilon: float, k_max: int = 40
 ) -> DynamicsReport:
+    """Sample normalized_power_norm(m, f, epsilon, k) for k = 1..k_max and
+    classify the orbit (rules in DynamicsReport).  The symbol values, |a_n|
+    and n^(-epsilon) are read once for all k, on arrays from
+    _ARRAY_MIN_TERMS terms on; every sample is normalized_power_norm's,
+    bit for bit."""
     k_max = _validate_index(k_max, "k_max", 10)
     orbit = _orbit(m, f, _validate_real(epsilon, "epsilon", 0.0))
     samples = tuple((k, _orbit_norm(orbit, k)) for k in range(1, k_max + 1))

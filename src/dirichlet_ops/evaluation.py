@@ -544,15 +544,17 @@ def seminorm(
     lower, refined = _on_line(_grid_sup, coeffs, logn, epsilon, ts)
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
-    terms = [abs(a) * math.exp(-epsilon * ln) for a, ln in zip(coeffs, logn)]
-    upper = _fsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.fromiter(map(math.exp, (-epsilon * logn).tolist()), dtype=np.float64, count=logn.size)
+        terms = np.hypot(coeffs.real, coeffs.imag) * decay
+    upper = _fsum(terms.tolist())
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(
             f"max |f| or sum |a_n| n^(-epsilon) overflows double precision at epsilon = {epsilon}"
         )
     # Bohr's coefficient bound lifts a grid that misses the largest term; the
     # grid scan can only overshoot the coefficient bound by roundoff
-    lower = min(max(lower, float(max(terms))), upper)
+    lower = min(max(lower, float(np.max(terms))), upper)
     return SeminormEstimate(
         epsilon=float(epsilon), lower=lower, upper=float(upper), grid=grid,
         points=int(ts.size), refined=refined,

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .series import DirichletPolynomial, _normal, _slope, _validate_index
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _normal, _slope, _validate_index
 
 __all__ = [
     "Multiplier",
@@ -104,10 +104,11 @@ class Multiplier:
 
     array_symbol (keyword-only, optional, left out of == and hash) maps a
     sorted int64 index array to the real and imaginary parts of
-    complex(symbol(n)), bit for bit; apply takes it from _ARRAY_MIN_TERMS
-    terms on.  The derivative, integration and identity multipliers, the
-    resolvent and their power_apply iterates for k <= 100 carry one; user
-    symbols, cesaro_mean and compose run the scalar symbol alone.
+    complex(symbol(n)), bit for bit; apply and the orbit norms of dynamics
+    take it from series._ARRAY_MIN_TERMS terms on.  The derivative,
+    integration and identity multipliers, the resolvent and their
+    power_apply iterates for k <= 100 carry one; user symbols, cesaro_mean
+    and compose run the scalar symbol alone.
     """
 
     symbol: Callable[[int], complex]
@@ -241,13 +242,6 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
         limit_estimate=limit,
         fit_residual=resid,
     )
-
-
-# from this many terms on, apply multiplies by the array symbol; below it
-# the per-term comprehension is faster.  On fresh dict-backed inputs the two
-# cross at 56-96 terms for the derivative, the resolvent and power_apply
-# with k = 40 (2-core x86-64, numpy 2.4.6, minimum of 15 x 300 calls)
-_ARRAY_MIN_TERMS = 96
 
 
 def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:

@@ -49,6 +49,14 @@ __all__ = [
 # indices are stored and multiplied as int64
 _INDEX_MAX = 2**63 - 1
 
+# from this many terms on, the bulk calls run on arrays: the constructor
+# (given a mapping of int keys to complex or float values), apply (with an
+# array symbol) and the orbit of normalized_power_norm and
+# ergodicity_diagnostic.  Below it their per-term loops are faster.  Measured
+# crossovers on fresh inputs (2-core x86-64, numpy 2.4.6; BENCH_bulk_paths.json):
+# the constructor at 24-32 terms, the orbit at 64-80, apply at 56-192.
+_ARRAY_MIN_TERMS = 96
+
 # most terms a call may materialize at once (truncate, the abscissa
 # windows, bv_check, one partial_sum chunk), checked before anything is
 # allocated.  Their peaks measure 32 (a partial_sum chunk at s = 0) to 97
@@ -111,9 +119,11 @@ class DirichletPolynomial:
     index order: a read-only dict (coeffs, items) and read-only sorted
     int64 index and complex128 coefficient arrays (index_array,
     coefficient_array).  Each form is built from the other on first use
-    and cached.  The constructor and the small-call paths store the dict
-    alone; array kernels (truncate, the convolution kernel, apply with an
-    array symbol) store the arrays alone, and max_index, term_count,
+    and cached.  Below _ARRAY_MIN_TERMS terms the constructor and the
+    small-call paths store the dict alone; from it on, a mapping of int
+    keys to complex or float values is built as arrays, as the array
+    kernels (truncate, the convolution kernel, apply with an array symbol)
+    are, and stored as the arrays alone.  max_index, term_count,
     is_zero, has_real_coefficients and the evaluation kernels read them
     without building a dict.  Two threads may race to build the same form;
     both build the same value, so concurrent reads stay safe.
@@ -122,7 +132,12 @@ class DirichletPolynomial:
     __slots__ = ("_map", "_idx", "_val")
 
     def __init__(self, coeffs=()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        if isinstance(coeffs, Mapping):
+            if len(coeffs) >= _ARRAY_MIN_TERMS and _from_mapping(coeffs, self):
+                return
+            items = coeffs.items()
+        else:
+            items = coeffs
         acc: dict[int, complex] = {}
         for n, a in items:
             n = _validate_index(n)
@@ -238,6 +253,34 @@ def _coefficient(n: int, a) -> complex:
     return _validate_complex(a, f"coefficient at n={n}")
 
 
+def _from_mapping(coeffs: Mapping, f: DirichletPolynomial) -> bool:
+    """Fill f from a mapping whose keys are all int in [1, 2^63 - 1] and
+    whose values are all complex or float, on arrays: the loop's terms, bit
+    for bit.  False, with f untouched, for any other mapping; the loop then
+    raises whatever error the input deserves."""
+    if {*map(type, coeffs)} != {int} or not {*map(type, coeffs.values())} <= {complex, float}:
+        return False
+    try:
+        idx = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    except OverflowError:
+        return False
+    if idx.min() < 1:
+        return False
+    vals = np.fromiter(coeffs.values(), dtype=np.complex128, count=len(coeffs))
+    order = np.argsort(idx)
+    _normal(idx[order], vals[order], f)
+    return True
+
+
+def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
+    """DomainError naming the first index, in array order, whose value is
+    not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"coefficient at n={keys[i]} must be finite, got {complex(values[i])!r}")
+
+
 def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPolynomial:
     """The trusted constructor: normal form of coefficients whose keys are
     valid, distinct and increasing, so no index check, accumulation or sort
@@ -253,10 +296,7 @@ def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPoly
         f = object.__new__(DirichletPolynomial)
     if isinstance(keys, np.ndarray):
         values = values + 0j
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(f"coefficient at n={keys[i]} must be finite, got {complex(values[i])!r}")
+        _check_finite(keys, values)
         keep = values != 0
         if not keep.all():
             keys, values = keys[keep], values[keep]
@@ -528,13 +568,16 @@ def moebius_rule() -> CoefficientRule:
 
 
 def table_rule(mapping: Mapping[int, complex], tag: str = "table") -> CoefficientRule:
-    """Finite table promoted to a rule; indices outside the table give 0."""
+    """Finite table promoted to a rule; indices outside the table give 0.
+    A value that is not finite raises DomainError naming its index, as the
+    constructor does; explicit zeros are kept."""
     frozen = {}
     for n, a in mapping.items():
         n = _validate_index(n)
         frozen[n] = _coefficient(n, a)
     keys = np.array(sorted(frozen), dtype=np.int64)
     vals = np.array([frozen[n] for n in keys.tolist()], dtype=np.complex128)
+    _check_finite(keys, vals)
 
     def vec(ns: np.ndarray) -> np.ndarray:
         if not keys.size:

@@ -35,7 +35,7 @@ from dirichlet_ops import (
     truncation_for_tolerance,
     zeta_shift_rule,
 )
-from dirichlet_ops.series import _MAX_TERMS, _validate_complex, _validate_real
+from dirichlet_ops.series import _ARRAY_MIN_TERMS, _MAX_TERMS, _validate_complex, _validate_real
 
 
 class TestValidateReal:
@@ -180,6 +180,11 @@ COEFFICIENT_ENTRIES = {
     "monomial": (lambda v: monomial(2, v), "coefficient at n=2"),
     "scale": (lambda v: scale(v, monomial(2)), "scale factor"),
     "table_rule": (lambda v: table_rule({5: 1.0, 2: v}), "coefficient at n=2"),
+    # from _ARRAY_MIN_TERMS entries on, a mapping of floats is built on arrays
+    "DirichletPolynomial.bulk": (
+        lambda v: DirichletPolynomial({**dict.fromkeys(range(3, 3 + _ARRAY_MIN_TERMS), 1.0), 2: v}),
+        "coefficient at n=2",
+    ),
 }
 
 
@@ -198,6 +203,28 @@ def test_coefficient_gated(entry, value, message):
     with pytest.raises(DomainError) as info:
         call(value)
     assert str(info.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("entry", [name for name in COEFFICIENT_ENTRIES if name != "scale"])
+@pytest.mark.parametrize(
+    "value, shown", [(math.nan, "(nan+0j)"), (math.inf, "(inf+0j)"), (-math.inf, "(-inf+0j)")]
+)
+def test_non_finite_coefficient_named(entry, value, shown):
+    # a non-finite float skips the type gate; it must still raise, at
+    # construction, naming its index (a table rule used to return it)
+    call, name = COEFFICIENT_ENTRIES[entry]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite, got {shown}"
+
+
+def test_table_rule_keeps_zeros_and_their_signs():
+    rule = table_rule({2: -0.0, 3: 0.0, 4: complex(-0.0, -0.0), 5: complex(1.5, -0.0), 7: 0})
+    got = rule.values(np.arange(1, 9))
+    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == [
+        (a.real.hex(), a.imag.hex())
+        for a in (0j, complex(-0.0), 0j, complex(-0.0, -0.0), complex(1.5, -0.0), 0j, 0j, 0j)
+    ]
 
 
 @pytest.mark.parametrize("value", [3, np.float32(0.5), np.int64(-2), np.complex64(1j), 1 - 2j, 0.25])

@@ -16,9 +16,13 @@ one took the direct term for every index and each was a normal double.
 partial_sum computes its chunks on a thread pool when s != 0 and must give
 its old sequential loop's bits for one worker and for two.  apply runs the
 built-in multipliers, the resolvent and power_apply iterates on arrays
-from operators._ARRAY_MIN_TERMS terms on and must give the per-term
-loop's bits and error messages; polynomials built from arrays must be
-indistinguishable from those built from dicts.
+from series._ARRAY_MIN_TERMS terms on and must give the per-term loop's
+bits and error messages; polynomials built from arrays must be
+indistinguishable from those built from dicts.  From the same threshold
+the constructor builds a mapping of int keys to complex or float values
+on arrays, and normalized_power_norm and ergodicity_diagnostic form the
+orbit terms on arrays; both must give their per-term loops' bits and
+exceptions.
 The new paths must reproduce them bit for bit, except the resolvent, whose
 coefficients are now b * (1 / x) instead of b / x.  Both round differently
 in CPython's complex arithmetic; a random search over 10^6 coefficients
@@ -29,6 +33,7 @@ import dataclasses
 import math
 import sys
 import threading
+from collections.abc import Mapping
 from math import fsum
 
 import numpy as np
@@ -51,6 +56,7 @@ from dirichlet_ops import (
     compose,
     derivative_multiplier,
     dirichlet_multiply,
+    ergodicity_diagnostic,
     eta_rule,
     identity_multiplier,
     integration_multiplier,
@@ -66,7 +72,7 @@ from dirichlet_ops import (
     truncate,
     zeta_shift_rule,
 )
-from dirichlet_ops import evaluation, operators
+from dirichlet_ops import dynamics, evaluation, operators, series
 from dirichlet_ops.evaluation import _grid_sup, _grid_values
 from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
@@ -626,7 +632,7 @@ RESOLVENT_LAMBDAS = [
 
 
 class TestArrayPath:
-    """apply's array path (operators._ARRAY_MIN_TERMS set to 1, so every
+    """apply's array path (its _ARRAY_MIN_TERMS set to 1, so every
     polynomial takes it) against the per-term loop, float.hex for float.hex."""
 
     @pytest.fixture(autouse=True)
@@ -830,3 +836,287 @@ class TestCarrier:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(seen) == 8 * len(polys) and all(seen)
+
+
+def loop_construct(coeffs):
+    """The constructor's per-term loop, which mappings of int keys to complex
+    or float values leave from series._ARRAY_MIN_TERMS entries on."""
+    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    acc = {}
+    for n, a in items:
+        n = series._validate_index(n)
+        acc[n] = acc.get(n, 0j) + (a if type(a) is complex else series._coefficient(n, a))
+    keys = sorted(acc)
+    return series._normal(keys, map(acc.__getitem__, keys))
+
+
+def construct_outcome(build, coeffs):
+    """Bits and array bytes of the polynomial, or the type and text of the
+    exception raised."""
+    try:
+        f = build(coeffs)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return bits(f), f.index_array().tobytes(), f.coefficient_array().tobytes()
+
+
+# entries that leave the mapping path or test its edges: int64's last
+# indices and the first past it, indices below 1, numpy and bool keys;
+# signed zeros, non-finite, numpy and non-numeric values
+_odd_keys = st.sampled_from([2**63 - 1, 2**63 - 2, 2**63, 2**64 + 3, 0, -5, np.int64(7), np.int64(2**62), True])
+_odd_values = st.sampled_from([
+    -0.0, 0.0, complex(-0.0, -0.0), complex(0.0, -0.0), math.nan, complex(1.0, math.nan), math.inf,
+    -math.inf, np.float64(2.5), np.complex128(1j), 3, 10**400, "1.5", None, True,
+])
+
+
+@st.composite
+def bulk_mappings(draw):
+    """A dict of ~_ARRAY_MIN_TERMS int keys to float and complex values at
+    moduli 1e-300..1e300, with up to three odd entries at random places."""
+    size = draw(st.integers(series._ARRAY_MIN_TERMS - 3, series._ARRAY_MIN_TERMS + 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([200, 10**6, 2**62, 2**63 - 1]))
+    keys = rng.integers(1, top, size, endpoint=True).tolist()
+    moduli = 10.0 ** rng.uniform(-300.0, 300.0, size)
+    re, im = moduli * rng.normal(size=(2, size))
+    kinds = rng.integers(0, 3, size).tolist()
+    values = [float(r) if kind == 0 else complex(r, i) if kind == 1 else complex(r, 0.0)
+              for r, i, kind in zip(re.tolist(), im.tolist(), kinds)]
+    items = list(zip(keys, values))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.one_of(_odd_keys, st.integers(1, 300)))
+        value = draw(st.one_of(_odd_values, st.floats(-1e300, 1e300)))
+        items.insert(draw(st.integers(0, len(items))), (key, value))
+    return dict(items)
+
+
+class TestMappingConstructor:
+    """The constructor's array path for mappings against its per-term loop:
+    the same bits, and the same exception type and text."""
+
+    @given(bulk_mappings())
+    def test_bit_equal_with_the_loop(self, coeffs):
+        assert construct_outcome(DirichletPolynomial, coeffs) == construct_outcome(loop_construct, coeffs)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {2**63 - 1: 1.0}, {2**63: 1.0}, {0: 1.0}, {-3: 1j}, {np.int64(5): 1.0}, {True: 2.0},
+            {5: math.nan}, {5: complex(math.inf, 1.0)}, {5: -0.0}, {5: complex(-0.0, -0.0)},
+            {5: np.float64(1.5)}, {5: 7}, {5: "7"},
+        ],
+        ids=["int64-max", "past-int64", "zero", "negative", "np-int64-key", "bool-key", "nan", "inf",
+             "negative-zero", "complex-negative-zeros", "np-float", "int-value", "string-value"],
+    )
+    def test_odd_entry_among_many(self, odd):
+        coeffs = {n: complex(1.0, -n) if n % 2 else float(n) for n in range(1000, 1000 + series._ARRAY_MIN_TERMS)}
+        coeffs.update(odd)
+        assert construct_outcome(DirichletPolynomial, coeffs) == construct_outcome(loop_construct, coeffs)
+
+    def test_mapping_proxy_and_unsorted_keys(self, rng):
+        idx = rng.choice(np.arange(1, 10**6), 500, replace=False).tolist()
+        coeffs = {n: complex(*rng.normal(size=2)) for n in idx}
+        f = DirichletPolynomial(coeffs)
+        assert construct_outcome(DirichletPolynomial, coeffs) == construct_outcome(loop_construct, coeffs)
+        assert construct_outcome(DirichletPolynomial, f.coeffs) == construct_outcome(loop_construct, coeffs)
+
+
+def loop_orbit(m, f, epsilon):
+    """dynamics._orbit's per-term loop."""
+    m.check_domain(f)
+    orbit = []
+    for n, a in f.items():
+        g = m(n)
+        if g == 0:
+            continue
+        try:
+            mod_a = abs(a)
+        except OverflowError:
+            raise DomainError(f"|a_n| at n = {n} overflows double precision, got {a!r}") from None
+        eps_log = epsilon * math.log(n)
+        orbit.append((g, a, mod_a, math.exp(-eps_log), eps_log))
+    return orbit
+
+
+def loop_orbit_norm(orbit, k):
+    """dynamics._orbit_norm's per-term loop."""
+    terms = []
+    for g, a, mod_a, decay, eps_log in orbit:
+        try:
+            power = g**k
+            term = abs(power * a)
+            direct = sys.float_info.min <= abs(power) < math.inf and sys.float_info.min <= term < math.inf
+        except OverflowError:
+            direct = False
+        if direct:
+            terms.append(term * decay / k)
+            continue
+        log_term = k * math.log(abs(g)) + math.log(mod_a) - eps_log - math.log(k)
+        if log_term > math.log(sys.float_info.max):
+            return math.inf
+        terms.append(math.exp(log_term))
+    try:
+        return fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def norm_outcomes(m, f, epsilon, ks):
+    """(library, loop) results for each k: float.hex, or the DomainError text."""
+    def run(norm):
+        try:
+            return [norm(k).hex() for k in ks]
+        except DomainError as e:
+            return str(e)
+
+    return (run(lambda k: normalized_power_norm(m, f, epsilon, k)),
+            run(lambda k: loop_orbit_norm(loop_orbit(m, f, epsilon), k)))
+
+
+def took_log_space(m, f, k):
+    """Whether some orbit term leaves the direct path at k."""
+    for g, a, *_ in loop_orbit(m, f, 0.0):
+        try:
+            p = g**k
+            if not (sys.float_info.min <= abs(p) < math.inf and sys.float_info.min <= abs(p * a) < math.inf):
+                return True
+        except OverflowError:
+            return True
+    return False
+
+
+# user symbols, which have no array symbol: m(n) is read per term
+USER_COMPLEX = Multiplier(lambda n: complex(1.5, -1.0 / n), "user complex")
+USER_WITH_ZEROS = Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0 + 1e-3 * n, "user with zeros")
+ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS)
+
+
+class TestArrayOrbit:
+    """The orbit norms on arrays (dynamics._ARRAY_MIN_TERMS set to 1, so
+    every polynomial takes them) against the per-term loop, float.hex for
+    float.hex, and the same error texts."""
+
+    @pytest.fixture(autouse=True)
+    def array_orbit_everywhere(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_ARRAY_MIN_TERMS", 1)
+
+    @pytest.mark.parametrize("m", ORBIT_MULTIPLIERS, ids=lambda m: m.label)
+    @given(f=wide_polys(), k=st.one_of(st.integers(1, 101), st.integers(101, 400)), eps=st.floats(0.0, 4.0))
+    def test_norm_bit_equal(self, m, f, k, eps):
+        got, want = norm_outcomes(m, f, eps, [k])
+        assert got == want
+
+    @pytest.mark.parametrize("m", ORBIT_MULTIPLIERS, ids=lambda m: m.label)
+    @given(f=wide_polys(max_terms=12), eps=st.floats(0.0, 4.0))
+    def test_diagnostic_samples_bit_equal(self, m, f, eps):
+        samples = ergodicity_diagnostic(m, f, eps, 40).samples
+        orbit = loop_orbit(m, f, eps)
+        assert [(k, v.hex()) for k, v in samples] == [(k, loop_orbit_norm(orbit, k).hex()) for k in range(1, 41)]
+
+    @pytest.mark.parametrize("k", [1, 40, 100, 101, 250])
+    @pytest.mark.parametrize(
+        "m, terms",
+        [
+            (identity_multiplier(), {2: 1e-310, 3: 1.0}),  # subnormal |a_n|: log space
+            (derivative_multiplier(), {2: 1.0, 3: 1e-300, 10**6: 2.0}),  # (log 2)^k underflows past k ~ 1900
+            (integration_multiplier(), {2: 1e300, 3: 1e-300}),  # (1 / log 2)^k a_2 overflows
+            (derivative_multiplier(), {2**62: 1e300, 5: 1.0}),  # a term past double range: inf
+            (identity_multiplier(), {n: 1.5e308 for n in range(2, 6)}),  # the sum passes double range: inf
+        ],
+        ids=["subnormal", "underflow", "overflow", "term-inf", "sum-inf"],
+    )
+    def test_log_space_and_overflow(self, m, terms, k):
+        f = DirichletPolynomial(terms)
+        got, want = norm_outcomes(m, f, 0.25, [k])
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "m, terms, eps, k",
+        [
+            # |a_n| n^(-eps) is subnormal: the direct value would round differently
+            (identity_multiplier(), {3: 1e-310}, 0.25, 1),
+            # np.log(n) differs from math.log(n) at these indices
+            (derivative_multiplier(), {9170: 1.0, 19143: 1j}, 0.25, 3),
+            # np.abs(a) differs from CPython's abs(a) here, and it shows in log space
+            (integration_multiplier(), {2: complex(-1.2281749341105241e-295, 5.698248793143902e-296)}, 0.0, 2000),
+        ],
+        ids=["subnormal", "np-log", "np-abs"],
+    )
+    def test_rounding_sensitive_terms(self, m, terms, eps, k):
+        got, want = norm_outcomes(m, DirichletPolynomial(terms), eps, [k])
+        assert got == want
+
+    def test_cases_reach_each_branch(self):
+        # the cases above do reach the log-space branch and inf
+        assert took_log_space(identity_multiplier(), DirichletPolynomial({2: 1e-310}), 1)
+        assert took_log_space(integration_multiplier(), DirichletPolynomial({2: 1e300}), 100)
+        assert normalized_power_norm(derivative_multiplier(), DirichletPolynomial({2**62: 1e300}), 0.25, 40) == math.inf
+        assert normalized_power_norm(identity_multiplier(), DirichletPolynomial({n: 1.5e308 for n in range(2, 6)}), 0.25, 1) == math.inf
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, math.nan, complex(1.5e308, 1.5e308)], ids=["inf", "nan", "modulus-overflow"]
+    )
+    def test_non_finite_array_symbol_raises_the_loop_error(self, bad):
+        # the array symbol gives the bad value at n = 77, as the scalar one does
+        D = derivative_multiplier()
+        bad = complex(bad)
+        m = Multiplier(
+            lambda n: bad if n == 77 else -math.log(n), "bad at 77",
+            array_symbol=lambda idx: (np.where(idx == 77, bad.real, D.array_symbol(idx)[0]),
+                                      np.where(idx == 77, bad.imag, 0.0)),
+        )
+        f = truncate(eta_rule(), 200)
+        got, want = norm_outcomes(m, f, 0.5, [1, 40])
+        assert got == want
+        assert got.startswith("multiplier 'bad at 77'") and "n = 77" in got
+        with pytest.raises(DomainError, match="n = 77"):
+            ergodicity_diagnostic(m, f, 0.5)
+
+    def test_coefficient_past_double_range(self):
+        # |a_n| overflows at n = 9, which the symbol keeps (error) or drops (no error)
+        f = DirichletPolynomial({n: complex(1.5e308, 1.5e308) if n == 9 else 1.0 for n in range(2, 200)})
+        got, want = norm_outcomes(derivative_multiplier(), f, 0.5, [1, 7])
+        assert got == want == "|a_n| at n = 9 overflows double precision, got (1.5e+308+1.5e+308j)"
+        got, want = norm_outcomes(USER_WITH_ZEROS, f, 0.5, [1, 7])
+        assert got == want and isinstance(got, list)
+
+    def test_user_symbol_read_once_a_term(self):
+        reads = []
+        m = Multiplier(lambda n: reads.append(n) or complex(1.5, -1.0 / n), "counting")
+        f = truncate(eta_rule(), 300)
+        samples = ergodicity_diagnostic(m, f, 0.3, 12).samples
+        assert reads == list(range(1, 301))
+        orbit = loop_orbit(USER_COMPLEX, f, 0.3)
+        assert [v.hex() for _, v in samples] == [loop_orbit_norm(orbit, k).hex() for k in range(1, 13)]
+
+
+class TestPathSelection:
+    """Below series._ARRAY_MIN_TERMS terms the constructor, apply and the
+    orbit keep their per-term loops, which the 1-9 term calls need to stay
+    fast; from it on all three run on arrays.  Checked by the form each
+    builds, not by timing."""
+
+    T = series._ARRAY_MIN_TERMS
+
+    def test_one_threshold(self):
+        assert operators._ARRAY_MIN_TERMS == dynamics._ARRAY_MIN_TERMS == self.T
+
+    @staticmethod
+    def mapping(size):
+        return {n: complex(1.0, 1.0 / n) for n in range(2, 2 + size)}
+
+    def test_constructor(self):
+        small, bulk = DirichletPolynomial(self.mapping(self.T - 1)), DirichletPolynomial(self.mapping(self.T))
+        assert small._map is not None and small._idx is None
+        assert bulk._map is None and bulk._idx is not None
+        # pairs and mappings of other types keep the loop at any size
+        assert DirichletPolynomial(list(self.mapping(self.T).items()))._idx is None
+        assert DirichletPolynomial({n: 1 for n in range(2, 2 + self.T)})._idx is None
+
+    def test_orbit(self):
+        D = derivative_multiplier()
+        for m in (D, Multiplier(D.symbol, "user")):
+            assert isinstance(dynamics._orbit(m, DirichletPolynomial(self.mapping(self.T - 1)), 0.5), list)
+            assert isinstance(dynamics._orbit(m, DirichletPolynomial(self.mapping(self.T)), 0.5),
+                              dynamics._ArrayOrbit)
