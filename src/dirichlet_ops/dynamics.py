@@ -103,9 +103,10 @@ class _ArrayOrbit(NamedTuple):
 def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple] | _ArrayOrbit:
     """The k-independent part of each orbit term, read once: (symbol(n), a_n,
     |a_n|, n^(-epsilon), epsilon log n) for each stored term with symbol(n) != 0.
-    From _ARRAY_MIN_TERMS terms on, the same values as an _ArrayOrbit."""
+    From _ARRAY_MIN_TERMS terms on, for a multiplier with an array symbol,
+    the same values as an _ArrayOrbit."""
     m.check_domain(f)
-    if f.term_count >= _ARRAY_MIN_TERMS:
+    if m.array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
         orbit = _array_orbit(m, f, epsilon)
         if orbit is not None:
             return orbit
@@ -125,20 +126,16 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
 
 def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _ArrayOrbit | None:
     """_orbit's values on arrays, bit for bit: symbol(n) from the array
-    symbol, or from m(n) per term without one; np.hypot for the moduli
-    (CPython's complex abs; np.abs is not); math.log and math.exp per index.
-    None where the loop must run to raise its error: an |a_n| past double
-    range, or an array symbol value or modulus that is not finite."""
+    symbol; np.hypot for the moduli (CPython's complex abs; np.abs is not);
+    math.log and math.exp per index.  None where the loop must run to
+    raise its error: an |a_n| past double range, or an array symbol value
+    or modulus that is not finite."""
     idx, a = f.index_array(), f.coefficient_array()
     with np.errstate(over="ignore"):
         mod_a = np.hypot(a.real, a.imag)
     if np.isinf(mod_a).any():
         return None
-    if m.array_symbol is None:
-        g = np.array([m(n) for n in idx.tolist()], dtype=np.complex128)
-        gr, gi = g.real, g.imag
-    else:
-        gr, gi = m.array_symbol(idx)
+    gr, gi = m.array_symbol(idx)
     with np.errstate(over="ignore", invalid="ignore"):
         mod_g = np.hypot(gr, gi)
     if not np.isfinite(mod_g).all():
@@ -217,9 +214,9 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     raises DomainError naming its index.  ergodicity_diagnostic samples this
     sum for every k from one read of the symbol values, bit for bit.
 
-    From _ARRAY_MIN_TERMS terms on, the terms are formed on arrays (the
-    array symbol where the multiplier has one, else m(n) per term) with the
-    per-term loop's bits and error messages."""
+    From _ARRAY_MIN_TERMS terms on, a multiplier with an array symbol has
+    the terms formed on arrays, with the per-term loop's bits and error
+    messages; user symbols keep the loop."""
     k = _validate_index(k, "iterate count")
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     return _orbit_norm(_orbit(m, f, epsilon), k)
@@ -260,8 +257,8 @@ def ergodicity_diagnostic(
     """Sample normalized_power_norm(m, f, epsilon, k) for k = 1..k_max and
     classify the orbit (rules in DynamicsReport).  The symbol values, |a_n|
     and n^(-epsilon) are read once for all k, on arrays from
-    _ARRAY_MIN_TERMS terms on; every sample is normalized_power_norm's,
-    bit for bit."""
+    _ARRAY_MIN_TERMS terms on where m has an array symbol; every sample is
+    normalized_power_norm's, bit for bit."""
     k_max = _validate_index(k_max, "k_max", 10)
     orbit = _orbit(m, f, _validate_real(epsilon, "epsilon", 0.0))
     samples = tuple((k, _orbit_norm(orbit, k)) for k in range(1, k_max + 1))

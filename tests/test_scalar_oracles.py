@@ -752,11 +752,19 @@ class TestCarrier:
         idx = np.sort(rng.choice(np.arange(1, 10**6), size=n_terms, replace=False))
         return idx, rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
 
+    @staticmethod
+    def dict_built(idx, c):
+        """A polynomial holding its terms as a dict alone: built from pairs,
+        which keep the constructor's loop at any size."""
+        f = DirichletPolynomial([(int(n), complex(a)) for n, a in zip(idx, c)])
+        assert f._map is not None and f._idx is None
+        return f
+
     def both_forms(self, rng):
         """(array-built, dict-built) copies of one random polynomial."""
         idx, c = self.pairs(rng)
         rule = table_rule({int(n): complex(a) for n, a in zip(idx, c)})
-        return truncate(rule, int(idx[-1])), DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)})
+        return truncate(rule, int(idx[-1])), self.dict_built(idx, c)
 
     def test_array_built_equals_dict_built(self, rng):
         arr, dic = self.both_forms(rng)
@@ -780,8 +788,8 @@ class TestCarrier:
 
     def test_real_and_zero_polynomials(self):
         eta = truncate(eta_rule(), 500)
-        assert eta.has_real_coefficients() and eta == DirichletPolynomial(
-            {n: 1.0 if n % 2 else -1.0 for n in range(1, 501)})
+        ns = range(1, 501)
+        assert eta.has_real_coefficients() and eta == self.dict_built(ns, [1.0 if n % 2 else -1.0 for n in ns])
         zero = truncate(table_rule({}), 200)
         assert zero.is_zero and zero.max_index == 0 and zero.term_count == 0
         assert zero == DirichletPolynomial() and repr(zero) == "DirichletPolynomial(0)"
@@ -809,7 +817,7 @@ class TestCarrier:
         want = bits(DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)}))
         rule = table_rule({int(n): complex(a) for n, a in zip(idx, c)})
         polys = [truncate(rule, int(idx[-1])) for _ in range(40)]
-        polys += [DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)}) for _ in range(40)]
+        polys += [self.dict_built(idx, c) for _ in range(40)]
         seen, errors = [], []
 
         def read(k):
@@ -986,10 +994,15 @@ def took_log_space(m, f, k):
     return False
 
 
-# user symbols, which have no array symbol: m(n) is read per term
+# user symbols, which have no array symbol, keep the loop: m(n) is read per term
 USER_COMPLEX = Multiplier(lambda n: complex(1.5, -1.0 / n), "user complex")
 USER_WITH_ZEROS = Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0 + 1e-3 * n, "user with zeros")
-ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS)
+# the same symbol with an array symbol: the array orbit drops its zeros past n = 1
+ARRAY_WITH_ZEROS = dataclasses.replace(
+    USER_WITH_ZEROS, label="array with zeros",
+    array_symbol=lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0 + 1e-3 * idx), np.zeros(idx.size)),
+)
+ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS, ARRAY_WITH_ZEROS)
 
 
 class TestArrayOrbit:
@@ -1078,8 +1091,9 @@ class TestArrayOrbit:
         f = DirichletPolynomial({n: complex(1.5e308, 1.5e308) if n == 9 else 1.0 for n in range(2, 200)})
         got, want = norm_outcomes(derivative_multiplier(), f, 0.5, [1, 7])
         assert got == want == "|a_n| at n = 9 overflows double precision, got (1.5e+308+1.5e+308j)"
-        got, want = norm_outcomes(USER_WITH_ZEROS, f, 0.5, [1, 7])
-        assert got == want and isinstance(got, list)
+        for m in (USER_WITH_ZEROS, ARRAY_WITH_ZEROS):
+            got, want = norm_outcomes(m, f, 0.5, [1, 7])
+            assert got == want and isinstance(got, list)
 
     def test_user_symbol_read_once_a_term(self):
         reads = []
@@ -1116,7 +1130,8 @@ class TestPathSelection:
 
     def test_orbit(self):
         D = derivative_multiplier()
-        for m in (D, Multiplier(D.symbol, "user")):
-            assert isinstance(dynamics._orbit(m, DirichletPolynomial(self.mapping(self.T - 1)), 0.5), list)
-            assert isinstance(dynamics._orbit(m, DirichletPolynomial(self.mapping(self.T)), 0.5),
-                              dynamics._ArrayOrbit)
+        small, bulk = DirichletPolynomial(self.mapping(self.T - 1)), DirichletPolynomial(self.mapping(self.T))
+        assert isinstance(dynamics._orbit(D, small, 0.5), list)
+        assert isinstance(dynamics._orbit(D, bulk, 0.5), dynamics._ArrayOrbit)
+        # a user symbol keeps the loop at any size
+        assert isinstance(dynamics._orbit(Multiplier(D.symbol, "user"), bulk, 0.5), list)
