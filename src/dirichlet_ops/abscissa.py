@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import _MAX_GRID_POINTS, _grid_sup, _on_line
-from .series import _MAX_TERMS, CoefficientRule, _slope, _validate_index, _validate_real
+from .evaluation import _MAX_GRID_POINTS, _grid_sup
+from .series import _MAX_TERMS, CoefficientRule, _exp, _log, _slope, _validate_index, _validate_real
 
 __all__ = [
     "Estimate",
@@ -149,13 +149,10 @@ def bracket_sigma_u(
 
     The probes are evidence, not estimators: a bounded sup at epsilon is
     consistent with uniform convergence on Re s > epsilon and nothing more.
-    Each probe's sup over the linspace(0, t_max, points) grid is
-    evaluation._grid_sup, seminorm's scan: a GEMM screen, then per-row numpy
-    sums of the kept points; no BLAS under any returned bit.  The screen
-    costs about 2 N sqrt(points) exps; the boundary-grid kernel then computes
-    only the points within 2 delta of the screened maximum,
-    delta ~ 16 u (t_max log N + N) sum |a_n| n^(-eps) bounding the screen's
-    error, so sup_abs is bit for bit the direct scan's maximum.  points is
+    Each probe's sup over the linspace(0, t_max, points) grid is seminorm's
+    scan, evaluation._grid_sup (a GEMM screen, about 2 N sqrt(points) exps,
+    then per-row numpy sums of the kept points; no BLAS under any returned
+    bit), so sup_abs is bit for bit the direct scan's maximum.  points is
     capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
     N = _validate_index(N, "window length N", 100, _MAX_TERMS)
@@ -169,11 +166,12 @@ def bracket_sigma_u(
     values = rule.values(np.arange(1, N + 1, dtype=np.int64))
     sc = _estimate(values, N)
     sa = _estimate(np.abs(values).astype(np.complex128), N)
-    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    logn = _log(np.arange(1, N + 1, dtype=np.int64))
     ts = np.linspace(0.0, t_max, points)
     probes = []
     for e in probe_eps:
-        sup_abs, refined = _on_line(_grid_sup, values, logn, e, ts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sup_abs, refined = _grid_sup(logn, values * _exp(-e * logn), ts)
         if not math.isfinite(sup_abs):
             raise DomainError(f"probe sup at epsilon = {e} overflows double precision")
         probes.append(

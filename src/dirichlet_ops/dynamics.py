@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .operators import _POWU_MAX, Multiplier, _logs, _power, _product, apply
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _fsum, _slope, _validate_index, _validate_real
+from .operators import _POWU_MAX, Multiplier, _power, _product, apply
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _exp, _fsum, _log, _slope, _validate_index, _validate_real
 
 __all__ = [
     "power_apply",
@@ -127,9 +127,9 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
 def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _ArrayOrbit | None:
     """_orbit's values on arrays, bit for bit: symbol(n) from the array
     symbol; np.hypot for the moduli (CPython's complex abs; np.abs is not);
-    math.log and math.exp per index.  None where the loop must run to
-    raise its error: an |a_n| past double range, or an array symbol value
-    or modulus that is not finite."""
+    series._log and _exp, which give math.log's and math.exp's bits.  None
+    where the loop must run to raise its error: an |a_n| past double range,
+    or an array symbol value or modulus that is not finite."""
     idx, a = f.index_array(), f.coefficient_array()
     with np.errstate(over="ignore"):
         mod_a = np.hypot(a.real, a.imag)
@@ -143,9 +143,8 @@ def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _Arra
     keep = mod_g != 0
     if not keep.all():
         idx, a, mod_a, gr, gi, mod_g = (x[keep] for x in (idx, a, mod_a, gr, gi, mod_g))
-    eps_log = epsilon * _logs(idx)
-    decay = np.fromiter(map(math.exp, (-eps_log).tolist()), dtype=np.float64, count=idx.size)
-    return _ArrayOrbit(gr, gi, mod_g, a.real, a.imag, mod_a, decay, eps_log)
+    eps_log = epsilon * _log(idx)
+    return _ArrayOrbit(gr, gi, mod_g, a.real, a.imag, mod_a, _exp(-eps_log), eps_log)
 
 
 def _log_space_term(mod_g: float, mod_a: float, eps_log: float, k: int) -> float:

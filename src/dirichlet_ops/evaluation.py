@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
-from .series import _MAX_TERMS, _fsum, _slope, _validate_complex, _validate_index, _validate_real
+from .series import _MAX_TERMS, _exp, _fsum, _log, _slope, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "evaluate",
@@ -51,10 +51,8 @@ def _finite(value: complex, what: str) -> complex:
 def evaluate(f: DirichletPolynomial, s) -> complex:
     """Exact finite sum  sum_n a_n exp(-s log n)  over the stored terms."""
     s = _as_complex_point(s)
-    ns = f.index_array().astype(np.float64)
-    coeffs = f.coefficient_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(np.sum(coeffs * np.exp(-s * np.log(ns))))
+        value = complex(np.sum(f.coefficient_array() * np.exp(-s * _log(f.index_array()))))
     return _finite(value, f"f(s) at s = {s}")
 
 
@@ -175,9 +173,8 @@ def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     np.sum, whose order depends only on N.  So a value's bits depend neither
     on how ts is cut nor on the other points: a point computed alone, or
     among any subset of the grid, has the full scan's bits, and no BLAS call
-    decides them.  N = 1 is the exception: the (T, 1) block's products
-    coalesce into one 1-d loop whose SIMD body and scalar tail round
-    differently, so there a value also depends on its place in the chunk."""
+    decides them.  N = 1 is the exception (boundary_values): there a value
+    also depends on its place in the chunk."""
     out = np.empty(ts.shape, dtype=np.complex128)
     t_step = _t_step(logn.size)
     phase = -1j * logn
@@ -229,7 +226,7 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
     differ, every point is kept (each |S_j| is |w_1| within a few u, and
     2 delta >= 160 u |w_1|), so the refine is the full scan.  A non-finite
     screen maximum or delta keeps every point.  The screen runs on every
-    grid (at N = 3, T = 1024 the two paths tie), under _on_line's errstate."""
+    grid (at N = 3, T = 1024 the two paths tie), under its caller's errstate."""
     n, T = logn.size, ts.size
     t_step = _t_step(n)
     B = min(math.isqrt(T), t_step)
@@ -254,16 +251,12 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
     return float(np.max(np.abs(values))), int(keep.size)
 
 
-def _on_line(kernel, coeffs: np.ndarray, logn: np.ndarray, epsilon: float, ts: np.ndarray):
-    """kernel(logn, w, ts), _grid_values or _grid_sup, with w_n = a_n n^(-epsilon)
-    the weights of f on the line Re s = epsilon.  An overflow (a far-left
-    epsilon, a huge a_n) comes back non-finite for the caller to name."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return kernel(logn, coeffs * np.exp(-epsilon * logn), ts)
-
-
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
     """f(epsilon + i t) on a grid of t values, chunked to bound memory.
+
+    A value's bits are the same t's computed alone, except for one stored
+    term: numpy coalesces that (T, 1) product into one 1-d loop, so a value
+    can differ from the lone t's in the last bit (relative ~1.7e-16).
 
     Raises DomainError naming epsilon and t when a value overflows double
     precision (a far-left epsilon makes n^(-epsilon) overflow), and names a
@@ -280,8 +273,9 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
     bad = np.flatnonzero(~np.isfinite(ts))
     if bad.size:
         raise DomainError(f"grid points t must be finite, got t = {ts[bad[0]]}")
-    logn = np.log(f.index_array().astype(np.float64))
-    values = _on_line(_grid_values, f.coefficient_array(), logn, epsilon, ts)
+    logn = _log(f.index_array())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _grid_values(logn, f.coefficient_array() * _exp(-epsilon * logn), ts)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]
@@ -538,15 +532,15 @@ def seminorm(
             epsilon=float(epsilon), lower=0.0, upper=0.0, grid=grid, points=0, refined=0
         )
 
-    logn = np.log(f.index_array().astype(np.float64))
+    logn = _log(f.index_array())
     coeffs = f.coefficient_array()
     ts = np.arange(t0, t_max + 0.5 * step, step)
-    lower, refined = _on_line(_grid_sup, coeffs, logn, epsilon, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = _exp(-epsilon * logn)
+        lower, refined = _grid_sup(logn, coeffs * decay, ts)
+        terms = np.hypot(coeffs.real, coeffs.imag) * decay
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.fromiter(map(math.exp, (-epsilon * logn).tolist()), dtype=np.float64, count=logn.size)
-        terms = np.hypot(coeffs.real, coeffs.imag) * decay
     upper = _fsum(terms.tolist())
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(

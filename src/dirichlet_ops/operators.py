@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _normal, _slope, _validate_index
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _log, _normal, _slope, _validate_index
 
 __all__ = [
     "Multiplier",
@@ -39,16 +39,10 @@ __all__ = [
     "compose",
 ]
 
-# Array symbols reproduce CPython's scalar arithmetic operation for
-# operation on real arrays, so they give the scalar symbol's bits:
-# math.log per index (np.log differs from it on 111 indices <= 2*10^6),
-# unfused complex products, _Py_c_quot's division (numpy's complex division
-# multiplies by a reciprocal) and c_powu's binary powers.
-
-
-def _logs(idx: np.ndarray) -> np.ndarray:
-    """math.log(n) for each index, as the scalar symbols compute it."""
-    return np.fromiter(map(math.log, idx.tolist()), dtype=np.float64, count=idx.size)
+# Array symbols reproduce CPython's scalar arithmetic on real arrays, so they
+# give the scalar symbol's bits: series._log for log n, unfused complex
+# products, _Py_c_quot's division (numpy's complex division multiplies by a
+# reciprocal) and c_powu's binary powers.
 
 
 def _product(ar, ai, br, bi) -> tuple:
@@ -150,13 +144,13 @@ class Multiplier:
 _DERIVATIVE = Multiplier(
     symbol=lambda n: -math.log(n),
     label="derivative",
-    array_symbol=lambda idx: (-_logs(idx), np.zeros(idx.size)),
+    array_symbol=lambda idx: (-_log(idx), np.zeros(idx.size)),
 )
 _INTEGRATION = Multiplier(
     symbol=lambda n: -1.0 / math.log(n),
     label="integration",
     requires_zero_constant=True,
-    array_symbol=lambda idx: (-1.0 / _logs(idx), np.zeros(idx.size)),
+    array_symbol=lambda idx: (-1.0 / _log(idx), np.zeros(idx.size)),
 )
 _IDENTITY = Multiplier(
     symbol=lambda n: 1.0,

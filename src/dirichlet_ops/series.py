@@ -59,9 +59,9 @@ _ARRAY_MIN_TERMS = 96
 
 # most terms a call may materialize at once (truncate, the abscissa
 # windows, bv_check, one partial_sum chunk), checked before anything is
-# allocated.  Their peaks measure 32 (a partial_sum chunk at s = 0) to 97
-# (sigma_a_estimate, bracket_sigma_u) bytes a term, so 2^24 terms peak at
-# ~1.6 GB; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
+# allocated.  They peak at 32-81 bytes a term (tracemalloc), bracket_sigma_u
+# at 536 (2^20 terms) to 152 (2^22 on) for its probe screen, so at ~2.5 GB
+# for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
 # partial_sum streams its N terms in chunks, so N itself is not capped.
 _MAX_TERMS = 1 << 24
 
@@ -356,6 +356,21 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float:
     numpy sums, not a BLAS or LAPACK solve; y = x gives exactly 1."""
     dx = x - np.mean(x)
     return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
+
+
+# log n and n^(-epsilon) on arrays.  Unlike float64 np.log and np.exp, whose
+# bits follow numpy's SIMD level, the real parts of the complex log and exp
+# are the C library's (clog, cexp): math.log's bits on every index (clog
+# differs on [0.5, 2), where log 1 = 0 anyway, subnormals and the top binade)
+# and math.exp's off (709, 709.78], reached only by boundary_values at eps < 0.
+def _log(x: np.ndarray) -> np.ndarray:
+    z = np.array(x, dtype=np.complex128)
+    return np.log(z, out=z).real.copy()
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    z = np.array(x, dtype=np.complex128)
+    return np.exp(z, out=z).real.copy()
 
 
 # below this many index pairs the per-pair loop beats the array kernel: the

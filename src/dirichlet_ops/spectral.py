@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpectralError
-from .operators import Multiplier, _logs, _reciprocal, apply
+from .operators import Multiplier, _reciprocal, apply
 from .series import DirichletPolynomial, monomial
-from .series import _MAX_TERMS, _validate_complex, _validate_index, _validate_real
+from .series import _MAX_TERMS, _log, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "FULL",
@@ -191,7 +191,7 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
         symbol=lambda n: 1.0 / (math.log(n) + lam),
         label=f"{space} resolvent",
         requires_zero_constant=space == ZERO_SUBSPACE,
-        array_symbol=lambda idx: _reciprocal(_logs(idx) + lam.real, 0.0 + lam.imag),
+        array_symbol=lambda idx: _reciprocal(_log(idx) + lam.real, 0.0 + lam.imag),
     )
     return apply(resolvent, f)
 

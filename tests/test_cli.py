@@ -414,6 +414,22 @@ def test_golden_bytes_do_not_follow_the_blas_kernel(coretype):
     assert json.loads(out.stdout) == []
 
 
+@pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+def test_golden_bytes_do_not_follow_numpy_simd(disabled):
+    """Every golden record replays unchanged with numpy's AVX-512 loops off,
+    and again with its AVX2 loops off too, by NPY_DISABLE_CPU_FEATURES in a
+    subprocess: no SIMD loop whose rounding follows the CPU decides a pinned
+    bit.  numpy ignores the names of features this CPU lacks, so on such a
+    CPU the subprocess runs the loops it always runs, and there the test
+    passes trivially."""
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(here)])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "COLUMNS": "80", "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _REPLAY], capture_output=True, text=True,
+                         check=True, timeout=300, env=env, cwd=here)
+    assert json.loads(out.stdout) == []
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     print(json.dumps(capture(sys.argv[1:])))

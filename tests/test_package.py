@@ -123,3 +123,53 @@ def test_no_unreferenced_private_names():
         and reads[name] == Counter(_reads(node))[name]
     ]
     assert unreferenced == []
+
+
+def _libm_misuses(tree):
+    """Lines that map math.log or math.exp over many values: the function
+    handed on as a value (map, np.vectorize, np.frompyfunc), imported bare
+    from math, or called inside a comprehension over an array's .tolist()."""
+    def is_libm(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("log", "exp")
+                and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if is_libm(node) and id(node) not in called:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name in ("log", "exp") for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            over_array = any(
+                isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "attr", "") == "tolist"
+                for gen in node.generators
+            )
+            if over_array and any(is_libm(sub) for sub in ast.walk(node.elt)):
+                yield node.lineno
+
+
+def test_log_n_and_decay_take_one_route():
+    # log n and n^(-epsilon) of an array go through series._log and _exp,
+    # whose bits are math.log's and math.exp's under every numpy SIMD level,
+    # and only series defines them
+    misuses, defined = [], []
+    for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        misuses += [f"{path.name}:{line}" for line in _libm_misuses(tree)]
+        defined += [path.name for name, _ in _module_level_names(tree) if name in ("_log", "_exp")]
+    assert misuses == []
+    assert defined == ["series.py", "series.py"]
+
+
+def test_libm_guard_sees_each_mapping():
+    # the guard above flags each way the library used to map math over arrays
+    flagged = (
+        "import math\nx = np.fromiter(map(math.log, idx.tolist()), dtype=float)\n",
+        "import math\nx = [math.exp(-e * v) for v in logn.tolist()]\n",
+        "import numpy as np\nf = np.vectorize(math.exp)\n",
+        "from math import log\n",
+    )
+    for source in flagged:
+        assert list(_libm_misuses(ast.parse(source))) != [], source
+    assert list(_libm_misuses(ast.parse("import math\ny = math.log(n) + math.exp(x)\n"))) == []

@@ -202,10 +202,11 @@ def legacy_took_normal_direct_terms(m, f, k):
 
 def pointwise_probe_sup(values, epsilon, t_max, points):
     """The probe's sup from one sum (np.exp(-1j t log n) w).sum() per grid
-    point t, each computed alone."""
+    point t, each computed alone, with log n and n^(-epsilon) per term by
+    math.log and math.exp."""
     values = np.asarray(values, dtype=np.complex128)
-    logn = np.log(np.arange(1, values.size + 1, dtype=np.float64))
-    w = values * np.exp(-epsilon * logn)
+    logn = np.array([math.log(n) for n in range(1, values.size + 1)])
+    w = values * np.array([math.exp(-epsilon * x) for x in logn.tolist()])
     sums = [(np.exp(-1j * t * logn) * w).sum() for t in np.linspace(0.0, t_max, points)]
     return float(np.max(np.abs(np.array(sums))))
 

@@ -25,7 +25,7 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _slope
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _log, _slope
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
@@ -361,3 +361,62 @@ class TestSlope:
         assert _slope(x, 2.0 * x) == 2.0
         assert _slope(np.arange(21.0, 41.0), np.full(20, 3.5)) == 0.0
 
+
+
+def assert_bits(got: np.ndarray, scalar, xs) -> None:
+    want = np.array([scalar(x) for x in xs], dtype=np.float64)
+    assert got.dtype == np.float64
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestLibmRoute:
+    """series._log and _exp, the one route for log n and n^(-epsilon) on
+    arrays, give math.log's and math.exp's bits (the C library's), whatever
+    SIMD loops numpy dispatches to."""
+
+    def test_log_on_index_sweeps(self):
+        rng = np.random.default_rng(9170)
+        ns = np.concatenate([
+            np.arange(1, 200_001),  # np.log differs on some (9170 is the first)
+            rng.integers(1, 2**62, 200_000, endpoint=True),
+            [2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1, 2**62, 2**63 - 1],
+        ]).astype(np.int64)
+        assert_bits(_log(ns), math.log, ns.tolist())
+
+    def test_log_on_normal_floats_away_from_one(self):
+        # every binade of [2^-1022, 0.5) and [2, 2^1023); clog takes other
+        # routes on [0.5, 2), on subnormals and in the top binade, where no
+        # index's log is taken but n = 1, whose log is 0 either way
+        rng = np.random.default_rng(1)
+        binades = np.concatenate([np.arange(-1022, -1), np.arange(1, 1023)])
+        xs = np.ldexp(rng.uniform(1.0, 2.0, (100, binades.size)), binades).ravel()
+        xs = np.concatenate([xs, [2.2250738585072014e-308, np.nextafter(0.5, 0.0), 2.0, np.nextafter(2.0**1023, 0.0)]])
+        assert_bits(_log(xs), math.log, xs.tolist())
+
+    def test_exp_on_its_range(self):
+        rng = np.random.default_rng(2)
+        xs = np.concatenate([
+            np.linspace(-745.0, 709.0, 100_001),
+            rng.uniform(-50.0, 0.0, 100_000),
+            -rng.exponential(1.0, 50_000),
+            [-745.0, -0.0, 0.0, 709.0],
+        ])
+        assert_bits(_exp(xs), math.exp, xs.tolist())
+
+    @given(st.lists(st.integers(1, 2**62), min_size=1, max_size=20))
+    def test_log_property_on_indices(self, ns):
+        assert_bits(_log(np.array(ns, dtype=np.int64)), math.log, ns)
+
+    @given(st.lists(st.one_of(st.floats(2.2250738585072014e-308, 0.5, exclude_max=True),
+                              st.floats(2.0, 2.0**1023, exclude_max=True)), min_size=1, max_size=20))
+    def test_log_property_on_floats(self, xs):
+        assert_bits(_log(np.array(xs)), math.log, xs)
+
+    @given(st.lists(st.floats(min_value=-745.0, max_value=709.0), min_size=1, max_size=20))
+    def test_exp_property(self, xs):
+        assert_bits(_exp(np.array(xs)), math.exp, xs)
+
+    def test_inputs_are_not_written(self):
+        x = np.array([1.0, 2.0])
+        _log(x), _exp(x)
+        assert x.tolist() == [1.0, 2.0]
