@@ -61,8 +61,9 @@ class Estimate:
 @dataclass(frozen=True)
 class BoundednessProbe:
     """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid of
-    `points` points: a GEMM screen, then per-row numpy sums of the `refined`
-    points it kept; no BLAS under any returned bit."""
+    `points` points: a GEMM screen (about 3 exps a term, then N * points
+    multiply-adds), then per-row numpy sums of the `refined` points it kept;
+    no BLAS under any returned bit."""
 
     epsilon: float
     sup_abs: float
@@ -150,9 +151,10 @@ def bracket_sigma_u(
     The probes are evidence, not estimators: a bounded sup at epsilon is
     consistent with uniform convergence on Re s > epsilon and nothing more.
     Each probe's sup over the linspace(0, t_max, points) grid is seminorm's
-    scan, evaluation._grid_sup (a GEMM screen, about 2 N sqrt(points) exps,
-    then per-row numpy sums of the kept points; no BLAS under any returned
-    bit), so sup_abs is bit for bit the direct scan's maximum.  points is
+    scan, evaluation._grid_sup (a GEMM screen whose phases are built by
+    recurrence, about 3 N exps and N * points multiply-adds, then per-row
+    numpy sums of the kept points; no BLAS under any returned bit), so
+    sup_abs is bit for bit the direct scan's maximum.  points is
     capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
     N = _validate_index(N, "window length N", 100, _MAX_TERMS)

@@ -58,10 +58,11 @@ _INDEX_MAX = 2**63 - 1
 _ARRAY_MIN_TERMS = 96
 
 # most terms a call may materialize at once (truncate, the abscissa
-# windows, bv_check, one partial_sum chunk), checked before anything is
-# allocated.  They peak at 32-81 bytes a term (tracemalloc), bracket_sigma_u
-# at 536 (2^20 terms) to 152 (2^22 on) for its probe screen, so at ~2.5 GB
-# for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
+# windows, bracket_sigma_u, bv_check, one partial_sum chunk), checked before
+# anything is allocated.  They peak at 32-81 bytes a term (tracemalloc;
+# bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
+# in blocks), so at ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy
+# (MemoryError, ValueError).
 # partial_sum streams its N terms in chunks, so N itself is not capped.
 _MAX_TERMS = 1 << 24
 
@@ -543,14 +544,14 @@ def zeta_shift_rule(k: int) -> CoefficientRule:
 _TRIAL_BLOCK = 1 << 16
 
 
-def _moebius_values(ns: np.ndarray) -> np.ndarray:
-    """mu(n) by trial division, vectorized over the indices.
+def _moebius_trial(ns: np.ndarray) -> np.ndarray:
+    """mu(n) by trial division, vectorized over the 1-d indices ns.
 
     Each pass tests a block of consecutive divisors d against the cofactors
     still >= d^2; within a block the smallest divisor hit is always prime,
     since smaller primes were already divided out.  Memory stays
     O(len(ns) + _TRIAL_BLOCK), with no sieve up to sqrt(max n)."""
-    cof = ns.reshape(-1).copy()
+    cof = ns.copy()
     sign = np.ones(cof.shape, dtype=np.int64)
     d = 2
     live = np.flatnonzero(cof >= 4)
@@ -570,6 +571,70 @@ def _moebius_values(ns: np.ndarray) -> np.ndarray:
         live = live[cof[live] >= d * d]
     # a cofactor left above 1 has no divisor up to its square root: a prime
     sign[cof > 1] *= -1
+    return sign
+
+
+def _primes_upto(m: int) -> np.ndarray:
+    """The primes p <= m, by the sieve of Eratosthenes."""
+    is_prime = np.ones(m + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime)
+
+
+def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
+    """mu(n) for n = lo..hi by a segmented sieve over the primes p <= sqrt(hi).
+
+    Each p flips the sign of its multiples in the run and multiplies into
+    each the product of its small prime factors found so far; the multiples
+    of p^2 get 0.  A square-free n whose product falls short of n has one
+    prime factor above sqrt(hi) left, so its sign flips once more.  The
+    primes below sqrt(len) each take a strided slice of the run; the larger
+    ones, with at most sqrt(len) + 1 multiples each, go together one
+    multiple a round (ufunc.at, since several may divide one n)."""
+    size = hi - lo + 1
+    primes = _primes_upto(math.isqrt(hi))
+    sign = np.ones(size, dtype=np.int8)
+    found = np.ones(size, dtype=np.int64)
+    small = np.searchsorted(primes, math.isqrt(size))
+    for p in primes[:small].tolist():
+        at = -lo % p  # position of the first multiple of p
+        np.negative(sign[at::p], out=sign[at::p])
+        found[at::p] *= p
+        sign[-lo % (p * p) :: p * p] = 0
+    big = primes[small:]
+    at = -lo % big
+    while True:
+        hit = at < size
+        big, at = big[hit], at[hit]
+        if not big.size:
+            break
+        np.negative.at(sign, at)
+        np.multiply.at(found, at, big)
+        sign[at[(at + lo) % (big * big) == 0]] = 0
+        at += big
+    np.negative(sign, out=sign, where=found < np.arange(lo, hi + 1, dtype=np.int64))
+    return sign
+
+
+def _moebius_values(ns: np.ndarray) -> np.ndarray:
+    """mu(n) for each index.  Indices that flatten to one ascending run
+    lo..hi of at least two, every internal caller's, go through
+    _moebius_sieve when isqrt(hi) <= 8 (hi - lo + 1), so its table of
+    primes up to sqrt(hi) stays within a small multiple of the run.  Any
+    other index set (a scalar, a user's array, a run short for its height)
+    keeps trial division, whose memory does not grow with sqrt(max n).
+    Both are exact, so the path never moves a value."""
+    flat = ns.reshape(-1)
+    sign = None
+    if flat.size >= 2:
+        lo, hi = int(flat[0]), int(flat[-1])
+        if hi - lo == flat.size - 1 and math.isqrt(hi) <= 8 * flat.size and (np.diff(flat) == 1).all():
+            sign = _moebius_sieve(lo, hi)
+    if sign is None:
+        sign = _moebius_trial(flat)
     return sign.astype(np.float64).reshape(ns.shape)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ class TestBracket:
         for probe in bracket_sigma_u(eta_rule(), 2000, [0.1, 0.5]).probes:
             assert probe.points == 121
             assert 1 <= probe.refined < 121
+
+    def test_probe_screen_memory(self):
+        # the screen works in blocks of terms, so the call peaks at what the
+        # windows take (80.5 bytes a term); a screen holding whole B x N and
+        # N x B phase blocks peaked at 552 bytes a term here, the bound
+        n = 1 << 18
+        bracket_sigma_u(eta_rule(), n, [0.1, 0.5])
+        tracemalloc.start()
+        try:
+            bracket_sigma_u(eta_rule(), n, [0.1, 0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 552 * n
 
     def test_note_flags_bracket_only_reporting(self):
         est = bracket_sigma_u(eta_rule(), 1000, [0.5])

@@ -73,7 +73,7 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 from dirichlet_ops import dynamics, evaluation, operators, series
-from dirichlet_ops.evaluation import _grid_sup, _grid_values
+from dirichlet_ops.evaluation import _grid_screen, _grid_sup, _grid_values
 from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
 from conftest import poly_strategy
@@ -258,6 +258,95 @@ class TestMoebius:
         assert [moebius_rule()(n).real for n in ns] == [legacy_moebius_value(n) for n in ns]
 
 
+def moebius_run_cases():
+    """A run lo..lo + len - 1 with lo in [1, 10^12] and len in [2, 5000]: a
+    third of the draws start at most 10^6, where the dispatch picks the
+    sieve, and a third past 10^11, where it leaves the run to trial division."""
+    lo = st.one_of(st.integers(1, 10**6), st.integers(1, 10**12), st.integers(10**11, 10**12))
+    return st.tuples(lo, st.integers(2, 5000))
+
+
+class TestMoebiusSieve:
+    """series._moebius_sieve against trial division and the scalar oracle,
+    and the dispatch of _moebius_values between the two."""
+
+    @given(moebius_run_cases(), st.integers(0, 2**32 - 1))
+    def test_runs_match_trial_division(self, case, seed):
+        lo, size = case
+        hi = lo + size - 1
+        got = series._moebius_sieve(lo, hi)
+        assert got.shape == (size,)
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        if math.isqrt(hi) <= 8 * size:
+            # the dispatch's own case: the whole run, both paths
+            assert np.array_equal(got, series._moebius_trial(ns))
+            assert np.array_equal(moebius_rule().values(ns), got.astype(np.float64))
+        # far out trial division is slow on a whole run: a sample of it
+        rng = np.random.default_rng(seed)
+        sample = np.sort(rng.choice(size, min(size, 32), replace=False))
+        assert np.array_equal(got[sample], series._moebius_trial(ns[sample]))
+        assert [float(v) for v in got[sample[:4]]] == [legacy_moebius_value(int(n)) for n in ns[sample[:4]]]
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """The path each _moebius_values call took: 'sieve' or 'trial'."""
+        taken = []
+        sieve, trial = series._moebius_sieve, series._moebius_trial
+        monkeypatch.setattr(series, "_moebius_sieve", lambda lo, hi: taken.append("sieve") or sieve(lo, hi))
+        monkeypatch.setattr(series, "_moebius_trial", lambda ns: taken.append("trial") or trial(ns))
+        return taken
+
+    @pytest.mark.parametrize(
+        "ns, path",
+        [
+            ([7], "trial"),
+            (np.arange(300, 1, -1), "trial"),
+            ([1, 2, 3, 5, 6], "trial"),
+            ([1, 2, 2, 3], "trial"),
+            ([1, 3, 2, 4], "trial"),
+            (np.arange(1, 101).reshape(10, 10), "sieve"),
+            (np.arange(1, 101).reshape(10, 10).T, "trial"),
+            (np.arange(800**2 - 99, 800**2 + 1), "sieve"),
+            (np.arange(801**2 - 99, 801**2 + 1), "trial"),
+        ],
+        ids=["length-1", "descending", "gap", "duplicate", "swapped", "2-d-run", "2-d-transposed",
+             "isqrt-8-len", "isqrt-above-8-len"],
+    )
+    def test_dispatch_edges(self, paths, ns, path):
+        ns = np.asarray(ns, dtype=np.int64)
+        got = moebius_rule().values(ns)
+        assert paths == [path]
+        assert got.shape == ns.shape and got.dtype == np.float64
+        assert [float(v) for v in got.reshape(-1)] == [legacy_moebius_value(int(n)) for n in ns.reshape(-1)]
+
+    def test_run_ending_at_the_last_int64(self, paths, monkeypatch):
+        # isqrt(2^63 - 1) is ~3e9: the dispatch must send the run to trial
+        # division without overflowing; 2^63 - 2 = 2 * 3 * 715827883 *
+        # 2147483647 would take trial division seconds, so it is stubbed
+        monkeypatch.setattr(series, "_moebius_trial", lambda ns: paths.append("trial") or np.zeros(ns.shape, np.int64))
+        ns = np.array([2**63 - 3, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+        assert moebius_rule().values(ns).tolist() == [0.0, 0.0, 0.0]
+        assert paths == ["trial"]
+
+    def test_the_last_int64(self):
+        # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657, and 2^63 - 4 and
+        # 2^63 - 8 are multiples of 4
+        ns = [2**63 - 1, 2**63 - 4, 2**63 - 8]
+        assert moebius_rule().values(ns).tolist() == [legacy_moebius_value(n) for n in ns] == [0.0] * 3
+        assert moebius_rule()(2**63 - 1) == 0
+
+    def test_pooled_partial_sum_equals_the_sequential_loop(self, monkeypatch):
+        # 13 chunks of 4096 on four workers: each pool thread sieves its own
+        # chunk, and the total has the sequential loop's bits
+        monkeypatch.setattr(evaluation, "_WORKERS", 4)
+        assert evaluation._window(50_000, 4096) > 1
+        s = 0.5 + 14.134725j
+        got = partial_sum(moebius_rule(), s, 50_000, chunk=4096)
+        assert got == legacy_partial_sum(moebius_rule(), s, 50_000, 4096)
+        monkeypatch.setattr(evaluation, "_WORKERS", 1)
+        assert partial_sum(moebius_rule(), s, 50_000, chunk=4096) == got
+
+
 class TestDiagonalOperators:
     @pytest.mark.parametrize("m", MULTIPLIERS, ids=lambda m: m.label)
     @given(f=poly_strategy(min_index=2, max_index=512, max_terms=8), k=st.integers(1, 40))
@@ -395,6 +484,53 @@ def grid_cases(draw):
     step = draw(st.sampled_from([0.02, 0.05, 0.125, 0.3]))
     t0 = -t_max if draw(st.booleans()) else 0.0
     return logn, w, np.arange(t0, t_max + 0.5 * step, step)
+
+
+def assert_screen_within_delta(logn, w, ts):
+    S, delta = _grid_screen(logn, w, ts)
+    D = _grid_values(logn, w, ts)
+    assert S.shape == D.shape
+    assert math.isfinite(delta)
+    assert np.all(np.abs(S - D) <= delta)
+
+
+class TestGridScreen:
+    """_grid_screen's stated bound |S_j - D_j| <= delta, at every point of
+    the grids TestGridSup checks, D being the direct kernel's values."""
+
+    @given(grid_cases())
+    def test_random_polynomials(self, case):
+        assert_screen_within_delta(*case)
+
+    @pytest.mark.parametrize("N", [2000, 20000])
+    @pytest.mark.parametrize("rule", TestBoundaryGridKernel.RULES, ids=lambda r: r.tag)
+    def test_probe_rules(self, rule, N):
+        # 20000 terms take the screen seven blocks of 2978
+        values = rule.values(np.arange(1, N + 1, dtype=np.int64))
+        logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+        ts = np.linspace(0.0, 30.0, 121)
+        for eps in (0.0, 0.5):
+            assert_screen_within_delta(logn, values * np.exp(-eps * logn), ts)
+
+    def test_two_t_chunks(self):
+        # 3000 points at 3000 terms: blocks of 1024 terms, the last short
+        logn = np.log(np.arange(1, 3001, dtype=np.float64))
+        w = eta_rule().values(np.arange(1, 3001, dtype=np.int64)) * np.exp(-0.25 * logn)
+        assert_screen_within_delta(logn, w, np.linspace(0.0, 40.0, 3000))
+
+    def test_seminorm_default_grid(self):
+        rng = np.random.default_rng(50)
+        idx = np.sort(rng.choice(np.arange(1, 1001), 50, replace=False))
+        logn = np.log(idx.astype(np.float64))
+        ts = np.arange(0.0, 1000.0 + 0.005, 0.01)
+        assert ts.size == 100_001
+        assert_screen_within_delta(logn, rng.normal(size=50) * np.exp(-0.25 * logn), ts)
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 1110])
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_single_terms(self, n, T):
+        logn = np.log(np.array([float(n)]))
+        assert_screen_within_delta(logn, np.array([(2.5 - 1j) * n**-0.3]), np.linspace(-100.0, 100.0, T))
 
 
 class TestGridSup:
