@@ -274,8 +274,8 @@ def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, i
     differ, every point is kept (each |S_j| is |w_1| within
     u (14 + 6 (B + C)), and 2 delta is at least 32 u (B + C + 5) |w_1|), so
     the refine is the full scan.  A non-finite screen maximum or delta keeps
-    every point.  The screen runs on every grid (at N = 3, T = 1024 the two
-    paths tie), under its caller's errstate."""
+    every point.  The screen runs on every grid, under its caller's
+    errstate."""
     T = ts.size
     S, delta = _grid_screen(logn, w, ts)
     screen = np.abs(S)

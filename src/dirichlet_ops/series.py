@@ -587,34 +587,19 @@ def _primes_upto(m: int) -> np.ndarray:
 def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
     """mu(n) for n = lo..hi by a segmented sieve over the primes p <= sqrt(hi).
 
-    Each p flips the sign of its multiples in the run and multiplies into
-    each the product of its small prime factors found so far; the multiples
-    of p^2 get 0.  A square-free n whose product falls short of n has one
-    prime factor above sqrt(hi) left, so its sign flips once more.  The
-    primes below sqrt(len) each take a strided slice of the run; the larger
-    ones, with at most sqrt(len) + 1 multiples each, go together one
-    multiple a round (ufunc.at, since several may divide one n)."""
+    Each p flips the sign of its multiples in the run, a strided slice, and
+    multiplies into each the product of its small prime factors found so
+    far; the multiples of p^2 get 0.  A square-free n whose product falls
+    short of n has one prime factor above sqrt(hi) left, so its sign flips
+    once more."""
     size = hi - lo + 1
-    primes = _primes_upto(math.isqrt(hi))
     sign = np.ones(size, dtype=np.int8)
     found = np.ones(size, dtype=np.int64)
-    small = np.searchsorted(primes, math.isqrt(size))
-    for p in primes[:small].tolist():
+    for p in _primes_upto(math.isqrt(hi)).tolist():
         at = -lo % p  # position of the first multiple of p
         np.negative(sign[at::p], out=sign[at::p])
         found[at::p] *= p
         sign[-lo % (p * p) :: p * p] = 0
-    big = primes[small:]
-    at = -lo % big
-    while True:
-        hit = at < size
-        big, at = big[hit], at[hit]
-        if not big.size:
-            break
-        np.negative.at(sign, at)
-        np.multiply.at(found, at, big)
-        sign[at[(at + lo) % (big * big) == 0]] = 0
-        at += big
     np.negative(sign, out=sign, where=found < np.arange(lo, hi + 1, dtype=np.int64))
     return sign
 

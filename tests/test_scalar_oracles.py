@@ -428,7 +428,7 @@ class TestBoundaryGridKernel:
             assert probe.sup_abs == pointwise_probe_sup(values, probe.epsilon, 30.0, 121)
 
     def test_probe_bit_equal_across_t_chunks(self):
-        # 3000 points at 3000 terms exceed one 2^23-entry block: two chunks
+        # 3000 points at 3000 terms: the screen, then the refine's kept points
         values = eta_rule().values(np.arange(1, 3001, dtype=np.int64))
         [probe] = bracket_sigma_u(eta_rule(), 3000, [0.25], t_max=40.0, points=3000).probes
         assert probe.sup_abs == pointwise_probe_sup(values, 0.25, 40.0, 3000)
@@ -513,10 +513,13 @@ class TestGridScreen:
             assert_screen_within_delta(logn, values * np.exp(-eps * logn), ts)
 
     def test_two_t_chunks(self):
-        # 3000 points at 3000 terms: blocks of 1024 terms, the last short
+        # 3000 points at 3000 terms: the screen takes blocks of 1024 terms,
+        # the last short, and the direct values D cross a 2^23-entry t-chunk
         logn = np.log(np.arange(1, 3001, dtype=np.float64))
         w = eta_rule().values(np.arange(1, 3001, dtype=np.int64)) * np.exp(-0.25 * logn)
-        assert_screen_within_delta(logn, w, np.linspace(0.0, 40.0, 3000))
+        ts = np.linspace(0.0, 40.0, 3000)
+        assert evaluation._t_step(logn.size) < ts.size
+        assert_screen_within_delta(logn, w, ts)
 
     def test_seminorm_default_grid(self):
         rng = np.random.default_rng(50)
@@ -551,12 +554,11 @@ class TestGridSup:
             assert_grid_sup_bit_equal(logn, values * np.exp(-eps * logn), ts)
 
     def test_two_t_chunks(self):
-        # 3000 points at 3000 terms exceed one 2^23-entry block
+        # a 3000-point grid at 3000 terms through the screen and the refine
+        # of its kept points (TestGridScreen runs the full grid's t-chunks)
         logn = np.log(np.arange(1, 3001, dtype=np.float64))
         w = eta_rule().values(np.arange(1, 3001, dtype=np.int64)) * np.exp(-0.25 * logn)
-        ts = np.linspace(0.0, 40.0, 3000)
-        assert evaluation._t_step(logn.size) < ts.size
-        assert_grid_sup_bit_equal(logn, w, ts)
+        assert_grid_sup_bit_equal(logn, w, np.linspace(0.0, 40.0, 3000))
 
     def test_seminorm_default_grid(self):
         # 50 real terms on indices <= 1000, default grid t = 0, 0.01, .., 1000
