@@ -56,13 +56,144 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
     return _finite(value, f"f(s) at s = {s}")
 
 
-def _chunk_terms(rule: CoefficientRule, s: complex, lo: int, hi: int) -> np.ndarray:
-    """rule(n) n^(-s) for lo <= n <= hi: one chunk of partial_sum's stream."""
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    vals = rule.values(ns)
+def _cmul(x, y) -> np.ndarray:
+    """x * y, by real products and sums when both are complex.  numpy's
+    complex multiply fuses those (FMA) on CPUs that have it, so its bits
+    would follow numpy's SIMD level; a complex times a real rounds each part
+    once either way, and is left to numpy."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind != "c" or y.dtype.kind != "c":
+        return x * y
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
+    """sum vals[i] ns[i]^(-s), one exp a term, log n by series._log; at
+    s = 0 the values' own sum."""
     if s == 0:
-        return vals
-    return vals * np.exp(-s * np.log(ns.astype(np.float64)))
+        return complex(vals.sum())
+    return complex((vals * np.exp(-s * _log(ns))).sum())
+
+
+_U = 2.0**-53  # unit roundoff of a double
+
+
+# Taylor blocks: _BLOCK terms share an anchor; a chunk from lo takes blocks
+# when lo >= _FLOOR (|s| + 16) _BLOCK and at most _MAX_ORDER moments make
+# the truncation negligible (_block_order)
+_BLOCK = 64
+_FLOOR = 4
+_MAX_ORDER = 20
+
+
+def _tail(s: complex, x: float, K: int, c_K: float) -> float:
+    """sum_{k>=K} |C(-s, k)| x^k <= |C(-s, K)| x^K / (1 - q), c_K being
+    |C(-s, K)| x^K.  Past k = K each term is the one before times
+    |s + k| x / (k + 1) <= q = x max(1, (|s| + K) / (K + 1)): (|s| + k) /
+    (k + 1) is monotone in k, so its sup over k >= K is its value at K or
+    its limit 1."""
+    q = x * max(1.0, (abs(s) + K) / (K + 1))
+    return c_K / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _block_order(s: complex, lo: int) -> int:
+    """K, the moments a chunk from lo sums by Taylor blocks: the smallest
+    K <= _MAX_ORDER whose truncation bound _tail, at x = (_BLOCK - 1) / lo,
+    is at most u.  0 keeps the chunk direct: s = 0, which saves no exp, or
+    lo below the floor _FLOOR (|s| + 16) _BLOCK, which keeps every first
+    chunk direct, or no such K.  Reads only s and lo."""
+    if s == 0 or lo < _FLOOR * (abs(s) + 16) * _BLOCK:
+        return 0
+    x = (_BLOCK - 1) / lo
+    c = 1.0
+    for K in range(1, _MAX_ORDER + 1):
+        c *= abs(s + (K - 1)) / K * x
+        if _tail(s, x, K, c) <= _U:
+            return K
+    return 0
+
+
+def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int) -> tuple[complex, float]:
+    """S ~ sum_i vals[i] (lo + i)^(-s) by Taylor blocks of b = _BLOCK terms,
+    and delta >= |S - exact|, for any K >= 1 and any lo whose ratio bound q
+    (_tail) is below 1, as every lo >= _FLOOR (|s| + 16) b makes it; past
+    that delta is inf.
+
+    Block i holds n = a + j, a = lo + b i, 0 <= j < b (the last one padded
+    with zeros), and by the binomial series of (1 + j / a)^(-s)
+        sum_j v_{a+j} (a + j)^(-s) = a^(-s) sum_k C(-s, k) r^k M_k,
+        r = b / a,   M_k = sum_j v_{a+j} (j / b)^k,
+    summed over k < K.  The values lie in a (b x blocks) array W; W *= j / b
+    in place builds each power and np.add.reduce(W, axis=0) its moment, so
+    only elementwise IEEE products and sums run: no BLAS call, and bits that
+    follow neither a BLAS kernel nor numpy's SIMD level (_cmul keeps the
+    complex products unfused).  Each anchor takes one log (series._log) and
+    one exp, then a Horner pass over k on the anchor arrays, and np.sum adds
+    the block sums.  So a term costs K products and K sums, not an exp.
+
+    The bound, to first order in u = 2^-53, with m_i = sum_j |v_{a+j}|,
+    x = (b - 1) / lo, c_k = |C(-s, k)| x^k, which bounds
+    |C(-s, k)| (j / a)^k in every block, and L the last anchor's log:
+      - truncation: the terms k >= K add at most |a^(-s)| m_i tau,
+        tau = _tail(s, x, K, c_K);
+      - moments: a power rounds once a step and a sum of b products b - 1
+        times, so M_k is within (k + b) u sum_j |v| (j / b)^k, and its term
+        within (k + b) u c_k m_i;
+      - C(-s, k), by its recurrence, 5 u a step; r^k, 2 u a power; the
+        Horner pass, a product by r and a sum a step, 3 u for C M_k: term k
+        gains (9 k + 4) u c_k m_i, so (10 k + b + 4) u c_k m_i in all, and
+        u S1 m_i summed over k < K;
+      - each anchor: log a is within u (2 L + 1) (a rounded to a double,
+        then the log), -s log a rounds by u |s| L and the exp by 4 u, so
+        a^(-s) is within u (|s| (3 L + 1) + 4) |a^(-s)|, and its product
+        with the block's polynomial, at most S0 m_i = sum_{k<K} c_k m_i,
+        adds 3 u;
+      - the final sums: np.sum adds pairwise (runs of at most 16, then a
+        tree), within u (log2 blocks + 20) S0 mu.
+    So with mu = sum_i |a_i^(-s)| m_i,
+        |S - exact| <= mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks))),
+    and delta is that with the computed |a_i^(-s)|, m_i, c_k and sums, whose
+    rounding is of second order.  Runs under its caller's errstate."""
+    b, n = _BLOCK, vals.size
+    blocks, full = -(-n // b), n // b
+    W = np.empty((b, blocks), dtype=np.complex128 if vals.dtype.kind == "c" else np.float64)
+    W[:, :full] = vals[: full * b].reshape(full, b).T
+    if full < blocks:
+        W[: n - full * b, full] = vals[full * b :]
+        W[n - full * b :, full] = 0
+    mass = np.add.reduce(np.abs(W), axis=0)
+    M = np.empty((K, blocks), dtype=W.dtype)
+    np.add.reduce(W, axis=0, out=M[0])
+    t = (np.arange(b, dtype=np.float64) / b)[:, None]
+    for k in range(1, K):
+        W *= t
+        np.add.reduce(W, axis=0, out=M[k])
+
+    anchors = np.arange(lo, lo + blocks * b, b, dtype=np.int64)
+    logs = _log(anchors)
+    E = np.exp(logs * -s)
+    r = b / anchors.astype(np.float64)
+    C = [1 + 0j]
+    for k in range(1, K + 1):
+        C.append(C[-1] * (-s - (k - 1)) / k)
+    P = _cmul(C[K - 1], M[K - 1])
+    for k in range(K - 2, -1, -1):
+        P *= r
+        P += _cmul(C[k], M[k])
+    total = complex(_cmul(E, P).sum())
+
+    x = (b - 1) / lo
+    c = [abs(C[k]) * x**k for k in range(K + 1)]
+    S0 = math.fsum(c[:K])
+    S1 = math.fsum((10 * k + b + 4) * c[k] for k in range(K))
+    mu = float(np.sum(np.abs(E) * mass))
+    L = float(logs[-1])
+    rounding = S1 + S0 * (abs(s) * (3 * L + 1) + 27 + math.log2(blocks))
+    delta = mu * (_tail(s, x, K, c[K]) + _U * rounding)
+    return total, delta
 
 
 # threads that off-axis partial sums may use; the CPUs this process may run on
@@ -70,6 +201,15 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = os.cpu_count() or 1
+
+
+def _sum_terms(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
+    """sum vals[i] ns[i]^(-s) for one chunk of partial_sum's stream, ns the
+    run lo..hi: Taylor blocks from the floor on (_block_order), direct terms
+    before it and at s = 0."""
+    lo = int(ns[0])
+    K = _block_order(s, lo)
+    return _block_sum(vals, s, lo, K)[0] if K else _direct_sum(ns, vals, s)
 
 
 def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
@@ -81,7 +221,8 @@ def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
     would escape as a RuntimeWarning instead of reaching partial_sum's
     finiteness check."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(_chunk_terms(rule, s, lo, hi).sum())
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        return _sum_terms(ns, rule.values(ns), s)
 
 
 def _pooled_sum(rule: CoefficientRule, s: complex, bounds, window: int) -> complex:
@@ -128,7 +269,23 @@ def _window(N: int, chunk: int) -> int:
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
     """sum_{n<=N} rule(n) n^(-s), streamed in chunks so N ~ 10^8 never
-    materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s).
+    materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)
+    to rounding.
+
+    A chunk from lo >= 4 (|s| + 16) 64 goes by Taylor blocks (_block_sum):
+    one exp per 64 terms, then K <= 20 products and sums a term, K the
+    smallest order whose truncation is at most u = 2^-53 of the chunk's
+    mass.  With 2^16-term chunks that is every chunk after the first when
+    |s| <= 240.  A block chunk is within
+        delta = mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks)))
+    of its exact sum (derived in _block_sum), about
+    u (|s| (3 log hi + 1) + 110) times the chunk's sum |rule(n)| n^(-Re s):
+    the anchors' phases carry the u |s| log n error a direct term's does.
+    Chunks below the floor, the first always among them, take one exp a
+    term, and s = 0 none: its chunks are the values' sums.  log n is
+    series._log's, so the bits follow neither numpy's SIMD level nor, since
+    no BLAS call runs, a BLAS kernel; a direct chunk of a complex rule is
+    the exception, its products being numpy's complex multiply.
 
     For s != 0 the chunks' terms are computed on a pool of up to _WORKERS
     threads (the CPUs this process may use, at most one per chunk) that the
@@ -150,11 +307,12 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
         else:
             total = 0j
             for lo, hi in bounds:
-                # the last chunk's terms stay alive while the next is built:
+                # the last chunk's values stay alive while the next is built:
                 # freeing a whole chunk at once lets malloc return the heap
                 # top to the OS, and refaulting it made the Basel sum ~4x slower
-                terms = _chunk_terms(rule, s, lo, hi)
-                total += complex(terms.sum())
+                ns = np.arange(lo, hi + 1, dtype=np.int64)
+                vals = rule.values(ns)
+                total += _sum_terms(ns, vals, s)
     return _finite(total, f"partial sum of {N} terms at s = {s}")
 
 
@@ -185,9 +343,6 @@ def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
         E *= w
         out[i : i + t_step] = E.sum(axis=1)
     return out
-
-
-_U = 2.0**-53  # unit roundoff of a double
 
 
 def _powers(M: np.ndarray, ratio: np.ndarray) -> None:

@@ -61,8 +61,9 @@ _ARRAY_MIN_TERMS = 96
 # windows, bracket_sigma_u, bv_check, one partial_sum chunk), checked before
 # anything is allocated.  They peak at 32-81 bytes a term (tracemalloc;
 # bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
-# in blocks), so at ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy
-# (MemoryError, ValueError).
+# in blocks; a partial_sum chunk at 48 direct and 32 by Taylor blocks, 56
+# and 48 for a complex rule, at 2^16 to 2^22 terms), so at ~1.4 GB for
+# 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
 # partial_sum streams its N terms in chunks, so N itself is not capped.
 _MAX_TERMS = 1 << 24
 

@@ -7,9 +7,10 @@ import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dirichlet_ops import evaluation
@@ -23,6 +24,7 @@ from dirichlet_ops import (
     boundary_values,
     eta_rule,
     evaluate,
+    moebius_rule,
     monomial,
     ones_rule,
     partial_sum,
@@ -194,7 +196,7 @@ class TestPartialSumPool:
         monkeypatch.setattr(evaluation, "_WORKERS", 64)
         windows = []
         monkeypatch.setattr(evaluation, "_pooled_sum", lambda rule, s, bounds, window: windows.append(window) or 0j)
-        monkeypatch.setattr(evaluation, "_chunk_terms", lambda rule, s, lo, hi: np.ones(1))
+        monkeypatch.setattr(evaluation, "_sum_terms", lambda ns, vals, s: 1)
         assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**20) == 0j
         assert windows == [4]
         # two 2^22-term chunks, one at a time on the calling thread
@@ -230,6 +232,145 @@ class TestPartialSumPool:
         assert not any(t.is_alive() for t in callers)
         assert errors == []
         assert got == {s: {v} for s, v in want.items()}
+
+
+@st.composite
+def block_cases(draw):
+    """(rule, s, lo, length, K) for evaluation._block_sum: lo from the floor
+    of s up to 2^40 (2^32 for Moebius, whose far runs go to trial division),
+    lengths that end in a partial block, and K drawn or the dispatch's own."""
+    s = complex(draw(st.floats(-2.0, 3.0)), draw(st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-1e4, 1e4]))))
+    assume(s != 0)
+    floor = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
+    name = draw(st.sampled_from(["eta", "ones", "moebius", "zeta_shift", "complex table"]))
+    top = 2**32 if name == "moebius" else 2**40
+    lo = draw(st.one_of(st.integers(floor, 4 * floor), st.integers(floor, top)))
+    length = draw(st.integers(1, 5 * evaluation._BLOCK))
+    if name == "zeta_shift":
+        rule = zeta_shift_rule(draw(st.integers(0, 3)))
+    elif name == "complex table":
+        # support before, inside and past the chunk
+        keys = st.integers(max(1, lo - 64), lo + length + 64)
+        values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+        rule = table_rule(draw(st.dictionaries(keys, values, min_size=1, max_size=40)))
+    else:
+        rule = {"eta": eta_rule, "ones": ones_rule, "moebius": moebius_rule}[name]()
+    K = draw(st.one_of(st.none(), st.integers(1, evaluation._MAX_ORDER)))
+    return rule, s, lo, length, K
+
+
+_SIMD_BITS = (
+    "import numpy as np\n"
+    "from dirichlet_ops import eta_rule, partial_sum, table_rule\n"
+    "from dirichlet_ops.evaluation import _block_sum\n"
+    "v = partial_sum(eta_rule(), 0.5 + 14j, 2**20)\n"
+    "rule = table_rule({n: complex(1 / n, (-1) ** n) for n in range(2**20, 2**20 + 5000, 3)})\n"
+    "b, delta = _block_sum(rule.values(np.arange(2**20, 2**20 + 5000)), 0.5 + 14j, 2**20, 6)\n"
+    "print(' '.join(x.hex() for x in (v.real, v.imag, b.real, b.imag, delta)))\n"
+)
+
+
+class TestTaylorBlocks:
+    """partial_sum's chunks past the floor go through evaluation._block_sum,
+    one exp per block of 64 terms; the first chunk and s = 0 stay direct."""
+
+    @given(block_cases())
+    def test_block_sum_is_within_delta_of_the_exact_sum(self, case):
+        rule, s, lo, length, K = case
+        K = K or evaluation._block_order(s, lo)
+        assert K > 0
+        ns = np.arange(lo, lo + length, dtype=np.int64)
+        vals = rule.values(ns)
+        got, delta = evaluation._block_sum(vals, s, lo, K)
+        assert math.isfinite(delta)
+        with mpmath.workdps(40):
+            ms = mpmath.mpc(s.real, s.imag)
+            exact = mpmath.fsum(
+                mpmath.mpc(complex(v).real, complex(v).imag) * mpmath.power(n, -ms)
+                for n, v in zip(ns.tolist(), vals.tolist())
+                if v != 0
+            )
+            assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """(path, lo) for each chunk that took a per-chunk path, in chunk order:
+        'blocks' or 'direct'."""
+        taken = []
+        block, direct = evaluation._block_sum, evaluation._direct_sum
+
+        def blocks(vals, s, lo, K):
+            taken.append(("blocks", lo))
+            return block(vals, s, lo, K)
+
+        def terms(ns, vals, s):
+            taken.append(("direct", int(ns[0])))
+            return direct(ns, vals, s)
+
+        monkeypatch.setattr(evaluation, "_block_sum", blocks)
+        monkeypatch.setattr(evaluation, "_direct_sum", terms)
+        yield taken
+        taken.sort(key=lambda path: path[1])
+
+    def test_first_chunk_and_s_zero_stay_direct(self, paths):
+        partial_sum(eta_rule(), 1e-3j, 2**16)
+        assert paths == [("direct", 1)]
+        # s = 0 sums each chunk's values as before: no exp to save, and Basel's bits stay
+        rule = zeta_shift_rule(2)
+        want = 0j
+        for lo in range(1, 3 * 2**16, 2**16):
+            want += complex(rule.values(np.arange(lo, lo + 2**16)).sum())
+        assert partial_sum(rule, 0, 3 * 2**16) == want
+        assert paths == [("direct", 1), ("direct", 1), ("direct", 2**16 + 1), ("direct", 2**17 + 1)]
+
+    def test_blocks_start_at_the_floor(self, paths):
+        # |48i| + 16 = 64, so the floor is 4 * 64 * 64
+        s, floor = 48j, 16384
+        assert evaluation._block_order(s, floor - 1) == 0 < evaluation._block_order(s, floor)
+        partial_sum(eta_rule(), s, 2 * (floor - 2), chunk=floor - 2)
+        partial_sum(eta_rule(), s, 2 * (floor - 1), chunk=floor - 1)
+        paths.sort(key=lambda path: path[1])
+        assert paths == [("direct", 1), ("direct", 1), ("direct", floor - 1), ("blocks", floor)]
+
+    def test_far_point_stays_direct_up_to_its_floor(self, paths):
+        # 4 (|s| + 16) 64 = 2564096.0032 at s = 0.5 + 10^4 i
+        s = 0.5 + 1e4j
+        assert evaluation._block_order(s, 2564096) == 0 < evaluation._block_order(s, 2564097)
+        partial_sum(eta_rule(), s, 2564095 + 64, chunk=2564095)
+        partial_sum(eta_rule(), s, 2564096 + 64, chunk=2564096)
+        paths.sort(key=lambda path: path[1])
+        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("blocks", 2564097)]
+
+    @pytest.mark.parametrize("s", [complex(-60, 1), complex(-2000, 1)])
+    def test_overflowing_blocks_are_a_domain_error(self, paths, monkeypatch, s):
+        # chunks from 2^19 + 1 pass both floors (19459 and 516096); at
+        # -60 + i the first block chunk's sums overflow, at -2000 + i every term
+        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+        with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
+            partial_sum(ones_rule(), s, 2**19 + 2**16)
+        assert ("blocks", 2**19 + 1) in paths
+
+    def test_workers_do_not_move_the_bits_of_blocks(self, paths, monkeypatch):
+        s = 0.5 + 14j
+        monkeypatch.setattr(evaluation, "_WORKERS", 1)
+        want = partial_sum(eta_rule(), s, 10 * 4096 + 100, chunk=4096)
+        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+        assert partial_sum(eta_rule(), s, 10 * 4096 + 100, chunk=4096) == want
+        assert ("blocks", 8193) in paths and ("direct", 4097) in paths
+
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+    def test_bits_do_not_follow_numpy_simd(self, disabled):
+        """A direct-and-blocks partial sum and one block chunk of a complex
+        rule keep their bits with numpy's AVX-512 loops off, and with its
+        AVX2 loops off too (a subprocess; numpy ignores the names of
+        features this CPU lacks, and there the test passes trivially)."""
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        run = {}
+        for name, env in (("default", {}), ("disabled", {"NPY_DISABLE_CPU_FEATURES": disabled})):
+            out = subprocess.run([sys.executable, "-c", _SIMD_BITS], capture_output=True, text=True, check=True,
+                                 timeout=120, env={**os.environ, **env, "PYTHONPATH": src})
+            run[name] = out.stdout
+        assert run["default"] == run["disabled"]
 
 
 class TestSummationByParts:

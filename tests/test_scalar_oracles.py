@@ -14,19 +14,21 @@ and on the log term; it now keeps that term whenever g^k and g^k a_n are
 normal doubles, and must match the old sum bit for bit wherever the old
 one took the direct term for every index and each was a normal double.
 partial_sum computes its chunks on a thread pool when s != 0 and must give
-its old sequential loop's bits for one worker and for two.  apply runs the
-built-in multipliers, the resolvent and power_apply iterates on arrays
-from series._ARRAY_MIN_TERMS terms on and must give the per-term loop's
-bits and error messages; polynomials built from arrays must be
-indistinguishable from those built from dicts.  From the same threshold
+the same bits for one worker and for four; its chunks past the
+Taylor-block floor must agree with the old per-term loop within their error
+bound.  apply runs the built-in multipliers, the resolvent and power_apply
+iterates on arrays from series._ARRAY_MIN_TERMS terms on and must give the
+per-term loop's bits and error messages; polynomials built from arrays must
+be indistinguishable from those built from dicts.  From the same threshold
 the constructor builds a mapping of int keys to complex or float values
 on arrays, and normalized_power_norm and ergodicity_diagnostic form the
 orbit terms on arrays; both must give their per-term loops' bits and
 exceptions.
-The new paths must reproduce them bit for bit, except the resolvent, whose
-coefficients are now b * (1 / x) instead of b / x.  Both round differently
-in CPython's complex arithmetic; a random search over 10^6 coefficients
-found them at most 2.83 ulp of |b / x| apart, so the test allows 4.
+The new paths must reproduce them bit for bit, except partial_sum's block
+chunks (above) and the resolvent, whose coefficients are now b * (1 / x)
+instead of b / x.  Both round differently in CPython's complex arithmetic;
+a random search over 10^6 coefficients found them at most 2.83 ulp of
+|b / x| apart, so the test allows 4.
 """
 
 import dataclasses
@@ -337,14 +339,30 @@ class TestMoebiusSieve:
 
     def test_pooled_partial_sum_equals_the_sequential_loop(self, monkeypatch):
         # 13 chunks of 4096 on four workers: each pool thread sieves its own
-        # chunk, and the total has the sequential loop's bits
+        # chunk, and the total has one worker's bits.  Chunks from 8193 on
+        # pass the floor and take Taylor blocks, so the per-term oracle agrees
+        # within their delta and the rounding of the per-term sums: each term
+        # within u (|s| (10 log N + 1) + 64) of its modulus (the log, the
+        # phase, the exp, the product, a pairwise sum and the chunk adds),
+        # once for the oracle and once for the direct chunks
         monkeypatch.setattr(evaluation, "_WORKERS", 4)
         assert evaluation._window(50_000, 4096) > 1
         s = 0.5 + 14.134725j
         got = partial_sum(moebius_rule(), s, 50_000, chunk=4096)
-        assert got == legacy_partial_sum(moebius_rule(), s, 50_000, 4096)
         monkeypatch.setattr(evaluation, "_WORKERS", 1)
         assert partial_sum(moebius_rule(), s, 50_000, chunk=4096) == got
+        delta, mass, blocked = 0.0, 0.0, 0
+        for lo in range(1, 50_001, 4096):
+            ns = np.arange(lo, min(50_000, lo + 4095) + 1)
+            vals = moebius_rule().values(ns)
+            mass += fsum((np.abs(vals) * ns ** -s.real).tolist())
+            K = evaluation._block_order(s, lo)
+            if K:
+                delta += evaluation._block_sum(vals, s, lo, K)[1]
+                blocked += 1
+        assert blocked == 11
+        rounding = 2 * 2.0**-53 * mass * (abs(s) * (10 * math.log(50_000) + 1) + 64)
+        assert abs(got - legacy_partial_sum(moebius_rule(), s, 50_000, 4096)) <= delta + rounding
 
 
 class TestDiagonalOperators:
