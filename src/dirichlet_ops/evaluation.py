@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
-from .series import _MAX_TERMS, _exp, _fsum, _log, _slope, _validate_complex, _validate_index, _validate_real
+from .series import _MAX_TERMS, _exp, _fsum, _log, _power, _slope, _validate_complex, _validate_index, _validate_real
 
 __all__ = [
     "evaluate",
@@ -111,28 +111,53 @@ def _block_order(s: complex, lo: int) -> int:
     c = 1.0
     for K in range(1, _MAX_ORDER + 1):
         c *= abs(s + (K - 1)) / K * x
-        if _tail(s, x, K, c) <= _U:
+        # _tail is at least c, so c > u needs no call
+        if c <= _U and _tail(s, x, K, c) <= _U:
             return K
     return 0
 
 
-def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int) -> tuple[complex, float]:
+def _moments(W: np.ndarray, K: int, bound: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """M (K x m), M[k] = sum_j W[j] (j / b)^k for each of the m columns of W
+    (b = _BLOCK rows), and, for a bound, each column's mass sum_j |W[j]|.
+    W *= j / b in place builds each power and np.add.reduce(W, axis=0) its
+    moment, so W is overwritten."""
+    mass = np.add.reduce(np.abs(W), axis=0) if bound else None
+    M = np.empty((K, W.shape[1]), dtype=W.dtype)
+    np.add.reduce(W, axis=0, out=M[0])
+    t = (np.arange(_BLOCK, dtype=np.float64) / _BLOCK)[:, None]
+    for k in range(1, K):
+        W *= t
+        np.add.reduce(W, axis=0, out=M[k])
+    return M, mass
+
+
+def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True) -> tuple[complex, float | None]:
     """S ~ sum_i vals[i] (lo + i)^(-s) by Taylor blocks of b = _BLOCK terms,
-    and delta >= |S - exact|, for any K >= 1 and any lo whose ratio bound q
-    (_tail) is below 1, as every lo >= _FLOOR (|s| + 16) b makes it; past
-    that delta is inf.
+    and delta >= |S - exact| (None when bound is false, as partial_sum
+    asks), for any K >= 1 and any lo whose ratio bound q (_tail) is below 1,
+    as every lo >= _FLOOR (|s| + 16) b makes it; past that delta is inf.
 
     Block i holds n = a + j, a = lo + b i, 0 <= j < b (the last one padded
     with zeros), and by the binomial series of (1 + j / a)^(-s)
         sum_j v_{a+j} (a + j)^(-s) = a^(-s) sum_k C(-s, k) r^k M_k,
         r = b / a,   M_k = sum_j v_{a+j} (j / b)^k,
-    summed over k < K.  The values lie in a (b x blocks) array W; W *= j / b
-    in place builds each power and np.add.reduce(W, axis=0) its moment, so
-    only elementwise IEEE products and sums run: no BLAS call, and bits that
-    follow neither a BLAS kernel nor numpy's SIMD level (_cmul keeps the
-    complex products unfused).  Each anchor takes one log (series._log) and
-    one exp, then a Horner pass over k on the anchor arrays, and np.sum adds
+    summed over k < K.  Here the values lie in a (b x blocks) array and
+    _moments takes each block's moments; only elementwise IEEE products and
+    sums run: no BLAS call, and bits that follow neither a BLAS kernel nor
+    numpy's SIMD level (_cmul keeps the complex products unfused).  The
+    anchor half, _anchor_sums, takes one log (series._log) and one exp an
+    anchor, then a Horner pass over k on the anchor arrays, and np.sum adds
     the block sums.  So a term costs K products and K sums, not an exp.
+
+    Constant moments (_periodic_sums): when v_n = c[n mod p] with p | b,
+    every full block has the moments of the chunk's first, since all
+    anchors share lo mod p, and the padded last block has its own.  They are
+    computed once, from one or two columns, and _anchor_sums spreads them
+    over the anchors, so a chunk does no per-term work.  Everything below
+    holds for them as stated, m_i being the mass of block i's column.  With
+    real s and real moments every step runs in real arithmetic, which
+    rounds no more than the complex steps counted below.
 
     The bound, to first order in u = 2^-53, with m_i = sum_j |v_{a+j}|,
     x = (b - 1) / lo, c_k = |C(-s, k)| x^k, which bounds
@@ -164,36 +189,71 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int) -> tuple[complex, 
     if full < blocks:
         W[: n - full * b, full] = vals[full * b :]
         W[n - full * b :, full] = 0
-    mass = np.add.reduce(np.abs(W), axis=0)
-    M = np.empty((K, blocks), dtype=W.dtype)
-    np.add.reduce(W, axis=0, out=M[0])
-    t = (np.arange(b, dtype=np.float64) / b)[:, None]
-    for k in range(1, K):
-        W *= t
-        np.add.reduce(W, axis=0, out=M[k])
+    M, mass = _moments(W, K, bound)
+    total, delta = _anchor_sums(M, mass, s, np.array([lo], dtype=np.int64), blocks, K)
+    return complex(total[0]), None if delta is None else float(delta[0])
 
-    anchors = np.arange(lo, lo + blocks * b, b, dtype=np.int64)
-    logs = _log(anchors)
-    E = np.exp(logs * -s)
+
+def _periodic_sums(c: tuple[float, ...], s: complex, los: np.ndarray, n: int, K: int, bound: bool = False):
+    """_block_sum's sums, and its deltas for a bound, of chunks of n terms
+    v_m = c[m mod p], p = len(c) dividing _BLOCK, one from each start in
+    los, all sharing lo mod p: the constant moments of a full block and,
+    when n is not a multiple of _BLOCK, of the padded last one are taken
+    once for all of them."""
+    b, p = _BLOCK, len(c)
+    blocks, full = -(-n // b), n // b
+    w = np.array(c, dtype=np.float64)[(int(los[0]) % p + np.arange(b)) % p]
+    W = np.repeat(w[:, None], 2 if 0 < full < blocks else 1, axis=1)
+    if full < blocks:
+        W[n - full * b :, -1] = 0
+    M, mass = _moments(W, K, bound)
+    return _anchor_sums(M, mass, s, los, blocks, K)
+
+
+def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, los: np.ndarray, blocks: int, K: int):
+    """The anchor half of the Taylor-block kernel (_block_sum, which derives
+    delta): for each start lo in los, the sum over its anchors
+    a = lo + b i, i < blocks, of a^(-s) sum_{k<K} C(-s, k) (b / a)^k M_k,
+    and its delta (None when mass is None), as arrays over los.  M (K x m)
+    and mass (m) hold one column a block (m = blocks), or shared ones: the
+    first blocks - m + 1 blocks take column 0, each later block its own
+    column.  a^(-s) comes from series._power, real for real s, and real s
+    with real moments runs all in real arithmetic.  Each start's sum is one
+    row of a (starts x blocks) array, reduced as np.sum reduces that row
+    alone, so a start's bits do not depend on the others."""
+    b = _BLOCK
+    # the column of each block
+    col = np.maximum(np.arange(blocks) - (blocks - M.shape[1]), 0)
+    real = s.imag == 0 and M.dtype.kind == "f"
+    if real:
+        s = s.real
+    anchors = los[:, None] + b * np.arange(blocks, dtype=np.int64)
+    E = _power(anchors, s)
     r = b / anchors.astype(np.float64)
-    C = [1 + 0j]
+    C = [1.0 if real else 1 + 0j]
     for k in range(1, K + 1):
         C.append(C[-1] * (-s - (k - 1)) / k)
-    P = _cmul(C[K - 1], M[K - 1])
+    CM = _cmul(np.array(C[:K])[:, None], M)[:, col]
+    P = np.empty(anchors.shape, dtype=CM.dtype)
+    P[:] = CM[K - 1]
     for k in range(K - 2, -1, -1):
         P *= r
-        P += _cmul(C[k], M[k])
-    total = complex(_cmul(E, P).sum())
+        P += CM[k]
+    totals = np.add.reduce(_cmul(E, P), axis=1)
+    if mass is None:
+        return totals, None
 
-    x = (b - 1) / lo
-    c = [abs(C[k]) * x**k for k in range(K + 1)]
-    S0 = math.fsum(c[:K])
-    S1 = math.fsum((10 * k + b + 4) * c[k] for k in range(K))
-    mu = float(np.sum(np.abs(E) * mass))
-    L = float(logs[-1])
-    rounding = S1 + S0 * (abs(s) * (3 * L + 1) + 27 + math.log2(blocks))
-    delta = mu * (_tail(s, x, K, c[K]) + _U * rounding)
-    return total, delta
+    x = (b - 1) / los.astype(np.float64)
+    c = np.abs(np.array(C))[:, None] * x ** np.arange(K + 1)[:, None]
+    S0 = np.add.reduce(c[:K], axis=0)
+    S1 = np.add.reduce((10 * np.arange(K) + b + 4)[:, None] * c[:K], axis=0)
+    # _tail's bound, one per start
+    q = x * max(1.0, (abs(s) + K) / (K + 1))
+    tail = np.full(q.shape, math.inf)
+    np.divide(c[K], 1.0 - q, out=tail, where=q < 1.0)
+    mu = np.add.reduce(np.abs(E) * mass[col], axis=1)
+    rounding = S1 + S0 * (abs(s) * (3 * _log(anchors[:, -1]) + 1) + 27 + math.log2(blocks))
+    return totals, mu * (tail + _U * rounding)
 
 
 # threads that off-axis partial sums may use; the CPUs this process may run on
@@ -209,7 +269,50 @@ def _sum_terms(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
     before it and at s = 0."""
     lo = int(ns[0])
     K = _block_order(s, lo)
-    return _block_sum(vals, s, lo, K)[0] if K else _direct_sum(ns, vals, s)
+    return _block_sum(vals, s, lo, K, bound=False)[0] if K else _direct_sum(ns, vals, s)
+
+
+# most anchors one run of constant-moment chunks spans (_chunk_sums): 0.5 MB
+# a real anchor array
+_RUN_ANCHORS = 1 << 16
+
+
+def _chunk_sums(rule: CoefficientRule, s: complex, bounds):
+    """The sum of each chunk (lo, hi) of partial_sum's stream, in chunk order.
+
+    A rule described as a_n = c[n mod p] n^(-k) (CoefficientRule) takes its
+    chunks from the floor of s' = s + k on (_block_order(s + k, lo)) by
+    Taylor blocks at s' from constant moments (_periodic_sums), without its
+    values.  Consecutive such chunks of one length, order and phase lo mod p
+    go as one run of at most _RUN_ANCHORS anchors, so the per-chunk Python
+    work is paid once a run; each chunk's sum is its own row, so its bits do
+    not depend on the run.  Every other chunk, and every chunk of any other
+    rule, takes its values and _sum_terms.
+
+    The last chunk's index and value arrays stay alive while the next is
+    built: freeing a whole chunk at once lets malloc return the heap top to
+    the OS, and refaulting it made the Basel sum ~4x slower."""
+    c, k = rule._description or ((), 0)
+    run, key = [], None
+
+    def run_sums():
+        n, K = key[0] + 1, key[1]
+        return map(complex, _periodic_sums(c, s + k, np.array(run, dtype=np.int64), n, K)[0].tolist())
+
+    for lo, hi in bounds:
+        K = _block_order(s + k, lo) if c else 0
+        if run and (key != (hi - lo, K, lo % len(c)) or len(run) * (hi - lo + 1) >= _RUN_ANCHORS * _BLOCK):
+            yield from run_sums()
+            run = []
+        if K:
+            run.append(lo)
+            key = (hi - lo, K, lo % len(c))
+            continue
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        vals = rule.values(ns)
+        yield _sum_terms(ns, vals, s)
+    if run:
+        yield from run_sums()
 
 
 def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
@@ -221,8 +324,7 @@ def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
     would escape as a RuntimeWarning instead of reaching partial_sum's
     finiteness check."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        return _sum_terms(ns, rule.values(ns), s)
+        return next(_chunk_sums(rule, s, ((lo, hi),)))
 
 
 def _pooled_sum(rule: CoefficientRule, s: complex, bounds, window: int) -> complex:
@@ -287,6 +389,15 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     no BLAS call runs, a BLAS kernel; a direct chunk of a complex rule is
     the exception, its products being numpy's complex multiply.
 
+    The built-in ones_rule, eta_rule and zeta_shift_rule(k) describe
+    themselves as a_n = c[n mod p] n^(-k) (CoefficientRule).  Their chunks
+    from the floor of s' = s + k on are sums of c[n mod p] n^(-s') by
+    Taylor blocks at s' whose moments are the same for every full block
+    (_periodic_sums): no values are computed, and a chunk costs one log and
+    one exp an anchor and K Horner steps, in real arithmetic when s' is
+    real.  Basel, zeta_shift(2) at s = 0, is ones at s' = 2: its first chunk
+    stays the values' sum, and its imaginary part is exactly 0.
+
     For s != 0 the chunks' terms are computed on a pool of up to _WORKERS
     threads (the CPUs this process may use, at most one per chunk) that the
     call starts and stops, with at most 2^22 terms in flight, so chunks
@@ -306,13 +417,8 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
             total = _pooled_sum(rule, s, bounds, window)
         else:
             total = 0j
-            for lo, hi in bounds:
-                # the last chunk's values stay alive while the next is built:
-                # freeing a whole chunk at once lets malloc return the heap
-                # top to the OS, and refaulting it made the Basel sum ~4x slower
-                ns = np.arange(lo, hi + 1, dtype=np.int64)
-                vals = rule.values(ns)
-                total += _sum_terms(ns, vals, s)
+            for value in _chunk_sums(rule, s, bounds):
+                total += value
     return _finite(total, f"partial sum of {N} terms at s = {s}")
 
 

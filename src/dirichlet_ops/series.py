@@ -18,7 +18,7 @@ import math
 import sys
 from cmath import isfinite
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 from types import MappingProxyType
 from typing import Callable
@@ -62,7 +62,8 @@ _ARRAY_MIN_TERMS = 96
 # anything is allocated.  They peak at 32-81 bytes a term (tracemalloc;
 # bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
 # in blocks; a partial_sum chunk at 48 direct and 32 by Taylor blocks, 56
-# and 48 for a complex rule, at 2^16 to 2^22 terms), so at ~1.4 GB for
+# and 48 for a complex rule, at 2^16 to 2^22 terms; a described rule's
+# chunk past the floor holds no per-term array), so at ~1.4 GB for
 # 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
 # partial_sum streams its N terms in chunks, so N itself is not capped.
 _MAX_TERMS = 1 << 24
@@ -375,6 +376,17 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z).real.copy()
 
 
+def _power(x: np.ndarray, s: complex) -> np.ndarray:
+    """x^(-s) = exp(-s log x) for x >= 1, on one complex buffer: the bits of
+    _exp(_log(x) * -s), a real array, for real s, and of
+    np.exp(_log(x) * -s) otherwise, since the log's imaginary part is 0."""
+    z = np.array(x, dtype=np.complex128)
+    np.log(z, out=z)
+    z *= -s
+    np.exp(z, out=z)
+    return z.real if s.imag == 0 else z
+
+
 # below this many index pairs the per-pair loop beats the array kernel: the
 # measured crossover is 42-49 pairs (2-core x86-64, numpy 2.4)
 _KERNEL_MIN_PAIRS = 48
@@ -464,21 +476,30 @@ class CoefficientRule:
     """Deterministic total coefficient rule n -> a_n for n >= 1.
 
     `vectorized` maps an int64 index array to the coefficient array; it is
-    the only way a rule is evaluated.  values() returns its native dtype
-    (float64 for real rules, so streamed sums skip a complex pass) and a
-    scalar call rule(n) is values() on a 1-element array.  An output that
-    is not a numeric (integer, float or complex) array of the indices' shape
-    raises DomainError naming the rule's tag.
+    the only way a rule is evaluated.  values() returns its float or
+    complex dtype (float64 for real rules, so streamed sums skip a complex
+    pass; an integer output comes back as float64, so no sum of it wraps)
+    and a scalar call rule(n) is values() on a 1-element array.  An output
+    that is not a numeric (integer, float or complex) array of the indices'
+    shape raises DomainError naming the rule's tag.
     partial_sum may call `vectorized` from several threads at once, on
     disjoint index chunks, so it must be pure: no shared state it writes,
     the same values for the same indices.  Every built-in rule is.
     `known_abscissas` is reference metadata consumed only by tests, never
     by the estimators themselves.
+
+    `_description`, private, is (c, k) when a_n = c[n mod p] n^(-k) with
+    p = len(c) dividing 64: partial_sum then sums the rule's chunks past
+    the Taylor-block floor from constant moments, without calling
+    `vectorized`.  Only ones_rule, eta_rule and zeta_shift_rule set it.  It
+    takes no part in construction, comparison or repr, so a user's rule,
+    whatever its tag, and dataclasses.replace of a built-in carry None.
     """
 
     tag: str
     vectorized: Callable[[np.ndarray], np.ndarray]
     known_abscissas: Mapping[str, float] | None = None
+    _description: tuple[tuple[float, ...], int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, n: int) -> complex:
         return complex(self.values([_validate_index(n)])[0])
@@ -496,26 +517,35 @@ class CoefficientRule:
                 f"rule {self.tag!r} must return numbers in the indices' shape {ns.shape}, "
                 f"got {out.dtype} of shape {out.shape}"
             )
-        return out
+        # integer sums (np.cumsum, a chunk's sum at s = 0) would wrap silently
+        return out.astype(np.float64) if out.dtype.kind in "iu" else out
+
+
+def _described(rule: CoefficientRule, c: tuple[float, ...], k: int) -> CoefficientRule:
+    """rule, carrying the description a_n = c[n mod len(c)] n^(-k)."""
+    object.__setattr__(rule, "_description", (c, k))
+    return rule
 
 
 def ones_rule() -> CoefficientRule:
     """a_n = 1 for all n (the canonical boundary-line divergence witness)."""
-    return CoefficientRule(
+    rule = CoefficientRule(
         tag="ones",
         vectorized=lambda ns: np.ones(ns.shape, dtype=np.float64),
         known_abscissas={"sigma_c": 1.0, "sigma_a": 1.0},
     )
+    return _described(rule, (1.0,), 0)
 
 
 def eta_rule() -> CoefficientRule:
     """Alternating signs a_n = (-1)^(n+1); converges strictly left of its
     absolute-convergence line, which separates the two abscissas."""
-    return CoefficientRule(
+    rule = CoefficientRule(
         tag="eta",
         vectorized=lambda ns: np.where((ns & 1) == 1, 1.0, -1.0),
         known_abscissas={"sigma_c": 0.0, "sigma_u": 0.0, "sigma_a": 1.0},
     )
+    return _described(rule, (-1.0, 1.0), 0)
 
 
 def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
@@ -534,11 +564,12 @@ def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
 def zeta_shift_rule(k: int) -> CoefficientRule:
     """a_n = n^(-k) for an integer k >= 0; both abscissas sit at 1 - k."""
     k = _validate_index(k, "zeta_shift exponent", 0)
-    return CoefficientRule(
+    rule = CoefficientRule(
         tag=f"zeta_shift({k})",
         vectorized=lambda ns: _inv_power(ns.astype(np.float64), k),
         known_abscissas={"sigma_c": 1.0 - k, "sigma_a": 1.0 - k},
     )
+    return _described(rule, (1.0,), k)
 
 
 # (cofactor, divisor) pairs one trial-division pass may test at once

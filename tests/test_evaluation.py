@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -10,7 +11,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_ops import evaluation
@@ -196,7 +197,7 @@ class TestPartialSumPool:
         monkeypatch.setattr(evaluation, "_WORKERS", 64)
         windows = []
         monkeypatch.setattr(evaluation, "_pooled_sum", lambda rule, s, bounds, window: windows.append(window) or 0j)
-        monkeypatch.setattr(evaluation, "_sum_terms", lambda ns, vals, s: 1)
+        monkeypatch.setattr(evaluation, "_chunk_sums", lambda rule, s, bounds: (1 for _ in bounds))
         assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**20) == 0j
         assert windows == [4]
         # two 2^22-term chunks, one at a time on the calling thread
@@ -270,6 +271,23 @@ _SIMD_BITS = (
 )
 
 
+# the rules that carry a description a_n = c[n mod p] n^(-k)
+DESCRIBED = {"ones": ones_rule(), "eta": eta_rule(), **{f"zeta_shift({k})": zeta_shift_rule(k) for k in range(4)}}
+
+
+def described_exact(c, s, N):
+    """sum_{n<=N} c[n mod p] n^(-s) at 40 digits, by Hurwitz zeta: for p = 2
+    the odd n are 2^-s (zeta(s, 1/2) - zeta(s, ceil(N/2) + 1/2)) and the
+    even ones 2^-s (zeta(s) - zeta(s, floor(N/2) + 1))."""
+    with mpmath.workdps(40):
+        if len(c) == 1:
+            return c[0] * (mpmath.zeta(s) - mpmath.zeta(s, N + 1))
+        half = mpmath.mpf(1) / 2
+        odd = mpmath.power(2, -s) * (mpmath.zeta(s, half) - mpmath.zeta(s, (N + 1) // 2 + half))
+        even = mpmath.power(2, -s) * (mpmath.zeta(s) - mpmath.zeta(s, N // 2 + 1))
+        return c[1] * odd + c[0] * even
+
+
 class TestTaylorBlocks:
     """partial_sum's chunks past the floor go through evaluation._block_sum,
     one exp per block of 64 terms; the first chunk and s = 0 stay direct."""
@@ -295,19 +313,25 @@ class TestTaylorBlocks:
     @pytest.fixture
     def paths(self, monkeypatch):
         """(path, lo) for each chunk that took a per-chunk path, in chunk order:
-        'blocks' or 'direct'."""
+        'blocks' (values in Taylor blocks), 'periodic' (a described rule's
+        constant moments) or 'direct'."""
         taken = []
-        block, direct = evaluation._block_sum, evaluation._direct_sum
+        block, periodic, direct = evaluation._block_sum, evaluation._periodic_sums, evaluation._direct_sum
 
-        def blocks(vals, s, lo, K):
+        def blocks(vals, s, lo, K, bound=True):
             taken.append(("blocks", lo))
-            return block(vals, s, lo, K)
+            return block(vals, s, lo, K, bound)
+
+        def moments(c, s, los, n, K, bound=False):
+            taken.extend(("periodic", lo) for lo in los.tolist())
+            return periodic(c, s, los, n, K, bound)
 
         def terms(ns, vals, s):
             taken.append(("direct", int(ns[0])))
             return direct(ns, vals, s)
 
         monkeypatch.setattr(evaluation, "_block_sum", blocks)
+        monkeypatch.setattr(evaluation, "_periodic_sums", moments)
         monkeypatch.setattr(evaluation, "_direct_sum", terms)
         yield taken
         taken.sort(key=lambda path: path[1])
@@ -315,22 +339,35 @@ class TestTaylorBlocks:
     def test_first_chunk_and_s_zero_stay_direct(self, paths):
         partial_sum(eta_rule(), 1e-3j, 2**16)
         assert paths == [("direct", 1)]
-        # s = 0 sums each chunk's values as before: no exp to save, and Basel's bits stay
-        rule = zeta_shift_rule(2)
-        want = 0j
-        for lo in range(1, 3 * 2**16, 2**16):
-            want += complex(rule.values(np.arange(lo, lo + 2**16)).sum())
-        assert partial_sum(rule, 0, 3 * 2**16) == want
-        assert paths == [("direct", 1), ("direct", 1), ("direct", 2**16 + 1), ("direct", 2**17 + 1)]
+        # zeta_shift(2) at s = 0 is ones at s' = 2: its first chunk sums its
+        # values as before, and the chunks past the floor of s' take constant
+        # moments in real arithmetic, within their delta of the values' sums
+        # (each value within 2u of n^-2, their pairwise sum within
+        # u (log2 n + 22) of their mass, and the two chunk adds)
+        rule, n = zeta_shift_rule(2), 2**16
+        got = partial_sum(rule, 0, 3 * n)
+        assert paths == [("direct", 1), ("direct", 1), ("periodic", n + 1), ("periodic", 2 * n + 1)]
+        want, bound = 0j, 0.0
+        for lo in range(1, 3 * n, n):
+            vals = rule.values(np.arange(lo, lo + n))
+            want += complex(vals.sum())
+            if lo > 1:
+                K = evaluation._block_order(2.0, lo)
+                bound += evaluation._periodic_sums((1.0,), 2.0, np.array([lo]), n, K, bound=True)[1][0]
+                bound += 2.0**-53 * (math.log2(n) + 24) * math.fsum(vals.tolist())
+        bound += 2 * 2.0**-53 * abs(want)
+        assert got.imag == 0.0
+        assert abs(got - want) <= bound
 
-    def test_blocks_start_at_the_floor(self, paths):
+    @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
+    def test_blocks_start_at_the_floor(self, paths, rule, path):
         # |48i| + 16 = 64, so the floor is 4 * 64 * 64
         s, floor = 48j, 16384
         assert evaluation._block_order(s, floor - 1) == 0 < evaluation._block_order(s, floor)
-        partial_sum(eta_rule(), s, 2 * (floor - 2), chunk=floor - 2)
-        partial_sum(eta_rule(), s, 2 * (floor - 1), chunk=floor - 1)
+        partial_sum(rule, s, 2 * (floor - 2), chunk=floor - 2)
+        partial_sum(rule, s, 2 * (floor - 1), chunk=floor - 1)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1), ("direct", 1), ("direct", floor - 1), ("blocks", floor)]
+        assert paths == [("direct", 1), ("direct", 1), ("direct", floor - 1), (path, floor)]
 
     def test_far_point_stays_direct_up_to_its_floor(self, paths):
         # 4 (|s| + 16) 64 = 2564096.0032 at s = 0.5 + 10^4 i
@@ -339,24 +376,82 @@ class TestTaylorBlocks:
         partial_sum(eta_rule(), s, 2564095 + 64, chunk=2564095)
         partial_sum(eta_rule(), s, 2564096 + 64, chunk=2564096)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("blocks", 2564097)]
+        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("periodic", 2564097)]
 
+    @pytest.mark.parametrize("rule, path", [
+        (ones_rule(), "periodic"), (CoefficientRule("ones", lambda ns: np.ones(ns.shape)), "blocks")])
     @pytest.mark.parametrize("s", [complex(-60, 1), complex(-2000, 1)])
-    def test_overflowing_blocks_are_a_domain_error(self, paths, monkeypatch, s):
+    def test_overflowing_blocks_are_a_domain_error(self, paths, monkeypatch, s, rule, path):
         # chunks from 2^19 + 1 pass both floors (19459 and 516096); at
         # -60 + i the first block chunk's sums overflow, at -2000 + i every term
         monkeypatch.setattr(evaluation, "_WORKERS", 2)
         with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
-            partial_sum(ones_rule(), s, 2**19 + 2**16)
-        assert ("blocks", 2**19 + 1) in paths
+            partial_sum(rule, s, 2**19 + 2**16)
+        assert (path, 2**19 + 1) in paths
 
-    def test_workers_do_not_move_the_bits_of_blocks(self, paths, monkeypatch):
+    @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
+    def test_workers_do_not_move_the_bits_of_blocks(self, paths, monkeypatch, rule, path):
+        # one worker runs the chunks in order, the constant-moment ones in
+        # runs of several chunks; two run each chunk as its own pool job
         s = 0.5 + 14j
         monkeypatch.setattr(evaluation, "_WORKERS", 1)
-        want = partial_sum(eta_rule(), s, 10 * 4096 + 100, chunk=4096)
+        want = partial_sum(rule, s, 10 * 4096 + 100, chunk=4096)
         monkeypatch.setattr(evaluation, "_WORKERS", 2)
-        assert partial_sum(eta_rule(), s, 10 * 4096 + 100, chunk=4096) == want
-        assert ("blocks", 8193) in paths and ("direct", 4097) in paths
+        assert partial_sum(rule, s, 10 * 4096 + 100, chunk=4096) == want
+        assert (path, 8193) in paths and ("direct", 4097) in paths
+
+    def test_only_built_in_descriptions_take_constant_moments(self, paths):
+        # a user's rule tagged "eta", and a replaced built-in, carry no
+        # description: their chunks past the floor take the values' blocks
+        s = 0.5 + 14j
+        want = partial_sum(eta_rule(), s, 3 * 2**16)
+        for rule in (CoefficientRule("eta", eta_rule().vectorized),
+                     dataclasses.replace(eta_rule(), vectorized=eta_rule().vectorized)):
+            assert rule._description is None
+            assert partial_sum(rule, s, 3 * 2**16) == pytest.approx(want, rel=1e-13)
+        paths.sort(key=lambda path: path[1])
+        assert paths == [("direct", 1)] * 3 + [("periodic", 2**16 + 1)] + [("blocks", 2**16 + 1)] * 2 + [
+            ("periodic", 2**17 + 1)] + [("blocks", 2**17 + 1)] * 2
+
+    @settings(max_examples=25)
+    @given(name=st.sampled_from(sorted(DESCRIBED)), re=st.floats(-0.5, 2.5),
+           im=st.one_of(st.just(0.0), st.floats(-40.0, 40.0)),
+           chunk=st.sampled_from([4095, 4097, 5003, 8191, 12289]), extra=st.integers(1, 3 * 4097))
+    def test_described_partial_sum_against_mpmath(self, name, re, im, chunk, extra):
+        """partial_sum of a described rule against its 40-digit sum, within
+        the constant-moment chunks' delta (plus u |s + k| log hi of their
+        mass, the rounding of s' = s + k) and the direct chunks' rounding,
+        u (|s| (10 log N + 1) + 64) of their mass, and u of the total mass a
+        chunk add.  Odd chunks move lo mod 2 from chunk to chunk and end in
+        a partial block; at real s the sum is real."""
+        rule = DESCRIBED[name]
+        c, k = rule._description
+        s = complex(re, im)
+        sk = s + k
+        # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
+        assume(abs(sk) > 1e-40 and sk != 1)
+        floor = math.ceil(evaluation._FLOOR * (abs(sk) + 16) * evaluation._BLOCK)
+        N = (floor // chunk + 2) * chunk + extra
+        got = partial_sum(rule, s, N, chunk=chunk)
+        u, bound, total_mass, phases = 2.0**-53, 0.0, 0.0, set()
+        for lo in range(1, N + 1, chunk):
+            hi = min(N, lo + chunk - 1)
+            ns = np.arange(lo, hi + 1, dtype=np.float64)
+            mass = math.fsum((ns ** -sk.real).tolist())
+            total_mass += mass
+            K = evaluation._block_order(sk, lo)
+            if K:
+                phases.add(lo % len(c))
+                delta = evaluation._periodic_sums(c, sk, np.array([lo]), hi - lo + 1, K, bound=True)[1][0]
+                bound += delta + u * abs(sk) * math.log(hi) * mass
+            else:
+                bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * mass
+        bound += u * total_mass * (N // chunk + 1)
+        assert phases == set(range(len(c)))
+        exact = described_exact(c, mpmath.mpc(sk.real, sk.imag), N)
+        assert abs(mpmath.mpc(got.real, got.imag) - exact) <= bound
+        if im == 0.0:
+            assert got.imag == 0.0
 
     @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
     def test_bits_do_not_follow_numpy_simd(self, disabled):

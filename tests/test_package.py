@@ -173,3 +173,39 @@ def test_libm_guard_sees_each_mapping():
     for source in flagged:
         assert list(_libm_misuses(ast.parse(source))) != [], source
     assert list(_libm_misuses(ast.parse("import math\ny = math.log(n) + math.exp(x)\n"))) == []
+
+
+def _tag_reads(tree):
+    """Lines that read a .tag for anything but the text of a message (an
+    f-string field): a comparison, a condition, a match, a lookup key or a
+    name bound to it could key a path on a rule's name."""
+    in_text = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue)
+               for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "tag" and id(node) not in in_text:
+            yield node.lineno
+
+
+def test_no_path_keys_on_a_rule_tag():
+    # partial_sum's constant moments follow a rule's private description,
+    # which only the built-in constructors set, never its tag: a user's rule
+    # tagged "eta" must take the generic path
+    reads = []
+    for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
+        reads += [f"{path.name}:{line}" for line in _tag_reads(ast.parse(path.read_text()))]
+    assert reads == []
+
+
+def test_tag_guard_sees_each_use():
+    flagged = (
+        "if rule.tag == 'eta':\n    pass\n",
+        "fast = rule.tag in ('ones', 'eta')\n",
+        "x = a if rule.tag.startswith('zeta') else b\n",
+        "match rule.tag:\n    case 'eta':\n        pass\n",
+        "kernel = KERNELS[rule.tag]\n",
+        "kernel = KERNELS.get(rule.tag)\n",
+        "name = rule.tag\n",
+    )
+    for source in flagged:
+        assert list(_tag_reads(ast.parse(source))) != [], source
+    assert list(_tag_reads(ast.parse("raise DomainError(f'rule {self.tag!r} failed')\n"))) == []

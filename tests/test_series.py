@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,13 +20,15 @@ from dirichlet_ops import (
     moebius_rule,
     monomial,
     ones_rule,
+    partial_sum,
     scale,
     table_rule,
+    tail_bound_monotone,
     truncate,
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _log, _slope
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _inv_power, _log, _slope
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
@@ -287,6 +290,61 @@ class TestRules:
     def test_known_abscissas_metadata_for_tests_only(self):
         assert ones_rule().known_abscissas is not None
         assert zeta_shift_rule(2).known_abscissas is not None
+
+    @given(name=st.sampled_from(["ones", "eta", "zeta_shift(1)", "zeta_shift(2)", "zeta_shift(3)"]),
+           half=st.integers(0, 2**39 - 1), parity=st.integers(0, 1), length=st.integers(1, 300))
+    def test_description_matches_values(self, name, half, parity, length):
+        # a_n = c[n mod p] n^(-k), p | 64: exact for k = 0, and within 1 ulp
+        # of c[n mod p] _inv_power(n, k) for zeta_shift(1..3)
+        rule = {"ones": ones_rule(), "eta": eta_rule()}.get(name) or zeta_shift_rule(int(name[-2]))
+        c, k = rule._description
+        assert 64 % len(c) == 0
+        lo = 2 * half + 1 + parity
+        ns = np.arange(lo, lo + length, dtype=np.int64)
+        want = np.array(c)[ns % len(c)] * _inv_power(ns.astype(np.float64), k)
+        got = rule.values(ns)
+        if k == 0:
+            assert got.tolist() == want.tolist()
+        else:
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_only_built_ins_carry_a_description(self):
+        # the description is private: no constructor argument sets it, and
+        # neither a tag nor dataclasses.replace carries it over
+        assert [rule._description for rule in (ones_rule(), eta_rule(), zeta_shift_rule(3))] == [
+            ((1.0,), 0), ((-1.0, 1.0), 0), ((1.0,), 3)]
+        assert moebius_rule()._description is None and table_rule({1: 1.0})._description is None
+        assert CoefficientRule("eta", eta_rule().vectorized)._description is None
+        assert dataclasses.replace(eta_rule(), vectorized=lambda ns: np.ones(ns.shape))._description is None
+        with pytest.raises(TypeError):
+            CoefficientRule("eta", eta_rule().vectorized, None, ((-1.0, 1.0), 0))
+        eta = eta_rule()
+        assert "_description" not in repr(eta)
+        assert eta == dataclasses.replace(eta) and dataclasses.replace(eta)._description is None
+
+
+class TestIntegerRules:
+    """An integer-valued rule comes back from values() as float64: its sums
+    once wrapped silently in int64."""
+
+    def test_large_int64_values_do_not_wrap(self):
+        big = CoefficientRule("big", lambda ns: np.full(ns.shape, 2**62, dtype=np.int64))
+        assert big.values([1, 2]).dtype == np.float64
+        # 4 * 2^62 = 2^64 wrapped to 0j at s = 0; s = 1e-300 i never wrapped
+        assert partial_sum(big, 0, 4) == partial_sum(big, 1e-300j, 4).real == 2.0**64
+        # the probe's cumsum wrapped too: bound 4.66e18, 'oscillatory'
+        tb = tail_bound_monotone(big, None, 1024, 0.0)
+        assert (tb.bound, tb.regime) == (math.inf, "divergent")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+    def test_small_integer_dtypes_are_floats(self, dtype):
+        top = np.iinfo(dtype).max
+        rule = CoefficientRule("int", lambda ns: np.where(ns % 2 == 1, top, np.iinfo(dtype).min).astype(dtype))
+        vals = rule.values(np.arange(1, 6))
+        assert vals.dtype == np.float64
+        assert vals.tolist() == [float(top), float(np.iinfo(dtype).min)] * 2 + [float(top)]
+        want = 500 * (float(top) + float(np.iinfo(dtype).min))
+        assert partial_sum(rule, 0, 1000) == partial_sum(rule, 1e-300j, 1000).real == want
 
 
 class TestHalfPlanePoint:
