@@ -194,12 +194,12 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     return complex(total[0]), None if delta is None else float(delta[0])
 
 
-def _periodic_sums(c: tuple[float, ...], s: complex, los: np.ndarray, n: int, K: int, bound: bool = False):
-    """_block_sum's sums, and its deltas for a bound, of chunks of n terms
-    v_m = c[m mod p], p = len(c) dividing _BLOCK, one from each start in
-    los, all sharing lo mod p: the constant moments of a full block and,
-    when n is not a multiple of _BLOCK, of the padded last one are taken
-    once for all of them."""
+def _periodic_sums(c: tuple[float, ...], s: complex, los: np.ndarray, n: int, K: int, bound: bool = True):
+    """_block_sum's sums and deltas (None when bound is false) for chunks
+    of n terms v_m = c[m mod p], p = len(c) dividing _BLOCK, one from each
+    start in los, all sharing lo mod p: the constant moments of a full
+    block and, when n is not a multiple of _BLOCK, of the padded last one
+    are taken once for all of them."""
     b, p = _BLOCK, len(c)
     blocks, full = -(-n // b), n // b
     w = np.array(c, dtype=np.float64)[(int(los[0]) % p + np.arange(b)) % p]
@@ -297,7 +297,7 @@ def _chunk_sums(rule: CoefficientRule, s: complex, bounds):
 
     def run_sums():
         n, K = key[0] + 1, key[1]
-        return map(complex, _periodic_sums(c, s + k, np.array(run, dtype=np.int64), n, K)[0].tolist())
+        return map(complex, _periodic_sums(c, s + k, np.array(run, dtype=np.int64), n, K, bound=False)[0].tolist())
 
     for lo, hi in bounds:
         K = _block_order(s + k, lo) if c else 0

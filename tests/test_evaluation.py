@@ -290,7 +290,9 @@ def described_exact(c, s, N):
 
 class TestTaylorBlocks:
     """partial_sum's chunks past the floor go through evaluation._block_sum,
-    one exp per block of 64 terms; the first chunk and s = 0 stay direct."""
+    one exp per block of 64 terms, or for a described rule through
+    _periodic_sums, from constant moments at s' = s + k; the first chunk
+    and s = 0 stay direct."""
 
     @given(block_cases())
     def test_block_sum_is_within_delta_of_the_exact_sum(self, case):
@@ -322,7 +324,7 @@ class TestTaylorBlocks:
             taken.append(("blocks", lo))
             return block(vals, s, lo, K, bound)
 
-        def moments(c, s, los, n, K, bound=False):
+        def moments(c, s, los, n, K, bound=True):
             taken.extend(("periodic", lo) for lo in los.tolist())
             return periodic(c, s, los, n, K, bound)
 
@@ -343,7 +345,7 @@ class TestTaylorBlocks:
         # values as before, and the chunks past the floor of s' take constant
         # moments in real arithmetic, within their delta of the values' sums
         # (each value within 2u of n^-2, their pairwise sum within
-        # u (log2 n + 22) of their mass, and the two chunk adds)
+        # u (log2 n + 22) of their mass, and two chunk adds on each side)
         rule, n = zeta_shift_rule(2), 2**16
         got = partial_sum(rule, 0, 3 * n)
         assert paths == [("direct", 1), ("direct", 1), ("periodic", n + 1), ("periodic", 2 * n + 1)]
@@ -353,9 +355,9 @@ class TestTaylorBlocks:
             want += complex(vals.sum())
             if lo > 1:
                 K = evaluation._block_order(2.0, lo)
-                bound += evaluation._periodic_sums((1.0,), 2.0, np.array([lo]), n, K, bound=True)[1][0]
+                bound += evaluation._periodic_sums((1.0,), 2.0, np.array([lo]), n, K)[1][0]
                 bound += 2.0**-53 * (math.log2(n) + 24) * math.fsum(vals.tolist())
-        bound += 2 * 2.0**-53 * abs(want)
+        bound += 4 * 2.0**-53 * abs(want)
         assert got.imag == 0.0
         assert abs(got - want) <= bound
 
@@ -442,7 +444,7 @@ class TestTaylorBlocks:
             K = evaluation._block_order(sk, lo)
             if K:
                 phases.add(lo % len(c))
-                delta = evaluation._periodic_sums(c, sk, np.array([lo]), hi - lo + 1, K, bound=True)[1][0]
+                delta = evaluation._periodic_sums(c, sk, np.array([lo]), hi - lo + 1, K)[1][0]
                 bound += delta + u * abs(sk) * math.log(hi) * mass
             else:
                 bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * mass

@@ -28,7 +28,7 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _inv_power, _log, _slope
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _inv_power, _log, _power, _slope
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
@@ -291,12 +291,11 @@ class TestRules:
         assert ones_rule().known_abscissas is not None
         assert zeta_shift_rule(2).known_abscissas is not None
 
-    @given(name=st.sampled_from(["ones", "eta", "zeta_shift(1)", "zeta_shift(2)", "zeta_shift(3)"]),
+    @given(rule=st.sampled_from([ones_rule(), eta_rule(), *map(zeta_shift_rule, range(4))]),
            half=st.integers(0, 2**39 - 1), parity=st.integers(0, 1), length=st.integers(1, 300))
-    def test_description_matches_values(self, name, half, parity, length):
+    def test_description_matches_values(self, rule, half, parity, length):
         # a_n = c[n mod p] n^(-k), p | 64: exact for k = 0, and within 1 ulp
         # of c[n mod p] _inv_power(n, k) for zeta_shift(1..3)
-        rule = {"ones": ones_rule(), "eta": eta_rule()}.get(name) or zeta_shift_rule(int(name[-2]))
         c, k = rule._description
         assert 64 % len(c) == 0
         lo = 2 * half + 1 + parity
@@ -474,7 +473,20 @@ class TestLibmRoute:
     def test_exp_property(self, xs):
         assert_bits(_exp(np.array(xs)), math.exp, xs)
 
+    @given(st.lists(st.integers(1, 2**62), min_size=1, max_size=40),
+           st.floats(-3.0, 3.0), st.one_of(st.just(0.0), st.floats(-1e4, 1e4)))
+    def test_power_is_the_log_then_the_exp(self, ns, re, im):
+        # one complex buffer, the bits of the two-step route
+        x = np.array(ns, dtype=np.int64).reshape(-1, 1)
+        s = complex(re, im)
+        with np.errstate(over="ignore"):
+            want = _exp(_log(x) * -re) if im == 0 else np.exp(_log(x) * -s)
+            got = _power(x, re if im == 0 else s)
+            also = _power(x, s)  # a complex s on the real axis
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and np.array_equal(also, want)
+
     def test_inputs_are_not_written(self):
         x = np.array([1.0, 2.0])
-        _log(x), _exp(x)
+        _log(x), _exp(x), _power(x, 0.5 + 1j)
         assert x.tolist() == [1.0, 2.0]
