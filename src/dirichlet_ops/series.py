@@ -388,8 +388,113 @@ def _power(x: np.ndarray, s: complex) -> np.ndarray:
 
 
 # below this many index pairs the per-pair loop beats the array kernel: the
-# measured crossover is 42-49 pairs (2-core x86-64, numpy 2.4)
+# measured crossover is 40-49 pairs on fresh polynomials with random indices
+# up to 512 or 40 (2-core x86-64, numpy 2.4.6; BENCH_twosum_buckets.json).
+# On indices 1..a times 1..b, whose many buckets of 3+ products pay the fixed
+# cost of _bucket_sums' pass, the loop stays faster up to ~400 pairs
 _KERNEL_MIN_PAIRS = 48
+
+
+# from this many index pairs on, the array kernel sorts the products by np.sort
+# of index and pair position packed in one int64 key, where it fits, rather
+# than by argsort: the two break even near 1,000 pairs, and at 90,000 np.sort
+# (SIMD on x86-64) takes 1.1-1.4 ms against argsort and gather's 2.1-3.2 ms
+# (2-core x86-64, numpy 2.4.6; BENCH_twosum_buckets.json)
+_PACKED_SORT_MIN_PAIRS = 1024
+
+
+# a bucket whose sum of |products| reaches this goes to fsum: below it no
+# partial of fsum's nor of _bucket_sums' pass can overflow
+_SUM2_MAX = 2.0**1020
+
+
+def _fsums(prods: np.ndarray, lo: np.ndarray, n: np.ndarray, rank: np.ndarray) -> list[float]:
+    """_fsum of each bucket prods[lo[k]:lo[k] + n[k]], its products taken in
+    increasing rank: which of fsum's partials overflow, and so whether it
+    returns inf or nan, follows that order.  The products become one list."""
+    end = np.cumsum(n)
+    take = np.arange(end[-1]) + np.repeat(lo - end + n, n)
+    vals = prods[take[np.lexsort((rank[take], np.repeat(end, n)))]].tolist()
+    return [_fsum(vals[j - m : j]) for j, m in zip(end.tolist(), n.tolist())]
+
+
+def _bucket_sums(prods: np.ndarray, lo: np.ndarray, hi: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """_fsums of the buckets prods[lo[k]:hi[k]] of each column of prods (the
+    parts of a product share their buckets), bit for bit, from one
+    vectorized compensated pass over all of them: Sum2 of Ogita, Rump and
+    Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)
+    with an exactness flag.
+
+    The buckets are laid out longest first, so those still live at position
+    j are a prefix.  Each step takes s, e <- TwoSum(s, p_j) and
+    c, e2 <- TwoSum(c, e), so s + c + sum(e2) is the bucket's exact sum,
+    and flags the bucket when an e2 is nonzero.  fl(s + c) is accepted
+
+    - when no e2 is: s + c is then the exact sum and fl(s + c) its correct
+      rounding, which is fsum's result;
+    - else when |d| + 2 gamma_n^2 sum|p| is below h, where d = s + c -
+      fl(s + c) is taken exactly by TwoSum, gamma_n = n u / (1 - n u) for n
+      products and u = 2^-53, and h is half the smaller gap beside
+      fl(s + c).  Sum2's bound |sum(e2)| <= gamma_n^2 sum|p| then puts the
+      exact sum strictly inside fl(s + c)'s rounding interval; the factor 2
+      covers the rounding of the bound itself, and a subnormal h, which
+      rounds to 0, accepts nothing.
+
+    Every other bucket, and every one whose sum|p| reaches _SUM2_MAX or is
+    not finite, goes to _fsums, rank[i] being product i's position in pair
+    order."""
+    n = hi - lo
+    by_len = np.argsort(-n, kind="stable")
+    lo, n = lo[by_len], n[by_len]
+    # live[j - 1]: how many buckets hold more than j products
+    live = np.searchsorted(-n, -np.arange(1, n[0]), side="left")
+    s = prods.take(lo, axis=0)
+    c = np.zeros_like(s)
+    absum = np.abs(s)
+    inexact = np.zeros(s.shape, dtype=bool)
+    at = lo.copy()
+    # product j of each live bucket, and the steps' scratch: no step
+    # allocates, and a live prefix of rows is contiguous
+    bufs = np.empty((5, *s.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in live.tolist():
+            sk, ck, ak, fk, atk = s[:k], c[:k], absum[:k], inexact[:k], at[:k]
+            p, t, z, e, w = bufs[:, :k]
+            atk += 1
+            prods.take(atk, axis=0, out=p)
+            np.abs(p, out=w)
+            np.add(ak, w, out=ak)
+            # s, e <- TwoSum(s, p)
+            np.add(sk, p, out=t)
+            np.subtract(t, sk, out=z)
+            np.subtract(t, z, out=w)
+            np.subtract(sk, w, out=e)
+            np.subtract(p, z, out=w)
+            np.add(e, w, out=e)
+            np.copyto(sk, t)
+            # c, e2 <- TwoSum(c, e), flagging e2 != 0
+            np.add(ck, e, out=t)
+            np.subtract(t, ck, out=z)
+            np.subtract(t, z, out=w)
+            np.subtract(ck, w, out=w)
+            np.subtract(e, z, out=z)
+            np.add(w, z, out=w)
+            np.logical_or(fk, w, out=fk)
+            np.copyto(ck, t)
+        r = s + c
+        z = r - s
+        d = (s - (r - z)) + (c - z)
+        a = np.abs(r)
+        gamma = (n * 2.0**-53 / (1 - n * 2.0**-53))[:, None]
+        ok = ~inexact | (np.abs(d) + 2 * gamma * gamma * absum < (a - np.nextafter(a, 0)) * 0.5)
+        bad = ~(ok & (absum < _SUM2_MAX))
+    for part, part_bad in enumerate(bad.T):
+        k = np.flatnonzero(part_bad)
+        if k.size:
+            r[k, part] = _fsums(prods[:, part], lo[k], n[k], rank)
+    out = np.empty_like(r)
+    out[by_len] = r
+    return out
 
 
 def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:
@@ -398,17 +503,27 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
     Works on the stored index pairs, so cost is O(terms(f) * terms(g))
     regardless of index magnitudes.  Each pair product is formed as
     CPython forms a complex product, re = ar*br - ai*bi and
-    im = ar*bi + ai*br, with no fused multiply-add; each output coefficient
-    is then the exactly rounded sum of its bucket (a bucket of one or two
-    products needs one IEEE add at most, larger buckets go through fsum),
-    which makes the product independent of operand order bit for bit.
-    From _KERNEL_MIN_PAIRS pairs on this runs as an array kernel (outer
-    products, a stable sort by index, np.add.reduceat); below it a per-pair
-    loop is faster and gives the same bits.
+    im = ar*bi + ai*br, with no fused multiply-add; each part of an output
+    coefficient is then fsum of its bucket's products in pair order (f's
+    index, then g's), which is their exactly rounded sum whenever no partial
+    overflows.  A bucket of one or two products needs one IEEE add at most,
+    so the product is independent of operand order bit for bit.
+
+    From _KERNEL_MIN_PAIRS pairs on this runs as an array kernel: outer
+    products; a sort by index (np.sort of index and pair position packed in
+    one int64 from _PACKED_SORT_MIN_PAIRS pairs on, where the key fits,
+    np.argsort's quicksort otherwise; the order within a bucket never
+    shows); np.add.reduceat for the buckets of one or two products; and,
+    for the larger ones of both parts at once, _bucket_sums: one vectorized
+    TwoSum pass whose fl(s + c) is accepted when an exactness flag or Sum2's
+    gamma_n^2 bound proves it exactly rounded, with fsum, in pair order, for
+    each bucket it cannot settle.  Below _KERNEL_MIN_PAIRS a per-pair loop
+    of one fsum per bucket is faster and gives the same bits.
     """
     if f.max_index * g.max_index > _INDEX_MAX:
         raise DomainError(f"product index {f.max_index} * {g.max_index} exceeds 2^63 - 1")
-    if f.term_count * g.term_count < _KERNEL_MIN_PAIRS:
+    pairs = f.term_count * g.term_count
+    if pairs < _KERNEL_MIN_PAIRS:
         buckets: dict[int, tuple[list, list]] = {}
         g_terms = list(_terms(g))
         for n1, a in _terms(f):
@@ -423,22 +538,25 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
         )
     fc, gc = f.coefficient_array(), g.coefficient_array()
     idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
-    order = np.argsort(idx, kind="stable")
-    idx = idx[order]
+    if pairs >= _PACKED_SORT_MIN_PAIRS and (f.max_index * g.max_index + 1) * pairs <= 2**63:
+        # index and pair position packed in one int64 key
+        idx, order = np.divmod(np.sort(idx * pairs + np.arange(pairs)), pairs)
+    else:
+        order = np.argsort(idx, kind="quicksort")
+        idx = idx.take(order)
     bounds = np.concatenate(([True], idx[1:] != idx[:-1], [True])).nonzero()[0]
     starts = bounds[:-1]
     big = (bounds[1:] - starts >= 3).nonzero()[0]
-    lo, hi = starts[big].tolist(), bounds[big + 1].tolist()
     out = np.empty(starts.size, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         re = np.multiply.outer(fc.real, gc.real) - np.multiply.outer(fc.imag, gc.imag)
         im = np.multiply.outer(fc.real, gc.imag) + np.multiply.outer(fc.imag, gc.real)
-        for part, prods in ((out.real, re), (out.imag, im)):
-            prods = prods.ravel()[order]
-            part[:] = np.add.reduceat(prods, starts)
-            if big.size:
-                prods = prods.tolist()
-                part[big] = [_fsum(prods[i:j]) for i, j in zip(lo, hi)]
+        re, im = re.ravel()[order], im.ravel()[order]
+        out.real = np.add.reduceat(re, starts)
+        out.imag = np.add.reduceat(im, starts)
+    if big.size:
+        sums = _bucket_sums(np.stack((re, im), axis=1), starts[big], bounds[big + 1], order)
+        out.real[big], out.imag[big] = sums.T
     return _normal(idx[starts], out)
 
 
@@ -619,36 +737,54 @@ def _primes_upto(m: int) -> np.ndarray:
 def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
     """mu(n) for n = lo..hi by a segmented sieve over the primes p <= sqrt(hi).
 
-    Each p flips the sign of its multiples in the run, a strided slice, and
-    multiplies into each the product of its small prime factors found so
-    far; the multiples of p^2 get 0.  A square-free n whose product falls
-    short of n has one prime factor above sqrt(hi) left, so its sign flips
-    once more."""
+    Each p flips the sign of its multiples in the run and multiplies into
+    each the product of its small prime factors found so far; the multiples
+    of p^2 get 0.  A p up to the run's length does this on strided slices,
+    one p at a time; a larger p divides at most one index of the run, so
+    those primes are applied together, on arrays.  A square-free n whose
+    product falls short of n has one prime factor above sqrt(hi) left, so
+    its sign flips once more."""
     size = hi - lo + 1
     sign = np.ones(size, dtype=np.int8)
     found = np.ones(size, dtype=np.int64)
-    for p in _primes_upto(math.isqrt(hi)).tolist():
+    primes = _primes_upto(math.isqrt(hi))
+    few = int(np.searchsorted(primes, size, side="right"))
+    for p in primes[:few].tolist():
         at = -lo % p  # position of the first multiple of p
         np.negative(sign[at::p], out=sign[at::p])
         found[at::p] *= p
         sign[-lo % (p * p) :: p * p] = 0
+    if few < primes.size:
+        p = primes[few:]
+        at = -lo % p
+        p, at = p[at < size], at[at < size]
+        np.multiply.at(found, at, p)
+        np.negative(sign, out=sign, where=np.bincount(at, minlength=size) % 2 == 1)
+        sq = -lo % (p * p)
+        sign[sq[sq < size]] = 0
     np.negative(sign, out=sign, where=found < np.arange(lo, hi + 1, dtype=np.int64))
     return sign
+
+
+# a run lo..hi goes through _moebius_sieve while isqrt(hi) is at most this:
+# its prime table is then a sieve of 4 MB and ~295,000 primes
+_SIEVE_MAX_ROOT = 1 << 22
 
 
 def _moebius_values(ns: np.ndarray) -> np.ndarray:
     """mu(n) for each index.  Indices that flatten to one ascending run
     lo..hi of at least two, every internal caller's, go through
-    _moebius_sieve when isqrt(hi) <= 8 (hi - lo + 1), so its table of
-    primes up to sqrt(hi) stays within a small multiple of the run.  Any
-    other index set (a scalar, a user's array, a run short for its height)
-    keeps trial division, whose memory does not grow with sqrt(max n).
-    Both are exact, so the path never moves a value."""
+    _moebius_sieve when isqrt(hi) <= _SIEVE_MAX_ROOT, at any length: the
+    prime table stays bounded, and far out the sieve takes milliseconds
+    where trial division took minutes (65,536 indices from 2^40: 20-45 ms
+    against 71.6 s).  Any other index set (a scalar, a user's array, a run
+    past 2^44) keeps trial division, whose memory does not grow with
+    sqrt(max n).  Both are exact, so the path never moves a value."""
     flat = ns.reshape(-1)
     sign = None
     if flat.size >= 2:
         lo, hi = int(flat[0]), int(flat[-1])
-        if hi - lo == flat.size - 1 and math.isqrt(hi) <= 8 * flat.size and (np.diff(flat) == 1).all():
+        if hi - lo == flat.size - 1 and math.isqrt(hi) <= _SIEVE_MAX_ROOT and (np.diff(flat) == 1).all():
             sign = _moebius_sieve(lo, hi)
     if sign is None:
         sign = _moebius_trial(flat)

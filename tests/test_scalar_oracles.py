@@ -101,7 +101,22 @@ def legacy_moebius_value(n: int) -> float:
     return float(sign)
 
 
-def legacy_dirichlet_multiply(f, g):
+def fsum_or_nan(xs):
+    """fsum, or nan where it raises on an intermediate overflow or inf - inf."""
+    try:
+        return fsum(xs)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def kernel_sum(xs):
+    """A bucket's sum as the array kernel defines it: a bucket of one or two
+    products by one IEEE add at most (so an overflow gives inf), a larger
+    one by fsum_or_nan."""
+    return fsum_or_nan(xs) if len(xs) > 2 else sum(xs[1:], xs[0])
+
+
+def legacy_dirichlet_multiply(f, g, total=fsum):
     buckets = {}
     for n1, a in f.items():
         for n2, b in g.items():
@@ -110,7 +125,7 @@ def legacy_dirichlet_multiply(f, g):
             re_l.append(p.real)
             im_l.append(p.imag)
     return DirichletPolynomial(
-        {n: complex(fsum(re_l), fsum(im_l)) for n, (re_l, im_l) in buckets.items()}
+        {n: complex(total(re_l), total(im_l)) for n, (re_l, im_l) in buckets.items()}
     )
 
 
@@ -261,9 +276,10 @@ class TestMoebius:
 
 
 def moebius_run_cases():
-    """A run lo..lo + len - 1 with lo in [1, 10^12] and len in [2, 5000]: a
-    third of the draws start at most 10^6, where the dispatch picks the
-    sieve, and a third past 10^11, where it leaves the run to trial division."""
+    """A run lo..lo + len - 1 with lo in [1, 10^12] and len in [2, 5000], all
+    below the sieve's cap: a third of the draws start at most 10^6, where
+    most primes up to sqrt(hi) divide several indices of the run, and a third
+    past 10^11, where most exceed the run's length and go in one array pass."""
     lo = st.one_of(st.integers(1, 10**6), st.integers(1, 10**12), st.integers(10**11, 10**12))
     return st.tuples(lo, st.integers(2, 5000))
 
@@ -279,10 +295,10 @@ class TestMoebiusSieve:
         got = series._moebius_sieve(lo, hi)
         assert got.shape == (size,)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
+        assert np.array_equal(moebius_rule().values(ns), got.astype(np.float64))
         if math.isqrt(hi) <= 8 * size:
-            # the dispatch's own case: the whole run, both paths
+            # near the origin trial division is cheap on the whole run
             assert np.array_equal(got, series._moebius_trial(ns))
-            assert np.array_equal(moebius_rule().values(ns), got.astype(np.float64))
         # far out trial division is slow on a whole run: a sample of it
         rng = np.random.default_rng(seed)
         sample = np.sort(rng.choice(size, min(size, 32), replace=False))
@@ -308,11 +324,12 @@ class TestMoebiusSieve:
             ([1, 3, 2, 4], "trial"),
             (np.arange(1, 101).reshape(10, 10), "sieve"),
             (np.arange(1, 101).reshape(10, 10).T, "trial"),
-            (np.arange(800**2 - 99, 800**2 + 1), "sieve"),
-            (np.arange(801**2 - 99, 801**2 + 1), "trial"),
+            (np.arange(801**2 - 99, 801**2 + 1), "sieve"),
+            (np.arange(2**44 - 1, 2**44 + 1), "sieve"),
+            (np.arange((2**22 + 1) ** 2 - 1, (2**22 + 1) ** 2 + 1), "trial"),
         ],
         ids=["length-1", "descending", "gap", "duplicate", "swapped", "2-d-run", "2-d-transposed",
-             "isqrt-8-len", "isqrt-above-8-len"],
+             "short-far-run", "isqrt-at-cap", "isqrt-above-cap"],
     )
     def test_dispatch_edges(self, paths, ns, path):
         ns = np.asarray(ns, dtype=np.int64)
@@ -320,6 +337,16 @@ class TestMoebiusSieve:
         assert paths == [path]
         assert got.shape == ns.shape and got.dtype == np.float64
         assert [float(v) for v in got.reshape(-1)] == [legacy_moebius_value(int(n)) for n in ns.reshape(-1)]
+
+    def test_run_of_thousands_from_2_40(self, paths):
+        # trial division took minutes on such runs before they were sieved;
+        # it checks a sample here
+        ns = np.arange(2**40, 2**40 + 4096, dtype=np.int64)
+        got = moebius_rule().values(ns)
+        assert paths == ["sieve"]
+        sample = np.sort(np.random.default_rng(40).choice(ns.size, 48, replace=False))
+        assert np.array_equal(got[sample], series._moebius_trial(ns[sample]).astype(np.float64))
+        assert {-1.0, 0.0, 1.0} == set(got.tolist())
 
     def test_run_ending_at_the_last_int64(self, paths, monkeypatch):
         # isqrt(2^63 - 1) is ~3e9: the dispatch must send the run to trial
@@ -649,6 +676,85 @@ def bucket_sizes(f, g):
     return set(sizes.values())
 
 
+def _kernel_polys(part):
+    """Polynomials of 7 to 12 terms on indices 1..12, so a pair of them
+    takes the array kernel (49 pairs at least) with buckets of up to 6
+    products; each coefficient's parts are drawn from `part`."""
+    coefficient = st.builds(complex, part, part).filter(bool)
+    terms = st.lists(st.tuples(st.integers(1, 12), coefficient), min_size=7, max_size=12, unique_by=lambda t: t[0])
+    return terms.map(DirichletPolynomial)
+
+
+@st.composite
+def wide_kernel_pairs(draw):
+    """Parts from 2^-997 to 2^997 (about 1e-300 to 1e300), each polynomial
+    around its own scale, the scales set so that the pair products land
+    anywhere from below the subnormals to past the largest double."""
+    ef = draw(st.integers(-997, 997))
+    eg = draw(st.integers(max(-997, -1100 - ef), min(997, 1060 - ef)))
+
+    def part(e):
+        return st.builds(lambda m, k: math.ldexp(m, min(997, max(-997, e + k))),
+                         st.floats(-1.0, 1.0), st.integers(-30, 30))
+
+    return draw(_kernel_polys(part(ef))), draw(_kernel_polys(part(eg)))
+
+
+@st.composite
+def cancelling_kernel_pairs(draw):
+    """f's parts from {v, -v, 2v, -v/2, t, -t}, t far below v, and g's from
+    {1, -1, 2, 0.5, 0}: most buckets hold products p and -p that cancel,
+    leaving the tiny ones."""
+    v = draw(st.floats(1e-300, 1e300))
+    t = math.ldexp(v, -draw(st.integers(20, 1100)))
+    f = draw(_kernel_polys(st.sampled_from([v, -v, 2 * v, -v / 2, t, -t])))
+    return f, draw(_kernel_polys(st.sampled_from([1.0, -1.0, 2.0, 0.5, 0.0])))
+
+
+# dyadic parts, whose products often sum to exact midpoints between doubles
+# (1 + 2^-53 and the like)
+_tie_parts = st.sampled_from(
+    [1.0, -1.0, 0.5, 1.5, 2.0**-53, -(2.0**-53), 3 * 2.0**-53, 2.0**-52, 2.0**-54,
+     1 + 2.0**-52, -(1 + 2.0**-52), 2.0**53, -(2.0**53), 0.0]
+)
+
+# parts of 2^500 to 2^531: some products overflow, some buckets of finite
+# products overflow only in their sum
+_overflow_parts = st.builds(lambda m, k: math.ldexp(m, k), st.floats(-1.0, 1.0), st.integers(500, 531))
+
+
+def sum2(parts):
+    """fl(s + c) of the compensated pass for one bucket, in Python floats."""
+    s, c = parts[0], 0.0
+    for p in parts[1:]:
+        t = s + p
+        z = t - s
+        c += (s - (t - z)) + (p - z)
+        s = t
+    return s + c
+
+
+def product_outcome(multiply, f, g):
+    """multiply(f, g)'s bits, or its DomainError message."""
+    try:
+        return bits(multiply(f, g))
+    except DomainError as e:
+        return str(e)
+
+
+def bucket_six(parts):
+    """A kernel-sized pair whose bucket at index 6 holds `parts` (3 or 4 of
+    them) in pair order, f_1 g_6, f_2 g_3, f_3 g_2 (and f_6 g_1); every other
+    bucket holds one or two products, all finite.  g_1 = 2^-60 keeps the
+    two-product buckets 2 and 3 finite for parts near the largest double."""
+    f = dict(zip((1, 2, 3, 6), parts))
+    f.update((n, 1.0) for n in (7, 11, 13, 29)[: 7 - len(parts)])
+    g = {1: 2.0**-60, 2: 1.0, 3: 1.0, 6: 1.0, 17: 1.0, 19: 1.0, 23: 1.0}
+    if len(parts) == 4:
+        f[6] = parts[3] / g[1]
+    return DirichletPolynomial(f), DirichletPolynomial(g)
+
+
 class TestConvolutionKernel:
     """The array kernel (from _KERNEL_MIN_PAIRS pairs on) and the per-pair
     loop below it both against the old per-pair loop, to the bit."""
@@ -679,6 +785,17 @@ class TestConvolutionKernel:
         assert f.term_count * g.term_count >= _KERNEL_MIN_PAIRS
         assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
 
+    @pytest.mark.parametrize("top", [2**20, 2**50], ids=["packed-key-sort", "argsort"])
+    def test_both_sorts(self, top, rng):
+        # 32 x 32 pairs: the packed key fits in int64 at 2^20 and not at 2^50,
+        # where the kernel argsorts; buckets such as top * 12 hold 3+ products
+        f = DirichletPolynomial({top * k: complex(*rng.normal(size=2)) for k in range(1, 33)})
+        g = DirichletPolynomial({k: complex(*rng.normal(size=2)) for k in range(1, 33)})
+        assert 32 * 32 >= series._PACKED_SORT_MIN_PAIRS
+        assert ((f.max_index * g.max_index + 1) * 32 * 32 <= 2**63) == (top == 2**20)
+        assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+        assert bits(dirichlet_multiply(g, f)) == bits(legacy_dirichlet_multiply(f, g))
+
     def test_negative_zero_products(self):
         # 1j * -1 has real part 0 * -1 - 1 * 0 = -0.0; stored as +0.0 either way
         f = DirichletPolynomial({n: 1j for n in range(2, 10)})
@@ -694,6 +811,111 @@ class TestConvolutionKernel:
         fg = dirichlet_multiply(f, g)
         assert bits(fg) == bits(dirichlet_multiply(g, f))
         assert bits(fg) == bits(legacy_dirichlet_multiply(f, g))
+
+    # the draws below compare the outcome, bits or DomainError message, with
+    # the old loop's summing each bucket by kernel_sum; pyproject.toml turns
+    # any RuntimeWarning that escapes into an error
+    @given(wide_kernel_pairs())
+    def test_wide_magnitudes_and_subnormal_products(self, pair):
+        f, g = pair
+        want = product_outcome(lambda a, b: legacy_dirichlet_multiply(a, b, kernel_sum), f, g)
+        assert product_outcome(dirichlet_multiply, f, g) == want
+
+    @given(cancelling_kernel_pairs())
+    def test_cancelling_buckets(self, pair):
+        f, g = pair
+        want = bits(legacy_dirichlet_multiply(f, g))
+        assert product_outcome(dirichlet_multiply, f, g) == want
+
+    @given(_kernel_polys(_tie_parts), _kernel_polys(_tie_parts))
+    def test_midpoint_sums(self, f, g):
+        want = bits(legacy_dirichlet_multiply(f, g))
+        assert product_outcome(dirichlet_multiply, f, g) == want
+
+    @given(_kernel_polys(_overflow_parts), _kernel_polys(_overflow_parts))
+    def test_overflowing_products(self, f, g):
+        want = product_outcome(lambda a, b: legacy_dirichlet_multiply(a, b, kernel_sum), f, g)
+        assert product_outcome(dirichlet_multiply, f, g) == want
+
+    @pytest.fixture
+    def fsum_calls(self, monkeypatch):
+        """The buckets _bucket_sums sends to _fsum, as lists."""
+        calls = []
+        fsum_of = series._fsum
+        monkeypatch.setattr(series, "_fsum", lambda xs: calls.append(list(xs)) or fsum_of(xs))
+        return calls
+
+    @pytest.mark.parametrize(
+        "parts, path",
+        [
+            # 2^-60 + 3 * 2^-115 is inexact, so the flag is set; fl(s + c) = 1
+            # is 2^-60 from the sum, far inside its half gap 2^-54
+            ([1.0, 2.0**-60, 3 * 2.0**-115], "bound"),
+            # every TwoSum of c is exact, and s + c = 1 + 2^-53 sits on the
+            # midpoint: the half-gap test cannot settle it, the flag does
+            ([1.0, 2.0**-53, -(2.0**-60), 2.0**-60], "flag"),
+            # s + c = 1 + 2^-53 rounds to 1, but the exact sum is past the
+            # midpoint and rounds to 1 + 2^-52: only fsum gets it right
+            ([1.0, 2.0**-53, 2.0**-120], "fsum"),
+            # s + c = 1.5 + 2^-53 - 2^-106 is within its half gap, but the
+            # four products c loses put the exact sum past the midpoint;
+            # Sum2's bound term sends the bucket to fsum
+            ([1.5, 2.0**-53, -(2.0**-106), *[3 * 2.0**-109] * 4], "fsum"),
+            # the same after a tiny first product: the bound counts every |p|
+            ([2.0**-200, 1.5, 2.0**-53, -(2.0**-106), *[3 * 2.0**-109] * 4], "fsum"),
+        ],
+    )
+    def test_acceptance_paths(self, parts, path, fsum_calls):
+        got = series._bucket_sums(np.array([parts]).T, np.array([0]), np.array([len(parts)]), np.arange(len(parts)))
+        assert got[0, 0].hex() == fsum(parts).hex()
+        assert fsum_calls == ([parts] if path == "fsum" else [])
+        assert (sum2(parts) == fsum(parts)) == (path != "fsum")
+        if len(parts) > 4:
+            return
+        f, g = bucket_six(parts)
+        got = dirichlet_multiply(f, g)
+        assert got.coefficient(6) == fsum(parts)
+        assert bits(got) == bits(legacy_dirichlet_multiply(f, g))
+
+    def test_fallback_takes_pair_order(self, fsum_calls):
+        # fsum overflows on 1e308 + 1e308 before -1e308 comes; in pair order
+        # (rank) the partials stay finite and the sum is 1e308
+        prods = np.array([[1e308], [1e308], [-1e308]])
+        got = series._bucket_sums(prods, np.array([0]), np.array([3]), np.array([0, 2, 1]))
+        assert got.tolist() == [[1e308]] and fsum_calls == [[1e308, -1e308, 1e308]]
+        f, g = bucket_six([1e308, -1e308, 1e308])
+        assert dirichlet_multiply(f, g).coefficient(6) == 1e308
+        assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+        assert bits(dirichlet_multiply(g, f)) == bits(legacy_dirichlet_multiply(f, g))
+
+    def test_partials_past_the_largest_double(self, fsum_calls):
+        # sum|p| rounds to the largest double M, so the pass never overflows
+        # and reads fl(s + c) = 2^970, the exact sum; but fsum's partial
+        # M + 2^970 rounds to inf, and _fsum's nan is the result
+        parts = [sys.float_info.max, 2.0**969, 2.0**969, -sys.float_info.max]
+        got = series._bucket_sums(np.array([parts]).T, np.array([0]), np.array([4]), np.arange(4))
+        assert math.isnan(got[0, 0]) and fsum_calls == [parts]
+
+    def test_gaussian_300_by_300_settles_every_bucket(self, rng, monkeypatch):
+        calls = []
+        fsum_of = series._fsum
+        monkeypatch.setattr(series, "_fsum", lambda xs: calls.append(1) or fsum_of(xs))
+        f = DirichletPolynomial({n: complex(*rng.normal(size=2)) for n in range(1, 301)})
+        g = DirichletPolynomial({n: complex(*rng.normal(size=2)) for n in range(1, 301)})
+        assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
+        assert calls == []
+
+    def test_buckets_of_mixed_lengths_in_one_pass(self, fsum_calls):
+        # lengths 3 to 6, longest not first, each bucket with its own path;
+        # the second column, the first negated, shares the buckets
+        parts = [[1.0, 2.0**-60, 3 * 2.0**-115], [1.0, 2.0**-53, 2.0**-120, 0.0, 0.0, 0.0],
+                 [1.0, 2.0**-53, -(2.0**-60), 2.0**-60], [0.5, 0.25, 0.125, 0.0625, 2.0**-80]]
+        row = np.concatenate(parts)
+        hi = np.cumsum([len(p) for p in parts])
+        got = series._bucket_sums(np.array([row, -row]).T, hi - [len(p) for p in parts], hi, np.arange(row.size))
+        assert [x.hex() for x in got[:, 0].tolist()] == [fsum(p).hex() for p in parts]
+        assert got[:, 1].tolist() == (-got[:, 0]).tolist()
+        assert fsum_calls == [parts[1], [-x for x in parts[1]]]
 
 
 class TestTrustedConstructor:
