@@ -11,9 +11,8 @@ bound] rather than a single number.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +80,10 @@ def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
 _U = 2.0**-53  # unit roundoff of a double
 
 
-# Taylor blocks: _BLOCK terms share an anchor; a chunk from lo takes blocks
-# when lo >= _FLOOR (|s| + 16) _BLOCK and at most _MAX_ORDER moments make
-# the truncation negligible (_block_order)
+# Taylor blocks: a run of blocks of b terms from lo needs lo >= _FLOOR
+# (|s| + 16) b and at most _MAX_ORDER moments to make the truncation
+# negligible (_block_order).  b is _BLOCK for a rule's values, and for a
+# described rule the largest power of two that fits (_block_length)
 _BLOCK = 64
 _FLOOR = 4
 _MAX_ORDER = 20
@@ -99,15 +99,15 @@ def _tail(s: complex, x: float, K: int, c_K: float) -> float:
     return c_K / (1.0 - q) if q < 1.0 else math.inf
 
 
-def _block_order(s: complex, lo: int) -> int:
-    """K, the moments a chunk from lo sums by Taylor blocks: the smallest
-    K <= _MAX_ORDER whose truncation bound _tail, at x = (_BLOCK - 1) / lo,
-    is at most u.  0 keeps the chunk direct: s = 0, which saves no exp, or
-    lo below the floor _FLOOR (|s| + 16) _BLOCK, which keeps every first
-    chunk direct, or no such K.  Reads only s and lo."""
-    if s == 0 or lo < _FLOOR * (abs(s) + 16) * _BLOCK:
+def _block_order(s: complex, lo: int, b: int = _BLOCK) -> int:
+    """K, the moments blocks of b terms from lo take: the smallest
+    K <= _MAX_ORDER whose truncation bound _tail, at x = (b - 1) / lo, is
+    at most u.  0 keeps the terms direct: s = 0, which saves no exp, or lo
+    below the floor _FLOOR (|s| + 16) b, past which x < 1 / (_FLOOR
+    (|s| + 16)) whatever b is, or no such K.  Reads only s, lo and b."""
+    if s == 0 or lo < _FLOOR * (abs(s) + 16) * b:
         return 0
-    x = (_BLOCK - 1) / lo
+    x = (b - 1) / lo
     c = 1.0
     for K in range(1, _MAX_ORDER + 1):
         c *= abs(s + (K - 1)) / K * x
@@ -117,18 +117,45 @@ def _block_order(s: complex, lo: int) -> int:
     return 0
 
 
+def _block_length(s: complex, lo: int, n: int) -> int:
+    """b for a described rule's n terms from lo (_periodic_sums): the
+    largest power of two with _BLOCK <= b <= n and _FLOOR (|s| + 16) b <= lo,
+    or _BLOCK when there is none.  The block grows with its anchor, as in
+    Odlyzko and Schoenhage's block-Taylor sums, so x = (b - 1) / lo stays
+    below the floor's bound and the anchors up to N number about
+    2 _FLOOR (|s| + 16) ln(N / lo)."""
+    a = _FLOOR * (abs(s) + 16)
+    m = min(n, int(lo / a))
+    if m < 2 * _BLOCK:
+        return _BLOCK
+    b = 1 << (m.bit_length() - 1)
+    # lo / a rounds up to a power of two that does not fit
+    return b // 2 if a * b > lo else b
+
+
+@functools.lru_cache(maxsize=256)
+def _length_order(s: complex, b: int) -> int:
+    """K for a described rule's blocks of b terms: the order at the first
+    start they may take, ceil(_FLOOR (|s| + 16) b), which holds from every
+    later start, x = (b - 1) / lo only falling."""
+    return _block_order(s, math.ceil(_FLOOR * (abs(s) + 16) * b), b)
+
+
 def _moments(W: np.ndarray, K: int, bound: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """M (K x m), M[k] = sum_j W[j] (j / b)^k for each of the m columns of W
-    (b = _BLOCK rows), and, for a bound, each column's mass sum_j |W[j]|.
-    W *= j / b in place builds each power and np.add.reduce(W, axis=0) its
-    moment, so W is overwritten."""
-    mass = np.add.reduce(np.abs(W), axis=0) if bound else None
-    M = np.empty((K, W.shape[1]), dtype=W.dtype)
-    np.add.reduce(W, axis=0, out=M[0])
-    t = (np.arange(_BLOCK, dtype=np.float64) / _BLOCK)[:, None]
+    """M (K x m), M[k] = sum_j W[i, j] (j / b)^k for each of the m rows of
+    W (b columns), and, for a bound, each row's mass sum_j |W[i, j]|.
+    W *= j / b in place builds each power and np.add.reduce(W, axis=1) its
+    moment, so W is overwritten.  The reduce follows W's memory: contiguous
+    rows (constant moments) are summed pairwise, and the rows of a
+    transposed (b x m) array (values' blocks) in order, term by term."""
+    b = W.shape[1]
+    mass = np.add.reduce(np.abs(W), axis=1) if bound else None
+    M = np.empty((K, W.shape[0]), dtype=W.dtype)
+    np.add.reduce(W, axis=1, out=M[0])
+    t = np.arange(b, dtype=np.float64) / b
     for k in range(1, K):
         W *= t
-        np.add.reduce(W, axis=0, out=M[k])
+        np.add.reduce(W, axis=1, out=M[k])
     return M, mass
 
 
@@ -153,23 +180,26 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     Constant moments (_periodic_sums): when v_n = c[n mod p] with p | b,
     every full block has the moments of the chunk's first, since all
     anchors share lo mod p, and the padded last block has its own.  They are
-    computed once, from one or two columns, and _anchor_sums spreads them
-    over the anchors, so a chunk does no per-term work.  Everything below
-    holds for them as stated, m_i being the mass of block i's column.  With
-    real s and real moments every step runs in real arithmetic, which
-    rounds no more than the complex steps counted below.
+    computed once, from one or two rows, and _anchor_sums spreads them over
+    the anchors, so a chunk does no per-term work; b is then any power of
+    two from _BLOCK on (_block_length).  Everything below holds for them as
+    stated, m_i being the mass of block i's row.  With real s and real
+    moments every step runs in real arithmetic, which rounds no more than
+    the complex steps counted below.
 
     The bound, to first order in u = 2^-53, with m_i = sum_j |v_{a+j}|,
     x = (b - 1) / lo, c_k = |C(-s, k)| x^k, which bounds
     |C(-s, k)| (j / a)^k in every block, and L the last anchor's log:
       - truncation: the terms k >= K add at most |a^(-s)| m_i tau,
         tau = _tail(s, x, K, c_K);
-      - moments: a power rounds once a step and a sum of b products b - 1
-        times, so M_k is within (k + b) u sum_j |v| (j / b)^k, and its term
-        within (k + b) u c_k m_i;
+      - moments: a power rounds once a step (j / b is exact) and a sum of b
+        products at most D times, so M_k is within (k + D) u
+        sum_j |v| (j / b)^k, and its term within (k + D) u c_k m_i.  Summed
+        in order (values' blocks) D = b - 1 <= b; summed pairwise (constant
+        moments, numpy's runs of at most 16, then a tree) D <= log2 b + 20;
       - C(-s, k), by its recurrence, 5 u a step; r^k, 2 u a power; the
         Horner pass, a product by r and a sum a step, 3 u for C M_k: term k
-        gains (9 k + 4) u c_k m_i, so (10 k + b + 4) u c_k m_i in all, and
+        gains (9 k + 4) u c_k m_i, so (10 k + D + 4) u c_k m_i in all, and
         u S1 m_i summed over k < K;
       - each anchor: log a is within u (2 L + 1) (a rounded to a double,
         then the log), -s log a rounds by u |s| L and the exp by 4 u, so
@@ -189,39 +219,40 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     if full < blocks:
         W[: n - full * b, full] = vals[full * b :]
         W[n - full * b :, full] = 0
-    M, mass = _moments(W, K, bound)
-    total, delta = _anchor_sums(M, mass, s, np.array([lo], dtype=np.int64), blocks, K)
+    M, mass = _moments(W.T, K, bound)
+    total, delta = _anchor_sums(M, mass, s, np.array([lo], dtype=np.int64), blocks, K, b, b)
     return complex(total[0]), None if delta is None else float(delta[0])
 
 
-def _periodic_sums(c: tuple[float, ...], s: complex, los: np.ndarray, n: int, K: int, bound: bool = True):
+def _periodic_sums(c: tuple[float, ...], s: complex, los: np.ndarray, n: int, K: int, b: int, bound: bool = True):
     """_block_sum's sums and deltas (None when bound is false) for chunks
-    of n terms v_m = c[m mod p], p = len(c) dividing _BLOCK, one from each
-    start in los, all sharing lo mod p: the constant moments of a full
-    block and, when n is not a multiple of _BLOCK, of the padded last one
-    are taken once for all of them."""
-    b, p = _BLOCK, len(c)
+    of n terms v_m = c[m mod p], p = len(c) dividing _BLOCK, in blocks of b
+    terms, one from each start in los, all sharing lo mod p: the constant
+    moments of a full block and, when b does not divide n, of the padded
+    last one are taken once for all of them, pairwise along a row."""
+    p = len(c)
     blocks, full = -(-n // b), n // b
     w = np.array(c, dtype=np.float64)[(int(los[0]) % p + np.arange(b)) % p]
-    W = np.repeat(w[:, None], 2 if 0 < full < blocks else 1, axis=1)
+    W = np.repeat(w[None, :], 2 if 0 < full < blocks else 1, axis=0)
     if full < blocks:
-        W[n - full * b :, -1] = 0
+        W[-1, n - full * b :] = 0
     M, mass = _moments(W, K, bound)
-    return _anchor_sums(M, mass, s, los, blocks, K)
+    return _anchor_sums(M, mass, s, los, blocks, K, b, math.log2(b) + 20)
 
 
-def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, los: np.ndarray, blocks: int, K: int):
+def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, los: np.ndarray, blocks: int, K: int,
+                 b: int, D: float):
     """The anchor half of the Taylor-block kernel (_block_sum, which derives
-    delta): for each start lo in los, the sum over its anchors
-    a = lo + b i, i < blocks, of a^(-s) sum_{k<K} C(-s, k) (b / a)^k M_k,
-    and its delta (None when mass is None), as arrays over los.  M (K x m)
-    and mass (m) hold one column a block (m = blocks), or shared ones: the
-    first blocks - m + 1 blocks take column 0, each later block its own
-    column.  a^(-s) comes from series._power, real for real s, and real s
-    with real moments runs all in real arithmetic.  Each start's sum is one
-    row of a (starts x blocks) array, reduced as np.sum reduces that row
-    alone, so a start's bits do not depend on the others."""
-    b = _BLOCK
+    delta, D the most roundings of a moment's sum): for each start lo in
+    los, the sum over its anchors a = lo + b i, i < blocks, of
+    a^(-s) sum_{k<K} C(-s, k) (b / a)^k M_k, and its delta (None when mass
+    is None), as arrays over los.  M (K x m) and mass (m) hold one column a
+    block (m = blocks), or shared ones: the first blocks - m + 1 blocks take
+    column 0, each later block its own column.  a^(-s) is series._power's,
+    real for real s, and real s with real moments runs all in real
+    arithmetic.  Each start's sum is one row of a (starts x blocks) array,
+    reduced as np.sum reduces that row alone, so its bits do not depend on
+    the other starts."""
     # the column of each block
     col = np.maximum(np.arange(blocks) - (blocks - M.shape[1]), 0)
     real = s.imag == 0 and M.dtype.kind == "f"
@@ -246,7 +277,7 @@ def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, los: np.nda
     x = (b - 1) / los.astype(np.float64)
     c = np.abs(np.array(C))[:, None] * x ** np.arange(K + 1)[:, None]
     S0 = np.add.reduce(c[:K], axis=0)
-    S1 = np.add.reduce((10 * np.arange(K) + b + 4)[:, None] * c[:K], axis=0)
+    S1 = np.add.reduce((10 * np.arange(K) + D + 4)[:, None] * c[:K], axis=0)
     # _tail's bound, one per start
     q = x * max(1.0, (abs(s) + K) / (K + 1))
     tail = np.full(q.shape, math.inf)
@@ -256,117 +287,71 @@ def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, los: np.nda
     return totals, mu * (tail + _U * rounding)
 
 
-# threads that off-axis partial sums may use; the CPUs this process may run on
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no sched_getaffinity on this platform
-    _WORKERS = os.cpu_count() or 1
-
-
-def _sum_terms(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
-    """sum vals[i] ns[i]^(-s) for one chunk of partial_sum's stream, ns the
-    run lo..hi: Taylor blocks from the floor on (_block_order), direct terms
-    before it and at s = 0."""
-    lo = int(ns[0])
-    K = _block_order(s, lo)
-    return _block_sum(vals, s, lo, K, bound=False)[0] if K else _direct_sum(ns, vals, s)
-
-
 # most anchors one run of constant-moment chunks spans (_chunk_sums): 0.5 MB
 # a real anchor array
 _RUN_ANCHORS = 1 << 16
 
 
 def _chunk_sums(rule: CoefficientRule, s: complex, bounds):
-    """The sum of each chunk (lo, hi) of partial_sum's stream, in chunk order.
+    """The sums that make up partial_sum's stream of chunks (lo, hi), in
+    stream order: one or two a chunk.
 
-    A rule described as a_n = c[n mod p] n^(-k) (CoefficientRule) takes its
-    chunks from the floor of s' = s + k on (_block_order(s + k, lo)) by
-    Taylor blocks at s' from constant moments (_periodic_sums), without its
-    values.  Consecutive such chunks of one length, order and phase lo mod p
-    go as one run of at most _RUN_ANCHORS anchors, so the per-chunk Python
-    work is paid once a run; each chunk's sum is its own row, so its bits do
-    not depend on the run.  Every other chunk, and every chunk of any other
-    rule, takes its values and _sum_terms.
+    Blocks are taken at s', s' = s + k for a rule described as
+    a_n = c[n mod p] n^(-k) (CoefficientRule) and s for any other, from the
+    floor F = ceil(_FLOOR (|s'| + 16) _BLOCK) on.  A chunk with lo < F <= hi
+    sums lo..F-1 directly (_direct_sum) and F..hi by Taylor blocks; a chunk
+    from F on takes blocks whole; a chunk below F, or one where no
+    K <= _MAX_ORDER does (_block_order, which also keeps s' = 0 direct),
+    is direct.
+
+    A described rule's blocks come from constant moments (_periodic_sums),
+    without its values, in blocks of _block_length terms, which grow with
+    the start, and one order for each block length (_length_order).
+    Consecutive such chunks of one length and block length go as one run of
+    at most _RUN_ANCHORS anchors, one _periodic_sums call for each phase
+    lo mod p in it, so the numpy work is paid once a run; each chunk's sum
+    is its own row, so its bits do not depend on the run.  Any other rule's
+    blocks take its values, 64 terms a block (_block_sum).
 
     The last chunk's index and value arrays stay alive while the next is
     built: freeing a whole chunk at once lets malloc return the heap top to
     the OS, and refaulting it made the Basel sum ~4x slower."""
     c, k = rule._description or ((), 0)
+    sk = s + k
+    # hypot, unlike abs, gives inf rather than raising past double range
+    F = math.ceil(min(_FLOOR * (math.hypot(sk.real, sk.imag) + 16) * _BLOCK, 2.0**63))
     run, key = [], None
 
     def run_sums():
-        n, K = key[0] + 1, key[1]
-        return map(complex, _periodic_sums(c, s + k, np.array(run, dtype=np.int64), n, K, bound=False)[0].tolist())
+        (n, K, b), los = key, np.array(run, dtype=np.int64)
+        sums = np.empty(los.size, dtype=np.complex128)
+        for phase in np.unique(los % len(c)).tolist():
+            at = los % len(c) == phase
+            sums[at] = _periodic_sums(c, sk, los[at], n, K, b, bound=False)[0]
+        return map(complex, sums.tolist())
 
     for lo, hi in bounds:
-        K = _block_order(s + k, lo) if c else 0
-        if run and (key != (hi - lo, K, lo % len(c)) or len(run) * (hi - lo + 1) >= _RUN_ANCHORS * _BLOCK):
+        start = max(lo, F)
+        n = hi - start + 1
+        b = _block_length(sk, start, n) if c and n > 0 else _BLOCK
+        K = 0 if n <= 0 else _length_order(sk, b) if c else _block_order(sk, start)
+        if not K:
+            start = hi + 1
+        if run and (not K or key != (n, K, b) or (len(run) + 1) * -(-n // b) > _RUN_ANCHORS):
             yield from run_sums()
             run = []
-        if K:
-            run.append(lo)
-            key = (hi - lo, K, lo % len(c))
-            continue
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = rule.values(ns)
-        yield _sum_terms(ns, vals, s)
+        if start > lo or not c:
+            ns = np.arange(lo, start if c else hi + 1, dtype=np.int64)
+            vals = rule.values(ns)
+            if start > lo:
+                yield _direct_sum(ns[: start - lo], vals[: start - lo], s)
+        if K and c:
+            run.append(start)
+            key = (n, K, b)
+        elif K:
+            yield _block_sum(vals[start - lo :], s, start, K, bound=False)[0]
     if run:
         yield from run_sums()
-
-
-def _chunk_sum(rule: CoefficientRule, s: complex, lo: int, hi: int) -> complex:
-    """One pool job: the chunk's sum, not its terms (arrays freed on the thread
-    that allocated them left library peak_rss_mb ~4 MB lower).
-
-    np.errstate is thread-local, so the job sets its own around the terms and
-    their sum: on a pool thread the caller's would not apply, and an overflow
-    would escape as a RuntimeWarning instead of reaching partial_sum's
-    finiteness check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return next(_chunk_sums(rule, s, ((lo, hi),)))
-
-
-def _pooled_sum(rule: CoefficientRule, s: complex, bounds, window: int) -> complex:
-    """The chunk sums are computed on a pool of min(_WORKERS, window) threads,
-    `window` chunks in flight, and added here in chunk order, so the total
-    and the first error raised are the sequential loop's.
-
-    The pool belongs to this call and is shut down before it returns, so no
-    thread outlives the call and a forked child has no pool to rebuild.  The
-    trade: K concurrent callers run up to K * _WORKERS threads, each call
-    with its own _TERMS_IN_FLIGHT bound.  concurrent.futures (~5 ms) is
-    imported here, which keeps it out of the CLI's cold start."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    pending: deque = deque()
-    total = 0j
-    with ThreadPoolExecutor(min(_WORKERS, window), thread_name_prefix="partial_sum") as pool:
-        try:
-            for lo, hi in bounds:
-                pending.append(pool.submit(_chunk_sum, rule, s, lo, hi))
-                if len(pending) == window:
-                    total += pending.popleft().result()
-            while pending:
-                total += pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-    return total
-
-
-# most terms whose chunks the pool computes at once, so the pool never needs
-# more than one sequential 2^22-term chunk, ~0.2 GB, however many CPUs
-# there are
-_TERMS_IN_FLIGHT = 1 << 22
-
-
-def _window(N: int, chunk: int) -> int:
-    """Chunks an off-axis partial_sum keeps in flight on the pool: twice the
-    workers, at most _TERMS_IN_FLIGHT terms.  1 means the sequential loop."""
-    in_flight = _TERMS_IN_FLIGHT // chunk
-    workers = min(_WORKERS, -(-N // chunk), in_flight)
-    return 1 if workers < 2 else min(2 * workers, in_flight)
 
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
@@ -374,51 +359,46 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)
     to rounding.
 
-    A chunk from lo >= 4 (|s| + 16) 64 goes by Taylor blocks (_block_sum):
-    one exp per 64 terms, then K <= 20 products and sums a term, K the
-    smallest order whose truncation is at most u = 2^-53 of the chunk's
-    mass.  With 2^16-term chunks that is every chunk after the first when
-    |s| <= 240.  A block chunk is within
+    One sequential stream, one dispatch rule a chunk (_chunk_sums): the
+    terms from the floor F = ceil(4 (|s| + 16) 64) on go by Taylor blocks
+    (_block_sum), a chunk that straddles F splitting there, and the terms
+    below it, the first chunk's among them, take one exp a term; s = 0
+    takes none, its chunks being the values' sums.  A block of b terms
+    takes one log and one exp at its anchor, then K <= 20 products and sums
+    a term, K the smallest order whose truncation is at most u = 2^-53 of
+    the block's mass.  A block chunk is within
         delta = mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks)))
     of its exact sum (derived in _block_sum), about
     u (|s| (3 log hi + 1) + 110) times the chunk's sum |rule(n)| n^(-Re s):
     the anchors' phases carry the u |s| log n error a direct term's does.
-    Chunks below the floor, the first always among them, take one exp a
-    term, and s = 0 none: its chunks are the values' sums.  log n is
-    series._log's, so the bits follow neither numpy's SIMD level nor, since
-    no BLAS call runs, a BLAS kernel; a direct chunk of a complex rule is
-    the exception, its products being numpy's complex multiply.
+    log n is series._log's, so the bits follow neither numpy's SIMD level
+    nor, since no BLAS call runs, a BLAS kernel; a direct chunk of a complex
+    rule is the exception, its products being numpy's complex multiply.
 
     The built-in ones_rule, eta_rule and zeta_shift_rule(k) describe
-    themselves as a_n = c[n mod p] n^(-k) (CoefficientRule).  Their chunks
-    from the floor of s' = s + k on are sums of c[n mod p] n^(-s') by
-    Taylor blocks at s' whose moments are the same for every full block
-    (_periodic_sums): no values are computed, and a chunk costs one log and
-    one exp an anchor and K Horner steps, in real arithmetic when s' is
-    real.  Basel, zeta_shift(2) at s = 0, is ones at s' = 2: its first chunk
-    stays the values' sum, and its imaginary part is exactly 0.
+    themselves as a_n = c[n mod p] n^(-k) (CoefficientRule).  Their terms
+    from the floor of s' = s + k on are sums of c[n mod p] n^(-s') by Taylor
+    blocks at s' whose moments are the same for every full block
+    (_periodic_sums): no values are computed, and the blocks grow
+    geometrically, b the largest power of two up to the chunk with
+    4 (|s'| + 16) b <= the chunk's start, so the anchors from F to N number
+    about 8 (|s'| + 16) ln(N / F) plus one a chunk, in real arithmetic when
+    s' is real.  Basel, zeta_shift(2) at s = 0, is ones at s' = 2: its
+    terms below F are the values' sum, and its imaginary part is exactly 0.
+    A user's rule, and Moebius, keep blocks of 64 terms from their values.
 
-    For s != 0 the chunks' terms are computed on a pool of up to _WORKERS
-    threads (the CPUs this process may use, at most one per chunk) that the
-    call starts and stops, with at most 2^22 terms in flight, so chunks
-    longer than 2^21 run sequentially.  s = 0 stays sequential: its chunks
-    are memory-bound, and threads made the 2^27-term Basel sum slower on a
-    loaded 2-core machine.  Either way each chunk is summed alone and the
-    chunk sums are added in chunk order, so `chunk` (at most 2^24) fixes the
-    bits of the result and the number of workers does not move them."""
+    No thread is started.  Each chunk is summed alone and the sums are
+    added in stream order, so `chunk` (at most 2^24) fixes the bits of the
+    result."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
     # a chunk near 2^63 terms gave an empty np.arange and a silent 0
     chunk = _validate_index(chunk, "chunk length", most=_MAX_TERMS)
     bounds = ((lo, min(N, lo + chunk - 1)) for lo in range(1, N + 1, chunk))
-    window = _window(N, chunk)
+    total = 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        if s != 0 and window > 1:
-            total = _pooled_sum(rule, s, bounds, window)
-        else:
-            total = 0j
-            for value in _chunk_sums(rule, s, bounds):
-                total += value
+        for value in _chunk_sums(rule, s, bounds):
+            total += value
     return _finite(total, f"partial sum of {N} terms at s = {s}")
 
 

@@ -63,9 +63,9 @@ _ARRAY_MIN_TERMS = 96
 # bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
 # in blocks; a partial_sum chunk at 48 direct and 32 by Taylor blocks, 56
 # and 48 for a complex rule, at 2^16 to 2^22 terms; a described rule's
-# chunk past the floor holds no per-term array), so at ~1.4 GB for
-# 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
-# partial_sum streams its N terms in chunks, so N itself is not capped.
+# terms past the floor hold no per-term array), so at ~1.4 GB for 2^24;
+# N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
+# partial_sum streams its N terms one chunk at a time, so N is not capped.
 _MAX_TERMS = 1 << 24
 
 
@@ -354,6 +354,13 @@ def _fsum(xs) -> float:
         return math.nan
 
 
+def _bucket_fsum(xs: list) -> float:
+    """A convolution bucket's sum as the array kernel forms it: one or two
+    products by one IEEE add (np.add.reduceat), more by _fsum.  Both round
+    two doubles' sum correctly, but on overflow the add gives inf."""
+    return xs[0] + xs[1] if len(xs) == 2 else xs[0] if len(xs) == 1 else _fsum(xs)
+
+
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y on x (two distinct x at least) from centered
     numpy sums, not a BLAS or LAPACK solve; y = x gives exactly 1."""
@@ -518,7 +525,8 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
     TwoSum pass whose fl(s + c) is accepted when an exactness flag or Sum2's
     gamma_n^2 bound proves it exactly rounded, with fsum, in pair order, for
     each bucket it cannot settle.  Below _KERNEL_MIN_PAIRS a per-pair loop
-    of one fsum per bucket is faster and gives the same bits.
+    that sums each bucket as the kernel does (_bucket_fsum) is faster and
+    gives the same bits, an overflowing bucket of two products included.
     """
     if f.max_index * g.max_index > _INDEX_MAX:
         raise DomainError(f"product index {f.max_index} * {g.max_index} exceeds 2^63 - 1")
@@ -534,7 +542,7 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
                 im_l.append(p.imag)
         keys = sorted(buckets)
         return _normal(
-            keys, [complex(_fsum(re_l), _fsum(im_l)) for re_l, im_l in map(buckets.__getitem__, keys)]
+            keys, [complex(_bucket_fsum(re_l), _bucket_fsum(im_l)) for re_l, im_l in map(buckets.__getitem__, keys)]
         )
     fc, gc = f.coefficient_array(), g.coefficient_array()
     idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
@@ -600,9 +608,8 @@ class CoefficientRule:
     and a scalar call rule(n) is values() on a 1-element array.  An output
     that is not a numeric (integer, float or complex) array of the indices'
     shape raises DomainError naming the rule's tag.
-    partial_sum may call `vectorized` from several threads at once, on
-    disjoint index chunks, so it must be pure: no shared state it writes,
-    the same values for the same indices.  Every built-in rule is.
+    `vectorized` must be pure: no shared state it writes, the same values
+    for the same indices.  Every built-in rule is.
     `known_abscissas` is reference metadata consumed only by tests, never
     by the estimators themselves.
 
@@ -766,25 +773,35 @@ def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
     return sign
 
 
-# a run lo..hi goes through _moebius_sieve while isqrt(hi) is at most this:
-# its prime table is then a sieve of 4 MB and ~295,000 primes
+# a run lo..hi goes through _moebius_sieve while isqrt(hi) is at most
+# _SIEVE_MAX_ROOT (a prime table of 4 MB and ~295,000 primes) and, from
+# isqrt(hi) = _SIEVE_SHORT_ROOT on, holds _SIEVE_MIN_RUN indices: the table
+# costs ~1 ms at hi = 2^36 and ~20 ms at 2^44, trial division 0.1-1.4 ms
+# an index there, and the two break even at 2-4 indices near 2^36, 4-8 near
+# 2^40 and 8-12 near 2^44 (2-core x86-64, numpy 2.4.6;
+# BENCH_geometric_blocks.json); nearer the origin the sieve always wins
 _SIEVE_MAX_ROOT = 1 << 22
+_SIEVE_SHORT_ROOT = 1 << 18
+_SIEVE_MIN_RUN = 8
 
 
 def _moebius_values(ns: np.ndarray) -> np.ndarray:
     """mu(n) for each index.  Indices that flatten to one ascending run
     lo..hi of at least two, every internal caller's, go through
-    _moebius_sieve when isqrt(hi) <= _SIEVE_MAX_ROOT, at any length: the
-    prime table stays bounded, and far out the sieve takes milliseconds
-    where trial division took minutes (65,536 indices from 2^40: 20-45 ms
-    against 71.6 s).  Any other index set (a scalar, a user's array, a run
-    past 2^44) keeps trial division, whose memory does not grow with
-    sqrt(max n).  Both are exact, so the path never moves a value."""
+    _moebius_sieve when isqrt(hi) <= _SIEVE_MAX_ROOT and the run is long
+    enough for its prime table (_SIEVE_MIN_RUN): the table stays bounded,
+    and far out the sieve takes milliseconds where trial division took
+    minutes (65,536 indices from 2^40: 20-45 ms against 71.6 s).  Any other
+    index set (a scalar, a user's array, a short far run, a run past 2^44)
+    keeps trial division, whose memory does not grow with sqrt(max n).
+    Both are exact, so the path never moves a value."""
     flat = ns.reshape(-1)
     sign = None
     if flat.size >= 2:
         lo, hi = int(flat[0]), int(flat[-1])
-        if hi - lo == flat.size - 1 and math.isqrt(hi) <= _SIEVE_MAX_ROOT and (np.diff(flat) == 1).all():
+        root = math.isqrt(hi)
+        long_enough = flat.size >= _SIEVE_MIN_RUN or root < _SIEVE_SHORT_ROOT
+        if hi - lo == flat.size - 1 and root <= _SIEVE_MAX_ROOT and long_enough and (np.diff(flat) == 1).all():
             sign = _moebius_sieve(lo, hi)
     if sign is None:
         sign = _moebius_trial(flat)

@@ -2,11 +2,9 @@ import dataclasses
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import threading
-import time
 
 import mpmath
 import numpy as np
@@ -92,6 +90,15 @@ class TestPartialSum:
         with pytest.raises(DomainError, match=r"s = \(-2000\+0j\)"):
             partial_sum(ones_rule(), -2000, 10)
 
+    @pytest.mark.parametrize("rule", [eta_rule(), moebius_rule()], ids=["described", "values"])
+    def test_modulus_of_s_past_double_range(self, rule):
+        # |s| overflows a double though both parts are finite, and abs(s)
+        # raised OverflowError; n^(-s) underflows to 0 from n = 2 on, and
+        # far left the sum overflows as anywhere else
+        assert partial_sum(rule, complex(1.7e308, 1.7e308), 10) == 1
+        with pytest.raises(DomainError, match="overflows double precision"):
+            partial_sum(rule, complex(-1.7e308, 1.7e308), 10)
+
     def test_zero_point_shortcut(self):
         rule = eta_rule()
         assert partial_sum(rule, 0.0, 101) == pytest.approx(1.0, abs=1e-15)
@@ -125,98 +132,42 @@ class TestPartialSum:
         assert partial_sum(zeta_shift_rule(2), 0, 10, chunk=1) == pytest.approx(want, rel=1e-15)
 
 
-def wait_or_kill(pid, seconds):
-    """Exit code of child pid, or None after killing it at the deadline."""
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.01)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    return None
+class TestPartialSumThreads:
+    """partial_sum runs on its caller's thread: it starts none, and callers
+    on several threads at once each get a lone caller's bits."""
 
-
-class TestPartialSumPool:
-    def test_worker_overflow_is_a_domain_error(self, monkeypatch):
-        # three chunks, so the overflow happens on pool threads, where the
-        # caller's np.errstate does not reach; a RuntimeWarning there is an
-        # error under this suite's filter.  At s = -2000 + i the terms
-        # overflow; at s = -60 + i the second chunk's terms are finite
-        # (131072^60 < DBL_MAX) but their sum is not
-        monkeypatch.setattr(evaluation, "_WORKERS", 2)
+    def test_overflow_is_a_domain_error(self):
+        # three chunks: at s = -2000 + i the terms overflow; at s = -60 + i
+        # the second chunk's terms are finite (131072^60 < DBL_MAX) but their
+        # sum is not, and a RuntimeWarning would be an error under this
+        # suite's filter
         for s in (complex(-2000, 1), complex(-60, 1)):
             with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
                 partial_sum(ones_rule(), s, 3 * 2**16)
 
-    def test_no_thread_outlives_a_call(self, monkeypatch):
+    def test_rule_runs_on_the_calling_thread(self):
         names = set()
 
         def vec(ns):
             names.add(threading.current_thread().name)
             return np.ones(ns.shape)
 
-        monkeypatch.setattr(evaluation, "_WORKERS", 2)
         before = threading.active_count()
-        partial_sum(CoefficientRule("ones", vec), 0.5 + 3j, 2048, chunk=256)
-        assert names and all(name.startswith("partial_sum") for name in names)
+        partial_sum(CoefficientRule("ones", vec), 0.5 + 3j, 20_000, chunk=256)
+        assert names == {threading.current_thread().name}
         assert threading.active_count() == before
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_builds_its_own_pool(self, monkeypatch):
-        # the parent's pooled call ends with its threads joined, so the child
-        # starts its own and must get the parent's bits
-        monkeypatch.setattr(evaluation, "_WORKERS", 2)
-        want = partial_sum(eta_rule(), 0.5 + 3j, 2048, chunk=256)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if partial_sum(eta_rule(), 0.5 + 3j, 2048, chunk=256) == want else 2
-            finally:
-                os._exit(code)
-        assert wait_or_kill(pid, 30) == 0
-
-    def test_window_holds_a_bounded_number_of_terms(self, monkeypatch):
-        # 2 x 64 whole 2^22-term chunks in flight would take ~8 GB on a
-        # 64-CPU host; the window is capped by terms, not by workers alone
-        monkeypatch.setattr(evaluation, "_WORKERS", 64)
-        for k in range(25):
-            window = evaluation._window(2**40, 2**k)
-            assert window == 1 or (window <= 128 and window * 2**k <= evaluation._TERMS_IN_FLIGHT)
-        assert evaluation._window(2**40, 2**16) == 64
-        assert evaluation._window(2**40, 2**20) == 4
-        assert evaluation._window(2**40, 2**21) == 2
-        assert evaluation._window(2**40, 2**21 + 1) == 1
-        assert evaluation._window(3 * 2**16, 2**16) == 6
-        monkeypatch.setattr(evaluation, "_WORKERS", 2)
-        assert evaluation._window(2**40, 2**16) == 4
-
-    def test_large_chunks_skip_the_pool(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_WORKERS", 64)
-        windows = []
-        monkeypatch.setattr(evaluation, "_pooled_sum", lambda rule, s, bounds, window: windows.append(window) or 0j)
-        monkeypatch.setattr(evaluation, "_chunk_sums", lambda rule, s, bounds: (1 for _ in bounds))
-        assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**20) == 0j
-        assert windows == [4]
-        # two 2^22-term chunks, one at a time on the calling thread
-        assert partial_sum(ones_rule(), 1j, 2**23, chunk=2**22) == 2
-        assert windows == [4]
-
-    def test_concurrent_callers(self, monkeypatch):
-        # more callers and workers than cores, with frequent thread switches;
-        # each caller runs its own pool of 4
+    def test_concurrent_callers(self):
+        # more callers than cores, with frequent thread switches, over direct
+        # terms and constant-moment runs
         points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
-        monkeypatch.setattr(evaluation, "_WORKERS", 1)
-        want = {s: partial_sum(eta_rule(), s, 4096, chunk=128) for s in points}
-        monkeypatch.setattr(evaluation, "_WORKERS", 4)
+        want = {s: partial_sum(eta_rule(), s, 5 * 4096 + 100, chunk=1024) for s in points}
         got, errors = {}, []
 
         def call(s):
             try:
                 for _ in range(5):
-                    got.setdefault(s, set()).add(partial_sum(eta_rule(), s, 4096, chunk=128))
+                    got.setdefault(s, set()).add(partial_sum(eta_rule(), s, 5 * 4096 + 100, chunk=1024))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -275,24 +226,77 @@ _SIMD_BITS = (
 DESCRIBED = {"ones": ones_rule(), "eta": eta_rule(), **{f"zeta_shift({k})": zeta_shift_rule(k) for k in range(4)}}
 
 
+def power_sum(s, a, J):
+    """sum_{0<=j<J} (a + j)^(-s), s != 1, by Euler-Maclaurin with 12
+    Bernoulli terms: for a >= 2^11 and |s| <= 64 the first omitted term is
+    below 10^-50 of the terms' size."""
+    b = a + J
+    total = (mpmath.power(b, 1 - s) - mpmath.power(a, 1 - s)) / (1 - s) + (mpmath.power(a, -s) - mpmath.power(b, -s)) / 2
+    # (-s)(-s - 1)...(-s - 2k + 2), the factor of the (2k - 1)-th derivative
+    falling = -s
+    for k in range(1, 13):
+        e = -s - 2 * k + 1
+        total += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * falling * (mpmath.power(b, e) - mpmath.power(a, e))
+        falling *= e * (e - 1)
+    return total
+
+
+def described_chunk(c, s, lo, hi):
+    """sum_{lo<=m<=hi} c[m mod p] m^(-s) at 50 digits, for lo >= 2^12: the
+    J indices m = r mod p from m0 on give p^-s power_sum(s, m0 / p, J).
+    (mpmath's Hurwitz zeta sieves up to its integer argument, which far out
+    takes gigabytes.)"""
+    p, total = len(c), mpmath.mpf(0)
+    with mpmath.workdps(50):
+        for r in range(p):
+            m0 = lo + (r - lo) % p
+            if m0 <= hi:
+                total += c[r] * mpmath.power(p, -s) * power_sum(s, mpmath.mpf(m0) / p, (hi - m0) // p + 1)
+        return total
+
+
+@st.composite
+def geometric_cases(draw):
+    """(c, s, lo, n, b, K) for evaluation._periodic_sums: a built-in
+    description, b a power of two from 64 to 2^16, lo from the floor
+    _FLOOR (|s| + 16) b of that b up to 2^40, in either phase, n up to 4 b,
+    so the last block is padded unless b divides n, and K drawn or the
+    dispatch's own, the order at that floor."""
+    c = draw(st.sampled_from([(1.0,), (-1.0, 1.0)]))
+    s = complex(draw(st.floats(-0.5, 2.5)), draw(st.one_of(st.just(0.0), st.floats(-60.0, 60.0))))
+    # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
+    assume(abs(s) > 1e-40 and s != 1)
+    b = 2 ** draw(st.integers(6, 16))
+    floor = math.ceil(evaluation._FLOOR * (abs(s) + 16) * b)
+    lo = draw(st.one_of(st.integers(floor, 4 * floor), st.integers(floor, 2**40)))
+    n = draw(st.integers(1, 4 * b))
+    K = draw(st.one_of(st.none(), st.integers(1, evaluation._MAX_ORDER)))
+    return c, s, lo, n, b, K
+
+
 def described_exact(c, s, N):
-    """sum_{n<=N} c[n mod p] n^(-s) at 40 digits, by Hurwitz zeta: for p = 2
-    the odd n are 2^-s (zeta(s, 1/2) - zeta(s, ceil(N/2) + 1/2)) and the
-    even ones 2^-s (zeta(s) - zeta(s, floor(N/2) + 1))."""
+    """sum_{n<=N} c[n mod p] n^(-s) at 40 digits: the terms below 2^12 by
+    Hurwitz zeta, for p = 2 the odd n 2^-s (zeta(s, 1/2) -
+    zeta(s, ceil(N/2) + 1/2)) and the even ones 2^-s (zeta(s) -
+    zeta(s, floor(N/2) + 1)), and the rest by described_chunk."""
+    M = min(N, 4095)
     with mpmath.workdps(40):
         if len(c) == 1:
-            return c[0] * (mpmath.zeta(s) - mpmath.zeta(s, N + 1))
-        half = mpmath.mpf(1) / 2
-        odd = mpmath.power(2, -s) * (mpmath.zeta(s, half) - mpmath.zeta(s, (N + 1) // 2 + half))
-        even = mpmath.power(2, -s) * (mpmath.zeta(s) - mpmath.zeta(s, N // 2 + 1))
-        return c[1] * odd + c[0] * even
+            head = c[0] * (mpmath.zeta(s) - mpmath.zeta(s, M + 1))
+        else:
+            half = mpmath.mpf(1) / 2
+            odd = mpmath.power(2, -s) * (mpmath.zeta(s, half) - mpmath.zeta(s, (M + 1) // 2 + half))
+            even = mpmath.power(2, -s) * (mpmath.zeta(s) - mpmath.zeta(s, M // 2 + 1))
+            head = c[1] * odd + c[0] * even
+        return head + described_chunk(c, s, M + 1, N) if N > M else head
 
 
 class TestTaylorBlocks:
-    """partial_sum's chunks past the floor go through evaluation._block_sum,
-    one exp per block of 64 terms, or for a described rule through
-    _periodic_sums, from constant moments at s' = s + k; the first chunk
-    and s = 0 stay direct."""
+    """partial_sum's terms from the floor F on go through
+    evaluation._block_sum, one exp per block of 64 terms, or for a described
+    rule through _periodic_sums, from constant moments at s' = s + k in
+    blocks that grow with their start; a chunk that straddles F splits
+    there, and the terms below F and s = 0 stay direct."""
 
     @given(block_cases())
     def test_block_sum_is_within_delta_of_the_exact_sum(self, case):
@@ -312,11 +316,22 @@ class TestTaylorBlocks:
             )
             assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
 
+    @given(geometric_cases())
+    def test_geometric_chunk_is_within_delta_of_the_exact_sum(self, case):
+        c, s, lo, n, b, K = case
+        K = K or evaluation._length_order(s, b)
+        assert K > 0
+        got, delta = evaluation._periodic_sums(c, s, np.array([lo]), n, K, b)
+        got, delta = complex(got[0]), float(delta[0])
+        assert math.isfinite(delta)
+        exact = described_chunk(c, mpmath.mpc(s.real, s.imag), lo, lo + n - 1)
+        assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
+
     @pytest.fixture
     def paths(self, monkeypatch):
-        """(path, lo) for each chunk that took a per-chunk path, in chunk order:
+        """(path, lo) for each sum the stream took, in stream order:
         'blocks' (values in Taylor blocks), 'periodic' (a described rule's
-        constant moments) or 'direct'."""
+        constant moments, one entry a chunk of the run) or 'direct'."""
         taken = []
         block, periodic, direct = evaluation._block_sum, evaluation._periodic_sums, evaluation._direct_sum
 
@@ -324,9 +339,9 @@ class TestTaylorBlocks:
             taken.append(("blocks", lo))
             return block(vals, s, lo, K, bound)
 
-        def moments(c, s, los, n, K, bound=True):
+        def moments(c, s, los, n, K, b, bound=True):
             taken.extend(("periodic", lo) for lo in los.tolist())
-            return periodic(c, s, los, n, K, bound)
+            return periodic(c, s, los, n, K, b, bound)
 
         def terms(ns, vals, s):
             taken.append(("direct", int(ns[0])))
@@ -339,117 +354,188 @@ class TestTaylorBlocks:
         taken.sort(key=lambda path: path[1])
 
     def test_first_chunk_and_s_zero_stay_direct(self, paths):
+        # below the floor F = ceil(4 (|s| + 16) 64) = 4097 the first chunk is
+        # direct, and from F on it takes blocks
         partial_sum(eta_rule(), 1e-3j, 2**16)
-        assert paths == [("direct", 1)]
-        # zeta_shift(2) at s = 0 is ones at s' = 2: its first chunk sums its
-        # values as before, and the chunks past the floor of s' take constant
-        # moments in real arithmetic, within their delta of the values' sums
-        # (each value within 2u of n^-2, their pairwise sum within
-        # u (log2 n + 22) of their mass, and two chunk adds on each side)
-        rule, n = zeta_shift_rule(2), 2**16
+        assert paths == [("direct", 1), ("periodic", 4097)]
+        # zeta_shift(2) at s = 0 is ones at s' = 2: its terms below F = 4608
+        # are its values' sum, and from F on they take constant moments in
+        # real arithmetic, within their delta of the values' sums (each value
+        # within 2u of n^-2, a pairwise sum within u (log2 n + 22) of its
+        # mass on either side, and five rounded adds of the sums in all)
+        rule, n, F = zeta_shift_rule(2), 2**16, 4608
         got = partial_sum(rule, 0, 3 * n)
-        assert paths == [("direct", 1), ("direct", 1), ("periodic", n + 1), ("periodic", 2 * n + 1)]
+        assert paths == [("direct", 1), ("periodic", 4097), ("direct", 1), ("periodic", F),
+                         ("periodic", n + 1), ("periodic", 2 * n + 1)]
         want, bound = 0j, 0.0
         for lo in range(1, 3 * n, n):
             vals = rule.values(np.arange(lo, lo + n))
             want += complex(vals.sum())
-            if lo > 1:
-                K = evaluation._block_order(2.0, lo)
-                bound += evaluation._periodic_sums((1.0,), 2.0, np.array([lo]), n, K)[1][0]
-                bound += 2.0**-53 * (math.log2(n) + 24) * math.fsum(vals.tolist())
-        bound += 4 * 2.0**-53 * abs(want)
+            start = max(lo, F)
+            b = evaluation._block_length(2.0, start, lo + n - start)
+            K = evaluation._length_order(2.0, b)
+            bound += evaluation._periodic_sums((1.0,), 2.0, np.array([start]), lo + n - start, K, b)[1][0]
+            bound += 2.0**-53 * (math.log2(n) + 24) * math.fsum(vals.tolist())
+        bound += 5 * 2.0**-53 * abs(want)
         assert got.imag == 0.0
         assert abs(got - want) <= bound
+        # ones at s = 0 has s' = 0: every chunk is its values' sum
+        paths.clear()
+        assert partial_sum(ones_rule(), 0, 3 * n) == 3 * n
+        assert paths == [("direct", 1), ("direct", n + 1), ("direct", 2 * n + 1)]
 
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
     def test_blocks_start_at_the_floor(self, paths, rule, path):
-        # |48i| + 16 = 64, so the floor is 4 * 64 * 64
+        # |48i| + 16 = 64, so the floor is 4 * 64 * 64; the chunk from
+        # floor - 1 straddles it, and the one from the floor takes blocks whole
         s, floor = 48j, 16384
         assert evaluation._block_order(s, floor - 1) == 0 < evaluation._block_order(s, floor)
         partial_sum(rule, s, 2 * (floor - 2), chunk=floor - 2)
         partial_sum(rule, s, 2 * (floor - 1), chunk=floor - 1)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1), ("direct", 1), ("direct", floor - 1), (path, floor)]
+        assert paths == [("direct", 1), ("direct", 1), ("direct", floor - 1), (path, floor), (path, floor)]
 
     def test_far_point_stays_direct_up_to_its_floor(self, paths):
-        # 4 (|s| + 16) 64 = 2564096.0032 at s = 0.5 + 10^4 i
+        # 4 (|s| + 16) 64 = 2564096.0032 at s = 0.5 + 10^4 i, so F = 2564097
         s = 0.5 + 1e4j
         assert evaluation._block_order(s, 2564096) == 0 < evaluation._block_order(s, 2564097)
         partial_sum(eta_rule(), s, 2564095 + 64, chunk=2564095)
         partial_sum(eta_rule(), s, 2564096 + 64, chunk=2564096)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("periodic", 2564097)]
+        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("periodic", 2564097),
+                         ("periodic", 2564097)]
+
+    def test_geometric_blocks_bound_the_anchors(self, monkeypatch):
+        # eta at the benchmark's point (seed 1, rounded) over 2^22 terms: the
+        # first chunk splits at F, and the blocks past it grow with their
+        # start, so the anchors number at most 8 (|s| + 16) (ln(N / F) + 1)
+        # plus one a chunk, where 64-term blocks took ~65,000
+        s, N, chunk = 0.51 + 28.6j, 2**22, 2**16
+        F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
+        runs = []
+        periodic = evaluation._periodic_sums
+
+        def moments(c, s, los, n, K, b, bound=True):
+            runs.append((los.tolist(), n, b))
+            return periodic(c, s, los, n, K, b, bound)
+
+        monkeypatch.setattr(evaluation, "_periodic_sums", moments)
+        got = partial_sum(eta_rule(), s, N, chunk=chunk)
+        starts = [lo for los, _, _ in runs for lo in los]
+        assert starts == [F] + list(range(chunk + 1, N, chunk))
+        anchors = sum(len(los) * -(-n // b) for los, n, b in runs)
+        assert anchors <= 8 * (abs(s) + 16) * (math.log(N / F) + 1) + N / chunk
+        lengths = sorted({b for _, _, b in runs})
+        assert lengths[0] == 64 and lengths[-1] == 2**14
+        # fewer runs than chunks: the per-chunk Python work is paid once a run
+        assert len(runs) < N // chunk / 4
+        monkeypatch.setattr(evaluation, "_periodic_sums", periodic)
+        exact = described_exact((-1.0, 1.0), mpmath.mpc(s.real, s.imag), N)
+        mass = math.fsum((np.arange(1, N + 1, dtype=np.float64) ** -s.real).tolist())
+        assert abs(mpmath.mpc(got.real, got.imag) - exact) <= 1e-15 * mass
 
     @pytest.mark.parametrize("rule, path", [
         (ones_rule(), "periodic"), (CoefficientRule("ones", lambda ns: np.ones(ns.shape)), "blocks")])
     @pytest.mark.parametrize("s", [complex(-60, 1), complex(-2000, 1)])
-    def test_overflowing_blocks_are_a_domain_error(self, paths, monkeypatch, s, rule, path):
+    def test_overflowing_blocks_are_a_domain_error(self, paths, s, rule, path):
         # chunks from 2^19 + 1 pass both floors (19459 and 516096); at
         # -60 + i the first block chunk's sums overflow, at -2000 + i every term
-        monkeypatch.setattr(evaluation, "_WORKERS", 2)
         with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
             partial_sum(rule, s, 2**19 + 2**16)
         assert (path, 2**19 + 1) in paths
 
+    @pytest.mark.parametrize("chunk", [4096, 4097])
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
-    def test_workers_do_not_move_the_bits_of_blocks(self, paths, monkeypatch, rule, path):
-        # one worker runs the chunks in order, the constant-moment ones in
-        # runs of several chunks; two run each chunk as its own pool job
-        s = 0.5 + 14j
-        monkeypatch.setattr(evaluation, "_WORKERS", 1)
-        want = partial_sum(rule, s, 10 * 4096 + 100, chunk=4096)
-        monkeypatch.setattr(evaluation, "_WORKERS", 2)
-        assert partial_sum(rule, s, 10 * 4096 + 100, chunk=4096) == want
-        assert (path, 8193) in paths and ("direct", 4097) in paths
+    def test_a_chunks_bits_do_not_depend_on_its_run(self, paths, monkeypatch, rule, path, chunk):
+        # the stream sums eta's constant-moment chunks in runs of several,
+        # one call for each phase lo mod 2, which an odd chunk alternates;
+        # each chunk summed alone, the sums added in stream order, gives the
+        # same bits
+        s, N = 0.5 + 14j, 20 * chunk + 100
+        got = partial_sum(rule, s, N, chunk=chunk)
+        want = 0j
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(1, N + 1, chunk):
+                for value in evaluation._chunk_sums(rule, s, ((lo, min(N, lo + chunk - 1)),)):
+                    want += value
+        assert got == want
+        # the chunk from chunk + 1 straddles the floor 7683
+        assert ("direct", chunk + 1) in paths and (path, 7683) in paths and (path, 2 * chunk + 1) in paths
+        if path == "periodic":
+            calls = []
+            periodic = evaluation._periodic_sums
+            monkeypatch.setattr(evaluation, "_periodic_sums", lambda c, s, los, *rest, **kw: calls.append(
+                (los % 2).tolist()) or periodic(c, s, los, *rest, **kw))
+            partial_sum(rule, s, N, chunk=chunk)
+            assert all(len(set(phases)) == 1 for phases in calls) and max(map(len, calls)) > 1
+            assert len({phases[0] for phases in calls}) == 1 + chunk % 2
 
     def test_only_built_in_descriptions_take_constant_moments(self, paths):
         # a user's rule tagged "eta", and a replaced built-in, carry no
-        # description: their chunks past the floor take the values' blocks
+        # description: their terms past the floor F take the values' blocks
         s = 0.5 + 14j
+        F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
         want = partial_sum(eta_rule(), s, 3 * 2**16)
         for rule in (CoefficientRule("eta", eta_rule().vectorized),
                      dataclasses.replace(eta_rule(), vectorized=eta_rule().vectorized)):
             assert rule._description is None
             assert partial_sum(rule, s, 3 * 2**16) == pytest.approx(want, rel=1e-13)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1)] * 3 + [("periodic", 2**16 + 1)] + [("blocks", 2**16 + 1)] * 2 + [
+        assert paths == [("direct", 1)] * 3 + [("periodic", F)] + [("blocks", F)] * 2 + [
+            ("periodic", 2**16 + 1)] + [("blocks", 2**16 + 1)] * 2 + [
             ("periodic", 2**17 + 1)] + [("blocks", 2**17 + 1)] * 2
 
     @settings(max_examples=25)
     @given(name=st.sampled_from(sorted(DESCRIBED)), re=st.floats(-0.5, 2.5),
            im=st.one_of(st.just(0.0), st.floats(-40.0, 40.0)),
-           chunk=st.sampled_from([4095, 4097, 5003, 8191, 12289]), extra=st.integers(1, 3 * 4097))
+           chunk=st.sampled_from([4095, 4097, 5003, 8191, 12289, 2**16]), extra=st.integers(1, 3 * 4097))
     def test_described_partial_sum_against_mpmath(self, name, re, im, chunk, extra):
         """partial_sum of a described rule against its 40-digit sum, within
-        the constant-moment chunks' delta (plus u |s + k| log hi of their
-        mass, the rounding of s' = s + k) and the direct chunks' rounding,
-        u (|s| (10 log N + 1) + 64) of their mass, and u of the total mass a
-        chunk add.  Odd chunks move lo mod 2 from chunk to chunk and end in
-        a partial block; at real s the sum is real."""
+        the constant-moment blocks' delta (plus u |s + k| log hi of their
+        mass, the rounding of s' = s + k) and the direct terms' rounding,
+        u (|s| (10 log N + 1) + 64) of their mass, and u of the total mass
+        for each sum the stream adds, two for the chunk that straddles the
+        floor.  Odd chunks move
+        lo mod 2 from chunk to chunk and end in a partial block; at real s
+        the sum is real.  2^16-term chunks run past the first block of
+        4096 terms."""
         rule = DESCRIBED[name]
         c, k = rule._description
         s = complex(re, im)
         sk = s + k
         # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
         assume(abs(sk) > 1e-40 and sk != 1)
-        floor = math.ceil(evaluation._FLOOR * (abs(sk) + 16) * evaluation._BLOCK)
-        N = (floor // chunk + 2) * chunk + extra
+        F = math.ceil(evaluation._FLOOR * (abs(sk) + 16) * evaluation._BLOCK)
+        reach = F if chunk < 2**16 else evaluation._FLOOR * (abs(sk) + 16) * 4096
+        N = (int(reach) // chunk + 2) * chunk + extra
         got = partial_sum(rule, s, N, chunk=chunk)
-        u, bound, total_mass, phases = 2.0**-53, 0.0, 0.0, set()
+        u, bound, total_mass, phases, lengths = 2.0**-53, 0.0, 0.0, set(), set()
+
+        def mass(lo, hi):
+            return math.fsum((np.arange(lo, hi + 1, dtype=np.float64) ** -sk.real).tolist())
+
         for lo in range(1, N + 1, chunk):
             hi = min(N, lo + chunk - 1)
-            ns = np.arange(lo, hi + 1, dtype=np.float64)
-            mass = math.fsum((ns ** -sk.real).tolist())
-            total_mass += mass
-            K = evaluation._block_order(sk, lo)
+            start = min(max(lo, F), hi + 1)
+            b = evaluation._block_length(sk, start, hi - start + 1) if start <= hi else evaluation._BLOCK
+            K = evaluation._length_order(sk, b) if start <= hi else 0
+            if not K:
+                start = hi + 1
+            direct = mass(lo, start - 1) if start > lo else 0.0
+            bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * direct
+            total_mass += direct
             if K:
-                phases.add(lo % len(c))
-                delta = evaluation._periodic_sums(c, sk, np.array([lo]), hi - lo + 1, K)[1][0]
-                bound += delta + u * abs(sk) * math.log(hi) * mass
-            else:
-                bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * mass
-        bound += u * total_mass * (N // chunk + 1)
-        assert phases == set(range(len(c)))
+                phases.add(start % len(c))
+                lengths.add(b)
+                blocks = mass(start, hi)
+                total_mass += blocks
+                delta = evaluation._periodic_sums(c, sk, np.array([start]), hi - start + 1, K, b)[1][0]
+                bound += delta + u * abs(sk) * math.log(hi) * blocks
+        bound += u * total_mass * (N // chunk + 2)
+        if chunk % 2:
+            assert phases == set(range(len(c)))
+        if chunk == 2**16:
+            assert max(lengths) >= 4096
         exact = described_exact(c, mpmath.mpc(sk.real, sk.imag), N)
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= bound
         if im == 0.0:

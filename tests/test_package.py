@@ -26,16 +26,20 @@ def test_exports_are_the_submodules_exports():
 
 
 def test_import_starts_no_thread():
-    # partial_sum's pool and concurrent.futures wait for the first pooled
-    # call, so a cold `dseries` run pays for neither
+    # neither the import, so a cold `dseries` run pays for no thread, nor a
+    # streamed partial_sum off the real axis, which runs on its caller's
+    # thread, starts a thread or imports concurrent.futures
     probe = (
         "import sys, threading, dirichlet_ops; "
+        "print('concurrent.futures' in sys.modules, threading.active_count()); "
+        "dirichlet_ops.partial_sum(dirichlet_ops.eta_rule(), 0.5 + 14j, 3 * 2**16); "
+        "dirichlet_ops.partial_sum(dirichlet_ops.moebius_rule(), 0.5 + 14j, 3 * 2**16); "
         "print('concurrent.futures' in sys.modules, threading.active_count())"
     )
     src = str(Path(dirichlet_ops.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "1"]
+    assert out.stdout.split() == ["False", "1", "False", "1"]
 
 
 def test_no_unused_imports():
@@ -80,8 +84,7 @@ def test_polynomial_carrier_stays_in_series():
 
 def _module_level_names(tree):
     """(name, defining node) for each name a module binds at its top level,
-    in try blocks too (evaluation._WORKERS), but not inside functions or
-    classes."""
+    in try blocks too, but not inside functions or classes."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()

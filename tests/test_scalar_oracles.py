@@ -325,11 +325,17 @@ class TestMoebiusSieve:
             (np.arange(1, 101).reshape(10, 10), "sieve"),
             (np.arange(1, 101).reshape(10, 10).T, "trial"),
             (np.arange(801**2 - 99, 801**2 + 1), "sieve"),
-            (np.arange(2**44 - 1, 2**44 + 1), "sieve"),
+            (np.arange(2**44 - 7, 2**44 + 1), "sieve"),
             (np.arange((2**22 + 1) ** 2 - 1, (2**22 + 1) ** 2 + 1), "trial"),
+            # past isqrt(hi) = 2^18 a run needs 8 indices for the sieve
+            (np.arange(2**44 - 6, 2**44 + 1), "trial"),
+            (np.arange(2**36 - 8, 2**36 - 1), "sieve"),
+            (np.arange(2**36 - 6, 2**36 + 1), "trial"),
+            (np.arange(2**36 - 7, 2**36 + 1), "sieve"),
         ],
         ids=["length-1", "descending", "gap", "duplicate", "swapped", "2-d-run", "2-d-transposed",
-             "short-far-run", "isqrt-at-cap", "isqrt-above-cap"],
+             "short-far-run", "isqrt-at-cap", "isqrt-above-cap", "7-at-cap", "7-below-2^36", "7-at-2^36",
+             "8-at-2^36"],
     )
     def test_dispatch_edges(self, paths, ns, path):
         ns = np.asarray(ns, dtype=np.int64)
@@ -364,30 +370,28 @@ class TestMoebiusSieve:
         assert moebius_rule().values(ns).tolist() == [legacy_moebius_value(n) for n in ns] == [0.0] * 3
         assert moebius_rule()(2**63 - 1) == 0
 
-    def test_pooled_partial_sum_equals_the_sequential_loop(self, monkeypatch):
-        # 13 chunks of 4096 on four workers: each pool thread sieves its own
-        # chunk, and the total has one worker's bits.  Chunks from 8193 on
-        # pass the floor and take Taylor blocks, so the per-term oracle agrees
-        # within their delta and the rounding of the per-term sums: each term
-        # within u (|s| (10 log N + 1) + 64) of its modulus (the log, the
-        # phase, the exp, the product, a pairwise sum and the chunk adds),
-        # once for the oracle and once for the direct chunks
-        monkeypatch.setattr(evaluation, "_WORKERS", 4)
-        assert evaluation._window(50_000, 4096) > 1
+    def test_sieved_partial_sum_against_the_per_term_oracle(self):
+        # 13 chunks of 4096, each sieved.  The terms from the floor
+        # F = 7717 on take Taylor blocks, the chunk from 4097 splitting at F,
+        # so the per-term oracle agrees within their delta and the rounding
+        # of the per-term sums: each term within u (|s| (10 log N + 1) + 64)
+        # of its modulus (the log, the phase, the exp, the product, a
+        # pairwise sum and the chunk adds), once for the oracle and once for
+        # the direct terms
         s = 0.5 + 14.134725j
+        F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
         got = partial_sum(moebius_rule(), s, 50_000, chunk=4096)
-        monkeypatch.setattr(evaluation, "_WORKERS", 1)
-        assert partial_sum(moebius_rule(), s, 50_000, chunk=4096) == got
         delta, mass, blocked = 0.0, 0.0, 0
         for lo in range(1, 50_001, 4096):
             ns = np.arange(lo, min(50_000, lo + 4095) + 1)
             vals = moebius_rule().values(ns)
             mass += fsum((np.abs(vals) * ns ** -s.real).tolist())
-            K = evaluation._block_order(s, lo)
-            if K:
-                delta += evaluation._block_sum(vals, s, lo, K)[1]
+            start = max(lo, F)
+            K = evaluation._block_order(s, start)
+            if start <= ns[-1] and K:
+                delta += evaluation._block_sum(vals[start - lo :], s, start, K)[1]
                 blocked += 1
-        assert blocked == 11
+        assert F == 7717 and blocked == 12
         rounding = 2 * 2.0**-53 * mass * (abs(s) * (10 * math.log(50_000) + 1) + 64)
         assert abs(got - legacy_partial_sum(moebius_rule(), s, 50_000, 4096)) <= delta + rounding
 
@@ -837,6 +841,17 @@ class TestConvolutionKernel:
         want = product_outcome(lambda a, b: legacy_dirichlet_multiply(a, b, kernel_sum), f, g)
         assert product_outcome(dirichlet_multiply, f, g) == want
 
+    @pytest.mark.parametrize("n", [2, 7], ids=["per-pair-loop", "array-kernel"])
+    def test_overflowing_two_product_bucket(self, n):
+        # the bucket at 2 holds 1e308 * 1 twice, and its sum overflows: inf
+        # on both paths, where the loop's fsum raised and reported nan
+        f = DirichletPolynomial({k: 1e308 for k in range(1, n + 1)})
+        g = DirichletPolynomial({k: 1 for k in range(1, n + 1)})
+        assert (n * n >= _KERNEL_MIN_PAIRS) == (n == 7)
+        with pytest.raises(DomainError) as got:
+            dirichlet_multiply(f, g)
+        assert str(got.value) == "coefficient at n=2 must be finite, got (inf+0j)"
+
     @pytest.fixture
     def fsum_calls(self, monkeypatch):
         """The buckets _bucket_sums sends to _fsum, as lists."""
@@ -951,28 +966,22 @@ def complex_bits(z):
     return z.real.hex(), z.imag.hex()
 
 
-class TestPooledPartialSum:
-    """partial_sum's chunks run on a thread pool when s != 0; the bits must
-    be the sequential loop's whatever the number of workers."""
+class TestStreamedPartialSum:
+    """partial_sum below the Taylor-block floor, bit for bit the per-term
+    loop, on the calling thread."""
 
     @given(rule=_STREAM_RULES, stream=_streams())
-    def test_bits_equal_for_one_and_two_workers(self, rule, stream):
+    def test_bits_equal_the_per_term_loop(self, rule, stream):
         s, N, chunk = stream
-        want = complex_bits(legacy_partial_sum(rule, s, N, chunk))
-        for workers in (1, 2):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evaluation, "_WORKERS", workers)
-                assert complex_bits(partial_sum(rule, s, N, chunk=chunk)) == want
+        assert complex_bits(partial_sum(rule, s, N, chunk=chunk)) == complex_bits(legacy_partial_sum(rule, s, N, chunk))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_error_in_chunk_order(self, monkeypatch, workers):
+    def test_first_error_in_chunk_order(self):
         # 5 chunks of 8; chunks 3 and 4 both raise, and chunk 3 must win
         def vec(ns):
             if ns[0] in (17, 25):
                 raise DomainError(f"rule failed in the chunk from {ns[0]}")
             return np.ones(ns.shape)
 
-        monkeypatch.setattr(evaluation, "_WORKERS", workers)
         with pytest.raises(DomainError, match="chunk from 17$"):
             partial_sum(CoefficientRule("failing", vec), 0.5 + 2j, 40, chunk=8)
 
