@@ -82,8 +82,8 @@ _U = 2.0**-53  # unit roundoff of a double
 
 # Taylor blocks: a run of blocks of b terms from lo needs lo >= _FLOOR
 # (|s| + 16) b and at most _MAX_ORDER moments to make the truncation
-# negligible (_block_order).  b is _BLOCK for a rule's values, and for a
-# described rule the largest power of two that fits (_block_length)
+# negligible (_block_order).  b is _BLOCK for a rule's values, and doubles
+# along a described rule's geometric segments (_chunk_sums)
 _BLOCK = 64
 _FLOOR = 4
 _MAX_ORDER = 20
@@ -117,27 +117,13 @@ def _block_order(s: complex, lo: int, b: int = _BLOCK) -> int:
     return 0
 
 
-def _block_length(s: complex, lo: int, n: int) -> int:
-    """b for a described rule's n terms from lo (_periodic_sums): the
-    largest power of two with _BLOCK <= b <= n and _FLOOR (|s| + 16) b <= lo,
-    or _BLOCK when there is none.  The block grows with its anchor, as in
-    Odlyzko and Schoenhage's block-Taylor sums, so x = (b - 1) / lo stays
-    below the floor's bound and the anchors up to N number about
-    2 _FLOOR (|s| + 16) ln(N / lo)."""
-    a = _FLOOR * (abs(s) + 16)
-    m = min(n, int(lo / a))
-    if m < 2 * _BLOCK:
-        return _BLOCK
-    b = 1 << (m.bit_length() - 1)
-    # lo / a rounds up to a power of two that does not fit
-    return b // 2 if a * b > lo else b
-
-
 @functools.lru_cache(maxsize=256)
 def _length_order(s: complex, b: int) -> int:
-    """K for a described rule's blocks of b terms: the order at the first
-    start they may take, ceil(_FLOOR (|s| + 16) b), which holds from every
-    later start, x = (b - 1) / lo only falling."""
+    """K for a described rule's blocks of b terms: the order at the earliest
+    start of their segment, ceil(_FLOOR (|s| + 16) b), which holds from
+    every later start, x = (b - 1) / lo only falling.  Positive for every
+    s != 0: with x < 1 / (_FLOOR (|s| + 16)), c_k < c_(k-1) / (4 k) up to
+    k = 17, so c_13 < 3e-18."""
     return _block_order(s, math.ceil(_FLOOR * (abs(s) + 16) * b), b)
 
 
@@ -178,14 +164,14 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     the block sums.  So a term costs K products and K sums, not an exp.
 
     Constant moments (_periodic_sums): when v_n = c[n mod p] with p | b,
-    every full block has the moments of the chunk's first, since all
-    anchors share lo mod p, and the padded last block has its own.  They are
-    computed once, from one or two rows, and _anchor_sums spreads them over
-    the anchors, so a chunk does no per-term work; b is then any power of
-    two from _BLOCK on (_block_length).  Everything below holds for them as
-    stated, m_i being the mass of block i's row.  With real s and real
-    moments every step runs in real arithmetic, which rounds no more than
-    the complex steps counted below.
+    every full block has the moments of the first, since all anchors share
+    lo mod p, and the padded last block has its own.  They are computed
+    once, from one or two rows, and _anchor_sums spreads them over the
+    anchors, so a call does no per-term work; b is then any power of two
+    from _BLOCK on (_chunk_sums' segments).  Everything below holds for
+    them as stated, m_i being the mass of block i's row.  With real s and
+    real moments every step runs in real arithmetic, which rounds no more
+    than the complex steps counted below.
 
     The bound, to first order in u = 2^-53, with m_i = sum_j |v_{a+j}|,
     x = (b - 1) / lo, c_k = |C(-s, k)| x^k, which bounds
@@ -220,98 +206,93 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
         W[: n - full * b, full] = vals[full * b :]
         W[n - full * b :, full] = 0
     M, mass = _moments(W.T, K, bound)
-    total, delta = _anchor_sums(M, mass, s, np.array([lo], dtype=np.int64), blocks, K, b, b)
-    return complex(total[0]), None if delta is None else float(delta[0])
+    return _anchor_sums(M, mass, s, lo, blocks, K, b, b)
 
 
-def _periodic_sums(c: tuple[float, ...], s: complex, los: np.ndarray, n: int, K: int, b: int, bound: bool = True):
-    """_block_sum's sums and deltas (None when bound is false) for chunks
-    of n terms v_m = c[m mod p], p = len(c) dividing _BLOCK, in blocks of b
-    terms, one from each start in los, all sharing lo mod p: the constant
-    moments of a full block and, when b does not divide n, of the padded
-    last one are taken once for all of them, pairwise along a row."""
+def _periodic_sums(c: tuple[float, ...], s: complex, lo: int, n: int, K: int, b: int, bound: bool = True):
+    """_block_sum's sum and delta (None when bound is false) for the n terms
+    v_m = c[m mod p] from lo, p = len(c) dividing _BLOCK, in blocks of b
+    terms: the constant moments of a full block and, when b does not divide
+    n, of the padded last one are taken once, pairwise along a row."""
     p = len(c)
     blocks, full = -(-n // b), n // b
-    w = np.array(c, dtype=np.float64)[(int(los[0]) % p + np.arange(b)) % p]
+    w = np.array(c, dtype=np.float64)[(lo % p + np.arange(b)) % p]
     W = np.repeat(w[None, :], 2 if 0 < full < blocks else 1, axis=0)
     if full < blocks:
         W[-1, n - full * b :] = 0
     M, mass = _moments(W, K, bound)
-    return _anchor_sums(M, mass, s, los, blocks, K, b, math.log2(b) + 20)
+    return _anchor_sums(M, mass, s, lo, blocks, K, b, math.log2(b) + 20)
 
 
-def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, los: np.ndarray, blocks: int, K: int,
-                 b: int, D: float):
+def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, lo: int, blocks: int, K: int, b: int,
+                 D: float) -> tuple[complex, float | None]:
     """The anchor half of the Taylor-block kernel (_block_sum, which derives
-    delta, D the most roundings of a moment's sum): for each start lo in
-    los, the sum over its anchors a = lo + b i, i < blocks, of
-    a^(-s) sum_{k<K} C(-s, k) (b / a)^k M_k, and its delta (None when mass
-    is None), as arrays over los.  M (K x m) and mass (m) hold one column a
-    block (m = blocks), or shared ones: the first blocks - m + 1 blocks take
-    column 0, each later block its own column.  a^(-s) is series._power's,
-    real for real s, and real s with real moments runs all in real
-    arithmetic.  Each start's sum is one row of a (starts x blocks) array,
-    reduced as np.sum reduces that row alone, so its bits do not depend on
-    the other starts."""
+    delta, D the most roundings of a moment's sum): the sum over the anchors
+    a = lo + b i, i < blocks, of a^(-s) sum_{k<K} C(-s, k) (b / a)^k M_k,
+    and its delta (None when mass is None).  M (K x m) and mass (m) hold one
+    column a block (m = blocks), or shared ones: the first blocks - m + 1
+    blocks take column 0, each later block its own column.  a^(-s) is
+    series._power's, real for real s, and real s with real moments runs all
+    in real arithmetic."""
     # the column of each block
     col = np.maximum(np.arange(blocks) - (blocks - M.shape[1]), 0)
     real = s.imag == 0 and M.dtype.kind == "f"
     if real:
         s = s.real
-    anchors = los[:, None] + b * np.arange(blocks, dtype=np.int64)
+    anchors = lo + b * np.arange(blocks, dtype=np.int64)
     E = _power(anchors, s)
     r = b / anchors.astype(np.float64)
     C = [1.0 if real else 1 + 0j]
     for k in range(1, K + 1):
         C.append(C[-1] * (-s - (k - 1)) / k)
-    CM = _cmul(np.array(C[:K])[:, None], M)[:, col]
-    P = np.empty(anchors.shape, dtype=CM.dtype)
-    P[:] = CM[K - 1]
+    # each order's row is spread over the blocks when it is used, so no
+    # K x blocks array is held
+    CM = _cmul(np.array(C[:K])[:, None], M)
+    P = CM[K - 1, col]
     for k in range(K - 2, -1, -1):
         P *= r
-        P += CM[k]
-    totals = np.add.reduce(_cmul(E, P), axis=1)
+        P += CM[k, col]
+    total = complex(np.add.reduce(_cmul(E, P)))
     if mass is None:
-        return totals, None
+        return total, None
 
-    x = (b - 1) / los.astype(np.float64)
-    c = np.abs(np.array(C))[:, None] * x ** np.arange(K + 1)[:, None]
-    S0 = np.add.reduce(c[:K], axis=0)
-    S1 = np.add.reduce((10 * np.arange(K) + D + 4)[:, None] * c[:K], axis=0)
-    # _tail's bound, one per start
-    q = x * max(1.0, (abs(s) + K) / (K + 1))
-    tail = np.full(q.shape, math.inf)
-    np.divide(c[K], 1.0 - q, out=tail, where=q < 1.0)
-    mu = np.add.reduce(np.abs(E) * mass[col], axis=1)
-    rounding = S1 + S0 * (abs(s) * (3 * _log(anchors[:, -1]) + 1) + 27 + math.log2(blocks))
-    return totals, mu * (tail + _U * rounding)
+    x = (b - 1) / lo
+    c = np.abs(np.array(C)) * x ** np.arange(K + 1)
+    S0 = np.add.reduce(c[:K])
+    S1 = np.add.reduce((10 * np.arange(K) + D + 4) * c[:K])
+    mu = np.add.reduce(np.abs(E) * mass[col])
+    rounding = S1 + S0 * (abs(s) * (3 * _log(anchors[-1]) + 1) + 27 + math.log2(blocks))
+    return total, float(mu * (_tail(s, x, K, float(c[K])) + _U * rounding))
 
 
-# most anchors one run of constant-moment chunks spans (_chunk_sums): 0.5 MB
-# a real anchor array
-_RUN_ANCHORS = 1 << 16
-
-
-def _chunk_sums(rule: CoefficientRule, s: complex, bounds):
-    """The sums that make up partial_sum's stream of chunks (lo, hi), in
-    stream order: one or two a chunk.
+def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
+    """The sums that make up partial_sum's N terms, in stream order.
 
     Blocks are taken at s', s' = s + k for a rule described as
     a_n = c[n mod p] n^(-k) (CoefficientRule) and s for any other, from the
-    floor F = ceil(_FLOOR (|s'| + 16) _BLOCK) on.  A chunk with lo < F <= hi
-    sums lo..F-1 directly (_direct_sum) and F..hi by Taylor blocks; a chunk
-    from F on takes blocks whole; a chunk below F, or one where no
-    K <= _MAX_ORDER does (_block_order, which also keeps s' = 0 direct),
-    is direct.
+    floor F = ceil(a _BLOCK), a = _FLOOR (|s'| + 16), on.
 
-    A described rule's blocks come from constant moments (_periodic_sums),
-    without its values, in blocks of _block_length terms, which grow with
-    the start, and one order for each block length (_length_order).
-    Consecutive such chunks of one length and block length go as one run of
-    at most _RUN_ANCHORS anchors, one _periodic_sums call for each phase
-    lo mod p in it, so the numpy work is paid once a run; each chunk's sum
-    is its own row, so its bits do not depend on the run.  Any other rule's
-    blocks take its values, 64 terms a block (_block_sum).
+    Any other rule goes in chunks of `chunk` terms.  A chunk below F is
+    direct (_direct_sum); a chunk with lo < F <= hi sums lo..F-1 directly
+    and F..hi by Taylor blocks of its values, 64 terms a block (_block_sum);
+    a chunk from F on takes blocks whole; and a chunk where no
+    K <= _MAX_ORDER does (_block_order, which also keeps s = 0 direct) is
+    direct.
+
+    A described rule's terms below F go in direct chunks, the last one
+    ending at F - 1, and at s' = 0 all its terms do.  Its terms from F to N
+    take constant moments (_periodic_sums), without its values, along
+    geometric segments, as in Odlyzko and Schoenhage's block-Taylor sums:
+    blocks of b = _BLOCK, 2 _BLOCK, ... terms, each b with one order
+    (_length_order), from ceil(a b) on and up to the first whole block that
+    reaches ceil(2 a b), where blocks of 2 b may start.  So x = (b - 1) / lo
+    stays below 1 / a, each segment spans about a anchors, and only the
+    last one pads a block.  b stops doubling at the largest power of two up
+    to `chunk`, or when blocks of 2 b would not fill their own segment
+    before N (a last segment of a few long blocks would spend more on its
+    moment rows than its anchors save); the last b runs to N.  Every
+    segment goes in calls of at most `chunk` anchors, so `chunk` bounds
+    every array and, with s and the rule, fixes every call.
 
     The last chunk's index and value arrays stay alive while the next is
     built: freeing a whole chunk at once lets malloc return the heap top to
@@ -319,85 +300,75 @@ def _chunk_sums(rule: CoefficientRule, s: complex, bounds):
     c, k = rule._description or ((), 0)
     sk = s + k
     # hypot, unlike abs, gives inf rather than raising past double range
-    F = math.ceil(min(_FLOOR * (math.hypot(sk.real, sk.imag) + 16) * _BLOCK, 2.0**63))
-    run, key = [], None
-
-    def run_sums():
-        (n, K, b), los = key, np.array(run, dtype=np.int64)
-        sums = np.empty(los.size, dtype=np.complex128)
-        for phase in np.unique(los % len(c)).tolist():
-            at = los % len(c) == phase
-            sums[at] = _periodic_sums(c, sk, los[at], n, K, b, bound=False)[0]
-        return map(complex, sums.tolist())
-
-    for lo, hi in bounds:
-        start = max(lo, F)
-        n = hi - start + 1
-        b = _block_length(sk, start, n) if c and n > 0 else _BLOCK
-        K = 0 if n <= 0 else _length_order(sk, b) if c else _block_order(sk, start)
+    a = _FLOOR * (math.hypot(sk.real, sk.imag) + 16)
+    F = math.ceil(min(a * _BLOCK, 2.0**63))
+    top = min(N, F - 1) if c and sk != 0 else N
+    for lo in range(1, top + 1, chunk):
+        hi = min(top, lo + chunk - 1)
+        start = hi + 1 if c else max(lo, F)
+        K = _block_order(s, start) if start <= hi else 0
         if not K:
             start = hi + 1
-        if run and (not K or key != (n, K, b) or (len(run) + 1) * -(-n // b) > _RUN_ANCHORS):
-            yield from run_sums()
-            run = []
-        if start > lo or not c:
-            ns = np.arange(lo, start if c else hi + 1, dtype=np.int64)
-            vals = rule.values(ns)
-            if start > lo:
-                yield _direct_sum(ns[: start - lo], vals[: start - lo], s)
-        if K and c:
-            run.append(start)
-            key = (n, K, b)
-        elif K:
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        vals = rule.values(ns)
+        if start > lo:
+            yield _direct_sum(ns[: start - lo], vals[: start - lo], s)
+        if K:
             yield _block_sum(vals[start - lo :], s, start, K, bound=False)[0]
-    if run:
-        yield from run_sums()
+    lo, b = top + 1, _BLOCK
+    while lo <= N:
+        if 2 * b > chunk or 4 * a * b > N:
+            end = N
+        else:
+            end = lo - 1 + b * -(-(math.ceil(2 * a * b) - lo) // b)
+        K = _length_order(sk, b)
+        for start in range(lo, end + 1, chunk * b):
+            yield _periodic_sums(c, sk, start, min(end + 1 - start, chunk * b), K, b, bound=False)[0]
+        lo, b = end + 1, 2 * b
 
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
-    """sum_{n<=N} rule(n) n^(-s), streamed in chunks so N ~ 10^8 never
-    materializes a coefficient map.  Agrees with evaluate(truncate(rule, N), s)
-    to rounding.
+    """sum_{n<=N} rule(n) n^(-s), streamed so N ~ 10^8 never materializes a
+    coefficient map.  Agrees with evaluate(truncate(rule, N), s) to
+    rounding.
 
-    One sequential stream, one dispatch rule a chunk (_chunk_sums): the
-    terms from the floor F = ceil(4 (|s| + 16) 64) on go by Taylor blocks
-    (_block_sum), a chunk that straddles F splitting there, and the terms
-    below it, the first chunk's among them, take one exp a term; s = 0
-    takes none, its chunks being the values' sums.  A block of b terms
-    takes one log and one exp at its anchor, then K <= 20 products and sums
-    a term, K the smallest order whose truncation is at most u = 2^-53 of
-    the block's mass.  A block chunk is within
+    One sequential stream of sums (_chunk_sums): the terms from the floor
+    F = ceil(4 (|s| + 16) 64) on go by Taylor blocks, and the terms below
+    it, the first chunk's among them, take one exp a term; s = 0 takes
+    none, its chunks being the values' sums.  A block of b terms takes one
+    log and one exp at its anchor, then K <= 20 products and sums a term,
+    K the smallest order whose truncation is at most u = 2^-53 of the
+    block's mass.  A sum of blocks is within
         delta = mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks)))
     of its exact sum (derived in _block_sum), about
-    u (|s| (3 log hi + 1) + 110) times the chunk's sum |rule(n)| n^(-Re s):
+    u (|s| (3 log hi + 1) + 110) times its terms' sum |rule(n)| n^(-Re s):
     the anchors' phases carry the u |s| log n error a direct term's does.
     log n is series._log's, so the bits follow neither numpy's SIMD level
     nor, since no BLAS call runs, a BLAS kernel; a direct chunk of a complex
     rule is the exception, its products being numpy's complex multiply.
 
+    A rule's values go in chunks of `chunk` terms (at most 2^24), a chunk
+    that straddles F splitting there, and from F on in blocks of 64 terms.
     The built-in ones_rule, eta_rule and zeta_shift_rule(k) describe
-    themselves as a_n = c[n mod p] n^(-k) (CoefficientRule).  Their terms
-    from the floor of s' = s + k on are sums of c[n mod p] n^(-s') by Taylor
-    blocks at s' whose moments are the same for every full block
-    (_periodic_sums): no values are computed, and the blocks grow
-    geometrically, b the largest power of two up to the chunk with
-    4 (|s'| + 16) b <= the chunk's start, so the anchors from F to N number
-    about 8 (|s'| + 16) ln(N / F) plus one a chunk, in real arithmetic when
-    s' is real.  Basel, zeta_shift(2) at s = 0, is ones at s' = 2: its
-    terms below F are the values' sum, and its imaginary part is exactly 0.
-    A user's rule, and Moebius, keep blocks of 64 terms from their values.
+    themselves as a_n = c[n mod p] n^(-k) (CoefficientRule): their terms
+    below the floor of s' = s + k go in direct chunks, and from it on they
+    are sums of c[n mod p] n^(-s') by Taylor blocks at s' whose moments are
+    the same for every full block (_periodic_sums).  No values are computed
+    there, and the blocks grow geometrically: b doubles, up to `chunk`, each
+    time the start doubles (_chunk_sums), so the anchors from F to N number
+    about 4 (|s'| + 16) (log2(N / F) + 2), in real arithmetic when s' is
+    real.  Basel, zeta_shift(2) at s = 0, is ones at s' = 2: its terms
+    below F are the values' sum, and its imaginary part is exactly 0.
 
-    No thread is started.  Each chunk is summed alone and the sums are
-    added in stream order, so `chunk` (at most 2^24) fixes the bits of the
-    result."""
+    No thread is started.  The sums are added in stream order, and `chunk`
+    fixes every one of them, so it fixes the bits of the result."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
     # a chunk near 2^63 terms gave an empty np.arange and a silent 0
     chunk = _validate_index(chunk, "chunk length", most=_MAX_TERMS)
-    bounds = ((lo, min(N, lo + chunk - 1)) for lo in range(1, N + 1, chunk))
     total = 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        for value in _chunk_sums(rule, s, bounds):
+        for value in _chunk_sums(rule, s, N, chunk):
             total += value
     return _finite(total, f"partial sum of {N} terms at s = {s}")
 

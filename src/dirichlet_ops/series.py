@@ -63,9 +63,11 @@ _ARRAY_MIN_TERMS = 96
 # bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
 # in blocks; a partial_sum chunk at 48 direct and 32 by Taylor blocks, 56
 # and 48 for a complex rule, at 2^16 to 2^22 terms; a described rule's
-# terms past the floor hold no per-term array), so at ~1.4 GB for 2^24;
+# terms past the floor hold no per-term array, at most `chunk` anchors a
+# call), so at ~1.4 GB for 2^24;
 # N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
-# partial_sum streams its N terms one chunk at a time, so N is not capped.
+# partial_sum streams its N terms one chunk or one call at a time, so N is
+# not capped.
 _MAX_TERMS = 1 << 24
 
 
@@ -614,11 +616,12 @@ class CoefficientRule:
     by the estimators themselves.
 
     `_description`, private, is (c, k) when a_n = c[n mod p] n^(-k) with
-    p = len(c) dividing 64: partial_sum then sums the rule's chunks past
-    the Taylor-block floor from constant moments, without calling
-    `vectorized`.  Only ones_rule, eta_rule and zeta_shift_rule set it.  It
-    takes no part in construction, comparison or repr, so a user's rule,
-    whatever its tag, and dataclasses.replace of a built-in carry None.
+    p = len(c) dividing 64: partial_sum then sums the rule's terms past
+    the Taylor-block floor from constant moments, along geometric segments
+    of blocks that double in length, without calling `vectorized`.  Only
+    ones_rule, eta_rule and zeta_shift_rule set it.  It takes no part in
+    construction, comparison or repr, so a user's rule, whatever its tag,
+    and dataclasses.replace of a built-in carry None.
     """
 
     tag: str
@@ -705,15 +708,17 @@ def _moebius_trial(ns: np.ndarray) -> np.ndarray:
     """mu(n) by trial division, vectorized over the 1-d indices ns.
 
     Each pass tests a block of consecutive divisors d against the cofactors
-    still >= d^2; within a block the smallest divisor hit is always prime,
-    since smaller primes were already divided out.  Memory stays
-    O(len(ns) + _TRIAL_BLOCK), with no sieve up to sqrt(max n)."""
+    still >= d^2, up to the square root of the largest of them; within a
+    block the smallest divisor hit is always prime, since smaller primes
+    were already divided out.  Memory stays O(len(ns) + _TRIAL_BLOCK), with
+    no sieve up to sqrt(max n)."""
     cof = ns.copy()
     sign = np.ones(cof.shape, dtype=np.int64)
     d = 2
     live = np.flatnonzero(cof >= 4)
     while live.size:
-        ds = np.arange(d, d + max(1, _TRIAL_BLOCK // live.size), dtype=np.int64)
+        top = min(d + max(1, _TRIAL_BLOCK // live.size), math.isqrt(int(cof[live].max())) + 1)
+        ds = np.arange(d, top, dtype=np.int64)
         rows = live
         while rows.size:
             hits = cof[rows, None] % ds == 0
@@ -777,9 +782,10 @@ def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
 # _SIEVE_MAX_ROOT (a prime table of 4 MB and ~295,000 primes) and, from
 # isqrt(hi) = _SIEVE_SHORT_ROOT on, holds _SIEVE_MIN_RUN indices: the table
 # costs ~1 ms at hi = 2^36 and ~20 ms at 2^44, trial division 0.1-1.4 ms
-# an index there, and the two break even at 2-4 indices near 2^36, 4-8 near
-# 2^40 and 8-12 near 2^44 (2-core x86-64, numpy 2.4.6;
-# BENCH_geometric_blocks.json); nearer the origin the sieve always wins
+# an index there, and the two break even at 2-4 indices near 2^36, 6-8 near
+# 2^40 and 8-12 near 2^44, before and after trial division's block was
+# capped at the live root (2-core x86-64, numpy 2.4.6;
+# BENCH_described_segments.json); nearer the origin the sieve always wins
 _SIEVE_MAX_ROOT = 1 << 22
 _SIEVE_SHORT_ROOT = 1 << 18
 _SIEVE_MIN_RUN = 8

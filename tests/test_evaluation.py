@@ -159,7 +159,7 @@ class TestPartialSumThreads:
 
     def test_concurrent_callers(self):
         # more callers than cores, with frequent thread switches, over direct
-        # terms and constant-moment runs
+        # terms and constant-moment segments
         points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
         want = {s: partial_sum(eta_rule(), s, 5 * 4096 + 100, chunk=1024) for s in points}
         got, errors = {}, []
@@ -259,9 +259,10 @@ def described_chunk(c, s, lo, hi):
 def geometric_cases(draw):
     """(c, s, lo, n, b, K) for evaluation._periodic_sums: a built-in
     description, b a power of two from 64 to 2^16, lo from the floor
-    _FLOOR (|s| + 16) b of that b up to 2^40, in either phase, n up to 4 b,
-    so the last block is padded unless b divides n, and K drawn or the
-    dispatch's own, the order at that floor."""
+    _FLOOR (|s| + 16) b of that b up to 2^40, in either phase, n up to 4 b
+    or up to the 2^16 blocks a call may take, so the last block is padded
+    unless b divides n, and K drawn or the dispatch's own, the order at that
+    floor."""
     c = draw(st.sampled_from([(1.0,), (-1.0, 1.0)]))
     s = complex(draw(st.floats(-0.5, 2.5)), draw(st.one_of(st.just(0.0), st.floats(-60.0, 60.0))))
     # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
@@ -269,7 +270,7 @@ def geometric_cases(draw):
     b = 2 ** draw(st.integers(6, 16))
     floor = math.ceil(evaluation._FLOOR * (abs(s) + 16) * b)
     lo = draw(st.one_of(st.integers(floor, 4 * floor), st.integers(floor, 2**40)))
-    n = draw(st.integers(1, 4 * b))
+    n = draw(st.one_of(st.integers(1, 4 * b), st.integers(1, 2**16 * b)))
     K = draw(st.one_of(st.none(), st.integers(1, evaluation._MAX_ORDER)))
     return c, s, lo, n, b, K
 
@@ -317,12 +318,11 @@ class TestTaylorBlocks:
             assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
 
     @given(geometric_cases())
-    def test_geometric_chunk_is_within_delta_of_the_exact_sum(self, case):
+    def test_geometric_segment_is_within_delta_of_the_exact_sum(self, case):
         c, s, lo, n, b, K = case
         K = K or evaluation._length_order(s, b)
         assert K > 0
-        got, delta = evaluation._periodic_sums(c, s, np.array([lo]), n, K, b)
-        got, delta = complex(got[0]), float(delta[0])
+        got, delta = evaluation._periodic_sums(c, s, lo, n, K, b)
         assert math.isfinite(delta)
         exact = described_chunk(c, mpmath.mpc(s.real, s.imag), lo, lo + n - 1)
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
@@ -331,7 +331,7 @@ class TestTaylorBlocks:
     def paths(self, monkeypatch):
         """(path, lo) for each sum the stream took, in stream order:
         'blocks' (values in Taylor blocks), 'periodic' (a described rule's
-        constant moments, one entry a chunk of the run) or 'direct'."""
+        constant moments, one entry a call) or 'direct'."""
         taken = []
         block, periodic, direct = evaluation._block_sum, evaluation._periodic_sums, evaluation._direct_sum
 
@@ -339,9 +339,9 @@ class TestTaylorBlocks:
             taken.append(("blocks", lo))
             return block(vals, s, lo, K, bound)
 
-        def moments(c, s, los, n, K, b, bound=True):
-            taken.extend(("periodic", lo) for lo in los.tolist())
-            return periodic(c, s, los, n, K, b, bound)
+        def moments(c, s, lo, n, K, b, bound=True):
+            taken.append(("periodic", lo))
+            return periodic(c, s, lo, n, K, b, bound)
 
         def terms(ns, vals, s):
             taken.append(("direct", int(ns[0])))
@@ -355,28 +355,35 @@ class TestTaylorBlocks:
 
     def test_first_chunk_and_s_zero_stay_direct(self, paths):
         # below the floor F = ceil(4 (|s| + 16) 64) = 4097 the first chunk is
-        # direct, and from F on it takes blocks
+        # direct, and from F on the terms take segments of 64, 128 and 256
+        # terms a block: the first two end on the first whole block that
+        # reaches ceil(4 (|s| + 16) 2 b), and blocks of 512 would not fill
+        # their own segment before N, so the blocks of 256 run to N
         partial_sum(eta_rule(), 1e-3j, 2**16)
-        assert paths == [("direct", 1), ("periodic", 4097)]
+        assert paths == [("direct", 1), ("periodic", 4097), ("periodic", 8193), ("periodic", 16513)]
         # zeta_shift(2) at s = 0 is ones at s' = 2: its terms below F = 4608
         # are its values' sum, and from F on they take constant moments in
         # real arithmetic, within their delta of the values' sums (each value
         # within 2u of n^-2, a pairwise sum within u (log2 n + 22) of its
-        # mass on either side, and five rounded adds of the sums in all)
+        # mass on either side, and a rounded add of the sums, on either side,
+        # for each sum added)
         rule, n, F = zeta_shift_rule(2), 2**16, 4608
-        got = partial_sum(rule, 0, 3 * n)
-        assert paths == [("direct", 1), ("periodic", 4097), ("direct", 1), ("periodic", F),
-                         ("periodic", n + 1), ("periodic", 2 * n + 1)]
+        paths.clear()
+        calls = []
+        periodic = evaluation._periodic_sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_periodic_sums", lambda *args, **kw: calls.append(args) or periodic(*args, **kw))
+            got = partial_sum(rule, 0, 3 * n)
+        assert paths == [("direct", 1)] + [("periodic", F * 2**i) for i in range(5)]
+        assert [args[5] for args in calls] == [64 * 2**i for i in range(5)]
+        sums = len(paths)
         want, bound = 0j, 0.0
         for lo in range(1, 3 * n, n):
             vals = rule.values(np.arange(lo, lo + n))
             want += complex(vals.sum())
-            start = max(lo, F)
-            b = evaluation._block_length(2.0, start, lo + n - start)
-            K = evaluation._length_order(2.0, b)
-            bound += evaluation._periodic_sums((1.0,), 2.0, np.array([start]), lo + n - start, K, b)[1][0]
             bound += 2.0**-53 * (math.log2(n) + 24) * math.fsum(vals.tolist())
-        bound += 5 * 2.0**-53 * abs(want)
+        bound += sum(evaluation._periodic_sums(*args)[1] for args in calls)
+        bound += (sums + 3) * 2.0**-53 * abs(want)
         assert got.imag == 0.0
         assert abs(got - want) <= bound
         # ones at s = 0 has s' = 0: every chunk is its values' sum
@@ -387,7 +394,8 @@ class TestTaylorBlocks:
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
     def test_blocks_start_at_the_floor(self, paths, rule, path):
         # |48i| + 16 = 64, so the floor is 4 * 64 * 64; the chunk from
-        # floor - 1 straddles it, and the one from the floor takes blocks whole
+        # floor - 1 straddles it (a described rule's last direct chunk is the
+        # term floor - 1 alone), and the one from the floor takes blocks whole
         s, floor = 48j, 16384
         assert evaluation._block_order(s, floor - 1) == 0 < evaluation._block_order(s, floor)
         partial_sum(rule, s, 2 * (floor - 2), chunk=floor - 2)
@@ -405,70 +413,107 @@ class TestTaylorBlocks:
         assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("periodic", 2564097),
                          ("periodic", 2564097)]
 
-    def test_geometric_blocks_bound_the_anchors(self, monkeypatch):
-        # eta at the benchmark's point (seed 1, rounded) over 2^22 terms: the
-        # first chunk splits at F, and the blocks past it grow with their
-        # start, so the anchors number at most 8 (|s| + 16) (ln(N / F) + 1)
-        # plus one a chunk, where 64-term blocks took ~65,000
-        s, N, chunk = 0.51 + 28.6j, 2**22, 2**16
-        F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
-        runs = []
+    @staticmethod
+    def segment_calls(monkeypatch):
+        """(lo, n, b) of each _periodic_sums call, in stream order."""
+        calls = []
         periodic = evaluation._periodic_sums
 
-        def moments(c, s, los, n, K, b, bound=True):
-            runs.append((los.tolist(), n, b))
-            return periodic(c, s, los, n, K, b, bound)
+        def moments(c, s, lo, n, K, b, bound=True):
+            calls.append((lo, n, b))
+            return periodic(c, s, lo, n, K, b, bound)
 
         monkeypatch.setattr(evaluation, "_periodic_sums", moments)
+        return calls
+
+    def test_geometric_blocks_bound_the_anchors(self, monkeypatch):
+        # eta at the benchmark's point (seed 1, rounded) over 2^22 terms:
+        # eight segments of b = 64 .. 2^13 tile [F, N], each one call, each
+        # from the first whole block at or past ceil(a b), a = 4 (|s| + 16),
+        # and all but the last of whole blocks; blocks of 2^14 would not
+        # fill their segment before N.  A segment but the last spans at most
+        # a + 1 anchors and the last at most 3 a + 1, so the anchors number
+        # at most (a + 1) (log2(N / F) + 3), where 64-term blocks took ~65,000
+        s, N, chunk = 0.51 + 28.6j, 2**22, 2**16
+        a = evaluation._FLOOR * (abs(s) + 16)
+        F = math.ceil(a * evaluation._BLOCK)
+        calls = self.segment_calls(monkeypatch)
         got = partial_sum(eta_rule(), s, N, chunk=chunk)
-        starts = [lo for los, _, _ in runs for lo in los]
-        assert starts == [F] + list(range(chunk + 1, N, chunk))
-        anchors = sum(len(los) * -(-n // b) for los, n, b in runs)
-        assert anchors <= 8 * (abs(s) + 16) * (math.log(N / F) + 1) + N / chunk
-        lengths = sorted({b for _, _, b in runs})
-        assert lengths[0] == 64 and lengths[-1] == 2**14
-        # fewer runs than chunks: the per-chunk Python work is paid once a run
-        assert len(runs) < N // chunk / 4
-        monkeypatch.setattr(evaluation, "_periodic_sums", periodic)
+        assert [lo for lo, _, _ in calls] == [F] + [lo + n for lo, n, _ in calls[:-1]]
+        assert calls[-1][0] + calls[-1][1] == N + 1
+        assert [b for _, _, b in calls] == [64 * 2**i for i in range(8)]
+        assert all(math.ceil(a * b) <= lo < math.ceil(a * b) + b for lo, _, b in calls)
+        assert all(n % b == 0 for _, n, b in calls[:-1]) and 4 * a * calls[-1][2] > N
+        anchors = sum(-(-n // b) for _, n, b in calls)
+        assert anchors <= (a + 1) * (math.log2(N / F) + 3)
+        monkeypatch.undo()
         exact = described_exact((-1.0, 1.0), mpmath.mpc(s.real, s.imag), N)
         mass = math.fsum((np.arange(1, N + 1, dtype=np.float64) ** -s.real).tolist())
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= 1e-15 * mass
+
+    def test_basel_segments_stay_within_the_chunk(self, monkeypatch, paths):
+        # Basel over 2^24 terms at chunk = 2^10: the terms below F = 4608 go
+        # in five direct chunks, the last ending at F - 1; past F the blocks
+        # double from 64 to 2^10 = chunk and no further, and the last segment
+        # runs to N in calls of at most chunk anchors.  It is within the
+        # calls' deltas, the direct chunks' rounding (as above) and a rounded
+        # add for each sum of the stream of its 40-digit value
+        N, chunk, F = 2**24, 2**10, 4608
+        calls = self.segment_calls(monkeypatch)
+        got = partial_sum(zeta_shift_rule(2), 0, N, chunk=chunk)
+        assert [lo for path, lo in paths if path == "direct"] == [1, 1025, 2049, 3073, 4097]
+        assert [lo for path, lo in paths if path == "periodic"] == [lo for lo, _, _ in calls]
+        assert [lo for lo, _, _ in calls] == [F] + [lo + n for lo, n, _ in calls[:-1]]
+        assert calls[-1][0] + calls[-1][1] == N + 1
+        assert sorted({b for _, _, b in calls}) == [64 * 2**i for i in range(5)]
+        assert all(b <= chunk and -(-n // b) <= chunk for _, n, b in calls)
+        last = next(lo for lo, _, b in calls if b == chunk)
+        assert sum(b == chunk for _, _, b in calls) == -(-(N + 1 - last) // chunk**2) == 16
+        assert got.imag == 0.0
+        sums = len(paths)
+        monkeypatch.undo()
+        bound = sum(evaluation._periodic_sums((1.0,), 2.0, lo, n, evaluation._length_order(2.0, b), b)[1]
+                    for lo, n, b in calls)
+        bound += 2.0**-53 * ((math.log2(chunk) + 24) * math.fsum(n**-2.0 for n in range(1, F)) + sums * got.real)
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(2) - mpmath.zeta(2, N + 1)
+        assert abs(got.real - exact) <= bound
 
     @pytest.mark.parametrize("rule, path", [
         (ones_rule(), "periodic"), (CoefficientRule("ones", lambda ns: np.ones(ns.shape)), "blocks")])
     @pytest.mark.parametrize("s", [complex(-60, 1), complex(-2000, 1)])
     def test_overflowing_blocks_are_a_domain_error(self, paths, s, rule, path):
-        # chunks from 2^19 + 1 pass both floors (19459 and 516096); at
-        # -60 + i the first block chunk's sums overflow, at -2000 + i every term
+        # the stream ends in block sums past both floors (19459 and
+        # 516097); at -60 + i they overflow, at -2000 + i every term does
         with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
             partial_sum(rule, s, 2**19 + 2**16)
-        assert (path, 2**19 + 1) in paths
+        assert paths[-1][0] == path
 
     @pytest.mark.parametrize("chunk", [4096, 4097])
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
-    def test_a_chunks_bits_do_not_depend_on_its_run(self, paths, monkeypatch, rule, path, chunk):
-        # the stream sums eta's constant-moment chunks in runs of several,
-        # one call for each phase lo mod 2, which an odd chunk alternates;
-        # each chunk summed alone, the sums added in stream order, gives the
-        # same bits
+    def test_chunk_fixes_the_bits(self, paths, monkeypatch, rule, path, chunk):
+        # every sum of the stream is fixed by the rule, s, N and chunk: the
+        # sums added in stream order give partial_sum's bits, again on a
+        # second call, and a constant-moment call made alone gives its bits
+        # in the stream
         s, N = 0.5 + 14j, 20 * chunk + 100
         got = partial_sum(rule, s, N, chunk=chunk)
-        want = 0j
+        assert partial_sum(rule, s, N, chunk=chunk) == got
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(1, N + 1, chunk):
-                for value in evaluation._chunk_sums(rule, s, ((lo, min(N, lo + chunk - 1)),)):
-                    want += value
+            parts = list(evaluation._chunk_sums(rule, s, N, chunk))
+        want = 0j
+        for value in parts:
+            want += value
         assert got == want
-        # the chunk from chunk + 1 straddles the floor 7683
-        assert ("direct", chunk + 1) in paths and (path, 7683) in paths and (path, 2 * chunk + 1) in paths
+        # the floor is 7683, so the second chunk is direct up to 7682
+        assert ("direct", chunk + 1) in paths and (path, 7683) in paths
         if path == "periodic":
             calls = []
             periodic = evaluation._periodic_sums
-            monkeypatch.setattr(evaluation, "_periodic_sums", lambda c, s, los, *rest, **kw: calls.append(
-                (los % 2).tolist()) or periodic(c, s, los, *rest, **kw))
-            partial_sum(rule, s, N, chunk=chunk)
-            assert all(len(set(phases)) == 1 for phases in calls) and max(map(len, calls)) > 1
-            assert len({phases[0] for phases in calls}) == 1 + chunk % 2
+            monkeypatch.setattr(evaluation, "_periodic_sums",
+                                lambda *args, **kw: calls.append(args) or periodic(*args, **kw))
+            parts = list(evaluation._chunk_sums(rule, s, N, chunk))
+            assert parts[-len(calls):] == [periodic(*args, bound=False)[0] for args in calls]
 
     def test_only_built_in_descriptions_take_constant_moments(self, paths):
         # a user's rule tagged "eta", and a replaced built-in, carry no
@@ -476,14 +521,15 @@ class TestTaylorBlocks:
         s = 0.5 + 14j
         F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
         want = partial_sum(eta_rule(), s, 3 * 2**16)
+        assert paths == [("direct", 1)] + [("periodic", lo) for lo in (F, 15427, 30787, 61507)]
+        paths.clear()
         for rule in (CoefficientRule("eta", eta_rule().vectorized),
                      dataclasses.replace(eta_rule(), vectorized=eta_rule().vectorized)):
             assert rule._description is None
             assert partial_sum(rule, s, 3 * 2**16) == pytest.approx(want, rel=1e-13)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1)] * 3 + [("periodic", F)] + [("blocks", F)] * 2 + [
-            ("periodic", 2**16 + 1)] + [("blocks", 2**16 + 1)] * 2 + [
-            ("periodic", 2**17 + 1)] + [("blocks", 2**17 + 1)] * 2
+        assert paths == [("direct", 1)] * 2 + [("blocks", F)] * 2 + [("blocks", 2**16 + 1)] * 2 + [
+            ("blocks", 2**17 + 1)] * 2
 
     @settings(max_examples=25)
     @given(name=st.sampled_from(sorted(DESCRIBED)), re=st.floats(-0.5, 2.5),
@@ -491,14 +537,13 @@ class TestTaylorBlocks:
            chunk=st.sampled_from([4095, 4097, 5003, 8191, 12289, 2**16]), extra=st.integers(1, 3 * 4097))
     def test_described_partial_sum_against_mpmath(self, name, re, im, chunk, extra):
         """partial_sum of a described rule against its 40-digit sum, within
-        the constant-moment blocks' delta (plus u |s + k| log hi of their
+        each constant-moment call's delta (plus u |s + k| log hi of its
         mass, the rounding of s' = s + k) and the direct terms' rounding,
         u (|s| (10 log N + 1) + 64) of their mass, and u of the total mass
-        for each sum the stream adds, two for the chunk that straddles the
-        floor.  Odd chunks move
-        lo mod 2 from chunk to chunk and end in a partial block; at real s
-        the sum is real.  2^16-term chunks run past the first block of
-        4096 terms."""
+        for each sum the stream adds.  The direct chunks tile 1..F-1 and the
+        calls F..N; odd chunks end in a partial block; at real s the sum is
+        real.  With 2^16-term chunks N is past 4 (|s + k| + 16) 8192, so
+        the blocks reach 4096 terms."""
         rule = DESCRIBED[name]
         c, k = rule._description
         s = complex(re, im)
@@ -506,36 +551,36 @@ class TestTaylorBlocks:
         # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
         assume(abs(sk) > 1e-40 and sk != 1)
         F = math.ceil(evaluation._FLOOR * (abs(sk) + 16) * evaluation._BLOCK)
-        reach = F if chunk < 2**16 else evaluation._FLOOR * (abs(sk) + 16) * 4096
+        reach = F if chunk < 2**16 else evaluation._FLOOR * (abs(sk) + 16) * 8192
         N = (int(reach) // chunk + 2) * chunk + extra
-        got = partial_sum(rule, s, N, chunk=chunk)
-        u, bound, total_mass, phases, lengths = 2.0**-53, 0.0, 0.0, set(), set()
+        direct, calls = [], []
+        periodic, direct_sum = evaluation._periodic_sums, evaluation._direct_sum
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_periodic_sums", lambda *args, **kw: calls.append(args) or periodic(*args, **kw))
+            mp.setattr(evaluation, "_direct_sum", lambda ns, *rest: direct.append((int(ns[0]), int(ns[-1])))
+                       or direct_sum(ns, *rest))
+            got = partial_sum(rule, s, N, chunk=chunk)
+        u, bound, total_mass = 2.0**-53, 0.0, 0.0
 
         def mass(lo, hi):
             return math.fsum((np.arange(lo, hi + 1, dtype=np.float64) ** -sk.real).tolist())
 
-        for lo in range(1, N + 1, chunk):
-            hi = min(N, lo + chunk - 1)
-            start = min(max(lo, F), hi + 1)
-            b = evaluation._block_length(sk, start, hi - start + 1) if start <= hi else evaluation._BLOCK
-            K = evaluation._length_order(sk, b) if start <= hi else 0
-            if not K:
-                start = hi + 1
-            direct = mass(lo, start - 1) if start > lo else 0.0
-            bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * direct
-            total_mass += direct
-            if K:
-                phases.add(start % len(c))
-                lengths.add(b)
-                blocks = mass(start, hi)
-                total_mass += blocks
-                delta = evaluation._periodic_sums(c, sk, np.array([start]), hi - start + 1, K, b)[1][0]
-                bound += delta + u * abs(sk) * math.log(hi) * blocks
-        bound += u * total_mass * (N // chunk + 2)
-        if chunk % 2:
-            assert phases == set(range(len(c)))
+        assert [lo for lo, _ in direct] == list(range(1, F, chunk))
+        assert direct[-1][1] == F - 1
+        assert [args[2] for args in calls] == [F] + [args[2] + args[3] for args in calls[:-1]]
+        assert calls[-1][2] + calls[-1][3] == N + 1
+        for lo, hi in direct:
+            part = mass(lo, hi)
+            bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * part
+            total_mass += part
+        for args in calls:
+            lo, n = args[2], args[3]
+            part = mass(lo, lo + n - 1)
+            total_mass += part
+            bound += periodic(*args)[1] + u * abs(sk) * math.log(lo + n - 1) * part
+        bound += u * total_mass * (len(direct) + len(calls) + 1)
         if chunk == 2**16:
-            assert max(lengths) >= 4096
+            assert max(args[5] for args in calls) >= 4096
         exact = described_exact(c, mpmath.mpc(sk.real, sk.imag), N)
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= bound
         if im == 0.0:

@@ -13,10 +13,9 @@ normalized_power_norm chose its direct term by two cut-offs, on k log|g|
 and on the log term; it now keeps that term whenever g^k and g^k a_n are
 normal doubles, and must match the old sum bit for bit wherever the old
 one took the direct term for every index and each was a normal double.
-partial_sum computes its chunks on a thread pool when s != 0 and must give
-the same bits for one worker and for four; its chunks past the
-Taylor-block floor must agree with the old per-term loop within their error
-bound.  apply runs the built-in multipliers, the resolvent and power_apply
+partial_sum runs on the calling thread and must give the old per-term
+loop's bits below the Taylor-block floor; past it its Taylor blocks must
+agree with that loop within their error bound.  apply runs the built-in multipliers, the resolvent and power_apply
 iterates on arrays from series._ARRAY_MIN_TERMS terms on and must give the
 per-term loop's bits and error messages; polynomials built from arrays must
 be indistinguishable from those built from dicts.  From the same threshold
@@ -24,8 +23,8 @@ the constructor builds a mapping of int keys to complex or float values
 on arrays, and normalized_power_norm and ergodicity_diagnostic form the
 orbit terms on arrays; both must give their per-term loops' bits and
 exceptions.
-The new paths must reproduce them bit for bit, except partial_sum's block
-chunks (above) and the resolvent, whose coefficients are now b * (1 / x)
+The new paths must reproduce them bit for bit, except partial_sum's
+Taylor blocks (above) and the resolvent, whose coefficients are now b * (1 / x)
 instead of b / x.  Both round differently in CPython's complex arithmetic;
 a random search over 10^6 coefficients found them at most 2.83 ulp of
 |b / x| apart, so the test allows 4.
@@ -271,6 +270,28 @@ class TestMoebius:
         primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
         ns = [10**12 + k for k in range(-3, 6)] + [10**12 + 39, 1000003**2, primorial]
         got = moebius_rule().values(ns)
+        assert [float(v) for v in got] == [legacy_moebius_value(n) for n in ns]
+        assert [moebius_rule()(n).real for n in ns] == [legacy_moebius_value(n) for n in ns]
+
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            [10**6 + 3],
+            [10**6 + k for k in range(-4, 5)],
+            [10**9 + 7],
+            [10**9 + k for k in range(-4, 10)],
+            [999983**2],
+            [1009 * 1013, 31607**2, 31607 * 31627, 999983 * 1000003],
+            [2**63 - 1],
+            [3 * 2**40, 10**6 + 3, 4 * 31607**2, 31627**2 * 2],
+        ],
+        ids=["prime-near-1e6", "near-1e6", "prime-near-1e9", "near-1e9", "prime-square", "products-near-roots",
+             "2^63-1", "cofactors-shrinking"],
+    )
+    def test_divisor_block_capped_at_the_live_root(self, ns):
+        # trial division tests divisors up to isqrt of the largest live
+        # cofactor plus 1, so a prime p^2 needs p itself in the block
+        got = series._moebius_trial(np.array(ns, dtype=np.int64))
         assert [float(v) for v in got] == [legacy_moebius_value(n) for n in ns]
         assert [moebius_rule()(n).real for n in ns] == [legacy_moebius_value(n) for n in ns]
 
