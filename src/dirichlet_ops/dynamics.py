@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import _POWU_MAX, Multiplier, _power, _product, apply
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _exp, _fsum, _log, _slope, _validate_index, _validate_real
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _exp, _expm1, _fsum, _log, _slope, _validate_index,
+                     _validate_real)
 
 __all__ = [
     "power_apply",
@@ -75,11 +76,7 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
             return g * (1.0 - g**k) / (1.0 - g) / k
         if g == 1.0:
             return 1.0  # sum of k ones over k
-        z = k * (d - d * d / 2.0 + d * d * d / 3.0)
-        x, y = z.real, z.imag
-        h = math.sin(y / 2.0)
-        e = complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
-        return g * e / (k * d)
+        return g * _expm1(k * (d - d * d / 2.0 + d * d * d / 3.0)) / (k * d)
 
     mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})", array_symbol=None)
     return apply(mean, f)

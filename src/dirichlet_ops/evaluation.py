@@ -11,15 +11,14 @@ bound] rather than a single number.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint
-from .series import _MAX_TERMS, _exp, _fsum, _log, _power, _slope, _validate_complex, _validate_index, _validate_real
+from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _validate_real
+from .series import _MAX_TERMS, _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index
 
 __all__ = [
     "evaluate",
@@ -80,10 +79,9 @@ def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
 _U = 2.0**-53  # unit roundoff of a double
 
 
-# Taylor blocks: a run of blocks of b terms from lo needs lo >= _FLOOR
-# (|s| + 16) b and at most _MAX_ORDER moments to make the truncation
-# negligible (_block_order).  b is _BLOCK for a rule's values, and doubles
-# along a described rule's geometric segments (_chunk_sums)
+# Taylor blocks: a run of blocks of _BLOCK terms from lo needs
+# lo >= _FLOOR (|s| + 16) _BLOCK and at most _MAX_ORDER moments to make the
+# truncation negligible (_block_order)
 _BLOCK = 64
 _FLOOR = 4
 _MAX_ORDER = 20
@@ -99,15 +97,15 @@ def _tail(s: complex, x: float, K: int, c_K: float) -> float:
     return c_K / (1.0 - q) if q < 1.0 else math.inf
 
 
-def _block_order(s: complex, lo: int, b: int = _BLOCK) -> int:
-    """K, the moments blocks of b terms from lo take: the smallest
-    K <= _MAX_ORDER whose truncation bound _tail, at x = (b - 1) / lo, is
-    at most u.  0 keeps the terms direct: s = 0, which saves no exp, or lo
-    below the floor _FLOOR (|s| + 16) b, past which x < 1 / (_FLOOR
-    (|s| + 16)) whatever b is, or no such K.  Reads only s, lo and b."""
-    if s == 0 or lo < _FLOOR * (abs(s) + 16) * b:
+def _block_order(s: complex, lo: int) -> int:
+    """K, the moments blocks of _BLOCK terms from lo take: the smallest
+    K <= _MAX_ORDER whose truncation bound _tail, at x = (_BLOCK - 1) / lo,
+    is at most u.  0 keeps the terms direct: s = 0, which saves no exp, lo
+    below the floor _FLOOR (|s| + 16) _BLOCK, or no such K.  Reads only s
+    and lo."""
+    if s == 0 or lo < _FLOOR * (abs(s) + 16) * _BLOCK:
         return 0
-    x = (b - 1) / lo
+    x = (_BLOCK - 1) / lo
     c = 1.0
     for K in range(1, _MAX_ORDER + 1):
         c *= abs(s + (K - 1)) / K * x
@@ -115,34 +113,6 @@ def _block_order(s: complex, lo: int, b: int = _BLOCK) -> int:
         if c <= _U and _tail(s, x, K, c) <= _U:
             return K
     return 0
-
-
-@functools.lru_cache(maxsize=256)
-def _length_order(s: complex, b: int) -> int:
-    """K for a described rule's blocks of b terms: the order at the earliest
-    start of their segment, ceil(_FLOOR (|s| + 16) b), which holds from
-    every later start, x = (b - 1) / lo only falling.  Positive for every
-    s != 0: with x < 1 / (_FLOOR (|s| + 16)), c_k < c_(k-1) / (4 k) up to
-    k = 17, so c_13 < 3e-18."""
-    return _block_order(s, math.ceil(_FLOOR * (abs(s) + 16) * b), b)
-
-
-def _moments(W: np.ndarray, K: int, bound: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """M (K x m), M[k] = sum_j W[i, j] (j / b)^k for each of the m rows of
-    W (b columns), and, for a bound, each row's mass sum_j |W[i, j]|.
-    W *= j / b in place builds each power and np.add.reduce(W, axis=1) its
-    moment, so W is overwritten.  The reduce follows W's memory: contiguous
-    rows (constant moments) are summed pairwise, and the rows of a
-    transposed (b x m) array (values' blocks) in order, term by term."""
-    b = W.shape[1]
-    mass = np.add.reduce(np.abs(W), axis=1) if bound else None
-    M = np.empty((K, W.shape[0]), dtype=W.dtype)
-    np.add.reduce(W, axis=1, out=M[0])
-    t = np.arange(b, dtype=np.float64) / b
-    for k in range(1, K):
-        W *= t
-        np.add.reduce(W, axis=1, out=M[k])
-    return M, mass
 
 
 def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True) -> tuple[complex, float | None]:
@@ -155,23 +125,13 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     with zeros), and by the binomial series of (1 + j / a)^(-s)
         sum_j v_{a+j} (a + j)^(-s) = a^(-s) sum_k C(-s, k) r^k M_k,
         r = b / a,   M_k = sum_j v_{a+j} (j / b)^k,
-    summed over k < K.  Here the values lie in a (b x blocks) array and
-    _moments takes each block's moments; only elementwise IEEE products and
-    sums run: no BLAS call, and bits that follow neither a BLAS kernel nor
-    numpy's SIMD level (_cmul keeps the complex products unfused).  The
-    anchor half, _anchor_sums, takes one log (series._log) and one exp an
-    anchor, then a Horner pass over k on the anchor arrays, and np.sum adds
-    the block sums.  So a term costs K products and K sums, not an exp.
-
-    Constant moments (_periodic_sums): when v_n = c[n mod p] with p | b,
-    every full block has the moments of the first, since all anchors share
-    lo mod p, and the padded last block has its own.  They are computed
-    once, from one or two rows, and _anchor_sums spreads them over the
-    anchors, so a call does no per-term work; b is then any power of two
-    from _BLOCK on (_chunk_sums' segments).  Everything below holds for
-    them as stated, m_i being the mass of block i's row.  With real s and
-    real moments every step runs in real arithmetic, which rounds no more
-    than the complex steps counted below.
+    summed over k < K.  The values lie in a (b x blocks) array; only
+    elementwise IEEE products and sums run, so no BLAS kernel or numpy SIMD
+    level sets a bit (_cmul keeps the complex products unfused).  Each
+    anchor takes one log and one exp (series._power), a Horner pass over k
+    runs on the anchor arrays, and np.sum adds the block sums: a term costs
+    K products and K sums, not an exp.  With real s and real values every
+    step runs in real arithmetic, which rounds no more than counted below.
 
     The bound, to first order in u = 2^-53, with m_i = sum_j |v_{a+j}|,
     x = (b - 1) / lo, c_k = |C(-s, k)| x^k, which bounds
@@ -179,13 +139,11 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
       - truncation: the terms k >= K add at most |a^(-s)| m_i tau,
         tau = _tail(s, x, K, c_K);
       - moments: a power rounds once a step (j / b is exact) and a sum of b
-        products at most D times, so M_k is within (k + D) u
-        sum_j |v| (j / b)^k, and its term within (k + D) u c_k m_i.  Summed
-        in order (values' blocks) D = b - 1 <= b; summed pairwise (constant
-        moments, numpy's runs of at most 16, then a tree) D <= log2 b + 20;
+        products, in order, at most b - 1 times, so M_k is within (k + b) u
+        sum_j |v| (j / b)^k, and its term within (k + b) u c_k m_i;
       - C(-s, k), by its recurrence, 5 u a step; r^k, 2 u a power; the
         Horner pass, a product by r and a sum a step, 3 u for C M_k: term k
-        gains (9 k + 4) u c_k m_i, so (10 k + D + 4) u c_k m_i in all, and
+        gains (9 k + 4) u c_k m_i, so (10 k + b + 4) u c_k m_i in all, and
         u S1 m_i summed over k < K;
       - each anchor: log a is within u (2 L + 1) (a rounded to a double,
         then the log), -s log a rounds by u |s| L and the exp by 4 u, so
@@ -205,37 +163,16 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     if full < blocks:
         W[: n - full * b, full] = vals[full * b :]
         W[n - full * b :, full] = 0
-    M, mass = _moments(W.T, K, bound)
-    return _anchor_sums(M, mass, s, lo, blocks, K, b, b)
-
-
-def _periodic_sums(c: tuple[float, ...], s: complex, lo: int, n: int, K: int, b: int, bound: bool = True):
-    """_block_sum's sum and delta (None when bound is false) for the n terms
-    v_m = c[m mod p] from lo, p = len(c) dividing _BLOCK, in blocks of b
-    terms: the constant moments of a full block and, when b does not divide
-    n, of the padded last one are taken once, pairwise along a row."""
-    p = len(c)
-    blocks, full = -(-n // b), n // b
-    w = np.array(c, dtype=np.float64)[(lo % p + np.arange(b)) % p]
-    W = np.repeat(w[None, :], 2 if 0 < full < blocks else 1, axis=0)
-    if full < blocks:
-        W[-1, n - full * b :] = 0
-    M, mass = _moments(W, K, bound)
-    return _anchor_sums(M, mass, s, lo, blocks, K, b, math.log2(b) + 20)
-
-
-def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, lo: int, blocks: int, K: int, b: int,
-                 D: float) -> tuple[complex, float | None]:
-    """The anchor half of the Taylor-block kernel (_block_sum, which derives
-    delta, D the most roundings of a moment's sum): the sum over the anchors
-    a = lo + b i, i < blocks, of a^(-s) sum_{k<K} C(-s, k) (b / a)^k M_k,
-    and its delta (None when mass is None).  M (K x m) and mass (m) hold one
-    column a block (m = blocks), or shared ones: the first blocks - m + 1
-    blocks take column 0, each later block its own column.  a^(-s) is
-    series._power's, real for real s, and real s with real moments runs all
-    in real arithmetic."""
-    # the column of each block
-    col = np.maximum(np.arange(blocks) - (blocks - M.shape[1]), 0)
+    # M[k] = sum_j v_{a+j} (j / b)^k: in-place powers, each block's row
+    # summed in order, term by term
+    V = W.T
+    mass = np.add.reduce(np.abs(V), axis=1) if bound else None
+    M = np.empty((K, blocks), dtype=W.dtype)
+    np.add.reduce(V, axis=1, out=M[0])
+    t = np.arange(b, dtype=np.float64) / b
+    for k in range(1, K):
+        V *= t
+        np.add.reduce(V, axis=1, out=M[k])
     real = s.imag == 0 and M.dtype.kind == "f"
     if real:
         s = s.real
@@ -245,63 +182,133 @@ def _anchor_sums(M: np.ndarray, mass: np.ndarray | None, s: complex, lo: int, bl
     C = [1.0 if real else 1 + 0j]
     for k in range(1, K + 1):
         C.append(C[-1] * (-s - (k - 1)) / k)
-    # each order's row is spread over the blocks when it is used, so no
-    # K x blocks array is held
     CM = _cmul(np.array(C[:K])[:, None], M)
-    P = CM[K - 1, col]
+    P = CM[K - 1]
     for k in range(K - 2, -1, -1):
         P *= r
-        P += CM[k, col]
+        P += CM[k]
     total = complex(np.add.reduce(_cmul(E, P)))
     if mass is None:
         return total, None
 
-    x = (b - 1) / lo
-    c = np.abs(np.array(C)) * x ** np.arange(K + 1)
+    c = np.abs(np.array(C)) * ((b - 1) / lo) ** np.arange(K + 1)
     S0 = np.add.reduce(c[:K])
-    S1 = np.add.reduce((10 * np.arange(K) + D + 4) * c[:K])
-    mu = np.add.reduce(np.abs(E) * mass[col])
+    S1 = np.add.reduce((10 * np.arange(K) + b + 4) * c[:K])
+    mu = np.add.reduce(np.abs(E) * mass)
     rounding = S1 + S0 * (abs(s) * (3 * _log(anchors[-1]) + 1) + 27 + math.log2(blocks))
-    return total, float(mu * (_tail(s, x, K, float(c[K])) + _U * rounding))
+    return total, float(mu * (_tail(s, (b - 1) / lo, K, float(c[K])) + _U * rounding))
+
+
+# B_2k / (2k)!, k = 1, 2, ...: the Euler-Maclaurin coefficients
+_BERNOULLI = tuple(n / (d * math.factorial(2 * k))
+                   for k, (n, d) in enumerate([(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)], 1))
+
+
+def _expm1_ratio(z: complex) -> complex:
+    """(exp(z) - 1) / z, 1 at z = 0: the mean of exp(z t) over t in [0, 1]."""
+    return _expm1(z) / z if z else 1.0
+
+
+def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True) -> tuple[complex, float | None]:
+    """S ~ sum_{lo<=n<=hi} c[n mod p] n^(-s), p = len(c) dividing 64, lo from
+    the floor _FLOOR (|s| + 16) _BLOCK on, and delta >= |S - exact| (None
+    when bound is false, as partial_sum asks): a few libm scalar exps and
+    logs (math and cmath, which raise OverflowError past exp's range)
+    whatever hi - lo is, so no numpy SIMD level sets a bit.
+
+    A residue class, n = A + p j for j < J from its first A >= lo, with
+    B = A + p J and g(t) = t^(-s), sums by Euler-Maclaurin in steps of p to
+        (B^(1-s) - A^(1-s)) / (p (1 - s)) + Q(A) - Q(B) + R,
+        Q(t) = t^(-s) (1/2 - sum_{k<=m} B_2k / (2k)! (-s)_(2k-1) (p / t)^(2k-1)),
+        |R| <= rho int_A^B t^(-sigma) dt / p,  rho = 4 |(s)_2m| (p / (2 pi lo))^(2m),
+    falling (-s)_j, rising (s)_j, sigma = Re s, as |B_2m(t)| <= 4 (2m)! /
+    (2 pi)^(2m) (Edwards, Riemann's Zeta Function, ch. 6; Johansson, Numer.
+    Algorithms 69, 2015).  m is the least count with rho <= u = 2^-53: past
+    the floor |s + j| p / (2 pi lo) < 1 / (8 pi) for j < 16, so m <= 6.
+    From the anchors lo and G = hi + 1, A^(1-s) / (1 - s) = lo^(1-s)
+    (1 / (1 - s) + a E((1 - s) a)), a = log(A / lo), E(z) = expm1(z) / z
+    (_expm1_ratio), and likewise B^(1-s), so the anchor terms add to
+    (sum c_r) lo^(1-s) L E((1 - s) L), L = log(G / lo): s = 1 (harmonic)
+    needs no case of its own, a mean-zero c (eta) has no anchor term to
+    lose to cancellation, and real s gives an imaginary part of exactly 0.
+
+    The bound, to first order, with I = int_lo^(G+p) t^(-sigma) dt / p (the
+    same form, real; span) and mu = sum |c_r| I, about the terms' mass, libm
+    being within an ulp (2 u):
+      - the remainder, rho mu;
+      - t^(-s) is within u (|s| (3 log t + 1) + 4) of its modulus, as
+        _block_sum's anchors are;
+      - |E'(z)| <= E(Re z), E(z) being the mean of exp(z t) over [0, 1],
+        and (1 - s) L is within 4 u |1 - s| L, which moves E that much times
+        E(Re z); _expm1 and the division add 55 u E(Re z);
+      - so the anchor term, at most |sum c_r| I, is within
+        u (|s| (3 log lo + 1) + 4 |1 - s| L + 72) of that, and sum c_r
+        within p u mu;
+      - a class's offsets, T^(1-sigma) a E((1 - sigma) a) / p with a below
+        p / T, at most |c_r| (T^(-sigma) + t^(-sigma)) each, and its Q
+        terms, at most |c_r| t^(-sigma) (1/2 + D), D = sum_k
+        |B_2k / (2k)! (-s)_(2k-1)| (p / lo)^(2k-1), are within
+        u (|s| (3 log(G + p) + 1) + 15 m + 80) of those;
+      - 4 p + 3 adds, each within u of the sum of these moduli.
+    delta is their sum, from the computed moduli."""
+    p, G, one = len(c), hi + 1, 1 - s
+    rho, d, f, x = 4.0, [], -s, len(c) / (2 * math.pi * lo)
+    while len(d) < len(_BERNOULLI) and (not d or rho > _U):
+        k = len(d)
+        rho *= abs(s + 2 * k) * x * abs(s + 2 * k + 1) * x
+        d.append(_BERNOULLI[k] * f)  # B_2k / (2k)! (-s)_(2k-1), k from 1
+        f *= (-s - 2 * k - 1) * (-s - 2 * k - 2)
+
+    def end(t: int, T: int) -> complex:
+        """T^(1-s) log(t / T) E((1 - s) log(t / T)) / p - Q(t), Q by Horner."""
+        y, h, a = p / t, d[-1], math.log1p((t - T) / T)
+        for dk in reversed(d[:-1]):
+            h = h * (y * y) + dk
+        q = cmath.exp(-s * math.log(t)) * (0.5 - y * h)
+        return T * cmath.exp(-s * math.log(T)) * a * _expm1_ratio(one * a) / p - q
+
+    C, total, ends = 0.0, 0j, []
+    for r, cr in enumerate(c):
+        A = lo + (r - lo) % p
+        if cr and A <= hi:
+            B = A + p * ((hi - A) // p + 1)
+            C += cr
+            total += cr * (end(B, G) - end(A, lo))
+            ends.append((abs(cr), A, B))
+    L = math.log1p((G - lo) / lo)
+    total += lo * cmath.exp(-s * math.log(lo)) * C * L * _expm1_ratio(one * L) / p
+    if not bound:
+        return total, None
+
+    sigma, lam = s.real, math.log1p((G + p - lo) / lo)
+    span = lo * math.exp(-sigma * math.log(lo)) * lam * _expm1_ratio((1 - sigma) * lam).real / p
+    mu, anchor = sum(w for w, _, _ in ends) * span, abs(C) * span
+    D = sum(abs(dk) * (p / lo) ** (2 * k + 1) for k, dk in enumerate(d))
+    sides = (1.5 + D) * sum(w * math.exp(-sigma * math.log(t)) for w, A, B in ends for t in (lo, A, G, B))
+    rounding = (anchor * (abs(s) * (3 * math.log(lo) + 1) + 4 * abs(one) * L + 72) + p * mu
+                + sides * (abs(s) * (3 * math.log(G + p) + 1) + 15 * len(d) + 80) + (4 * p + 3) * (anchor + sides))
+    return total, rho * mu + _U * rounding
 
 
 def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
-    """The sums that make up partial_sum's N terms, in stream order.
+    """The sums that make up partial_sum's N terms, in stream order, from
+    the floor F = ceil(_FLOOR (|s'| + 16) _BLOCK), s' = s + k for a rule
+    described as a_n = c[n mod p] n^(-k) (CoefficientRule), s for any other.
 
-    Blocks are taken at s', s' = s + k for a rule described as
-    a_n = c[n mod p] n^(-k) (CoefficientRule) and s for any other, from the
-    floor F = ceil(a _BLOCK), a = _FLOOR (|s'| + 16), on.
-
-    Any other rule goes in chunks of `chunk` terms.  A chunk below F is
-    direct (_direct_sum); a chunk with lo < F <= hi sums lo..F-1 directly
-    and F..hi by Taylor blocks of its values, 64 terms a block (_block_sum);
-    a chunk from F on takes blocks whole; and a chunk where no
-    K <= _MAX_ORDER does (_block_order, which also keeps s = 0 direct) is
-    direct.
-
-    A described rule's terms below F go in direct chunks, the last one
-    ending at F - 1, and at s' = 0 all its terms do.  Its terms from F to N
-    take constant moments (_periodic_sums), without its values, along
-    geometric segments, as in Odlyzko and Schoenhage's block-Taylor sums:
-    blocks of b = _BLOCK, 2 _BLOCK, ... terms, each b with one order
-    (_length_order), from ceil(a b) on and up to the first whole block that
-    reaches ceil(2 a b), where blocks of 2 b may start.  So x = (b - 1) / lo
-    stays below 1 / a, each segment spans about a anchors, and only the
-    last one pads a block.  b stops doubling at the largest power of two up
-    to `chunk`, or when blocks of 2 b would not fill their own segment
-    before N (a last segment of a few long blocks would spend more on its
-    moment rows than its anchors save); the last b runs to N.  Every
-    segment goes in calls of at most `chunk` anchors, so `chunk` bounds
-    every array and, with s and the rule, fixes every call.
-
+    Any other rule goes in chunks of `chunk` terms: a chunk below F is
+    direct (_direct_sum), one with lo < F <= hi sums lo..F-1 directly and
+    F..hi by Taylor blocks of its values (_block_sum), one from F on takes
+    blocks whole, and one where no K <= _MAX_ORDER does (_block_order, which
+    keeps s = 0 direct) is direct.  A described rule's terms below F go in
+    direct chunks, the last ending at F - 1, as do all of them at s' = 0;
+    from F to N they are one Euler-Maclaurin sum at s' (_euler_maclaurin).
     The last chunk's index and value arrays stay alive while the next is
     built: freeing a whole chunk at once lets malloc return the heap top to
     the OS, and refaulting it made the Basel sum ~4x slower."""
     c, k = rule._description or ((), 0)
     sk = s + k
     # hypot, unlike abs, gives inf rather than raising past double range
-    a = _FLOOR * (math.hypot(sk.real, sk.imag) + 16)
-    F = math.ceil(min(a * _BLOCK, 2.0**63))
+    F = math.ceil(min(_FLOOR * (math.hypot(sk.real, sk.imag) + 16) * _BLOCK, 2.0**63))
     top = min(N, F - 1) if c and sk != 0 else N
     for lo in range(1, top + 1, chunk):
         hi = min(top, lo + chunk - 1)
@@ -315,53 +322,33 @@ def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
             yield _direct_sum(ns[: start - lo], vals[: start - lo], s)
         if K:
             yield _block_sum(vals[start - lo :], s, start, K, bound=False)[0]
-    lo, b = top + 1, _BLOCK
-    while lo <= N:
-        if 2 * b > chunk or 4 * a * b > N:
-            end = N
-        else:
-            end = lo - 1 + b * -(-(math.ceil(2 * a * b) - lo) // b)
-        K = _length_order(sk, b)
-        for start in range(lo, end + 1, chunk * b):
-            yield _periodic_sums(c, sk, start, min(end + 1 - start, chunk * b), K, b, bound=False)[0]
-        lo, b = end + 1, 2 * b
+    if top < N:
+        try:
+            value = _euler_maclaurin(c, sk, top + 1, N, bound=False)[0]
+        except OverflowError:  # libm's exp past its range: partial_sum names s
+            value = complex(math.inf)
+        yield value
 
 
 def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
     """sum_{n<=N} rule(n) n^(-s), streamed so N ~ 10^8 never materializes a
-    coefficient map.  Agrees with evaluate(truncate(rule, N), s) to
-    rounding.
+    coefficient map.  Agrees with evaluate(truncate(rule, N), s) to rounding.
 
-    One sequential stream of sums (_chunk_sums): the terms from the floor
-    F = ceil(4 (|s| + 16) 64) on go by Taylor blocks, and the terms below
-    it, the first chunk's among them, take one exp a term; s = 0 takes
-    none, its chunks being the values' sums.  A block of b terms takes one
-    log and one exp at its anchor, then K <= 20 products and sums a term,
-    K the smallest order whose truncation is at most u = 2^-53 of the
-    block's mass.  A sum of blocks is within
-        delta = mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks)))
-    of its exact sum (derived in _block_sum), about
-    u (|s| (3 log hi + 1) + 110) times its terms' sum |rule(n)| n^(-Re s):
-    the anchors' phases carry the u |s| log n error a direct term's does.
-    log n is series._log's, so the bits follow neither numpy's SIMD level
-    nor, since no BLAS call runs, a BLAS kernel; a direct chunk of a complex
-    rule is the exception, its products being numpy's complex multiply.
-
-    A rule's values go in chunks of `chunk` terms (at most 2^24), a chunk
-    that straddles F splitting there, and from F on in blocks of 64 terms.
-    The built-in ones_rule, eta_rule and zeta_shift_rule(k) describe
-    themselves as a_n = c[n mod p] n^(-k) (CoefficientRule): their terms
-    below the floor of s' = s + k go in direct chunks, and from it on they
-    are sums of c[n mod p] n^(-s') by Taylor blocks at s' whose moments are
-    the same for every full block (_periodic_sums).  No values are computed
-    there, and the blocks grow geometrically: b doubles, up to `chunk`, each
-    time the start doubles (_chunk_sums), so the anchors from F to N number
-    about 4 (|s'| + 16) (log2(N / F) + 2), in real arithmetic when s' is
-    real.  Basel, zeta_shift(2) at s = 0, is ones at s' = 2: its terms
-    below F are the values' sum, and its imaginary part is exactly 0.
-
-    No thread is started.  The sums are added in stream order, and `chunk`
-    fixes every one of them, so it fixes the bits of the result."""
+    One sequential stream of sums on the caller's thread (_chunk_sums),
+    added in stream order, so the rule, s, N and `chunk` (at most 2^24)
+    fix the bits.  Below the floor F = ceil(4 (|s| + 16) 64) a term takes
+    one exp, and none at s = 0; from F on a rule's values go in Taylor
+    blocks of 64 terms (_block_sum).  The built-in ones_rule, eta_rule and
+    zeta_shift_rule(k) describe themselves as a_n = c[n mod p] n^(-k): from
+    the floor of s' = s + k on their terms are one Euler-Maclaurin sum
+    (_euler_maclaurin), which reads no values and takes no part of `chunk`.
+    Each derives a bound, about u (|s| (3 log N + 1) + 110) and
+    u (|s'| (4 log N + 1) + 4 log N + 100) times the terms' sum
+    |rule(n)| n^(-Re s).  No bit follows numpy's SIMD level or a BLAS
+    kernel, but a direct chunk of a complex rule's, whose products are
+    numpy's complex multiply.  At real s' the sum is real, as Basel's
+    (zeta_shift(2) at s = 0) is.  A sum past double range raises
+    DomainError naming s."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
     # a chunk near 2^63 terms gave an empty np.arange and a silent 0
@@ -559,14 +546,18 @@ def summation_by_parts(x, y) -> complex:
 
 @dataclass(frozen=True)
 class TailBound:
-    """Uniform bound for the discarded tail sum_{n>M} x_n y_n on the
-    half-plane Re s > epsilon.  `regime` records how the probe window was
-    completed: 'oscillatory' keeps the observed partial-sum supremum with a
-    1% slack, 'accumulating' adds a fitted power-law integral remainder,
-    'divergent' means the fitted decay is not integrable (bound = inf), and
-    'sparse' means the window's second half holds fewer than 8 nonzero terms,
-    or indices so near 2^63 that their logs round to one double, too few to
-    fit a decay, so no finite bound is certified (bound = inf)."""
+    """Bound for the discarded tail sum_{n>M} x_n y_n at real s > epsilon.
+    The probe reads s = epsilon only, so it is uniform on the half-plane
+    only where the sup is at the real point, as for nonnegative a_n: eta's
+    tail past 1024 is 0.0156 at 0.5001 but 1.41 at 0.5001 + 6000 i, its
+    bound at epsilon = 0.5 being 0.0315.  `regime` records how the probe
+    window was completed: 'oscillatory' keeps the observed partial-sum
+    supremum with a 1% slack, 'accumulating' adds a fitted power-law
+    integral remainder, 'divergent' means the fitted decay is not integrable
+    (bound = inf), and 'sparse' means the window's second half holds fewer
+    than 8 nonzero terms, or indices so near 2^63 that their logs round to
+    one double, too few to fit a decay, so no finite bound is certified
+    (bound = inf)."""
 
     M: int
     epsilon: float
@@ -599,8 +590,10 @@ _LADDER_RUNGS = 40
 
 
 def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -> TailBound:
-    """Abel-style bound for |sum_{n>M} x_n y_n| on Re s > epsilon, where
-    x_n = rule(n) n^(-epsilon) and y_n is a real monotone weight.
+    """Abel-style bound for |sum_{n>M} x_n y_n| at real s > epsilon, where
+    x_n = rule(n) n^(-epsilon) and y_n is a real monotone weight (n^(-it)
+    off the real axis is not one, so the bound is not uniform on the
+    half-plane; TailBound).
 
     The partial-sum factor sup_k |sum_{n=M+1}^{M+k} x_n| is probed on the
     2^16 terms past M and completed by regime: when |S_k| oscillates and its
@@ -681,7 +674,8 @@ def truncation_for_tolerance(
     rule: CoefficientRule, epsilon: float, tol: float, weight=None
 ) -> tuple[int, TailBound]:
     """Smallest M on the ladder 1024 * 2^k, k < 40, with
-    tail_bound_monotone(rule, weight, M, epsilon).bound <= tol."""
+    tail_bound_monotone(rule, weight, M, epsilon).bound <= tol: a
+    truncation for real s > epsilon, not for the whole half-plane."""
     tol = _validate_real(tol, "tolerance", 0.0, strict=True)
     M = _LADDER_START
     for _ in range(_LADDER_RUNGS):

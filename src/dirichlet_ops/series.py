@@ -63,10 +63,9 @@ _ARRAY_MIN_TERMS = 96
 # bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
 # in blocks; a partial_sum chunk at 48 direct and 32 by Taylor blocks, 56
 # and 48 for a complex rule, at 2^16 to 2^22 terms; a described rule's
-# terms past the floor hold no per-term array, at most `chunk` anchors a
-# call), so at ~1.4 GB for 2^24;
-# N = 2^40 or 2^62 failed inside numpy (MemoryError, ValueError).
-# partial_sum streams its N terms one chunk or one call at a time, so N is
+# terms past the floor are one scalar Euler-Maclaurin sum, no array), so at
+# ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError,
+# ValueError).  partial_sum streams its N terms a chunk at a time, so N is
 # not capped.
 _MAX_TERMS = 1 << 24
 
@@ -396,6 +395,15 @@ def _power(x: np.ndarray, s: complex) -> np.ndarray:
     return z.real if s.imag == 0 else z
 
 
+def _expm1(z: complex) -> complex:
+    """exp(z) - 1 by libm scalars, its real part expm1(x) cos y -
+    2 sin(y / 2)^2, so it keeps its digits near z = 0 in every direction, and
+    a real z gives an imaginary part of 0.  OverflowError past exp's range."""
+    x, y = z.real, z.imag
+    h = math.sin(y / 2.0)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
+
+
 # below this many index pairs the per-pair loop beats the array kernel: the
 # measured crossover is 40-49 pairs on fresh polynomials with random indices
 # up to 512 or 40 (2-core x86-64, numpy 2.4.6; BENCH_twosum_buckets.json).
@@ -617,11 +625,11 @@ class CoefficientRule:
 
     `_description`, private, is (c, k) when a_n = c[n mod p] n^(-k) with
     p = len(c) dividing 64: partial_sum then sums the rule's terms past
-    the Taylor-block floor from constant moments, along geometric segments
-    of blocks that double in length, without calling `vectorized`.  Only
-    ones_rule, eta_rule and zeta_shift_rule set it.  It takes no part in
-    construction, comparison or repr, so a user's rule, whatever its tag,
-    and dataclasses.replace of a built-in carry None.
+    the Taylor-block floor as one Euler-Maclaurin sum over the residue
+    classes mod p, without calling `vectorized`.  Only ones_rule, eta_rule
+    and zeta_shift_rule set it.  It takes no part in construction,
+    comparison or repr, so a user's rule, whatever its tag, and
+    dataclasses.replace of a built-in carry None.
     """
 
     tag: str
@@ -671,7 +679,7 @@ def eta_rule() -> CoefficientRule:
     rule = CoefficientRule(
         tag="eta",
         vectorized=lambda ns: np.where((ns & 1) == 1, 1.0, -1.0),
-        known_abscissas={"sigma_c": 0.0, "sigma_u": 0.0, "sigma_a": 1.0},
+        known_abscissas={"sigma_c": 0.0, "sigma_u": 1.0, "sigma_a": 1.0},
     )
     return _described(rule, (-1.0, 1.0), 0)
 

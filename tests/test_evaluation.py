@@ -159,7 +159,7 @@ class TestPartialSumThreads:
 
     def test_concurrent_callers(self):
         # more callers than cores, with frequent thread switches, over direct
-        # terms and constant-moment segments
+        # terms and Euler-Maclaurin sums
         points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
         want = {s: partial_sum(eta_rule(), s, 5 * 4096 + 100, chunk=1024) for s in points}
         got, errors = {}, []
@@ -228,8 +228,8 @@ DESCRIBED = {"ones": ones_rule(), "eta": eta_rule(), **{f"zeta_shift({k})": zeta
 
 def power_sum(s, a, J):
     """sum_{0<=j<J} (a + j)^(-s), s != 1, by Euler-Maclaurin with 12
-    Bernoulli terms: for a >= 2^11 and |s| <= 64 the first omitted term is
-    below 10^-50 of the terms' size."""
+    Bernoulli terms: for a >= 2^10 and |s| <= 64 the first omitted term is
+    below 10^-40 of the terms' size."""
     b = a + J
     total = (mpmath.power(b, 1 - s) - mpmath.power(a, 1 - s)) / (1 - s) + (mpmath.power(a, -s) - mpmath.power(b, -s)) / 2
     # (-s)(-s - 1)...(-s - 2k + 2), the factor of the (2k - 1)-th derivative
@@ -242,9 +242,9 @@ def power_sum(s, a, J):
 
 
 def described_chunk(c, s, lo, hi):
-    """sum_{lo<=m<=hi} c[m mod p] m^(-s) at 50 digits, for lo >= 2^12: the
-    J indices m = r mod p from m0 on give p^-s power_sum(s, m0 / p, J).
-    (mpmath's Hurwitz zeta sieves up to its integer argument, which far out
+    """sum_{lo<=m<=hi} c[m mod p] m^(-s) at 50 digits, for lo >= 2^10 p:
+    the J indices m = r mod p from m0 on give p^-s power_sum(s, m0 / p, J).
+    (mpmath's Hurwitz zeta sieves up to an integer argument, which far out
     takes gigabytes.)"""
     p, total = len(c), mpmath.mpf(0)
     with mpmath.workdps(50):
@@ -253,26 +253,6 @@ def described_chunk(c, s, lo, hi):
             if m0 <= hi:
                 total += c[r] * mpmath.power(p, -s) * power_sum(s, mpmath.mpf(m0) / p, (hi - m0) // p + 1)
         return total
-
-
-@st.composite
-def geometric_cases(draw):
-    """(c, s, lo, n, b, K) for evaluation._periodic_sums: a built-in
-    description, b a power of two from 64 to 2^16, lo from the floor
-    _FLOOR (|s| + 16) b of that b up to 2^40, in either phase, n up to 4 b
-    or up to the 2^16 blocks a call may take, so the last block is padded
-    unless b divides n, and K drawn or the dispatch's own, the order at that
-    floor."""
-    c = draw(st.sampled_from([(1.0,), (-1.0, 1.0)]))
-    s = complex(draw(st.floats(-0.5, 2.5)), draw(st.one_of(st.just(0.0), st.floats(-60.0, 60.0))))
-    # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
-    assume(abs(s) > 1e-40 and s != 1)
-    b = 2 ** draw(st.integers(6, 16))
-    floor = math.ceil(evaluation._FLOOR * (abs(s) + 16) * b)
-    lo = draw(st.one_of(st.integers(floor, 4 * floor), st.integers(floor, 2**40)))
-    n = draw(st.one_of(st.integers(1, 4 * b), st.integers(1, 2**16 * b)))
-    K = draw(st.one_of(st.none(), st.integers(1, evaluation._MAX_ORDER)))
-    return c, s, lo, n, b, K
 
 
 def described_exact(c, s, N):
@@ -292,12 +272,58 @@ def described_exact(c, s, N):
         return head + described_chunk(c, s, M + 1, N) if N > M else head
 
 
+def floor_of(s):
+    """F = ceil(_FLOOR (|s| + 16) _BLOCK), where a described sum leaves its
+    direct chunks for _euler_maclaurin."""
+    return math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
+
+
+@st.composite
+def euler_maclaurin_cases(draw):
+    """(c, s, lo, hi) for evaluation._euler_maclaurin: a built-in
+    description or one of period 4 with a zero class, lo from the floor F
+    up to 2^40, and hi - lo from 0 (one term, and classes left empty) up to
+    2^40, so the range runs from a few terms, summed here term by term, to
+    sums that end far past their start."""
+    c = draw(st.sampled_from([(1.0,), (-1.0, 1.0), (0.5, -0.25, 1.5, 0.0)]))
+    s = complex(draw(st.floats(-3.0, 3.0)), draw(st.one_of(st.just(0.0), st.floats(-60.0, 60.0))))
+    # described_chunk divides by 1 - s; s = 1 has its own test
+    assume(s != 0 and s != 1)
+    lo = draw(st.one_of(st.integers(floor_of(s), 4 * floor_of(s)), st.integers(floor_of(s), 2**40)))
+    hi = lo + draw(st.one_of(st.integers(0, 64), st.integers(0, 10**6), st.integers(0, 2**40)))
+    return c, s, lo, hi
+
+
+def hurwitz_tail(c, s, N):
+    """sum_{n>N} c[n mod p] n^(-s) at 50 digits, for N >= 2^12 p: each class
+    r gives p^-s zeta(s, x_r), x_r = (its first n > N) / p, by the
+    Euler-Maclaurin series to infinity with 20 Bernoulli terms.  At s = 1,
+    where a class's tail diverges, it is sum_r c_r (-digamma(x_r)) / p, the
+    tail up to a constant that cancels when sum c = 0 (eta) and in the
+    difference of two tails."""
+    p = len(c)
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(N + 1 + (r - N - 1) % p) / p for r in range(p)]
+        if s == 1:
+            return sum(c[r] * -mpmath.digamma(xs[r]) for r in range(p)) / p
+        total = 0
+        for r in range(p):
+            x = xs[r]
+            tail = mpmath.power(x, 1 - s) / (s - 1) + mpmath.power(x, -s) / 2
+            rising = s
+            for k in range(1, 21):
+                tail += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * rising * mpmath.power(x, -s - 2 * k + 1)
+                rising *= (s + 2 * k - 1) * (s + 2 * k)
+            total += c[r] * mpmath.power(p, -s) * tail
+        return total
+
+
 class TestTaylorBlocks:
     """partial_sum's terms from the floor F on go through
     evaluation._block_sum, one exp per block of 64 terms, or for a described
-    rule through _periodic_sums, from constant moments at s' = s + k in
-    blocks that grow with their start; a chunk that straddles F splits
-    there, and the terms below F and s = 0 stay direct."""
+    rule through _euler_maclaurin, one sum over the residue classes at
+    s' = s + k from F to N; a chunk that straddles F splits there, and the
+    terms below F and s = 0 stay direct."""
 
     @given(block_cases())
     def test_block_sum_is_within_delta_of_the_exact_sum(self, case):
@@ -317,72 +343,102 @@ class TestTaylorBlocks:
             )
             assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
 
-    @given(geometric_cases())
-    def test_geometric_segment_is_within_delta_of_the_exact_sum(self, case):
-        c, s, lo, n, b, K = case
-        K = K or evaluation._length_order(s, b)
-        assert K > 0
-        got, delta = evaluation._periodic_sums(c, s, lo, n, K, b)
+    @given(euler_maclaurin_cases())
+    def test_euler_maclaurin_is_within_delta_of_the_exact_sum(self, case):
+        c, s, lo, hi = case
+        got, delta = evaluation._euler_maclaurin(c, s, lo, hi)
         assert math.isfinite(delta)
-        exact = described_chunk(c, mpmath.mpc(s.real, s.imag), lo, lo + n - 1)
+        ms = mpmath.mpc(s.real, s.imag)
+        if hi - lo < 64:
+            with mpmath.workdps(50):
+                exact = mpmath.fsum(c[n % len(c)] * mpmath.power(n, -ms) for n in range(lo, hi + 1))
+        else:
+            exact = described_chunk(c, ms, lo, hi)
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
+        if s.imag == 0:
+            assert got.imag == 0.0
+
+    @pytest.mark.parametrize("c, s, N", [
+        ((-1.0, 1.0), 0.5059108123501284 + 28.612983497126187j, 2**22),  # the benchmark's seed-1 point
+        ((-1.0, 1.0), 0.5 + 14j, 2**22),
+        ((-1.0, 1.0), 1 + 0j, 2**22),
+        ((1.0,), 2 + 0j, 2**27),  # Basel
+        ((1.0,), 1 + 0j, 2**22),  # harmonic
+        ((1.0,), 1 + 1e-9j, 2**22),
+        ((1.0,), -3 + 2j, 10**6),
+    ])
+    def test_euler_maclaurin_against_mpmath_zeta_and_altzeta(self, c, s, N):
+        # the kernel's sum from F to N is the series' value, mpmath's zeta or
+        # altzeta (their limits, log 2 and the harmonic numbers, at s = 1),
+        # less the terms below F and the tail past N (hurwitz_tail), within
+        # its delta
+        F = floor_of(s)
+        got, delta = evaluation._euler_maclaurin(c, s, F, N)
+        ms = mpmath.mpc(s.real, s.imag)
+        with mpmath.workdps(50):
+            if s == 1 and len(c) == 1:
+                exact = mpmath.harmonic(N) - mpmath.harmonic(F - 1)
+            else:
+                value = mpmath.log(2) if s == 1 else mpmath.zeta(ms) if len(c) == 1 else mpmath.altzeta(ms)
+                head = mpmath.fsum(c[n % len(c)] * mpmath.power(n, -ms) for n in range(1, F))
+                exact = value - head - hurwitz_tail(c, ms, N)
+        assert abs(mpmath.mpc(got.real, got.imag) - exact) <= delta
+        # delta is about u (|s| (4 log N + 1) + 4 log N + 100) of the terms'
+        # mass, sum_{F<=n<=N} n^(-sigma), which is hurwitz_tail's difference
+        sigma = mpmath.mpf(s.real)
+        mass = float(hurwitz_tail((1.0,), sigma, F - 1) - hurwitz_tail((1.0,), sigma, N))
+        assert delta <= 2.0**-53 * (abs(s) * (4 * math.log(N) + 1) + 4 * math.log(N) + 100) * mass
+        if s.imag == 0:
+            assert got.imag == 0.0
 
     @pytest.fixture
     def paths(self, monkeypatch):
         """(path, lo) for each sum the stream took, in stream order:
-        'blocks' (values in Taylor blocks), 'periodic' (a described rule's
-        constant moments, one entry a call) or 'direct'."""
+        'blocks' (values in Taylor blocks), 'em' (a described rule's
+        Euler-Maclaurin sum) or 'direct'."""
         taken = []
-        block, periodic, direct = evaluation._block_sum, evaluation._periodic_sums, evaluation._direct_sum
+        block, em, direct = evaluation._block_sum, evaluation._euler_maclaurin, evaluation._direct_sum
 
         def blocks(vals, s, lo, K, bound=True):
             taken.append(("blocks", lo))
             return block(vals, s, lo, K, bound)
 
-        def moments(c, s, lo, n, K, b, bound=True):
-            taken.append(("periodic", lo))
-            return periodic(c, s, lo, n, K, b, bound)
+        def classes(c, s, lo, hi, bound=True):
+            taken.append(("em", lo))
+            return em(c, s, lo, hi, bound)
 
         def terms(ns, vals, s):
             taken.append(("direct", int(ns[0])))
             return direct(ns, vals, s)
 
         monkeypatch.setattr(evaluation, "_block_sum", blocks)
-        monkeypatch.setattr(evaluation, "_periodic_sums", moments)
+        monkeypatch.setattr(evaluation, "_euler_maclaurin", classes)
         monkeypatch.setattr(evaluation, "_direct_sum", terms)
         yield taken
         taken.sort(key=lambda path: path[1])
 
     def test_first_chunk_and_s_zero_stay_direct(self, paths):
         # below the floor F = ceil(4 (|s| + 16) 64) = 4097 the first chunk is
-        # direct, and from F on the terms take segments of 64, 128 and 256
-        # terms a block: the first two end on the first whole block that
-        # reaches ceil(4 (|s| + 16) 2 b), and blocks of 512 would not fill
-        # their own segment before N, so the blocks of 256 run to N
+        # direct, and from F on the terms are one Euler-Maclaurin sum
         partial_sum(eta_rule(), 1e-3j, 2**16)
-        assert paths == [("direct", 1), ("periodic", 4097), ("periodic", 8193), ("periodic", 16513)]
+        assert paths == [("direct", 1), ("em", 4097)]
         # zeta_shift(2) at s = 0 is ones at s' = 2: its terms below F = 4608
-        # are its values' sum, and from F on they take constant moments in
-        # real arithmetic, within their delta of the values' sums (each value
+        # are its values' sum, and from F on one Euler-Maclaurin sum in real
+        # arithmetic, within its delta of the values' sums (each value
         # within 2u of n^-2, a pairwise sum within u (log2 n + 22) of its
         # mass on either side, and a rounded add of the sums, on either side,
         # for each sum added)
         rule, n, F = zeta_shift_rule(2), 2**16, 4608
         paths.clear()
-        calls = []
-        periodic = evaluation._periodic_sums
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "_periodic_sums", lambda *args, **kw: calls.append(args) or periodic(*args, **kw))
-            got = partial_sum(rule, 0, 3 * n)
-        assert paths == [("direct", 1)] + [("periodic", F * 2**i) for i in range(5)]
-        assert [args[5] for args in calls] == [64 * 2**i for i in range(5)]
+        got = partial_sum(rule, 0, 3 * n)
+        assert paths == [("direct", 1), ("em", F)]
         sums = len(paths)
         want, bound = 0j, 0.0
         for lo in range(1, 3 * n, n):
             vals = rule.values(np.arange(lo, lo + n))
             want += complex(vals.sum())
             bound += 2.0**-53 * (math.log2(n) + 24) * math.fsum(vals.tolist())
-        bound += sum(evaluation._periodic_sums(*args)[1] for args in calls)
+        bound += evaluation._euler_maclaurin((1.0,), 2.0 + 0j, F, 3 * n)[1]
         bound += (sums + 3) * 2.0**-53 * abs(want)
         assert got.imag == 0.0
         assert abs(got - want) <= bound
@@ -391,7 +447,7 @@ class TestTaylorBlocks:
         assert partial_sum(ones_rule(), 0, 3 * n) == 3 * n
         assert paths == [("direct", 1), ("direct", n + 1), ("direct", 2 * n + 1)]
 
-    @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
+    @pytest.mark.parametrize("rule, path", [(eta_rule(), "em"), (moebius_rule(), "blocks")])
     def test_blocks_start_at_the_floor(self, paths, rule, path):
         # |48i| + 16 = 64, so the floor is 4 * 64 * 64; the chunk from
         # floor - 1 straddles it (a described rule's last direct chunk is the
@@ -410,92 +466,26 @@ class TestTaylorBlocks:
         partial_sum(eta_rule(), s, 2564095 + 64, chunk=2564095)
         partial_sum(eta_rule(), s, 2564096 + 64, chunk=2564096)
         paths.sort(key=lambda path: path[1])
-        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("periodic", 2564097),
-                         ("periodic", 2564097)]
-
-    @staticmethod
-    def segment_calls(monkeypatch):
-        """(lo, n, b) of each _periodic_sums call, in stream order."""
-        calls = []
-        periodic = evaluation._periodic_sums
-
-        def moments(c, s, lo, n, K, b, bound=True):
-            calls.append((lo, n, b))
-            return periodic(c, s, lo, n, K, b, bound)
-
-        monkeypatch.setattr(evaluation, "_periodic_sums", moments)
-        return calls
-
-    def test_geometric_blocks_bound_the_anchors(self, monkeypatch):
-        # eta at the benchmark's point (seed 1, rounded) over 2^22 terms:
-        # eight segments of b = 64 .. 2^13 tile [F, N], each one call, each
-        # from the first whole block at or past ceil(a b), a = 4 (|s| + 16),
-        # and all but the last of whole blocks; blocks of 2^14 would not
-        # fill their segment before N.  A segment but the last spans at most
-        # a + 1 anchors and the last at most 3 a + 1, so the anchors number
-        # at most (a + 1) (log2(N / F) + 3), where 64-term blocks took ~65,000
-        s, N, chunk = 0.51 + 28.6j, 2**22, 2**16
-        a = evaluation._FLOOR * (abs(s) + 16)
-        F = math.ceil(a * evaluation._BLOCK)
-        calls = self.segment_calls(monkeypatch)
-        got = partial_sum(eta_rule(), s, N, chunk=chunk)
-        assert [lo for lo, _, _ in calls] == [F] + [lo + n for lo, n, _ in calls[:-1]]
-        assert calls[-1][0] + calls[-1][1] == N + 1
-        assert [b for _, _, b in calls] == [64 * 2**i for i in range(8)]
-        assert all(math.ceil(a * b) <= lo < math.ceil(a * b) + b for lo, _, b in calls)
-        assert all(n % b == 0 for _, n, b in calls[:-1]) and 4 * a * calls[-1][2] > N
-        anchors = sum(-(-n // b) for _, n, b in calls)
-        assert anchors <= (a + 1) * (math.log2(N / F) + 3)
-        monkeypatch.undo()
-        exact = described_exact((-1.0, 1.0), mpmath.mpc(s.real, s.imag), N)
-        mass = math.fsum((np.arange(1, N + 1, dtype=np.float64) ** -s.real).tolist())
-        assert abs(mpmath.mpc(got.real, got.imag) - exact) <= 1e-15 * mass
-
-    def test_basel_segments_stay_within_the_chunk(self, monkeypatch, paths):
-        # Basel over 2^24 terms at chunk = 2^10: the terms below F = 4608 go
-        # in five direct chunks, the last ending at F - 1; past F the blocks
-        # double from 64 to 2^10 = chunk and no further, and the last segment
-        # runs to N in calls of at most chunk anchors.  It is within the
-        # calls' deltas, the direct chunks' rounding (as above) and a rounded
-        # add for each sum of the stream of its 40-digit value
-        N, chunk, F = 2**24, 2**10, 4608
-        calls = self.segment_calls(monkeypatch)
-        got = partial_sum(zeta_shift_rule(2), 0, N, chunk=chunk)
-        assert [lo for path, lo in paths if path == "direct"] == [1, 1025, 2049, 3073, 4097]
-        assert [lo for path, lo in paths if path == "periodic"] == [lo for lo, _, _ in calls]
-        assert [lo for lo, _, _ in calls] == [F] + [lo + n for lo, n, _ in calls[:-1]]
-        assert calls[-1][0] + calls[-1][1] == N + 1
-        assert sorted({b for _, _, b in calls}) == [64 * 2**i for i in range(5)]
-        assert all(b <= chunk and -(-n // b) <= chunk for _, n, b in calls)
-        last = next(lo for lo, _, b in calls if b == chunk)
-        assert sum(b == chunk for _, _, b in calls) == -(-(N + 1 - last) // chunk**2) == 16
-        assert got.imag == 0.0
-        sums = len(paths)
-        monkeypatch.undo()
-        bound = sum(evaluation._periodic_sums((1.0,), 2.0, lo, n, evaluation._length_order(2.0, b), b)[1]
-                    for lo, n, b in calls)
-        bound += 2.0**-53 * ((math.log2(chunk) + 24) * math.fsum(n**-2.0 for n in range(1, F)) + sums * got.real)
-        with mpmath.workdps(40):
-            exact = mpmath.zeta(2) - mpmath.zeta(2, N + 1)
-        assert abs(got.real - exact) <= bound
+        assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("em", 2564097), ("em", 2564097)]
 
     @pytest.mark.parametrize("rule, path", [
-        (ones_rule(), "periodic"), (CoefficientRule("ones", lambda ns: np.ones(ns.shape)), "blocks")])
+        (ones_rule(), "em"), (CoefficientRule("ones", lambda ns: np.ones(ns.shape)), "blocks")])
     @pytest.mark.parametrize("s", [complex(-60, 1), complex(-2000, 1)])
     def test_overflowing_blocks_are_a_domain_error(self, paths, s, rule, path):
-        # the stream ends in block sums past both floors (19459 and
-        # 516097); at -60 + i they overflow, at -2000 + i every term does
+        # the stream ends in a sum past both floors (19459 and 516097): at
+        # -60 + i the sum overflows (libm's exp raises OverflowError in the
+        # Euler-Maclaurin sum), at -2000 + i every term does
         with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
             partial_sum(rule, s, 2**19 + 2**16)
         assert paths[-1][0] == path
 
     @pytest.mark.parametrize("chunk", [4096, 4097])
-    @pytest.mark.parametrize("rule, path", [(eta_rule(), "periodic"), (moebius_rule(), "blocks")])
-    def test_chunk_fixes_the_bits(self, paths, monkeypatch, rule, path, chunk):
+    @pytest.mark.parametrize("rule, path", [(eta_rule(), "em"), (moebius_rule(), "blocks")])
+    def test_chunk_fixes_the_bits(self, paths, rule, path, chunk):
         # every sum of the stream is fixed by the rule, s, N and chunk: the
         # sums added in stream order give partial_sum's bits, again on a
-        # second call, and a constant-moment call made alone gives its bits
-        # in the stream
+        # second call; a described rule's Euler-Maclaurin sum, made alone,
+        # gives its bits in the stream, whatever the chunk
         s, N = 0.5 + 14j, 20 * chunk + 100
         got = partial_sum(rule, s, N, chunk=chunk)
         assert partial_sum(rule, s, N, chunk=chunk) == got
@@ -507,21 +497,16 @@ class TestTaylorBlocks:
         assert got == want
         # the floor is 7683, so the second chunk is direct up to 7682
         assert ("direct", chunk + 1) in paths and (path, 7683) in paths
-        if path == "periodic":
-            calls = []
-            periodic = evaluation._periodic_sums
-            monkeypatch.setattr(evaluation, "_periodic_sums",
-                                lambda *args, **kw: calls.append(args) or periodic(*args, **kw))
-            parts = list(evaluation._chunk_sums(rule, s, N, chunk))
-            assert parts[-len(calls):] == [periodic(*args, bound=False)[0] for args in calls]
+        if path == "em":
+            assert parts[-1] == evaluation._euler_maclaurin((-1.0, 1.0), s, 7683, N, bound=False)[0]
 
-    def test_only_built_in_descriptions_take_constant_moments(self, paths):
+    def test_only_built_in_descriptions_take_euler_maclaurin(self, paths):
         # a user's rule tagged "eta", and a replaced built-in, carry no
         # description: their terms past the floor F take the values' blocks
         s = 0.5 + 14j
-        F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
+        F = floor_of(s)
         want = partial_sum(eta_rule(), s, 3 * 2**16)
-        assert paths == [("direct", 1)] + [("periodic", lo) for lo in (F, 15427, 30787, 61507)]
+        assert paths == [("direct", 1), ("em", F)]
         paths.clear()
         for rule in (CoefficientRule("eta", eta_rule().vectorized),
                      dataclasses.replace(eta_rule(), vectorized=eta_rule().vectorized)):
@@ -537,26 +522,23 @@ class TestTaylorBlocks:
            chunk=st.sampled_from([4095, 4097, 5003, 8191, 12289, 2**16]), extra=st.integers(1, 3 * 4097))
     def test_described_partial_sum_against_mpmath(self, name, re, im, chunk, extra):
         """partial_sum of a described rule against its 40-digit sum, within
-        each constant-moment call's delta (plus u |s + k| log hi of its
-        mass, the rounding of s' = s + k) and the direct terms' rounding,
+        the Euler-Maclaurin sum's delta (plus u |s + k| log N of its mass,
+        the rounding of s' = s + k) and the direct terms' rounding,
         u (|s| (10 log N + 1) + 64) of their mass, and u of the total mass
         for each sum the stream adds.  The direct chunks tile 1..F-1 and the
-        calls F..N; odd chunks end in a partial block; at real s the sum is
-        real.  With 2^16-term chunks N is past 4 (|s + k| + 16) 8192, so
-        the blocks reach 4096 terms."""
+        one Euler-Maclaurin sum F..N; at real s the sum is real."""
         rule = DESCRIBED[name]
         c, k = rule._description
         s = complex(re, im)
         sk = s + k
         # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
         assume(abs(sk) > 1e-40 and sk != 1)
-        F = math.ceil(evaluation._FLOOR * (abs(sk) + 16) * evaluation._BLOCK)
-        reach = F if chunk < 2**16 else evaluation._FLOOR * (abs(sk) + 16) * 8192
-        N = (int(reach) // chunk + 2) * chunk + extra
+        F = floor_of(sk)
+        N = (F // chunk + 2) * chunk + extra
         direct, calls = [], []
-        periodic, direct_sum = evaluation._periodic_sums, evaluation._direct_sum
+        em, direct_sum = evaluation._euler_maclaurin, evaluation._direct_sum
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "_periodic_sums", lambda *args, **kw: calls.append(args) or periodic(*args, **kw))
+            mp.setattr(evaluation, "_euler_maclaurin", lambda *args, **kw: calls.append(args) or em(*args, **kw))
             mp.setattr(evaluation, "_direct_sum", lambda ns, *rest: direct.append((int(ns[0]), int(ns[-1])))
                        or direct_sum(ns, *rest))
             got = partial_sum(rule, s, N, chunk=chunk)
@@ -567,20 +549,16 @@ class TestTaylorBlocks:
 
         assert [lo for lo, _ in direct] == list(range(1, F, chunk))
         assert direct[-1][1] == F - 1
-        assert [args[2] for args in calls] == [F] + [args[2] + args[3] for args in calls[:-1]]
-        assert calls[-1][2] + calls[-1][3] == N + 1
+        assert [args[2:] for args in calls] == [(F, N)]
         for lo, hi in direct:
             part = mass(lo, hi)
             bound += u * (abs(s) * (10 * math.log(N) + 1) + 64) * part
             total_mass += part
         for args in calls:
-            lo, n = args[2], args[3]
-            part = mass(lo, lo + n - 1)
+            part = mass(F, N)
             total_mass += part
-            bound += periodic(*args)[1] + u * abs(sk) * math.log(lo + n - 1) * part
+            bound += em(*args)[1] + u * abs(sk) * math.log(N) * part
         bound += u * total_mass * (len(direct) + len(calls) + 1)
-        if chunk == 2**16:
-            assert max(args[5] for args in calls) >= 4096
         exact = described_exact(c, mpmath.mpc(sk.real, sk.imag), N)
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= bound
         if im == 0.0:
@@ -588,8 +566,8 @@ class TestTaylorBlocks:
 
     @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
     def test_bits_do_not_follow_numpy_simd(self, disabled):
-        """A direct-and-blocks partial sum and one block chunk of a complex
-        rule keep their bits with numpy's AVX-512 loops off, and with its
+        """A direct-and-Euler-Maclaurin partial sum and one block chunk of a
+        complex rule keep their bits with numpy's AVX-512 loops off, and with its
         AVX2 loops off too (a subprocess; numpy ignores the names of
         features this CPU lacks, and there the test passes trivially)."""
         src = os.path.dirname(os.path.dirname(evaluation.__file__))

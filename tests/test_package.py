@@ -190,7 +190,7 @@ def _tag_reads(tree):
 
 
 def test_no_path_keys_on_a_rule_tag():
-    # partial_sum's constant moments follow a rule's private description,
+    # partial_sum's Euler-Maclaurin sums follow a rule's private description,
     # which only the built-in constructors set, never its tag: a user's rule
     # tagged "eta" must take the generic path
     reads = []

@@ -291,6 +291,20 @@ class TestRules:
         assert ones_rule().known_abscissas is not None
         assert zeta_shift_rule(2).known_abscissas is not None
 
+    @pytest.mark.parametrize("rule", [ones_rule(), eta_rule(), moebius_rule(), *map(zeta_shift_rule, range(4))],
+                             ids=lambda rule: rule.tag)
+    def test_known_abscissas_keep_bohrs_inequalities(self, rule):
+        # sigma_c <= sigma_u <= sigma_a and, by Bohr's theorem with the
+        # Bohnenblust-Hille constant, sigma_a - 1/2 <= sigma_u.  eta's
+        # sigma_u is 1: eta is unbounded on every half-plane Re s > sigma
+        # with sigma < 1, since zeta is unbounded on such lines past 1/2
+        known = rule.known_abscissas
+        assert known["sigma_c"] <= known["sigma_a"] if "sigma_c" in known else "sigma_a" in known
+        if "sigma_u" in known:
+            assert known["sigma_a"] - 0.5 <= known["sigma_u"] <= known["sigma_a"]
+            assert known.get("sigma_c", -math.inf) <= known["sigma_u"]
+        assert eta_rule().known_abscissas["sigma_u"] == 1.0
+
     @given(rule=st.sampled_from([ones_rule(), eta_rule(), *map(zeta_shift_rule, range(4))]),
            half=st.integers(0, 2**39 - 1), parity=st.integers(0, 1), length=st.integers(1, 300))
     def test_description_matches_values(self, rule, half, parity, length):
