@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .evaluation import _MAX_GRID_POINTS, _grid_sup
-from .series import _MAX_TERMS, CoefficientRule, _exp, _log, _slope, _validate_index, _validate_real
+from .series import _MAX_TERMS, CoefficientRule, _exp, _log, _slope, _validate_index, _validate_real, np
 
 __all__ = [
     "Estimate",

@@ -18,12 +18,10 @@ import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 from .operators import _POWU_MAX, Multiplier, _power, _product, apply
 from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _exp, _expm1, _fsum, _log, _slope, _validate_index,
-                     _validate_real)
+                     _validate_real, np)
 
 __all__ = [
     "power_apply",

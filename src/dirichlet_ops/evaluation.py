@@ -14,11 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _validate_real
-from .series import _MAX_TERMS, _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index
+from .series import _MAX_TERMS, _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index, np
 
 __all__ = [
     "evaluate",

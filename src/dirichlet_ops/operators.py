@@ -21,10 +21,8 @@ from cmath import isfinite
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _log, _normal, _slope, _validate_index
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _log, _normal, _slope, _validate_index, np
 
 __all__ = [
     "Multiplier",

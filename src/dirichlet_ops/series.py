@@ -23,8 +23,6 @@ from math import fsum
 from types import MappingProxyType
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -44,6 +42,35 @@ __all__ = [
     "moebius_rule",
     "table_rule",
 ]
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read.  Every module of the
+    package takes `np` from here, and that first read rebinds `np` to numpy
+    itself in each of them, so no later array call reads through this
+    object.  A call that builds no array (differentiating a few terms,
+    classifying a point) never imports numpy, and a cold `dseries` run of it
+    skips numpy's import."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        prefix = __package__ + "."
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith(prefix) and getattr(module, "np", None) is self:
+                module.np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
+
+
+def _is_numpy(x, kind: str) -> bool:
+    """Whether x is an instance of numpy's type named kind.  Only a numpy
+    already imported is asked: no numpy scalar or array exists before numpy
+    does, so the answer is False without importing it."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(x, getattr(numpy, kind))
 
 
 # indices are stored and multiplied as int64
@@ -72,7 +99,7 @@ _MAX_TERMS = 1 << 24
 
 def _validate_index(n, what: str = "series index", least: int = 1, most: int = _INDEX_MAX) -> int:
     """n as an int in [least, most]; DomainError naming `what` otherwise."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not (isinstance(n, int) or _is_numpy(n, "integer")):
         raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
     if n < least:
         raise DomainError(f"{what} must be >= {least}, got {n}")
@@ -82,16 +109,16 @@ def _validate_index(n, what: str = "series index", least: int = 1, most: int = _
     return int(n)
 
 
-# concrete types, as in _validate_index: isinstance against numbers.Real is ~5x slower
-_REALS = (float, int, np.floating, np.integer)
-_COMPLEXES = (complex, *_REALS, np.complexfloating)
 _FLOAT_MAX = sys.float_info.max
 
 
 def _validate_real(x, what: str, least: float | None = None, strict: bool = False) -> float:
     """x as a finite float, > least (strict) or >= least when least is given;
     DomainError naming `what` otherwise.  A bool or a string is not a real."""
-    real = isinstance(x, _REALS) and not isinstance(x, bool)
+    # concrete types, as in _validate_index: isinstance against numbers.Real is ~5x slower
+    real = not isinstance(x, bool) and (
+        isinstance(x, (float, int)) or _is_numpy(x, "floating") or _is_numpy(x, "integer")
+    )
     v = float(x) if real and (not isinstance(x, int) or abs(x) <= _FLOAT_MAX) else math.nan
     if math.isfinite(v) and (least is None or v > least or (v == least and not strict)):
         return v
@@ -102,7 +129,7 @@ def _validate_real(x, what: str, least: float | None = None, strict: bool = Fals
 
 def _validate_complex(z, what: str) -> complex:
     """z as a finite complex; DomainError naming `what` otherwise."""
-    if isinstance(z, _COMPLEXES) and not isinstance(z, bool):
+    if (isinstance(z, (complex, float, int)) or _is_numpy(z, "number")) and not isinstance(z, bool):
         c = complex(z) if not isinstance(z, int) or abs(z) <= _FLOAT_MAX else complex(math.inf)
         if isfinite(c):
             return c
@@ -298,7 +325,7 @@ def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPoly
     new one by default."""
     if f is None:
         f = object.__new__(DirichletPolynomial)
-    if isinstance(keys, np.ndarray):
+    if _is_numpy(keys, "ndarray"):
         values = values + 0j
         _check_finite(keys, values)
         keep = values != 0
@@ -708,36 +735,47 @@ def zeta_shift_rule(k: int) -> CoefficientRule:
     return _described(rule, (1.0,), k)
 
 
-# (cofactor, divisor) pairs one trial-division pass may test at once
+# (cofactor, divisor) pairs one trial-division pass may test at once, and the
+# divisors the first pass tests; the blocks double from _TRIAL_FIRST divisors
+# up to _TRIAL_BLOCK // (indices still live)
 _TRIAL_BLOCK = 1 << 16
+_TRIAL_FIRST = 64
 
 
 def _moebius_trial(ns: np.ndarray) -> np.ndarray:
     """mu(n) by trial division, vectorized over the 1-d indices ns.
 
-    Each pass tests a block of consecutive divisors d against the cofactors
-    still >= d^2, up to the square root of the largest of them; within a
-    block the smallest divisor hit is always prime, since smaller primes
-    were already divided out.  Memory stays O(len(ns) + _TRIAL_BLOCK), with
-    no sieve up to sqrt(max n)."""
-    cof = ns.copy()
-    sign = np.ones(cof.shape, dtype=np.int64)
-    d = 2
-    live = np.flatnonzero(cof >= 4)
+    The factor 2 comes off first.  Then each pass tests a block of
+    consecutive odd divisors d against the cofactors still >= d^2, up to
+    the square root of the largest of them; within a block the smallest
+    divisor hit is always prime, since smaller primes were already divided
+    out.  The blocks double from _TRIAL_FIRST divisors, so an index with a
+    small factor settles in the first.  Memory stays
+    O(len(ns) + _TRIAL_BLOCK), with no sieve up to sqrt(max n)."""
+    even = ns % 2 == 0
+    sign = np.where(even, -1, 1)
+    cof = np.where(even, ns // 2, ns)
+    square = even & (cof % 2 == 0)
+    sign[square], cof[square] = 0, 1
+    d, block = 3, _TRIAL_FIRST
+    live = np.flatnonzero(cof >= d * d)
     while live.size:
-        top = min(d + max(1, _TRIAL_BLOCK // live.size), math.isqrt(int(cof[live].max())) + 1)
-        ds = np.arange(d, top, dtype=np.int64)
+        top = min(d + 2 * min(block, max(1, _TRIAL_BLOCK // live.size)), math.isqrt(int(cof[live].max())) + 1)
+        block *= 2
+        ds = np.arange(d, top, 2, dtype=np.int64)
         rows = live
-        while rows.size:
+        while True:
             hits = cof[rows, None] % ds == 0
             found = hits.any(axis=1)
             rows = rows[found]
+            if not rows.size:
+                break
             p = ds[hits[found].argmax(axis=1)]
             q = cof[rows] // p
             square = q % p == 0
             sign[rows] = np.where(square, 0, -sign[rows])
             cof[rows] = np.where(square, 1, q)
-        d += ds.size
+        d += 2 * ds.size
         live = live[cof[live] >= d * d]
     # a cofactor left above 1 has no divisor up to its square root: a prime
     sign[cof > 1] *= -1
@@ -789,11 +827,13 @@ def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
 # a run lo..hi goes through _moebius_sieve while isqrt(hi) is at most
 # _SIEVE_MAX_ROOT (a prime table of 4 MB and ~295,000 primes) and, from
 # isqrt(hi) = _SIEVE_SHORT_ROOT on, holds _SIEVE_MIN_RUN indices: the table
-# costs ~1 ms at hi = 2^36 and ~20 ms at 2^44, trial division 0.1-1.4 ms
-# an index there, and the two break even at 2-4 indices near 2^36, 6-8 near
-# 2^40 and 8-12 near 2^44, before and after trial division's block was
-# capped at the live root (2-core x86-64, numpy 2.4.6;
-# BENCH_described_segments.json); nearer the origin the sieve always wins
+# costs ~1 ms at hi = 2^36 and ~20 ms at 2^44, and these constants were set
+# where trial division, at 0.1-1.4 ms an index there, broke even with it: at
+# 2-4 indices near 2^36, 6-8 near 2^40 and 8-12 near 2^44 (2-core x86-64,
+# numpy 2.4.6; BENCH_described_segments.json); nearer the origin the sieve
+# always won.  Trial division on odd divisors in doubling blocks breaks even
+# at 12-16 indices near each (BENCH_cli_cold_start.json); the constants are
+# kept, as both paths are exact and no benchmark workload has such a run
 _SIEVE_MAX_ROOT = 1 << 22
 _SIEVE_SHORT_ROOT = 1 << 18
 _SIEVE_MIN_RUN = 8

@@ -18,12 +18,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, SpectralError
 from .operators import Multiplier, _reciprocal, apply
 from .series import DirichletPolynomial, monomial
-from .series import _MAX_TERMS, _log, _validate_complex, _validate_index, _validate_real
+from .series import _MAX_TERMS, _log, _validate_complex, _validate_index, _validate_real, np
 
 __all__ = [
     "FULL",

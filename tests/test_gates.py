@@ -1,8 +1,12 @@
 """The two argument gates, series._validate_real and series._validate_complex,
 and every public real or complex parameter that goes through them."""
 
+import cmath
 import math
 import re
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +39,82 @@ from dirichlet_ops import (
     truncation_for_tolerance,
     zeta_shift_rule,
 )
-from dirichlet_ops.series import _ARRAY_MIN_TERMS, _MAX_TERMS, _validate_complex, _validate_real
+from dirichlet_ops.series import _ARRAY_MIN_TERMS, _MAX_TERMS, _validate_complex, _validate_index, _validate_real
+
+
+# The gates as they were when the package imported numpy eagerly: concrete
+# type tuples that named numpy's abstract scalar types.  The gates now ask
+# numpy only once it is imported; they must accept and reject exactly as
+# these do, with the same messages.
+_ORACLE_INDEX_MAX = 2**63 - 1
+_ORACLE_REALS = (float, int, np.floating, np.integer)
+_ORACLE_COMPLEXES = (complex, *_ORACLE_REALS, np.complexfloating)
+
+
+def _oracle_index(n, what="series index", least=1, most=_ORACLE_INDEX_MAX):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+    if n < least:
+        raise DomainError(f"{what} must be >= {least}, got {n}")
+    if n > most:
+        bound = "2^63 - 1" if most == _ORACLE_INDEX_MAX else most
+        raise DomainError(f"{what} must be <= {bound}, got {n}")
+    return int(n)
+
+
+def _oracle_real(x, what, least=None, strict=False):
+    real = isinstance(x, _ORACLE_REALS) and not isinstance(x, bool)
+    v = float(x) if real and (not isinstance(x, int) or abs(x) <= sys.float_info.max) else math.nan
+    if math.isfinite(v) and (least is None or v > least or (v == least and not strict)):
+        return v
+    bound = "" if least is None else f" {'>' if strict else '>='} {least:g}"
+    kind = "finite" if real and not bound else "a finite real" + bound
+    raise DomainError(f"{what} must be {kind}, got {x!r}")
+
+
+def _oracle_complex(z, what):
+    if isinstance(z, _ORACLE_COMPLEXES) and not isinstance(z, bool):
+        c = complex(z) if not isinstance(z, int) or abs(z) <= sys.float_info.max else complex(math.inf)
+        if cmath.isfinite(c):
+            return c
+        raise DomainError(f"{what} must be finite, got {c}")
+    raise DomainError(f"{what} must be a finite complex number, got {z!r}")
+
+
+def _outcome(gate, *args):
+    """What a gate does with its arguments: the value and its type, or the
+    error's type and message."""
+    try:
+        v = gate(*args)
+    except Exception as e:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(e), str(e)
+    return type(v), repr(v)
+
+
+_GATE_VALUES = [
+    0, 1, -3, 7, 2**63 - 1, 2**63, 10**400, 0.0, -0.0, 0.5, -2.5, 1e308, math.nan, math.inf, -math.inf,
+    1 + 2j, -0.5j, complex(math.nan, 0), complex(1, math.inf), True, False, None, "3", b"3", [2], (2,),
+    np.int64(2), np.int64(0), np.int64(-4), np.int8(-3), np.uint8(200), np.uint64(2**64 - 1),
+    np.float16(3), np.float32(1.5), np.float32(math.nan), np.float64(2.0), np.float64(-math.inf),
+    np.complex64(1j), np.complex64(2 + 1j), np.complex128(complex(math.inf, 0)), np.longdouble(0.25),
+    np.bool_(True), np.bool_(False), np.str_("2"), np.array(2), np.array([2.0]),
+    Fraction(1, 3), Fraction(4, 1), Decimal("0.5"), Decimal("2"), Decimal("nan"),
+]
+_GATE_CALLS = [
+    (_validate_index, _oracle_index, ()),
+    (_validate_index, _oracle_index, ("k", 0)),
+    (_validate_index, _oracle_index, ("N", 1, 100)),
+    (_validate_real, _oracle_real, ("x",)),
+    (_validate_real, _oracle_real, ("x", 0.0)),
+    (_validate_real, _oracle_real, ("x", 0.0, True)),
+    (_validate_complex, _oracle_complex, ("z",)),
+]
+
+
+@pytest.mark.parametrize("gate, oracle, args", _GATE_CALLS)
+@pytest.mark.parametrize("value", _GATE_VALUES, ids=repr)
+def test_gates_keep_the_type_tuples_verdicts(gate, oracle, args, value):
+    assert _outcome(gate, value, *args) == _outcome(oracle, value, *args)
 
 
 class TestValidateReal:

@@ -6,11 +6,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import dirichlet_ops
 
 SUBMODULES = [
     "abscissa", "dynamics", "errors", "evaluation", "operators", "series", "spectral", "volterra"
 ]
+# the modules that call numpy, each through the np that series holds
+NUMPY_MODULES = ["abscissa", "dynamics", "evaluation", "operators", "series", "spectral"]
 
 
 def test_exports_are_the_submodules_exports():
@@ -40,6 +44,152 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["False", "1", "False", "1"]
+
+
+# small inputs for the subcommands that build no array, and for the five
+# that do
+_P = '{"kind":"poly","terms":[{"n":2,"re":1.5,"im":-0.5},{"n":6,"re":0.25},{"n":35,"re":-2,"im":1}]}'
+_Q = '{"kind":"poly","terms":[{"n":1,"re":1},{"n":3,"re":0.5,"im":2}]}'
+NUMPY_FREE_SUBCOMMANDS = {
+    "diff": ["--series", _P],
+    "integrate": ["--series", _P],
+    "mul": ["--f", _P, "--g", _Q],
+    "resolvent": ["--series", _Q, "--lambda=0.3,1.5", "--space", "full"],
+    "classify": ["--lambda=0.3,1.5", "--space", "full"],
+    "reciprocal": ["--mu=0.4,-1.2"],
+    "volterra": ["--g", _P, "--f", _Q],
+}
+ARRAY_SUBCOMMANDS = {
+    "eval": ["--series", _P, "--s=1.2,3.4"],
+    "seminorm": ["--series", _P, "--epsilon", "0.3"],
+    "abscissa": ["--series", '{"kind":"rule","name":"eta"}', "--n", "200", "--probe-eps", "0.5"],
+    "bv-check": ["--lambda=0.3,1.5", "--delta", "0.5", "--n", "1000"],
+    "dynamics": ["--op", "d", "--series", _P, "--epsilon", "0.3"],
+}
+
+
+def _imports_numpy(*args):
+    """Whether `python *args` imports numpy, read off -X importtime; the
+    run must succeed."""
+    src = str(Path(dirichlet_ops.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr[-500:]
+    return any(line.startswith("import time:") and line.split("|")[-1].strip() == "numpy"
+               for line in out.stderr.splitlines())
+
+
+def test_import_and_help_leave_numpy_out():
+    # numpy is imported at the first array call, so neither the import nor
+    # `dseries --help` pays for it
+    assert not _imports_numpy("-c", "import dirichlet_ops")
+    assert not _imports_numpy("-m", "dirichlet_ops", "--help")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("sub", sorted(NUMPY_FREE_SUBCOMMANDS))
+def test_subcommands_without_arrays_leave_numpy_out(sub, fmt):
+    assert not _imports_numpy("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+
+
+@pytest.mark.parametrize("sub", sorted(ARRAY_SUBCOMMANDS))
+def test_array_subcommands_load_numpy(sub):
+    # the probe sees numpy when it is imported: without this the test above
+    # would pass on a probe that never finds it
+    assert _imports_numpy("-m", "dirichlet_ops", sub, *ARRAY_SUBCOMMANDS[sub])
+
+
+def test_numpy_imported_after_the_package():
+    # numpy values made after the package's import pass its gates, and the
+    # first array call leaves every module of the package holding numpy
+    # itself, not the accessor
+    probe = (
+        "import sys, dirichlet_ops\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import numpy as np\n"
+        "f = dirichlet_ops.DirichletPolynomial({np.int64(2): np.float32(1.5)})\n"
+        "assert f.coeffs == {2: 1.5}\n"
+        "v = dirichlet_ops.evaluate(f, np.complex64(2 + 1j))\n"
+        "assert v == dirichlet_ops.evaluate(f, 2 + 1j)\n"
+        "dirichlet_ops.truncate(dirichlet_ops.eta_rule(), 200)\n"
+        "mods = [m for name, m in sys.modules.items() if name.startswith('dirichlet_ops.')]\n"
+        "print(sorted(m.__name__ for m in mods if hasattr(m, 'np') and m.np is not np))\n"
+        "print(sorted(m.__name__ for m in mods if getattr(m, 'np', None) is np))\n"
+    )
+    src = str(Path(dirichlet_ops.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    stale, rebound = out.stdout.splitlines()
+    assert stale == "[]"
+    assert rebound == str([f"dirichlet_ops.{name}" for name in NUMPY_MODULES])
+
+
+def _import_time_numpy(tree):
+    """Lines of a module's import-time code that import numpy or read an
+    attribute of np: its top level and class bodies, and the defaults and
+    decorators of its functions, but no function or lambda body, nor, under
+    `from __future__ import annotations`, an annotation."""
+    lazy_annotations = any(
+        isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+        for node in tree.body
+    )
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            stack += args.defaults + [d for d in args.kw_defaults if d is not None]
+            stack += getattr(node, "decorator_list", [])
+            if not lazy_annotations and not isinstance(node, ast.Lambda):
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                stack += [a.annotation for a in every if a is not None and a.annotation is not None]
+                stack += [node.returns] if node.returns is not None else []
+            continue
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np":
+            yield node.lineno
+        for name, value in ast.iter_fields(node):
+            if lazy_annotations and name in ("annotation", "returns"):
+                continue
+            stack += [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, ast.AST)]
+
+
+def test_no_numpy_at_import_time():
+    # an import-time read of np, or a module-level numpy import, would bring
+    # numpy back into every dseries run; series holds the one accessor
+    found = []
+    for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line}" for line in _import_time_numpy(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_numpy_guard_sees_each_import_time_read():
+    flagged = (
+        "import numpy as np\n",
+        "import numpy.linalg\n",
+        "from numpy import ndarray\n",
+        "_REALS = (float, int, np.floating, np.integer)\n",
+        "class A:\n    kind = np.float64\n",
+        "def f(x=np.zeros(3)):\n    pass\n",
+        "@np.vectorize\ndef f(x):\n    return x\n",
+        "x: np.ndarray = None\n",
+        "def f(x: np.ndarray):\n    pass\n",
+        "TYPES = [getattr(np, k) for k in ('integer', 'floating')] if True else np.generic\n",
+    )
+    for source in flagged:
+        assert list(_import_time_numpy(ast.parse(source))) != [], source
+    quiet = (
+        "def f(n):\n    import numpy\n    return np.zeros(n)\n",
+        "from __future__ import annotations\nclass A:\n    x: np.ndarray\n"
+        "def f(a: np.ndarray) -> np.ndarray:\n    return a\n",
+        "f = lambda n: np.ones(n)\n",
+    )
+    for source in quiet:
+        assert list(_import_time_numpy(ast.parse(source))) == [], source
 
 
 def test_no_unused_imports():
