@@ -48,7 +48,7 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
     """Exact finite sum  sum_n a_n exp(-s log n)  over the stored terms."""
     s = _as_complex_point(s)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(np.sum(f.coefficient_array() * np.exp(-s * _log(f.index_array()))))
+        value = _direct_sum(f.index_array(), f.coefficient_array(), s)
     return _finite(value, f"f(s) at s = {s}")
 
 
@@ -77,12 +77,16 @@ def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
 _U = 2.0**-53  # unit roundoff of a double
 
 
-# Taylor blocks: a run of blocks of _BLOCK terms from lo needs
-# lo >= _FLOOR (|s| + 16) _BLOCK and at most _MAX_ORDER moments to make the
-# truncation negligible (_block_order)
+# Taylor blocks: blocks of _BLOCK terms, from the floor _floor(s) on
 _BLOCK = 64
 _FLOOR = 4
-_MAX_ORDER = 20
+
+
+def _floor(s: complex) -> int:
+    """F = ceil(_FLOOR (|s| + 16) _BLOCK) <= 2^63, where partial_sum's terms
+    leave direct sums: from F on, x |s + k| <= 63/256 for k <= 16, x =
+    (_BLOCK - 1) / F.  hypot, unlike abs, gives inf past double range."""
+    return math.ceil(min(_FLOOR * (math.hypot(s.real, s.imag) + 16) * _BLOCK, 2.0**63))
 
 
 def _tail(s: complex, x: float, K: int, c_K: float) -> float:
@@ -96,28 +100,24 @@ def _tail(s: complex, x: float, K: int, c_K: float) -> float:
 
 
 def _block_order(s: complex, lo: int) -> int:
-    """K, the moments blocks of _BLOCK terms from lo take: the smallest
-    K <= _MAX_ORDER whose truncation bound _tail, at x = (_BLOCK - 1) / lo,
-    is at most u.  0 keeps the terms direct: s = 0, which saves no exp, lo
-    below the floor _FLOOR (|s| + 16) _BLOCK, or no such K.  Reads only s
-    and lo."""
-    if s == 0 or lo < _FLOOR * (abs(s) + 16) * _BLOCK:
-        return 0
-    x = (_BLOCK - 1) / lo
-    c = 1.0
-    for K in range(1, _MAX_ORDER + 1):
+    """K, the moments blocks of _BLOCK terms from lo >= _floor(s) take: the
+    smallest K whose truncation bound _tail, at x = (_BLOCK - 1) / lo, is at
+    most u.  There c_K = |C(-s, K)| x^K <= (63/256)^K / K! (_floor), so
+    K <= 12.  Reads only s and lo."""
+    x, c, K = (_BLOCK - 1) / lo, 1.0, 0
+    while True:
+        K += 1
         c *= abs(s + (K - 1)) / K * x
         # _tail is at least c, so c > u needs no call
         if c <= _U and _tail(s, x, K, c) <= _U:
             return K
-    return 0
 
 
 def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True) -> tuple[complex, float | None]:
     """S ~ sum_i vals[i] (lo + i)^(-s) by Taylor blocks of b = _BLOCK terms,
     and delta >= |S - exact| (None when bound is false, as partial_sum
     asks), for any K >= 1 and any lo whose ratio bound q (_tail) is below 1,
-    as every lo >= _FLOOR (|s| + 16) b makes it; past that delta is inf.
+    as every lo >= _floor(s) makes it; past that delta is inf.
 
     Block i holds n = a + j, a = lo + b i, 0 <= j < b (the last one padded
     with zeros), and by the binomial series of (1 + j / a)^(-s)
@@ -209,10 +209,12 @@ def _expm1_ratio(z: complex) -> complex:
 
 def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True) -> tuple[complex, float | None]:
     """S ~ sum_{lo<=n<=hi} c[n mod p] n^(-s), p = len(c) dividing 64, lo from
-    the floor _FLOOR (|s| + 16) _BLOCK on, and delta >= |S - exact| (None
-    when bound is false, as partial_sum asks): a few libm scalar exps and
-    logs (math and cmath, which raise OverflowError past exp's range)
-    whatever hi - lo is, so no numpy SIMD level sets a bit.
+    _floor(s) on, and delta >= |S - exact| (None when bound is false, as
+    partial_sum asks): a few libm scalar exps and logs (math and cmath,
+    which raise OverflowError past exp's range) whatever hi - lo is, so no
+    numpy SIMD level sets a bit.  At s = 0 it is the count sum c_r J_r, J_r
+    the class's terms, exact in integers over the c_r's power-of-two
+    denominators and rounded once: delta is u |S|, 0 up to 2^53.
 
     A residue class, n = A + p j for j < J from its first A >= lo, with
     B = A + p J and g(t) = t^(-s), sums by Euler-Maclaurin in steps of p to
@@ -250,6 +252,13 @@ def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True)
       - 4 p + 3 adds, each within u of the sum of these moduli.
     delta is their sum, from the computed moduli."""
     p, G, one = len(c), hi + 1, 1 - s
+    firsts = [(cr, lo + (r - lo) % p) for r, cr in enumerate(c) if cr]
+    classes = [(cr, A, A + p * ((hi - A) // p + 1)) for cr, A in firsts if A <= hi]
+    if s == 0:  # the count sum c_r J_r, J_r = (B - A) / p
+        parts = [(cr.as_integer_ratio(), (B - A) // p) for cr, A, B in classes]
+        den = max((q for (_, q), _ in parts), default=1)
+        S = sum(n * (den // q) * J for (n, q), J in parts)
+        return complex(S / den), (0.0 if abs(S) <= 2**53 else _U * abs(S / den)) if bound else None
     rho, d, f, x = 4.0, [], -s, len(c) / (2 * math.pi * lo)
     while len(d) < len(_BERNOULLI) and (not d or rho > _U):
         k = len(d)
@@ -265,14 +274,10 @@ def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True)
         q = cmath.exp(-s * math.log(t)) * (0.5 - y * h)
         return T * cmath.exp(-s * math.log(T)) * a * _expm1_ratio(one * a) / p - q
 
-    C, total, ends = 0.0, 0j, []
-    for r, cr in enumerate(c):
-        A = lo + (r - lo) % p
-        if cr and A <= hi:
-            B = A + p * ((hi - A) // p + 1)
-            C += cr
-            total += cr * (end(B, G) - end(A, lo))
-            ends.append((abs(cr), A, B))
+    C, total = 0.0, 0j
+    for cr, A, B in classes:
+        C += cr
+        total += cr * (end(B, G) - end(A, lo))
     L = math.log1p((G - lo) / lo)
     total += lo * cmath.exp(-s * math.log(lo)) * C * L * _expm1_ratio(one * L) / p
     if not bound:
@@ -280,9 +285,9 @@ def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True)
 
     sigma, lam = s.real, math.log1p((G + p - lo) / lo)
     span = lo * math.exp(-sigma * math.log(lo)) * lam * _expm1_ratio((1 - sigma) * lam).real / p
-    mu, anchor = sum(w for w, _, _ in ends) * span, abs(C) * span
+    mu, anchor = sum(abs(cr) for cr, _, _ in classes) * span, abs(C) * span
     D = sum(abs(dk) * (p / lo) ** (2 * k + 1) for k, dk in enumerate(d))
-    sides = (1.5 + D) * sum(w * math.exp(-sigma * math.log(t)) for w, A, B in ends for t in (lo, A, G, B))
+    sides = (1.5 + D) * sum(abs(cr) * math.exp(-sigma * math.log(t)) for cr, A, B in classes for t in (lo, A, G, B))
     rounding = (anchor * (abs(s) * (3 * math.log(lo) + 1) + 4 * abs(one) * L + 72) + p * mu
                 + sides * (abs(s) * (3 * math.log(G + p) + 1) + 15 * len(d) + 80) + (4 * p + 3) * (anchor + sides))
     return total, rho * mu + _U * rounding
@@ -290,39 +295,34 @@ def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True)
 
 def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
     """The sums that make up partial_sum's N terms, in stream order, from
-    the floor F = ceil(_FLOOR (|s'| + 16) _BLOCK), s' = s + k for a rule
-    described as a_n = c[n mod p] n^(-k) (CoefficientRule), s for any other.
+    the floor F = _floor(s'), s' = s + k for a rule described as
+    a_n = c[n mod p] n^(-k) (CoefficientRule), s for any other; but for any
+    other rule at s = 0, which saves no exp, F = N + 1.
 
-    Any other rule goes in chunks of `chunk` terms: a chunk below F is
-    direct (_direct_sum), one with lo < F <= hi sums lo..F-1 directly and
-    F..hi by Taylor blocks of its values (_block_sum), one from F on takes
-    blocks whole, and one where no K <= _MAX_ORDER does (_block_order, which
-    keeps s = 0 direct) is direct.  A described rule's terms below F go in
-    direct chunks, the last ending at F - 1, as do all of them at s' = 0;
-    from F to N they are one Euler-Maclaurin sum at s' (_euler_maclaurin).
-    The last chunk's index and value arrays stay alive while the next is
-    built: freeing a whole chunk at once lets malloc return the heap top to
-    the OS, and refaulting it made the Basel sum ~4x slower."""
+    The terms go in chunks of `chunk`, each summing lo..min(hi, F - 1)
+    directly (_direct_sum) and, for a rule of values only, F..hi by Taylor
+    blocks (_block_sum).  A described rule's chunks end at F - 1, and its
+    terms from F to N are one Euler-Maclaurin sum at s' (_euler_maclaurin),
+    a count at s' = 0.  The last chunk's index and value arrays stay alive
+    while the next is built: freeing a whole chunk at once lets malloc
+    return the heap top to the OS, and refaulting it made the Basel sum ~4x
+    slower."""
     c, k = rule._description or ((), 0)
     sk = s + k
-    # hypot, unlike abs, gives inf rather than raising past double range
-    F = math.ceil(min(_FLOOR * (math.hypot(sk.real, sk.imag) + 16) * _BLOCK, 2.0**63))
-    top = min(N, F - 1) if c and sk != 0 else N
+    F = N + 1 if s == 0 and not c else _floor(sk)
+    top = min(N, F - 1) if c else N
     for lo in range(1, top + 1, chunk):
         hi = min(top, lo + chunk - 1)
-        start = hi + 1 if c else max(lo, F)
-        K = _block_order(s, start) if start <= hi else 0
-        if not K:
-            start = hi + 1
+        start = max(lo, F)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         vals = rule.values(ns)
         if start > lo:
             yield _direct_sum(ns[: start - lo], vals[: start - lo], s)
-        if K:
-            yield _block_sum(vals[start - lo :], s, start, K, bound=False)[0]
+        if start <= hi:
+            yield _block_sum(vals[start - lo :], s, start, _block_order(s, start), bound=False)[0]
     if top < N:
         try:
-            value = _euler_maclaurin(c, sk, top + 1, N, bound=False)[0]
+            value = _euler_maclaurin(c, sk, F, N, bound=False)[0]
         except OverflowError:  # libm's exp past its range: partial_sum names s
             value = complex(math.inf)
         yield value
@@ -336,10 +336,11 @@ def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> compl
     added in stream order, so the rule, s, N and `chunk` (at most 2^24)
     fix the bits.  Below the floor F = ceil(4 (|s| + 16) 64) a term takes
     one exp, and none at s = 0; from F on a rule's values go in Taylor
-    blocks of 64 terms (_block_sum).  The built-in ones_rule, eta_rule and
-    zeta_shift_rule(k) describe themselves as a_n = c[n mod p] n^(-k): from
-    the floor of s' = s + k on their terms are one Euler-Maclaurin sum
-    (_euler_maclaurin), which reads no values and takes no part of `chunk`.
+    blocks of 64 terms (_block_sum), but at s = 0 every term stays direct.
+    The built-in ones_rule, eta_rule and zeta_shift_rule(k) describe
+    themselves as a_n = c[n mod p] n^(-k): from the floor of s' = s + k on
+    their terms are one Euler-Maclaurin sum (_euler_maclaurin) at every s,
+    a count at s' = 0, which reads no values and takes no part of `chunk`.
     Each derives a bound, about u (|s| (3 log N + 1) + 110) and
     u (|s'| (4 log N + 1) + 4 log N + 100) times the terms' sum
     |rule(n)| n^(-Re s).  No bit follows numpy's SIMD level or a BLAS

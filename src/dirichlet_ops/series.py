@@ -651,12 +651,12 @@ class CoefficientRule:
     by the estimators themselves.
 
     `_description`, private, is (c, k) when a_n = c[n mod p] n^(-k) with
-    p = len(c) dividing 64: partial_sum then sums the rule's terms past
-    the Taylor-block floor as one Euler-Maclaurin sum over the residue
-    classes mod p, without calling `vectorized`.  Only ones_rule, eta_rule
-    and zeta_shift_rule set it.  It takes no part in construction,
-    comparison or repr, so a user's rule, whatever its tag, and
-    dataclasses.replace of a built-in carry None.
+    p = len(c) dividing 64: at every s, partial_sum sums the rule's terms
+    from the floor of s + k on as one Euler-Maclaurin sum over the classes
+    mod p (a count at s + k = 0), never calling `vectorized` there.  Only
+    ones_rule, eta_rule and zeta_shift_rule set it.  It takes no part in
+    construction, comparison or repr, so a user's rule, whatever its tag,
+    and dataclasses.replace of a built-in carry None.
     """
 
     tag: str
@@ -750,8 +750,9 @@ def _moebius_trial(ns: np.ndarray) -> np.ndarray:
     the square root of the largest of them; within a block the smallest
     divisor hit is always prime, since smaller primes were already divided
     out.  The blocks double from _TRIAL_FIRST divisors, so an index with a
-    small factor settles in the first.  Memory stays
-    O(len(ns) + _TRIAL_BLOCK), with no sieve up to sqrt(max n)."""
+    small factor settles in the first, and a pass takes all the divisors
+    left when they are at most 8 blocks and _TRIAL_BLOCK pairs (a prime near
+    10^6 in one pass).  Memory stays O(len(ns) + _TRIAL_BLOCK)."""
     even = ns % 2 == 0
     sign = np.where(even, -1, 1)
     cof = np.where(even, ns // 2, ns)
@@ -760,7 +761,8 @@ def _moebius_trial(ns: np.ndarray) -> np.ndarray:
     d, block = 3, _TRIAL_FIRST
     live = np.flatnonzero(cof >= d * d)
     while live.size:
-        top = min(d + 2 * min(block, max(1, _TRIAL_BLOCK // live.size)), math.isqrt(int(cof[live].max())) + 1)
+        cap, root = max(1, _TRIAL_BLOCK // live.size), math.isqrt(int(cof[live].max())) + 1
+        top = root if root - d <= 2 * min(8 * block, cap) else min(d + 2 * min(block, cap), root)
         block *= 2
         ds = np.arange(d, top, 2, dtype=np.int64)
         rows = live
@@ -827,16 +829,13 @@ def _moebius_sieve(lo: int, hi: int) -> np.ndarray:
 # a run lo..hi goes through _moebius_sieve while isqrt(hi) is at most
 # _SIEVE_MAX_ROOT (a prime table of 4 MB and ~295,000 primes) and, from
 # isqrt(hi) = _SIEVE_SHORT_ROOT on, holds _SIEVE_MIN_RUN indices: the table
-# costs ~1 ms at hi = 2^36 and ~20 ms at 2^44, and these constants were set
-# where trial division, at 0.1-1.4 ms an index there, broke even with it: at
-# 2-4 indices near 2^36, 6-8 near 2^40 and 8-12 near 2^44 (2-core x86-64,
-# numpy 2.4.6; BENCH_described_segments.json); nearer the origin the sieve
-# always won.  Trial division on odd divisors in doubling blocks breaks even
-# at 12-16 indices near each (BENCH_cli_cold_start.json); the constants are
-# kept, as both paths are exact and no benchmark workload has such a run
+# costs ~1 ms at hi = 2^36 and ~20 ms at 2^44, and trial division on odd
+# divisors in doubling blocks breaks even with it at 12-24 indices from 2^36
+# to 2^44 (2-core x86-64, numpy 2.4.6; BENCH_stream_paths.json); nearer the
+# origin the sieve always won
 _SIEVE_MAX_ROOT = 1 << 22
 _SIEVE_SHORT_ROOT = 1 << 18
-_SIEVE_MIN_RUN = 8
+_SIEVE_MIN_RUN = 16
 
 
 def _moebius_values(ns: np.ndarray) -> np.ndarray:

@@ -190,10 +190,12 @@ class TestPartialSumThreads:
 def block_cases(draw):
     """(rule, s, lo, length, K) for evaluation._block_sum: lo from the floor
     of s up to 2^40 (2^32 for Moebius, whose far runs go to trial division),
-    lengths that end in a partial block, and K drawn or the dispatch's own."""
+    lengths that end in a partial block, and K drawn or the dispatch's own.
+    The drawn K runs to 20, past the dispatch's 12: delta holds for any
+    K >= 1."""
     s = complex(draw(st.floats(-2.0, 3.0)), draw(st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-1e4, 1e4]))))
     assume(s != 0)
-    floor = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
+    floor = evaluation._floor(s)
     name = draw(st.sampled_from(["eta", "ones", "moebius", "zeta_shift", "complex table"]))
     top = 2**32 if name == "moebius" else 2**40
     lo = draw(st.one_of(st.integers(floor, 4 * floor), st.integers(floor, top)))
@@ -207,7 +209,7 @@ def block_cases(draw):
         rule = table_rule(draw(st.dictionaries(keys, values, min_size=1, max_size=40)))
     else:
         rule = {"eta": eta_rule, "ones": ones_rule, "moebius": moebius_rule}[name]()
-    K = draw(st.one_of(st.none(), st.integers(1, evaluation._MAX_ORDER)))
+    K = draw(st.one_of(st.none(), st.integers(1, 20)))
     return rule, s, lo, length, K
 
 
@@ -272,25 +274,23 @@ def described_exact(c, s, N):
         return head + described_chunk(c, s, M + 1, N) if N > M else head
 
 
-def floor_of(s):
-    """F = ceil(_FLOOR (|s| + 16) _BLOCK), where a described sum leaves its
-    direct chunks for _euler_maclaurin."""
-    return math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
-
-
 @st.composite
 def euler_maclaurin_cases(draw):
     """(c, s, lo, hi) for evaluation._euler_maclaurin: a built-in
     description or one of period 4 with a zero class, lo from the floor F
     up to 2^40, and hi - lo from 0 (one term, and classes left empty) up to
     2^40, so the range runs from a few terms, summed here term by term, to
-    sums that end far past their start."""
+    sums that end far past their start; at s = 0, a count, up to 2^62, past
+    the 2^53 where it rounds."""
     c = draw(st.sampled_from([(1.0,), (-1.0, 1.0), (0.5, -0.25, 1.5, 0.0)]))
-    s = complex(draw(st.floats(-3.0, 3.0)), draw(st.one_of(st.just(0.0), st.floats(-60.0, 60.0))))
+    s = draw(st.one_of(st.just(0j), st.builds(complex, st.floats(-3.0, 3.0),
+                                              st.one_of(st.just(0.0), st.floats(-60.0, 60.0)))))
     # described_chunk divides by 1 - s; s = 1 has its own test
-    assume(s != 0 and s != 1)
-    lo = draw(st.one_of(st.integers(floor_of(s), 4 * floor_of(s)), st.integers(floor_of(s), 2**40)))
-    hi = lo + draw(st.one_of(st.integers(0, 64), st.integers(0, 10**6), st.integers(0, 2**40)))
+    assume(s != 1)
+    F = evaluation._floor(s)
+    lo = draw(st.one_of(st.integers(F, 4 * F), st.integers(F, 2**40)))
+    far = 2**62 - 2**41 if s == 0 else 2**40
+    hi = lo + draw(st.one_of(st.integers(0, 64), st.integers(0, 10**6), st.integers(0, far)))
     return c, s, lo, hi
 
 
@@ -322,8 +322,9 @@ class TestTaylorBlocks:
     """partial_sum's terms from the floor F on go through
     evaluation._block_sum, one exp per block of 64 terms, or for a described
     rule through _euler_maclaurin, one sum over the residue classes at
-    s' = s + k from F to N; a chunk that straddles F splits there, and the
-    terms below F and s = 0 stay direct."""
+    s' = s + k from F to N, a count at s' = 0; a chunk that straddles F
+    splits there, and the terms below F, and a rule of values at s = 0,
+    stay direct."""
 
     @given(block_cases())
     def test_block_sum_is_within_delta_of_the_exact_sum(self, case):
@@ -349,7 +350,12 @@ class TestTaylorBlocks:
         got, delta = evaluation._euler_maclaurin(c, s, lo, hi)
         assert math.isfinite(delta)
         ms = mpmath.mpc(s.real, s.imag)
-        if hi - lo < 64:
+        if s == 0:  # c_r times the count of class r's terms in [lo, hi]
+            p = len(c)
+            with mpmath.workdps(50):
+                exact = mpmath.fsum(c[r] * mpmath.mpf((hi - r) // p - (lo - 1 - r) // p) for r in range(p))
+            assert delta == 0 or hi - lo >= 2**50
+        elif hi - lo < 64:
             with mpmath.workdps(50):
                 exact = mpmath.fsum(c[n % len(c)] * mpmath.power(n, -ms) for n in range(lo, hi + 1))
         else:
@@ -372,7 +378,7 @@ class TestTaylorBlocks:
         # altzeta (their limits, log 2 and the harmonic numbers, at s = 1),
         # less the terms below F and the tail past N (hurwitz_tail), within
         # its delta
-        F = floor_of(s)
+        F = evaluation._floor(s)
         got, delta = evaluation._euler_maclaurin(c, s, F, N)
         ms = mpmath.mpc(s.real, s.imag)
         with mpmath.workdps(50):
@@ -417,7 +423,7 @@ class TestTaylorBlocks:
         yield taken
         taken.sort(key=lambda path: path[1])
 
-    def test_first_chunk_and_s_zero_stay_direct(self, paths):
+    def test_first_chunk_and_a_value_rule_at_s_zero_stay_direct(self, paths):
         # below the floor F = ceil(4 (|s| + 16) 64) = 4097 the first chunk is
         # direct, and from F on the terms are one Euler-Maclaurin sum
         partial_sum(eta_rule(), 1e-3j, 2**16)
@@ -442,9 +448,14 @@ class TestTaylorBlocks:
         bound += (sums + 3) * 2.0**-53 * abs(want)
         assert got.imag == 0.0
         assert abs(got - want) <= bound
-        # ones at s = 0 has s' = 0: every chunk is its values' sum
+        # ones at s = 0 has s' = 0: its values' sum below F = 4096, and from
+        # F on the kernel's count; a rule of values at s = 0 saves no exp,
+        # so every chunk is its values' sum
         paths.clear()
         assert partial_sum(ones_rule(), 0, 3 * n) == 3 * n
+        assert paths == [("direct", 1), ("em", 4096)]
+        paths.clear()
+        assert partial_sum(CoefficientRule("ones", lambda ns: np.ones(ns.shape)), 0, 3 * n) == 3 * n
         assert paths == [("direct", 1), ("direct", n + 1), ("direct", 2 * n + 1)]
 
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "em"), (moebius_rule(), "blocks")])
@@ -453,7 +464,7 @@ class TestTaylorBlocks:
         # floor - 1 straddles it (a described rule's last direct chunk is the
         # term floor - 1 alone), and the one from the floor takes blocks whole
         s, floor = 48j, 16384
-        assert evaluation._block_order(s, floor - 1) == 0 < evaluation._block_order(s, floor)
+        assert evaluation._floor(s) == floor
         partial_sum(rule, s, 2 * (floor - 2), chunk=floor - 2)
         partial_sum(rule, s, 2 * (floor - 1), chunk=floor - 1)
         paths.sort(key=lambda path: path[1])
@@ -462,7 +473,7 @@ class TestTaylorBlocks:
     def test_far_point_stays_direct_up_to_its_floor(self, paths):
         # 4 (|s| + 16) 64 = 2564096.0032 at s = 0.5 + 10^4 i, so F = 2564097
         s = 0.5 + 1e4j
-        assert evaluation._block_order(s, 2564096) == 0 < evaluation._block_order(s, 2564097)
+        assert evaluation._floor(s) == 2564097
         partial_sum(eta_rule(), s, 2564095 + 64, chunk=2564095)
         partial_sum(eta_rule(), s, 2564096 + 64, chunk=2564096)
         paths.sort(key=lambda path: path[1])
@@ -504,7 +515,7 @@ class TestTaylorBlocks:
         # a user's rule tagged "eta", and a replaced built-in, carry no
         # description: their terms past the floor F take the values' blocks
         s = 0.5 + 14j
-        F = floor_of(s)
+        F = evaluation._floor(s)
         want = partial_sum(eta_rule(), s, 3 * 2**16)
         assert paths == [("direct", 1), ("em", F)]
         paths.clear()
@@ -533,7 +544,7 @@ class TestTaylorBlocks:
         sk = s + k
         # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
         assume(abs(sk) > 1e-40 and sk != 1)
-        F = floor_of(sk)
+        F = evaluation._floor(sk)
         N = (F // chunk + 2) * chunk + extra
         direct, calls = [], []
         em, direct_sum = evaluation._euler_maclaurin, evaluation._direct_sum
@@ -563,6 +574,65 @@ class TestTaylorBlocks:
         assert abs(mpmath.mpc(got.real, got.imag) - exact) <= bound
         if im == 0.0:
             assert got.imag == 0.0
+
+    @given(name=st.sampled_from(sorted(DESCRIBED)), N=st.one_of(st.integers(1, 3 * 4096), st.integers(1, 2**62)),
+           chunk=st.sampled_from([1000, 4095, 4096, 2**16]))
+    def test_described_partial_sum_at_s_prime_zero_is_a_count(self, name, N, chunk):
+        """At s' = s + k = 0 a described rule's terms are c[n mod p], so its
+        sum is a count: N for ones and zeta_shift(k), N mod 2 for eta.  The
+        terms below F = 4096 are direct, each within u (k (10 log F + 1) +
+        64) of 1 (exactly 1 or -1 at k = 0), and from F on the kernel's count
+        is exact in integers and rounded once, within its delta; each add of
+        the stream rounds once more.  So ones and eta are exact wherever the
+        count is a double's integer, and zeta_shift(k) at -k is N to rounding
+        even for N = 2^62."""
+        rule = DESCRIBED[name]
+        c, k = rule._description
+        got = partial_sum(rule, -k, N, chunk=chunk)
+        want = N % 2 if len(c) == 2 else N
+        assert got.imag == 0.0
+        F, u = evaluation._floor(0j), 2.0**-53
+        assert F == 4096
+        if k == 0 and want <= 2**53:
+            assert got == want
+        direct = min(N, F - 1)
+        bound = u * (k * (10 * math.log(F) + 1) + 64) * direct
+        if N >= F:
+            bound += evaluation._euler_maclaurin(c, 0j, F, N)[1]
+        bound += u * (N + bound) * (-(-direct // chunk) + 2)
+        assert abs(got.real - want) <= bound
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(sorted(DESCRIBED)), s=st.one_of(
+        st.sampled_from([0j, -1 + 0j, -2 + 0j, -3 + 0j, complex(-1, -0.0), 1e-3j, 0.5 + 14j]),
+        st.builds(complex, st.floats(-4.0, 4.0), st.floats(-60.0, 60.0))),
+        extra=st.integers(0, 3 * 4096), chunk=st.sampled_from([1000, 4096, 2**16]))
+    def test_described_rules_read_no_value_past_the_floor(self, name, s, extra, chunk):
+        # a spy on `vectorized`: past F = _floor(s + k) a described rule's
+        # terms are the kernel's, at every s, s' = 0 among them, so the
+        # values read tile 1..min(N, F - 1) and none is at F or past it
+        rule = DESCRIBED[name]
+        c, k = rule._description
+        F = evaluation._floor(s + k)
+        N = F + extra - 2048
+        read = []
+        spy = dataclasses.replace(rule)
+        object.__setattr__(spy, "vectorized", lambda ns: read.append((int(ns[0]), int(ns[-1]))) or rule.vectorized(ns))
+        object.__setattr__(spy, "_description", rule._description)
+        got = partial_sum(spy, s, N, chunk=chunk)
+        assert got == partial_sum(rule, s, N, chunk=chunk)
+        assert [lo for lo, _ in read] == list(range(1, min(N, F - 1) + 1, chunk))
+        assert read[-1][1] == min(N, F - 1)
+
+    @given(r=st.floats(-9.0, 12.0), angle=st.floats(-math.pi, math.pi),
+           times=st.one_of(st.sampled_from([1, 2, 10]), st.floats(1.0, 2.0**20)), step=st.integers(0, 1))
+    def test_block_order_is_at_most_12_from_the_floor(self, r, angle, times, step):
+        # from F = _floor(s) on each factor x |s + k| / (k + 1) of the
+        # truncation bound is at most (63/256) / (k + 1), so twelve moments
+        # reach u, for |s| from 10^-9 to 10^12 at every angle
+        s = complex(10.0**r * math.cos(angle), 10.0**r * math.sin(angle))
+        F = evaluation._floor(s)
+        assert 1 <= evaluation._block_order(s, int(F * times) + step) <= 12
 
     @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
     def test_bits_do_not_follow_numpy_simd(self, disabled):

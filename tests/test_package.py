@@ -362,3 +362,38 @@ def test_tag_guard_sees_each_use():
     for source in flagged:
         assert list(_tag_reads(ast.parse(source))) != [], source
     assert list(_tag_reads(ast.parse("raise DomainError(f'rule {self.tag!r} failed')\n"))) == []
+
+
+def _floor_reads(tree):
+    """Lines that read _FLOOR outside a function named _floor, or import
+    it: each would be a second copy of partial_sum's floor formula."""
+    owner = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_floor"
+             for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        read = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "_FLOOR"
+                or isinstance(node, ast.Attribute) and node.attr == "_FLOOR"
+                or isinstance(node, ast.ImportFrom) and any(alias.name == "_FLOOR" for alias in node.names))
+        if read and id(node) not in owner:
+            yield node.lineno
+
+
+def test_the_floor_has_one_owner():
+    # F = ceil(_FLOOR (|s| + 16) _BLOCK) is written once, in
+    # evaluation._floor; the package and its tests call that, so a copy
+    # that drifts from it (abs for hypot, no cap) cannot pick another floor
+    reads = []
+    for path in [*Path(dirichlet_ops.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        reads += [f"{path.name}:{line}" for line in _floor_reads(ast.parse(path.read_text()))]
+    assert reads == []
+
+
+def test_floor_guard_sees_each_copy():
+    flagged = (
+        "F = math.ceil(_FLOOR * (abs(s) + 16) * _BLOCK)\n",
+        "floor = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)\n",
+        "def _block_order(s, lo):\n    return lo < _FLOOR * (abs(s) + 16) * _BLOCK\n",
+        "from dirichlet_ops.evaluation import _FLOOR\n",
+    )
+    for source in flagged:
+        assert list(_floor_reads(ast.parse(source))) != [], source
+    assert list(_floor_reads(ast.parse("def _floor(s):\n    return math.ceil(_FLOOR * (abs(s) + 16))\n"))) == []

@@ -59,6 +59,7 @@ from dirichlet_ops import (
     dirichlet_multiply,
     ergodicity_diagnostic,
     eta_rule,
+    evaluate,
     identity_multiplier,
     integration_multiplier,
     moebius_rule,
@@ -242,6 +243,12 @@ def legacy_partial_sum(rule, s, N, chunk):
     return total
 
 
+def legacy_evaluate(f, s):
+    """evaluate's own product and sum, before it called _direct_sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.sum(f.coefficient_array() * np.exp(-s * series._log(f.index_array()))))
+
+
 def bits(f):
     return [(n, a.real.hex(), a.imag.hex()) for n, a in f.items()]
 
@@ -346,17 +353,17 @@ class TestMoebiusSieve:
             (np.arange(1, 101).reshape(10, 10), "sieve"),
             (np.arange(1, 101).reshape(10, 10).T, "trial"),
             (np.arange(801**2 - 99, 801**2 + 1), "sieve"),
-            (np.arange(2**44 - 7, 2**44 + 1), "sieve"),
+            (np.arange(2**44 - 15, 2**44 + 1), "sieve"),
             (np.arange((2**22 + 1) ** 2 - 1, (2**22 + 1) ** 2 + 1), "trial"),
-            # past isqrt(hi) = 2^18 a run needs 8 indices for the sieve
-            (np.arange(2**44 - 6, 2**44 + 1), "trial"),
+            # past isqrt(hi) = 2^18 a run needs 16 indices for the sieve
+            (np.arange(2**44 - 14, 2**44 + 1), "trial"),
             (np.arange(2**36 - 8, 2**36 - 1), "sieve"),
-            (np.arange(2**36 - 6, 2**36 + 1), "trial"),
-            (np.arange(2**36 - 7, 2**36 + 1), "sieve"),
+            (np.arange(2**36 - 14, 2**36 + 1), "trial"),
+            (np.arange(2**36 - 15, 2**36 + 1), "sieve"),
         ],
         ids=["length-1", "descending", "gap", "duplicate", "swapped", "2-d-run", "2-d-transposed",
-             "short-far-run", "isqrt-at-cap", "isqrt-above-cap", "7-at-cap", "7-below-2^36", "7-at-2^36",
-             "8-at-2^36"],
+             "short-far-run", "isqrt-at-cap", "isqrt-above-cap", "15-at-cap", "7-below-2^36", "15-at-2^36",
+             "16-at-2^36"],
     )
     def test_dispatch_edges(self, paths, ns, path):
         ns = np.asarray(ns, dtype=np.int64)
@@ -400,7 +407,7 @@ class TestMoebiusSieve:
         # pairwise sum and the chunk adds), once for the oracle and once for
         # the direct terms
         s = 0.5 + 14.134725j
-        F = math.ceil(evaluation._FLOOR * (abs(s) + 16) * evaluation._BLOCK)
+        F = evaluation._floor(s)
         got = partial_sum(moebius_rule(), s, 50_000, chunk=4096)
         delta, mass, blocked = 0.0, 0.0, 0
         for lo in range(1, 50_001, 4096):
@@ -408,9 +415,8 @@ class TestMoebiusSieve:
             vals = moebius_rule().values(ns)
             mass += fsum((np.abs(vals) * ns ** -s.real).tolist())
             start = max(lo, F)
-            K = evaluation._block_order(s, start)
-            if start <= ns[-1] and K:
-                delta += evaluation._block_sum(vals[start - lo :], s, start, K)[1]
+            if start <= ns[-1]:
+                delta += evaluation._block_sum(vals[start - lo :], s, start, evaluation._block_order(s, start))[1]
                 blocked += 1
         assert F == 7717 and blocked == 12
         rounding = 2 * 2.0**-53 * mass * (abs(s) * (10 * math.log(50_000) + 1) + 64)
@@ -1016,6 +1022,30 @@ wide_indices = st.one_of(st.integers(2, 10**4), st.integers(2, 2**62))
 def wide_polys(max_terms=40):
     pairs = st.tuples(wide_indices, wide_coefficients)
     return st.lists(pairs, min_size=1, max_size=max_terms).map(DirichletPolynomial)
+
+
+# coefficients with a zero real or imaginary part, and of any modulus
+zero_part_coefficients = st.one_of(
+    wide_coefficients, st.floats(-8.0, 8.0).map(complex), st.floats(-8.0, 8.0).map(lambda y: complex(0.0, y))
+)
+
+
+class TestEvaluate:
+    """evaluate goes through evaluation._direct_sum, bit for bit the product
+    and sum it took before, at s = 0 too (there its values' sum)."""
+
+    @given(f=st.lists(st.tuples(wide_indices, zero_part_coefficients), max_size=40).map(DirichletPolynomial),
+           points=st.lists(st.one_of(st.sampled_from([0j, 0.5 + 0j, -1 + 0j, 1e-3j, 0.5 + 14j]),
+                                     st.builds(complex, st.floats(-40.0, 40.0), st.floats(-1e3, 1e3))),
+                           min_size=5, max_size=5))
+    def test_bits_equal_the_product_and_sum(self, f, points):
+        for s in points:
+            want = legacy_evaluate(f, s)
+            if math.isfinite(want.real) and math.isfinite(want.imag):
+                assert complex_bits(evaluate(f, s)) == complex_bits(want)
+            else:
+                with pytest.raises(DomainError, match="overflows"):
+                    evaluate(f, s)
 
 
 def outcome(call):
