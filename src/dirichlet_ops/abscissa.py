@@ -156,7 +156,9 @@ def bracket_sigma_u(
     capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
     N = _validate_index(N, "window length N", 100, _MAX_TERMS)
-    probe_eps = tuple(_validate_real(e, "probe epsilon", 0.0) for e in probe_eps)
+    listed = (hasattr(probe_eps, "__iter__") and getattr(probe_eps, "ndim", 1) != 0
+              and not isinstance(probe_eps, (str, bytes)))
+    probe_eps = tuple(_validate_real(e, "probe epsilon", 0.0) for e in probe_eps) if listed else ()
     if not probe_eps:
         raise DomainError("probe_eps must be a nonempty list of epsilons")
     t_max = _validate_real(t_max, "probe grid extent t_max", 0.0, strict=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import DomainError
-from .operators import _POWU_MAX, Multiplier, _power, _product, apply
+from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
 from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _exp, _expm1, _fsum, _log, _slope, _validate_index,
                      _validate_real, np)
 
@@ -48,13 +48,9 @@ def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     CPython forms the power by binary products, an array symbol of m
     carries over to the power."""
     k = _validate_index(k, "iterate count")
-
-    def array_power(idx):
-        return _power(*m.array_symbol(idx), k)
-
-    carries = m.array_symbol is not None and k <= _POWU_MAX
-    power = replace(m, symbol=lambda n: complex(m.symbol(n)) ** k, label=f"{m.label}^{k}",
-                    array_symbol=array_power if carries else None)
+    power = replace(m, symbol=lambda n: _number(m, n) ** k, label=f"{m.label}^{k}")
+    if m._array_symbol is not None and k <= _POWU_MAX:
+        _with_array_symbol(power, lambda idx: _power(*m._array_symbol(idx), k))
     return apply(power, f)
 
 
@@ -68,7 +64,7 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     k = _validate_index(k, "iterate count")
 
     def mean_symbol(n: int) -> complex:
-        g = complex(m.symbol(n))
+        g = _number(m, n)
         d = g - 1.0
         if abs(d) > _UNIT_SYMBOL_RADIUS:
             return g * (1.0 - g**k) / (1.0 - g) / k
@@ -76,7 +72,7 @@ def cesaro_mean(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
             return 1.0  # sum of k ones over k
         return g * _expm1(k * (d - d * d / 2.0 + d * d * d / 3.0)) / (k * d)
 
-    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})", array_symbol=None)
+    mean = replace(m, symbol=mean_symbol, label=f"cesaro({m.label}, {k})")
     return apply(mean, f)
 
 
@@ -101,7 +97,7 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
     From _ARRAY_MIN_TERMS terms on, for a multiplier with an array symbol,
     the same values as an _ArrayOrbit."""
     m.check_domain(f)
-    if m.array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
+    if m._array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
         orbit = _array_orbit(m, f, epsilon)
         if orbit is not None:
             return orbit
@@ -130,7 +126,7 @@ def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _Arra
         mod_a = np.hypot(a.real, a.imag)
     if np.isinf(mod_a).any():
         return None
-    gr, gi = m.array_symbol(idx)
+    gr, gi = m._array_symbol(idx)
     with np.errstate(over="ignore", invalid="ignore"):
         mod_g = np.hypot(gr, gi)
     if not np.isfinite(mod_g).all():

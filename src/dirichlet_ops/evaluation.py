@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _validate_real
-from .series import _MAX_TERMS, _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index, np
+from .series import _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index, np
 
 __all__ = [
     "evaluate",
@@ -293,13 +293,16 @@ def _euler_maclaurin(c: tuple, s: complex, lo: int, hi: int, bound: bool = True)
     return total, rho * mu + _U * rounding
 
 
-def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
+_CHUNK = 1 << 16  # terms of a rule's values that partial_sum reads at once
+
+
+def _chunk_sums(rule: CoefficientRule, s: complex, N: int):
     """The sums that make up partial_sum's N terms, in stream order, from
     the floor F = _floor(s'), s' = s + k for a rule described as
     a_n = c[n mod p] n^(-k) (CoefficientRule), s for any other; but for any
     other rule at s = 0, which saves no exp, F = N + 1.
 
-    The terms go in chunks of `chunk`, each summing lo..min(hi, F - 1)
+    The terms go in chunks of _CHUNK, each summing lo..min(hi, F - 1)
     directly (_direct_sum) and, for a rule of values only, F..hi by Taylor
     blocks (_block_sum).  A described rule's chunks end at F - 1, and its
     terms from F to N are one Euler-Maclaurin sum at s' (_euler_maclaurin),
@@ -311,8 +314,8 @@ def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
     sk = s + k
     F = N + 1 if s == 0 and not c else _floor(sk)
     top = min(N, F - 1) if c else N
-    for lo in range(1, top + 1, chunk):
-        hi = min(top, lo + chunk - 1)
+    for lo in range(1, top + 1, _CHUNK):
+        hi = min(top, lo + _CHUNK - 1)
         start = max(lo, F)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         vals = rule.values(ns)
@@ -328,33 +331,30 @@ def _chunk_sums(rule: CoefficientRule, s: complex, N: int, chunk: int):
         yield value
 
 
-def partial_sum(rule: CoefficientRule, s, N: int, chunk: int = 1 << 16) -> complex:
+def partial_sum(rule: CoefficientRule, s, N: int) -> complex:
     """sum_{n<=N} rule(n) n^(-s), streamed so N ~ 10^8 never materializes a
     coefficient map.  Agrees with evaluate(truncate(rule, N), s) to rounding.
 
     One sequential stream of sums on the caller's thread (_chunk_sums),
-    added in stream order, so the rule, s, N and `chunk` (at most 2^24)
-    fix the bits.  Below the floor F = ceil(4 (|s| + 16) 64) a term takes
-    one exp, and none at s = 0; from F on a rule's values go in Taylor
-    blocks of 64 terms (_block_sum), but at s = 0 every term stays direct.
-    The built-in ones_rule, eta_rule and zeta_shift_rule(k) describe
-    themselves as a_n = c[n mod p] n^(-k): from the floor of s' = s + k on
-    their terms are one Euler-Maclaurin sum (_euler_maclaurin) at every s,
-    a count at s' = 0, which reads no values and takes no part of `chunk`.
-    Each derives a bound, about u (|s| (3 log N + 1) + 110) and
-    u (|s'| (4 log N + 1) + 4 log N + 100) times the terms' sum
-    |rule(n)| n^(-Re s).  No bit follows numpy's SIMD level or a BLAS
-    kernel, but a direct chunk of a complex rule's, whose products are
-    numpy's complex multiply.  At real s' the sum is real, as Basel's
-    (zeta_shift(2) at s = 0) is.  A sum past double range raises
+    added in stream order, so the rule, s and N fix the bits.  Below the
+    floor F = ceil(4 (|s| + 16) 64) a term takes one exp, and none at
+    s = 0; from F on a rule's values go in Taylor blocks of 64 terms
+    (_block_sum), but at s = 0 every term stays direct.  The built-in
+    ones_rule, eta_rule and zeta_shift_rule(k) describe themselves as
+    a_n = c[n mod p] n^(-k): from the floor of s' = s + k on their terms
+    are one Euler-Maclaurin sum (_euler_maclaurin) at every s, a count at
+    s' = 0, which reads no values.  Each derives a bound, about
+    u (|s| (3 log N + 1) + 110) and u (|s'| (4 log N + 1) + 4 log N + 100)
+    times the terms' sum |rule(n)| n^(-Re s).  No bit follows numpy's SIMD
+    level or a BLAS kernel, but a direct chunk of a complex rule's, whose
+    products are numpy's complex multiply.  At real s' the sum is real, as
+    Basel's (zeta_shift(2) at s = 0) is.  A sum past double range raises
     DomainError naming s."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
-    # a chunk near 2^63 terms gave an empty np.arange and a silent 0
-    chunk = _validate_index(chunk, "chunk length", most=_MAX_TERMS)
     total = 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        for value in _chunk_sums(rule, s, N, chunk):
+        for value in _chunk_sums(rule, s, N):
             total += value
     return _finite(total, f"partial sum of {N} terms at s = {s}")
 
@@ -550,9 +550,10 @@ class TailBound:
     only where the sup is at the real point, as for nonnegative a_n: eta's
     tail past 1024 is 0.0156 at 0.5001 but 1.41 at 0.5001 + 6000 i, its
     bound at epsilon = 0.5 being 0.0315.  `regime` records how the probe
-    window was completed: 'oscillatory' keeps the observed partial-sum
-    supremum with a 1% slack, 'accumulating' adds a fitted power-law
-    integral remainder, 'divergent' means the fitted decay is not integrable
+    window was completed: 'zero' means every probed partial sum is 0
+    (bound = 0.0), 'oscillatory' keeps the observed partial-sum supremum
+    with a 1% slack, 'accumulating' adds a fitted power-law integral
+    remainder, 'divergent' means the fitted decay is not integrable
     (bound = inf), and 'sparse' means the window's second half holds fewer
     than 8 nonzero terms, or indices so near 2^63 that their logs round to
     one double, too few to fit a decay, so no finite bound is certified

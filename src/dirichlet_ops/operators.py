@@ -88,25 +88,24 @@ class Multiplier:
 
     requires_zero_constant (keyword-only) restricts the domain to series with
     a_1 = 0; the read-only min_index is then 2, else 1.  Calling it reads one
-    symbol value, raising DomainError below min_index, past double range
-    (the value or its modulus) or if it is not finite.  So m(n), check_growth
-    and normalized_power_norm, which need |gamma_n|, reject a finite value
-    whose modulus alone passes double range; apply, which needs only finite
-    products, accepts it.
+    symbol value, raising DomainError below min_index, if complex() rejects
+    it, past double range (the value or its modulus) or if it is not finite.
+    So m(n), check_growth and normalized_power_norm, which need |gamma_n|,
+    reject a finite value whose modulus alone passes double range; apply,
+    which needs only finite products, accepts it.
 
-    array_symbol (keyword-only, optional, left out of == and hash) maps a
-    sorted int64 index array to the real and imaginary parts of
-    complex(symbol(n)), bit for bit; apply and the orbit norms of dynamics
-    take it from series._ARRAY_MIN_TERMS terms on.  The derivative,
-    integration and identity multipliers, the resolvent and their
-    power_apply iterates for k <= 100 carry one; user symbols, cesaro_mean
-    and compose run the scalar symbol alone.
+    `_array_symbol`, private, maps a sorted int64 index array to the real
+    and imaginary parts of complex(symbol(n)), bit for bit; apply and the
+    orbit norms of dynamics take it from series._ARRAY_MIN_TERMS terms on.
+    Only _with_array_symbol sets it, on the built-ins, the resolvent and
+    their power_apply iterates for k <= 100.  It takes no part in
+    construction, comparison or repr, so dataclasses.replace drops it.
     """
 
     symbol: Callable[[int], complex]
     label: str
     requires_zero_constant: bool = field(default=False, kw_only=True)
-    array_symbol: Callable[[np.ndarray], tuple] | None = field(default=None, kw_only=True, compare=False)
+    _array_symbol: Callable[[np.ndarray], tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def min_index(self) -> int:
@@ -118,7 +117,7 @@ class Multiplier:
                 f"multiplier '{self.label}' is defined for n >= {self.min_index}, got {n}"
             )
         try:
-            g = complex(self.symbol(n))
+            g = _number(self, n)
             abs(g)  # a finite value whose modulus passes double range raises here
         except OverflowError:
             raise DomainError(
@@ -138,23 +137,28 @@ class Multiplier:
             )
 
 
+def _number(m: Multiplier, n: int) -> complex:
+    """complex(m.symbol(n)); DomainError naming m and n where complex() rejects the value."""
+    value = m.symbol(n)
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"multiplier '{m.label}' is not a number at n = {n}, got {value!r}") from None
+
+
+def _with_array_symbol(m: Multiplier, array_symbol: Callable[[np.ndarray], tuple]) -> Multiplier:
+    """m, carrying array_symbol as its private _array_symbol."""
+    object.__setattr__(m, "_array_symbol", array_symbol)
+    return m
+
+
 # multipliers are immutable, so each built-in one is made once and shared
-_DERIVATIVE = Multiplier(
-    symbol=lambda n: -math.log(n),
-    label="derivative",
-    array_symbol=lambda idx: (-_log(idx), np.zeros(idx.size)),
-)
-_INTEGRATION = Multiplier(
-    symbol=lambda n: -1.0 / math.log(n),
-    label="integration",
-    requires_zero_constant=True,
-    array_symbol=lambda idx: (-1.0 / _log(idx), np.zeros(idx.size)),
-)
-_IDENTITY = Multiplier(
-    symbol=lambda n: 1.0,
-    label="identity",
-    array_symbol=lambda idx: (np.ones(idx.size), np.zeros(idx.size)),
-)
+_DERIVATIVE = _with_array_symbol(Multiplier(lambda n: -math.log(n), "derivative"),
+                                 lambda idx: (-_log(idx), np.zeros(idx.size)))
+_INTEGRATION = _with_array_symbol(Multiplier(lambda n: -1.0 / math.log(n), "integration", requires_zero_constant=True),
+                                  lambda idx: (-1.0 / _log(idx), np.zeros(idx.size)))
+_IDENTITY = _with_array_symbol(Multiplier(lambda n: 1.0, "identity"),
+                               lambda idx: (np.ones(idx.size), np.zeros(idx.size)))
 
 
 def derivative_multiplier() -> Multiplier:
@@ -239,8 +243,9 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
 def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
     annihilated terms disappear from the coefficient map.  A symbol value
-    past double range or not finite raises DomainError naming the
-    multiplier and n; a product that overflows names its coefficient.
+    that is not a number, past double range or not finite raises
+    DomainError naming the multiplier and n; a product that overflows
+    names its coefficient.
     The symbol is read directly, not through m(n): a finite value whose
     modulus alone passes double range is accepted when the products are
     finite (complex(1.5e308, 1.5e308) times 0.5 gives 7.5e307+7.5e307j).
@@ -249,11 +254,11 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     forms the same products on arrays, bit for bit; anything non-finite
     there reruns the scalar path, which raises the error."""
     m.check_domain(f)
-    if m.array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
+    if m._array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
         idx, a = f.index_array(), f.coefficient_array()
         out = np.empty(idx.size, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            out.real, out.imag = _product(*m.array_symbol(idx), a.real, a.imag)
+            out.real, out.imag = _product(*m._array_symbol(idx), a.real, a.imag)
         try:
             return _normal(idx, out)
         except DomainError:
@@ -261,7 +266,7 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     symbol = m.symbol
     try:
         return _normal(f.indices(), [complex(symbol(n)) * a for n, a in f.items()])
-    except (OverflowError, DomainError):
+    except (OverflowError, DomainError, TypeError, ValueError):
         # error path only: re-read the symbol through m(n), which names a bad value
         for n in f.indices():
             m(n)
@@ -281,7 +286,7 @@ def integrate(f: DirichletPolynomial) -> DirichletPolynomial:
 
 def compose(m1: Multiplier, m2: Multiplier) -> Multiplier:
     return Multiplier(
-        symbol=lambda n: complex(m1.symbol(n)) * complex(m2.symbol(n)),
+        symbol=lambda n: _number(m1, n) * _number(m2, n),
         label=f"{m1.label}*{m2.label}",
         requires_zero_constant=m1.requires_zero_constant or m2.requires_zero_constant,
     )

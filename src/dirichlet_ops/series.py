@@ -85,15 +85,13 @@ _INDEX_MAX = 2**63 - 1
 _ARRAY_MIN_TERMS = 96
 
 # most terms a call may materialize at once (truncate, the abscissa
-# windows, bracket_sigma_u, bv_check, one partial_sum chunk), checked before
-# anything is allocated.  They peak at 32-81 bytes a term (tracemalloc;
-# bracket_sigma_u at 80.5 at 2^18 and 2^20 terms, its probe screen working
-# in blocks; a partial_sum chunk at 48 direct and 32 by Taylor blocks, 56
-# and 48 for a complex rule, at 2^16 to 2^22 terms; a described rule's
-# terms past the floor are one scalar Euler-Maclaurin sum, no array), so at
-# ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError,
-# ValueError).  partial_sum streams its N terms a chunk at a time, so N is
-# not capped.
+# windows, bracket_sigma_u, bv_check), checked before anything is
+# allocated.  They peak at 32-81 bytes a term (tracemalloc; bracket_sigma_u
+# at 80.5 at 2^18 and 2^20 terms, its probe screen working in blocks), so
+# at ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError,
+# ValueError).  partial_sum streams its N terms in chunks of
+# evaluation._CHUNK = 2^16 (48 bytes a term direct, 32 by Taylor blocks, 56
+# and 48 for a complex rule), so N is not capped.
 _MAX_TERMS = 1 << 24
 
 

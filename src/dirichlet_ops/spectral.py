@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectralError
-from .operators import Multiplier, _reciprocal, apply
+from .operators import Multiplier, _reciprocal, _with_array_symbol, apply
 from .series import DirichletPolynomial, monomial
 from .series import _MAX_TERMS, _log, _validate_complex, _validate_index, _validate_real, np
 
@@ -185,12 +185,9 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
         )
     # log 1 = 0, so the n = 1 entry of this symbol is the b_1 / lambda term;
     # the array symbol adds as float + complex does, imaginary part 0.0 + Im lambda
-    resolvent = Multiplier(
-        symbol=lambda n: 1.0 / (math.log(n) + lam),
-        label=f"{space} resolvent",
-        requires_zero_constant=space == ZERO_SUBSPACE,
-        array_symbol=lambda idx: _reciprocal(_log(idx) + lam.real, 0.0 + lam.imag),
-    )
+    resolvent = Multiplier(lambda n: 1.0 / (math.log(n) + lam), f"{space} resolvent",
+                           requires_zero_constant=space == ZERO_SUBSPACE)
+    _with_array_symbol(resolvent, lambda idx: _reciprocal(_log(idx) + lam.real, 0.0 + lam.imag))
     return apply(resolvent, f)
 
 

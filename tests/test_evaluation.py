@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirichlet_ops import evaluation
+from dirichlet_ops import evaluation, series
 from dirichlet_ops import (
     ZERO,
     CoefficientRule,
@@ -103,10 +104,12 @@ class TestPartialSum:
         rule = eta_rule()
         assert partial_sum(rule, 0.0, 101) == pytest.approx(1.0, abs=1e-15)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         rule = zeta_shift_rule(1)
-        a = partial_sum(rule, 0.5, 10_000, chunk=1 << 22)
-        b = partial_sum(rule, 0.5, 10_000, chunk=128)
+        monkeypatch.setattr(evaluation, "_CHUNK", 1 << 22)
+        a = partial_sum(rule, 0.5, 10_000)
+        monkeypatch.setattr(evaluation, "_CHUNK", 128)
+        b = partial_sum(rule, 0.5, 10_000)
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("N", [0, 10.5, True, 2**63])
@@ -114,22 +117,20 @@ class TestPartialSum:
         with pytest.raises(DomainError, match="partial sum length N"):
             partial_sum(eta_rule(), 0.0, N)
 
-    @pytest.mark.parametrize("chunk", [0, -3, 1.5, True, 2**24 + 1, 2**40, 2**61, 2**63 - 1])
-    def test_rejects_bad_chunk(self, chunk):
-        # 0 and -3 never advanced the stream; 1.5 summed overlapping chunks.
-        # Over a long stream 2^40 and 2^61 leaked numpy's MemoryError and
-        # ValueError, and 2^63 - 1 an empty np.arange: a silent 0j
-        N = 2**63 - 4 if chunk >= 2**40 else 10
-        with pytest.raises(DomainError, match="chunk length"):
-            partial_sum(zeta_shift_rule(2), 0, N, chunk=chunk)
+    def test_longest_chunk(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CHUNK", 3)
+        want = partial_sum(zeta_shift_rule(2), 0.5j, 10)
+        monkeypatch.setattr(evaluation, "_CHUNK", 2**24)
+        assert partial_sum(zeta_shift_rule(2), 0.5j, 10) == pytest.approx(want, rel=1e-15)
 
-    def test_longest_chunk(self):
-        want = partial_sum(zeta_shift_rule(2), 0.5j, 10, chunk=3)
-        assert partial_sum(zeta_shift_rule(2), 0.5j, 10, chunk=2**24) == pytest.approx(want, rel=1e-15)
-
-    def test_chunk_of_one(self):
+    def test_chunk_of_one(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CHUNK", 1)
         want = math.fsum(1.0 / n**2 for n in range(1, 11))
-        assert partial_sum(zeta_shift_rule(2), 0, 10, chunk=1) == pytest.approx(want, rel=1e-15)
+        assert partial_sum(zeta_shift_rule(2), 0, 10) == pytest.approx(want, rel=1e-15)
+
+    def test_the_rule_s_and_n_fix_the_bits(self):
+        # no argument but the rule, s and N shapes the stream
+        assert list(inspect.signature(partial_sum).parameters) == ["rule", "s", "N"]
 
 
 class TestPartialSumThreads:
@@ -145,7 +146,7 @@ class TestPartialSumThreads:
             with pytest.raises(DomainError, match=re.escape(f"s = {s}")):
                 partial_sum(ones_rule(), s, 3 * 2**16)
 
-    def test_rule_runs_on_the_calling_thread(self):
+    def test_rule_runs_on_the_calling_thread(self, monkeypatch):
         names = set()
 
         def vec(ns):
@@ -153,21 +154,23 @@ class TestPartialSumThreads:
             return np.ones(ns.shape)
 
         before = threading.active_count()
-        partial_sum(CoefficientRule("ones", vec), 0.5 + 3j, 20_000, chunk=256)
+        monkeypatch.setattr(evaluation, "_CHUNK", 256)
+        partial_sum(CoefficientRule("ones", vec), 0.5 + 3j, 20_000)
         assert names == {threading.current_thread().name}
         assert threading.active_count() == before
 
-    def test_concurrent_callers(self):
+    def test_concurrent_callers(self, monkeypatch):
         # more callers than cores, with frequent thread switches, over direct
         # terms and Euler-Maclaurin sums
         points = [complex(0.5, t) for t in (3.0, 14.1, 21.0, 25.0, 30.4, 32.9)]
-        want = {s: partial_sum(eta_rule(), s, 5 * 4096 + 100, chunk=1024) for s in points}
+        monkeypatch.setattr(evaluation, "_CHUNK", 1024)
+        want = {s: partial_sum(eta_rule(), s, 5 * 4096 + 100) for s in points}
         got, errors = {}, []
 
         def call(s):
             try:
                 for _ in range(5):
-                    got.setdefault(s, set()).add(partial_sum(eta_rule(), s, 5 * 4096 + 100, chunk=1024))
+                    got.setdefault(s, set()).add(partial_sum(eta_rule(), s, 5 * 4096 + 100))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -459,23 +462,27 @@ class TestTaylorBlocks:
         assert paths == [("direct", 1), ("direct", n + 1), ("direct", 2 * n + 1)]
 
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "em"), (moebius_rule(), "blocks")])
-    def test_blocks_start_at_the_floor(self, paths, rule, path):
+    def test_blocks_start_at_the_floor(self, paths, rule, path, monkeypatch):
         # |48i| + 16 = 64, so the floor is 4 * 64 * 64; the chunk from
         # floor - 1 straddles it (a described rule's last direct chunk is the
         # term floor - 1 alone), and the one from the floor takes blocks whole
         s, floor = 48j, 16384
         assert evaluation._floor(s) == floor
-        partial_sum(rule, s, 2 * (floor - 2), chunk=floor - 2)
-        partial_sum(rule, s, 2 * (floor - 1), chunk=floor - 1)
+        monkeypatch.setattr(evaluation, "_CHUNK", floor - 2)
+        partial_sum(rule, s, 2 * (floor - 2))
+        monkeypatch.setattr(evaluation, "_CHUNK", floor - 1)
+        partial_sum(rule, s, 2 * (floor - 1))
         paths.sort(key=lambda path: path[1])
         assert paths == [("direct", 1), ("direct", 1), ("direct", floor - 1), (path, floor), (path, floor)]
 
-    def test_far_point_stays_direct_up_to_its_floor(self, paths):
+    def test_far_point_stays_direct_up_to_its_floor(self, paths, monkeypatch):
         # 4 (|s| + 16) 64 = 2564096.0032 at s = 0.5 + 10^4 i, so F = 2564097
         s = 0.5 + 1e4j
         assert evaluation._floor(s) == 2564097
-        partial_sum(eta_rule(), s, 2564095 + 64, chunk=2564095)
-        partial_sum(eta_rule(), s, 2564096 + 64, chunk=2564096)
+        monkeypatch.setattr(evaluation, "_CHUNK", 2564095)
+        partial_sum(eta_rule(), s, 2564095 + 64)
+        monkeypatch.setattr(evaluation, "_CHUNK", 2564096)
+        partial_sum(eta_rule(), s, 2564096 + 64)
         paths.sort(key=lambda path: path[1])
         assert paths == [("direct", 1), ("direct", 1), ("direct", 2564096), ("em", 2564097), ("em", 2564097)]
 
@@ -492,16 +499,17 @@ class TestTaylorBlocks:
 
     @pytest.mark.parametrize("chunk", [4096, 4097])
     @pytest.mark.parametrize("rule, path", [(eta_rule(), "em"), (moebius_rule(), "blocks")])
-    def test_chunk_fixes_the_bits(self, paths, rule, path, chunk):
-        # every sum of the stream is fixed by the rule, s, N and chunk: the
-        # sums added in stream order give partial_sum's bits, again on a
+    def test_chunk_fixes_the_bits(self, paths, rule, path, chunk, monkeypatch):
+        # every sum of the stream is fixed by the rule, s, N and the chunk:
+        # the sums added in stream order give partial_sum's bits, again on a
         # second call; a described rule's Euler-Maclaurin sum, made alone,
         # gives its bits in the stream, whatever the chunk
+        monkeypatch.setattr(evaluation, "_CHUNK", chunk)
         s, N = 0.5 + 14j, 20 * chunk + 100
-        got = partial_sum(rule, s, N, chunk=chunk)
-        assert partial_sum(rule, s, N, chunk=chunk) == got
+        got = partial_sum(rule, s, N)
+        assert partial_sum(rule, s, N) == got
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = list(evaluation._chunk_sums(rule, s, N, chunk))
+            parts = list(evaluation._chunk_sums(rule, s, N))
         want = 0j
         for value in parts:
             want += value
@@ -552,7 +560,8 @@ class TestTaylorBlocks:
             mp.setattr(evaluation, "_euler_maclaurin", lambda *args, **kw: calls.append(args) or em(*args, **kw))
             mp.setattr(evaluation, "_direct_sum", lambda ns, *rest: direct.append((int(ns[0]), int(ns[-1])))
                        or direct_sum(ns, *rest))
-            got = partial_sum(rule, s, N, chunk=chunk)
+            mp.setattr(evaluation, "_CHUNK", chunk)
+            got = partial_sum(rule, s, N)
         u, bound, total_mass = 2.0**-53, 0.0, 0.0
 
         def mass(lo, hi):
@@ -588,7 +597,9 @@ class TestTaylorBlocks:
         even for N = 2^62."""
         rule = DESCRIBED[name]
         c, k = rule._description
-        got = partial_sum(rule, -k, N, chunk=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_CHUNK", chunk)
+            got = partial_sum(rule, -k, N)
         want = N % 2 if len(c) == 2 else N
         assert got.imag == 0.0
         F, u = evaluation._floor(0j), 2.0**-53
@@ -616,11 +627,12 @@ class TestTaylorBlocks:
         F = evaluation._floor(s + k)
         N = F + extra - 2048
         read = []
-        spy = dataclasses.replace(rule)
-        object.__setattr__(spy, "vectorized", lambda ns: read.append((int(ns[0]), int(ns[-1]))) or rule.vectorized(ns))
-        object.__setattr__(spy, "_description", rule._description)
-        got = partial_sum(spy, s, N, chunk=chunk)
-        assert got == partial_sum(rule, s, N, chunk=chunk)
+        spy = series._described(
+            CoefficientRule(rule.tag, lambda ns: read.append((int(ns[0]), int(ns[-1]))) or rule.vectorized(ns)), c, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_CHUNK", chunk)
+            got = partial_sum(spy, s, N)
+            assert got == partial_sum(rule, s, N)
         assert [lo for lo, _ in read] == list(range(1, min(N, F - 1) + 1, chunk))
         assert read[-1][1] == min(N, F - 1)
 

@@ -244,6 +244,10 @@ def test_public_parameter_gated(call, name, value):
             lambda: bracket_sigma_u(eta_rule(), 100, [0.5], t_max=-1.0),
             "probe grid extent t_max must be a finite real > 0, got -1.0",
         ),
+        # none is a list of epsilons: a bare number or a 0-d array does not
+        # iterate, and a string or bytes iterates by item (b"0" gives 48)
+        *[(lambda v=v: bracket_sigma_u(eta_rule(), 200, v), "probe_eps must be a nonempty list of epsilons")
+          for v in (0.5, np.float64(0.5), np.array(0.5), "0.5", b"0")],
     ],
 )
 def test_numeric_messages_kept(call, message):
@@ -319,7 +323,6 @@ MATERIALIZED = {
     "sigma_a_estimate": (lambda N: sigma_a_estimate(eta_rule(), N), "window length N"),
     "bracket_sigma_u": (lambda N: bracket_sigma_u(eta_rule(), N, [0.5]), "window length N"),
     "bv_check": (lambda N: bv_check(1.0, 0.5, N), "N"),
-    "partial_sum.chunk": (lambda N: partial_sum(eta_rule(), 0.5, 10, chunk=N), "chunk length"),
 }
 
 

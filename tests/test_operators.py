@@ -11,6 +11,7 @@ from dirichlet_ops import (
     Multiplier,
     add,
     apply,
+    cesaro_mean,
     check_growth,
     coefficient_close,
     compose,
@@ -20,6 +21,8 @@ from dirichlet_ops import (
     integrate,
     integration_multiplier,
     monomial,
+    normalized_power_norm,
+    power_apply,
     scale,
 )
 
@@ -141,13 +144,43 @@ class TestApply:
         [
             (lambda n: math.nan if n == 64 else 1.0, r"'bad-symbol' is not finite at n = 64, got \(nan\+0j\)"),
             (lambda n: n**200 if n == 64 else 1.0, "'bad-symbol' overflows double precision at n = 64"),
+            (lambda n: None if n == 64 else 1.0, "'bad-symbol' is not a number at n = 64, got None"),
+            (lambda n: "x" if n == 64 else 1.0, "'bad-symbol' is not a number at n = 64, got 'x'"),
         ],
-        ids=["nan", "int-overflow"],
+        ids=["nan", "int-overflow", "none", "string"],
     )
     def test_bad_symbol_named_with_its_index(self, symbol, message):
         f = add(monomial(2), monomial(64))
         with pytest.raises(DomainError, match=message):
             apply(Multiplier(symbol, "bad-symbol"), f)
+
+    @pytest.mark.parametrize("value", [None, "x", [1.0]])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, f: m(2),
+            apply,
+            lambda m, f: check_growth(m),
+            lambda m, f: normalized_power_norm(m, f, 0.5, 3),
+            lambda m, f: cesaro_mean(m, 3, f),
+            lambda m, f: power_apply(m, 3, f),
+            lambda m, f: apply(compose(derivative_multiplier(), m), f),
+        ],
+        ids=["call", "apply", "check_growth", "normalized_power_norm", "cesaro_mean", "power_apply", "compose"],
+    )
+    def test_value_that_is_not_a_number_is_named(self, call, value):
+        # complex() rejects it (TypeError, ValueError): DomainError names the multiplier and n
+        m = Multiplier(lambda n: value, "odd")
+        with pytest.raises(DomainError, match=r"^multiplier 'odd' is not a number at n = 2, got "):
+            call(m, add(monomial(2), monomial(3)))
+
+    def test_symbol_errors_propagate_unchanged(self):
+        def broken(n):
+            raise TypeError("broken symbol")
+
+        for call in (lambda m: m(2), lambda m: apply(m, monomial(2)), lambda m: power_apply(m, 2, monomial(2))):
+            with pytest.raises(TypeError, match="^broken symbol$"):
+                call(Multiplier(broken, "broken"))
 
     def test_modulus_past_double_range_needs_only_finite_products(self):
         # apply reads the symbol directly: a finite value whose modulus alone

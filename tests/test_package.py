@@ -397,3 +397,56 @@ def test_floor_guard_sees_each_copy():
     for source in flagged:
         assert list(_floor_reads(ast.parse(source))) != [], source
     assert list(_floor_reads(ast.parse("def _floor(s):\n    return math.ceil(_FLOOR * (abs(s) + 16))\n"))) == []
+
+
+# each private speed hint and the one function that may write it
+HINT_OWNERS = {"_description": "_described", "_array_symbol": "_with_array_symbol"}
+
+
+def _hint_writes(tree):
+    """Lines that write a hint of HINT_OWNERS outside its owner: an
+    attribute assignment, a setattr or __setattr__ naming it, or a keyword
+    of that name (dataclasses.replace, a constructor)."""
+    owned = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        hints = []
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            hints = [node.attr]
+        elif isinstance(node, ast.Call):
+            hints = [keyword.arg for keyword in node.keywords]
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in ("setattr", "__setattr__") and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                hints.append(node.args[1].value)
+        if any(hint in HINT_OWNERS and owned.get(id(node)) != HINT_OWNERS[hint] for hint in hints):
+            yield node.lineno
+
+
+def test_hints_have_one_writer_each():
+    # the array symbol and the description are speed hints the package
+    # attaches to what it built; written anywhere else, a hint could
+    # outlive the symbol or the values it stands for
+    writes = []
+    for path in [*Path(dirichlet_ops.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        writes += [f"{path.name}:{line}" for line in _hint_writes(ast.parse(path.read_text()))]
+    assert writes == []
+
+
+def test_hint_guard_sees_each_write():
+    flagged = (
+        "object.__setattr__(m, '_array_symbol', fn)\n",
+        "object.__setattr__(rule, '_description', ((1.0,), 0))\n",
+        "setattr(m, '_array_symbol', fn)\n",
+        "monkeypatch.setattr(m, '_array_symbol', fn)\n",
+        "m = dataclasses.replace(D, _array_symbol=fn)\n",
+        "m = Multiplier(f, 'x', _array_symbol=fn)\n",
+        "m._array_symbol = fn\n",
+        "def _described(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
+    )
+    for source in flagged:
+        assert list(_hint_writes(ast.parse(source))) != [], source
+    owned = ("def _with_array_symbol(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
+             "def _described(rule, c, k):\n    object.__setattr__(rule, '_description', (c, k))\n",
+             "fn = m._array_symbol\nc, k = rule._description or ((), 0)\n")
+    for source in owned:
+        assert list(_hint_writes(ast.parse(source))) == [], source

@@ -398,7 +398,7 @@ class TestMoebiusSieve:
         assert moebius_rule().values(ns).tolist() == [legacy_moebius_value(n) for n in ns] == [0.0] * 3
         assert moebius_rule()(2**63 - 1) == 0
 
-    def test_sieved_partial_sum_against_the_per_term_oracle(self):
+    def test_sieved_partial_sum_against_the_per_term_oracle(self, monkeypatch):
         # 13 chunks of 4096, each sieved.  The terms from the floor
         # F = 7717 on take Taylor blocks, the chunk from 4097 splitting at F,
         # so the per-term oracle agrees within their delta and the rounding
@@ -408,7 +408,8 @@ class TestMoebiusSieve:
         # the direct terms
         s = 0.5 + 14.134725j
         F = evaluation._floor(s)
-        got = partial_sum(moebius_rule(), s, 50_000, chunk=4096)
+        monkeypatch.setattr(evaluation, "_CHUNK", 4096)
+        got = partial_sum(moebius_rule(), s, 50_000)
         delta, mass, blocked = 0.0, 0.0, 0
         for lo in range(1, 50_001, 4096):
             ns = np.arange(lo, min(50_000, lo + 4095) + 1)
@@ -1000,17 +1001,21 @@ class TestStreamedPartialSum:
     @given(rule=_STREAM_RULES, stream=_streams())
     def test_bits_equal_the_per_term_loop(self, rule, stream):
         s, N, chunk = stream
-        assert complex_bits(partial_sum(rule, s, N, chunk=chunk)) == complex_bits(legacy_partial_sum(rule, s, N, chunk))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_CHUNK", chunk)
+            got = partial_sum(rule, s, N)
+        assert complex_bits(got) == complex_bits(legacy_partial_sum(rule, s, N, chunk))
 
-    def test_first_error_in_chunk_order(self):
+    def test_first_error_in_chunk_order(self, monkeypatch):
         # 5 chunks of 8; chunks 3 and 4 both raise, and chunk 3 must win
         def vec(ns):
             if ns[0] in (17, 25):
                 raise DomainError(f"rule failed in the chunk from {ns[0]}")
             return np.ones(ns.shape)
 
+        monkeypatch.setattr(evaluation, "_CHUNK", 8)
         with pytest.raises(DomainError, match="chunk from 17$"):
-            partial_sum(CoefficientRule("failing", vec), 0.5 + 2j, 40, chunk=8)
+            partial_sum(CoefficientRule("failing", vec), 0.5 + 2j, 40)
 
 
 BUILT_IN = (derivative_multiplier(), integration_multiplier(), identity_multiplier())
@@ -1149,7 +1154,7 @@ class TestArrayPath:
         f = truncate(eta_rule(), 300)
         D = derivative_multiplier()
         for m in (Multiplier(D.symbol, "user"), compose(D, identity_multiplier())):
-            assert m.array_symbol is None
+            assert m._array_symbol is None
             assert bits(apply(m, f)) == bits(legacy_apply(D, f))
 
     def test_array_symbol_taken_from_the_crossover_on(self, monkeypatch):
@@ -1157,7 +1162,7 @@ class TestArrayPath:
         def refuse(n):
             raise ZeroDivisionError("scalar symbol read")
 
-        m = Multiplier(refuse, "arrays only", array_symbol=derivative_multiplier().array_symbol)
+        m = operators._with_array_symbol(Multiplier(refuse, "arrays only"), derivative_multiplier()._array_symbol)
         monkeypatch.setattr(operators, "_ARRAY_MIN_TERMS", 96)
         f = truncate(eta_rule(), 96)
         assert bits(apply(m, f)) == bits(legacy_apply(derivative_multiplier(), f))
@@ -1166,20 +1171,66 @@ class TestArrayPath:
 
     def test_array_symbol_left_out_of_equality(self):
         D = derivative_multiplier()
-        assert dataclasses.replace(D, array_symbol=None) == D
-        assert hash(dataclasses.replace(D, array_symbol=None)) == hash(D)
+        assert dataclasses.replace(D)._array_symbol is None
+        assert dataclasses.replace(D) == D
+        assert hash(dataclasses.replace(D)) == hash(D)
+        assert "_array_symbol" not in repr(D)
 
 
 @pytest.mark.parametrize("k", [1, 5, 40])
 def test_cesaro_and_compose_reset_the_array_symbol(k, rng):
-    # dataclasses.replace copies every field: a mean or a composite that kept
-    # the derivative's array symbol would multiply by -log n at this size
+    # a mean or a composite that kept the derivative's array symbol would
+    # multiply by -log n at this size
     D = derivative_multiplier()
     idx = rng.choice(np.arange(2, 10**4), size=operators._ARRAY_MIN_TERMS + 4, replace=False)
     f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in idx})
     assert bits(cesaro_mean(D, k, f)) == bits(legacy_cesaro_mean(D, k, f))
     DD = compose(D, D)
     assert bits(apply(DD, f)) == bits(legacy_apply(DD, f))
+
+
+def test_replace_drops_the_array_symbol():
+    # a replaced built-in carries no array symbol, so past the crossover its
+    # products follow the new symbol (2), not the derivative's -log n
+    m = dataclasses.replace(derivative_multiplier(), symbol=lambda n: 2.0, label="two")
+    assert m._array_symbol is None
+    f = truncate(ones_rule(), 200)
+    assert f.term_count >= operators._ARRAY_MIN_TERMS
+    assert [(n, a) for n, a in apply(m, f).items()] == [(n, 2 * a) for n, a in f.items()]
+    assert bits(apply(m, f)) == bits(legacy_apply(m, f))
+    for k in (2, 3, 101):
+        assert bits(power_apply(m, k, f)) == bits(legacy_power_apply(m, k, f))
+    orbit = loop_orbit(m, f, 0.5)
+    for k in (1, 2, 40):
+        assert normalized_power_norm(m, f, 0.5, k).hex() == loop_orbit_norm(orbit, k).hex()
+    samples = ergodicity_diagnostic(m, f, 0.5).samples
+    assert [(k, v.hex()) for k, v in samples] == [(k, loop_orbit_norm(orbit, k).hex()) for k in range(1, 41)]
+
+
+@pytest.mark.parametrize(
+    "call, arrays",
+    [
+        (lambda f: apply(derivative_multiplier(), f), True),
+        (lambda f: apply(integration_multiplier(), f), True),
+        (lambda f: apply(identity_multiplier(), f), True),
+        (lambda f: resolvent_apply(0.5 + 1j, f, FULL), True),
+        (lambda f: power_apply(derivative_multiplier(), 100, f), True),
+        (lambda f: power_apply(derivative_multiplier(), 101, f), False),
+        (lambda f: cesaro_mean(derivative_multiplier(), 3, f), False),
+    ],
+    ids=["derivative", "integration", "identity", "resolvent", "power-100", "power-101", "cesaro"],
+)
+def test_array_path_from_the_crossover_on(monkeypatch, call, arrays):
+    # the package attaches an array symbol to the built-ins, the resolvent
+    # and iterates for k <= 100; apply forms its products on arrays from
+    # _ARRAY_MIN_TERMS terms on, and only there
+    calls = []
+    product = operators._product
+    monkeypatch.setattr(operators, "_product", lambda *args: calls.append(args) or product(*args))
+    for N, want in ((operators._ARRAY_MIN_TERMS - 1, False), (operators._ARRAY_MIN_TERMS, arrays)):
+        calls.clear()
+        call(DirichletPolynomial({n: 1.0 for n in range(2, N + 2)}))
+        assert bool(calls) == want
 
 
 class TestCarrier:
@@ -1437,9 +1488,9 @@ def took_log_space(m, f, k):
 USER_COMPLEX = Multiplier(lambda n: complex(1.5, -1.0 / n), "user complex")
 USER_WITH_ZEROS = Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0 + 1e-3 * n, "user with zeros")
 # the same symbol with an array symbol: the array orbit drops its zeros past n = 1
-ARRAY_WITH_ZEROS = dataclasses.replace(
-    USER_WITH_ZEROS, label="array with zeros",
-    array_symbol=lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0 + 1e-3 * idx), np.zeros(idx.size)),
+ARRAY_WITH_ZEROS = operators._with_array_symbol(
+    dataclasses.replace(USER_WITH_ZEROS, label="array with zeros"),
+    lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0 + 1e-3 * idx), np.zeros(idx.size)),
 )
 ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS, ARRAY_WITH_ZEROS)
 
@@ -1513,10 +1564,9 @@ class TestArrayOrbit:
         # the array symbol gives the bad value at n = 77, as the scalar one does
         D = derivative_multiplier()
         bad = complex(bad)
-        m = Multiplier(
-            lambda n: bad if n == 77 else -math.log(n), "bad at 77",
-            array_symbol=lambda idx: (np.where(idx == 77, bad.real, D.array_symbol(idx)[0]),
-                                      np.where(idx == 77, bad.imag, 0.0)),
+        m = operators._with_array_symbol(
+            Multiplier(lambda n: bad if n == 77 else -math.log(n), "bad at 77"),
+            lambda idx: (np.where(idx == 77, bad.real, D._array_symbol(idx)[0]), np.where(idx == 77, bad.imag, 0.0)),
         )
         f = truncate(eta_rule(), 200)
         got, want = norm_outcomes(m, f, 0.5, [1, 40])
