@@ -18,11 +18,10 @@ by exactly 1), then report slope - k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .evaluation import _MAX_GRID_POINTS, _grid_sup
-from .series import _MAX_TERMS, CoefficientRule, _exp, _log, _slope, _validate_index, _validate_real, np
+from .series import _MAX_TERMS, CoefficientRule, _Record, _exp, _log, _slope, _validate_index, _validate_real, np
 
 __all__ = [
     "Estimate",
@@ -44,8 +43,7 @@ _MAX_SHIFT = 8
 _MIN_UNCERTAINTY = 0.01
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(_Record):
     """Abscissa estimate with window-spread uncertainty and shift used;
     slopes[k] is the window slope after k shifts (nan where |A_M| vanished
     almost everywhere), so an accepted estimate's value is slopes[-1] - shift."""
@@ -56,8 +54,7 @@ class Estimate:
     slopes: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class BoundednessProbe:
+class BoundednessProbe(_Record):
     """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid of
     `points` points: a GEMM screen (about 3 exps a term, then N * points
     multiply-adds), then per-row numpy sums of the `refined` points it kept;
@@ -70,8 +67,7 @@ class BoundednessProbe:
     refined: int
 
 
-@dataclass(frozen=True)
-class AbscissaEstimate:
+class AbscissaEstimate(_Record):
     sigma_c: Estimate
     sigma_a: Estimate
     N: int

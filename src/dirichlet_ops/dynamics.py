@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import DomainError
 from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
-from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _exp, _expm1, _fsum, _log, _slope, _validate_index,
-                     _validate_real, np)
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _log, _slope,
+                     _validate_index, _validate_real, np, replace)
 
 __all__ = [
     "power_apply",
@@ -212,8 +211,7 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
     return _orbit_norm(_orbit(m, f, epsilon), k)
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(_Record):
     """Orbit samples (k, normalized iterate bound), a verdict, and the
     fitted exponential rate.
 

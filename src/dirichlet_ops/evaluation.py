@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _validate_real
+from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _Record, _validate_real
 from .series import _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index, np
 
 __all__ = [
@@ -543,8 +542,7 @@ def summation_by_parts(x, y) -> complex:
     return _finite(value, "summation by parts")
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(_Record):
     """Bound for the discarded tail sum_{n>M} x_n y_n at real s > epsilon.
     The probe reads s = epsilon only, so it is uniform on the half-plane
     only where the sup is at the real point, as for nonnegative a_n: eta's
@@ -689,15 +687,13 @@ def truncation_for_tolerance(
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     t_max: float
     step: float
     two_sided: bool
 
 
-@dataclass(frozen=True)
-class SeminormEstimate:
+class SeminormEstimate(_Record):
     """Bracket for sup |f| on Re s > epsilon.
 
     lower: the larger of the maximum of |f(epsilon + i t)| over the sampled

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from cmath import isfinite
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _log, _normal, _slope, _validate_index, np
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _log, _normal, _slope, _validate_index, np
 
 __all__ = [
     "Multiplier",
@@ -82,8 +81,7 @@ def _power(re, im, k: int) -> tuple:
         p = _product(*p, *p)
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(_Record):
     """Termwise coefficient multiplier n -> gamma_n.
 
     requires_zero_constant (keyword-only) restricts the domain to series with
@@ -99,13 +97,16 @@ class Multiplier:
     orbit norms of dynamics take it from series._ARRAY_MIN_TERMS terms on.
     Only _with_array_symbol sets it, on the built-ins, the resolvent and
     their power_apply iterates for k <= 100.  It takes no part in
-    construction, comparison or repr, so dataclasses.replace drops it.
+    construction, comparison or repr, so replace() drops it.
     """
 
     symbol: Callable[[int], complex]
     label: str
-    requires_zero_constant: bool = field(default=False, kw_only=True)
-    _array_symbol: Callable[[np.ndarray], tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    requires_zero_constant: bool = False
+    _array_symbol: Callable[[np.ndarray], tuple] | None = None
+
+    def __init__(self, symbol: Callable[[int], complex], label: str, *, requires_zero_constant: bool = False):
+        vars(self).update(symbol=symbol, label=label, requires_zero_constant=requires_zero_constant)
 
     @property
     def min_index(self) -> int:
@@ -138,12 +139,16 @@ class Multiplier:
 
 
 def _number(m: Multiplier, n: int) -> complex:
-    """complex(m.symbol(n)); DomainError naming m and n where complex() rejects the value."""
+    """complex(m.symbol(n)); DomainError naming m and n where the value is
+    not a number: complex() rejects it, or it is a string, which complex()
+    would parse but no coefficient gate accepts."""
     value = m.symbol(n)
-    try:
-        return complex(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"multiplier '{m.label}' is not a number at n = {n}, got {value!r}") from None
+    if not isinstance(value, str):
+        try:
+            return complex(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"multiplier '{m.label}' is not a number at n = {n}, got {value!r}")
 
 
 def _with_array_symbol(m: Multiplier, array_symbol: Callable[[np.ndarray], tuple]) -> Multiplier:
@@ -176,8 +181,7 @@ def identity_multiplier() -> Multiplier:
     return _IDENTITY
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(_Record):
     """check_growth diagnostics: sampled ratios log|gamma_n|/log n, the
     fitted limit (intercept in the {1, log log n / log n} basis), and the
     residual of that fit."""
@@ -243,9 +247,9 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
 def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     """Termwise action of the multiplier; result is renormalized, so
     annihilated terms disappear from the coefficient map.  A symbol value
-    that is not a number, past double range or not finite raises
-    DomainError naming the multiplier and n; a product that overflows
-    names its coefficient.
+    that is not a number (a string too, which complex() would parse), past
+    double range or not finite raises DomainError naming the multiplier
+    and n; a product that overflows names its coefficient.
     The symbol is read directly, not through m(n): a finite value whose
     modulus alone passes double range is accepted when the products are
     finite (complex(1.5e308, 1.5e308) times 0.5 gives 7.5e307+7.5e307j).
@@ -254,18 +258,28 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     forms the same products on arrays, bit for bit; anything non-finite
     there reruns the scalar path, which raises the error."""
     m.check_domain(f)
-    if m._array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
+    array_symbol = m._array_symbol
+    if array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
         idx, a = f.index_array(), f.coefficient_array()
         out = np.empty(idx.size, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            out.real, out.imag = _product(*m._array_symbol(idx), a.real, a.imag)
+            out.real, out.imag = _product(*array_symbol(idx), a.real, a.imag)
         try:
             return _normal(idx, out)
         except DomainError:
             pass  # a value is not finite: the scalar path names it
-    symbol = m.symbol
+    symbol, items = m.symbol, f.items()
     try:
-        return _normal(f.indices(), [complex(symbol(n)) * a for n, a in f.items()])
+        if array_symbol is None:
+            # a user's symbol may return a string, which complex() would parse
+            terms = [complex(g) * a for n, a in items if not isinstance(g := symbol(n), str)]
+            if len(terms) < len(items):
+                raise TypeError  # a string value, left out above: m(n) names it
+        else:
+            # the package's own symbols, the only ones with an array symbol,
+            # return floats or complex numbers
+            terms = [complex(symbol(n)) * a for n, a in items]
+        return _normal(f.indices(), terms)
     except (OverflowError, DomainError, TypeError, ValueError):
         # error path only: re-read the symbol through m(n), which names a bad value
         for n in f.indices():

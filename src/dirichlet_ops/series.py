@@ -18,8 +18,8 @@ import math
 import sys
 from cmath import isfinite
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from math import fsum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable
 
@@ -29,6 +29,7 @@ __all__ = [
     "DirichletPolynomial",
     "HalfPlanePoint",
     "CoefficientRule",
+    "replace",
     "ZERO",
     "monomial",
     "add",
@@ -617,23 +618,113 @@ def coefficient_close(
     return True
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
+class _Record:
+    """Base of the package's frozen value types and result records.
+
+    A subclass names its fields by its public class annotations, in order,
+    a field's class value being its default; it is read once, when the
+    class is made, and nothing is generated.  Construction binds the fields
+    by position or keyword, raising the TypeError a function with those
+    parameters would raise; == (between instances of one class), hash and
+    repr take the fields in order, and assigning or deleting any attribute
+    raises AttributeError.  Private annotations are speed hints with a class
+    default: no construction, comparison or repr sees them, so replace()
+    drops them.  A subclass may leave fields out of == and hash
+    (`_uncompared`) or write its own __init__ (a keyword-only field,
+    validation, or speed where one is built on every call), storing the
+    fields through vars(self).
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__dict__.get("__annotations__", ()) if not name.startswith("_"))
+        cls._names = frozenset(cls._fields)
+        cls._required = frozenset(name for name in cls._fields if name not in cls.__dict__)
+        # the fields in order, each with its default (None for a required
+        # one, which a call always gives): a record built with defaults
+        # starts its dict from it, so its fields keep their order
+        cls._template = {name: cls.__dict__.get(name) for name in cls._fields}
+        cls._key = itemgetter(*(name for name in cls._fields if name not in cls._uncompared))
+
+    def __init__(self, *args, **kwargs):
+        values = kwargs
+        if args:
+            values = dict(zip(self._fields, args), **kwargs)
+            if len(values) < len(args) + len(kwargs):  # one too many, or one given twice
+                raise _call_error(type(self), args, kwargs)
+        fields = vars(self)
+        if values.keys() != self._names:
+            if not (self._names.issuperset(values) and values.keys() >= self._required):
+                raise _call_error(type(self), args, kwargs)
+            fields.update(self._template)
+        fields.update(values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(vars(self)) == self._key(vars(other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(vars(self)))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _call_error(cls: type, args: tuple, kwargs: dict) -> TypeError:
+    """The TypeError of a call cls(*args, **kwargs) that does not bind, as
+    Python words it for a function whose parameters are cls's fields."""
+    where, fields = f"{cls.__qualname__}.__init__()", cls._fields
+    for name in kwargs:
+        if name not in cls._names:
+            return TypeError(f"{where} got an unexpected keyword argument {name!r}")
+        if name in fields[:len(args)]:
+            return TypeError(f"{where} got multiple values for argument {name!r}")
+    if len(args) > len(fields):
+        least, most = len(cls._required) + 1, len(fields) + 1  # counting self
+        takes = f"from {least} to {most}" if least < most else most
+        return TypeError(f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
+    missing = [repr(name) for name in fields[len(args):] if name in cls._required and name not in kwargs]
+    count = f"{len(missing)} required positional argument" + ("s" if len(missing) > 1 else "")
+    if len(missing) > 1:
+        missing[-1] = "and " + missing[-1]
+    return TypeError(f"{where} missing {count}: {(', ' if len(missing) > 2 else ' ').join(missing)}")
+
+
+def replace(record: _Record, /, **changes) -> _Record:
+    """A new record of record's type, its fields changed as given: the
+    frozen records' way to a changed copy.  Like any construction it
+    carries none of the private hints; a name that is not a field raises
+    TypeError."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    fields.update(changes)
+    return type(record)(**fields)
+
+
+class HalfPlanePoint(_Record):
     """A point sigma + i t of the complex plane, named by half-plane role."""
 
     sigma: float
     t: float = 0.0
 
-    def __post_init__(self):
-        _validate_real(self.sigma, "sigma")
-        _validate_real(self.t, "t")
+    def __init__(self, sigma: float, t: float = 0.0):
+        _validate_real(sigma, "sigma")
+        _validate_real(t, "t")
+        vars(self).update(sigma=sigma, t=t)
 
     def as_complex(self) -> complex:
         return complex(self.sigma, self.t)
 
 
-@dataclass(frozen=True)
-class CoefficientRule:
+class CoefficientRule(_Record):
     """Deterministic total coefficient rule n -> a_n for n >= 1.
 
     `vectorized` maps an int64 index array to the coefficient array; it is
@@ -654,13 +745,13 @@ class CoefficientRule:
     mod p (a count at s + k = 0), never calling `vectorized` there.  Only
     ones_rule, eta_rule and zeta_shift_rule set it.  It takes no part in
     construction, comparison or repr, so a user's rule, whatever its tag,
-    and dataclasses.replace of a built-in carry None.
+    and a replace() copy of a built-in carry None.
     """
 
     tag: str
     vectorized: Callable[[np.ndarray], np.ndarray]
     known_abscissas: Mapping[str, float] | None = None
-    _description: tuple[tuple[float, ...], int] | None = field(default=None, init=False, compare=False, repr=False)
+    _description: tuple[tuple[float, ...], int] | None = None
 
     def __call__(self, n: int) -> complex:
         return complex(self.values([_validate_index(n)])[0])
@@ -747,10 +838,12 @@ def _moebius_trial(ns: np.ndarray) -> np.ndarray:
     consecutive odd divisors d against the cofactors still >= d^2, up to
     the square root of the largest of them; within a block the smallest
     divisor hit is always prime, since smaller primes were already divided
-    out.  The blocks double from _TRIAL_FIRST divisors, so an index with a
-    small factor settles in the first, and a pass takes all the divisors
-    left when they are at most 8 blocks and _TRIAL_BLOCK pairs (a prime near
-    10^6 in one pass).  Memory stays O(len(ns) + _TRIAL_BLOCK)."""
+    out, and only a row whose cofactor is still >= p^2 after dividing by p
+    tests the block again.  The blocks double from _TRIAL_FIRST divisors,
+    so an index with a small factor settles in the first, and a pass takes
+    all the divisors left when they are at most 8 blocks and _TRIAL_BLOCK
+    pairs (a prime near 10^6 in one pass).  Memory stays
+    O(len(ns) + _TRIAL_BLOCK)."""
     even = ns % 2 == 0
     sign = np.where(even, -1, 1)
     cof = np.where(even, ns // 2, ns)
@@ -764,7 +857,7 @@ def _moebius_trial(ns: np.ndarray) -> np.ndarray:
         block *= 2
         ds = np.arange(d, top, 2, dtype=np.int64)
         rows = live
-        while True:
+        while rows.size:
             hits = cof[rows, None] % ds == 0
             found = hits.any(axis=1)
             rows = rows[found]
@@ -775,6 +868,9 @@ def _moebius_trial(ns: np.ndarray) -> np.ndarray:
             square = q % p == 0
             sign[rows] = np.where(square, 0, -sign[rows])
             cof[rows] = np.where(square, 1, q)
+            # a cofactor below p^2 is 1 or a prime (none below p is left),
+            # so its row is settled: no re-test of the block
+            rows = rows[cof[rows] >= p * p]
         d += 2 * ds.size
         live = live[cof[live] >= d * d]
     # a cofactor left above 1 has no divisor up to its square root: a prime

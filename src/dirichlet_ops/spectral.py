@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectralError
 from .operators import Multiplier, _reciprocal, _with_array_symbol, apply
-from .series import DirichletPolynomial, monomial
+from .series import DirichletPolynomial, _Record, monomial
 from .series import _MAX_TERMS, _log, _validate_complex, _validate_index, _validate_real, np
 
 __all__ = [
@@ -98,8 +97,7 @@ def spectral_gap(lmbda) -> float:
     return min(abs(lam), inner)
 
 
-@dataclass(frozen=True)
-class SpectrumClassification:
+class SpectrumClassification(_Record):
     """Verdict for one spectral parameter.
 
     kind is one of 'eigenvalue' (lambda = -log n, eigenvector the n-th
@@ -119,6 +117,15 @@ class SpectrumClassification:
     gap: float | None = None
     near_spectrum: bool = False
     reason: str = ""
+
+    # written out, as every classify_point and resolvent_apply builds one:
+    # the generic binding of 6 of 8 fields by keyword took 1.8 us a record,
+    # this 1.0 us (2-core Xeon; BENCH_frozen_records.json)
+    def __init__(self, lam: complex, space: str, kind: str, n: int | None = None,
+                 eigenvector: DirichletPolynomial | None = None, gap: float | None = None,
+                 near_spectrum: bool = False, reason: str = ""):
+        vars(self).update(lam=lam, space=space, kind=kind, n=n, eigenvector=eigenvector, gap=gap,
+                          near_spectrum=near_spectrum, reason=reason)
 
 
 def classify_point(lmbda, space: str) -> SpectrumClassification:
@@ -191,8 +198,7 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
     return apply(resolvent, f)
 
 
-@dataclass(frozen=True)
-class VariationReport:
+class VariationReport(_Record):
     """Total-variation diagnostics for the damped resolvent symbol
     gamma_n = 1 / ((log n + lambda) n^delta).
 
@@ -213,10 +219,12 @@ class VariationReport:
     N: int
     gap: float
     variation: float
-    partial_sums: np.ndarray = field(compare=False)
+    partial_sums: np.ndarray
     fitted_constant: float
     majorant_ratio: float
     verdict: str
+
+    _uncompared = ("partial_sums",)
 
 
 def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
@@ -301,8 +309,7 @@ def _reciprocal_symbol_distance(w: complex) -> float:
     return min(best, tail)
 
 
-@dataclass(frozen=True)
-class ReciprocalReport:
+class ReciprocalReport(_Record):
     mu: complex
     in_rho_d: bool
     in_rho_j_reciprocal: bool

@@ -10,11 +10,10 @@ which is the checkable identity this module reports on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .operators import differentiate, integrate
 from .series import (
     DirichletPolynomial,
+    _Record,
     coefficient_close,
     dirichlet_multiply,
     monomial,
@@ -33,8 +32,7 @@ def volterra_apply(g: DirichletPolynomial, f: DirichletPolynomial) -> DirichletP
     return integrate(dirichlet_multiply(differentiate(g), f))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """V_g(1) against g minus its constant term, coefficient-wise to 1e-12."""
 
     lhs: DirichletPolynomial

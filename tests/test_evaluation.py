@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import os
@@ -28,6 +27,7 @@ from dirichlet_ops import (
     monomial,
     ones_rule,
     partial_sum,
+    replace,
     scale,
     seminorm,
     summation_by_parts,
@@ -528,7 +528,7 @@ class TestTaylorBlocks:
         assert paths == [("direct", 1), ("em", F)]
         paths.clear()
         for rule in (CoefficientRule("eta", eta_rule().vectorized),
-                     dataclasses.replace(eta_rule(), vectorized=eta_rule().vectorized)):
+                     replace(eta_rule(), vectorized=eta_rule().vectorized)):
             assert rule._description is None
             assert partial_sum(rule, s, 3 * 2**16) == pytest.approx(want, rel=1e-13)
         paths.sort(key=lambda path: path[1])

@@ -154,7 +154,9 @@ class TestApply:
         with pytest.raises(DomainError, match=message):
             apply(Multiplier(symbol, "bad-symbol"), f)
 
-    @pytest.mark.parametrize("value", [None, "x", [1.0]])
+    # a numeric string is refused too: complex() would parse it, but no
+    # coefficient gate takes a string
+    @pytest.mark.parametrize("value", [None, "x", [1.0], "2", " 1.5 ", "1+2j", np.str_("2")])
     @pytest.mark.parametrize(
         "call",
         [
@@ -173,6 +175,17 @@ class TestApply:
         m = Multiplier(lambda n: value, "odd")
         with pytest.raises(DomainError, match=r"^multiplier 'odd' is not a number at n = 2, got "):
             call(m, add(monomial(2), monomial(3)))
+
+    def test_numeric_string_is_named_in_full(self):
+        m = Multiplier(lambda n: "2", "s")
+        for call in (lambda: m(2), lambda: apply(m, monomial(2)), lambda: apply(m, add(monomial(2), monomial(3)))):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == "multiplier 's' is not a number at n = 2, got '2'"
+        # a string at a later term is named there, after the earlier terms passed
+        late = Multiplier(lambda n: 2.0 if n < 5 else str(n), "late")
+        with pytest.raises(DomainError, match=r"^multiplier 'late' is not a number at n = 7, got '7'$"):
+            apply(late, add(monomial(2), monomial(7)))
 
     def test_symbol_errors_propagate_unchanged(self):
         def broken(n):

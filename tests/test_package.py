@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import os
 import subprocess
@@ -26,7 +27,7 @@ def test_exports_are_the_submodules_exports():
         for name in m.__all__:
             assert getattr(dirichlet_ops, name) is getattr(m, name)
     assert "SIGMA_U_NOTE" in union
-    assert len(union) == 64
+    assert len(union) == 65
 
 
 def test_import_starts_no_thread():
@@ -68,35 +69,87 @@ ARRAY_SUBCOMMANDS = {
 }
 
 
-def _imports_numpy(*args):
-    """Whether `python *args` imports numpy, read off -X importtime; the
-    run must succeed."""
+# modules a cold start should not pay for: numpy, and dataclasses with the
+# inspect, ast, dis and tokenize it pulls in
+WATCHED = ("numpy", "dataclasses", "inspect")
+COLD_COMMANDS = {"import": ("-c", "import dirichlet_ops"), "help": ("-m", "dirichlet_ops", "--help")} | {
+    f"{sub}-{fmt}": ("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+    for sub in sorted(NUMPY_FREE_SUBCOMMANDS) for fmt in ("json", "csv")
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _loads(*args):
+    """Which of WATCHED `python *args` imports, read off -X importtime; the
+    run must succeed.  Each command runs once per test run."""
     src = str(Path(dirichlet_ops.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr[-500:]
-    return any(line.startswith("import time:") and line.split("|")[-1].strip() == "numpy"
-               for line in out.stderr.splitlines())
+    names = {line.split("|")[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    return names.intersection(WATCHED)
 
 
 def test_import_and_help_leave_numpy_out():
     # numpy is imported at the first array call, so neither the import nor
     # `dseries --help` pays for it
-    assert not _imports_numpy("-c", "import dirichlet_ops")
-    assert not _imports_numpy("-m", "dirichlet_ops", "--help")
+    assert "numpy" not in _loads("-c", "import dirichlet_ops")
+    assert "numpy" not in _loads("-m", "dirichlet_ops", "--help")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("sub", sorted(NUMPY_FREE_SUBCOMMANDS))
 def test_subcommands_without_arrays_leave_numpy_out(sub, fmt):
-    assert not _imports_numpy("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+    assert "numpy" not in _loads("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+
+
+@pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
+def test_cold_starts_leave_dataclasses_and_inspect_out(command):
+    # the records are built without dataclasses, so the import, --help and
+    # every subcommand that builds no array load neither it nor inspect
+    assert _loads(*COLD_COMMANDS[command]) == set()
 
 
 @pytest.mark.parametrize("sub", sorted(ARRAY_SUBCOMMANDS))
 def test_array_subcommands_load_numpy(sub):
     # the probe sees numpy when it is imported: without this the test above
-    # would pass on a probe that never finds it
-    assert _imports_numpy("-m", "dirichlet_ops", sub, *ARRAY_SUBCOMMANDS[sub])
+    # would pass on a probe that never finds it; numpy imports inspect
+    assert _loads("-m", "dirichlet_ops", sub, *ARRAY_SUBCOMMANDS[sub]) >= {"numpy", "inspect"}
+
+
+def test_probe_sees_dataclasses():
+    assert _loads("-c", "import dataclasses") == {"dataclasses", "inspect"}
+
+
+def _dataclasses_imports(tree):
+    """Lines that import dataclasses, at any depth of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+            yield node.lineno
+
+
+def test_no_module_imports_dataclasses():
+    # the records derive from series._Record; one import of dataclasses,
+    # even inside a function, would put its import back on a cold start
+    found = []
+    for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line}" for line in _dataclasses_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_dataclasses_guard_sees_each_import():
+    flagged = (
+        "import dataclasses\n",
+        "import dataclasses as dc\n",
+        "from dataclasses import dataclass, field\n",
+        "def f(m):\n    from dataclasses import replace\n    return replace(m)\n",
+        "class A:\n    import dataclasses\n",
+    )
+    for source in flagged:
+        assert list(_dataclasses_imports(ast.parse(source))) != [], source
+    assert list(_dataclasses_imports(ast.parse("from .series import replace\nimport dataclasses_json\n"))) == []
 
 
 def test_numpy_imported_after_the_package():
@@ -406,7 +459,8 @@ HINT_OWNERS = {"_description": "_described", "_array_symbol": "_with_array_symbo
 def _hint_writes(tree):
     """Lines that write a hint of HINT_OWNERS outside its owner: an
     attribute assignment, a setattr or __setattr__ naming it, or a keyword
-    of that name (dataclasses.replace, a constructor)."""
+    of that name (replace, a constructor), spelled out or as a constant key
+    of a dict unpacked into the call."""
     owned = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
              for sub in ast.walk(node)}
     for node in ast.walk(tree):
@@ -415,6 +469,9 @@ def _hint_writes(tree):
             hints = [node.attr]
         elif isinstance(node, ast.Call):
             hints = [keyword.arg for keyword in node.keywords]
+            unpacked = [keyword.value for keyword in node.keywords if keyword.arg is None]
+            hints += [key.value for value in unpacked if isinstance(value, ast.Dict)
+                      for key in value.keys if isinstance(key, ast.Constant)]
             name = getattr(node.func, "attr", getattr(node.func, "id", ""))
             if name in ("setattr", "__setattr__") and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
                 hints.append(node.args[1].value)
@@ -439,6 +496,9 @@ def test_hint_guard_sees_each_write():
         "setattr(m, '_array_symbol', fn)\n",
         "monkeypatch.setattr(m, '_array_symbol', fn)\n",
         "m = dataclasses.replace(D, _array_symbol=fn)\n",
+        "m = replace(D, _array_symbol=fn)\n",
+        "rule = dirichlet_ops.replace(eta_rule(), _description=((1.0,), 0))\n",
+        "m = series.replace(D, **{'_array_symbol': fn})\n",
         "m = Multiplier(f, 'x', _array_symbol=fn)\n",
         "m._array_symbol = fn\n",
         "def _described(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
@@ -447,6 +507,8 @@ def test_hint_guard_sees_each_write():
         assert list(_hint_writes(ast.parse(source))) != [], source
     owned = ("def _with_array_symbol(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
              "def _described(rule, c, k):\n    object.__setattr__(rule, '_description', (c, k))\n",
-             "fn = m._array_symbol\nc, k = rule._description or ((), 0)\n")
+             "fn = m._array_symbol\nc, k = rule._description or ((), 0)\n",
+             "m = replace(D, label='d', **{'symbol': f})\n",
+             "rule = CoefficientRule('x', f, known_abscissas={'_description': 0.0})\n")
     for source in owned:
         assert list(_hint_writes(ast.parse(source))) == [], source

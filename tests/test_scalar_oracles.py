@@ -30,7 +30,6 @@ a random search over 10^6 coefficients found them at most 2.83 ulp of
 |b / x| apart, so the test allows 4.
 """
 
-import dataclasses
 import math
 import sys
 import threading
@@ -67,6 +66,7 @@ from dirichlet_ops import (
     ones_rule,
     partial_sum,
     power_apply,
+    replace,
     resolvent_apply,
     scale,
     seminorm,
@@ -1171,9 +1171,9 @@ class TestArrayPath:
 
     def test_array_symbol_left_out_of_equality(self):
         D = derivative_multiplier()
-        assert dataclasses.replace(D)._array_symbol is None
-        assert dataclasses.replace(D) == D
-        assert hash(dataclasses.replace(D)) == hash(D)
+        assert replace(D)._array_symbol is None
+        assert replace(D) == D
+        assert hash(replace(D)) == hash(D)
         assert "_array_symbol" not in repr(D)
 
 
@@ -1192,7 +1192,7 @@ def test_cesaro_and_compose_reset_the_array_symbol(k, rng):
 def test_replace_drops_the_array_symbol():
     # a replaced built-in carries no array symbol, so past the crossover its
     # products follow the new symbol (2), not the derivative's -log n
-    m = dataclasses.replace(derivative_multiplier(), symbol=lambda n: 2.0, label="two")
+    m = replace(derivative_multiplier(), symbol=lambda n: 2.0, label="two")
     assert m._array_symbol is None
     f = truncate(ones_rule(), 200)
     assert f.term_count >= operators._ARRAY_MIN_TERMS
@@ -1489,7 +1489,7 @@ USER_COMPLEX = Multiplier(lambda n: complex(1.5, -1.0 / n), "user complex")
 USER_WITH_ZEROS = Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0 + 1e-3 * n, "user with zeros")
 # the same symbol with an array symbol: the array orbit drops its zeros past n = 1
 ARRAY_WITH_ZEROS = operators._with_array_symbol(
-    dataclasses.replace(USER_WITH_ZEROS, label="array with zeros"),
+    replace(USER_WITH_ZEROS, label="array with zeros"),
     lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0 + 1e-3 * idx), np.zeros(idx.size)),
 )
 ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS, ARRAY_WITH_ZEROS)

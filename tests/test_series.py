@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +20,7 @@ from dirichlet_ops import (
     monomial,
     ones_rule,
     partial_sum,
+    replace,
     scale,
     table_rule,
     tail_bound_monotone,
@@ -323,17 +323,17 @@ class TestRules:
 
     def test_only_built_ins_carry_a_description(self):
         # the description is private: no constructor argument sets it, and
-        # neither a tag nor dataclasses.replace carries it over
+        # neither a tag nor replace carries it over
         assert [rule._description for rule in (ones_rule(), eta_rule(), zeta_shift_rule(3))] == [
             ((1.0,), 0), ((-1.0, 1.0), 0), ((1.0,), 3)]
         assert moebius_rule()._description is None and table_rule({1: 1.0})._description is None
         assert CoefficientRule("eta", eta_rule().vectorized)._description is None
-        assert dataclasses.replace(eta_rule(), vectorized=lambda ns: np.ones(ns.shape))._description is None
+        assert replace(eta_rule(), vectorized=lambda ns: np.ones(ns.shape))._description is None
         with pytest.raises(TypeError):
             CoefficientRule("eta", eta_rule().vectorized, None, ((-1.0, 1.0), 0))
         eta = eta_rule()
         assert "_description" not in repr(eta)
-        assert eta == dataclasses.replace(eta) and dataclasses.replace(eta)._description is None
+        assert eta == replace(eta) and replace(eta)._description is None
 
 
 class TestIntegerRules:
