@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
-from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _log, _slope,
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _list_slope, _log,
                      _validate_index, _validate_real, np, replace)
 
 __all__ = [
@@ -226,7 +226,9 @@ class DynamicsReport(_Record):
     the tail half of the samples; multiplying back by k removes the 1/k
     normalization, so the slope estimates log of the dominant |symbol|.
     The fit uses every finite, positive tail sample, taking log v + log k
-    where k * v overflows; it is 0.0 when fewer than two remain.  A sample
+    where k * v overflows; it is 0.0 when fewer than two remain.  It runs
+    on Python floats, by math.log and numpy's float64 summation order
+    (series._list_slope), so no numpy SIMD level sets a bit.  A sample
     is inf exactly when its value passes double range: an inf last sample
     means 'diverges', and an inf first sample rules out 'converges'.
     """
@@ -254,13 +256,9 @@ def ergodicity_diagnostic(
 
     tail = [(k, v) for k, v in samples if k > k_max // 2 and 0.0 < v < math.inf]
     if len(tail) >= 2:
-        ks = np.array([k for k, _ in tail], dtype=np.float64)
-        vs = np.array([v for _, v in tail])
-        with np.errstate(over="ignore"):
-            ys = np.log(vs * ks)
-        over = np.isinf(ys)  # k * v past double range: log v + log k instead
-        ys[over] = np.log(vs[over]) + np.log(ks[over])
-        rate = _slope(ks, ys)
+        # k * v past double range: log v + log k instead
+        ys = [math.log(v * k) if v * k < math.inf else math.log(v) + math.log(k) for k, v in tail]
+        rate = _list_slope([float(k) for k, _ in tail], ys)
     else:
         rate = 0.0
 

@@ -14,8 +14,9 @@ import cmath
 import math
 
 from .errors import DomainError
-from .series import CoefficientRule, DirichletPolynomial, HalfPlanePoint, _Record, _validate_real
-from .series import _exp, _expm1, _fsum, _log, _power, _slope, _validate_complex, _validate_index, np
+from .series import _ARRAY_MIN_TERMS, CoefficientRule, DirichletPolynomial, HalfPlanePoint, _Record, _validate_real
+from .series import _exp, _expm1, _fsum, _log, _pairwise_sum, _power, _slope, _terms, _validate_complex
+from .series import _validate_index, np
 
 __all__ = [
     "evaluate",
@@ -44,18 +45,58 @@ def _finite(value: complex, what: str) -> complex:
 
 
 def evaluate(f: DirichletPolynomial, s) -> complex:
-    """Exact finite sum  sum_n a_n exp(-s log n)  over the stored terms."""
+    """Exact finite sum  sum_n a_n exp(-s log n)  over the stored terms.
+
+    Below _ARRAY_MIN_TERMS terms the sum runs on Python scalars
+    (_scalar_sum), from _ARRAY_MIN_TERMS on on arrays (_direct_sum); both
+    give the same bits, so the term count picks the faster path and no
+    bit follows it."""
     s = _as_complex_point(s)
+    if f.term_count < _ARRAY_MIN_TERMS:
+        value = _scalar_sum(f, s)
+        if value is not None:
+            return value
     with np.errstate(over="ignore", invalid="ignore"):
         value = _direct_sum(f.index_array(), f.coefficient_array(), s)
     return _finite(value, f"f(s) at s = {s}")
+
+
+# cmath.exp scales its real part past log(DBL_MAX / 4) ~ 708.4 and the C
+# library's cexp, which numpy's complex exp calls, past 709: up to this
+# bound both are exp(x) cos(y) + i exp(x) sin(y) by the same libm calls
+_SCALAR_EXP_MAX = 708.0
+
+
+def _scalar_sum(f: DirichletPolynomial, s: complex) -> complex | None:
+    """_direct_sum of f's terms at s, bit for bit, without numpy: each term
+    a * cmath.exp(-s log n), log n by math.log (series._log's bits), by
+    CPython's unfused complex product (_cmul's), added in numpy's order
+    (_pairwise_sum).  numpy multiplies -s by log n + 0j, which can differ
+    from -s * log n only in the sign of a zero part: exp's real argument
+    then gives exp(0) = 1, and a zero term's sign cannot change a nonzero
+    sum, nor a zero one, which numpy rounds to +0.0.  None, for the array
+    path to decide, when a term's exponent leaves the range where cmath.exp
+    and numpy's exp agree, or when the sum is not finite."""
+    if f.is_zero:
+        return 0j
+    terms = _terms(f)
+    if s == 0:
+        xs = [a for _, a in terms]
+    elif -s.real * math.log(f.max_index) > _SCALAR_EXP_MAX:
+        return None
+    else:
+        ms = -s
+        xs = [a * cmath.exp(ms * math.log(n)) for n, a in terms]
+    value = _pairwise_sum(xs)
+    return value if cmath.isfinite(value) else None
 
 
 def _cmul(x, y) -> np.ndarray:
     """x * y, by real products and sums when both are complex.  numpy's
     complex multiply fuses those (FMA) on CPUs that have it, so its bits
     would follow numpy's SIMD level; a complex times a real rounds each part
-    once either way, and is left to numpy."""
+    once either way, and is left to numpy.  These are CPython's complex
+    products, bit for bit."""
     x, y = np.asarray(x), np.asarray(y)
     if x.dtype.kind != "c" or y.dtype.kind != "c":
         return x * y
@@ -66,14 +107,16 @@ def _cmul(x, y) -> np.ndarray:
 
 
 def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
-    """sum vals[i] ns[i]^(-s), one exp a term, log n by series._log; at
+    """sum vals[i] ns[i]^(-s), one exp a term, log n by series._log and the
+    products unfused (_cmul), so no bit follows numpy's SIMD level; at
     s = 0 the values' own sum."""
     if s == 0:
         return complex(vals.sum())
-    return complex((vals * np.exp(-s * _log(ns))).sum())
+    return complex(_cmul(vals, np.exp(-s * _log(ns))).sum())
 
 
 _U = 2.0**-53  # unit roundoff of a double
+_ETA = 2.0**-1074  # the least subnormal double, which bounds a product's underflow
 
 
 # Taylor blocks: blocks of _BLOCK terms, from the floor _floor(s) on
@@ -148,9 +191,17 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
         with the block's polynomial, at most S0 m_i = sum_{k<K} c_k m_i,
         adds 3 u;
       - the final sums: np.sum adds pairwise (runs of at most 16, then a
-        tree), within u (log2 blocks + 20) S0 mu.
-    So with mu = sum_i |a_i^(-s)| m_i,
-        |S - exact| <= mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks))),
+        tree), within u (log2 blocks + 20) S0 mu;
+      - underflow: a product whose result is subnormal is off by up to
+        eta = 2^-1074 on top of its u (a sum is then exact).  A moment's
+        value takes k products, so M_k gains k b eta a part and its term at
+        most 2 sqrt(2) k b eta c_k (|C(-s, k)| r^k <= 2 c_k, as
+        (b / (b - 1))^k <= 2 for k <= 40); the C M_k, Horner and anchor
+        products add 8 eta a step: b S1 >= 10 b sum k c_k covers the first,
+        8 K + 16 the others, each times |a_i^(-s)|.
+    So with mu = sum_i |a_i^(-s)| m_i and nu = sum_i |a_i^(-s)|,
+        |S - exact| <= mu (tau + u (S1 + S0 (|s| (3 L + 1) + 27 + log2 blocks)))
+                       + eta (b S1 + 8 K + 16) nu,
     and delta is that with the computed |a_i^(-s)|, m_i, c_k and sums, whose
     rounding is of second order.  Runs under its caller's errstate."""
     b, n = _BLOCK, vals.size
@@ -191,9 +242,11 @@ def _block_sum(vals: np.ndarray, s: complex, lo: int, K: int, bound: bool = True
     c = np.abs(np.array(C)) * ((b - 1) / lo) ** np.arange(K + 1)
     S0 = np.add.reduce(c[:K])
     S1 = np.add.reduce((10 * np.arange(K) + b + 4) * c[:K])
-    mu = np.add.reduce(np.abs(E) * mass)
+    modE = np.abs(E)
+    mu = np.add.reduce(modE * mass)
     rounding = S1 + S0 * (abs(s) * (3 * _log(anchors[-1]) + 1) + 27 + math.log2(blocks))
-    return total, float(mu * (_tail(s, (b - 1) / lo, K, float(c[K])) + _U * rounding))
+    underflow = _ETA * (b * S1 + 8 * K + 16) * np.add.reduce(modE)
+    return total, float(mu * (_tail(s, (b - 1) / lo, K, float(c[K])) + _U * rounding) + underflow)
 
 
 # B_2k / (2k)!, k = 1, 2, ...: the Euler-Maclaurin coefficients
@@ -345,10 +398,9 @@ def partial_sum(rule: CoefficientRule, s, N: int) -> complex:
     s' = 0, which reads no values.  Each derives a bound, about
     u (|s| (3 log N + 1) + 110) and u (|s'| (4 log N + 1) + 4 log N + 100)
     times the terms' sum |rule(n)| n^(-Re s).  No bit follows numpy's SIMD
-    level or a BLAS kernel, but a direct chunk of a complex rule's, whose
-    products are numpy's complex multiply.  At real s' the sum is real, as
-    Basel's (zeta_shift(2) at s = 0) is.  A sum past double range raises
-    DomainError naming s."""
+    level or a BLAS kernel (a rule's own values aside).  At real s' the sum
+    is real, as Basel's (zeta_shift(2) at s = 0) is.  A sum past double
+    range raises DomainError naming s."""
     s = _as_complex_point(s)
     N = _validate_index(N, "partial sum length N")
     total = 0j

@@ -117,15 +117,11 @@ class Multiplier(_Record):
             raise DomainError(
                 f"multiplier '{self.label}' is defined for n >= {self.min_index}, got {n}"
             )
+        g = _finite_value(self, n)
         try:
-            g = _number(self, n)
             abs(g)  # a finite value whose modulus passes double range raises here
         except OverflowError:
-            raise DomainError(
-                f"multiplier '{self.label}' overflows double precision at n = {n}"
-            ) from None
-        if not isfinite(g):
-            raise DomainError(f"multiplier '{self.label}' is not finite at n = {n}, got {g!r}")
+            raise _overflow(self, n) from None
         return g
 
     def check_domain(self, f: DirichletPolynomial) -> None:
@@ -149,6 +145,22 @@ def _number(m: Multiplier, n: int) -> complex:
         except (TypeError, ValueError):
             pass
     raise DomainError(f"multiplier '{m.label}' is not a number at n = {n}, got {value!r}")
+
+
+def _overflow(m: Multiplier, n: int) -> DomainError:
+    return DomainError(f"multiplier '{m.label}' overflows double precision at n = {n}")
+
+
+def _finite_value(m: Multiplier, n: int) -> complex:
+    """_number(m, n), which must be finite: DomainError naming m and n for a
+    value past double range (complex() overflows) or not finite."""
+    try:
+        g = _number(m, n)
+    except OverflowError:
+        raise _overflow(m, n) from None
+    if not isfinite(g):
+        raise DomainError(f"multiplier '{m.label}' is not finite at n = {n}, got {g!r}")
+    return g
 
 
 def _with_array_symbol(m: Multiplier, array_symbol: Callable[[np.ndarray], tuple]) -> Multiplier:
@@ -281,9 +293,10 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
             terms = [complex(symbol(n)) * a for n, a in items]
         return _normal(f.indices(), terms)
     except (OverflowError, DomainError, TypeError, ValueError):
-        # error path only: re-read the symbol through m(n), which names a bad value
-        for n in f.indices():
-            m(n)
+        # error path only: each term in index order by the rule above, a
+        # value's and then its product's, so the first bad term is named
+        for n, a in items:
+            _normal((n,), (_finite_value(m, n) * a,))
         raise
 
 

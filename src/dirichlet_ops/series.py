@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import sys
 from cmath import isfinite
+import operator
 from collections.abc import Mapping
+from functools import reduce
 from math import fsum
 from operator import itemgetter
 from types import MappingProxyType
@@ -240,7 +242,11 @@ class DirichletPolynomial:
             return bool(np.array_equal(self._idx, other._idx) and np.array_equal(self._val, other._val))
         return self.coeffs == other.coeffs
 
-    __hash__ = None  # mutable-feeling value type, keep it out of sets
+    def __hash__(self):
+        # over the normal form, as == compares it: either form gives the
+        # same (index, coefficient) pairs in index order, and hash(-0.0) ==
+        # hash(0.0); a dict-form polynomial builds no array
+        return hash(tuple(_terms(self)))
 
     def __add__(self, other):
         if not isinstance(other, DirichletPolynomial):
@@ -393,6 +399,44 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float:
     numpy sums, not a BLAS or LAPACK solve; y = x gives exactly 1."""
     dx = x - np.mean(x)
     return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
+
+
+def _pairwise_sum(xs: list):
+    """np.sum of a nonempty list of floats or of complex numbers, bit for
+    bit, by numpy's pairwise order for a contiguous float64 or complex128
+    array: w = 8 accumulators for floats, 4 for complex numbers (two doubles
+    each).  Below w terms the sum runs in order; up to 16 w terms
+    accumulator j adds terms j, j + w, ... of the whole w-blocks in order,
+    the accumulators are added as a pairwise tree, and the leftover terms
+    follow in order; above that the sum splits at n // 2 rounded down to a
+    multiple of w.  numpy adds the result to its identity 0.0, which turns
+    a -0.0 sum into 0.0.  reduce(operator.add) is a plain left fold, where
+    sum() may compensate."""
+    w = 4 if isinstance(xs[0], complex) else 8
+
+    def part(lo: int, n: int):
+        if n > 16 * w:
+            half = n // 2 - n // 2 % w
+            return part(lo, half) + part(lo + half, n - half)
+        if n < w:
+            return reduce(operator.add, xs[lo : lo + n])
+        end = lo + n - n % w
+        acc = [reduce(operator.add, xs[lo + j : end : w]) for j in range(w)]
+        while len(acc) > 1:
+            acc = [acc[j] + acc[j + 1] for j in range(0, len(acc), 2)]
+        return reduce(operator.add, xs[end : lo + n], acc[0])
+
+    return (0j if w == 4 else 0.0) + part(0, len(xs))
+
+
+def _list_slope(x: list, y: list) -> float:
+    """_slope of two lists of floats, bit for bit and without numpy: the
+    means and sums in numpy's order (_pairwise_sum), each elementwise step
+    one IEEE operation, as numpy's is."""
+    n = len(x)
+    mx, my = _pairwise_sum(x) / n, _pairwise_sum(y) / n
+    dx = [v - mx for v in x]
+    return _pairwise_sum([d * (v - my) for d, v in zip(dx, y)]) / _pairwise_sum([d * d for d in dx])
 
 
 # log n and n^(-epsilon) on arrays.  Unlike float64 np.log and np.exp, whose

@@ -78,6 +78,40 @@ class TestEvaluate:
         with pytest.raises(DomainError, match=r"s = \(-2000\+0j\)"):
             evaluate(add(monomial(2), monomial(3)), -2000)
 
+    @given(f=st.dictionaries(st.one_of(st.integers(1, 10**4), st.integers(1, 2**62)),
+                             st.one_of(st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+                                       st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+                                       st.floats(-8.0, 8.0).map(complex)),
+                             min_size=1, max_size=series._ARRAY_MIN_TERMS - 1).map(DirichletPolynomial),
+           s=st.one_of(st.just(0j), st.sampled_from([-1030 + 0j, -1023 + 0j, -1e3 + 5j, 0.5 + 14j]),
+                       st.builds(complex, st.floats(-40.0, 40.0), st.floats(-1e4, 1e4)),
+                       st.builds(complex, st.floats(-1200.0, -1.0), st.floats(-50.0, 50.0))))
+    def test_scalar_path_bits_equal_the_array_path(self, f, s):
+        # below _ARRAY_MIN_TERMS evaluate sums on Python scalars; forced onto
+        # arrays, it gives the same bits, or raises the same error
+        def outcome():
+            try:
+                v = evaluate(f, s)
+            except DomainError as e:
+                return str(e)
+            return v.real.hex(), v.imag.hex()
+
+        scalar = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_ARRAY_MIN_TERMS", 0)
+            assert outcome() == scalar
+
+    def test_scalar_path_leaves_the_far_left_to_the_array_path(self):
+        # 1023 log 2 ~ 709.1 is past the bound up to which cmath.exp and
+        # numpy's complex exp agree, but 2^1023 is finite: the array path
+        # sums it
+        f = add(monomial(1, 0.5j), monomial(2, 1e-300))
+        assert evaluation._scalar_sum(f, -1023 + 0j) is None
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = evaluation._direct_sum(f.index_array(), f.coefficient_array(), -1023 + 0j)
+        assert evaluate(f, -1023) == want and math.isfinite(abs(want))
+        assert evaluation._scalar_sum(f, -1.0 + 3j) == evaluation._direct_sum(f.index_array(), f.coefficient_array(), -1.0 + 3j)
+
 
 class TestPartialSum:
     def test_matches_truncated_evaluation(self):

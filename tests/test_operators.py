@@ -205,6 +205,18 @@ class TestApply:
         with pytest.raises(DomainError, match="'h' overflows double precision at n = 2"):
             check_growth(m)
 
+    def test_error_names_the_term_that_apply_rejects(self):
+        # the error path checks each term by apply's own rule, so a value it
+        # accepts (a modulus past double range, a finite product) is passed
+        # over, and the term that fails is named
+        m = Multiplier(lambda n: complex(1.5e308, 1.5e308) if n == 2 else None, "h")
+        with pytest.raises(DomainError, match=r"^multiplier 'h' is not a number at n = 3, got None$"):
+            apply(m, monomial(2, 0.5) + monomial(3))
+        # the first failing term in index order: here a product, then a value
+        big = Multiplier(lambda n: 1e300 if n == 2 else None, "big")
+        with pytest.raises(DomainError, match=r"^coefficient at n=2 must be finite, got \(inf\+0j\)$"):
+            apply(big, monomial(2, 1e10) + monomial(3))
+
     def test_overflowing_product_names_the_coefficient(self):
         # finite factors, infinite product: the symbol is fine, the coefficient is not
         m = Multiplier(lambda n: 1e300, "big")

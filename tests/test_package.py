@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -47,11 +48,17 @@ def test_import_starts_no_thread():
     assert out.stdout.split() == ["False", "1", "False", "1"]
 
 
-# small inputs for the subcommands that build no array, and for the five
-# that do
+# small inputs for the subcommands that build no array, eval and dynamics
+# among them on polynomials of the benchmark's size (4 terms, indices up to
+# 64), and inputs for the three that do, eval too on a polynomial of
+# _ARRAY_MIN_TERMS terms or more
 _P = '{"kind":"poly","terms":[{"n":2,"re":1.5,"im":-0.5},{"n":6,"re":0.25},{"n":35,"re":-2,"im":1}]}'
 _Q = '{"kind":"poly","terms":[{"n":1,"re":1},{"n":3,"re":0.5,"im":2}]}'
+_P4 = ('{"kind":"poly","terms":[{"n":3,"re":0.75,"im":-1.25},{"n":17,"re":-2},'
+       '{"n":40,"re":0.5,"im":0.5},{"n":64,"re":1,"im":-3}]}')
+_WIDE = json.dumps({"kind": "poly", "terms": [{"n": n, "re": 1.0 / n, "im": 0.5} for n in range(1, 101)]})
 NUMPY_FREE_SUBCOMMANDS = {
+    "eval": ["--series", _P4, "--s=1.2,3.4"],
     "diff": ["--series", _P],
     "integrate": ["--series", _P],
     "mul": ["--f", _P, "--g", _Q],
@@ -59,13 +66,13 @@ NUMPY_FREE_SUBCOMMANDS = {
     "classify": ["--lambda=0.3,1.5", "--space", "full"],
     "reciprocal": ["--mu=0.4,-1.2"],
     "volterra": ["--g", _P, "--f", _Q],
+    "dynamics": ["--op", "d", "--series", _P4, "--epsilon", "0.3"],
 }
 ARRAY_SUBCOMMANDS = {
-    "eval": ["--series", _P, "--s=1.2,3.4"],
+    "eval": ["--series", _WIDE, "--s=1.2,3.4"],
     "seminorm": ["--series", _P, "--epsilon", "0.3"],
     "abscissa": ["--series", '{"kind":"rule","name":"eta"}', "--n", "200", "--probe-eps", "0.5"],
     "bv-check": ["--lambda=0.3,1.5", "--delta", "0.5", "--n", "1000"],
-    "dynamics": ["--op", "d", "--series", _P, "--epsilon", "0.3"],
 }
 
 
@@ -95,6 +102,12 @@ def test_import_and_help_leave_numpy_out():
     # `dseries --help` pays for it
     assert "numpy" not in _loads("-c", "import dirichlet_ops")
     assert "numpy" not in _loads("-m", "dirichlet_ops", "--help")
+
+
+def test_hashing_a_dict_form_polynomial_leaves_numpy_out():
+    # hash reads the form a polynomial holds; below _ARRAY_MIN_TERMS that is the dict
+    code = "import dirichlet_ops as d; f = d.monomial(2, 1.5) + d.monomial(3, -1j); hash(f); {f, d.ZERO}"
+    assert "numpy" not in _loads("-c", code)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -293,6 +293,19 @@ def test_unhashable_mapping_stays_unhashable():
             hash(record)
 
 
+def test_records_holding_a_polynomial_hash():
+    # a DirichletPolynomial hashes over its normal form, so a spectrum
+    # verdict with an eigenvector and every IdentityReport hash, and equal
+    # records hash alike
+    verdict = dirichlet_ops.classify_point(-math.log(2), "full")
+    assert verdict.eigenvector is not None
+    assert hash(verdict) == hash(dirichlet_ops.classify_point(-math.log(2), "full"))
+    g = monomial(2, 0.5) + monomial(3, -1j)
+    report = dirichlet_ops.volterra_identity_check(g)
+    assert hash(report) == hash(dirichlet_ops.volterra_identity_check(DirichletPolynomial(list(g.items()))))
+    assert len({report, dirichlet_ops.volterra_identity_check(g)}) == 1
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_frozen_assignment_and_deletion(name):
     ours, ref = _pair(name, **SAMPLES[name])

@@ -15,7 +15,9 @@ normal doubles, and must match the old sum bit for bit wherever the old
 one took the direct term for every index and each was a normal double.
 partial_sum runs on the calling thread and must give the old per-term
 loop's bits below the Taylor-block floor; past it its Taylor blocks must
-agree with that loop within their error bound.  apply runs the built-in multipliers, the resolvent and power_apply
+agree with that loop within their error bound.  That loop, and the one
+evaluate is checked against, form a complex term as CPython does, with no
+fused multiply-add, so no oracle bit follows numpy's SIMD level.  apply runs the built-in multipliers, the resolvent and power_apply
 iterates on arrays from series._ARRAY_MIN_TERMS terms on and must give the
 per-term loop's bits and error messages; polynomials built from arrays must
 be indistinguishable from those built from dicts.  From the same threshold
@@ -237,16 +239,24 @@ def legacy_partial_sum(rule, s, N, chunk):
             ns = np.arange(lo, hi + 1, dtype=np.int64)
             vals = rule.values(ns)
             if s != 0:
-                vals = vals * np.exp(-s * np.log(ns.astype(np.float64)))
+                exps = np.exp(-s * np.log(ns.astype(np.float64)))
+                if vals.dtype.kind == "c":
+                    # one CPython complex product a term: unfused, at every numpy SIMD level
+                    vals = np.array([v * e for v, e in zip(vals.tolist(), exps.tolist())], dtype=np.complex128)
+                else:
+                    vals = vals * exps
             total += complex(vals.sum())
             lo = hi + 1
     return total
 
 
 def legacy_evaluate(f, s):
-    """evaluate's own product and sum, before it called _direct_sum."""
+    """evaluate's terms, each one CPython complex product of a_n and numpy's
+    exp(-s log n), so unfused at every numpy SIMD level, and np.sum of them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(np.sum(f.coefficient_array() * np.exp(-s * series._log(f.index_array()))))
+        exps = np.exp(-s * series._log(f.index_array()))
+        terms = [a * e for a, e in zip(f.coefficient_array().tolist(), exps.tolist())]
+        return complex(np.sum(np.array(terms, dtype=np.complex128)))
 
 
 def bits(f):
@@ -1036,8 +1046,8 @@ zero_part_coefficients = st.one_of(
 
 
 class TestEvaluate:
-    """evaluate goes through evaluation._direct_sum, bit for bit the product
-    and sum it took before, at s = 0 too (there its values' sum)."""
+    """evaluate, on either path, bit for bit the unfused per-term products
+    and numpy's sum of them, at s = 0 too (there its values' sum)."""
 
     @given(f=st.lists(st.tuples(wide_indices, zero_part_coefficients), max_size=40).map(DirichletPolynomial),
            points=st.lists(st.one_of(st.sampled_from([0j, 0.5 + 0j, -1 + 0j, 1e-3j, 0.5 + 14j]),

@@ -28,7 +28,7 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _inv_power, _log, _power, _slope
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _inv_power, _list_slope, _log, _normal, _pairwise_sum, _power, _slope
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
@@ -132,6 +132,22 @@ class TestLinearAlgebra:
     def test_equality_with_a_non_polynomial_is_false(self):
         assert monomial(1) != 1.0
         assert not (monomial(1) == 1.0)
+
+    @given(poly_strategy(max_index=10**6, max_terms=120))
+    def test_hash_agrees_with_equality_across_forms(self, f):
+        # the dict form and the array form hash alike, as they compare equal
+        as_dict = DirichletPolynomial(list(f.items()))
+        as_arrays = _normal(f.index_array().copy(), f.coefficient_array().copy())
+        assert as_dict == as_arrays and hash(as_dict) == hash(as_arrays) == hash(f)
+        assert len({as_dict, as_arrays, f}) == 1
+
+    def test_hash_of_signed_zeros(self):
+        # a -0.0 part is +0.0 in normal form, and hash(-0.0) == hash(0.0)
+        for neg, pos in ((complex(-0.0, 1.5), 1.5j), (complex(2.0, -0.0), 2.0)):
+            assert monomial(3, neg) == monomial(3, pos)
+            assert hash(monomial(3, neg)) == hash(monomial(3, pos))
+        assert hash(ZERO) == hash(DirichletPolynomial({})) == hash(scale(0.0, monomial(2)))
+        assert hash(monomial(2)) != hash(monomial(3))
 
     def test_repr(self):
         assert repr(ZERO) == "DirichletPolynomial(0)"
@@ -431,6 +447,45 @@ class TestSlope:
         assert _slope(x, -x) == -1.0
         assert _slope(x, 2.0 * x) == 2.0
         assert _slope(np.arange(21.0, 41.0), np.full(20, 3.5)) == 0.0
+
+    def test_list_slope_is_the_array_slope(self):
+        # the rate fit's list form: numpy's bits, from Python floats
+        rng = np.random.default_rng(7)
+        for size in list(range(2, 301)) + [1000, 4099]:
+            x = np.sort(rng.uniform(-10, 10, size)) * 10.0 ** rng.uniform(-3, 3)
+            y = rng.uniform(-3, 3) * x + rng.normal(scale=rng.uniform(0, 2), size=size)
+            assert _list_slope(x.tolist(), y.tolist()).hex() == _slope(x, y).hex(), size
+        ks = [float(k) for k in range(21, 41)]
+        assert _list_slope(ks, ks) == 1.0 and _list_slope(ks, [3.5] * 20) == 0.0
+
+
+class TestPairwiseSum:
+    """series._pairwise_sum, numpy's summation order on Python scalars."""
+
+    @pytest.mark.parametrize("kind", ["float64", "complex128"])
+    def test_bits_equal_np_sum_at_every_size(self, kind):
+        # terms of mixed signs and magnitudes, so any other order rounds
+        # differently; every size from 1 to 300 covers the short sums, the
+        # accumulator blocks and two levels of splitting
+        rng = np.random.default_rng(3 if kind == "float64" else 4)
+        for size in range(1, 301):
+            for _ in range(3):
+                parts = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-8, 8, (2, size))
+                xs = parts[0] if kind == "float64" else parts[0] + 1j * parts[1]
+                got, want = _pairwise_sum(xs.tolist()), np.sum(xs)
+                assert type(got) is (float if kind == "float64" else complex)
+                assert complex(got).real.hex() == complex(want).real.hex(), (kind, size)
+                assert complex(got).imag.hex() == complex(want).imag.hex(), (kind, size)
+
+    def test_signed_zeros_and_overflow(self):
+        # numpy adds the pairwise result to 0.0: a sum of -0.0 is 0.0
+        for xs in ([-0.0], [-0.0] * 9, [complex(-0.0, -0.0)] * 5, [1e308, 1e308], [1e308] * 9 + [-1e308] * 9,
+                   [math.inf, -math.inf], [complex(1e308, -1e308)] * 70):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = complex(np.sum(np.array(xs)))
+            got = complex(_pairwise_sum(xs))
+            assert repr(got) == repr(want) and math.copysign(1, got.real) == math.copysign(1, want.real), xs
+            assert math.copysign(1, got.imag) == math.copysign(1, want.imag), xs
 
 
 
