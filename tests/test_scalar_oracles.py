@@ -17,7 +17,8 @@ partial_sum runs on the calling thread and must give the old per-term
 loop's bits below the Taylor-block floor; past it its Taylor blocks must
 agree with that loop within their error bound.  That loop, and the one
 evaluate is checked against, form a complex term as CPython does, with no
-fused multiply-add, so no oracle bit follows numpy's SIMD level.  apply runs the built-in multipliers, the resolvent and power_apply
+fused multiply-add, so no oracle bit follows numpy's SIMD level.
+apply runs the built-in multipliers, the resolvent and power_apply
 iterates on arrays from series._ARRAY_MIN_TERMS terms on and must give the
 per-term loop's bits and error messages; polynomials built from arrays must
 be indistinguishable from those built from dicts.  From the same threshold

@@ -28,7 +28,8 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _exp, _inv_power, _list_slope, _log, _normal, _pairwise_sum, _power, _slope
+from dirichlet_ops.series import (_KERNEL_MIN_PAIRS, _exp, _inv_power, _list_slope, _log, _normal, _pairwise_sum,
+                                  _power, _slope)
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
