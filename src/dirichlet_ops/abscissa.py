@@ -38,6 +38,10 @@ SIGMA_U_NOTE = (
     "[sigma_c_est, sigma_a_est] plus boundedness probes"
 )
 
+# probes that share one screen (evaluation._grid_sup): their weights take
+# _PROBE_STACK doubles a term, or complex values for a complex rule
+_PROBE_STACK = 4
+
 _DIVERGENCE_SLOPE = 0.5
 _MAX_SHIFT = 8
 _MIN_UNCERTAINTY = 0.01
@@ -56,9 +60,9 @@ class Estimate(_Record):
 
 class BoundednessProbe(_Record):
     """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid of
-    `points` points: a GEMM screen (about 3 exps a term, then N * points
-    multiply-adds), then per-row numpy sums of the `refined` points it kept;
-    no BLAS under any returned bit."""
+    `points` points: a GEMM screen (one exp a term, shared with the other
+    probes of the call, then N * points multiply-adds), then per-row numpy
+    sums of the `refined` points it kept; no BLAS under any returned bit."""
 
     epsilon: float
     sup_abs: float
@@ -79,13 +83,14 @@ class AbscissaEstimate(_Record):
         return (self.sigma_c.value, self.sigma_a.value)
 
 
-def _window_fit(ms: np.ndarray, amps: np.ndarray) -> tuple[float, float] | None:
-    """Slope of log|A_M| vs log M over the window, or None if |A| vanishes
-    almost everywhere there.  Second value is the pointwise-ratio spread."""
+def _window_fit(logm: np.ndarray, amps: np.ndarray) -> tuple[float, float] | None:
+    """Slope of log|A_M| vs log M (logm) over the window, or None if |A|
+    vanishes almost everywhere there.  Second value is the pointwise-ratio
+    spread."""
     mask = amps > 0.0
     if mask.sum() < 2:
         return None
-    x = np.log(ms[mask].astype(np.float64))
+    x = logm[mask]
     y = np.log(amps[mask])
     slope = _slope(x, y)
     ratios = y / x
@@ -94,23 +99,28 @@ def _window_fit(ms: np.ndarray, amps: np.ndarray) -> tuple[float, float] | None:
 
 
 def _estimate(values: np.ndarray, N: int) -> Estimate:
-    """Raises DomainError naming N when a shifted partial sum passes double
-    range, which would otherwise read as convergence everywhere."""
+    """The window fit of values' partial sums, shifted by n^k until they
+    diverge.  Real values (|a_n| for sigma_a, a real rule's for sigma_c)
+    are shifted and summed in float64: a complex value of imaginary part 0
+    takes the same real products and sums, and its modulus is the real
+    part's, so the fit sees the same bits.  Raises DomainError naming N
+    when a shifted partial sum passes double range, which would otherwise
+    read as convergence everywhere."""
     ns = np.arange(1, N + 1, dtype=np.float64)
     window = slice(N // 2 - 1, N)  # indices of M = N//2 .. N
-    ms = np.arange(1, N + 1, dtype=np.int64)[window]
-    shifted = values.astype(np.complex128).copy()
+    logm = np.log(ns[window])
+    shifted = values.astype(np.complex128 if values.dtype.kind == "c" else np.float64)
     slopes = []
     for k in range(0, _MAX_SHIFT + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             if k > 0:
-                shifted = shifted * ns
+                shifted *= ns
             amps = np.abs(np.cumsum(shifted))[window]
         if not np.isfinite(amps).all():
             raise DomainError(
                 f"partial sums of n^{k} a_n up to window length N = {N} overflow double precision"
             )
-        slope, spread = _window_fit(ms, amps) or (math.nan, 0.0)
+        slope, spread = _window_fit(logm, amps) or (math.nan, 0.0)
         slopes.append(slope)
         if slope >= _DIVERGENCE_SLOPE:
             return Estimate(value=slope - k, uncertainty=spread, shift=k, slopes=tuple(slopes))
@@ -128,8 +138,7 @@ def sigma_c_estimate(rule: CoefficientRule, N: int) -> Estimate:
 def sigma_a_estimate(rule: CoefficientRule, N: int) -> Estimate:
     """Estimate of the abscissa of absolute convergence from |a_n| sums."""
     N = _validate_index(N, "window length N", 100, _MAX_TERMS)
-    vals = np.abs(rule.values(np.arange(1, N + 1, dtype=np.int64)))
-    return _estimate(vals.astype(np.complex128), N)
+    return _estimate(np.abs(rule.values(np.arange(1, N + 1, dtype=np.int64))), N)
 
 
 def bracket_sigma_u(
@@ -146,10 +155,11 @@ def bracket_sigma_u(
     consistent with uniform convergence on Re s > epsilon and nothing more.
     Each probe's sup over the linspace(0, t_max, points) grid is seminorm's
     scan, evaluation._grid_sup (a GEMM screen whose phases are built by
-    recurrence, about 3 N exps and N * points multiply-adds, then per-row
-    numpy sums of the kept points; no BLAS under any returned bit), so
-    sup_abs is bit for bit the direct scan's maximum.  points is
-    capped at evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
+    recurrence, then per-row numpy sums of the kept points; no BLAS under
+    any returned bit), so sup_abs is bit for bit the direct scan's maximum.
+    Up to _PROBE_STACK probes share one screen: N exps for all of them,
+    then one GEMM of N * points multiply-adds a probe.  points is capped at
+    evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
     N = _validate_index(N, "window length N", 100, _MAX_TERMS)
     listed = (hasattr(probe_eps, "__iter__") and getattr(probe_eps, "ndim", 1) != 0
@@ -163,16 +173,19 @@ def bracket_sigma_u(
         raise DomainError(f"probe grid points = {points} is above the cap of {_MAX_GRID_POINTS}")
     values = rule.values(np.arange(1, N + 1, dtype=np.int64))
     sc = _estimate(values, N)
-    sa = _estimate(np.abs(values).astype(np.complex128), N)
+    sa = _estimate(np.abs(values), N)
     logn = _log(np.arange(1, N + 1, dtype=np.int64))
     ts = np.linspace(0.0, t_max, points)
     probes = []
-    for e in probe_eps:
+    for lo in range(0, len(probe_eps), _PROBE_STACK):
+        eps = probe_eps[lo : lo + _PROBE_STACK]
+        W = np.empty((len(eps), N), dtype=values.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            sup_abs, refined = _grid_sup(logn, values * _exp(-e * logn), ts)
-        if not math.isfinite(sup_abs):
-            raise DomainError(f"probe sup at epsilon = {e} overflows double precision")
-        probes.append(
-            BoundednessProbe(epsilon=e, sup_abs=sup_abs, t_max=t_max, points=points, refined=refined)
-        )
+            for w, e in zip(W, eps):
+                np.multiply(values, _exp(-e * logn), out=w)
+            sups, refined = _grid_sup(logn, W, ts)
+        for e, sup_abs, r in zip(eps, sups.tolist(), refined.tolist()):
+            if not math.isfinite(sup_abs):
+                raise DomainError(f"probe sup at epsilon = {e} overflows double precision")
+            probes.append(BoundednessProbe(epsilon=e, sup_abs=sup_abs, t_max=t_max, points=points, refined=r))
     return AbscissaEstimate(sigma_c=sc, sigma_a=sa, N=N, probes=tuple(probes))

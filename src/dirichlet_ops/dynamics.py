@@ -18,8 +18,9 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError
-from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
-from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _list_slope, _log,
+from .operators import (_POWU_MAX, Multiplier, _LogSymbol, _number, _power, _product, _symbol_parts,
+                        _with_array_symbol, apply)
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _list_slope,
                      _validate_index, _validate_real, np, replace)
 
 __all__ = [
@@ -48,8 +49,11 @@ def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     carries over to the power."""
     k = _validate_index(k, "iterate count")
     power = replace(m, symbol=lambda n: _number(m, n) ** k, label=f"{m.label}^{k}")
-    if m._array_symbol is not None and k <= _POWU_MAX:
-        _with_array_symbol(power, lambda idx: _power(*m._array_symbol(idx), k))
+    base = m._array_symbol
+    if isinstance(base, _LogSymbol) and k <= _POWU_MAX:
+        _with_array_symbol(power, _LogSymbol(lambda logn: _power(*base.of_log(logn), k)))
+    elif base is not None and k <= _POWU_MAX:
+        _with_array_symbol(power, lambda idx: _power(*base(idx), k))
     return apply(power, f)
 
 
@@ -117,23 +121,25 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
 def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _ArrayOrbit | None:
     """_orbit's values on arrays, bit for bit: symbol(n) from the array
     symbol; np.hypot for the moduli (CPython's complex abs; np.abs is not);
-    series._log and _exp, which give math.log's and math.exp's bits.  None
-    where the loop must run to raise its error: an |a_n| past double range,
-    or an array symbol value or modulus that is not finite."""
-    idx, a = f.index_array(), f.coefficient_array()
+    f's log_index_array and series._exp, which give math.log's and
+    math.exp's bits.  None where the loop must run to raise its error: an
+    |a_n| past double range, or an array symbol value or modulus that is
+    not finite."""
+    a = f.coefficient_array()
     with np.errstate(over="ignore"):
         mod_a = np.hypot(a.real, a.imag)
     if np.isinf(mod_a).any():
         return None
-    gr, gi = m._array_symbol(idx)
+    gr, gi = _symbol_parts(m._array_symbol, f)
     with np.errstate(over="ignore", invalid="ignore"):
         mod_g = np.hypot(gr, gi)
     if not np.isfinite(mod_g).all():
         return None
+    logn = f.log_index_array()
     keep = mod_g != 0
     if not keep.all():
-        idx, a, mod_a, gr, gi, mod_g = (x[keep] for x in (idx, a, mod_a, gr, gi, mod_g))
-    eps_log = epsilon * _log(idx)
+        logn, a, mod_a, gr, gi, mod_g = (x[keep] for x in (logn, a, mod_a, gr, gi, mod_g))
+    eps_log = epsilon * logn
     return _ArrayOrbit(gr, gi, mod_g, a.real, a.imag, mod_a, _exp(-eps_log), eps_log)
 
 

@@ -57,7 +57,7 @@ def evaluate(f: DirichletPolynomial, s) -> complex:
         if value is not None:
             return value
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _direct_sum(f.index_array(), f.coefficient_array(), s)
+        value = _direct_sum(f.index_array(), f.coefficient_array(), s, f.log_index_array() if s else None)
     return _finite(value, f"f(s) at s = {s}")
 
 
@@ -106,13 +106,13 @@ def _cmul(x, y) -> np.ndarray:
     return out
 
 
-def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex) -> complex:
-    """sum vals[i] ns[i]^(-s), one exp a term, log n by series._log and the
-    products unfused (_cmul), so no bit follows numpy's SIMD level; at
-    s = 0 the values' own sum."""
+def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex, logn: np.ndarray | None = None) -> complex:
+    """sum vals[i] ns[i]^(-s), one exp a term, log n by series._log (logn,
+    where the caller holds it) and the products unfused (_cmul), so no bit
+    follows numpy's SIMD level; at s = 0 the values' own sum."""
     if s == 0:
         return complex(vals.sum())
-    return complex(_cmul(vals, np.exp(-s * _log(ns))).sum())
+    return complex(_cmul(vals, np.exp(-s * (_log(ns) if logn is None else logn))).sum())
 
 
 _U = 2.0**-53  # unit roundoff of a double
@@ -445,95 +445,135 @@ def _powers(M: np.ndarray, ratio: np.ndarray) -> None:
         np.multiply(M[k - 1], ratio, out=M[k])
 
 
-def _grid_screen(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, float]:
-    """S_j ~ sum_n w_n exp(-i ts[j] log n) at each point of a uniform grid,
-    and delta >= |S_j - D_j| at every j, D_j being _grid_values' value at ts[j].
+def _grid_screen(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S[p, j] ~ sum_n W[p, n] exp(-i ts[j] log n) at each point of a uniform
+    grid, for each row p of the P x N weights W, and delta[p] >= |S[p, j] -
+    D[p, j]| at every j, D[p, j] being _grid_values' value of row p at ts[j].
 
     Cut the T points into C = ceil(T / B) blocks of B = isqrt(T): point
     j = bB + k is taken at t0 + j h, t0 = ts[0], h = (ts[-1] - t0) / (T - 1).
     Then
-        S_j = sum_n R[k, n] A[b, n],  R[k] = r^k,       r = exp(-i h log n),
-                                      A[b] = A[0] q^b,  q = exp(-i B h log n),
-                                      A[0] = w exp(-i t0 log n),
-    a complex GEMM whose factors are built by recurrence, each row the one
-    before times r or q, in place: three exps and B + C products a term,
-    where the direct kernel takes T exps, then N T multiply-adds in BLAS.
-    The terms go in blocks of m = max(1024, 2^16 // (B + C)), or all N when
-    fewer, and the blocks' GEMMs are added up: R and A hold one block (1 MB
-    when B + C <= 64), so a recurrence runs in a core's cache and the
-    screen's memory does not grow with N, and each row op spans at least
-    1024 terms.  (2-core x86-64, 2*10^4 terms and 121 points: 2.39 ms at
-    2^16 entries, 2.57 at 2^15, 2.9 unblocked.)
+        S[p, j] = sum_n R[k, n] A_p[b, n],
+        R[k] = r^k,             r = exp(-i h log n),
+        A_p[b] = A_p[0] q^b,    q = r^B,
+        A_p[0] = W[p] exp(-i t0 log n),
+    one complex GEMM for all the rows of W, whose factors are built by
+    recurrence, each row the one before times r or q, in place.  R, q (R's
+    next row, R[B]) and the t0 phase are shared by the rows of W: one exp a
+    term, a second only where t0 != 0 (at t0 = 0, A_p[0] is W[p]), and
+    B + P C products, where the direct kernel takes T exps a row, then
+    P N T multiply-adds in BLAS.  The terms go in blocks of
+    m = max(1024, 2^18 // (B + 1 + P C)), or all N when fewer: the first
+    block's GEMM writes S and the later ones' are added to it.  R and A
+    hold one block (4 MB when B + 1 + P C <= 256), so the screen's memory
+    does not grow with N, and each row op spans at least 1024 terms.  (Two
+    probes of 2*10^4 terms on 121 points, 2-core x86-64, numpy 2.4.6,
+    medians of 6 interleaved rounds: 3.49 ms at 2^18 entries, 3.63 at
+    2^17, 3.87 at 2^16, 3.51 unblocked; BENCH_shared_logs.json.)
 
-    The bound: both sums run over the same log n, so only the phases, the
-    exps, the products and the summation differ.  With W = sum |w_n|,
-    L = max log n, u = 2^-53, tau = max |ts| and dev = max_j |t0 + j h - ts[j]|
-    (the grid's own rounding against the factored points):
-      - a phase t log n is rounded to within u |t| L, and B h log n twice;
-        a recurrence adds its ratio's phase error once a step, so R[k] A[b]
-        is off its point's phase by <= u L (|t0| + k |h| + 2 b B |h|)
-        <= u L (|t0| + 2 j |h|), and with the direct phase the two sides
-        differ by <= 6 u tau L |w_n|;
+    The bound, for one row w = W[p]: both sums run over the same log n, so
+    only the phases, the exps, the products and the summation differ.
+    With W_p = sum |w_n|, L = max log n, u = 2^-53, tau = max |ts| and
+    dev = max_j |t0 + j h - ts[j]| (the grid's own rounding against the
+    factored points):
+      - a phase t log n is rounded to within u |t| L.  R[k] = r^k carries
+        r's phase error k times and q^b = r^(bB) b B times, so R[k] A_p[b]
+        is off its point's phase by <= u L (|t0| + j |h|) <= 3 u tau L, as
+        j |h| <= |t0 + j h| + |t0|; with the direct phase the two sides
+        differ by <= 4 u tau L |w_n|;
       - moving the point from ts[j] to t0 + j h moves it by <= dev L |w_n|,
         and the computed dev falls short of the true one by <= 3 u tau;
       - each exp is within 2u of the unit circle point and each complex
-        product within 4u, so a recurrence step adds 6u: R[k] A[b] is
-        within u (14 + 6 (k + b)) |w_n| of its point (A[0]'s exp and
-        product, the steps, the GEMM's product), the direct term within
-        6u |w_n|; a sum of N terms (pairwise np.sum, or GEMMs added up, in
-        any order) is within 2 N u sqrt(2) W, for each side.
-    Summing, |S_j - D_j| <= W (L (dev + 9 u tau) + u (6 N + 6 (B + C) + 8));
-    delta is W (L (dev + 12 u tau) + 16 u (N + B + C + 4)), which also
-    covers the rounding of W, dev and the products of (1 + O(u)) factors.
+        product within 4u, so a step of R's recurrence adds 6u, R[k] is
+        within 6 k u and q within 6 B u, and a step of A's adds
+        (6 B + 4) u.  A_p[0] is within 6u (exact at t0 = 0) and the GEMM's
+        product adds 4u, so R[k] A_p[b] is within u (10 + 6 j + 4 b) <=
+        u (10 + 10 T) |w_n| of its point, the direct term within 6u |w_n|;
+        a sum of N terms (pairwise np.sum, or GEMMs added up, in any order)
+        is within 2 N u sqrt(2) W_p, for each side.
+    Summing,
+        |S[p, j] - D[p, j]| <= W_p (L (dev + 7 u tau) + u (6 N + 10 T + 16));
+    delta[p] is W_p (L (dev + 12 u tau) + 16 u (N + T + 4)), which also
+    covers the rounding of W_p, dev and the products of (1 + O(u)) factors.
     Runs under its caller's errstate."""
-    n, T = logn.size, ts.size
+    P, n, T = W.shape[0], logn.size, ts.size
     B = math.isqrt(T)
     C = -(-T // B)
     t0 = float(ts[0])
     h = (float(ts[-1]) - t0) / (T - 1) if T > 1 else 0.0
-    m = min(n, max(1024, (1 << 16) // (B + C)))
-    R = np.empty((B, m), dtype=np.complex128)
+    m = min(n, max(1024, (1 << 18) // (B + 1 + P * C)))
+    R = np.empty((B + 1, m), dtype=np.complex128)
     R[0] = 1.0
-    A = np.empty((C, m), dtype=np.complex128)
-    S = np.zeros((C, B), dtype=np.complex128)
+    A = np.empty((P * C, m), dtype=np.complex128)
+    # A_p[b] is row p C + b of A, so block b of every row of W is A3[:, b]
+    A3 = A.reshape(P, C, m)
+    S = np.empty((P * C, B), dtype=np.complex128)
     for i in range(0, n, m):
         block = logn[i : i + m]
         k = block.size
         _powers(R[:, :k], np.exp(-1j * (h * block)))
-        np.multiply(w[i : i + m], np.exp(-1j * (t0 * block)), out=A[0, :k])
-        _powers(A[:, :k], np.exp(-1j * ((B * h) * block)))
-        S += A[:, :k] @ R[:, :k].T
+        if t0:
+            np.multiply(W[:, i : i + k], np.exp(-1j * (t0 * block)), out=A3[:, 0, :k])
+        else:
+            A3[:, 0, :k] = W[:, i : i + k]
+        _powers(A3[:, :, :k].swapaxes(0, 1), R[B, :k])
+        if i:
+            S += A[:, :k] @ R[:B, :k].T
+        else:
+            np.matmul(A[:, :k], R[:B, :k].T, out=S)
     dev = float(np.max(np.abs(np.arange(T) * h + t0 - ts)))
     tau = float(np.max(np.abs(ts)))
-    delta = float(np.sum(np.abs(w))) * (float(np.max(logn)) * (dev + 12 * _U * tau) + 16 * _U * (n + B + C + 4))
-    return S.reshape(-1)[:T], delta
+    bound = float(np.max(logn)) * (dev + 12 * _U * tau) + 16 * _U * (n + T + 4)
+    delta = np.array([float(np.sum(np.abs(w))) for w in W]) * bound
+    return S.reshape(P, C * B)[:, :T], delta
 
 
-def _grid_sup(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> tuple[float, int]:
-    """float(np.max(np.abs(_grid_values(logn, w, ts)))) to the bit, for a
-    uniform grid ts, computed by _grid_screen and a direct refine.  Also
-    returns how many grid points the direct kernel recomputed.
+def _grid_sup(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row w of the P x N weights W, float(np.max(np.abs(
+    _grid_values(logn, w, ts)))) to the bit, for a uniform grid ts, computed
+    by one _grid_screen of all the rows and a direct refine; and how many
+    grid points the direct kernel recomputed for each row.
 
-    If |S_i| = max |S| and |D_j| = max |D|, then |S_j| >= |D_j| - delta >=
-    |D_i| - delta >= |S_i| - 2 delta, so every point with
+    If |S_i| = max |S| and |D_j| = max |D| in a row, then |S_j| >=
+    |D_j| - delta >= |D_i| - delta >= |S_i| - 2 delta, so every point with
     |S_j| >= max |S| - 2 delta is kept and the direct maximum is among them.
-    _grid_values computes only them, each with the full scan's bits, into a
-    zero array of the grid's length before np.abs, whose vector body and
-    scalar tail round differently.  At N = 1, where a lone point's bits can
-    differ, every point is kept (each |S_j| is |w_1| within
-    u (14 + 6 (B + C)), and 2 delta is at least 32 u (B + C + 5) |w_1|), so
-    the refine is the full scan.  A non-finite screen maximum or delta keeps
-    every point.  The screen runs on every grid, under its caller's
-    errstate."""
-    T = ts.size
-    S, delta = _grid_screen(logn, w, ts)
-    screen = np.abs(S)
-    top = float(np.max(screen))
-    finite = math.isfinite(top) and math.isfinite(delta)
-    keep = np.flatnonzero(screen >= top - 2 * delta) if finite else np.arange(T)
-    values = np.zeros(T, dtype=np.complex128)
-    values[keep] = _grid_values(logn, w, ts[keep])
-    return float(np.max(np.abs(values))), int(keep.size)
+    The refine computes each kept point's exp row once for all the rows of
+    W, and each row's kept points as _grid_values does, with the full
+    scan's bits, into that row of S, zeroed: a row of the grid's length,
+    as the full scan's values are before np.abs, whose vector body and
+    scalar tail round differently.  np.abs then writes into the screen's
+    buffer, one row at a time.  At N = 1, where a lone point's bits can
+    differ, every point is kept (each |S_j| is |w_1| within u (10 + 10 T),
+    and 2 delta is at least 32 u (T + 5) |w_1|), so the refine is the full
+    scan.  A non-finite screen maximum or delta keeps every point of its
+    row.  The screen runs on every grid, under its caller's errstate."""
+    P, T = W.shape[0], ts.size
+    S, delta = _grid_screen(logn, W, ts)
+    screen = np.empty((P, T))
+    for p in range(P):
+        np.abs(S[p], out=screen[p])
+    top = np.max(screen, axis=1)
+    kept = screen >= (top - 2 * delta)[:, None]
+    kept[~(np.isfinite(top) & np.isfinite(delta))] = True
+    S[...] = 0
+    phase = -1j * logn
+    points = np.flatnonzero(kept.any(axis=0))
+    t_step = _t_step(logn.size)
+    for i in range(0, points.size, t_step):
+        at = points[i : i + t_step]
+        E = np.outer(ts[at], phase)
+        np.exp(E, out=E)
+        for p in range(P):
+            rows = np.flatnonzero(kept[p, at])
+            if not rows.size:
+                continue
+            # the last row to read E may take it in place
+            V = E if p == P - 1 and rows.size == at.size else E[rows]
+            V *= W[p]
+            S[p, at[rows]] = V.sum(axis=1)
+    for p in range(P):
+        np.abs(S[p], out=screen[p])
+    return np.max(screen, axis=1), np.count_nonzero(kept, axis=1)
 
 
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
@@ -558,7 +598,7 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
     bad = np.flatnonzero(~np.isfinite(ts))
     if bad.size:
         raise DomainError(f"grid points t must be finite, got t = {ts[bad[0]]}")
-    logn = _log(f.index_array())
+    logn = f.log_index_array()
     with np.errstate(over="ignore", invalid="ignore"):
         values = _grid_values(logn, f.coefficient_array() * _exp(-epsilon * logn), ts)
     bad = np.flatnonzero(~np.isfinite(values))
@@ -794,14 +834,14 @@ def seminorm(
 
     The scan is _grid_sup, on every grid: a GEMM screen, then per-row numpy
     sums of the kept points; no BLAS under any returned bit.  The screen
-    builds its phases by recurrence, at about 3 N exps and N T
-    multiply-adds; the kept points are those within 2 delta of its maximum,
-    and lower is their maximum, bit for bit the direct scan's.  delta bounds
-    the screen's error, about u (12 max|t| log n_max + 16 (N + 2 sqrt(T)))
-    sum |a_n| n^(-epsilon) (derived in _grid_screen).  An overflow reruns
-    the direct scan through boundary_values, which names epsilon and t; a
-    modulus or a coefficient bound past double range raises DomainError
-    naming epsilon.
+    builds its phases by recurrence, at N exps (2 N on a two-sided grid)
+    and N T multiply-adds; the kept points are those within 2 delta of its
+    maximum, and lower is their maximum, bit for bit the direct scan's.
+    delta bounds the screen's error, about u (12 max|t| log n_max +
+    16 (N + T)) sum |a_n| n^(-epsilon) (derived in _grid_screen).  An
+    overflow reruns the direct scan through boundary_values, which names
+    epsilon and t; a modulus or a coefficient bound past double range
+    raises DomainError naming epsilon.
     """
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     step = _validate_real(step, "grid step", 0.0, strict=True)
@@ -823,13 +863,14 @@ def seminorm(
             epsilon=float(epsilon), lower=0.0, upper=0.0, grid=grid, points=0, refined=0
         )
 
-    logn = _log(f.index_array())
+    logn = f.log_index_array()
     coeffs = f.coefficient_array()
     ts = np.arange(t0, t_max + 0.5 * step, step)
     with np.errstate(over="ignore", invalid="ignore"):
         decay = _exp(-epsilon * logn)
-        lower, refined = _grid_sup(logn, coeffs * decay, ts)
+        sup, refined = _grid_sup(logn, (coeffs * decay)[None], ts)
         terms = np.hypot(coeffs.real, coeffs.imag) * decay
+    lower, refined = float(sup[0]), int(refined[0])
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
     upper = _fsum(terms.tolist())

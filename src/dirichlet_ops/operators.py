@@ -21,7 +21,8 @@ from cmath import isfinite
 from typing import Callable
 
 from .errors import DomainError
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _log, _normal, _slope, _validate_index, np
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _log, _normal, _slope, _termwise,
+                     _validate_index, np)
 
 __all__ = [
     "Multiplier",
@@ -94,7 +95,9 @@ class Multiplier(_Record):
 
     `_array_symbol`, private, maps a sorted int64 index array to the real
     and imaginary parts of complex(symbol(n)), bit for bit; apply and the
-    orbit norms of dynamics take it from series._ARRAY_MIN_TERMS terms on.
+    orbit norms of dynamics take it from series._ARRAY_MIN_TERMS terms on
+    (_symbol_parts), where a _LogSymbol reads the polynomial's cached
+    log_index_array instead of logging the indices again.
     Only _with_array_symbol sets it, on the built-ins, the resolvent and
     their power_apply iterates for k <= 100.  It takes no part in
     construction, comparison or repr, so replace() drops it.
@@ -169,11 +172,32 @@ def _with_array_symbol(m: Multiplier, array_symbol: Callable[[np.ndarray], tuple
     return m
 
 
+class _LogSymbol:
+    """An array symbol that is a function of log n, of_log: called on an
+    index array it takes their series._log, and _symbol_parts hands it a
+    polynomial's log_index_array instead, the same bits."""
+
+    __slots__ = ("of_log",)
+
+    def __init__(self, of_log: Callable[[np.ndarray], tuple]):
+        self.of_log = of_log
+
+    def __call__(self, idx: np.ndarray) -> tuple:
+        return self.of_log(_log(idx))
+
+
+def _symbol_parts(array_symbol: Callable[[np.ndarray], tuple], f: DirichletPolynomial) -> tuple:
+    """array_symbol's real and imaginary parts at f's indices."""
+    if isinstance(array_symbol, _LogSymbol):
+        return array_symbol.of_log(f.log_index_array())
+    return array_symbol(f.index_array())
+
+
 # multipliers are immutable, so each built-in one is made once and shared
 _DERIVATIVE = _with_array_symbol(Multiplier(lambda n: -math.log(n), "derivative"),
-                                 lambda idx: (-_log(idx), np.zeros(idx.size)))
+                                 _LogSymbol(lambda logn: (-logn, np.zeros(logn.size))))
 _INTEGRATION = _with_array_symbol(Multiplier(lambda n: -1.0 / math.log(n), "integration", requires_zero_constant=True),
-                                  lambda idx: (-1.0 / _log(idx), np.zeros(idx.size)))
+                                  _LogSymbol(lambda logn: (-1.0 / logn, np.zeros(logn.size))))
 _IDENTITY = _with_array_symbol(Multiplier(lambda n: 1.0, "identity"),
                                lambda idx: (np.ones(idx.size), np.zeros(idx.size)))
 
@@ -272,12 +296,12 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     m.check_domain(f)
     array_symbol = m._array_symbol
     if array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
-        idx, a = f.index_array(), f.coefficient_array()
-        out = np.empty(idx.size, dtype=np.complex128)
+        a = f.coefficient_array()
+        out = np.empty(a.size, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            out.real, out.imag = _product(*array_symbol(idx), a.real, a.imag)
+            out.real, out.imag = _product(*_symbol_parts(array_symbol, f), a.real, a.imag)
         try:
-            return _normal(idx, out)
+            return _termwise(f, out)
         except DomainError:
             pass  # a value is not finite: the scalar path names it
     symbol, items = m.symbol, f.items()

@@ -90,7 +90,7 @@ _ARRAY_MIN_TERMS = 96
 # most terms a call may materialize at once (truncate, the abscissa
 # windows, bracket_sigma_u, bv_check), checked before anything is
 # allocated.  They peak at 32-81 bytes a term (tracemalloc; bracket_sigma_u
-# at 80.5 at 2^18 and 2^20 terms, its probe screen working in blocks), so
+# at 80.5 and 80.1 at 2^18 and 2^20 terms, its probe screen working in blocks), so
 # at ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError,
 # ValueError).  partial_sum streams its N terms in chunks of
 # evaluation._CHUNK = 2^16 (48 bytes a term direct, 32 by Taylor blocks, 56
@@ -157,11 +157,16 @@ class DirichletPolynomial:
     kernels (truncate, the convolution kernel, apply with an array symbol)
     are, and stored as the arrays alone.  max_index, term_count,
     is_zero, has_real_coefficients and the evaluation kernels read them
-    without building a dict.  Two threads may race to build the same form;
-    both build the same value, so concurrent reads stay safe.
+    without building a dict.  A third array, log n of each index
+    (log_index_array, series._log's bits), is built on its first read and
+    cached beside them; apply's result, which keeps the index array,
+    inherits it, so every multiplier, evaluation and orbit call on one
+    polynomial logs its indices once.  None of the three arrays takes part
+    in == or hash.  Two threads may race to build the same form; both
+    build the same value, so concurrent reads stay safe.
     """
 
-    __slots__ = ("_map", "_idx", "_val")
+    __slots__ = ("_map", "_idx", "_val", "_logn")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, Mapping):
@@ -229,6 +234,14 @@ class DirichletPolynomial:
     def coefficient_array(self) -> np.ndarray:
         """The coefficients in index order, read-only."""
         return self._arrays()[1]
+
+    def log_index_array(self) -> np.ndarray:
+        """log n of each index in index order (series._log), read-only."""
+        if self._logn is None:
+            logn = _log(self.index_array())
+            logn.flags.writeable = False
+            self._logn = logn
+        return self._logn
 
     def has_real_coefficients(self) -> bool:
         if self._map is None:
@@ -317,7 +330,7 @@ def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
         raise DomainError(f"coefficient at n={keys[i]} must be finite, got {complex(values[i])!r}")
 
 
-def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPolynomial:
+def _normal(keys, values, f: DirichletPolynomial | None = None, logn=None) -> DirichletPolynomial:
     """The trusted constructor: normal form of coefficients whose keys are
     valid, distinct and increasing, so no index check, accumulation or sort
     is repeated.  Each value is rounded as 0j + a (so a -0.0 component
@@ -326,8 +339,9 @@ def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPoly
 
     Two entry shapes: an int64 index array with its complex128 values,
     stored as read-only arrays (the arrays are taken over, not copied), or
-    any other iterables, stored as a dict.  f is the instance to fill; a
-    new one by default."""
+    any other iterables, stored as a dict.  logn, with an index array, is
+    its cached log_index_array (read-only), kept for the terms that stay.
+    f is the instance to fill; a new one by default."""
     if f is None:
         f = object.__new__(DirichletPolynomial)
     if _is_numpy(keys, "ndarray"):
@@ -336,8 +350,11 @@ def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPoly
         keep = values != 0
         if not keep.all():
             keys, values = keys[keep], values[keep]
+            if logn is not None:
+                logn = logn[keep]
+                logn.flags.writeable = False
         keys.flags.writeable = values.flags.writeable = False
-        f._map, f._val, f._idx = None, values, keys
+        f._map, f._val, f._idx, f._logn = None, values, keys, logn
         return f
     data = {}
     for n, a in zip(keys, values):
@@ -346,8 +363,14 @@ def _normal(keys, values, f: DirichletPolynomial | None = None) -> DirichletPoly
             if not isfinite(a):
                 raise DomainError(f"coefficient at n={n} must be finite, got {a!r}")
             data[n] = a
-    f._map, f._val, f._idx = MappingProxyType(data), None, None
+    f._map, f._val, f._idx, f._logn = MappingProxyType(data), None, None, None
     return f
+
+
+def _termwise(f: DirichletPolynomial, values: np.ndarray) -> DirichletPolynomial:
+    """_normal of f's index array and values, one a term: the result keeps
+    f's log_index_array, where f has built it, for the terms that stay."""
+    return _normal(f.index_array(), values, logn=f._logn)
 
 
 def _terms(f: DirichletPolynomial):
@@ -626,26 +649,30 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
         )
     fc, gc = f.coefficient_array(), g.coefficient_array()
     idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
-    if pairs >= _PACKED_SORT_MIN_PAIRS and (f.max_index * g.max_index + 1) * pairs <= 2**63:
+    shift = pairs.bit_length()
+    if pairs >= _PACKED_SORT_MIN_PAIRS and f.max_index * g.max_index < 1 << (63 - shift):
         # index and pair position packed in one int64 key
-        idx, order = np.divmod(np.sort(idx * pairs + np.arange(pairs)), pairs)
+        key = np.sort((idx << shift) | np.arange(pairs))
+        idx, order = key >> shift, key & ((1 << shift) - 1)
     else:
         order = np.argsort(idx, kind="quicksort")
         idx = idx.take(order)
     bounds = np.concatenate(([True], idx[1:] != idx[:-1], [True])).nonzero()[0]
     starts = bounds[:-1]
     big = (bounds[1:] - starts >= 3).nonzero()[0]
-    out = np.empty(starts.size, dtype=np.complex128)
+    # each pair's product as its (real, imaginary) row, gathered once in
+    # bucket order
+    prods = np.empty((fc.size, gc.size, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        re = np.multiply.outer(fc.real, gc.real) - np.multiply.outer(fc.imag, gc.imag)
-        im = np.multiply.outer(fc.real, gc.imag) + np.multiply.outer(fc.imag, gc.real)
-        re, im = re.ravel()[order], im.ravel()[order]
-        out.real = np.add.reduceat(re, starts)
-        out.imag = np.add.reduceat(im, starts)
+        np.multiply.outer(fc.real, gc.real, out=prods[..., 0])
+        prods[..., 0] -= np.multiply.outer(fc.imag, gc.imag)
+        np.multiply.outer(fc.real, gc.imag, out=prods[..., 1])
+        prods[..., 1] += np.multiply.outer(fc.imag, gc.real)
+        prods = prods.reshape(pairs, 2).take(order, axis=0)
+        sums = np.add.reduceat(prods, starts, axis=0)
     if big.size:
-        sums = _bucket_sums(np.stack((re, im), axis=1), starts[big], bounds[big + 1], order)
-        out.real[big], out.imag[big] = sums.T
-    return _normal(idx[starts], out)
+        sums[big] = _bucket_sums(prods, starts[big], bounds[big + 1], order)
+    return _normal(idx[starts], sums.view(np.complex128).reshape(-1))
 
 
 def coefficient_close(

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dirichlet_ops import abscissa
 from dirichlet_ops import (
@@ -10,6 +12,7 @@ from dirichlet_ops import (
     DomainError,
     bracket_sigma_u,
     eta_rule,
+    moebius_rule,
     ones_rule,
     sigma_a_estimate,
     sigma_c_estimate,
@@ -140,8 +143,9 @@ class TestBracket:
     def test_non_finite_probe_sup_names_epsilon(self, monkeypatch):
         # on the probe line |f| <= sum |a_n|, which sigma_a has already found
         # finite, so only rounding at the edge of double range gets here: the
-        # screen is replaced by one that overflows
-        monkeypatch.setattr(abscissa, "_grid_sup", lambda logn, w, ts: (math.inf, ts.size))
+        # stacked screen is replaced by one whose every row overflows
+        monkeypatch.setattr(abscissa, "_grid_sup",
+                            lambda logn, W, ts: (np.full(len(W), math.inf), np.full(len(W), ts.size)))
         with pytest.raises(DomainError, match=r"probe sup at epsilon = 0\.5 overflows"):
             bracket_sigma_u(eta_rule(), 1000, [0.5])
 
@@ -218,3 +222,37 @@ class TestSlopesEvidence:
         assert est.value == -math.inf and est.shift == abscissa._MAX_SHIFT
         assert len(est.slopes) == abscissa._MAX_SHIFT + 1
         assert all(math.isnan(s) for s in est.slopes)
+
+
+def estimate_outcome(values, N):
+    """repr of _estimate (exact floats, nan slopes too), or its error text."""
+    try:
+        return repr(abscissa._estimate(values, N))
+    except DomainError as e:
+        return str(e)
+
+
+class TestRealWindowSums:
+    """_estimate shifts and sums real values in float64; the complex path,
+    given the same values as complex128, gives the same bits and errors."""
+
+    @pytest.mark.parametrize("N", [100, 2001, 20_000])
+    @pytest.mark.parametrize(
+        "rule",
+        [ones_rule(), eta_rule(), moebius_rule(), zeta_shift_rule(2), linear_rule(), table_rule({})],
+        ids=lambda r: r.tag,
+    )
+    def test_rules(self, rule, N):
+        values = rule.values(np.arange(1, N + 1, dtype=np.int64))
+        for real in (values, np.abs(values)):
+            assert estimate_outcome(real, N) == estimate_outcome(real.astype(np.complex128), N)
+
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(100, 3000),
+           top=st.sampled_from([1.0, 1e100, 1e280, 1e300]), zeros=st.floats(0.0, 0.99))
+    def test_random_values(self, seed, N, top, zeros):
+        # magnitudes up to 1e300, where a shifted sum overflows, and windows
+        # that vanish in part or everywhere
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=N) * top * 10.0 ** rng.uniform(-20.0, 0.0, N)
+        values[rng.uniform(size=N) < zeros] = 0.0
+        assert estimate_outcome(values, N) == estimate_outcome(values.astype(np.complex128), N)

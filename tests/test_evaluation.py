@@ -9,7 +9,7 @@ import threading
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_ops import evaluation, series
@@ -296,12 +296,15 @@ def described_chunk(c, s, lo, hi):
 
 
 def described_exact(c, s, N):
-    """sum_{n<=N} c[n mod p] n^(-s) at 40 digits: the terms below 2^12 by
+    """sum_{n<=N} c[n mod p] n^(-s) to 40 digits: the terms below 2^12 by
     Hurwitz zeta, for p = 2 the odd n 2^-s (zeta(s, 1/2) -
     zeta(s, ceil(N/2) + 1/2)) and the even ones 2^-s (zeta(s) -
-    zeta(s, floor(N/2) + 1)), and the rest by described_chunk."""
+    zeta(s, floor(N/2) + 1)), and the rest by described_chunk.  mpmath's
+    zeta(s, a) loses about log10(1 / |s|) digits near s = 0 (at 40 digits
+    zeta(-1e-30, 2048.5) is off by 5.6e-15), so the head works with that
+    many more."""
     M = min(N, 4095)
-    with mpmath.workdps(40):
+    with mpmath.workdps(40 + max(0, math.ceil(-math.log10(abs(complex(s)))))):
         if len(c) == 1:
             head = c[0] * (mpmath.zeta(s) - mpmath.zeta(s, M + 1))
         else:
@@ -574,6 +577,7 @@ class TestTaylorBlocks:
     @given(name=st.sampled_from(sorted(DESCRIBED)), re=st.floats(-0.5, 2.5),
            im=st.one_of(st.just(0.0), st.floats(-40.0, 40.0)),
            chunk=st.sampled_from([4095, 4097, 5003, 8191, 12289, 2**16]), extra=st.integers(1, 3 * 4097))
+    @example(name="eta", re=-5.988214998875185e-38, im=0.0, chunk=4095, extra=1)
     def test_described_partial_sum_against_mpmath(self, name, re, im, chunk, extra):
         """partial_sum of a described rule against its 40-digit sum, within
         the Euler-Maclaurin sum's delta (plus u |s + k| log N of its mass,

@@ -540,10 +540,15 @@ class TestBoundaryGridKernel:
 
 
 def assert_grid_sup_bit_equal(logn, w, ts):
-    want = float(np.max(np.abs(_grid_values(logn, w, ts))))
-    got, refined = _grid_sup(logn, w, ts)
-    assert got.hex() == want.hex()
-    assert 1 <= refined <= ts.size
+    """_grid_sup of w, one row or a stack of rows, against each row's direct
+    scan; returns the rows' refine counts."""
+    W = np.atleast_2d(w)
+    got, refined = _grid_sup(logn, W, ts)
+    assert got.shape == refined.shape == (W.shape[0],)
+    for row, sup, count in zip(W, got.tolist(), refined.tolist()):
+        want = float(np.max(np.abs(_grid_values(logn, row, ts))))
+        assert sup.hex() == want.hex()
+        assert 1 <= count <= ts.size
     return refined
 
 
@@ -575,25 +580,65 @@ def grid_cases(draw):
 
 
 def assert_screen_within_delta(logn, w, ts):
-    S, delta = _grid_screen(logn, w, ts)
-    D = _grid_values(logn, w, ts)
-    assert S.shape == D.shape
-    assert math.isfinite(delta)
-    assert np.all(np.abs(S - D) <= delta)
+    """_grid_screen's bound at every point of every row of w, one row or a
+    stack of rows."""
+    W = np.atleast_2d(w)
+    S, delta = _grid_screen(logn, W, ts)
+    assert S.shape == (W.shape[0], ts.size) and delta.shape == (W.shape[0],)
+    for row, S_row, bound in zip(W, S, delta.tolist()):
+        D = _grid_values(logn, row, ts)
+        assert math.isfinite(bound)
+        assert np.all(np.abs(S_row - D) <= bound)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A 1-400 term polynomial on indices <= 3000, weighted by n^(-eps) at
+    1-5 epsilons (repeats among them, or one row), on a grid of 1 or 2
+    points or on one- or two-sided arange grids, seminorm's t0 = -t_max
+    among them."""
+    n_terms = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.sort(rng.choice(np.arange(1, 3001), n_terms, replace=False))
+    coeffs = rng.normal(size=n_terms) * 4.0
+    if draw(st.booleans()):
+        coeffs = coeffs + 4j * rng.normal(size=n_terms)
+    logn = series._log(idx)
+    eps = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0)), min_size=1, max_size=5))
+    W = np.array([coeffs * series._exp(-e * logn) for e in eps])
+    t_max = draw(st.floats(0.5, 50.0))
+    T = draw(st.sampled_from([1, 2, None]))
+    if T is not None:
+        return logn, W, np.linspace(-t_max if draw(st.booleans()) else 0.0, t_max, T)
+    step = draw(st.sampled_from([0.02, 0.05, 0.125, 0.3]))
+    t0 = -t_max if draw(st.booleans()) else 0.0
+    return logn, W, np.arange(t0, t_max + 0.5 * step, step)
 
 
 class TestGridScreen:
     """_grid_screen's stated bound |S_j - D_j| <= delta, at every point of
-    the grids TestGridSup checks, D being the direct kernel's values."""
+    every row of the grids TestGridSup checks, D being the direct kernel's
+    values."""
 
     @given(grid_cases())
     def test_random_polynomials(self, case):
         assert_screen_within_delta(*case)
 
+    @given(stacked_cases())
+    def test_stacked_rows(self, case):
+        assert_screen_within_delta(*case)
+
+    def test_stacked_probe_rows(self):
+        # bracket_sigma_u's stack: 20000 terms at four epsilons, in blocks
+        values = eta_rule().values(np.arange(1, 20001, dtype=np.int64))
+        logn = series._log(np.arange(1, 20001, dtype=np.int64))
+        W = np.array([values * series._exp(-e * logn) for e in (0.0, 0.1, 0.5, 1.0)])
+        assert_screen_within_delta(logn, W, np.linspace(0.0, 30.0, 121))
+
     @pytest.mark.parametrize("N", [2000, 20000])
     @pytest.mark.parametrize("rule", TestBoundaryGridKernel.RULES, ids=lambda r: r.tag)
     def test_probe_rules(self, rule, N):
-        # 20000 terms take the screen seven blocks of 2978
+        # 20000 terms take the screen two blocks, of 11397 terms and the rest
         values = rule.values(np.arange(1, N + 1, dtype=np.int64))
         logn = np.log(np.arange(1, N + 1, dtype=np.float64))
         ts = np.linspace(0.0, 30.0, 121)
@@ -601,7 +646,7 @@ class TestGridScreen:
             assert_screen_within_delta(logn, values * np.exp(-eps * logn), ts)
 
     def test_two_t_chunks(self):
-        # 3000 points at 3000 terms: the screen takes blocks of 1024 terms,
+        # 3000 points at 3000 terms: the screen takes blocks of 2361 terms,
         # the last short, and the direct values D cross a 2^23-entry t-chunk
         logn = np.log(np.arange(1, 3001, dtype=np.float64))
         w = eta_rule().values(np.arange(1, 3001, dtype=np.int64)) * np.exp(-0.25 * logn)
@@ -674,6 +719,25 @@ class TestGridSup:
         logn = np.log(np.array([float(n)]))
         ts = np.linspace(-100.0, 100.0, T)
         assert assert_grid_sup_bit_equal(logn, np.array([(2.5 - 1j) * n**-0.3]), ts) == T
+
+    @given(stacked_cases())
+    def test_stacked_rows_equal_lone_rows(self, case):
+        # a row of a stacked screen keeps the points a lone screen of that
+        # row keeps, and has its maximum, bit for bit
+        logn, W, ts = case
+        sups, refined = _grid_sup(logn, W, ts)
+        for row, sup, count in zip(W, sups.tolist(), refined.tolist()):
+            (lone_sup,), (lone_count,) = _grid_sup(logn, row[None], ts)
+            assert sup.hex() == float(lone_sup).hex() and count == lone_count
+        assert_grid_sup_bit_equal(logn, W, ts)
+
+    @pytest.mark.parametrize("rule", TestBoundaryGridKernel.RULES, ids=lambda r: r.tag)
+    def test_probes_stacked_and_alone(self, rule):
+        # six probes take two stacks (abscissa._PROBE_STACK = 4), a repeated
+        # epsilon among them; each probe is the one a call of it alone gives
+        eps = [0.0, 0.1, 0.5, 0.1, 1.0, 0.25]
+        est = bracket_sigma_u(rule, 3000, eps)
+        assert est.probes == tuple(bracket_sigma_u(rule, 3000, [e]).probes[0] for e in eps)
 
     @given(poly_strategy(max_index=3000, max_terms=12), st.floats(0.0, 1.0))
     def test_seminorm_lower(self, f, eps):
@@ -1345,6 +1409,78 @@ class TestCarrier:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(seen) == 8 * len(polys) and all(seen)
+
+
+class TestLogCarrier:
+    """log_index_array: log n of each index, built once, read-only, kept by
+    apply's results and never built by a call on the dict form."""
+
+    def test_bits_equal_series_log(self, rng):
+        idx, c = TestCarrier.pairs(rng)
+        idx = np.concatenate(([1, 2], idx[idx > 2], [2**62, 2**63 - 1]))
+        c = np.resize(c, idx.size)
+        for f in (TestCarrier.dict_built(idx, c), DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)})):
+            assert f.log_index_array().tobytes() == series._log(f.index_array()).tobytes()
+            assert f.log_index_array() is f.log_index_array()
+
+    def test_read_only(self):
+        logn = truncate(eta_rule(), 200).log_index_array()
+        with pytest.raises(ValueError, match="read-only"):
+            logn[0] = 7.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: apply(derivative_multiplier(), f),
+            lambda f: apply(integration_multiplier(), apply(derivative_multiplier(), f)),
+            lambda f: resolvent_apply(0.3 + 1j, f, FULL),
+            lambda f: power_apply(derivative_multiplier(), 3, f),
+            lambda f: apply(identity_multiplier(), f),
+        ],
+        ids=["derivative", "integration", "resolvent", "power", "identity"],
+    )
+    def test_results_inherit_it(self, call):
+        # the derivative drops n = 1 (log 1 = 0): the logs kept are the
+        # terms kept
+        f = truncate(table_rule({n: 1.0 + n * 1j for n in range(1, 300) if n % 7}), 299)
+        f.log_index_array()
+        g = call(f)
+        assert g._logn is not None and not g._logn.flags.writeable
+        assert g._logn.tobytes() == series._log(g.index_array()).tobytes()
+
+    def test_dropped_terms_are_gathered_out(self):
+        f = truncate(table_rule({n: 1.0 for n in range(1, 200)}), 199)
+        f.log_index_array()
+        m = operators._with_array_symbol(
+            Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0, "zero at 3 | n"),
+            lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0), np.zeros(idx.size)),
+        )
+        g = apply(m, f)
+        assert g.index_array().tolist() == [n for n in range(1, 200) if n % 3]
+        assert g._logn.tobytes() == series._log(g.index_array()).tobytes()
+
+    def test_not_built_unasked(self):
+        # a result of a polynomial that never built its logs does not build them
+        f = truncate(eta_rule(), 200)
+        assert apply(identity_multiplier(), f)._logn is None and f._logn is None
+
+    def test_dict_form_calls_do_not_build_it(self):
+        f = DirichletPolynomial({2: 1.5, 3: -0.5j, 10: 2.0})
+        evaluate(f, 0.5 + 3j)
+        apply(derivative_multiplier(), f)
+        resolvent_apply(0.3 + 1j, f, FULL)
+        normalized_power_norm(derivative_multiplier(), f, 0.25, 5)
+        ergodicity_diagnostic(derivative_multiplier(), f, 0.25)
+        hash(f)
+        assert f._idx is None and f._logn is None
+
+    def test_equality_and_hash_ignore_it(self, rng):
+        idx, c = TestCarrier.pairs(rng)
+        f, g = (DirichletPolynomial({int(n): complex(a) for n, a in zip(idx, c)}) for _ in range(2))
+        f.log_index_array()
+        assert f._logn is not None and g._logn is None
+        assert f == g and hash(f) == hash(g)
+        assert f == TestCarrier.dict_built(idx, c)
 
 
 def loop_construct(coeffs):
