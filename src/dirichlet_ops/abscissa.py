@@ -38,9 +38,12 @@ SIGMA_U_NOTE = (
     "[sigma_c_est, sigma_a_est] plus boundedness probes"
 )
 
-# probes that share one screen (evaluation._grid_sup): their weights take
-# _PROBE_STACK doubles a term, or complex values for a complex rule
+# probes that share one screen (evaluation._grid_sup): at most _PROBE_STACK,
+# and only while the stack's weights and grid values, P (N + points) entries,
+# stay within _STACK_ENTRIES.  Past that each probe screens alone, so from
+# N = 2^17 on a call holds what a lone probe does (series._MAX_TERMS)
 _PROBE_STACK = 4
+_STACK_ENTRIES = 1 << 18
 
 _DIVERGENCE_SLOPE = 0.5
 _MAX_SHIFT = 8
@@ -157,8 +160,9 @@ def bracket_sigma_u(
     scan, evaluation._grid_sup (a GEMM screen whose phases are built by
     recurrence, then per-row numpy sums of the kept points; no BLAS under
     any returned bit), so sup_abs is bit for bit the direct scan's maximum.
-    Up to _PROBE_STACK probes share one screen: N exps for all of them,
-    then one GEMM of N * points multiply-adds a probe.  points is capped at
+    Up to _PROBE_STACK probes share one screen while P (N + points) <=
+    _STACK_ENTRIES = 2^18: N exps for all of them, then one GEMM of
+    N * points multiply-adds a probe.  points is capped at
     evaluation._MAX_GRID_POINTS = 2^24, seminorm's grid cap.
     """
     N = _validate_index(N, "window length N", 100, _MAX_TERMS)
@@ -177,8 +181,9 @@ def bracket_sigma_u(
     logn = _log(np.arange(1, N + 1, dtype=np.int64))
     ts = np.linspace(0.0, t_max, points)
     probes = []
-    for lo in range(0, len(probe_eps), _PROBE_STACK):
-        eps = probe_eps[lo : lo + _PROBE_STACK]
+    stack = max(1, min(_PROBE_STACK, _STACK_ENTRIES // (N + points)))
+    for lo in range(0, len(probe_eps), stack):
+        eps = probe_eps[lo : lo + stack]
         W = np.empty((len(eps), N), dtype=values.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             for w, e in zip(W, eps):

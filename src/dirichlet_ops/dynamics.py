@@ -18,8 +18,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError
-from .operators import (_POWU_MAX, Multiplier, _LogSymbol, _number, _power, _product, _symbol_parts,
-                        _with_array_symbol, apply)
+from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
 from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _list_slope,
                      _validate_index, _validate_real, np, replace)
 
@@ -49,11 +48,8 @@ def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     carries over to the power."""
     k = _validate_index(k, "iterate count")
     power = replace(m, symbol=lambda n: _number(m, n) ** k, label=f"{m.label}^{k}")
-    base = m._array_symbol
-    if isinstance(base, _LogSymbol) and k <= _POWU_MAX:
-        _with_array_symbol(power, _LogSymbol(lambda logn: _power(*base.of_log(logn), k)))
-    elif base is not None and k <= _POWU_MAX:
-        _with_array_symbol(power, lambda idx: _power(*base(idx), k))
+    if m._array_symbol is not None and k <= _POWU_MAX:
+        _with_array_symbol(power, lambda g: _power(*m._array_symbol(g), k))
     return apply(power, f)
 
 
@@ -130,7 +126,7 @@ def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _Arra
         mod_a = np.hypot(a.real, a.imag)
     if np.isinf(mod_a).any():
         return None
-    gr, gi = _symbol_parts(m._array_symbol, f)
+    gr, gi = m._array_symbol(f)
     with np.errstate(over="ignore", invalid="ignore"):
         mod_g = np.hypot(gr, gi)
     if not np.isfinite(mod_g).all():

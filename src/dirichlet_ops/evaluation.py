@@ -537,15 +537,14 @@ def _grid_sup(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarr
     If |S_i| = max |S| and |D_j| = max |D| in a row, then |S_j| >=
     |D_j| - delta >= |D_i| - delta >= |S_i| - 2 delta, so every point with
     |S_j| >= max |S| - 2 delta is kept and the direct maximum is among them.
-    The refine computes each kept point's exp row once for all the rows of
-    W, and each row's kept points as _grid_values does, with the full
-    scan's bits, into that row of S, zeroed: a row of the grid's length,
-    as the full scan's values are before np.abs, whose vector body and
-    scalar tail round differently.  np.abs then writes into the screen's
-    buffer, one row at a time.  At N = 1, where a lone point's bits can
-    differ, every point is kept (each |S_j| is |w_1| within u (10 + 10 T),
-    and 2 delta is at least 32 u (T + 5) |w_1|), so the refine is the full
-    scan.  A non-finite screen maximum or delta keeps every point of its
+    The refine stays per row: _grid_values computes only the row's kept
+    points, each with the full scan's bits, into that row of S, zeroed: a
+    row of the grid's length, as the full scan's values are before np.abs,
+    whose vector body and scalar tail round differently.  np.abs then
+    writes into the screen's buffer.  At N = 1, where a lone point's bits
+    can differ, every point is kept (each |S_j| is |w_1| within
+    u (10 + 10 T), and 2 delta is at least 32 u (T + 5) |w_1|), so the
+    refine is the full scan.  A non-finite screen maximum or delta keeps every point of its
     row.  The screen runs on every grid, under its caller's errstate."""
     P, T = W.shape[0], ts.size
     S, delta = _grid_screen(logn, W, ts)
@@ -555,23 +554,10 @@ def _grid_sup(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarr
     top = np.max(screen, axis=1)
     kept = screen >= (top - 2 * delta)[:, None]
     kept[~(np.isfinite(top) & np.isfinite(delta))] = True
-    S[...] = 0
-    phase = -1j * logn
-    points = np.flatnonzero(kept.any(axis=0))
-    t_step = _t_step(logn.size)
-    for i in range(0, points.size, t_step):
-        at = points[i : i + t_step]
-        E = np.outer(ts[at], phase)
-        np.exp(E, out=E)
-        for p in range(P):
-            rows = np.flatnonzero(kept[p, at])
-            if not rows.size:
-                continue
-            # the last row to read E may take it in place
-            V = E if p == P - 1 and rows.size == at.size else E[rows]
-            V *= W[p]
-            S[p, at[rows]] = V.sum(axis=1)
     for p in range(P):
+        keep = np.flatnonzero(kept[p])
+        S[p] = 0
+        S[p, keep] = _grid_values(logn, W[p], ts[keep])
         np.abs(S[p], out=screen[p])
     return np.max(screen, axis=1), np.count_nonzero(kept, axis=1)
 

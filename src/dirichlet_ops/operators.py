@@ -21,8 +21,7 @@ from cmath import isfinite
 from typing import Callable
 
 from .errors import DomainError
-from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _log, _normal, _slope, _termwise,
-                     _validate_index, np)
+from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _normal, _slope, _termwise, _validate_index, np
 
 __all__ = [
     "Multiplier",
@@ -38,9 +37,9 @@ __all__ = [
 ]
 
 # Array symbols reproduce CPython's scalar arithmetic on real arrays, so they
-# give the scalar symbol's bits: series._log for log n, unfused complex
-# products, _Py_c_quot's division (numpy's complex division multiplies by a
-# reciprocal) and c_powu's binary powers.
+# give the scalar symbol's bits: series._log for log n (a polynomial's
+# log_index_array), unfused complex products, _Py_c_quot's division (numpy's
+# complex division multiplies by a reciprocal) and c_powu's binary powers.
 
 
 def _product(ar, ai, br, bi) -> tuple:
@@ -93,11 +92,10 @@ class Multiplier(_Record):
     reject a finite value whose modulus alone passes double range; apply,
     which needs only finite products, accepts it.
 
-    `_array_symbol`, private, maps a sorted int64 index array to the real
-    and imaginary parts of complex(symbol(n)), bit for bit; apply and the
-    orbit norms of dynamics take it from series._ARRAY_MIN_TERMS terms on
-    (_symbol_parts), where a _LogSymbol reads the polynomial's cached
-    log_index_array instead of logging the indices again.
+    `_array_symbol`, private, maps a polynomial to the real and imaginary
+    parts of complex(symbol(n)) at its indices, bit for bit; the built-ins
+    and the resolvent read its cached log_index_array.  apply and the orbit
+    norms of dynamics take it from series._ARRAY_MIN_TERMS terms on.
     Only _with_array_symbol sets it, on the built-ins, the resolvent and
     their power_apply iterates for k <= 100.  It takes no part in
     construction, comparison or repr, so replace() drops it.
@@ -106,7 +104,7 @@ class Multiplier(_Record):
     symbol: Callable[[int], complex]
     label: str
     requires_zero_constant: bool = False
-    _array_symbol: Callable[[np.ndarray], tuple] | None = None
+    _array_symbol: Callable[[DirichletPolynomial], tuple] | None = None
 
     def __init__(self, symbol: Callable[[int], complex], label: str, *, requires_zero_constant: bool = False):
         vars(self).update(symbol=symbol, label=label, requires_zero_constant=requires_zero_constant)
@@ -166,40 +164,19 @@ def _finite_value(m: Multiplier, n: int) -> complex:
     return g
 
 
-def _with_array_symbol(m: Multiplier, array_symbol: Callable[[np.ndarray], tuple]) -> Multiplier:
+def _with_array_symbol(m: Multiplier, array_symbol: Callable[[DirichletPolynomial], tuple]) -> Multiplier:
     """m, carrying array_symbol as its private _array_symbol."""
     object.__setattr__(m, "_array_symbol", array_symbol)
     return m
 
 
-class _LogSymbol:
-    """An array symbol that is a function of log n, of_log: called on an
-    index array it takes their series._log, and _symbol_parts hands it a
-    polynomial's log_index_array instead, the same bits."""
-
-    __slots__ = ("of_log",)
-
-    def __init__(self, of_log: Callable[[np.ndarray], tuple]):
-        self.of_log = of_log
-
-    def __call__(self, idx: np.ndarray) -> tuple:
-        return self.of_log(_log(idx))
-
-
-def _symbol_parts(array_symbol: Callable[[np.ndarray], tuple], f: DirichletPolynomial) -> tuple:
-    """array_symbol's real and imaginary parts at f's indices."""
-    if isinstance(array_symbol, _LogSymbol):
-        return array_symbol.of_log(f.log_index_array())
-    return array_symbol(f.index_array())
-
-
 # multipliers are immutable, so each built-in one is made once and shared
 _DERIVATIVE = _with_array_symbol(Multiplier(lambda n: -math.log(n), "derivative"),
-                                 _LogSymbol(lambda logn: (-logn, np.zeros(logn.size))))
+                                 lambda f: (-f.log_index_array(), np.zeros(f.term_count)))
 _INTEGRATION = _with_array_symbol(Multiplier(lambda n: -1.0 / math.log(n), "integration", requires_zero_constant=True),
-                                  _LogSymbol(lambda logn: (-1.0 / logn, np.zeros(logn.size))))
+                                  lambda f: (-1.0 / f.log_index_array(), np.zeros(f.term_count)))
 _IDENTITY = _with_array_symbol(Multiplier(lambda n: 1.0, "identity"),
-                               lambda idx: (np.ones(idx.size), np.zeros(idx.size)))
+                               lambda f: (np.ones(f.term_count), np.zeros(f.term_count)))
 
 
 def derivative_multiplier() -> Multiplier:
@@ -299,7 +276,7 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
         a = f.coefficient_array()
         out = np.empty(a.size, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            out.real, out.imag = _product(*_symbol_parts(array_symbol, f), a.real, a.imag)
+            out.real, out.imag = _product(*array_symbol(f), a.real, a.imag)
         try:
             return _termwise(f, out)
         except DomainError:

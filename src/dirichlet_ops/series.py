@@ -90,8 +90,10 @@ _ARRAY_MIN_TERMS = 96
 # most terms a call may materialize at once (truncate, the abscissa
 # windows, bracket_sigma_u, bv_check), checked before anything is
 # allocated.  They peak at 32-81 bytes a term (tracemalloc; bracket_sigma_u
-# at 80.5 and 80.1 at 2^18 and 2^20 terms, its probe screen working in blocks), so
-# at ~1.4 GB for 2^24; N = 2^40 or 2^62 failed inside numpy (MemoryError,
+# at 80.5 and 80.1 at 2^18 and 2^20 terms with two eta probes, 76.0 at both
+# with four complex ones, its probe screen working in blocks and its probes
+# stacked only below 2^17 terms), so at ~1.4 GB for 2^24; N = 2^40 or 2^62
+# failed inside numpy (MemoryError,
 # ValueError).  partial_sum streams its N terms in chunks of
 # evaluation._CHUNK = 2^16 (48 bytes a term direct, 32 by Taylor blocks, 56
 # and 48 for a complex rule), so N is not capped.

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import DomainError, SpectralError
-from .operators import Multiplier, _LogSymbol, _reciprocal, _with_array_symbol, apply
+from .operators import Multiplier, _reciprocal, _with_array_symbol, apply
 from .series import DirichletPolynomial, _Record, monomial
 from .series import _MAX_TERMS, _validate_complex, _validate_index, _validate_real, np
 
@@ -194,7 +194,7 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
     # the array symbol adds as float + complex does, imaginary part 0.0 + Im lambda
     resolvent = Multiplier(lambda n: 1.0 / (math.log(n) + lam), f"{space} resolvent",
                            requires_zero_constant=space == ZERO_SUBSPACE)
-    _with_array_symbol(resolvent, _LogSymbol(lambda logn: _reciprocal(logn + lam.real, 0.0 + lam.imag)))
+    _with_array_symbol(resolvent, lambda g: _reciprocal(g.log_index_array() + lam.real, 0.0 + lam.imag))
     return apply(resolvent, f)
 
 

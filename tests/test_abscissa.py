@@ -115,6 +115,43 @@ class TestBracket:
             tracemalloc.stop()
         assert peak <= 552 * n
 
+    def test_probe_stack_memory(self, monkeypatch):
+        # four complex probes share one screen at P (N + points) = 2^18, the
+        # largest stack: it adds at most its weights and grid values (2^18
+        # entries, 41 bytes each with S, |S| and the kept mask) and three
+        # more probes' A blocks (at most 256 rows of 1024 terms) to one
+        # probe's peak; measured 27.8 vs 10.3 MiB
+        rule = CoefficientRule("phases", lambda n: np.exp(1j * n) / np.sqrt(n))
+        eps = [0.1, 0.3, 0.5, 0.7]
+
+        def peak():
+            bracket_sigma_u(rule, 4096, eps, points=61_440)
+            tracemalloc.start()
+            try:
+                bracket_sigma_u(rule, 4096, eps, points=61_440)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stacked = peak()
+        monkeypatch.setattr(abscissa, "_PROBE_STACK", 1)
+        assert stacked <= peak() + 41 * abscissa._STACK_ENTRIES + 3 * 256 * 1024 * 16
+
+    def test_large_probes_screen_alone(self, monkeypatch):
+        # past P (N + points) = 2^18 the stack shrinks, and from N = 2^17 on
+        # each probe screens alone, holding what one probe did
+        rows = []
+        screen = abscissa._grid_sup
+
+        def spy(logn, W, ts):
+            rows.append(len(W))
+            return screen(logn, W, ts)
+
+        monkeypatch.setattr(abscissa, "_grid_sup", spy)
+        bracket_sigma_u(eta_rule(), (1 << 17) - 121, [0.1, 0.5, 1.0])
+        bracket_sigma_u(eta_rule(), 1 << 17, [0.1, 0.5])
+        assert rows == [2, 1, 1, 1]
+
     def test_note_flags_bracket_only_reporting(self):
         est = bracket_sigma_u(eta_rule(), 1000, [0.5])
         assert "bracket" in est.note

@@ -77,7 +77,7 @@ from dirichlet_ops import (
     truncate,
     zeta_shift_rule,
 )
-from dirichlet_ops import dynamics, evaluation, operators, series
+from dirichlet_ops import abscissa, dynamics, evaluation, operators, series
 from dirichlet_ops.evaluation import _grid_screen, _grid_sup, _grid_values
 from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
@@ -735,6 +735,7 @@ class TestGridSup:
     def test_probes_stacked_and_alone(self, rule):
         # six probes take two stacks (abscissa._PROBE_STACK = 4), a repeated
         # epsilon among them; each probe is the one a call of it alone gives
+        assert abscissa._STACK_ENTRIES // (3000 + 121) >= abscissa._PROBE_STACK
         eps = [0.0, 0.1, 0.5, 0.1, 1.0, 0.25]
         est = bracket_sigma_u(rule, 3000, eps)
         assert est.probes == tuple(bracket_sigma_u(rule, 3000, [e]).probes[0] for e in eps)
@@ -1453,7 +1454,7 @@ class TestLogCarrier:
         f.log_index_array()
         m = operators._with_array_symbol(
             Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0, "zero at 3 | n"),
-            lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0), np.zeros(idx.size)),
+            lambda g: (np.where(g.index_array() % 3 == 0, 0.0, 2.0), np.zeros(g.term_count)),
         )
         g = apply(m, f)
         assert g.index_array().tolist() == [n for n in range(1, 200) if n % 3]
@@ -1637,7 +1638,7 @@ USER_WITH_ZEROS = Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0 + 1e-3 * n, "u
 # the same symbol with an array symbol: the array orbit drops its zeros past n = 1
 ARRAY_WITH_ZEROS = operators._with_array_symbol(
     replace(USER_WITH_ZEROS, label="array with zeros"),
-    lambda idx: (np.where(idx % 3 == 0, 0.0, 2.0 + 1e-3 * idx), np.zeros(idx.size)),
+    lambda f: (np.where(f.index_array() % 3 == 0, 0.0, 2.0 + 1e-3 * f.index_array()), np.zeros(f.term_count)),
 )
 ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS, ARRAY_WITH_ZEROS)
 
@@ -1713,7 +1714,8 @@ class TestArrayOrbit:
         bad = complex(bad)
         m = operators._with_array_symbol(
             Multiplier(lambda n: bad if n == 77 else -math.log(n), "bad at 77"),
-            lambda idx: (np.where(idx == 77, bad.real, D._array_symbol(idx)[0]), np.where(idx == 77, bad.imag, 0.0)),
+            lambda g: (np.where(g.index_array() == 77, bad.real, D._array_symbol(g)[0]),
+                       np.where(g.index_array() == 77, bad.imag, 0.0)),
         )
         f = truncate(eta_rule(), 200)
         got, want = norm_outcomes(m, f, 0.5, [1, 40])
