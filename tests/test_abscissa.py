@@ -119,8 +119,8 @@ class TestBracket:
         # four complex probes share one screen at P (N + points) = 2^18, the
         # largest stack: it adds at most its weights and grid values (2^18
         # entries, 41 bytes each with S, |S| and the kept mask) and three
-        # more probes' A blocks (at most 256 rows of 1024 terms) to one
-        # probe's peak; measured 27.8 vs 10.3 MiB
+        # more probes' A blocks (C <= 257 rows of 1024 terms here, as
+        # T < 2^16) to one probe's peak; measured 27.8 vs 10.3 MiB
         rule = CoefficientRule("phases", lambda n: np.exp(1j * n) / np.sqrt(n))
         eps = [0.1, 0.3, 0.5, 0.7]
 
@@ -135,7 +135,7 @@ class TestBracket:
 
         stacked = peak()
         monkeypatch.setattr(abscissa, "_PROBE_STACK", 1)
-        assert stacked <= peak() + 41 * abscissa._STACK_ENTRIES + 3 * 256 * 1024 * 16
+        assert stacked <= peak() + 41 * abscissa._STACK_ENTRIES + 3 * 257 * 1024 * 16
 
     def test_large_probes_screen_alone(self, monkeypatch):
         # past P (N + points) = 2^18 the stack shrinks, and from N = 2^17 on
