@@ -21,7 +21,8 @@ from cmath import isfinite
 from typing import Callable
 
 from .errors import DomainError
-from .series import _ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _normal, _slope, _termwise, _validate_index, np
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _list_slope, _normal, _pairwise_sum, _termwise,
+                     _validate_index, np)
 
 __all__ = [
     "Multiplier",
@@ -230,28 +231,29 @@ def check_growth(m: Multiplier, n_max: int = 10**5) -> GrowthReport:
         if g == 0:
             raise DomainError(f"multiplier '{m.label}' vanishes at n = {n}")
         ratios.append(math.log(abs(g)) / math.log(n))
-    r = np.array(ratios)
-    logn = np.log(np.array(pts, dtype=np.float64))
-    u = np.log(logn) / logn
+    logn = [math.log(n) for n in pts]
+    u = [math.log(x) / x for x in logn]
 
-    # r ~ limit + slope u, fitted in closed form
-    slope = _slope(u, r)
-    limit = float(np.mean(r)) - slope * float(np.mean(u))
-    resid = float(np.sqrt(np.mean((limit + slope * u - r) ** 2)))
+    # ratios ~ limit + slope u, fitted in closed form on Python floats, the
+    # sums and means in numpy's order (series._pairwise_sum)
+    slope = _list_slope(u, ratios)
+    limit = _pairwise_sum(ratios) / len(ratios) - slope * (_pairwise_sum(u) / len(u))
+    errs = [limit + slope * x - r for x, r in zip(u, ratios)]
+    resid = math.sqrt(_pairwise_sum([e * e for e in errs]) / len(errs))
 
-    tail = np.abs(r[-3:])
-    if tail.max() < _RATIO_THRESHOLD:
+    tail = [abs(r) for r in ratios[-3:]]
+    if max(tail) < _RATIO_THRESHOLD:
         verdict = "admissible"
     elif resid < _FIT_RESIDUAL_OK:
         verdict = "admissible" if abs(limit) < _RATIO_THRESHOLD else "inadmissible"
-    elif tail.min() >= _RATIO_THRESHOLD and tail[-1] >= tail[0] * 0.99:
+    elif min(tail) >= _RATIO_THRESHOLD and tail[-1] >= tail[0] * 0.99:
         verdict = "inadmissible"
     else:
         verdict = "inconclusive"
     return GrowthReport(
         verdict=verdict,
         sample_points=tuple(pts),
-        ratios=tuple(float(v) for v in ratios),
+        ratios=tuple(ratios),
         limit_estimate=limit,
         fit_residual=resid,
     )

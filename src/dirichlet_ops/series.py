@@ -102,6 +102,8 @@ _MAX_TERMS = 1 << 24
 
 def _validate_index(n, what: str = "series index", least: int = 1, most: int = _INDEX_MAX) -> int:
     """n as an int in [least, most]; DomainError naming `what` otherwise."""
+    if type(n) is int and least <= n <= most:
+        return n
     if isinstance(n, bool) or not (isinstance(n, int) or _is_numpy(n, "integer")):
         raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
     if n < least:
@@ -118,6 +120,8 @@ _FLOAT_MAX = sys.float_info.max
 def _validate_real(x, what: str, least: float | None = None, strict: bool = False) -> float:
     """x as a finite float, > least (strict) or >= least when least is given;
     DomainError naming `what` otherwise.  A bool or a string is not a real."""
+    if type(x) is float and math.isfinite(x) and (least is None or x > least or (x == least and not strict)):
+        return x
     # concrete types, as in _validate_index: isinstance against numbers.Real is ~5x slower
     real = not isinstance(x, bool) and (
         isinstance(x, (float, int)) or _is_numpy(x, "floating") or _is_numpy(x, "integer")
@@ -132,6 +136,8 @@ def _validate_real(x, what: str, least: float | None = None, strict: bool = Fals
 
 def _validate_complex(z, what: str) -> complex:
     """z as a finite complex; DomainError naming `what` otherwise."""
+    if type(z) is complex and isfinite(z):
+        return z
     if (isinstance(z, (complex, float, int)) or _is_numpy(z, "number")) and not isinstance(z, bool):
         c = complex(z) if not isinstance(z, int) or abs(z) <= _FLOAT_MAX else complex(math.inf)
         if isfinite(c):
@@ -412,13 +418,6 @@ def _fsum(xs) -> float:
         return math.nan
 
 
-def _bucket_fsum(xs: list) -> float:
-    """A convolution bucket's sum as the array kernel forms it: one or two
-    products by one IEEE add (np.add.reduceat), more by _fsum.  Both round
-    two doubles' sum correctly, but on overflow the add gives inf."""
-    return xs[0] + xs[1] if len(xs) == 2 else xs[0] if len(xs) == 1 else _fsum(xs)
-
-
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y on x (two distinct x at least) from centered
     numpy sums, not a BLAS or LAPACK solve; y = x gives exactly 1."""
@@ -500,11 +499,12 @@ def _expm1(z: complex) -> complex:
 
 
 # below this many index pairs the per-pair loop beats the array kernel: the
-# measured crossover is 40-49 pairs on fresh polynomials with random indices
-# up to 512 or 40 (2-core x86-64, numpy 2.4.6; BENCH_twosum_buckets.json).
-# On indices 1..a times 1..b, whose many buckets of 3+ products pay the fixed
-# cost of _bucket_sums' pass, the loop stays faster up to ~400 pairs
-_KERNEL_MIN_PAIRS = 48
+# measured crossover is 112-120 pairs on fresh polynomials with random
+# indices up to 512, where 49 pairs take 21 us by the loop and 39 by the
+# kernel (2-core x86-64, numpy 2.4.6; BENCH_small_paths.json).  On indices
+# 1..a times 1..b, whose many buckets of 3+ products pay the fixed cost of
+# _bucket_sums' pass, the loop stays faster up to ~400 pairs
+_KERNEL_MIN_PAIRS = 112
 
 
 # from this many index pairs on, the array kernel sorts the products by np.sort
@@ -630,25 +630,41 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
     TwoSum pass whose fl(s + c) is accepted when an exactness flag or Sum2's
     gamma_n^2 bound proves it exactly rounded, with fsum, in pair order, for
     each bucket it cannot settle.  Below _KERNEL_MIN_PAIRS a per-pair loop
-    that sums each bucket as the kernel does (_bucket_fsum) is faster and
-    gives the same bits, an overflowing bucket of two products included.
+    is faster and gives the same bits, an overflowing bucket of two
+    products included: a bucket keeps its one product, adds two as one
+    complex add (one IEEE add a part, as reduceat's) and takes fsum of each
+    part of three or more; a one-term operand fills no bucket at all.
     """
     if f.max_index * g.max_index > _INDEX_MAX:
         raise DomainError(f"product index {f.max_index} * {g.max_index} exceeds 2^63 - 1")
     pairs = f.term_count * g.term_count
     if pairs < _KERNEL_MIN_PAIRS:
-        buckets: dict[int, tuple[list, list]] = {}
+        if g.term_count == 1:
+            f, g = g, f  # CPython's a * b and b * a agree to the bit
         g_terms = list(_terms(g))
+        if f.term_count == 1:
+            # one product a bucket, and the keys n1 * n2 already increase
+            [(n1, a)] = _terms(f)
+            return _normal([n1 * n2 for n2, _ in g_terms], [a * b for _, b in g_terms])
+        # a bucket holds its one product, or the list of them in pair order
+        buckets: dict = {}
         for n1, a in _terms(f):
             for n2, b in g_terms:
                 p = a * b
-                re_l, im_l = buckets.setdefault(n1 * n2, ([], []))
-                re_l.append(p.real)
-                im_l.append(p.imag)
+                q = buckets.get(n1 * n2)
+                if q is None:
+                    buckets[n1 * n2] = p
+                elif type(q) is list:
+                    q.append(p)
+                else:
+                    buckets[n1 * n2] = [q, p]
         keys = sorted(buckets)
-        return _normal(
-            keys, [complex(_bucket_fsum(re_l), _bucket_fsum(im_l)) for re_l, im_l in map(buckets.__getitem__, keys)]
-        )
+        return _normal(keys, [
+            q if type(q) is complex
+            else q[0] + q[1] if len(q) == 2
+            else complex(_fsum([p.real for p in q]), _fsum([p.imag for p in q]))
+            for q in map(buckets.__getitem__, keys)
+        ])
     fc, gc = f.coefficient_array(), g.coefficient_array()
     idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
     shift = pairs.bit_length()
@@ -681,13 +697,25 @@ def coefficient_close(
     f: DirichletPolynomial, g: DirichletPolynomial, rtol: float = 1e-12, atol: float = 0.0
 ) -> bool:
     """Coefficient-wise |f_n - g_n| <= atol + rtol * max(|f_n|, |g_n|) over
-    the union of stored indices (missing terms count as zero)."""
+    the union of stored indices (missing terms count as zero).  Where a
+    modulus passes double range, a quarter of each side is compared: the
+    scaling is exact, and a quarter of any finite coefficient's modulus, or
+    of a difference of two, is a double."""
     rtol = _validate_real(rtol, "rtol", 0.0)
     atol = _validate_real(atol, "atol", 0.0)
-    for n in f.indices() | g.indices():
-        a, b = f.coefficient(n), g.coefficient(n)
-        if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
-            return False
+    fc, gc = f.coeffs, g.coeffs
+    if fc.keys() == gc.keys():
+        pairs = zip(fc.values(), gc.values())  # both in increasing index order
+    else:
+        pairs = ((fc.get(n, 0j), gc.get(n, 0j)) for n in fc.keys() | gc.keys())
+    for a, b in pairs:
+        try:
+            if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
+                return False
+        except OverflowError:
+            a, b = a * 0.25, b * 0.25
+            if abs(a - b) > atol * 0.25 + rtol * max(abs(a), abs(b)):
+                return False
     return True
 
 

@@ -70,11 +70,24 @@ def _window(x: float) -> tuple[int, int] | None:
     return max(2, int(math.floor(n0)) - 2), int(math.ceil(n0)) + 2
 
 
+def _spectral_parameter(lmbda) -> complex:
+    """lambda as a finite complex whose modulus is a double; DomainError
+    naming the spectral parameter otherwise.  Every |log n + lambda| that
+    the window scans is then a double too."""
+    lam = _validate_complex(lmbda, "spectral parameter")
+    try:
+        abs(lam)
+    except OverflowError:
+        raise DomainError(f"spectral parameter must have a modulus within double range, got {lam}") from None
+    return lam
+
+
 def _symbol_distance(lam: complex) -> tuple[float, int | None]:
     """min over n >= 2 of |log n + lambda| and its minimizing index, with
     x* = -Re lambda as the target of log n.  Past _X_HUGE the real part is
     matched to fp resolution, only Im lambda survives and the index is None.
-    lambda is finite: every caller passes it through _validate_complex.
+    lambda is finite, and so is its modulus: every caller passes it through
+    _spectral_parameter, or reciprocal_spectrum_check's bound on |mu|.
     """
     window = _window(-lam.real)
     if window is None:
@@ -92,7 +105,7 @@ def _symbol_distance(lam: complex) -> tuple[float, int | None]:
 def spectral_gap(lmbda) -> float:
     """min(|lambda|, min_{n>=2} |log n + lambda|): distance from lambda to
     the full-space spectrum.  Exact O(1) window method."""
-    lam = _validate_complex(lmbda, "spectral parameter")
+    lam = _spectral_parameter(lmbda)
     inner, _ = _symbol_distance(lam)
     return min(abs(lam), inner)
 
@@ -136,7 +149,7 @@ def classify_point(lmbda, space: str) -> SpectrumClassification:
     spectrum point', not which one.
     """
     space = _validate_space(space)
-    lam = _validate_complex(lmbda, "spectral parameter")
+    lam = _spectral_parameter(lmbda)
 
     inner, n_best = _symbol_distance(lam)
     if inner <= SPECTRUM_TOLERANCE:
@@ -239,7 +252,7 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     math.fsum of the window's own diffs instead.  Elsewhere the difference
     stands, bit for bit.
     """
-    lam = _validate_complex(lmbda, "spectral parameter")
+    lam = _spectral_parameter(lmbda)
     if _validate_real(delta, "delta", 0.0, strict=True) >= 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     N = _validate_index(N, "N", 10**3, _MAX_TERMS)

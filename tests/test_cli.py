@@ -165,6 +165,12 @@ class TestExitCodes:
         assert code == 1
         assert "subcommand" in err
 
+    def test_spectral_parameter_past_double_range_is_two(self, capsys):
+        # both parts finite, the modulus past the largest double
+        code, out, err = run_cli(capsys, ["classify", "--lambda=1.5e308,1.5e308", "--space", "full"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "spectral parameter" in err
+
     def test_bad_complex_flag_is_one(self, capsys):
         code, _, err = run_cli(capsys, ["classify", "--lambda", "abc"])
         assert code == 1

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dirichlet_ops
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS
 
 SUBMODULES = [
     "abscissa", "dynamics", "errors", "evaluation", "operators", "series", "spectral", "volterra"
@@ -114,6 +115,16 @@ def test_hashing_a_dict_form_polynomial_leaves_numpy_out():
 @pytest.mark.parametrize("sub", sorted(NUMPY_FREE_SUBCOMMANDS))
 def test_subcommands_without_arrays_leave_numpy_out(sub, fmt):
     assert "numpy" not in _loads("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+
+
+def test_mul_below_the_kernel_leaves_numpy_out():
+    # 9 x 9 terms, the benchmark chains' largest product: 81 pairs take the
+    # per-pair loop, below series._KERNEL_MIN_PAIRS
+    f, g = ([{"n": n, "re": 1.0 / n, "im": 0.5} for n in range(k, k + 9)] for k in (1, 4))
+    assert 81 < _KERNEL_MIN_PAIRS
+    argv = ["-m", "dirichlet_ops", "mul", "--f", json.dumps({"kind": "poly", "terms": f}),
+            "--g", json.dumps({"kind": "poly", "terms": g})]
+    assert "numpy" not in _loads(*argv)
 
 
 @pytest.mark.parametrize("command", sorted(COLD_COMMANDS))

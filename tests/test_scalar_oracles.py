@@ -56,6 +56,7 @@ from dirichlet_ops import (
     boundary_values,
     bracket_sigma_u,
     cesaro_mean,
+    coefficient_close,
     compose,
     derivative_multiplier,
     dirichlet_multiply,
@@ -130,6 +131,21 @@ def legacy_dirichlet_multiply(f, g, total=fsum):
     return DirichletPolynomial(
         {n: complex(total(re_l), total(im_l)) for n, (re_l, im_l) in buckets.items()}
     )
+
+
+def legacy_coefficient_close(f, g, rtol=1e-12, atol=0.0):
+    for n in f.indices() | g.indices():
+        a, b = f.coefficient(n), g.coefficient(n)
+        if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
+            return False
+    return True
+
+
+def array_form(f):
+    """f as a polynomial holding its terms as arrays alone."""
+    g = series._normal(f.index_array().copy(), f.coefficient_array().copy())
+    assert g._map is None
+    return g
 
 
 def legacy_apply(m, f):
@@ -785,11 +801,11 @@ def bucket_sizes(f, g):
 
 
 def _kernel_polys(part):
-    """Polynomials of 7 to 12 terms on indices 1..12, so a pair of them
-    takes the array kernel (49 pairs at least) with buckets of up to 6
+    """Polynomials of 11 to 14 terms on indices 1..14, so a pair of them
+    takes the array kernel (121 pairs at least) with buckets of up to 6
     products; each coefficient's parts are drawn from `part`."""
     coefficient = st.builds(complex, part, part).filter(bool)
-    terms = st.lists(st.tuples(st.integers(1, 12), coefficient), min_size=7, max_size=12, unique_by=lambda t: t[0])
+    terms = st.lists(st.tuples(st.integers(1, 14), coefficient), min_size=11, max_size=14, unique_by=lambda t: t[0])
     return terms.map(DirichletPolynomial)
 
 
@@ -856,11 +872,31 @@ def bucket_six(parts):
     bucket holds one or two products, all finite.  g_1 = 2^-60 keeps the
     two-product buckets 2 and 3 finite for parts near the largest double."""
     f = dict(zip((1, 2, 3, 6), parts))
-    f.update((n, 1.0) for n in (7, 11, 13, 29)[: 7 - len(parts)])
-    g = {1: 2.0**-60, 2: 1.0, 3: 1.0, 6: 1.0, 17: 1.0, 19: 1.0, 23: 1.0}
+    f.update((n, 1.0) for n in (7, 11, 13, 29, 31, 37, 41, 43)[: 11 - len(parts)])
+    g = {1: 2.0**-60, 2: 1.0, 3: 1.0, 6: 1.0, 17: 1.0, 19: 1.0, 23: 1.0, 47: 1.0, 53: 1.0, 59: 1.0, 61: 1.0}
     if len(parts) == 4:
         f[6] = parts[3] / g[1]
     return DirichletPolynomial(f), DirichletPolynomial(g)
+
+
+@st.composite
+def loop_pairs(draw):
+    """Two polynomials whose product takes the per-pair loop, either one of
+    one term as often as not, on indices 1..12, so buckets hold one to six
+    products; parts from _component (-0.0 products among them), the dyadic
+    ties or the overflow range; either may hold its terms as arrays."""
+    part = draw(st.sampled_from([_component, _tie_parts, _overflow_parts]))
+    coefficient = st.builds(complex, part, part).filter(bool)
+
+    def poly(size):
+        terms = st.lists(st.tuples(st.integers(1, 12), coefficient), min_size=size, max_size=size,
+                         unique_by=lambda t: t[0])
+        f = DirichletPolynomial(draw(terms))
+        return array_form(f) if draw(st.booleans()) else f
+
+    n_f = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    n_g = draw(st.one_of(st.just(1), st.integers(1, min(12, (_KERNEL_MIN_PAIRS - 1) // n_f))))
+    return poly(n_f), poly(n_g)
 
 
 class TestConvolutionKernel:
@@ -876,7 +912,7 @@ class TestConvolutionKernel:
     def test_bit_equal_sparse_indices(self, f, g):
         assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
 
-    @pytest.mark.parametrize("n_f, n_g", [(1, 1), (5, 3), (6, 7), (7, 7), (8, 8), (40, 40)])
+    @pytest.mark.parametrize("n_f, n_g", [(1, 1), (5, 3), (10, 11), (11, 11), (12, 12), (40, 40)])
     def test_both_sides_of_pair_constant(self, n_f, n_g, rng):
         for _ in range(20):
             f = DirichletPolynomial({int(n): complex(*rng.normal(size=2))
@@ -884,11 +920,11 @@ class TestConvolutionKernel:
             g = DirichletPolynomial({int(n): complex(*rng.normal(size=2))
                                      for n in rng.choice(np.arange(1, 41), n_g, replace=False)})
             assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
-        assert 6 * 7 < _KERNEL_MIN_PAIRS <= 7 * 7
+        assert 10 * 11 < _KERNEL_MIN_PAIRS <= 11 * 11
 
     def test_buckets_of_one_two_and_more(self):
         f = DirichletPolynomial({n: complex(1.0 / n, -(n % 3)) for n in range(1, 13)})
-        g = DirichletPolynomial({n: complex(-0.0 if n % 2 else 0.3, 1.0 / n) for n in range(1, 9)})
+        g = DirichletPolynomial({n: complex(-0.0 if n % 2 else 0.3, 1.0 / n) for n in range(1, 11)})
         assert {1, 2, 3, 4} <= bucket_sizes(f, g)
         assert f.term_count * g.term_count >= _KERNEL_MIN_PAIRS
         assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
@@ -945,16 +981,43 @@ class TestConvolutionKernel:
         want = product_outcome(lambda a, b: legacy_dirichlet_multiply(a, b, kernel_sum), f, g)
         assert product_outcome(dirichlet_multiply, f, g) == want
 
-    @pytest.mark.parametrize("n", [2, 7], ids=["per-pair-loop", "array-kernel"])
+    @pytest.mark.parametrize("n", [2, 11], ids=["per-pair-loop", "array-kernel"])
     def test_overflowing_two_product_bucket(self, n):
         # the bucket at 2 holds 1e308 * 1 twice, and its sum overflows: inf
         # on both paths, where the loop's fsum raised and reported nan
         f = DirichletPolynomial({k: 1e308 for k in range(1, n + 1)})
         g = DirichletPolynomial({k: 1 for k in range(1, n + 1)})
-        assert (n * n >= _KERNEL_MIN_PAIRS) == (n == 7)
+        assert (n * n >= _KERNEL_MIN_PAIRS) == (n == 11)
         with pytest.raises(DomainError) as got:
             dirichlet_multiply(f, g)
         assert str(got.value) == "coefficient at n=2 must be finite, got (inf+0j)"
+
+    # the loop against the old one with buckets summed as the kernel sums
+    # them, so an overflowing two-product bucket gives inf in both
+    @given(loop_pairs())
+    def test_per_pair_loop(self, pair):
+        f, g = pair
+        assert f.term_count * g.term_count < _KERNEL_MIN_PAIRS
+        for a, b in ((f, g), (g, f)):
+            want = product_outcome(lambda x, y: legacy_dirichlet_multiply(x, y, kernel_sum), a, b)
+            assert product_outcome(dirichlet_multiply, a, b) == want
+
+    @pytest.mark.parametrize("one_side", ["f", "g"])
+    def test_one_term_operand(self, one_side):
+        # every bucket holds one product; 1j * -1 has real part -0.0, the
+        # product at 3 * 7 overflows
+        one = DirichletPolynomial({3: 1j})
+        other = DirichletPolynomial({1: -1.0, 2: 0.5 - 2j, 5: 1e-320 + 3j, 9: 0.25j})
+        f, g = (one, other) if one_side == "f" else (other, one)
+        got = dirichlet_multiply(f, g)
+        assert list(got.indices()) == [3, 6, 15, 27]
+        assert bits(got) == bits(legacy_dirichlet_multiply(f, g))
+        assert math.copysign(1.0, got.coefficient(3).real) == 1.0
+        huge = DirichletPolynomial({7: 1e200 + 1e200j})
+        for a, b in ((huge, DirichletPolynomial({1: 1.0, 3: 1e200})), (DirichletPolynomial({1: 1.0, 3: 1e200}), huge)):
+            with pytest.raises(DomainError) as got:
+                dirichlet_multiply(a, b)
+            assert str(got.value) == "coefficient at n=21 must be finite, got (inf+infj)"
 
     @pytest.fixture
     def fsum_calls(self, monkeypatch):
@@ -1049,6 +1112,43 @@ class TestTrustedConstructor:
         assert bits(add(f, g)) == bits(legacy_add(f, g))
         assert bits(f - g) == bits(legacy_add(f, DirichletPolynomial({n: (-1 + 0j) * a for n, a in g.items()})))
         assert bits(scale(c, f)) == bits(DirichletPolynomial({n: c * a for n, a in f.items()}))
+
+
+@st.composite
+def close_cases(draw):
+    """(f, g, rtol, atol): g is f with each coefficient kept, dropped or
+    nudged by a relative step near 1e-12, plus a few terms of its own; rtol
+    and atol are 0, the defaults, or |f_n - g_n| at a drawn index (over the
+    larger modulus for rtol) and the doubles beside it, the edges of the
+    comparison.  Either polynomial may hold its terms as arrays."""
+    f = DirichletPolynomial(draw(_terms(64, 10)))
+    kept = {}
+    for n, a in f.items():
+        step = draw(st.sampled_from([None, 0.0, 1e-13, 1e-12, -1e-12, 3e-12]))
+        if step is not None:
+            kept[n] = a * (1 + step)
+    g = DirichletPolynomial([*kept.items(), *draw(_terms(64, 3))])
+    rtols, atols = [0.0, 1e-12], [0.0]
+    union = sorted(f.indices() | g.indices())
+    if union:
+        n = draw(st.sampled_from(union))
+        a, b = f.coefficient(n), g.coefficient(n)
+        d = abs(a - b)
+        atols += [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)]
+        if d:
+            r = d / max(abs(a), abs(b))
+            rtols += [r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)]
+    f, g = (array_form(h) if draw(st.booleans()) else h for h in (f, g))
+    return f, g, draw(st.sampled_from(rtols)), draw(st.sampled_from(atols))
+
+
+class TestCoefficientClose:
+    @given(close_cases())
+    def test_against_the_per_index_loop(self, case):
+        f, g, rtol, atol = case
+        want = legacy_coefficient_close(f, g, rtol, atol)
+        assert coefficient_close(f, g, rtol, atol) == want
+        assert coefficient_close(g, f, rtol, atol) == want
 
 
 _STREAM_RULES = st.one_of(

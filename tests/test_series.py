@@ -206,8 +206,8 @@ class TestConvolution:
         assert dirichlet_multiply(monomial(2**31), monomial(2**32 - 1)) == monomial(2**31 * (2**32 - 1))
 
     def test_overflowing_product_raises(self):
-        # one pair overflows in the per-pair loop, 64 pairs in the array kernel
-        for n_terms in (1, 8):
+        # one pair overflows in the per-pair loop, 121 pairs in the array kernel
+        for n_terms in (1, 11):
             f = DirichletPolynomial({n: 1e200 for n in range(1, n_terms + 1)})
             with pytest.raises(DomainError):
                 dirichlet_multiply(f, f)
@@ -218,8 +218,8 @@ class TestConvolution:
         # kernel holds 3
         loop = (DirichletPolynomial({1: 1e308, 2: 1e308}), DirichletPolynomial({1: 1, 2: 1}))
         kernel = (
-            DirichletPolynomial({n: 6e307 for n in range(1, 8)}),
-            DirichletPolynomial({n: 1 for n in range(1, 8)}),
+            DirichletPolynomial({n: 6e307 for n in range(1, 12)}),
+            DirichletPolynomial({n: 1 for n in range(1, 12)}),
         )
         assert loop[0].term_count * loop[1].term_count < _KERNEL_MIN_PAIRS
         assert kernel[0].term_count * kernel[1].term_count >= _KERNEL_MIN_PAIRS
@@ -425,6 +425,22 @@ class TestCoefficientClose:
         assert coefficient_close(f, f, rtol=0.0, atol=0.0)
         assert coefficient_close(f, monomial(2, 1.5), rtol=0, atol=0.5)
         assert not coefficient_close(f, monomial(2, 1.5), rtol=0, atol=0.25)
+
+    def test_modulus_past_double_range(self):
+        # |f_2| passes the largest double though both parts are finite; a
+        # quarter of each side decides
+        f = DirichletPolynomial({2: 1.5e308 + 1.5e308j})
+        assert coefficient_close(f, f)
+        assert coefficient_close(f, DirichletPolynomial({2: 1.5e308 + 1.4999999999999e308j}))
+        assert not coefficient_close(f, DirichletPolynomial({2: 1.5e308 + 1.4e308j}))
+        assert not coefficient_close(f, -f)
+        assert not coefficient_close(f, f + monomial(3), atol=0.5)
+        assert coefficient_close(f, f + monomial(3), atol=1.0)
+        # one ulp apart at 2: atol at that ulp holds, three quarters of it not
+        ulp = math.ulp(1.5e308)
+        g = DirichletPolynomial({2: complex(1.5e308, 1.5e308 + ulp)})
+        assert coefficient_close(f, g, rtol=0.0, atol=ulp)
+        assert not coefficient_close(f, g, rtol=0.0, atol=0.75 * ulp)
 
 
 class TestSlope:

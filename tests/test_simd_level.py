@@ -6,12 +6,13 @@ numpy has its dispatched loops above the x86-64 baseline turned off
 two must agree float.hex for float.hex.  The corpus holds the `eval` and
 `dynamics` golden replays, evaluate on both of its paths, the direct chunks
 of a complex rule's partial_sum (whose products numpy would fuse on an FMA
-CPU) and the rate fit of ergodicity_diagnostic.  numpy ignores the names of
-features a CPU lacks, so on such a CPU both sides run the same loops and the
-test passes trivially.
+CPU), the rate fit of ergodicity_diagnostic and the fit of check_growth.
+numpy ignores the names of features a CPU lacks, so on such a CPU both
+sides run the same loops and the test passes trivially.
 """
 
 import cmath
+import math
 import json
 import os
 import subprocess
@@ -23,6 +24,8 @@ import numpy as np
 from dirichlet_ops import (
     CoefficientRule,
     DirichletPolynomial,
+    Multiplier,
+    check_growth,
     derivative_multiplier,
     ergodicity_diagnostic,
     eta_rule,
@@ -61,6 +64,8 @@ def corpus() -> dict:
                       (integration_multiplier(), truncate(eta_rule(), 120) - truncate(eta_rule(), 1), 0.1)):
         report = ergodicity_diagnostic(m, f, eps)
         out[f"fitted_rate {m.label} {f.term_count} terms"] = report.fitted_rate.hex()
+    growth = check_growth(Multiplier(lambda n: n**0.3 * math.log(n) ** 2, "n^0.3 log^2 n"), 10**6)
+    out["check_growth fit"] = [growth.limit_estimate.hex(), growth.fit_residual.hex()]
     return out
 
 

@@ -236,6 +236,30 @@ class TestNonFiniteParameter:
             call(lam)
 
 
+class TestModulusPastDoubleRange:
+    # both parts finite, |lambda| past the largest double
+    @pytest.mark.parametrize("lam", [complex(1.5e308, 1.5e308), complex(-1.5e308, 1.5e308), complex(1e308, -1.7e308)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            spectral_gap,
+            lambda lam: classify_point(lam, FULL),
+            lambda lam: classify_point(lam, ZERO_SUBSPACE),
+            lambda lam: resolvent_apply(lam, monomial(2), FULL),
+            lambda lam: bv_check(lam, 0.5),
+        ],
+        ids=["spectral_gap", "classify_full", "classify_zero", "resolvent", "bv_check"],
+    )
+    def test_raises_domain_error(self, call, lam):
+        with pytest.raises(DomainError, match="spectral parameter must have a modulus within double range"):
+            call(lam)
+
+    def test_largest_modulus_in_range(self):
+        lam = complex(1.2e308, 1.2e308)
+        assert spectral_gap(lam) == abs(lam)
+        assert classify_point(lam, FULL).kind == "resolvent_point"
+
+
 class TestReciprocal:
     def test_spectrum_point_consistent(self):
         report = reciprocal_spectrum_check(-math.log(2))

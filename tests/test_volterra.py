@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dirichlet_ops import (
     DirichletPolynomial,
@@ -12,6 +13,7 @@ from dirichlet_ops import (
     volterra_apply,
     volterra_identity_check,
 )
+from dirichlet_ops.series import _normal
 
 from conftest import poly_strategy, random_poly
 
@@ -102,3 +104,19 @@ class TestIdentity:
     @given(poly_strategy(max_index=128))
     def test_property_holds(self, g):
         assert volterra_identity_check(g).match
+
+    @given(poly_strategy(max_index=128, max_terms=12), st.booleans())
+    def test_rhs_bits_are_g_minus_its_constant(self, g, arrays):
+        # dict-form or array-form g
+        if arrays:
+            g = _normal(g.index_array().copy(), g.coefficient_array().copy())
+        want = g - scale(g.coefficient(1), monomial(1))
+        got = volterra_identity_check(g).rhs
+        assert [(n, a.real.hex(), a.imag.hex()) for n, a in got.items()] == [
+            (n, a.real.hex(), a.imag.hex()) for n, a in want.items()
+        ]
+
+    def test_modulus_past_double_range(self):
+        # the coefficient at 2 has a modulus past the largest double
+        report = volterra_identity_check(DirichletPolynomial({1: 1.0, 2: 1.5e308 + 1.5e308j}))
+        assert report.match and list(report.rhs.indices()) == [2]
