@@ -21,7 +21,8 @@ import math
 
 from .errors import DomainError
 from .evaluation import _MAX_GRID_POINTS, _grid_sup
-from .series import _MAX_TERMS, CoefficientRule, _Record, _exp, _log, _slope, _validate_index, _validate_real, np
+from .series import (_MAX_TERMS, CoefficientRule, _Record, _exp, _log_indices, _slope, _validate_index, _validate_real,
+                     np)
 
 __all__ = [
     "Estimate",
@@ -158,7 +159,7 @@ def bracket_sigma_u(
     consistent with uniform convergence on Re s > epsilon and nothing more.
     Each probe's sup over the linspace(0, t_max, points) grid is seminorm's
     scan, evaluation._grid_sup (a GEMM screen whose phases are built by
-    recurrence, then per-row numpy sums of the kept points; no BLAS under
+    doubling, then per-row numpy sums of the kept points; no BLAS under
     any returned bit), so sup_abs is bit for bit the direct scan's maximum.
     Up to _PROBE_STACK probes share one screen while P (N + points) <=
     _STACK_ENTRIES = 2^18: N exps for all of them, then one GEMM of
@@ -175,10 +176,11 @@ def bracket_sigma_u(
     points = _validate_index(points, "probe grid points")
     if points > _MAX_GRID_POINTS:
         raise DomainError(f"probe grid points = {points} is above the cap of {_MAX_GRID_POINTS}")
-    values = rule.values(np.arange(1, N + 1, dtype=np.int64))
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    values = rule.values(ns)
     sc = _estimate(values, N)
     sa = _estimate(np.abs(values), N)
-    logn = _log(np.arange(1, N + 1, dtype=np.int64))
+    logn = _log_indices(ns)
     ts = np.linspace(0.0, t_max, points)
     probes = []
     stack = max(1, min(_PROBE_STACK, _STACK_ENTRIES // (N + points)))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
 from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _list_slope,
-                     _validate_index, _validate_real, np, replace)
+                     _nonnegative_fsum, _validate_index, _validate_real, np, replace)
 
 __all__ = [
     "power_apply",
@@ -153,11 +153,13 @@ def _cpython_power(g: complex, k: int) -> complex:
         return complex(math.inf)
 
 
-def _array_terms(o: _ArrayOrbit, k: int) -> list[float]:
-    """_orbit_norm's terms on an _ArrayOrbit, the loop's bits in the loop's
-    order: g^k by operators._power (CPython's c_powu) for k <= 100 and by
-    CPython's ** per term past it, unfused products, and the log-space
-    terms per index."""
+def _array_sum(o: _ArrayOrbit, k: int) -> float:
+    """_orbit_norm's _fsum of its terms on an _ArrayOrbit, the loop's bits:
+    g^k by operators._power (CPython's c_powu) for k <= 100 and by CPython's
+    ** per term past it, unfused products, and the log-space terms per
+    index.  Where no term needs log space, the terms are summed on arrays
+    (series._nonnegative_fsum); otherwise they become a list, in the loop's
+    order, for _fsum."""
     with np.errstate(all="ignore"):
         if k <= _POWU_MAX:
             pr, pi = _power(o.gr, o.gi, k)
@@ -166,19 +168,24 @@ def _array_terms(o: _ArrayOrbit, k: int) -> list[float]:
             pr, pi = p.real, p.imag
         mod_p = np.hypot(pr, pi)
         term = np.hypot(*_product(pr, pi, o.ar, o.ai))
-        terms = (term * o.decay / k).tolist()
+        terms = term * o.decay / k
     direct = (_MIN_NORMAL <= mod_p) & (mod_p < math.inf) & (_MIN_NORMAL <= term) & (term < math.inf)
+    if direct.all():
+        return _nonnegative_fsum(terms)
+    terms = terms.tolist()
     for i in np.flatnonzero(~direct).tolist():
         terms[i] = _log_space_term(float(o.mod_g[i]), float(o.mod_a[i]), float(o.eps_log[i]), k)
-    return terms
+    return _fsum(terms)
 
 
 def _orbit_norm(orbit: list[tuple] | _ArrayOrbit, k: int) -> float:
     """sum |g^k a| n^(-epsilon) / k over an _orbit; inf past double range.
     A term is taken as computed where g^k and g^k a are normal doubles, else
-    in log space."""
+    in log space.  The terms are nonnegative and their sum is fsum's, the
+    exactly rounded one: on an _ArrayOrbit whose terms are all taken as
+    computed, by series._nonnegative_fsum on arrays, else by _fsum."""
     if isinstance(orbit, _ArrayOrbit):
-        terms = _array_terms(orbit, k)
+        total = _array_sum(orbit, k)
     else:
         terms = []
         for g, a, mod_a, decay, eps_log in orbit:
@@ -189,7 +196,8 @@ def _orbit_norm(orbit: list[tuple] | _ArrayOrbit, k: int) -> float:
             except OverflowError:
                 direct = False
             terms.append(term * decay / k if direct else _log_space_term(abs(g), mod_a, eps_log, k))
-    total = _fsum(terms)  # nan: the nonnegative terms overflowed in the sum
+        total = _fsum(terms)
+    # nan: the nonnegative terms overflowed in the sum
     return math.inf if math.isnan(total) else total
 
 
@@ -207,7 +215,9 @@ def normalized_power_norm(m: Multiplier, f: DirichletPolynomial, epsilon: float,
 
     From _ARRAY_MIN_TERMS terms on, a multiplier with an array symbol has
     the terms formed on arrays, with the per-term loop's bits and error
-    messages; user symbols keep the loop."""
+    messages; user symbols keep the loop.  The sum is fsum's correctly
+    rounded one, taken on arrays (series._nonnegative_fsum) where every
+    term of an array orbit is taken as computed."""
     k = _validate_index(k, "iterate count")
     epsilon = _validate_real(epsilon, "epsilon", 0.0)
     return _orbit_norm(_orbit(m, f, epsilon), k)

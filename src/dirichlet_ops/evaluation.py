@@ -15,8 +15,8 @@ import math
 
 from .errors import DomainError
 from .series import _ARRAY_MIN_TERMS, CoefficientRule, DirichletPolynomial, HalfPlanePoint, _Record, _validate_real
-from .series import _exp, _expm1, _fsum, _log, _pairwise_sum, _power, _slope, _terms, _validate_complex
-from .series import _validate_index, np
+from .series import _exp, _expm1, _log, _log_indices, _nonnegative_fsum, _pairwise_sum, _power, _slope, _terms
+from .series import _validate_complex, _validate_index, np
 
 __all__ = [
     "evaluate",
@@ -107,12 +107,13 @@ def _cmul(x, y) -> np.ndarray:
 
 
 def _direct_sum(ns: np.ndarray, vals: np.ndarray, s: complex, logn: np.ndarray | None = None) -> complex:
-    """sum vals[i] ns[i]^(-s), one exp a term, log n by series._log (logn,
-    where the caller holds it) and the products unfused (_cmul), so no bit
-    follows numpy's SIMD level; at s = 0 the values' own sum."""
+    """sum vals[i] ns[i]^(-s) for increasing indices ns, one exp a term,
+    log n with series._log's bits (logn, where the caller holds it, else
+    the log table's, _log_indices) and the products unfused (_cmul), so no
+    bit follows numpy's SIMD level; at s = 0 the values' own sum."""
     if s == 0:
         return complex(vals.sum())
-    return complex(_cmul(vals, np.exp(-s * (_log(ns) if logn is None else logn))).sum())
+    return complex(_cmul(vals, np.exp(-s * (_log_indices(ns) if logn is None else logn))).sum())
 
 
 _U = 2.0**-53  # unit roundoff of a double
@@ -440,9 +441,15 @@ def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def _powers(M: np.ndarray, ratio: np.ndarray) -> None:
-    """Row k of M becomes row k - 1 times ratio, for k = 1, 2, ..., in place."""
-    for k in range(1, M.shape[0]):
-        np.multiply(M[k - 1], ratio, out=M[k])
+    """Row k of M becomes row 0 times ratio^k, for k = 1, 2, ..., in place,
+    by doubling: rows [f, 2f) are rows [0, f) times ratio^f, and ratio^f is
+    squared between the steps, so K rows take about 2 log2 K products."""
+    power, f, K = ratio, 1, M.shape[0]
+    while f < K:
+        np.multiply(M[: min(f, K - f)], power, out=M[f : 2 * f])
+        f *= 2
+        if f < K:
+            power = power * power
 
 
 def _grid_screen(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,12 +464,14 @@ def _grid_screen(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.nd
         R[k] = r^k,             r = exp(-i h log n),
         A_p[b] = A_p[0] q^b,    q = r^B,
         A_p[0] = W[p] exp(-i t0 log n),
-    one complex GEMM for all the rows of W, whose factors are built by
-    recurrence, each row the one before times r or q, in place.  R, q (R's
-    next row, R[B]) and the t0 phase are shared by the rows of W: one exp a
-    term, a second only where t0 != 0 (at t0 = 0, A_p[0] is W[p]), and
-    B + P C products, where the direct kernel takes T exps a row, then
-    P N T multiply-adds in BLAS.  The terms go in blocks of
+    one complex GEMM for all the rows of W, whose factors are built in
+    place by doubling (_powers): rows [f, 2f) of R are rows [0, f) times
+    r^f, and of A_p rows [0, f) times q^f, the power squared between steps.
+    R, q (R's next row, R[B]) and the t0 phase are shared by the rows of W:
+    one exp a term, a second only where t0 != 0 (at t0 = 0, A_p[0] is
+    W[p]), and B + P C products plus log2 B + log2 C squares, in about
+    2 (log2 B + log2 C) numpy calls, where the direct kernel takes T exps a
+    row, then P N T multiply-adds in BLAS.  The terms go in blocks of
     m = max(1024, 2^18 // (B + 1 + P C)), or all N when fewer: the first
     block's GEMM writes S and the later ones' are added to it.  R and A
     hold one block (4 MB when B + 1 + P C <= 256), so the screen's memory
@@ -484,10 +493,16 @@ def _grid_screen(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.nd
       - moving the point from ts[j] to t0 + j h moves it by <= dev L |w_n|,
         and the computed dev falls short of the true one by <= 3 u tau;
       - each exp is within 2u of the unit circle point and each complex
-        product within 4u, so a step of R's recurrence adds 6u, R[k] is
-        within 6 k u and q within 6 B u, and a step of A's adds
-        (6 B + 4) u.  A_p[0] is within 6u (exact at t0 = 0) and the GEMM's
-        product adds 4u, so R[k] A_p[b] is within u (10 + 6 j + 4 b) <=
+        product within 4u (relative errors add, to first order).  So r^f,
+        f a power of two, squared from r^(f/2), is within 2 (6 (f/2) - 4) u
+        + 4u = (6 f - 4) u, by induction from r's 2u; a row k in [f, 2f) of
+        R is R[k - f] times r^f, within 6 (k - f) u + (6 f - 4) u + 4u =
+        6 k u by induction from R[0] = 1, so R[k] is within 6 k u and q =
+        R[B] within 6 B u.  Likewise q^f is within f (6 B + 4) u - 4u, and
+        A_p[b] = A_p[b - f] q^f within 6u + b (6 B + 4) u, as A_p[0] is
+        within 6u (exact at t0 = 0): the bounds of the one-row recurrence,
+        each row the one before times r or q.  The GEMM's product adds 4u,
+        so R[k] A_p[b] is within u (10 + 6 j + 4 b) <=
         u (10 + 10 T) |w_n| of its point, the direct term within 6u |w_n|;
         a sum of N terms (pairwise np.sum, or GEMMs added up, in any order)
         is within 2 N u sqrt(2) W_p, for each side.
@@ -779,11 +794,12 @@ class SeminormEstimate(_Record):
     genuine lower bound for the sup (the second by Bohr's coefficient
     formula, which floors a grid that misses the largest term), capped at
     upper.  A monomial's lower is its upper, bit for bit.  upper:
-    sum |a_n| n^(-epsilon) (a genuine upper bound).  The truth lies in
-    [lower, upper].  points: grid points scanned; refined: how many of them
-    the kernel recomputed after the GEMM screen (all of them when the screen
-    overflows), each by a per-row numpy sum, so no BLAS call decides a bit
-    of lower.
+    sum |a_n| n^(-epsilon) (a genuine upper bound), fsum's correctly
+    rounded sum of the terms, taken on arrays (series._nonnegative_fsum).
+    The truth lies in [lower, upper].  points: grid points scanned;
+    refined: how many of them the kernel recomputed after the GEMM screen
+    (all of them when the screen overflows), each by a per-row numpy sum,
+    so no BLAS call decides a bit of lower.
     """
 
     epsilon: float
@@ -820,7 +836,7 @@ def seminorm(
 
     The scan is _grid_sup, on every grid: a GEMM screen, then per-row numpy
     sums of the kept points; no BLAS under any returned bit.  The screen
-    builds its phases by recurrence, at N exps (2 N on a two-sided grid)
+    builds its phases by doubling, at N exps (2 N on a two-sided grid)
     and N T multiply-adds; the kept points are those within 2 delta of its
     maximum, and lower is their maximum, bit for bit the direct scan's.
     delta bounds the screen's error, about u (12 max|t| log n_max +
@@ -859,7 +875,7 @@ def seminorm(
     lower, refined = float(sup[0]), int(refined[0])
     if not math.isfinite(lower):
         lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
-    upper = _fsum(terms.tolist())
+    upper = _nonnegative_fsum(terms)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(
             f"max |f| or sum |a_n| n^(-epsilon) overflows double precision at epsilon = {epsilon}"

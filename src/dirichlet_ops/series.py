@@ -166,10 +166,12 @@ class DirichletPolynomial:
     are, and stored as the arrays alone.  max_index, term_count,
     is_zero, has_real_coefficients and the evaluation kernels read them
     without building a dict.  A third array, log n of each index
-    (log_index_array, series._log's bits), is built on its first read and
-    cached beside them; apply's result, which keeps the index array,
-    inherits it, so every multiplier, evaluation and orbit call on one
-    polynomial logs its indices once.  None of the three arrays takes part
+    (log_index_array, series._log's bits), is read from the process's log
+    table of log 1..L (_log_indices; an index past L takes _log) on its
+    first read and cached beside them; apply's result, which keeps the
+    index array, inherits it, so every multiplier, evaluation and orbit call
+    on one polynomial reads its logs once, and a new polynomial with indices
+    inside the table logs nothing.  None of the three arrays takes part
     in == or hash.  Two threads may race to build the same form; both
     build the same value, so concurrent reads stay safe.
     """
@@ -244,9 +246,10 @@ class DirichletPolynomial:
         return self._arrays()[1]
 
     def log_index_array(self) -> np.ndarray:
-        """log n of each index in index order (series._log), read-only."""
+        """log n of each index in index order (series._log's bits, read from
+        the process's log table, _log_indices), read-only."""
         if self._logn is None:
-            logn = _log(self.index_array())
+            logn = _log_indices(self.index_array())
             logn.flags.writeable = False
             self._logn = logn
         return self._logn
@@ -418,6 +421,59 @@ def _fsum(xs) -> float:
         return math.nan
 
 
+def _nonnegative_fsum(x: np.ndarray) -> float:
+    """_fsum(x.tolist()) of a 1-d float64 array of nonnegative terms, bit for
+    bit, on arrays: AccSum's two extractions (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008) with a rounding test.
+
+    With n terms, u = 2^-53 and sigma a power of two >= (n + 2) max|x|,
+    q_i = fl(fl(sigma + x_i) - sigma) is exact (Sterbenz) and a multiple of
+    ulp(sigma) = 2 u sigma, and r_i = x_i - q_i, the rounding error of
+    sigma + x_i, is exact with |r_i| <= u sigma.  Every partial sum of the
+    q_i is a multiple of 2 u sigma below 2 sigma, so tau_1 = sum q_i is
+    exact in any order, numpy's pairwise one included.  The same extraction
+    of the r_i against sigma_2 >= (n + 2) max|r_i| gives an exact tau_2 and
+    remainders r2_i with |r2_i| <= u sigma_2, so the exact sum is S =
+    tau_1 + tau_2 + sum r2_i.  fl(tau_1 + tau_2) is accepted
+      - when every r2_i is 0: S = tau_1 + tau_2, and fl rounds it
+        correctly, which is fsum's result;
+      - else when |d| + 2 n u sigma_2 < h, where d = tau_1 + tau_2 -
+        fl(tau_1 + tau_2) is taken exactly by TwoSum and h is half the
+        smaller gap beside fl(tau_1 + tau_2): |S - fl(tau_1 + tau_2)| <=
+        |d| + n u sigma_2 < h puts S strictly inside its rounding interval.
+        2 n u sigma_2 is exact (sigma_2 >= 2^-1022 whenever an r2_i is
+        nonzero, as below that the extraction is exact) and above
+        n u sigma_2, so a rounded left side below h proves the exact one
+        is; a subnormal h, which rounds to 0, accepts nothing.
+    Every other sum, and any with sigma >= _SUM2_MAX or a term that is not
+    finite, goes to _fsum, which also settles overflow and nan."""
+    n = x.size
+    top = float(x.max()) if n else 0.0
+    if top == 0.0:
+        return 0.0
+    if not (n + 2) * top < _SUM2_MAX / 2:
+        return _fsum(x.tolist())
+    sigma = math.ldexp(1.0, math.frexp((n + 2) * top)[1])
+    q = (sigma + x) - sigma
+    r = x - q
+    tau1 = float(q.sum())
+    top = float(np.abs(r).max())
+    if top == 0.0:
+        return tau1
+    sigma = math.ldexp(1.0, math.frexp((n + 2) * top)[1])
+    q = (sigma + r) - sigma
+    tau2 = float(q.sum())
+    total = tau1 + tau2
+    if not (r != q).any():
+        return total
+    z = total - tau1
+    d = (tau1 - (total - z)) + (tau2 - z)
+    if abs(d) + n * (2.0**-52 * sigma) < (total - math.nextafter(total, 0.0)) * 0.5:
+        return total
+    return _fsum(x.tolist())
+
+
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y on x (two distinct x at least) from centered
     numpy sums, not a BLAS or LAPACK solve; y = x gives exactly 1."""
@@ -478,6 +534,52 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z).real.copy()
 
 
+# log n for n = 1..L (_log's bits, read-only), one table per process, built
+# at the first _log_indices call.  L is a power of two up to _LOG_TABLE_MAX
+# (2 MiB).  A call for k indices up to m grows it to the least power of two
+# >= min(m, _LOG_TABLE_MAX) only when that is at most _LOG_TABLE_SPREAD k
+# entries, so a growth costs at most 16 times what _log of the call's own
+# indices would; the worst build, all 2^18 entries at once, takes 9-10 ms
+# (2-core x86-64, numpy 2.4.6; BENCH_array_sums.json).  A growth replaces
+# the table and never writes into it, so a reader holding the old one stays
+# safe; two threads growing at once build the same values.
+_LOG_TABLE_MAX = 1 << 18
+_LOG_TABLE_SPREAD = 16
+_log_table = None
+
+
+def _log_indices(idx: np.ndarray) -> np.ndarray:
+    """_log(idx) for increasing int64 indices >= 1, bit for bit, read from
+    the log table: a read-only view of it for a run lo..hi inside it, a new
+    array otherwise; an index past the table takes _log."""
+    global _log_table
+    k = idx.size
+    if not k:
+        return np.empty(0)
+    table = _log_table
+    size = 0 if table is None else table.size
+    top = int(idx[-1])
+    if size < top and size < _LOG_TABLE_MAX:
+        grown = 1 << (min(top, _LOG_TABLE_MAX) - 1).bit_length()
+        if grown <= _LOG_TABLE_SPREAD * k:
+            new = np.empty(grown)
+            if size:
+                new[:size] = table
+            new[size:] = _log(np.arange(size + 1, grown + 1, dtype=np.int64))
+            new.flags.writeable = False
+            _log_table = table = new
+            size = grown
+    if top <= size:
+        lo = int(idx[0])
+        return table[lo - 1 : top] if top - lo == k - 1 else table.take(idx - 1)
+    inside = int(np.searchsorted(idx, size, side="right"))
+    out = np.empty(k)
+    if inside:
+        table.take(idx[:inside] - 1, out=out[:inside])
+    out[inside:] = _log(idx[inside:])
+    return out
+
+
 def _power(x: np.ndarray, s: complex) -> np.ndarray:
     """x^(-s) = exp(-s log x) for x >= 1, on one complex buffer: the bits of
     _exp(_log(x) * -s), a real array, for real s, and of
@@ -499,11 +601,14 @@ def _expm1(z: complex) -> complex:
 
 
 # below this many index pairs the per-pair loop beats the array kernel: the
-# measured crossover is 112-120 pairs on fresh polynomials with random
-# indices up to 512, where 49 pairs take 21 us by the loop and 39 by the
-# kernel (2-core x86-64, numpy 2.4.6; BENCH_small_paths.json).  On indices
-# 1..a times 1..b, whose many buckets of 3+ products pay the fixed cost of
-# _bucket_sums' pass, the loop stays faster up to ~400 pairs
+# measured crossover is 110-144 pairs on fresh polynomials with random
+# indices up to 512, where 49 pairs take 22 us by the loop and 42 by the
+# kernel, 121 pairs 47 and 48, and 144 pairs 56 and 47 (2-core x86-64,
+# numpy 2.4.6; BENCH_array_sums.json).  Gathering the small buckets instead
+# of reduceat costs the kernel a few us on such products (110-121 pairs
+# before), too little to move the constant.  On indices 1..a times 1..b,
+# whose many buckets of 3+ products pay the fixed cost of _bucket_sums'
+# pass, the loop stays faster up to 400-576 pairs
 _KERNEL_MIN_PAIRS = 112
 
 
@@ -609,6 +714,20 @@ def _bucket_sums(prods: np.ndarray, lo: np.ndarray, hi: np.ndarray, rank: np.nda
     return out
 
 
+def _gathered_sums(prods: np.ndarray, starts: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Each bucket's first row of prods, plus its second where the bucket
+    holds exactly two: the bits of np.add.reduceat(prods, starts, axis=0)
+    on the buckets of one or two rows, whose sum is one IEEE add a part,
+    the first row's value first.  A bucket of three or more rows gets its
+    first row."""
+    sums = prods.take(starts, axis=0)
+    two = (length == 2).nonzero()[0]
+    if two.size:
+        at = starts[two]
+        sums[two] = prods.take(at, axis=0) + prods.take(at + 1, axis=0)
+    return sums
+
+
 def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:
     """Coefficient convolution: (f*g)_n = sum over divisor splits n1*n2 = n.
 
@@ -625,14 +744,15 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
     products; a sort by index (np.sort of index and pair position packed in
     one int64 from _PACKED_SORT_MIN_PAIRS pairs on, where the key fits,
     np.argsort's quicksort otherwise; the order within a bucket never
-    shows); np.add.reduceat for the buckets of one or two products; and,
-    for the larger ones of both parts at once, _bucket_sums: one vectorized
+    shows); a bucket of one product is that product gathered, one of two
+    its first product plus its second (one IEEE add a part); and, for the
+    larger ones of both parts at once, _bucket_sums: one vectorized
     TwoSum pass whose fl(s + c) is accepted when an exactness flag or Sum2's
     gamma_n^2 bound proves it exactly rounded, with fsum, in pair order, for
     each bucket it cannot settle.  Below _KERNEL_MIN_PAIRS a per-pair loop
     is faster and gives the same bits, an overflowing bucket of two
     products included: a bucket keeps its one product, adds two as one
-    complex add (one IEEE add a part, as reduceat's) and takes fsum of each
+    complex add (one IEEE add a part, as the kernel's) and takes fsum of each
     part of three or more; a one-term operand fills no bucket at all.
     """
     if f.max_index * g.max_index > _INDEX_MAX:
@@ -677,7 +797,8 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
         idx = idx.take(order)
     bounds = np.concatenate(([True], idx[1:] != idx[:-1], [True])).nonzero()[0]
     starts = bounds[:-1]
-    big = (bounds[1:] - starts >= 3).nonzero()[0]
+    length = bounds[1:] - starts
+    big = (length >= 3).nonzero()[0]
     # each pair's product as its (real, imaginary) row, gathered once in
     # bucket order
     prods = np.empty((fc.size, gc.size, 2))
@@ -687,7 +808,7 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
         np.multiply.outer(fc.real, gc.imag, out=prods[..., 1])
         prods[..., 1] += np.multiply.outer(fc.imag, gc.real)
         prods = prods.reshape(pairs, 2).take(order, axis=0)
-        sums = np.add.reduceat(prods, starts, axis=0)
+        sums = _gathered_sums(prods, starts, length)
     if big.size:
         sums[big] = _bucket_sums(prods, starts[big], bounds[big + 1], order)
     return _normal(idx[starts], sums.view(np.complex128).reshape(-1))
@@ -700,9 +821,13 @@ def coefficient_close(
     the union of stored indices (missing terms count as zero).  Where a
     modulus passes double range, a quarter of each side is compared: the
     scaling is exact, and a quarter of any finite coefficient's modulus, or
-    of a difference of two, is a double."""
+    of a difference of two, is a double.  Two polynomials holding arrays of
+    the same indices are compared on the arrays (_arrays_close), with the
+    loop's result."""
     rtol = _validate_real(rtol, "rtol", 0.0)
     atol = _validate_real(atol, "atol", 0.0)
+    if f._idx is not None and g._idx is not None and np.array_equal(f._idx, g._idx):
+        return _arrays_close(f._val, g._val, rtol, atol)
     fc, gc = f.coeffs, g.coeffs
     if fc.keys() == gc.keys():
         pairs = zip(fc.values(), gc.values())  # both in increasing index order
@@ -717,6 +842,26 @@ def coefficient_close(
             if abs(a - b) > atol * 0.25 + rtol * max(abs(a), abs(b)):
                 return False
     return True
+
+
+def _arrays_close(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> bool:
+    """coefficient_close's loop over the pairs a[i], b[i] of two coefficient
+    arrays, on arrays: np.hypot for CPython's complex abs, and a quarter of
+    each side wherever one of the loop's abs calls would raise
+    OverflowError, which CPython's abs does where hypot of finite parts
+    passes double range (a part that is itself inf gives inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dr, di = a.real - b.real, a.imag - b.imag
+        d = np.hypot(dr, di)
+        ma, mb = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
+        over = np.isinf(ma) | np.isinf(mb) | (np.isinf(d) & np.isfinite(dr) & np.isfinite(di))
+        far = d > atol + rtol * np.maximum(ma, mb)
+        if over.any():
+            a, b = a[over], b[over]
+            ar, ai, br, bi = a.real * 0.25, a.imag * 0.25, b.real * 0.25, b.imag * 0.25
+            d = np.hypot(ar - br, ai - bi)
+            far[over] = d > atol * 0.25 + rtol * np.maximum(np.hypot(ar, ai), np.hypot(br, bi))
+    return not far.any()
 
 
 class _Record:

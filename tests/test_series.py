@@ -28,8 +28,10 @@ from dirichlet_ops import (
     zeta_shift_rule,
 )
 
-from dirichlet_ops.series import (_KERNEL_MIN_PAIRS, _exp, _inv_power, _list_slope, _log, _normal, _pairwise_sum,
-                                  _power, _slope)
+from dirichlet_ops import series
+from dirichlet_ops.series import (_KERNEL_MIN_PAIRS, _LOG_TABLE_MAX, _exp, _fsum, _gathered_sums, _inv_power,
+                                  _list_slope, _log, _log_indices, _nonnegative_fsum, _normal, _pairwise_sum, _power,
+                                  _slope)
 
 from conftest import finite_coefficients, int_poly_strategy, poly_strategy
 
@@ -576,3 +578,207 @@ class TestLibmRoute:
         x = np.array([1.0, 2.0])
         _log(x), _exp(x), _power(x, 0.5 + 1j)
         assert x.tolist() == [1.0, 2.0]
+
+
+def bits(x: np.ndarray) -> list:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestLogTable:
+    """series._log_indices: log n read from the process's table of log 1..L,
+    bit for bit series._log, with an index past L taking _log."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        # an empty table for this test; the process's own comes back after
+        monkeypatch.setattr(series, "_log_table", None)
+
+    def test_every_index_up_to_the_cap(self, fresh):
+        ns = np.arange(1, _LOG_TABLE_MAX + 1, dtype=np.int64)
+        got = _log_indices(ns)
+        assert series._log_table.size == _LOG_TABLE_MAX
+        assert bits(got) == bits(_log(ns))
+        assert bits(series._log_table) == bits(_log(ns))
+
+    def test_read_only(self, fresh):
+        view = _log_indices(np.arange(1, 1001, dtype=np.int64))
+        table = series._log_table
+        assert not table.flags.writeable and not view.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 200, _LOG_TABLE_MAX - 3])
+    def test_straddling_the_cap(self, fresh, size):
+        # runs and scattered sets across L = 2^18, past it and far past it
+        rng = np.random.default_rng(size)
+        top = _LOG_TABLE_MAX
+        runs = [np.arange(top - size // 2, top - size // 2 + size, dtype=np.int64)]
+        scattered = np.unique(np.concatenate([
+            rng.integers(1, top + 1, size), rng.integers(top - 50, top + 50, size), [top, top + 1, 2**40, 2**63 - 1],
+        ])).astype(np.int64)
+        _log_indices(np.arange(1, top + 1, dtype=np.int64))
+        for ns in (*runs, scattered, np.array([top + 1], dtype=np.int64)):
+            assert bits(_log_indices(ns)) == bits(_log(ns))
+
+    def test_growth(self, fresh):
+        # each call below grows the table, the old one left as it was
+        first = _log_indices(np.arange(1, 9, dtype=np.int64))
+        assert series._log_table.size == 8
+        old = series._log_table
+        for k, want in ((100, 128), (1000, 1024), (20_000, 32768)):
+            ns = np.arange(1, k + 1, dtype=np.int64)
+            assert bits(_log_indices(ns)) == bits(_log(ns))
+            assert series._log_table.size == want
+        assert old.size == 8 and bits(old) == bits(first) == bits(_log(np.arange(1, 9, dtype=np.int64)))
+        # scattered indices inside the grown table, by take
+        ns = np.array([1, 7, 9, 4096, 32768], dtype=np.int64)
+        assert bits(_log_indices(ns)) == bits(_log(ns))
+
+    def test_sparse_calls_do_not_grow_it(self, fresh):
+        # 16 k entries at most for k indices
+        ns = np.array([3, 70_000], dtype=np.int64)
+        assert bits(_log_indices(ns)) == bits(_log(ns))
+        assert series._log_table is None
+        ns = np.arange(60_000, 70_000, 1000, dtype=np.int64)
+        assert bits(_log_indices(ns)) == bits(_log(ns))
+        assert series._log_table is None
+        ns = np.arange(1, 4097, dtype=np.int64) * 16
+        assert bits(_log_indices(ns)) == bits(_log(ns))
+        assert series._log_table.size == 65536
+
+    def test_log_index_array_before_and_after_a_growth(self, fresh):
+        f = truncate(eta_rule(), 300)
+        # g is too sparse to grow the table: its indices past 512 take _log
+        g = DirichletPolynomial({n: 1.0 + n for n in range(2, 30_000, 97)})
+        before = [f.log_index_array(), g.log_index_array()]
+        assert series._log_table.size == 512
+        _log_indices(np.arange(1, 70_000, dtype=np.int64))
+        assert series._log_table.size == 131072
+        after = [truncate(eta_rule(), 300).log_index_array(),
+                 DirichletPolynomial({n: 1.0 + n for n in range(2, 30_000, 97)}).log_index_array()]
+        for x, y, h in zip(before, after, (f, g)):
+            assert bits(x) == bits(y) == bits(_log(h.index_array()))
+            assert not x.flags.writeable and not y.flags.writeable
+
+    def test_empty(self, fresh):
+        assert _log_indices(np.array([], dtype=np.int64)).shape == (0,)
+
+
+# nonnegative doubles across the whole range, subnormals included
+_nonnegative = st.floats(0.0, 1e300)
+_ranged = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-150, 150))
+
+
+@st.composite
+def nonnegative_terms(draw):
+    """Lists of nonnegative doubles: any, 10^(+-150) ranges, subnormals,
+    repeats of one term, ties against a power of two, or zeros."""
+    kind = draw(st.sampled_from(["any", "ranged", "subnormal", "equal", "ties", "zeros", "one"]))
+    size = draw(st.integers(1, 300))
+    if kind == "any":
+        return draw(st.lists(_nonnegative, min_size=1, max_size=size))
+    if kind == "ranged":
+        return draw(st.lists(_ranged, min_size=1, max_size=size))
+    if kind == "subnormal":
+        return draw(st.lists(st.floats(0.0, 2.2250738585072014e-308 * 4), min_size=1, max_size=size))
+    if kind == "equal":
+        return [draw(_ranged)] * size
+    if kind == "ties":
+        # 2^e, then half-ulps and quarter-ulps of it, so sums sit on or
+        # beside a rounding tie
+        e = draw(st.integers(-200, 200))
+        half = math.ldexp(1.0, e - 53)
+        extra = draw(st.lists(st.sampled_from([half, half / 2, 3 * half, half * 2**-60, 0.0]), max_size=size))
+        return [math.ldexp(1.0, e), *extra]
+    if kind == "zeros":
+        return [0.0] * size
+    return [draw(_nonnegative)]
+
+
+class TestNonnegativeFsum:
+    """series._nonnegative_fsum against math.fsum (series._fsum, nan where
+    fsum overflows), float.hex for float.hex."""
+
+    @staticmethod
+    def check(xs):
+        want = _fsum(list(xs))
+        got = _nonnegative_fsum(np.array(xs, dtype=np.float64))
+        assert type(got) is float
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), xs
+
+    @given(nonnegative_terms())
+    def test_against_fsum(self, xs):
+        self.check(xs)
+
+    @pytest.mark.parametrize("xs", [
+        [1.0, 2**-53], [1.0, 2**-53, 2**-200], [1.0, 2**-53, 2**-53], [3.0, 2**-52, 2**-53],
+        [2.0**-1074] * 7, [5e-324, 1e-310, 2.2250738585072014e-308], [0.0], [0.0, 0.0], [7.25],
+        [1e150, 1e-150, 1e-150], [1.0] * 10_001, [0.1] * 10_000,
+    ])
+    def test_cases(self, xs):
+        self.check(xs)
+
+    def test_empty(self):
+        assert _nonnegative_fsum(np.array([])) == 0.0
+
+    def test_orbit_sized_arrays(self):
+        rng = np.random.default_rng(3)
+        for size in (96, 1000, 10_000, 100_000):
+            self.check((rng.exponential(1.0, size) * 10.0 ** rng.uniform(-20, 20, size)).tolist())
+
+    @pytest.mark.parametrize("xs", [
+        [1e308, 1e308], [1.7e308] * 3, [1e308 / 3] * 4, [2.0**1017] * 8, [math.inf, 1.0], [1.0, math.nan],
+        [2.0**1017, 1.0],
+    ])
+    def test_near_overflow_falls_back(self, xs, monkeypatch):
+        calls = []
+
+        def recorded(ys):
+            calls.append(ys)
+            return _fsum(ys)
+
+        monkeypatch.setattr(series, "_fsum", recorded)
+        got = _nonnegative_fsum(np.array(xs))
+        want = _fsum(xs)
+        assert [[y.hex() for y in ys] for ys in calls] == [[x.hex() for x in xs]]
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+
+# product parts, special values among them
+_part = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]))
+
+
+class TestGatheredSums:
+    """series._gathered_sums: the convolution kernel's sums of its buckets
+    of one and two products, bit for bit np.add.reduceat's."""
+
+    @given(st.lists(st.tuples(_part, _part), min_size=1, max_size=60), st.data())
+    def test_against_reduceat(self, rows, data):
+        prods = np.array(rows, dtype=np.float64)
+        lengths = []
+        left = len(rows)
+        while left:
+            n = data.draw(st.integers(1, min(left, 4)))
+            lengths.append(n)
+            left -= n
+        length = np.array(lengths)
+        starts = np.concatenate(([0], np.cumsum(length)[:-1]))
+        with np.errstate(all="ignore"):
+            got = _gathered_sums(prods, starts, length)
+            want = np.add.reduceat(prods, starts, axis=0)
+        small = length <= 2
+        assert got.shape == want.shape
+        assert bits(got[small]) == bits(want[small])
+        assert bits(got[~small]) == bits(prods[starts[~small]])
+
+    def test_signed_zeros_and_nan(self):
+        prods = np.array([[-0.0, -0.0], [-0.0, 0.0], [math.inf, 1.0], [-math.inf, math.nan], [-0.0, 2.0]])
+        starts, length = np.array([0, 2, 4]), np.array([2, 2, 1])
+        with np.errstate(all="ignore"):
+            got = _gathered_sums(prods, starts, length)
+            want = np.add.reduceat(prods, starts, axis=0)
+        assert bits(got) == bits(want)
+        assert math.copysign(1.0, got[0, 0]) == -1.0 and math.copysign(1.0, got[0, 1]) == 1.0

@@ -6,7 +6,10 @@ numpy has its dispatched loops above the x86-64 baseline turned off
 two must agree float.hex for float.hex.  The corpus holds the `eval` and
 `dynamics` golden replays, evaluate on both of its paths, the direct chunks
 of a complex rule's partial_sum (whose products numpy would fuse on an FMA
-CPU), the rate fit of ergodicity_diagnostic and the fit of check_growth.
+CPU), the rate fit of ergodicity_diagnostic, the fit of check_growth, a
+log_index_array read from the log table, and two sums of nonnegative
+terms taken on arrays: normalized_power_norm's on an array orbit and
+seminorm's upper.
 numpy ignores the names of features a CPU lacks, so on such a CPU both
 sides run the same loops and the test passes trivially.
 """
@@ -31,7 +34,9 @@ from dirichlet_ops import (
     eta_rule,
     evaluate,
     integration_multiplier,
+    normalized_power_norm,
     partial_sum,
+    seminorm,
     truncate,
 )
 
@@ -66,6 +71,14 @@ def corpus() -> dict:
         out[f"fitted_rate {m.label} {f.term_count} terms"] = report.fitted_rate.hex()
     growth = check_growth(Multiplier(lambda n: n**0.3 * math.log(n) ** 2, "n^0.3 log^2 n"), 10**6)
     out["check_growth fit"] = [growth.limit_estimate.hex(), growth.fit_residual.hex()]
+    # log n read from the log table (and past it), the array orbit's sum and
+    # seminorm's upper, both taken on arrays
+    spread = DirichletPolynomial({n: complex(math.cos(n), 1 / n) for n in (*range(1, 3001), 2**40, 2**62)})
+    out["log_index_array from the table"] = [x.hex() for x in spread.log_index_array().tolist()]
+    orbit = DirichletPolynomial({n: cmath.exp(0.7j * n) / n**0.5 for n in range(2, 5001)})
+    norm = normalized_power_norm(derivative_multiplier(), orbit, 0.3, 40)
+    out["normalized_power_norm on an array orbit"] = norm.hex()
+    out["seminorm upper"] = seminorm(spread, 0.25, t_max=5.0).upper.hex()
     return out
 
 
