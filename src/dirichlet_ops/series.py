@@ -167,7 +167,7 @@ class DirichletPolynomial:
     is_zero, has_real_coefficients and the evaluation kernels read them
     without building a dict.  A third array, log n of each index
     (log_index_array, series._log's bits), is read from the process's log
-    table of log 1..L (_log_indices; an index past L takes _log) on its
+    table of log 1..L (_log_indices; a set reaching past L takes _log) on its
     first read and cached beside them; apply's result, which keeps the
     index array, inherits it, so every multiplier, evaluation and orbit call
     on one polynomial reads its logs once, and a new polynomial with indices
@@ -551,7 +551,8 @@ _log_table = None
 def _log_indices(idx: np.ndarray) -> np.ndarray:
     """_log(idx) for increasing int64 indices >= 1, bit for bit, read from
     the log table: a read-only view of it for a run lo..hi inside it, a new
-    array otherwise; an index past the table takes _log."""
+    array for other indices inside it, and _log itself for a set that runs
+    past it."""
     global _log_table
     k = idx.size
     if not k:
@@ -569,15 +570,10 @@ def _log_indices(idx: np.ndarray) -> np.ndarray:
             new.flags.writeable = False
             _log_table = table = new
             size = grown
-    if top <= size:
-        lo = int(idx[0])
-        return table[lo - 1 : top] if top - lo == k - 1 else table.take(idx - 1)
-    inside = int(np.searchsorted(idx, size, side="right"))
-    out = np.empty(k)
-    if inside:
-        table.take(idx[:inside] - 1, out=out[:inside])
-    out[inside:] = _log(idx[inside:])
-    return out
+    if top > size:
+        return _log(idx)
+    lo = int(idx[0])
+    return table[lo - 1 : top] if top - lo == k - 1 else table.take(idx - 1)
 
 
 def _power(x: np.ndarray, s: complex) -> np.ndarray:
@@ -821,13 +817,9 @@ def coefficient_close(
     the union of stored indices (missing terms count as zero).  Where a
     modulus passes double range, a quarter of each side is compared: the
     scaling is exact, and a quarter of any finite coefficient's modulus, or
-    of a difference of two, is a double.  Two polynomials holding arrays of
-    the same indices are compared on the arrays (_arrays_close), with the
-    loop's result."""
+    of a difference of two, is a double."""
     rtol = _validate_real(rtol, "rtol", 0.0)
     atol = _validate_real(atol, "atol", 0.0)
-    if f._idx is not None and g._idx is not None and np.array_equal(f._idx, g._idx):
-        return _arrays_close(f._val, g._val, rtol, atol)
     fc, gc = f.coeffs, g.coeffs
     if fc.keys() == gc.keys():
         pairs = zip(fc.values(), gc.values())  # both in increasing index order
@@ -842,26 +834,6 @@ def coefficient_close(
             if abs(a - b) > atol * 0.25 + rtol * max(abs(a), abs(b)):
                 return False
     return True
-
-
-def _arrays_close(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> bool:
-    """coefficient_close's loop over the pairs a[i], b[i] of two coefficient
-    arrays, on arrays: np.hypot for CPython's complex abs, and a quarter of
-    each side wherever one of the loop's abs calls would raise
-    OverflowError, which CPython's abs does where hypot of finite parts
-    passes double range (a part that is itself inf gives inf)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dr, di = a.real - b.real, a.imag - b.imag
-        d = np.hypot(dr, di)
-        ma, mb = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
-        over = np.isinf(ma) | np.isinf(mb) | (np.isinf(d) & np.isfinite(dr) & np.isfinite(di))
-        far = d > atol + rtol * np.maximum(ma, mb)
-        if over.any():
-            a, b = a[over], b[over]
-            ar, ai, br, bi = a.real * 0.25, a.imag * 0.25, b.real * 0.25, b.imag * 0.25
-            d = np.hypot(ar - br, ai - bi)
-            far[over] = d > atol * 0.25 + rtol * np.maximum(np.hypot(ar, ai), np.hypot(br, bi))
-    return not far.any()
 
 
 class _Record:

@@ -41,7 +41,7 @@ from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dirichlet_ops import (
@@ -1152,48 +1152,6 @@ def close_cases(draw):
     return f, g, draw(st.sampled_from(rtols)), draw(st.sampled_from(atols))
 
 
-_huge_part = st.sampled_from([1.5e308, -1.5e308, 1.4999999999999e308, 1.7976931348623157e308, -1e308, 8e307])
-
-
-@st.composite
-def same_index_cases(draw):
-    """(f, g, rtol, atol) on one index set, both holding their terms as
-    arrays: g's coefficients are f's nudged by a relative step near 1e-12,
-    or drawn afresh; parts near the largest double make a modulus, or a
-    difference of two, pass double range.  The tolerances are drawn as in
-    close_cases, the finite ones only."""
-    part = st.one_of(_component, _huge_part)
-    pairs = {}
-    for n in draw(st.lists(st.integers(1, 64), min_size=1, max_size=10, unique=True)):
-        a = complex(draw(part), draw(part))
-        step = draw(st.sampled_from([None, 0.0, 1e-13, 1e-12, -1e-12, 3e-12]))
-        b = complex(draw(part), draw(part)) if step is None else a * (1 + step)
-        if a and b and math.isfinite(b.real) and math.isfinite(b.imag):
-            pairs[n] = (a, b)
-    assume(pairs)
-    f = array_form(DirichletPolynomial({n: a for n, (a, _) in pairs.items()}))
-    g = array_form(DirichletPolynomial({n: b for n, (_, b) in pairs.items()}))
-    rtols, atols = [0.0, 1e-12], [0.0]
-    a, b = pairs[draw(st.sampled_from(sorted(pairs)))]
-    try:
-        d = abs(a - b)
-        r = d / max(abs(a), abs(b))
-    except OverflowError:
-        d = r = 0.0
-    atols += [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)]
-    if r:
-        rtols += [r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)]
-    rtols, atols = ([x for x in xs if math.isfinite(x)] for xs in (rtols, atols))
-    return f, g, draw(st.sampled_from(rtols)), draw(st.sampled_from(atols))
-
-
-def dict_form(f):
-    """f as a polynomial holding its terms as a dict alone."""
-    g = series._normal(list(f.indices()), list(f.coeffs.values()))
-    assert g._idx is None
-    return g
-
-
 class TestCoefficientClose:
     @given(close_cases())
     def test_against_the_per_index_loop(self, case):
@@ -1201,48 +1159,6 @@ class TestCoefficientClose:
         want = legacy_coefficient_close(f, g, rtol, atol)
         assert coefficient_close(f, g, rtol, atol) == want
         assert coefficient_close(g, f, rtol, atol) == want
-
-    @given(same_index_cases())
-    def test_arrays_against_the_loop(self, case):
-        # equal index arrays compare on arrays; the loop (dict form) and,
-        # where no modulus passes double range, the per-index oracle agree
-        f, g, rtol, atol = case
-        want = coefficient_close(dict_form(f), dict_form(g), rtol, atol)
-        assert coefficient_close(f, g, rtol, atol) == want
-        assert coefficient_close(g, f, rtol, atol) == want
-        try:
-            assert legacy_coefficient_close(f, g, rtol, atol) == want
-        except OverflowError:
-            pass
-
-    def test_arrays_past_double_range(self):
-        # tests/test_series.py's TestCoefficientClose.test_modulus_past_double_range,
-        # each pair holding arrays of one index set, and differences past
-        # double range: with finite parts (a quarter decides) or an inf part
-        # (abs is inf, no error)
-        ulp = math.ulp(1.5e308)
-        f = {2: 1.5e308 + 1.5e308j, 3: 0.25 - 1j}
-        cases = [
-            (f, f, {}, True),
-            (f, {2: 1.5e308 + 1.4999999999999e308j, 3: 0.25 - 1j}, {}, True),
-            (f, {2: 1.5e308 + 1.4e308j, 3: 0.25 - 1j}, {}, False),
-            (f, {2: -1.5e308 - 1.5e308j, 3: -0.25 + 1j}, {}, False),
-            (f, {2: 1.5e308 + 1.5e308j, 3: 1.25 - 1j}, {"atol": 0.5}, False),
-            (f, {2: 1.5e308 + 1.5e308j, 3: 1.25 - 1j}, {"atol": 1.0}, True),
-            (f, {2: complex(1.5e308, 1.5e308 + ulp), 3: 0.25 - 1j}, {"rtol": 0.0, "atol": ulp}, True),
-            (f, {2: complex(1.5e308, 1.5e308 + ulp), 3: 0.25 - 1j}, {"rtol": 0.0, "atol": 0.75 * ulp}, False),
-            ({2: 1.5e308 + 0j}, {2: 1.4e308 + 1.2e308j}, {"rtol": 1.0}, True),
-            ({2: 1.5e308 + 0j}, {2: 1.4e308 + 1.2e308j}, {"rtol": 0.5}, False),
-            ({2: 1e308 + 1e308j}, {2: -3e307 - 3e307j}, {"rtol": 1.0}, False),
-            ({2: 1e308 + 1e308j}, {2: -3e307 - 3e307j}, {"rtol": 2.0}, True),
-            ({2: 1e308 + 0j}, {2: -1e308 + 0j}, {}, False),
-            ({2: 1e308 + 0j}, {2: -1e308 + 0j}, {"rtol": 2.0}, True),
-        ]
-        for fc, gc, tols, want in cases:
-            a, b = array_form(DirichletPolynomial(fc)), array_form(DirichletPolynomial(gc))
-            assert coefficient_close(a, b, **tols) is want
-            assert coefficient_close(b, a, **tols) is want
-            assert coefficient_close(dict_form(a), dict_form(b), **tols) is want
 
 
 _STREAM_RULES = st.one_of(

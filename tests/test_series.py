@@ -586,7 +586,7 @@ def bits(x: np.ndarray) -> list:
 
 class TestLogTable:
     """series._log_indices: log n read from the process's table of log 1..L,
-    bit for bit series._log, with an index past L taking _log."""
+    bit for bit series._log, with a set reaching past L taking _log."""
 
     @pytest.fixture
     def fresh(self, monkeypatch):
@@ -611,7 +611,8 @@ class TestLogTable:
 
     @pytest.mark.parametrize("size", [1, 3, 5, 200, _LOG_TABLE_MAX - 3])
     def test_straddling_the_cap(self, fresh, size):
-        # runs and scattered sets across L = 2^18, past it and far past it
+        # runs and scattered sets across L = 2^18, past it and far past it;
+        # a set that reaches past the table takes _log whole
         rng = np.random.default_rng(size)
         top = _LOG_TABLE_MAX
         runs = [np.arange(top - size // 2, top - size // 2 + size, dtype=np.int64)]
