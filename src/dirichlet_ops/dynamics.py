@@ -18,9 +18,9 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError
-from .operators import _POWU_MAX, Multiplier, _number, _power, _product, _with_array_symbol, apply
+from .operators import _POWU_MAX, Multiplier, _number, _power, _with_array_symbol, apply
 from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _exp, _expm1, _fsum, _list_slope,
-                     _nonnegative_fsum, _validate_index, _validate_real, np, replace)
+                     _nonnegative_fsum, _product, _validate_index, _validate_real, np, replace)
 
 __all__ = [
     "power_apply",

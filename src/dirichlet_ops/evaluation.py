@@ -15,7 +15,7 @@ import math
 
 from .errors import DomainError
 from .series import _ARRAY_MIN_TERMS, CoefficientRule, DirichletPolynomial, HalfPlanePoint, _Record, _validate_real
-from .series import _exp, _expm1, _log, _log_indices, _nonnegative_fsum, _pairwise_sum, _power, _slope, _terms
+from .series import _exp, _expm1, _log, _log_indices, _nonnegative_fsum, _pairwise_sum, _power, _product, _slope, _terms
 from .series import _validate_complex, _validate_index, np
 
 __all__ = [
@@ -101,8 +101,7 @@ def _cmul(x, y) -> np.ndarray:
     if x.dtype.kind != "c" or y.dtype.kind != "c":
         return x * y
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
+    out.real, out.imag = _product(x.real, x.imag, y.real, y.imag)
     return out
 
 

@@ -21,8 +21,8 @@ from cmath import isfinite
 from typing import Callable
 
 from .errors import DomainError
-from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _list_slope, _normal, _pairwise_sum, _termwise,
-                     _validate_index, np)
+from .series import (_ARRAY_MIN_TERMS, DirichletPolynomial, _Record, _list_slope, _normal, _pairwise_sum, _product,
+                     _termwise, _validate_index, np)
 
 __all__ = [
     "Multiplier",
@@ -41,11 +41,6 @@ __all__ = [
 # give the scalar symbol's bits: series._log for log n (a polynomial's
 # log_index_array), unfused complex products, _Py_c_quot's division (numpy's
 # complex division multiplies by a reciprocal) and c_powu's binary powers.
-
-
-def _product(ar, ai, br, bi) -> tuple:
-    """(a * b).real, (a * b).imag as CPython's _Py_c_prod forms them."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _reciprocal(br, bi) -> tuple:

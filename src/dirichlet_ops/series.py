@@ -596,6 +596,12 @@ def _expm1(z: complex) -> complex:
     return complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
 
 
+def _product(ar, ai, br, bi) -> tuple:
+    """(a * b).real, (a * b).imag as CPython's _Py_c_prod forms them, with
+    no fused multiply-add, so on arrays no bit follows numpy's SIMD level."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 # below this many index pairs the per-pair loop beats the array kernel: the
 # measured crossover is 110-144 pairs on fresh polynomials with random
 # indices up to 512, where 49 pairs take 22 us by the loop and 42 by the
@@ -606,14 +612,6 @@ def _expm1(z: complex) -> complex:
 # whose many buckets of 3+ products pay the fixed cost of _bucket_sums'
 # pass, the loop stays faster up to 400-576 pairs
 _KERNEL_MIN_PAIRS = 112
-
-
-# from this many index pairs on, the array kernel sorts the products by np.sort
-# of index and pair position packed in one int64 key, where it fits, rather
-# than by argsort: the two break even near 1,000 pairs, and at 90,000 np.sort
-# (SIMD on x86-64) takes 1.1-1.4 ms against argsort and gather's 2.1-3.2 ms
-# (2-core x86-64, numpy 2.4.6; BENCH_twosum_buckets.json)
-_PACKED_SORT_MIN_PAIRS = 1024
 
 
 # a bucket whose sum of |products| reaches this goes to fsum: below it no
@@ -713,14 +711,16 @@ def _bucket_sums(prods: np.ndarray, lo: np.ndarray, hi: np.ndarray, rank: np.nda
 def _gathered_sums(prods: np.ndarray, starts: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Each bucket's first row of prods, plus its second where the bucket
     holds exactly two: the bits of np.add.reduceat(prods, starts, axis=0)
-    on the buckets of one or two rows, whose sum is one IEEE add a part,
-    the first row's value first.  A bucket of three or more rows gets its
-    first row."""
+    on the buckets of one or two rows, whose sum is one IEEE add a part.
+    The order of the add shows only in which NaN two NaN parts give:
+    numpy's array add returns its first operand's and reduceat the second
+    row's, so this adds the second row to the first.  A bucket of three or
+    more rows gets its first row."""
     sums = prods.take(starts, axis=0)
     two = (length == 2).nonzero()[0]
     if two.size:
         at = starts[two]
-        sums[two] = prods.take(at, axis=0) + prods.take(at + 1, axis=0)
+        sums[two] = prods.take(at + 1, axis=0) + prods.take(at, axis=0)
     return sums
 
 
@@ -738,18 +738,18 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
 
     From _KERNEL_MIN_PAIRS pairs on this runs as an array kernel: outer
     products; a sort by index (np.sort of index and pair position packed in
-    one int64 from _PACKED_SORT_MIN_PAIRS pairs on, where the key fits,
-    np.argsort's quicksort otherwise; the order within a bucket never
-    shows); a bucket of one product is that product gathered, one of two
-    its first product plus its second (one IEEE add a part); and, for the
-    larger ones of both parts at once, _bucket_sums: one vectorized
-    TwoSum pass whose fl(s + c) is accepted when an exactness flag or Sum2's
-    gamma_n^2 bound proves it exactly rounded, with fsum, in pair order, for
-    each bucket it cannot settle.  Below _KERNEL_MIN_PAIRS a per-pair loop
-    is faster and gives the same bits, an overflowing bucket of two
-    products included: a bucket keeps its one product, adds two as one
-    complex add (one IEEE add a part, as the kernel's) and takes fsum of each
-    part of three or more; a one-term operand fills no bucket at all.
+    one int64 where the key fits, np.argsort's quicksort otherwise; the
+    order within a bucket never shows); a bucket of one product is that
+    product gathered, one of two its second product plus its first (one
+    IEEE add a part); and, for the larger ones of both parts at once,
+    _bucket_sums: one vectorized TwoSum pass whose fl(s + c) is accepted
+    when an exactness flag or Sum2's gamma_n^2 bound proves it exactly
+    rounded, with fsum, in pair order, for each bucket it cannot settle.
+    Below _KERNEL_MIN_PAIRS a per-pair loop is faster and gives the same
+    bits, an overflowing bucket of two products included: a bucket keeps
+    its one product, adds two as one complex add (one IEEE add a part, as
+    the kernel's) and takes fsum of each part of three or more; a one-term
+    operand fills no bucket at all.
     """
     if f.max_index * g.max_index > _INDEX_MAX:
         raise DomainError(f"product index {f.max_index} * {g.max_index} exceeds 2^63 - 1")
@@ -784,8 +784,11 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
     fc, gc = f.coefficient_array(), g.coefficient_array()
     idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
     shift = pairs.bit_length()
-    if pairs >= _PACKED_SORT_MIN_PAIRS and f.max_index * g.max_index < 1 << (63 - shift):
-        # index and pair position packed in one int64 key
+    if f.max_index * g.max_index < 1 << (63 - shift):
+        # index and pair position packed in one int64 key: np.sort of it
+        # breaks even with argsort and a gather near 400 pairs, and takes 1.3
+        # ms against 2.3 at 90,000; at 121 pairs it costs ~2.5 us more
+        # (2-core x86-64, numpy 2.4.6)
         key = np.sort((idx << shift) | np.arange(pairs))
         idx, order = key >> shift, key & ((1 << shift) - 1)
     else:
@@ -840,43 +843,42 @@ class _Record:
     """Base of the package's frozen value types and result records.
 
     A subclass names its fields by its public class annotations, in order,
-    a field's class value being its default; it is read once, when the
-    class is made, and nothing is generated.  Construction binds the fields
-    by position or keyword, raising the TypeError a function with those
-    parameters would raise; == (between instances of one class), hash and
-    repr take the fields in order, and assigning or deleting any attribute
-    raises AttributeError.  Private annotations are speed hints with a class
-    default: no construction, comparison or repr sees them, so replace()
-    drops them.  A subclass may leave fields out of == and hash
-    (`_uncompared`) or write its own __init__ (a keyword-only field,
-    validation, or speed where one is built on every call), storing the
-    fields through vars(self).
+    a field's class value being its default.  It gets one __init__,
+    compiled at its first construction: def __init__(self, <the fields,
+    with their defaults>) storing each, so Python binds each call and words
+    each TypeError as for a dataclass's generated __init__.  == (between
+    instances of one class), hash and repr take the fields in order, and
+    assigning or deleting any attribute raises AttributeError.  Private
+    annotations are speed hints with a class default: no construction,
+    comparison or repr sees them, so replace() drops them.  A subclass may
+    leave fields out of == and hash (`_uncompared`) or write its own
+    __init__ (a keyword-only field, or validation), storing the fields
+    through vars(self).
     """
 
     _uncompared = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__dict__.get("__annotations__", ()) if not name.startswith("_"))
-        cls._names = frozenset(cls._fields)
-        cls._required = frozenset(name for name in cls._fields if name not in cls.__dict__)
-        # the fields in order, each with its default (None for a required
-        # one, which a call always gives): a record built with defaults
-        # starts its dict from it, so its fields keep their order
-        cls._template = {name: cls.__dict__.get(name) for name in cls._fields}
         cls._key = itemgetter(*(name for name in cls._fields if name not in cls._uncompared))
 
     def __init__(self, *args, **kwargs):
-        values = kwargs
-        if args:
-            values = dict(zip(self._fields, args), **kwargs)
-            if len(values) < len(args) + len(kwargs):  # one too many, or one given twice
-                raise _call_error(type(self), args, kwargs)
-        fields = vars(self)
-        if values.keys() != self._names:
-            if not (self._names.issuperset(values) and values.keys() >= self._required):
-                raise _call_error(type(self), args, kwargs)
-            fields.update(self._template)
-        fields.update(values)
+        # first construction of type(self): compile its __init__, install
+        # it and run it; later ones call it directly.  Compiling at class
+        # creation instead would put every record's compile on import
+        cls = type(self)
+        fields = cls._fields
+        params = "".join(f", {name}=_defaults[{name!r}]" if name in cls.__dict__ else f", {name}" for name in fields)
+        # one store a field (a field is public, so never _dict): 0.87 us for
+        # 8 fields, 6 given by keyword, where one dict.update took 1.03
+        # (2-core x86-64, Python 3.11)
+        stores = "".join(f"\n    _dict[{name!r}] = {name}" for name in fields)
+        namespace = {"_defaults": cls.__dict__}
+        exec(f"def __init__(self{params}):\n    _dict = self.__dict__{stores}\n", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        init(self, *args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -895,26 +897,6 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _call_error(cls: type, args: tuple, kwargs: dict) -> TypeError:
-    """The TypeError of a call cls(*args, **kwargs) that does not bind, as
-    Python words it for a function whose parameters are cls's fields."""
-    where, fields = f"{cls.__qualname__}.__init__()", cls._fields
-    for name in kwargs:
-        if name not in cls._names:
-            return TypeError(f"{where} got an unexpected keyword argument {name!r}")
-        if name in fields[:len(args)]:
-            return TypeError(f"{where} got multiple values for argument {name!r}")
-    if len(args) > len(fields):
-        least, most = len(cls._required) + 1, len(fields) + 1  # counting self
-        takes = f"from {least} to {most}" if least < most else most
-        return TypeError(f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
-    missing = [repr(name) for name in fields[len(args):] if name in cls._required and name not in kwargs]
-    count = f"{len(missing)} required positional argument" + ("s" if len(missing) > 1 else "")
-    if len(missing) > 1:
-        missing[-1] = "and " + missing[-1]
-    return TypeError(f"{where} missing {count}: {(', ' if len(missing) > 2 else ' ').join(missing)}")
 
 
 def replace(record: _Record, /, **changes) -> _Record:

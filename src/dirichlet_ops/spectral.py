@@ -131,15 +131,6 @@ class SpectrumClassification(_Record):
     near_spectrum: bool = False
     reason: str = ""
 
-    # written out, as every classify_point and resolvent_apply builds one:
-    # the generic binding of 6 of 8 fields by keyword took 1.8 us a record,
-    # this 1.0 us (2-core Xeon; BENCH_frozen_records.json)
-    def __init__(self, lam: complex, space: str, kind: str, n: int | None = None,
-                 eigenvector: DirichletPolynomial | None = None, gap: float | None = None,
-                 near_spectrum: bool = False, reason: str = ""):
-        vars(self).update(lam=lam, space=space, kind=kind, n=n, eigenvector=eigenvector, gap=gap,
-                          near_spectrum=near_spectrum, reason=reason)
-
 
 def classify_point(lmbda, space: str) -> SpectrumClassification:
     """Locate lambda relative to the derivative's spectrum on the given

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dirichlet_ops
-from dirichlet_ops.series import _KERNEL_MIN_PAIRS
+from dirichlet_ops import series
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _Record
 
 SUBMODULES = [
     "abscissa", "dynamics", "errors", "evaluation", "operators", "series", "spectral", "volterra"
@@ -174,6 +176,70 @@ def test_dataclasses_guard_sees_each_import():
     for source in flagged:
         assert list(_dataclasses_imports(ast.parse(source))) != [], source
     assert list(_dataclasses_imports(ast.parse("from .series import replace\nimport dataclasses_json\n"))) == []
+
+
+def test_import_compiles_no_record_init():
+    # a record class gets its __init__ at its first construction, so the
+    # import compiles none: only the two written out are there
+    probe = (
+        "import dirichlet_ops\n"
+        "from dirichlet_ops.series import _Record\n"
+        "records = [getattr(dirichlet_ops, name) for name in dirichlet_ops.__all__]\n"
+        "records = [r for r in records if isinstance(r, type) and issubclass(r, _Record)]\n"
+        "print(len(records), sorted(r.__name__ for r in records if '__init__' in vars(r)))\n"
+    )
+    src = str(Path(dirichlet_ops.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split(maxsplit=1) == ["15", "['HalfPlanePoint', 'Multiplier']\n"]
+
+
+def _fresh_record():
+    class Fresh(_Record):
+        first: int
+        second: str = "b"
+
+    return Fresh
+
+
+def test_record_init_is_compiled_once(monkeypatch):
+    compiles = []
+    monkeypatch.setattr(series, "exec", lambda *args: compiles.append(args) or exec(*args), raising=False)
+    Fresh = _fresh_record()
+    assert "__init__" not in vars(Fresh)
+    assert vars(Fresh(1)) == {"first": 1, "second": "b"} and len(compiles) == 1
+    init = vars(Fresh)["__init__"]
+    assert init.__qualname__ == "_fresh_record.<locals>.Fresh.__init__"
+    assert Fresh(2, second="c") == Fresh(first=2, second="c")
+    assert Fresh.__init__ is init and len(compiles) == 1
+    with pytest.raises(TypeError, match=r"^_fresh_record.<locals>.Fresh.__init__\(\) missing 1 required"):
+        Fresh()
+
+
+def test_first_constructions_race():
+    # eight threads build a never-built record type at once: each may
+    # compile its __init__, and every record comes out the same
+    Fresh = _fresh_record()
+    barrier = threading.Barrier(8, timeout=10)
+    built = [None] * 8
+
+    def build(k):
+        barrier.wait()
+        built[k] = Fresh(7, second="x")
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(record == Fresh(7, "x") for record in built)
+    assert [vars(record) for record in built] == [{"first": 7, "second": "x"}] * 8
 
 
 def test_numpy_imported_after_the_package():

@@ -945,7 +945,6 @@ class TestConvolutionKernel:
         # where the kernel argsorts; buckets such as top * 12 hold 3+ products
         f = DirichletPolynomial({top * k: complex(*rng.normal(size=2)) for k in range(1, 33)})
         g = DirichletPolynomial({k: complex(*rng.normal(size=2)) for k in range(1, 33)})
-        assert 32 * 32 >= series._PACKED_SORT_MIN_PAIRS
         assert ((f.max_index * g.max_index + 1) * 32 * 32 <= 2**63) == (top == 2**20)
         assert bits(dirichlet_multiply(f, g)) == bits(legacy_dirichlet_multiply(f, g))
         assert bits(dirichlet_multiply(g, f)) == bits(legacy_dirichlet_multiply(f, g))

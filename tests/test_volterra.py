@@ -13,11 +13,15 @@ from dirichlet_ops import (
     volterra_apply,
     volterra_identity_check,
 )
-from dirichlet_ops.series import _normal
+from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _normal
 
 from conftest import poly_strategy, random_poly
 
 LOG2_OVER_LOG6 = 0.3868528072345416
+
+
+def _hexes(f: DirichletPolynomial) -> list:
+    return [(n, a.real.hex(), a.imag.hex()) for n, a in f.items()]
 
 
 def brute_volterra(g: DirichletPolynomial, f: DirichletPolynomial) -> dict:
@@ -115,6 +119,26 @@ class TestIdentity:
         assert [(n, a.real.hex(), a.imag.hex()) for n, a in got.items()] == [
             (n, a.real.hex(), a.imag.hex()) for n, a in want.items()
         ]
+
+    @given(poly_strategy(max_index=128, max_terms=12), st.booleans())
+    def test_lhs_bits_are_v_g_of_one(self, g, arrays):
+        # the check takes integrate(differentiate(g)): convolving with the
+        # constant 1 multiplies by 1 + 0j, which moves no bit
+        if arrays:
+            g = _normal(g.index_array().copy(), g.coefficient_array().copy())
+        assert _hexes(volterra_identity_check(g).lhs) == _hexes(volterra_apply(g, monomial(1)))
+
+    def test_lhs_bits_past_the_kernel_crossover(self, rng):
+        # ~280 terms, so V_g(1)'s product runs the array kernel, and 20 for
+        # the per-pair loop; parts of 0.0 among them, where a product's sign
+        # of zero could show
+        g = random_poly(rng, max_index=2000, n_terms=300)
+        items = [(n, complex(0.0, a.imag) if n % 3 == 0 else complex(a.real, 0.0) if n % 3 == 1 else a)
+                 for n, a in g.items()]
+        wide, narrow = DirichletPolynomial(dict(items)), DirichletPolynomial(items[:20])
+        assert wide.term_count > _KERNEL_MIN_PAIRS + 1 > narrow.term_count
+        for g in (wide, narrow):
+            assert _hexes(volterra_identity_check(g).lhs) == _hexes(volterra_apply(g, monomial(1)))
 
     def test_modulus_past_double_range(self):
         # the coefficient at 2 has a modulus past the largest double
