@@ -65,8 +65,10 @@ class Estimate(_Record):
 class BoundednessProbe(_Record):
     """Evidence-only sup of |sum_{n<=N} a_n n^(-eps - i t)| over a t grid of
     `points` points: a GEMM screen (one exp a term, shared with the other
-    probes of the call, then N * points multiply-adds), then per-row numpy
-    sums of the `refined` points it kept; no BLAS under any returned bit."""
+    probes of the call, then N * points multiply-adds), then per-row sums
+    of unfused complex products at the `refined` points it kept, moduli by
+    np.hypot: no BLAS kernel or numpy SIMD level sets a bit of sup_abs, but
+    refined follows the BLAS screen."""
 
     epsilon: float
     sup_abs: float

@@ -411,31 +411,29 @@ def partial_sum(rule: CoefficientRule, s, N: int) -> complex:
 
 
 def _t_step(n_terms: int) -> int:
-    """Points per t-chunk of the direct kernel _grid_values: at most 2^23
-    exps per block.  (The screen, _grid_screen, blocks its terms instead.)"""
-    return max(1, (1 << 23) // max(1, n_terms))
+    """Points per t-chunk of _grid_values: 2^16 entries a block (1 MiB, in
+    cache with its product's temporaries; BENCH_unfused_grid.json) or a row."""
+    return max(1, (1 << 16) // max(1, n_terms))
 
 
 def _grid_values(logn: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """sum_n w_n exp(-i t log n) at each t of a 1-d grid: the one
-    boundary-grid kernel, chunked in t so no block holds more than 2^23
-    entries.
+    boundary-grid kernel, chunked in t (_t_step).
 
-    A chunk is a T x N block holding one t's terms in each row; the exp and
-    the weighting run in place, and each row is summed by numpy's pairwise
-    np.sum, whose order depends only on N.  So a value's bits depend neither
-    on how ts is cut nor on the other points: a point computed alone, or
-    among any subset of the grid, has the full scan's bits, and no BLAS call
-    decides them.  N = 1 is the exception (boundary_values): there a value
-    also depends on its place in the chunk."""
+    A chunk is a T x N block holding one t's terms in each row; the exp
+    runs in place, the weighting by CPython's unfused products (_cmul), and
+    each row is summed by numpy's pairwise np.sum, whose order depends only
+    on N.  So a value's bits depend neither on how ts is cut nor on the
+    other points: a point computed alone, or among any subset of the grid,
+    has the full scan's bits, at every N, and neither numpy's SIMD level
+    nor a BLAS call decides them."""
     out = np.empty(ts.shape, dtype=np.complex128)
     t_step = _t_step(logn.size)
     phase = -1j * logn
     for i in range(0, ts.size, t_step):
         E = np.outer(ts[i : i + t_step], phase)
         np.exp(E, out=E)
-        E *= w
-        out[i : i + t_step] = E.sum(axis=1)
+        out[i : i + t_step] = _cmul(E, w).sum(axis=1)
     return out
 
 
@@ -543,23 +541,21 @@ def _grid_screen(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.nd
 
 
 def _grid_sup(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row w of the P x N weights W, float(np.max(np.abs(
-    _grid_values(logn, w, ts)))) to the bit, for a uniform grid ts, computed
-    by one _grid_screen of all the rows and a direct refine; and how many
-    grid points the direct kernel recomputed for each row.
+    """For each row w of the P x N weights W, max np.hypot(D.real, D.imag)
+    (CPython's complex abs) to the bit, D = _grid_values(logn, w, ts) on a
+    uniform grid ts, computed by one _grid_screen of all the rows and a
+    direct refine; and how many points the refine computed for each row.
 
     If |S_i| = max |S| and |D_j| = max |D| in a row, then |S_j| >=
     |D_j| - delta >= |D_i| - delta >= |S_i| - 2 delta, so every point with
     |S_j| >= max |S| - 2 delta is kept and the direct maximum is among them.
-    The refine stays per row: _grid_values computes only the row's kept
-    points, each with the full scan's bits, into that row of S, zeroed: a
-    row of the grid's length, as the full scan's values are before np.abs,
-    whose vector body and scalar tail round differently.  np.abs then
-    writes into the screen's buffer.  At N = 1, where a lone point's bits
-    can differ, every point is kept (each |S_j| is |w_1| within
-    u (10 + 10 T), and 2 delta is at least 32 u (T + 5) |w_1|), so the
-    refine is the full scan.  A non-finite screen maximum or delta keeps every point of its
-    row.  The screen runs on every grid, under its caller's errstate."""
+    The keep test only picks points, so it reads np.abs of the screen (its
+    and np.hypot's rounding, a few u |D|, is inside the gap between delta
+    and the derived bound, u (10 N + 6 T + 48) sum |w| at least).  The
+    refine stays per row: _grid_values computes only the kept points, and
+    np.hypot their moduli.  A non-finite screen maximum or delta keeps
+    every point of its row.  The screen runs on every grid, under its
+    caller's errstate."""
     P, T = W.shape[0], ts.size
     S, delta = _grid_screen(logn, W, ts)
     screen = np.empty((P, T))
@@ -568,20 +564,16 @@ def _grid_sup(logn: np.ndarray, W: np.ndarray, ts: np.ndarray) -> tuple[np.ndarr
     top = np.max(screen, axis=1)
     kept = screen >= (top - 2 * delta)[:, None]
     kept[~(np.isfinite(top) & np.isfinite(delta))] = True
+    sup = np.empty(P)
     for p in range(P):
-        keep = np.flatnonzero(kept[p])
-        S[p] = 0
-        S[p, keep] = _grid_values(logn, W[p], ts[keep])
-        np.abs(S[p], out=screen[p])
-    return np.max(screen, axis=1), np.count_nonzero(kept, axis=1)
+        values = _grid_values(logn, W[p], ts[kept[p]])
+        sup[p] = np.max(np.hypot(values.real, values.imag))
+    return sup, np.count_nonzero(kept, axis=1)
 
 
 def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> np.ndarray:
-    """f(epsilon + i t) on a grid of t values, chunked to bound memory.
-
-    A value's bits are the same t's computed alone, except for one stored
-    term: numpy coalesces that (T, 1) product into one 1-d loop, so a value
-    can differ from the lone t's in the last bit (relative ~1.7e-16).
+    """f(epsilon + i t) on a grid of t values, chunked to bound memory
+    (_grid_values): each value has the bits of its t computed alone.
 
     Raises DomainError naming epsilon and t when a value overflows double
     precision (a far-left epsilon makes n^(-epsilon) overflow), and names a
@@ -611,8 +603,9 @@ def boundary_values(f: DirichletPolynomial, epsilon: float, ts: np.ndarray) -> n
 def summation_by_parts(x, y) -> complex:
     """Abel rearrangement  X_N y_N - sum_{n<N} X_n (y_{n+1} - y_n)  with
     X_n the running partial sums of x.  Equals the direct inner product.
-    Input that is not two equal-length 1-D numeric sequences, a non-finite
-    entry, or a result past double range raises DomainError."""
+    The products are CPython's, unfused (_cmul), so no bit follows numpy's
+    SIMD level.  Input that is not two equal-length 1-D numeric sequences,
+    a non-finite entry, or a result past double range raises DomainError."""
     try:
         x = np.asarray(x, dtype=np.complex128)
         y = np.asarray(y, dtype=np.complex128)
@@ -630,7 +623,7 @@ def summation_by_parts(x, y) -> complex:
             raise DomainError(f"{name}[{bad[0]}] must be finite, got {complex(seq[bad[0]])}")
     with np.errstate(over="ignore", invalid="ignore"):
         X = np.cumsum(x)
-        value = complex(X[-1] * y[-1] - np.sum(X[:-1] * np.diff(y)))
+        value = complex(X[-1]) * complex(y[-1]) - complex(np.sum(_cmul(X[:-1], np.diff(y))))
     return _finite(value, "summation by parts")
 
 
@@ -792,13 +785,15 @@ class SeminormEstimate(_Record):
     boundary grid and the largest term max_n |a_n| n^(-epsilon), each a
     genuine lower bound for the sup (the second by Bohr's coefficient
     formula, which floors a grid that misses the largest term), capped at
-    upper.  A monomial's lower is its upper, bit for bit.  upper:
-    sum |a_n| n^(-epsilon) (a genuine upper bound), fsum's correctly
-    rounded sum of the terms, taken on arrays (series._nonnegative_fsum).
-    The truth lies in [lower, upper].  points: grid points scanned;
-    refined: how many of them the kernel recomputed after the GEMM screen
-    (all of them when the screen overflows), each by a per-row numpy sum,
-    so no BLAS call decides a bit of lower.
+    upper; a grid value sums CPython's unfused complex products by rows,
+    its modulus np.hypot (CPython's abs), so no BLAS kernel or numpy SIMD
+    level sets a bit of lower.  A monomial's lower is its upper, bit for
+    bit.  upper: sum |a_n| n^(-epsilon) (a genuine upper bound), fsum's
+    correctly rounded sum of the terms, taken on arrays
+    (series._nonnegative_fsum).  The truth lies in [lower, upper].  points:
+    grid points scanned; refined: how many of them the kernel recomputed
+    after the GEMM screen (all of them when it overflows), which follows
+    the BLAS screen.
     """
 
     epsilon: float
@@ -837,7 +832,8 @@ def seminorm(
     sums of the kept points; no BLAS under any returned bit.  The screen
     builds its phases by doubling, at N exps (2 N on a two-sided grid)
     and N T multiply-adds; the kept points are those within 2 delta of its
-    maximum, and lower is their maximum, bit for bit the direct scan's.
+    maximum, and lower is the largest of their moduli by np.hypot, bit for
+    bit the direct scan's.
     delta bounds the screen's error, about u (12 max|t| log n_max +
     16 (N + T)) sum |a_n| n^(-epsilon) (derived in _grid_screen).  An
     overflow reruns the direct scan through boundary_values, which names
@@ -873,7 +869,7 @@ def seminorm(
         terms = np.hypot(coeffs.real, coeffs.imag) * decay
     lower, refined = float(sup[0]), int(refined[0])
     if not math.isfinite(lower):
-        lower = float(np.max(np.abs(boundary_values(f, epsilon, ts))))
+        boundary_values(f, epsilon, ts)  # names epsilon and t where a value leaves double range
     upper = _nonnegative_fsum(terms)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(

@@ -853,12 +853,14 @@ class _Record:
     comparison or repr sees them, so replace() drops them.  A subclass may
     leave fields out of == and hash (`_uncompared`) or write its own
     __init__ (a keyword-only field, or validation), storing the fields
-    through vars(self).
+    through vars(self).  A record class cannot be subclassed (TypeError).
     """
 
     _uncompared = ()
 
     def __init_subclass__(cls):
+        if any(base is not _Record and issubclass(base, _Record) for base in cls.__bases__):
+            raise TypeError(f"{cls.__qualname__} cannot subclass a record class")
         cls._fields = tuple(name for name in cls.__dict__.get("__annotations__", ()) if not name.startswith("_"))
         cls._key = itemgetter(*(name for name in cls._fields if name not in cls._uncompared))
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -960,7 +961,8 @@ class TestSeminorm:
         # direct scan's to the bit
         f = add(monomial(1), scale(-1.0, monomial(2)))
         small = seminorm(f, 0.0, t_max=6.0, step=0.01)
-        direct = float(np.max(np.abs(boundary_values(f, 0.0, np.arange(0.0, 6.0 + 0.5 * 0.01, 0.01)))))
+        values = boundary_values(f, 0.0, np.arange(0.0, 6.0 + 0.5 * 0.01, 0.01))
+        direct = float(np.max(np.hypot(values.real, values.imag)))
         assert small.points == 601
         assert 1 <= small.refined <= small.points
         assert small.lower.hex() == min(direct, small.upper).hex()
@@ -1022,6 +1024,22 @@ class TestRefineBlock:
 
 
 class TestBoundaryValues:
+    def test_complex_scan_peak_memory(self):
+        # 1,024 complex terms on 8,192 points: blocks of 2^16 entries and
+        # their unfused products' temporaries, where one 2^23-entry block
+        # of the whole grid once held 128 MiB
+        rng = np.random.default_rng(0)
+        f = DirichletPolynomial(dict(zip(range(1, 1025), (rng.normal(size=1024) + 1j * rng.normal(size=1024)).tolist())))
+        f.coefficient_array(), f.log_index_array()
+        ts = np.linspace(-50.0, 50.0, 8192)
+        tracemalloc.start()
+        try:
+            boundary_values(f, 0.3, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_matches_pointwise_evaluation(self):
         f = DirichletPolynomial({1: 1.0, 2: -0.5 + 0.25j, 7: 2.0})
         ts = np.linspace(0.0, 5.0, 64)

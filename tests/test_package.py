@@ -242,6 +242,22 @@ def test_first_constructions_race():
     assert [vars(record) for record in built] == [{"first": 7, "second": "x"}] * 8
 
 
+@pytest.mark.parametrize("built", [False, True], ids=["before-construction", "after-construction"])
+def test_record_subclass_rejected(built):
+    # a subclass would bind by whichever __init__ it met first, its own
+    # before the base's first construction and the base's after it
+    Fresh = _fresh_record()
+    if built:
+        Fresh(1)
+    assert ("__init__" in vars(Fresh)) == built
+    with pytest.raises(TypeError, match=r"^test_record_subclass_rejected.<locals>.Sub cannot subclass a record class$"):
+        class Sub(Fresh):
+            extra: int = 0
+    with pytest.raises(TypeError, match=r"^test_record_subclass_rejected.<locals>.G cannot subclass a record class$"):
+        class G(dirichlet_ops.GridSpec):
+            extra: int = 0
+
+
 def test_numpy_imported_after_the_package():
     # numpy values made after the package's import pass its gates, and the
     # first array call leaves every module of the package holding numpy

@@ -236,15 +236,29 @@ def legacy_took_normal_direct_terms(m, f, k):
     return True
 
 
+def unfused(x, y):
+    """x * y of complex arrays by real products and sums, as CPython forms
+    a complex product: no fused multiply-add."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def modulus(z):
+    """|z| of complex values by np.hypot, CPython's complex abs bit for bit."""
+    return np.hypot(z.real, z.imag)
+
+
 def pointwise_probe_sup(values, epsilon, t_max, points):
-    """The probe's sup from one sum (np.exp(-1j t log n) w).sum() per grid
-    point t, each computed alone, with log n and n^(-epsilon) per term by
-    math.log and math.exp."""
+    """The probe's sup from one sum unfused(np.exp(-1j t log n), w).sum()
+    per grid point t, each computed alone, with log n and n^(-epsilon) per
+    term by math.log and math.exp, the moduli by np.hypot."""
     values = np.asarray(values, dtype=np.complex128)
     logn = np.array([math.log(n) for n in range(1, values.size + 1)])
     w = values * np.array([math.exp(-epsilon * x) for x in logn.tolist()])
-    sums = [(np.exp(-1j * t * logn) * w).sum() for t in np.linspace(0.0, t_max, points)]
-    return float(np.max(np.abs(np.array(sums))))
+    sums = [unfused(np.exp(-1j * t * logn), w).sum() for t in np.linspace(0.0, t_max, points)]
+    return float(np.max(modulus(np.array(sums))))
 
 
 def legacy_partial_sum(rule, s, N, chunk):
@@ -537,11 +551,12 @@ class TestBoundaryGridKernel:
         [probe] = bracket_sigma_u(eta_rule(), 3000, [0.25], t_max=40.0, points=3000).probes
         assert probe.sup_abs == pointwise_probe_sup(values, 0.25, 40.0, 3000)
 
-    @pytest.mark.parametrize("N", [2, 3, 5, 50, 20_000])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 50, 20_000])
     def test_subset_and_single_points_have_the_full_scans_bits(self, monkeypatch, N):
-        # a row's pairwise sum depends only on N, so neither the t-chunk a
-        # point falls in nor the other points computed with it move its bits;
-        # 40 points in chunks of 16 cross two chunk boundaries
+        # a row's products are unfused and its pairwise sum depends only on
+        # N, so neither the t-chunk a point falls in nor the other points
+        # computed with it move its bits; 40 points in chunks of 16 cross
+        # two chunk boundaries
         monkeypatch.setattr(evaluation, "_t_step", lambda n_terms: 16)
         rng = np.random.default_rng(N)
         logn = np.log(np.sort(rng.choice(np.arange(1, 3 * N + 1), N, replace=False)).astype(np.float64))
@@ -552,7 +567,16 @@ class TestBoundaryGridKernel:
         assert _grid_values(logn, w, ts[subset]).tobytes() == full[subset].tobytes()
         for j in subset:
             assert _grid_values(logn, w, ts[j : j + 1]).tobytes() == full[j : j + 1].tobytes()
-            assert complex((np.exp(-1j * ts[j] * logn) * w).sum()) == complex(full[j])
+            assert complex(unfused(np.exp(-1j * ts[j] * logn), w).sum()) == complex(full[j])
+
+    def test_one_term_grid_equals_single_point_calls(self):
+        # at N = 1 numpy ran the (T, 1) block's fused products as one 1-d
+        # loop, whose vector body and scalar tail rounded differently: 420
+        # of these 1,110 values once differed from the points' lone calls
+        f = DirichletPolynomial({7: 0.3 - 1.7j})
+        ts = np.linspace(-300.0, 250.0, 1110)
+        grid = boundary_values(f, 0.45, ts)
+        assert grid.tobytes() == b"".join(boundary_values(f, 0.45, [t]).tobytes() for t in ts.tolist())
 
 
 def assert_grid_sup_bit_equal(logn, w, ts):
@@ -562,7 +586,7 @@ def assert_grid_sup_bit_equal(logn, w, ts):
     got, refined = _grid_sup(logn, W, ts)
     assert got.shape == refined.shape == (W.shape[0],)
     for row, sup, count in zip(W, got.tolist(), refined.tolist()):
-        want = float(np.max(np.abs(_grid_values(logn, row, ts))))
+        want = float(np.max(modulus(_grid_values(logn, row, ts))))
         assert sup.hex() == want.hex()
         assert 1 <= count <= ts.size
     return refined
@@ -574,7 +598,7 @@ def legacy_seminorm_lower(f, epsilon, t_max, step):
     logn = np.log(f.index_array().astype(np.float64))
     terms = [abs(a) * math.exp(-epsilon * ln) for a, ln in zip(f.coefficient_array(), logn)]
     ts = np.arange(t0, t_max + 0.5 * step, step)
-    return min(max(float(np.max(np.abs(boundary_values(f, epsilon, ts)))), max(terms)), fsum(terms))
+    return min(max(float(np.max(modulus(boundary_values(f, epsilon, ts)))), max(terms)), fsum(terms))
 
 
 @st.composite
@@ -663,7 +687,7 @@ class TestGridScreen:
 
     def test_two_t_chunks(self):
         # 3000 points at 3000 terms: the screen takes blocks of 2361 terms,
-        # the last short, and the direct values D cross a 2^23-entry t-chunk
+        # the last short, and the direct values D cross t-chunks (_t_step)
         logn = np.log(np.arange(1, 3001, dtype=np.float64))
         w = eta_rule().values(np.arange(1, 3001, dtype=np.int64)) * np.exp(-0.25 * logn)
         ts = np.linspace(0.0, 40.0, 3000)
@@ -739,9 +763,7 @@ class TestGridSup:
     @pytest.mark.parametrize("n", [1, 7, 400])
     def test_constant_modulus_keeps_every_point(self, n, T):
         # |c n^(-s)| is the same at every t: every screened point is a
-        # candidate.  That keeps the refine exact at N = 1, where the (T, 1)
-        # block's products coalesce into one 1-d loop and a point computed
-        # alone may round differently from the full scan
+        # candidate, and the refine recomputes the whole grid
         logn = np.log(np.array([float(n)]))
         ts = np.linspace(-100.0, 100.0, T)
         assert assert_grid_sup_bit_equal(logn, np.array([(2.5 - 1j) * n**-0.3]), ts) == T

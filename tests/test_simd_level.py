@@ -7,9 +7,12 @@ two must agree float.hex for float.hex.  The corpus holds the `eval` and
 `dynamics` golden replays, evaluate on both of its paths, the direct chunks
 of a complex rule's partial_sum (whose products numpy would fuse on an FMA
 CPU), the rate fit of ergodicity_diagnostic, the fit of check_growth, a
-log_index_array read from the log table, and two sums of nonnegative
-terms taken on arrays: normalized_power_norm's on an array orbit and
-seminorm's upper.
+log_index_array read from the log table, two sums of nonnegative terms
+taken on arrays (normalized_power_norm's on an array orbit and seminorm's
+upper), the boundary-grid kernel's maxima (seminorm's lower of a complex
+polynomial on its default two-sided grid and the bracket_sigma_u probes of
+a complex table_rule), boundary_values of a one-term polynomial, and
+summation_by_parts.
 numpy ignores the names of features a CPU lacks, so on such a CPU both
 sides run the same loops and the test passes trivially.
 """
@@ -28,6 +31,8 @@ from dirichlet_ops import (
     CoefficientRule,
     DirichletPolynomial,
     Multiplier,
+    boundary_values,
+    bracket_sigma_u,
     check_growth,
     derivative_multiplier,
     ergodicity_diagnostic,
@@ -37,6 +42,8 @@ from dirichlet_ops import (
     normalized_power_norm,
     partial_sum,
     seminorm,
+    summation_by_parts,
+    table_rule,
     truncate,
 )
 
@@ -79,6 +86,21 @@ def corpus() -> dict:
     norm = normalized_power_norm(derivative_multiplier(), orbit, 0.3, 40)
     out["normalized_power_norm on an array orbit"] = norm.hex()
     out["seminorm upper"] = seminorm(spread, 0.25, t_max=5.0).upper.hex()
+    # the boundary-grid kernel: products unfused, moduli by np.hypot
+    rng = np.random.default_rng(3)
+    idx = np.sort(rng.choice(np.arange(1, 601), 40, replace=False)).tolist()
+    f = DirichletPolynomial({n: complex(a, b) for n, a, b in zip(idx, rng.normal(size=40), rng.normal(size=40))})
+    out["seminorm lower on the default two-sided grid"] = seminorm(f, 0.25).lower.hex()
+    rng = np.random.default_rng(100)
+    idx = np.sort(rng.choice(np.arange(1, 301), 30, replace=False)).tolist()
+    rule = table_rule({n: complex(a, b) for n, a, b in zip(idx, rng.normal(size=30), rng.normal(size=30))})
+    out["bracket_sigma_u probes of a complex table"] = [p.sup_abs.hex() for p in
+                                                        bracket_sigma_u(rule, 300, [0.1, 0.5]).probes]
+    one = DirichletPolynomial({7: 0.3 - 1.7j})
+    out["boundary_values of one term"] = [_hex(z) for z in boundary_values(one, 0.45, np.linspace(-300.0, 250.0, 1110))]
+    rng = np.random.default_rng(200)
+    x, y = (rng.normal(size=5000) + 1j * rng.normal(size=5000) for _ in range(2))
+    out["summation_by_parts"] = _hex(summation_by_parts(x, y))
     return out
 
 
