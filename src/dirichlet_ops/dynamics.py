@@ -48,8 +48,8 @@ def power_apply(m: Multiplier, k: int, f: DirichletPolynomial) -> DirichletPolyn
     carries over to the power."""
     k = _validate_index(k, "iterate count")
     power = replace(m, symbol=lambda n: _number(m, n) ** k, label=f"{m.label}^{k}")
-    if m._array_symbol is not None and k <= _POWU_MAX:
-        _with_array_symbol(power, lambda g: _power(*m._array_symbol(g), k))
+    if (array_symbol := getattr(m.symbol, "_array_symbol", None)) is not None and k <= _POWU_MAX:
+        _with_array_symbol(power.symbol, lambda g: _power(*array_symbol(g), k))
     return apply(power, f)
 
 
@@ -96,8 +96,8 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
     From _ARRAY_MIN_TERMS terms on, for a multiplier with an array symbol,
     the same values as an _ArrayOrbit."""
     m.check_domain(f)
-    if m._array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
-        orbit = _array_orbit(m, f, epsilon)
+    if (array_symbol := getattr(m.symbol, "_array_symbol", None)) is not None and f.term_count >= _ARRAY_MIN_TERMS:
+        orbit = _array_orbit(array_symbol, f, epsilon)
         if orbit is not None:
             return orbit
     orbit = []
@@ -114,7 +114,7 @@ def _orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> list[tuple]
     return orbit
 
 
-def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _ArrayOrbit | None:
+def _array_orbit(array_symbol, f: DirichletPolynomial, epsilon: float) -> _ArrayOrbit | None:
     """_orbit's values on arrays, bit for bit: symbol(n) from the array
     symbol; np.hypot for the moduli (CPython's complex abs; np.abs is not);
     f's log_index_array and series._exp, which give math.log's and
@@ -126,7 +126,7 @@ def _array_orbit(m: Multiplier, f: DirichletPolynomial, epsilon: float) -> _Arra
         mod_a = np.hypot(a.real, a.imag)
     if np.isinf(mod_a).any():
         return None
-    gr, gi = m._array_symbol(f)
+    gr, gi = array_symbol(f)
     with np.errstate(over="ignore", invalid="ignore"):
         mod_g = np.hypot(gr, gi)
     if not np.isfinite(mod_g).all():

@@ -76,7 +76,7 @@ def _scalar_sum(f: DirichletPolynomial, s: complex) -> complex | None:
     then gives exp(0) = 1, and a zero term's sign cannot change a nonzero
     sum, nor a zero one, which numpy rounds to +0.0.  None, for the array
     path to decide, when a term's exponent leaves the range where cmath.exp
-    and numpy's exp agree, or when the sum is not finite."""
+    and numpy's exp agree or cmath.exp raises, or when the sum is not finite."""
     if f.is_zero:
         return 0j
     terms = _terms(f)
@@ -86,7 +86,10 @@ def _scalar_sum(f: DirichletPolynomial, s: complex) -> complex | None:
         return None
     else:
         ms = -s
-        xs = [a * cmath.exp(ms * math.log(n)) for n, a in terms]
+        try:
+            xs = [a * cmath.exp(ms * math.log(n)) for n, a in terms]
+        except ValueError:  # an exponent's imaginary part past double range
+            return None
     value = _pairwise_sum(xs)
     return value if cmath.isfinite(value) else None
 
@@ -350,9 +353,9 @@ _CHUNK = 1 << 16  # terms of a rule's values that partial_sum reads at once
 
 def _chunk_sums(rule: CoefficientRule, s: complex, N: int):
     """The sums that make up partial_sum's N terms, in stream order, from
-    the floor F = _floor(s'), s' = s + k for a rule described as
-    a_n = c[n mod p] n^(-k) (CoefficientRule), s for any other; but for any
-    other rule at s = 0, which saves no exp, F = N + 1.
+    the floor F = _floor(s'), s' = s + k for a rule whose values are
+    described as a_n = c[n mod p] n^(-k) (series._described), s for any
+    other; but for any other rule at s = 0, which saves no exp, F = N + 1.
 
     The terms go in chunks of _CHUNK, each summing lo..min(hi, F - 1)
     directly (_direct_sum) and, for a rule of values only, F..hi by Taylor
@@ -362,7 +365,7 @@ def _chunk_sums(rule: CoefficientRule, s: complex, N: int):
     while the next is built: freeing a whole chunk at once lets malloc
     return the heap top to the OS, and refaulting it made the Basel sum ~4x
     slower."""
-    c, k = rule._description or ((), 0)
+    c, k = getattr(rule.vectorized, "_description", None) or ((), 0)
     sk = s + k
     F = N + 1 if s == 0 and not c else _floor(sk)
     top = min(N, F - 1) if c else N
@@ -688,8 +691,9 @@ def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -
     which telescopes for monotone y.  Diagnostic, not a certificate:
     completion trusts the fitted decay of |x_n| past the probe window.
 
-    weight may be None for the trivial weight y_n = 1.  M must be an integer
-    with M + 2^16 <= 2^63 - 1, and epsilon must keep every probed x_n finite.
+    weight may be None for the trivial weight y_n = 1, else it must be
+    monotone on the whole probe window.  M must be an integer with
+    M + 2^16 <= 2^63 - 1, and epsilon must keep every probed x_n finite.
     """
     M = _validate_index(M, "tail start M")
     _validate_index(M + _PROBE, "tail probe end M + 2^16")
@@ -714,10 +718,10 @@ def tail_bound_monotone(rule: CoefficientRule, weight, M: int, epsilon: float) -
         if bad.any():
             i = int(np.argmax(bad))
             raise DomainError(f"weight must be finite, got {float(ys[i])!r} at n = {ns[i]}")
-        dy = np.diff(ys[:4096])
+        dy = np.diff(ys)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
         if not (np.all(dy >= -tol) or np.all(dy <= tol)):
-            raise DomainError(f"weight is not monotone on the checked window ({M + 1}..{M + 4096})")
+            raise DomainError(f"weight is not monotone on the probe window ({M + 1}..{M + _PROBE})")
 
     S = np.cumsum(xs)
     A = np.abs(S)

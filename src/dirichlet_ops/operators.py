@@ -88,19 +88,17 @@ class Multiplier(_Record):
     reject a finite value whose modulus alone passes double range; apply,
     which needs only finite products, accepts it.
 
-    `_array_symbol`, private, maps a polynomial to the real and imaginary
-    parts of complex(symbol(n)) at its indices, bit for bit; the built-ins
-    and the resolvent read its cached log_index_array.  apply and the orbit
-    norms of dynamics take it from series._ARRAY_MIN_TERMS terms on.
-    Only _with_array_symbol sets it, on the built-ins, the resolvent and
-    their power_apply iterates for k <= 100.  It takes no part in
-    construction, comparison or repr, so replace() drops it.
+    The symbols of the built-ins, the resolvent and their power_apply
+    iterates for k <= 100 carry a private array symbol
+    (_with_array_symbol), which apply and the orbit norms of dynamics take
+    from series._ARRAY_MIN_TERMS terms on.  Any multiplier that holds such
+    a symbol takes that path, whatever its label; a new symbol, a user's
+    own, is read term by term.
     """
 
     symbol: Callable[[int], complex]
     label: str
     requires_zero_constant: bool = False
-    _array_symbol: Callable[[DirichletPolynomial], tuple] | None = None
 
     def __init__(self, symbol: Callable[[int], complex], label: str, *, requires_zero_constant: bool = False):
         vars(self).update(symbol=symbol, label=label, requires_zero_constant=requires_zero_constant)
@@ -160,19 +158,21 @@ def _finite_value(m: Multiplier, n: int) -> complex:
     return g
 
 
-def _with_array_symbol(m: Multiplier, array_symbol: Callable[[DirichletPolynomial], tuple]) -> Multiplier:
-    """m, carrying array_symbol as its private _array_symbol."""
-    object.__setattr__(m, "_array_symbol", array_symbol)
-    return m
+def _with_array_symbol(symbol: Callable[[int], complex], array_symbol: Callable[[DirichletPolynomial], tuple]):
+    """symbol, carrying as its _array_symbol a map from a polynomial to the
+    real and imaginary parts of complex(symbol(n)) at its indices, bit for bit."""
+    symbol._array_symbol = array_symbol
+    return symbol
 
 
 # multipliers are immutable, so each built-in one is made once and shared
-_DERIVATIVE = _with_array_symbol(Multiplier(lambda n: -math.log(n), "derivative"),
-                                 lambda f: (-f.log_index_array(), np.zeros(f.term_count)))
-_INTEGRATION = _with_array_symbol(Multiplier(lambda n: -1.0 / math.log(n), "integration", requires_zero_constant=True),
-                                  lambda f: (-1.0 / f.log_index_array(), np.zeros(f.term_count)))
-_IDENTITY = _with_array_symbol(Multiplier(lambda n: 1.0, "identity"),
-                               lambda f: (np.ones(f.term_count), np.zeros(f.term_count)))
+_DERIVATIVE = Multiplier(_with_array_symbol(lambda n: -math.log(n),
+                                            lambda f: (-f.log_index_array(), np.zeros(f.term_count))), "derivative")
+_INTEGRATION = Multiplier(_with_array_symbol(lambda n: -1.0 / math.log(n),
+                                             lambda f: (-1.0 / f.log_index_array(), np.zeros(f.term_count))),
+                          "integration", requires_zero_constant=True)
+_IDENTITY = Multiplier(_with_array_symbol(lambda n: 1.0, lambda f: (np.ones(f.term_count), np.zeros(f.term_count))),
+                       "identity")
 
 
 def derivative_multiplier() -> Multiplier:
@@ -268,7 +268,7 @@ def apply(m: Multiplier, f: DirichletPolynomial) -> DirichletPolynomial:
     forms the same products on arrays, bit for bit; anything non-finite
     there reruns the scalar path, which raises the error."""
     m.check_domain(f)
-    array_symbol = m._array_symbol
+    array_symbol = getattr(m.symbol, "_array_symbol", None)
     if array_symbol is not None and f.term_count >= _ARRAY_MIN_TERMS:
         a = f.coefficient_array()
         out = np.empty(a.size, dtype=np.complex128)

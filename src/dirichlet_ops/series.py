@@ -781,35 +781,38 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
             else complex(_fsum([p.real for p in q]), _fsum([p.imag for p in q]))
             for q in map(buckets.__getitem__, keys)
         ])
-    fc, gc = f.coefficient_array(), g.coefficient_array()
-    idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
-    shift = pairs.bit_length()
-    if f.max_index * g.max_index < 1 << (63 - shift):
-        # index and pair position packed in one int64 key: np.sort of it
-        # breaks even with argsort and a gather near 400 pairs, and takes 1.3
-        # ms against 2.3 at 90,000; at 121 pairs it costs ~2.5 us more
-        # (2-core x86-64, numpy 2.4.6)
-        key = np.sort((idx << shift) | np.arange(pairs))
-        idx, order = key >> shift, key & ((1 << shift) - 1)
-    else:
-        order = np.argsort(idx, kind="quicksort")
-        idx = idx.take(order)
-    bounds = np.concatenate(([True], idx[1:] != idx[:-1], [True])).nonzero()[0]
-    starts = bounds[:-1]
-    length = bounds[1:] - starts
-    big = (length >= 3).nonzero()[0]
-    # each pair's product as its (real, imaginary) row, gathered once in
-    # bucket order
-    prods = np.empty((fc.size, gc.size, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply.outer(fc.real, gc.real, out=prods[..., 0])
-        prods[..., 0] -= np.multiply.outer(fc.imag, gc.imag)
-        np.multiply.outer(fc.real, gc.imag, out=prods[..., 1])
-        prods[..., 1] += np.multiply.outer(fc.imag, gc.real)
-        prods = prods.reshape(pairs, 2).take(order, axis=0)
-        sums = _gathered_sums(prods, starts, length)
-    if big.size:
-        sums[big] = _bucket_sums(prods, starts[big], bounds[big + 1], order)
+    try:  # no cap: every product that fits in memory runs
+        fc, gc = f.coefficient_array(), g.coefficient_array()
+        idx = np.multiply.outer(f.index_array(), g.index_array()).ravel()
+        shift = pairs.bit_length()
+        if f.max_index * g.max_index < 1 << (63 - shift):
+            # index and pair position packed in one int64 key: np.sort of it
+            # breaks even with argsort and a gather near 400 pairs, and takes 1.3
+            # ms against 2.3 at 90,000; at 121 pairs it costs ~2.5 us more
+            # (2-core x86-64, numpy 2.4.6)
+            key = np.sort((idx << shift) | np.arange(pairs))
+            idx, order = key >> shift, key & ((1 << shift) - 1)
+        else:
+            order = np.argsort(idx, kind="quicksort")
+            idx = idx.take(order)
+        bounds = np.concatenate(([True], idx[1:] != idx[:-1], [True])).nonzero()[0]
+        starts = bounds[:-1]
+        length = bounds[1:] - starts
+        big = (length >= 3).nonzero()[0]
+        # each pair's product as its (real, imaginary) row, gathered once in
+        # bucket order
+        prods = np.empty((fc.size, gc.size, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.outer(fc.real, gc.real, out=prods[..., 0])
+            prods[..., 0] -= np.multiply.outer(fc.imag, gc.imag)
+            np.multiply.outer(fc.real, gc.imag, out=prods[..., 1])
+            prods[..., 1] += np.multiply.outer(fc.imag, gc.real)
+            prods = prods.reshape(pairs, 2).take(order, axis=0)
+            sums = _gathered_sums(prods, starts, length)
+        if big.size:
+            sums[big] = _bucket_sums(prods, starts[big], bounds[big + 1], order)
+    except MemoryError:
+        raise DomainError(f"{f.term_count} x {g.term_count} terms: {pairs} pairs do not fit in memory") from None
     return _normal(idx[starts], sums.view(np.complex128).reshape(-1))
 
 
@@ -848,12 +851,12 @@ class _Record:
     with their defaults>) storing each, so Python binds each call and words
     each TypeError as for a dataclass's generated __init__.  == (between
     instances of one class), hash and repr take the fields in order, and
-    assigning or deleting any attribute raises AttributeError.  Private
-    annotations are speed hints with a class default: no construction,
-    comparison or repr sees them, so replace() drops them.  A subclass may
-    leave fields out of == and hash (`_uncompared`) or write its own
-    __init__ (a keyword-only field, or validation), storing the fields
-    through vars(self).  A record class cannot be subclassed (TypeError).
+    assigning or deleting any attribute raises AttributeError: a record holds
+    its fields alone, and a speed hint rides on the function it describes
+    (_described, operators._with_array_symbol).  A subclass may leave fields
+    out of == and hash (`_uncompared`) or write its own __init__ (a
+    keyword-only field, or validation), storing the fields through
+    vars(self).  A record class cannot be subclassed (TypeError).
     """
 
     _uncompared = ()
@@ -861,7 +864,7 @@ class _Record:
     def __init_subclass__(cls):
         if any(base is not _Record and issubclass(base, _Record) for base in cls.__bases__):
             raise TypeError(f"{cls.__qualname__} cannot subclass a record class")
-        cls._fields = tuple(name for name in cls.__dict__.get("__annotations__", ()) if not name.startswith("_"))
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._key = itemgetter(*(name for name in cls._fields if name not in cls._uncompared))
 
     def __init__(self, *args, **kwargs):
@@ -871,12 +874,12 @@ class _Record:
         cls = type(self)
         fields = cls._fields
         params = "".join(f", {name}=_defaults[{name!r}]" if name in cls.__dict__ else f", {name}" for name in fields)
-        # one store a field (a field is public, so never _dict): 0.87 us for
-        # 8 fields, 6 given by keyword, where one dict.update took 1.03
-        # (2-core x86-64, Python 3.11)
-        stores = "".join(f"\n    _dict[{name!r}] = {name}" for name in fields)
+        # one store a field, into __dict, which no field can be named (a
+        # class body mangles it): 0.87 us for 8 fields, 6 given by keyword,
+        # where one dict.update took 1.03 (2-core x86-64, Python 3.11)
+        stores = "".join(f"\n    __dict[{name!r}] = {name}" for name in fields)
         namespace = {"_defaults": cls.__dict__}
-        exec(f"def __init__(self{params}):\n    _dict = self.__dict__{stores}\n", namespace)
+        exec(f"def __init__(self{params}):\n    __dict = self.__dict__{stores}\n", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
@@ -903,9 +906,8 @@ class _Record:
 
 def replace(record: _Record, /, **changes) -> _Record:
     """A new record of record's type, its fields changed as given: the
-    frozen records' way to a changed copy.  Like any construction it
-    carries none of the private hints; a name that is not a field raises
-    TypeError."""
+    frozen records' way to a changed copy, which behaves as any record of
+    the same fields does; a name that is not a field raises TypeError."""
     fields = {name: getattr(record, name) for name in record._fields}
     fields.update(changes)
     return type(record)(**fields)
@@ -941,19 +943,15 @@ class CoefficientRule(_Record):
     `known_abscissas` is reference metadata consumed only by tests, never
     by the estimators themselves.
 
-    `_description`, private, is (c, k) when a_n = c[n mod p] n^(-k) with
-    p = len(c) dividing 64: at every s, partial_sum sums the rule's terms
-    from the floor of s + k on as one Euler-Maclaurin sum over the classes
-    mod p (a count at s + k = 0), never calling `vectorized` there.  Only
-    ones_rule, eta_rule and zeta_shift_rule set it.  It takes no part in
-    construction, comparison or repr, so a user's rule, whatever its tag,
-    and a replace() copy of a built-in carry None.
+    The `vectorized` functions of ones_rule, eta_rule and zeta_shift_rule
+    carry a private description (_described): partial_sum sums their terms
+    from the floor of s + k on as one Euler-Maclaurin sum, calling no
+    `vectorized` there, in any rule that holds one, whatever its tag.
     """
 
     tag: str
     vectorized: Callable[[np.ndarray], np.ndarray]
     known_abscissas: Mapping[str, float] | None = None
-    _description: tuple[tuple[float, ...], int] | None = None
 
     def __call__(self, n: int) -> complex:
         return complex(self.values([_validate_index(n)])[0])
@@ -975,31 +973,30 @@ class CoefficientRule(_Record):
         return out.astype(np.float64) if out.dtype.kind in "iu" else out
 
 
-def _described(rule: CoefficientRule, c: tuple[float, ...], k: int) -> CoefficientRule:
-    """rule, carrying the description a_n = c[n mod len(c)] n^(-k)."""
-    object.__setattr__(rule, "_description", (c, k))
-    return rule
+def _described(values: Callable, c: tuple[float, ...], k: int) -> Callable:
+    """values, a rule's `vectorized` function of a_n = c[n mod p] n^(-k)
+    with p = len(c) dividing 64, carrying (c, k) as its _description."""
+    values._description = (c, k)
+    return values
 
 
 def ones_rule() -> CoefficientRule:
     """a_n = 1 for all n (the canonical boundary-line divergence witness)."""
-    rule = CoefficientRule(
+    return CoefficientRule(
         tag="ones",
-        vectorized=lambda ns: np.ones(ns.shape, dtype=np.float64),
+        vectorized=_described(lambda ns: np.ones(ns.shape, dtype=np.float64), (1.0,), 0),
         known_abscissas={"sigma_c": 1.0, "sigma_a": 1.0},
     )
-    return _described(rule, (1.0,), 0)
 
 
 def eta_rule() -> CoefficientRule:
     """Alternating signs a_n = (-1)^(n+1); converges strictly left of its
     absolute-convergence line, which separates the two abscissas."""
-    rule = CoefficientRule(
+    return CoefficientRule(
         tag="eta",
-        vectorized=lambda ns: np.where((ns & 1) == 1, 1.0, -1.0),
+        vectorized=_described(lambda ns: np.where((ns & 1) == 1, 1.0, -1.0), (-1.0, 1.0), 0),
         known_abscissas={"sigma_c": 0.0, "sigma_u": 1.0, "sigma_a": 1.0},
     )
-    return _described(rule, (-1.0, 1.0), 0)
 
 
 def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
@@ -1018,12 +1015,11 @@ def _inv_power(nf: np.ndarray, k: int) -> np.ndarray:
 def zeta_shift_rule(k: int) -> CoefficientRule:
     """a_n = n^(-k) for an integer k >= 0; both abscissas sit at 1 - k."""
     k = _validate_index(k, "zeta_shift exponent", 0)
-    rule = CoefficientRule(
+    return CoefficientRule(
         tag=f"zeta_shift({k})",
-        vectorized=lambda ns: _inv_power(ns.astype(np.float64), k),
+        vectorized=_described(lambda ns: _inv_power(ns.astype(np.float64), k), (1.0,), k),
         known_abscissas={"sigma_c": 1.0 - k, "sigma_a": 1.0 - k},
     )
-    return _described(rule, (1.0,), k)
 
 
 # (cofactor, divisor) pairs one trial-division pass may test at once, and the

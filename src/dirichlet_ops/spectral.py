@@ -196,10 +196,9 @@ def resolvent_apply(lmbda, f: DirichletPolynomial, space: str) -> DirichletPolyn
         )
     # log 1 = 0, so the n = 1 entry of this symbol is the b_1 / lambda term;
     # the array symbol adds as float + complex does, imaginary part 0.0 + Im lambda
-    resolvent = Multiplier(lambda n: 1.0 / (math.log(n) + lam), f"{space} resolvent",
-                           requires_zero_constant=space == ZERO_SUBSPACE)
-    _with_array_symbol(resolvent, lambda g: _reciprocal(g.log_index_array() + lam.real, 0.0 + lam.imag))
-    return apply(resolvent, f)
+    symbol = _with_array_symbol(lambda n: 1.0 / (math.log(n) + lam),
+                                lambda g: _reciprocal(g.log_index_array() + lam.real, 0.0 + lam.imag))
+    return apply(Multiplier(symbol, f"{space} resolvent", requires_zero_constant=space == ZERO_SUBSPACE), f)
 
 
 class VariationReport(_Record):

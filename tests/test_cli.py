@@ -156,6 +156,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "t_max" in err and "points" in err
 
+    @pytest.mark.parametrize("s", ["0,1e308", "0,-1e308"])
+    def test_eval_past_the_imaginary_range_is_two(self, capsys, s):
+        # the scalar path's cmath.exp raised ValueError, a traceback and exit 1
+        series = '[{"n":2,"re":1},{"n":100000,"re":0.5}]'
+        code, out, err = run_cli(capsys, ["eval", "--series", series, "--s", s])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: f(s) at s = ") and "overflows double precision" in err
+
     def test_usage_error_is_one(self, capsys):
         code, _, _ = run_cli(capsys, ["eval", "--series", POLY_2])  # --s missing
         assert code == 1

@@ -559,20 +559,27 @@ class TestTaylorBlocks:
             assert parts[-1] == evaluation._euler_maclaurin((-1.0, 1.0), s, 7683, N, bound=False)[0]
 
     def test_only_built_in_descriptions_take_euler_maclaurin(self, paths):
-        # a user's rule tagged "eta", and a replaced built-in, carry no
-        # description: their terms past the floor F take the values' blocks
+        # a user's rule tagged "eta", and a built-in given a new function,
+        # carry no description: their terms past the floor F take the
+        # values' blocks.  A rule holding eta's function, whatever its tag,
+        # and a replace() copy of eta take eta's path and bits
         s = 0.5 + 14j
         F = evaluation._floor(s)
-        want = partial_sum(eta_rule(), s, 3 * 2**16)
+        eta = eta_rule()
+        want = partial_sum(eta, s, 3 * 2**16)
         assert paths == [("direct", 1), ("em", F)]
         paths.clear()
-        for rule in (CoefficientRule("eta", eta_rule().vectorized),
-                     replace(eta_rule(), vectorized=eta_rule().vectorized)):
-            assert rule._description is None
+        for rule in (CoefficientRule("eta", lambda ns: eta.vectorized(ns)),
+                     replace(eta, vectorized=lambda ns: eta.vectorized(ns))):
+            assert getattr(rule.vectorized, "_description", None) is None
             assert partial_sum(rule, s, 3 * 2**16) == pytest.approx(want, rel=1e-13)
         paths.sort(key=lambda path: path[1])
         assert paths == [("direct", 1)] * 2 + [("blocks", F)] * 2 + [("blocks", 2**16 + 1)] * 2 + [
             ("blocks", 2**17 + 1)] * 2
+        paths.clear()
+        for rule in (CoefficientRule("x", eta.vectorized), replace(eta), replace(eta, tag="eta2")):
+            assert partial_sum(rule, s, 3 * 2**16) == want
+        assert paths == [("direct", 1), ("em", F)] * 3
 
     @settings(max_examples=25)
     @given(name=st.sampled_from(sorted(DESCRIBED)), re=st.floats(-0.5, 2.5),
@@ -587,7 +594,7 @@ class TestTaylorBlocks:
         for each sum the stream adds.  The direct chunks tile 1..F-1 and the
         one Euler-Maclaurin sum F..N; at real s the sum is real."""
         rule = DESCRIBED[name]
-        c, k = rule._description
+        c, k = rule.vectorized._description
         s = complex(re, im)
         sk = s + k
         # mpmath's Hurwitz zeta divides by zero for |s| below ~1e-50
@@ -636,7 +643,7 @@ class TestTaylorBlocks:
         count is a double's integer, and zeta_shift(k) at -k is N to rounding
         even for N = 2^62."""
         rule = DESCRIBED[name]
-        c, k = rule._description
+        c, k = rule.vectorized._description
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "_CHUNK", chunk)
             got = partial_sum(rule, -k, N)
@@ -663,18 +670,34 @@ class TestTaylorBlocks:
         # terms are the kernel's, at every s, s' = 0 among them, so the
         # values read tile 1..min(N, F - 1) and none is at F or past it
         rule = DESCRIBED[name]
-        c, k = rule._description
+        c, k = rule.vectorized._description
         F = evaluation._floor(s + k)
         N = F + extra - 2048
         read = []
-        spy = series._described(
-            CoefficientRule(rule.tag, lambda ns: read.append((int(ns[0]), int(ns[-1]))) or rule.vectorized(ns)), c, k)
+        spy = CoefficientRule(rule.tag, series._described(
+            lambda ns: read.append((int(ns[0]), int(ns[-1]))) or rule.vectorized(ns), c, k))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "_CHUNK", chunk)
             got = partial_sum(spy, s, N)
             assert got == partial_sum(rule, s, N)
         assert [lo for lo, _ in read] == list(range(1, min(N, F - 1) + 1, chunk))
         assert read[-1][1] == min(N, F - 1)
+
+    def test_a_replaced_built_in_keeps_its_path_and_bits(self):
+        # replace() keeps the rule's function and so its description: the
+        # copy sums eta's 2^22 terms with eta's bits, and reads no value at
+        # the floor or past it
+        s, N = 0.5 + 14j, 2**22
+        F = evaluation._floor(s)
+        eta, read = eta_rule(), []
+        spy = CoefficientRule("eta", series._described(
+            lambda ns: read.append((int(ns[0]), int(ns[-1]))) or eta.vectorized(ns), *eta.vectorized._description))
+        want = partial_sum(eta, s, N)
+        for rule in (replace(eta_rule()), replace(spy), replace(spy, tag="copy")):
+            got = partial_sum(rule, s, N)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert read and max(hi for _, hi in read) == F - 1
+        assert [lo for lo, _ in read] == list(range(1, F, evaluation._CHUNK)) * 2
 
     @given(r=st.floats(-9.0, 12.0), angle=st.floats(-math.pi, math.pi),
            times=st.one_of(st.sampled_from([1, 2, 10]), st.floats(1.0, 2.0**20)), step=st.integers(0, 1))
@@ -805,6 +828,19 @@ class TestTailBounds:
     def test_monotone_weight_violation_detected(self):
         with pytest.raises(DomainError):
             tail_bound_monotone(eta_rule(), lambda n: (-1.0) ** n, 100, 0.5)
+
+    def test_monotone_check_covers_the_probe_window(self):
+        # monotone on the first 4096 terms past M, then 1/n or 2/n by parity:
+        # the whole window is read, so the whole window is checked (a check
+        # of the first 4096 alone certified 9.85e-4 here, where the weighted
+        # partial tail sums reach 1.28)
+        M = 1024
+
+        def weight(n):
+            return 1.0 / n if n <= M + 4096 or n % 2 else 2.0 / n
+
+        with pytest.raises(DomainError, match=rf"not monotone on the probe window \({M + 1}\.\.{M + 2**16}\)"):
+            tail_bound_monotone(eta_rule(), weight, M, 0.0)
 
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_named(self, w):

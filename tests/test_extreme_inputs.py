@@ -149,6 +149,17 @@ REPRODUCERS = [
 ]
 
 
+@pytest.mark.parametrize("terms", [95, 96])
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_evaluate_past_the_imaginary_range(terms, t):
+    # s log n's imaginary part overflows: the scalar path (below 96 terms)
+    # leaked cmath.exp's ValueError where the array path names the overflow
+    f = DirichletPolynomial({**{n: 1.0 for n in range(2, terms + 1)}, 100000: 0.5})
+    assert f.term_count == terms
+    with pytest.raises(DomainError, match=r"^f\(s\) at s = -?1e\+308j overflows double precision"):
+        evaluate(f, complex(0.0, t))
+
+
 @pytest.mark.parametrize("call, match", REPRODUCERS)
 def test_undecidable_input_raises_domain_error(call, match):
     with pytest.raises(DomainError, match=match):

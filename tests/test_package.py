@@ -499,9 +499,9 @@ def _tag_reads(tree):
 
 
 def test_no_path_keys_on_a_rule_tag():
-    # partial_sum's Euler-Maclaurin sums follow a rule's private description,
-    # which only the built-in constructors set, never its tag: a user's rule
-    # tagged "eta" must take the generic path
+    # partial_sum's Euler-Maclaurin sums follow the private description on
+    # a rule's function, which only the built-in constructors set, never its
+    # tag: a user's rule tagged "eta" must take the generic path
     reads = []
     for path in sorted(Path(dirichlet_ops.__file__).parent.glob("*.py")):
         reads += [f"{path.name}:{line}" for line in _tag_reads(ast.parse(path.read_text()))]
@@ -558,7 +558,9 @@ def test_floor_guard_sees_each_copy():
     assert list(_floor_reads(ast.parse("def _floor(s):\n    return math.ceil(_FLOOR * (abs(s) + 16))\n"))) == []
 
 
-# each private speed hint and the one function that may write it
+# each private speed hint and the one function that may write it: each
+# rides on the function it describes (a multiplier's symbol, a rule's
+# vectorized), never on a record
 HINT_OWNERS = {"_description": "_described", "_array_symbol": "_with_array_symbol"}
 
 
@@ -566,7 +568,9 @@ def _hint_writes(tree):
     """Lines that write a hint of HINT_OWNERS outside its owner: an
     attribute assignment, a setattr or __setattr__ naming it, or a keyword
     of that name (replace, a constructor), spelled out or as a constant key
-    of a dict unpacked into the call."""
+    of a dict unpacked into the call; and every call of an __setattr__ by
+    attribute (object.__setattr__), the one way to write a frozen record
+    after its construction, in any function."""
     owned = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
              for sub in ast.walk(node)}
     for node in ast.walk(tree):
@@ -574,12 +578,15 @@ def _hint_writes(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
             hints = [node.attr]
         elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__":
+                yield node.lineno
+                continue
             hints = [keyword.arg for keyword in node.keywords]
             unpacked = [keyword.value for keyword in node.keywords if keyword.arg is None]
             hints += [key.value for value in unpacked if isinstance(value, ast.Dict)
                       for key in value.keys if isinstance(key, ast.Constant)]
             name = getattr(node.func, "attr", getattr(node.func, "id", ""))
-            if name in ("setattr", "__setattr__") and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            if name == "setattr" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
                 hints.append(node.args[1].value)
         if any(hint in HINT_OWNERS and owned.get(id(node)) != HINT_OWNERS[hint] for hint in hints):
             yield node.lineno
@@ -587,8 +594,9 @@ def _hint_writes(tree):
 
 def test_hints_have_one_writer_each():
     # the array symbol and the description are speed hints the package
-    # attaches to what it built; written anywhere else, a hint could
-    # outlive the symbol or the values it stands for
+    # attaches to the functions it built; written anywhere else, a hint
+    # could outlive the symbol or the values it stands for.  No record is
+    # written after its construction, so none carries state beside its fields
     writes = []
     for path in [*Path(dirichlet_ops.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
         writes += [f"{path.name}:{line}" for line in _hint_writes(ast.parse(path.read_text()))]
@@ -607,13 +615,22 @@ def test_hint_guard_sees_each_write():
         "m = series.replace(D, **{'_array_symbol': fn})\n",
         "m = Multiplier(f, 'x', _array_symbol=fn)\n",
         "m._array_symbol = fn\n",
+        "m.symbol._array_symbol = fn\n",
+        "rule.vectorized._description = ((1.0,), 0)\n",
+        "def _described(m, fn):\n    m._array_symbol = fn\n",
         "def _described(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
+        # a record written after construction, whatever the name, wherever
+        "object.__setattr__(record, 'label', 'd')\n",
+        "def _with_array_symbol(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
+        "def _described(rule, c, k):\n    object.__setattr__(rule, '_description', (c, k))\n",
+        "super().__setattr__('x', 1)\n",
     )
     for source in flagged:
         assert list(_hint_writes(ast.parse(source))) != [], source
-    owned = ("def _with_array_symbol(m, fn):\n    object.__setattr__(m, '_array_symbol', fn)\n",
-             "def _described(rule, c, k):\n    object.__setattr__(rule, '_description', (c, k))\n",
-             "fn = m._array_symbol\nc, k = rule._description or ((), 0)\n",
+    owned = ("def _with_array_symbol(symbol, fn):\n    symbol._array_symbol = fn\n    return symbol\n",
+             "def _described(values, c, k):\n    values._description = (c, k)\n    return values\n",
+             "fn = getattr(m.symbol, '_array_symbol', None)\nc, k = rule.vectorized._description or ((), 0)\n",
+             "class R:\n    def __setattr__(self, name, value):\n        raise AttributeError(name)\n",
              "m = replace(D, label='d', **{'symbol': f})\n",
              "rule = CoefficientRule('x', f, known_abscissas={'_description': 0.0})\n")
     for source in owned:

@@ -90,7 +90,6 @@ class Multiplier:
     symbol: Callable[[int], complex]
     label: str
     requires_zero_constant: bool = field(default=False, kw_only=True)
-    _array_symbol: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,6 @@ class CoefficientRule:
     tag: str
     vectorized: Callable
     known_abscissas: Mapping[str, float] | None = None
-    _description: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -371,27 +369,64 @@ def test_replace_matches_dataclasses_replace(name):
         replace(ours, bogus=1)
 
 
-def test_replace_drops_the_private_hints():
-    # a hint stands for the values it was attached with: a copy through
-    # replace, changed or not, is built afresh and carries none
+def test_replace_keeps_the_hints_on_the_function():
+    # a hint rides on the function it describes, never on the record: a copy
+    # through replace, changed or not, holds the same function, so the same
+    # hint, and the record holds its fields alone
     D, eta = derivative_multiplier(), eta_rule()
-    assert D._array_symbol is not None and eta._description is not None
+    array_symbol, description = D.symbol._array_symbol, eta.vectorized._description
+    assert array_symbol is not None and description is not None
     for copy_ in (replace(D), replace(D, label="d")):
-        assert copy_._array_symbol is None
+        assert copy_.symbol._array_symbol is array_symbol
     for copy_ in (replace(eta), replace(eta, tag="eta2")):
-        assert copy_._description is None
+        assert copy_.vectorized._description == description
     assert replace(D) == D and hash(replace(D)) == hash(D)
     assert replace(eta) == eta  # no hash: its known_abscissas is a dict
     for record, hint in ((D, "_array_symbol"), (eta, "_description")):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{hint}'"):
             replace(record, **{hint: None})
-        assert hint not in repr(record)
+        assert hint not in repr(record) and hint not in vars(record)
 
 
 def test_copy_keeps_the_hints_as_before():
     # copy.copy and deepcopy copy the instance dict, as they did for the
-    # dataclasses: the hints ride along, since the symbol rides along too
+    # dataclasses, and neither copies a function: the hints ride along on it
     D, eta = derivative_multiplier(), eta_rule()
     for dup in (copy.copy, copy.deepcopy):
-        assert dup(D) == D and dup(D)._array_symbol is not None
-        assert dup(eta) == eta and dup(eta)._description == eta._description
+        assert dup(D) == D and dup(D).symbol._array_symbol is not None
+        assert dup(eta) == eta and dup(eta).vectorized._description == eta.vectorized._description
+
+
+def test_records_hold_their_fields_alone():
+    # no record the public API returns carries state beside its fields, so
+    # equal records behave alike: one of each type, each built-in rule and
+    # multiplier (HalfPlanePoint, which no call returns, as a user builds it),
+    # and a replace() copy of each
+    f, D = DirichletPolynomial({n: 1.0 / n for n in range(2, 120)}), derivative_multiplier()
+    abscissa, estimate = dirichlet_ops.bracket_sigma_u(eta_rule(), 200, (0.5,)), dirichlet_ops.seminorm(f, 0.5)
+    records = [D, dirichlet_ops.integration_multiplier(), dirichlet_ops.identity_multiplier(),
+               dirichlet_ops.compose(D, D), dirichlet_ops.ones_rule(), eta_rule(), dirichlet_ops.zeta_shift_rule(2),
+               dirichlet_ops.moebius_rule(), dirichlet_ops.table_rule({1: 1.0}), abscissa, abscissa.sigma_c,
+               abscissa.probes[0], dirichlet_ops.ergodicity_diagnostic(D, f, 0.5, 10),
+               dirichlet_ops.tail_bound_monotone(eta_rule(), None, 1024, 0.5), estimate, estimate.grid,
+               dirichlet_ops.check_growth(D), dirichlet_ops.HalfPlanePoint(0.5, 1.0),
+               dirichlet_ops.classify_point(-math.log(2), "full"), dirichlet_ops.bv_check(1 + 1j, 0.5, 1000),
+               dirichlet_ops.reciprocal_spectrum_check(0.4 - 1.2j), dirichlet_ops.volterra_identity_check(f)]
+    assert {type(record).__name__ for record in records} == set(NAMES)
+    for record in [*records, *map(replace, records)]:
+        assert set(vars(record)) == set(type(record)._fields), record
+
+
+def test_every_annotation_is_a_field():
+    # a private annotation is a field like any other, and none shares a
+    # name with the compiled __init__'s locals
+    class Private(_Record):
+        _dict: int
+        _defaults: int = 2
+
+    record = Private(1)
+    assert Private._fields == ("_dict", "_defaults")
+    assert vars(record) == {"_dict": 1, "_defaults": 2}
+    assert record == Private(1, 2) and record != Private(1, 3)
+    assert repr(record).endswith("Private(_dict=1, _defaults=2)")
+    assert replace(record, _dict=4) == Private(4)

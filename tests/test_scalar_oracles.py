@@ -1360,8 +1360,8 @@ class TestArrayPath:
     def test_user_symbols_take_the_scalar_path(self):
         f = truncate(eta_rule(), 300)
         D = derivative_multiplier()
-        for m in (Multiplier(D.symbol, "user"), compose(D, identity_multiplier())):
-            assert m._array_symbol is None
+        for m in (Multiplier(lambda n: D.symbol(n), "user"), compose(D, identity_multiplier())):
+            assert getattr(m.symbol, "_array_symbol", None) is None
             assert bits(apply(m, f)) == bits(legacy_apply(D, f))
 
     def test_array_symbol_taken_from_the_crossover_on(self, monkeypatch):
@@ -1369,19 +1369,24 @@ class TestArrayPath:
         def refuse(n):
             raise ZeroDivisionError("scalar symbol read")
 
-        m = operators._with_array_symbol(Multiplier(refuse, "arrays only"), derivative_multiplier()._array_symbol)
+        m = Multiplier(operators._with_array_symbol(refuse, derivative_multiplier().symbol._array_symbol),
+                       "arrays only")
         monkeypatch.setattr(operators, "_ARRAY_MIN_TERMS", 96)
         f = truncate(eta_rule(), 96)
         assert bits(apply(m, f)) == bits(legacy_apply(derivative_multiplier(), f))
+        # a copy under a new label holds the same symbol, so its array symbol
+        assert bits(apply(replace(m, label="x"), f)) == bits(apply(m, f))
         with pytest.raises(ZeroDivisionError):
             apply(m, truncate(eta_rule(), 95))
 
     def test_array_symbol_left_out_of_equality(self):
+        # the array symbol rides on the symbol, not on the record: a copy
+        # holds the same symbol, so it keeps the array symbol and compares equal
         D = derivative_multiplier()
-        assert replace(D)._array_symbol is None
+        assert replace(D).symbol._array_symbol is D.symbol._array_symbol
         assert replace(D) == D
         assert hash(replace(D)) == hash(D)
-        assert "_array_symbol" not in repr(D)
+        assert "_array_symbol" not in repr(D) and "_array_symbol" not in vars(D)
 
 
 @pytest.mark.parametrize("k", [1, 5, 40])
@@ -1400,7 +1405,7 @@ def test_replace_drops_the_array_symbol():
     # a replaced built-in carries no array symbol, so past the crossover its
     # products follow the new symbol (2), not the derivative's -log n
     m = replace(derivative_multiplier(), symbol=lambda n: 2.0, label="two")
-    assert m._array_symbol is None
+    assert getattr(m.symbol, "_array_symbol", None) is None
     f = truncate(ones_rule(), 200)
     assert f.term_count >= operators._ARRAY_MIN_TERMS
     assert [(n, a) for n, a in apply(m, f).items()] == [(n, 2 * a) for n, a in f.items()]
@@ -1583,10 +1588,10 @@ class TestLogCarrier:
     def test_dropped_terms_are_gathered_out(self):
         f = truncate(table_rule({n: 1.0 for n in range(1, 200)}), 199)
         f.log_index_array()
-        m = operators._with_array_symbol(
-            Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0, "zero at 3 | n"),
+        m = Multiplier(operators._with_array_symbol(
+            lambda n: 0.0 if n % 3 == 0 else 2.0,
             lambda g: (np.where(g.index_array() % 3 == 0, 0.0, 2.0), np.zeros(g.term_count)),
-        )
+        ), "zero at 3 | n")
         g = apply(m, f)
         assert g.index_array().tolist() == [n for n in range(1, 200) if n % 3]
         assert g._logn.tobytes() == series._log(g.index_array()).tobytes()
@@ -1766,11 +1771,12 @@ def took_log_space(m, f, k):
 # user symbols, which have no array symbol, keep the loop: m(n) is read per term
 USER_COMPLEX = Multiplier(lambda n: complex(1.5, -1.0 / n), "user complex")
 USER_WITH_ZEROS = Multiplier(lambda n: 0.0 if n % 3 == 0 else 2.0 + 1e-3 * n, "user with zeros")
-# the same symbol with an array symbol: the array orbit drops its zeros past n = 1
-ARRAY_WITH_ZEROS = operators._with_array_symbol(
-    replace(USER_WITH_ZEROS, label="array with zeros"),
+# the same values from a symbol with an array symbol: the array orbit drops
+# its zeros past n = 1
+ARRAY_WITH_ZEROS = Multiplier(operators._with_array_symbol(
+    lambda n: USER_WITH_ZEROS.symbol(n),
     lambda f: (np.where(f.index_array() % 3 == 0, 0.0, 2.0 + 1e-3 * f.index_array()), np.zeros(f.term_count)),
-)
+), "array with zeros")
 ORBIT_MULTIPLIERS = (*BUILT_IN, USER_COMPLEX, USER_WITH_ZEROS, ARRAY_WITH_ZEROS)
 
 
@@ -1843,11 +1849,11 @@ class TestArrayOrbit:
         # the array symbol gives the bad value at n = 77, as the scalar one does
         D = derivative_multiplier()
         bad = complex(bad)
-        m = operators._with_array_symbol(
-            Multiplier(lambda n: bad if n == 77 else -math.log(n), "bad at 77"),
-            lambda g: (np.where(g.index_array() == 77, bad.real, D._array_symbol(g)[0]),
+        m = Multiplier(operators._with_array_symbol(
+            lambda n: bad if n == 77 else -math.log(n),
+            lambda g: (np.where(g.index_array() == 77, bad.real, D.symbol._array_symbol(g)[0]),
                        np.where(g.index_array() == 77, bad.imag, 0.0)),
-        )
+        ), "bad at 77")
         f = truncate(eta_rule(), 200)
         got, want = norm_outcomes(m, f, 0.5, [1, 40])
         assert got == want
@@ -1903,4 +1909,4 @@ class TestPathSelection:
         assert isinstance(dynamics._orbit(D, small, 0.5), list)
         assert isinstance(dynamics._orbit(D, bulk, 0.5), dynamics._ArrayOrbit)
         # a user symbol keeps the loop at any size
-        assert isinstance(dynamics._orbit(Multiplier(D.symbol, "user"), bulk, 0.5), list)
+        assert isinstance(dynamics._orbit(Multiplier(lambda n: D.symbol(n), "user"), bulk, 0.5), list)

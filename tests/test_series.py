@@ -250,6 +250,26 @@ class TestConvolution:
         for poly in (add(f, g), dirichlet_multiply(f, g), scale(2.5, f)):
             assert all(a != 0 for _, a in poly.items())
 
+    def test_product_past_memory_raises_domain_error(self, monkeypatch):
+        # the square of a 45,080-term polynomial asks numpy for 15.1 GiB; its
+        # MemoryError leaked.  Here the kernel's allocation is refused rather
+        # than made, since on a large enough machine that square runs
+        f, g = truncate(ones_rule(), 300), truncate(eta_rule(), 200)
+        want = dirichlet_multiply(f, g)
+
+        class Starved:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(series, "np", Starved())
+        with pytest.raises(DomainError, match=r"^300 x 200 terms: 60000 pairs do not fit in memory$"):
+            dirichlet_multiply(f, g)
+        monkeypatch.undo()
+        assert dirichlet_multiply(f, g) == want
+
 
 class TestRules:
     def test_truncate_ones(self):
@@ -330,7 +350,7 @@ class TestRules:
     def test_description_matches_values(self, rule, half, parity, length):
         # a_n = c[n mod p] n^(-k), p | 64: exact for k = 0, and within 1 ulp
         # of c[n mod p] _inv_power(n, k) for zeta_shift(1..3)
-        c, k = rule._description
+        c, k = rule.vectorized._description
         assert 64 % len(c) == 0
         lo = 2 * half + 1 + parity
         ns = np.arange(lo, lo + length, dtype=np.int64)
@@ -342,18 +362,23 @@ class TestRules:
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
     def test_only_built_ins_carry_a_description(self):
-        # the description is private: no constructor argument sets it, and
-        # neither a tag nor replace carries it over
-        assert [rule._description for rule in (ones_rule(), eta_rule(), zeta_shift_rule(3))] == [
+        # the description is private and rides on the built-ins' functions:
+        # no constructor argument sets it, a tag does not carry it, and a
+        # rule holds it exactly when it holds a built-in's function
+        def description(rule):
+            return getattr(rule.vectorized, "_description", None)
+
+        assert [description(rule) for rule in (ones_rule(), eta_rule(), zeta_shift_rule(3))] == [
             ((1.0,), 0), ((-1.0, 1.0), 0), ((1.0,), 3)]
-        assert moebius_rule()._description is None and table_rule({1: 1.0})._description is None
-        assert CoefficientRule("eta", eta_rule().vectorized)._description is None
-        assert replace(eta_rule(), vectorized=lambda ns: np.ones(ns.shape))._description is None
-        with pytest.raises(TypeError):
-            CoefficientRule("eta", eta_rule().vectorized, None, ((-1.0, 1.0), 0))
+        assert description(moebius_rule()) is None and description(table_rule({1: 1.0})) is None
         eta = eta_rule()
-        assert "_description" not in repr(eta)
-        assert eta == replace(eta) and replace(eta)._description is None
+        assert description(CoefficientRule("eta", lambda ns: eta.vectorized(ns))) is None
+        assert description(replace(eta, vectorized=lambda ns: np.ones(ns.shape))) is None
+        assert description(CoefficientRule("x", eta.vectorized)) == ((-1.0, 1.0), 0)
+        with pytest.raises(TypeError):
+            CoefficientRule("eta", eta.vectorized, None, ((-1.0, 1.0), 0))
+        assert "_description" not in repr(eta) and "_description" not in vars(eta)
+        assert eta == replace(eta) and description(replace(eta)) == description(eta)
 
 
 class TestIntegerRules:
