@@ -277,7 +277,9 @@ def _classify(args):
 
 
 def _bv_check(args):
-    report = _spectral.bv_check(_parse_complex_flag(args.lmbda, "--lambda"), args.delta, args.n)
+    # bv_check's scalar form up to _SCALAR_SCAN_MAX, so a cold run there skips numpy's import
+    scan = _spectral._scan if args.n <= _spectral._SCALAR_SCAN_MAX else _spectral._scan_array
+    report = _spectral._variation(_parse_complex_flag(args.lmbda, "--lambda"), args.delta, args.n, scan)
     return _record(
         _fields(report, "verdict", "N", "delta", "gap", "variation", "fitted_constant", "majorant_ratio")
     )

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate
 
 from .errors import DomainError, SpectralError
+from .evaluation import _U
 from .operators import Multiplier, _reciprocal, _with_array_symbol, apply
 from .series import DirichletPolynomial, _Record, monomial
-from .series import _MAX_TERMS, _validate_complex, _validate_index, _validate_real, np
+from .series import (_MAX_TERMS, _exp, _log_indices, _product, _validate_complex, _validate_index, _validate_real,
+                     np)
 
 __all__ = [
     "FULL",
@@ -215,6 +218,14 @@ class VariationReport(_Record):
     rounding is summed exactly (see bv_check).  partial_sums, the running
     variation at n = 2 .. N, is read-only and left out of == and hash:
     (lam, delta, N) determine it.
+
+    certified_variation is a proven upper bound on the whole total variation
+    sum_{n >= 2} |gamma_n - gamma_{n+1}|: variation, plus a bound on its
+    rounding, plus the tail bound (1/rho^2 + delta/rho) (N + 1)^(-delta) / delta
+    with rho = log(N + 1) + Re lambda.  It is inf where there is no
+    certificate at this N: rho <= 0, or lambda so near the spectrum that the
+    scan's rounding cannot be bounded (see _certificate).  fitted_constant
+    and the verdict rest on a fit; this field does not.
     """
 
     lam: complex
@@ -226,25 +237,101 @@ class VariationReport(_Record):
     fitted_constant: float
     majorant_ratio: float
     verdict: str
+    certified_variation: float
 
     _uncompared = ("partial_sums",)
 
 
-def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
-    """Scan the total variation of gamma_n = 1 / ((log n + lambda) n^delta)
-    over n = 2 .. N + 1 and fit its majorant; see VariationReport.
+# the largest N whose scan runs on Python scalars in `dseries bv-check`, so
+# a cold run skips numpy's import.  The scalar form takes 0.8-1 us a term,
+# the array form 0.15-0.25 after numpy's import: in two rounds of 9 alternated
+# cold runs the scalar form was 6-8 ms faster at N = 114,688 and the array
+# form 3-5 ms faster at 131,072 (medians; 2-core x86-64, numpy 2.4.6;
+# BENCH_bv_cold_start.json)
+_SCALAR_SCAN_MAX = 120_000
 
-    majorant_ratio's increment is V[-1] - V[N/2 - 2] on the running
-    variation V.  Near the spectrum the n = 2 term dominates V, and that
-    difference can fall within the cumsum's rounding of V[-1] (at
-    lambda = -log 2 + 1e-12 i it was exactly 0); when
-    |V[-1] - V[N/2 - 2]| <= N u V[-1], u = 2^-53, the increment is the
-    math.fsum of the window's own diffs instead.  Elsewhere the difference
-    stands, bit for bit.
+
+def _scan(lam: complex, delta: float, N: int, gap2: float) -> tuple:
+    """bv_check's scan in CPython's scalar arithmetic, over n = 2 .. N + 1:
+    gamma_n = 1.0 / ((log n + lam) * exp(delta log n)), the diffs
+    abs(gamma_{n+1} - gamma_n) and their running sum (n <= N, a tuple), the
+    weights gap^2 diff exp((1 + delta/2) log n) at their maximum over
+    n <= N/2 and over n <= N, and the rounding weight of _certificate.
+    _scan_array replays each operation on arrays, so both give the same bits."""
+    logs = [math.log(n) for n in range(2, N + 2)]
+    shifted = [ln + lam for ln in logs]
+    powers = [math.exp(delta * ln) for ln in logs]
+    gamma = [1.0 / (z * q) for z, q in zip(shifted, powers)]
+    diffs = [abs(b - a) for a, b in zip(gamma, gamma[1:])]
+    p = 1.0 + 0.5 * delta
+    weights = [gap2 * d * math.exp(p * ln) for d, ln in zip(diffs, logs)]
+    rounding = math.fsum([(2.0 * ln / a + 3.0 * ln + 10.0) / (a * q)
+                          for ln, a, q in zip(logs, map(abs, shifted), powers)])
+    return diffs, tuple(accumulate(diffs)), max(weights[: N // 2 - 1]), max(weights), rounding
+
+
+def _scan_array(lam: complex, delta: float, N: int, gap2: float) -> tuple:
+    """_scan on arrays, bit for bit: logs from the log table, exps by _exp,
+    the products as CPython's _Py_c_prod forms them, the reciprocals as its
+    _Py_c_quot does, the moduli by np.hypot (CPython's complex abs) and the
+    running sum by np.cumsum, which adds in order.  So no bit follows
+    numpy's SIMD level.  The running sum is a read-only array."""
+    logs = _log_indices(np.arange(2, N + 2, dtype=np.int64))
+    re, im = logs + lam.real, 0.0 + lam.imag
+    powers = _exp(delta * logs)
+    # each of _reciprocal's branches may overflow or divide by 0 where the other is taken
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gre, gim = _reciprocal(*_product(re, im, powers, 0.0))
+    diffs = np.hypot(np.diff(gre), np.diff(gim))
+    V = np.cumsum(diffs)
+    V.flags.writeable = False
+    weights = gap2 * diffs * _exp((1.0 + 0.5 * delta) * logs[:-1])
+    a = np.hypot(re, im)
+    rounding = math.fsum(((2.0 * logs / a + 3.0 * logs + 10.0) / (a * powers)).tolist())
+    return diffs, V, float(weights[: N // 2 - 1].max()), float(weights.max()), rounding
+
+
+def _variation_tail(lam: complex, delta: float, N: int) -> float:
+    """(1/rho^2 + delta/rho) (N + 1)^(-delta) / delta, rho = log(N + 1) + Re lambda,
+    rounded up: since |gamma'(x)| <= (1/rho^2 + delta/rho) x^(-1-delta) for
+    x >= N + 1, it bounds sum_{n > N} |gamma_n - gamma_{n+1}|.  rho is taken
+    below its rounding; inf where that leaves rho <= 0."""
+    x = math.log(N + 1)
+    rho = x + lam.real
+    rho -= 4.0 * _U * (x + abs(rho))
+    if rho <= 0.0:
+        return math.inf
+    return (1.0 / (rho * rho) + delta / rho) * (N + 1.0) ** -delta / delta * (1.0 + 2.0**-48)
+
+
+def _certificate(lam: complex, delta: float, N: int, mu: float, variation: float, rounding: float) -> float:
+    """variation plus a bound on its rounding plus _variation_tail, rounded up.
+
+    With log, exp and hypot within 1 ulp, each gamma_n of the scan is within
+    u (2 log n / |L_n| + 3 log n + 10) |gamma_n| of its value, L_n = log n + lambda
+    and u = 2^-53: log n's error over |L_n|, then n^delta, the product and
+    Smith's reciprocal.  A diff adds 4u of itself and the running sum N u of
+    the variation, so the scan is off by at most
+    u (2 rounding + (N + 2) variation) to first order, rounding being _scan's
+    sum over n = 2 .. N + 1 of that weight divided by |L_n| n^delta; the bound
+    takes twice that.  It holds only while log n's error is small against
+    |L_n| >= gap, so where the weight at gap reaches 1/4 there is no
+    certificate (inf): there the computed gamma_n may be far from the true one.
     """
+    x = math.log(N + 1)
+    if _U * (2.0 * x / mu + 3.0 * x + 10.0) > 0.25:
+        return math.inf
+    scanned = variation + 2.0 * _U * (2.0 * rounding + (N + 2.0) * variation)
+    return (scanned + _variation_tail(lam, delta, N)) * (1.0 + 2.0**-50)
+
+
+def _variation(lmbda, delta: float, N: int, scan) -> VariationReport:
+    """bv_check by the given scan, _scan or _scan_array: the validation, the
+    gap and the verdict, shared by both."""
     lam = _spectral_parameter(lmbda)
     if _validate_real(delta, "delta", 0.0, strict=True) >= 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
+    delta = float(delta)
     N = _validate_index(N, "N", 10**3, _MAX_TERMS)
     mu = spectral_gap(lam)
     if mu <= 0.0:
@@ -258,35 +345,25 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
     if not sys.float_info.min <= gap2 < math.inf:
         raise DomainError(f"lambda = {lam} has spectral gap {mu!r}, whose square is not a normal double")
 
-    ns = np.arange(2, N + 2, dtype=np.float64)
-    gamma = 1.0 / ((np.log(ns) + lam) * ns**delta)
-    diffs = np.abs(np.diff(gamma))  # n = 2 .. N
-    V = np.cumsum(diffs)
-    V.flags.writeable = False
-
-    n_lo = ns[:-1]
-    weights = gap2 * diffs * n_lo ** (1.0 + 0.5 * delta)
-    running_c = np.maximum.accumulate(weights)
-    C = float(running_c[-1])
-    C_half = float(running_c[(N // 2) - 2])
+    diffs, V, C_half, C, rounding = scan(lam, delta, N, gap2)
     stable = C > 0 and abs(C - C_half) <= 0.01 * C
 
     # integral comparison for the majorant tail past N/2
     M = float(N // 2)
     tail_majorant = (C / gap2) * (2.0 / delta) * M ** (-0.5 * delta)
-    increment = float(V[-1] - V[(N // 2) - 2])
-    if abs(increment) <= N * 2.0**-53 * V[-1]:
-        # within the cumsum's rounding of V[-1]: the increment may have been
-        # absorbed by a large early term, so sum the window's diffs exactly
+    variation = float(V[-1])
+    increment = variation - float(V[(N // 2) - 2])
+    if abs(increment) <= N * _U * variation:
+        # within the running sum's rounding of V[-1]: the increment may have
+        # been absorbed by a large early term, so sum the window's diffs exactly
         increment = math.fsum(diffs[(N // 2) - 1 :])
     ratio = increment / tail_majorant if tail_majorant > 0 else math.inf
-    variation = float(V[-1])
     if not all(map(math.isfinite, (variation, C, ratio))):
         raise DomainError(f"bv_check at lambda = {lam} (spectral gap {mu!r}) leaves double range")
 
     return VariationReport(
         lam=lam,
-        delta=float(delta),
+        delta=delta,
         N=int(N),
         gap=mu,
         variation=variation,
@@ -294,7 +371,29 @@ def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
         fitted_constant=C,
         majorant_ratio=float(ratio),
         verdict="bounded" if stable else "violated",
+        certified_variation=_certificate(lam, delta, N, mu, variation, rounding),
     )
+
+
+def bv_check(lmbda, delta: float, N: int = 10**4) -> VariationReport:
+    """Scan the total variation of gamma_n = 1 / ((log n + lambda) n^delta)
+    over n = 2 .. N + 1, fit its majorant and certify a bound; see
+    VariationReport.
+
+    majorant_ratio's increment is V[-1] - V[N/2 - 2] on the running
+    variation V.  Near the spectrum the n = 2 term dominates V, and that
+    difference can fall within the running sum's rounding of V[-1] (at
+    lambda = -log 2 + 1e-12 i it was exactly 0); when
+    |V[-1] - V[N/2 - 2]| <= N u V[-1], u = 2^-53, the increment is the
+    math.fsum of the window's own diffs instead.  Elsewhere the difference
+    stands, bit for bit.
+
+    The scan is CPython's scalar arithmetic replayed on arrays (_scan,
+    _scan_array), so `dseries bv-check`, which runs the scalar form up to
+    N = _SCALAR_SCAN_MAX, prints the same bits, and none follows numpy's
+    SIMD level.
+    """
+    return _variation(lmbda, delta, N, _scan_array)
 
 
 def _reciprocal_symbol_distance(w: complex) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import importlib
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import dirichlet_ops
-from dirichlet_ops import series
+from dirichlet_ops import cli, series
 from dirichlet_ops.series import _KERNEL_MIN_PAIRS, _Record
+from dirichlet_ops.spectral import _SCALAR_SCAN_MAX
 
 SUBMODULES = [
     "abscissa", "dynamics", "errors", "evaluation", "operators", "series", "spectral", "volterra"
@@ -60,22 +62,26 @@ _Q = '{"kind":"poly","terms":[{"n":1,"re":1},{"n":3,"re":0.5,"im":2}]}'
 _P4 = ('{"kind":"poly","terms":[{"n":3,"re":0.75,"im":-1.25},{"n":17,"re":-2},'
        '{"n":40,"re":0.5,"im":0.5},{"n":64,"re":1,"im":-3}]}')
 _WIDE = json.dumps({"kind": "poly", "terms": [{"n": n, "re": 1.0 / n, "im": 0.5} for n in range(1, 101)]})
+# each case's argv starts with its subcommand; bv-check runs its scan on
+# Python scalars up to spectral._SCALAR_SCAN_MAX, its default N included
 NUMPY_FREE_SUBCOMMANDS = {
-    "eval": ["--series", _P4, "--s=1.2,3.4"],
-    "diff": ["--series", _P],
-    "integrate": ["--series", _P],
-    "mul": ["--f", _P, "--g", _Q],
-    "resolvent": ["--series", _Q, "--lambda=0.3,1.5", "--space", "full"],
-    "classify": ["--lambda=0.3,1.5", "--space", "full"],
-    "reciprocal": ["--mu=0.4,-1.2"],
-    "volterra": ["--g", _P, "--f", _Q],
-    "dynamics": ["--op", "d", "--series", _P4, "--epsilon", "0.3"],
+    "eval": ["eval", "--series", _P4, "--s=1.2,3.4"],
+    "diff": ["diff", "--series", _P],
+    "integrate": ["integrate", "--series", _P],
+    "mul": ["mul", "--f", _P, "--g", _Q],
+    "resolvent": ["resolvent", "--series", _Q, "--lambda=0.3,1.5", "--space", "full"],
+    "classify": ["classify", "--lambda=0.3,1.5", "--space", "full"],
+    "bv-check": ["bv-check", "--lambda=0.3,1.5", "--delta", "0.5", "--n", "1000"],
+    "bv-check-default-n": ["bv-check", "--lambda=0.3,1.5", "--delta", "0.5"],
+    "reciprocal": ["reciprocal", "--mu=0.4,-1.2"],
+    "volterra": ["volterra", "--g", _P, "--f", _Q],
+    "dynamics": ["dynamics", "--op", "d", "--series", _P4, "--epsilon", "0.3"],
 }
 ARRAY_SUBCOMMANDS = {
-    "eval": ["--series", _WIDE, "--s=1.2,3.4"],
-    "seminorm": ["--series", _P, "--epsilon", "0.3"],
-    "abscissa": ["--series", '{"kind":"rule","name":"eta"}', "--n", "200", "--probe-eps", "0.5"],
-    "bv-check": ["--lambda=0.3,1.5", "--delta", "0.5", "--n", "1000"],
+    "eval": ["eval", "--series", _WIDE, "--s=1.2,3.4"],
+    "seminorm": ["seminorm", "--series", _P, "--epsilon", "0.3"],
+    "abscissa": ["abscissa", "--series", '{"kind":"rule","name":"eta"}', "--n", "200", "--probe-eps", "0.5"],
+    "bv-check": ["bv-check", "--lambda=0.3,1.5", "--delta", "0.5", "--n", str(_SCALAR_SCAN_MAX + 1)],
 }
 
 
@@ -83,7 +89,7 @@ ARRAY_SUBCOMMANDS = {
 # inspect, ast, dis and tokenize it pulls in
 WATCHED = ("numpy", "dataclasses", "inspect")
 COLD_COMMANDS = {"import": ("-c", "import dirichlet_ops"), "help": ("-m", "dirichlet_ops", "--help")} | {
-    f"{sub}-{fmt}": ("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+    f"{sub}-{fmt}": ("-m", "dirichlet_ops", "--format", fmt, *NUMPY_FREE_SUBCOMMANDS[sub])
     for sub in sorted(NUMPY_FREE_SUBCOMMANDS) for fmt in ("json", "csv")
 }
 
@@ -116,7 +122,14 @@ def test_hashing_a_dict_form_polynomial_leaves_numpy_out():
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("sub", sorted(NUMPY_FREE_SUBCOMMANDS))
 def test_subcommands_without_arrays_leave_numpy_out(sub, fmt):
-    assert "numpy" not in _loads("-m", "dirichlet_ops", "--format", fmt, sub, *NUMPY_FREE_SUBCOMMANDS[sub])
+    assert "numpy" not in _loads("-m", "dirichlet_ops", "--format", fmt, *NUMPY_FREE_SUBCOMMANDS[sub])
+
+
+def test_every_subcommand_has_a_cold_start_case():
+    # a new subcommand must name its cold start in one of the two tables
+    [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = [*NUMPY_FREE_SUBCOMMANDS.values(), *ARRAY_SUBCOMMANDS.values()]
+    assert {argv[0] for argv in cases} == set(sub.choices)
 
 
 def test_mul_below_the_kernel_leaves_numpy_out():
@@ -140,7 +153,7 @@ def test_cold_starts_leave_dataclasses_and_inspect_out(command):
 def test_array_subcommands_load_numpy(sub):
     # the probe sees numpy when it is imported: without this the test above
     # would pass on a probe that never finds it; numpy imports inspect
-    assert _loads("-m", "dirichlet_ops", sub, *ARRAY_SUBCOMMANDS[sub]) >= {"numpy", "inspect"}
+    assert _loads("-m", "dirichlet_ops", *ARRAY_SUBCOMMANDS[sub]) >= {"numpy", "inspect"}
 
 
 def test_probe_sees_dataclasses():

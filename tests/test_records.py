@@ -141,6 +141,7 @@ class VariationReport:
     fitted_constant: float
     majorant_ratio: float
     verdict: str
+    certified_variation: float
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ SAMPLES = {
     "SpectrumClassification": dict(lam=complex(-math.log(2), 0.0), space="full", kind="eigenvalue", n=2,
                                    eigenvector=monomial(2), gap=None, near_spectrum=True, reason="-log 2"),
     "VariationReport": dict(lam=1 + 1j, delta=0.5, N=1000, gap=1.0, variation=2.0, partial_sums=np.arange(3.0),
-                            fitted_constant=1.5, majorant_ratio=0.9, verdict="bounded"),
+                            fitted_constant=1.5, majorant_ratio=0.9, verdict="bounded", certified_variation=2.5),
     "ReciprocalReport": dict(mu=0.4 - 1.2j, in_rho_d=True, in_rho_j_reciprocal=True, consistent=True,
                              gap_d=1.6, gap_j=0.79),
     "IdentityReport": dict(lhs=_F, rhs=_F, match=True),

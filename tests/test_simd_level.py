@@ -11,8 +11,9 @@ log_index_array read from the log table, two sums of nonnegative terms
 taken on arrays (normalized_power_norm's on an array orbit and seminorm's
 upper), the boundary-grid kernel's maxima (seminorm's lower of a complex
 polynomial on its default two-sided grid and the bracket_sigma_u probes of
-a complex table_rule), boundary_values of a one-term polynomial, and
-summation_by_parts.
+a complex table_rule), boundary_values of a one-term polynomial,
+summation_by_parts, and six bv_check reports at random lambda and delta
+with the `dseries bv-check` output of each (the CLI's scalar form).
 numpy ignores the names of features a CPU lacks, so on such a CPU both
 sides run the same loops and the test passes trivially.
 """
@@ -33,6 +34,7 @@ from dirichlet_ops import (
     Multiplier,
     boundary_values,
     bracket_sigma_u,
+    bv_check,
     check_growth,
     derivative_multiplier,
     ergodicity_diagnostic,
@@ -101,6 +103,15 @@ def corpus() -> dict:
     rng = np.random.default_rng(200)
     x, y = (rng.normal(size=5000) + 1j * rng.normal(size=5000) for _ in range(2))
     out["summation_by_parts"] = _hex(summation_by_parts(x, y))
+    # bv_check: each report's scalar fields, its partial sums' bytes and the CLI's output
+    rng = np.random.default_rng(7)
+    for k in range(6):
+        lam, delta = complex(rng.uniform(-0.5, 3.0), rng.uniform(-2.0, 2.0)), float(rng.uniform(0.05, 0.95))
+        r = bv_check(lam, delta, 2000)
+        fields = (r.gap, r.variation, r.fitted_constant, r.majorant_ratio, r.certified_variation)
+        out[f"bv_check {k}"] = [*(v.hex() for v in fields), r.verdict, r.partial_sums.tobytes().hex()]
+        argv = ["bv-check", f"--lambda={lam.real!r},{lam.imag!r}", "--delta", repr(delta), "--n", "2000"]
+        out[" ".join(argv)] = capture(argv)["stdout"]
     return out
 
 

@@ -1,9 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dirichlet_ops import spectral
 from dirichlet_ops import (
     FULL,
     NEAR_SPECTRUM_RADIUS,
@@ -213,6 +217,84 @@ class TestBoundedVariation:
     def test_window_length_validated(self, N):
         with pytest.raises(DomainError, match="N must be"):
             bv_check(1.0, 0.5, N)
+
+
+def _outcome(lam, delta, N, scan):
+    """Every field of the report the scan gives, as float.hex, and its
+    partial sums' bytes; or the error it raised."""
+    try:
+        report = spectral._variation(lam, delta, N, scan)
+    except (DomainError, SpectralError) as err:
+        return type(err).__name__, str(err)
+    fields = []
+    for name in report._fields:
+        value = getattr(report, name)
+        if isinstance(value, complex):
+            fields += [value.real.hex(), value.imag.hex()]
+        elif isinstance(value, float):
+            fields.append(value.hex())
+        elif name != "partial_sums":
+            fields.append(value)
+    return fields, np.asarray(report.partial_sums, dtype=np.float64).tobytes()
+
+
+_TINY = st.floats(-1e-150, 1e-150)
+_LAMBDAS = st.one_of(
+    # within 1e-150 of -log n, where the gap is at or past normal range
+    st.builds(lambda n, re, im: complex(-math.log(n) + re, im), st.integers(2, 10**6), _TINY, _TINY),
+    st.builds(cmath.rect, st.floats(1e149, 1e151), st.floats(-math.pi, math.pi)),
+    st.builds(complex, st.floats(-1e12, -43.0), st.floats(-10.0, 10.0)),
+    st.builds(complex, st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0])),
+)
+_DELTAS = st.one_of(st.floats(0.0, 1e-3, exclude_min=True), st.floats(0.999, 1.0, exclude_max=True),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestScalarScan:
+    @given(lam=_LAMBDAS, delta=_DELTAS,
+           N=st.sampled_from([1000, spectral._SCALAR_SCAN_MAX, spectral._SCALAR_SCAN_MAX + 1]))
+    def test_scalar_and_array_forms_agree_in_bits(self, lam, delta, N):
+        # `dseries bv-check` runs the scalar form up to _SCALAR_SCAN_MAX, bv_check the array form
+        assert _outcome(lam, delta, N, spectral._scan) == _outcome(lam, delta, N, spectral._scan_array)
+
+
+class TestCertifiedVariation:
+    @pytest.mark.parametrize("lam", [1.0, 0.3 + 1.5j, -0.5 + 0.2j, 5.0 - 3.0j, 1e150j, complex(-math.log(2), 1e-12)])
+    @pytest.mark.parametrize("delta", [0.2, 0.5, 0.9])
+    def test_bounds_the_variation_at_eight_times_N(self, lam, delta):
+        report = bv_check(lam, delta, 1000)
+        assert report.variation < report.certified_variation < math.inf
+        assert bv_check(lam, delta, 8000).variation <= report.certified_variation
+
+    @pytest.mark.parametrize("lam", [1.0, complex(-math.log(2), 1e-12), complex(-math.log(3), 1e-9), 2.0 - 40.0j])
+    def test_rounding_margin_covers_the_scan(self, lam):
+        # the scanned variation against one at 50 digits; near -log 2 the
+        # computed gamma_2 is off in its 5th digit, log 2's own rounding
+        # (~2e-17) against |log 2 + lambda| = 1e-12
+        report, N, delta = bv_check(lam, 0.5, 1000), 1000, 0.5
+        with mpmath.workdps(50):
+            gamma = [1 / ((mpmath.log(n) + mpmath.mpc(lam)) * mpmath.power(n, delta)) for n in range(2, N + 2)]
+            exact = mpmath.fsum(abs(b - a) for a, b in zip(gamma, gamma[1:]))
+            error = float(abs(exact - report.variation))
+        margin = report.certified_variation - report.variation - spectral._variation_tail(report.lam, delta, N)
+        assert 0 < error <= margin
+
+    def test_tail_is_the_integral_bound(self):
+        lam, delta, N = complex(-3.0, 0.7), 0.3, 4096
+        with mpmath.workdps(50):
+            rho = mpmath.log(N + 1) + lam.real
+            integral = mpmath.quad(lambda x: (1 / rho**2 + delta / rho) * x ** (-1 - delta), [N + 1, mpmath.inf])
+            L = lambda x: mpmath.log(x) + mpmath.mpc(lam)
+            derivative = mpmath.quad(lambda x: abs((1 + delta * L(x)) / L(x) ** 2) * x ** (-1 - delta),
+                                     [N + 1, mpmath.inf])
+        tail = spectral._variation_tail(lam, delta, N)
+        assert derivative <= integral <= tail
+        assert tail == pytest.approx(float(integral), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [-8.0 + 1.0j, -50.0 + 0.5j, complex(-math.log(2), 1e-15)])
+    def test_no_certificate(self, lam):
+        # rho = log 1001 + Re lambda <= 0, or the gap too small to bound the scan's rounding
+        assert bv_check(lam, 0.5, 1000).certified_variation == math.inf
 
 
 class TestNonFiniteParameter:
